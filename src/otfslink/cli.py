@@ -12,7 +12,8 @@ config never starts a simulation. Output CSV is written atomically (temp
 file + rename) and begins with a versioned comment line; everything after
 that line is a pure function of (config, seed). Set the environment
 variable ``OTFSLINK_LOG`` to debug/info/warning/error to tune verbosity
-(progress is logged to stderr at info level).
+(one progress line per link, with elapsed time and an ETA, is logged to
+stderr at info level).
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .link_sim import (
     DEFAULT_ANTENNA_GRID,
     DEFAULT_SNR_GRID_DB,
     SimConfig,
-    antenna_sweep,
+    antenna_points,
     format_csv,
-    snr_sweep,
+    run_sweep,
+    snr_points,
 )
 from .precoding import PRECODER_MODES, RankDeficientChannelError
 from .validation import run_validation_suite
@@ -110,6 +112,9 @@ def parse_config(path) -> ExperimentConfig:
         sim = SimConfig(**sim_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if sim.n_rf > sim.n_paths:
+        # rank(H) <= n_paths*M*N, so n_rf*M*N streams can never fit
+        raise ConfigError(f"n_rf must be <= n_paths = {sim.n_paths}, got {sim.n_rf}")
 
     sweep = doc.get("sweep", "snr")
     if sweep not in SWEEP_KINDS:
@@ -124,9 +129,14 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(n_tx_grid, list) or not n_tx_grid:
         raise ConfigError("n_tx_grid must be a non-empty list of integers")
     n_tx_grid = tuple(_require_number("n_tx_grid entry", v, integer=True) for v in n_tx_grid)
-    for n_tx in n_tx_grid:
-        if n_tx < sim.n_rf:
-            raise ConfigError(f"n_tx_grid entries must be >= n_rf = {sim.n_rf}, got {n_tx}")
+    for name, points, grid in (
+        ("snr_grid_db", snr_points, snr_grid),
+        ("n_tx_grid", antenna_points, n_tx_grid),
+    ):
+        try:
+            points(sim, grid)
+        except ValueError as exc:
+            raise ConfigError(f"{name} entry: {exc}") from exc
 
     trials = doc.get("trials", 1)
     _require_number("trials", trials, integer=True)
@@ -177,21 +187,14 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _run_grid(cfg: ExperimentConfig, single: bool):
-    """One sweep row per grid point, with a progress line per point."""
-    rows = []
+    """One sweep row per grid point; the whole grid goes through one sweep loop."""
     if single or cfg.sweep == "single":
-        grid = [("snr_db", cfg.sim.snr_db)]
+        points = snr_points(cfg.sim, [cfg.sim.snr_db])
     elif cfg.sweep == "snr":
-        grid = [("snr_db", snr) for snr in cfg.snr_grid_db]
+        points = snr_points(cfg.sim, cfg.snr_grid_db)
     else:
-        grid = [("n_tx", n_tx) for n_tx in cfg.n_tx_grid]
-    for i, (kind, value) in enumerate(grid):
-        logger.info("grid point %d/%d: %s=%s (%d trials)", i + 1, len(grid), kind, value, cfg.trials)
-        if kind == "snr_db":
-            rows.extend(snr_sweep(cfg.sim, [value], trials=cfg.trials))
-        else:
-            rows.extend(antenna_sweep(cfg.sim, [value], trials=cfg.trials))
-    return rows
+        points = antenna_points(cfg.sim, cfg.n_tx_grid)
+    return run_sweep(points, cfg.trials)
 
 
 def emit_csv(rows, output: str | None) -> int:

@@ -17,26 +17,46 @@ trial as ``np.random.default_rng([seed, trial])``, shared across grid
 points, so trials at different SNRs see common channels and noise shapes
 (which makes metric-vs-SNR trends monotone) and semantic/uniform runs of
 the same trial are exactly paired.
+
+A sweep runs trials in the outer loop and grid points in the inner one.
+Every link still draws its payload, importance, channel and noise from its
+own fresh trial stream in that order, so the CSV is the same as running
+each (point, trial) link on its own. Only the deterministic expansion of
+the drawn channel (dense H, SVD, precoder/combiner, gains; see
+:func:`realize`) is reused: a :class:`RealizationSlot` hands it on to the
+next link whose drawn channel, ``n_rf`` and precoder mode are equal. An SNR
+sweep therefore decomposes one channel per trial instead of one per link.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import allocation, modem
-from .channel import ChannelConfig, apply_channel, build_time_channel, sample_channel
+from .channel import (
+    ChannelConfig,
+    DdMimoChannel,
+    apply_channel,
+    build_time_channel,
+    sample_channel,
+)
 from .dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from .precoding import (
     PRECODER_MODES,
+    PrecoderCombiner,
     build_precoder_combiner,
     decompose,
     sub_channel_gains,
 )
+
+logger = logging.getLogger(__name__)
 
 ALLOCATION_MODES = ("semantic", "uniform")
 
@@ -98,8 +118,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be in [0, {mn}), got {value}")
         if not isinstance(self.snr_db, (int, float)) or isinstance(self.snr_db, bool):
             raise ValueError(f"snr_db must be a number, got {self.snr_db!r}")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must not be {self.snr_db} (+inf is the noiseless case)")
         if self.precoder_mode not in PRECODER_MODES:
             raise ValueError(f"precoder_mode must be one of {PRECODER_MODES}, got {self.precoder_mode!r}")
         if self.allocation_mode not in ALLOCATION_MODES:
@@ -178,14 +198,64 @@ def sample_payload(rng, n: int) -> np.ndarray:
     return rng.integers(0, modem.QAM_ORDER, size=n)
 
 
-def run_link(cfg: SimConfig, payload_indices, importance, rng=None) -> LinkMetrics:
+@dataclass(frozen=True, eq=False)
+class Realization:
+    """What a link needs from one drawn channel, for ``n_rf`` chains and a precoder mode.
+
+    A pure function of ``(chan, n_rf, precoder_mode)``; see :func:`realize`.
+    The SVD factors themselves are not kept: ``pc`` and ``gains`` carry all
+    a transmission uses of them.
+    """
+
+    chan: DdMimoChannel
+    n_rf: int
+    precoder_mode: str
+    h: np.ndarray
+    pc: PrecoderCombiner
+    gains: np.ndarray
+
+
+def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
+    """Dense H, its SVD, the precoder/combiner and the sub-channel gains of ``chan``."""
+    h = build_time_channel(chan)
+    dec = decompose(h)
+    pc = build_precoder_combiner(dec, n_rf, chan.m_delay, chan.n_doppler, precoder_mode)
+    gains = sub_channel_gains(dec, n_rf, chan.m_delay, chan.n_doppler)
+    return Realization(chan=chan, n_rf=n_rf, precoder_mode=precoder_mode, h=h, pc=pc, gains=gains)
+
+
+class RealizationSlot:
+    """Holds at most one :class:`Realization` for the links of one sweep.
+
+    :meth:`get` returns the held realization only when the channel compares
+    equal (exact equality of the frozen path parameters and geometry) and
+    ``n_rf`` and the precoder mode match. On a miss it drops the held one
+    before computing the next, so at most one dense H is alive at a time.
+    """
+
+    def __init__(self):
+        self._held = None
+
+    def get(self, chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
+        held = self._held
+        key = (chan, n_rf, precoder_mode)
+        if held is not None and (held.chan, held.n_rf, held.precoder_mode) == key:
+            return held
+        self._held = held = None
+        self._held = realize(chan, n_rf, precoder_mode)
+        return self._held
+
+
+def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -> LinkMetrics:
     """Run one burst of ``cfg.n_frames`` OTFS frames over a fresh channel.
 
     ``payload_indices`` are 64-QAM labels, ``importance`` the matching
     nonnegative per-element scores; both must have length
     ``cfg.payload_len``. The channel is held constant across the burst;
     allocation is recomputed per frame from that frame's importance slice.
-    Deterministic given the seed / generator passed as ``rng``.
+    Deterministic given the seed / generator passed as ``rng``. The channel
+    is always drawn from ``rng``; a :class:`RealizationSlot` passed as
+    ``slot`` only saves recomputing its realization, never changes the result.
     """
     rng = np.random.default_rng(rng if rng is not None else cfg.seed)
     idx = np.asarray(payload_indices)
@@ -198,10 +268,11 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None) -> LinkMetri
         raise ValueError("importance scores must be finite and >= 0")
 
     chan = sample_channel(cfg.channel_config, rng)
-    h = build_time_channel(chan)
-    dec = decompose(h)
-    pc = build_precoder_combiner(dec, cfg.n_rf, cfg.m_delay, cfg.n_doppler, cfg.precoder_mode)
-    gains = sub_channel_gains(dec, cfg.n_rf, cfg.m_delay, cfg.n_doppler)
+    if slot is None:
+        real = realize(chan, cfg.n_rf, cfg.precoder_mode)
+    else:
+        real = slot.get(chan, cfg.n_rf, cfg.precoder_mode)
+    h, pc, gains = real.h, real.pc, real.gains
     noise_var = snr_to_noise_var(cfg.snr_db)
 
     k = cfg.n_subchannels
@@ -261,16 +332,17 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None) -> LinkMetri
         ser=n_err / total,
         kappa_exact=float(np.mean(kappa_exact)),
         kappa_soft=float(np.mean(kappa_soft)),
-        gains=gains,
+        # a copy: the held realization's gains serve later links of the sweep
+        gains=gains.copy(),
     )
 
 
-def run_random_link(cfg: SimConfig, rng=None) -> LinkMetrics:
+def run_random_link(cfg: SimConfig, rng=None, slot=None) -> LinkMetrics:
     """Draw a random payload and importance vector, then run one link."""
     rng = np.random.default_rng(rng if rng is not None else cfg.seed)
     idx = sample_payload(rng, cfg.payload_len)
     w = sample_importance(rng, cfg.payload_len)
-    return run_link(cfg, idx, w, rng)
+    return run_link(cfg, idx, w, rng, slot)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -295,28 +367,52 @@ def _average_row(cfg: SimConfig, metrics: list[LinkMetrics]) -> SweepRow:
     )
 
 
-def snr_sweep(cfg: SimConfig, snr_list_db=DEFAULT_SNR_GRID_DB, trials: int = 1) -> list[SweepRow]:
-    """Average ``trials`` random links at each SNR; one row per grid point."""
+def run_sweep(points, trials: int = 1) -> list[SweepRow]:
+    """Average ``trials`` random links at each grid point; one row per point.
+
+    Trials are the outer loop, so the links of one trial, which all draw
+    the same channel when the points differ only in SNR, follow each other
+    and share one realization through a :class:`RealizationSlot`. Link
+    (point, t) uses the stream ``_trial_rng(point.seed, t)`` exactly as a
+    lone ``run_random_link`` call would. Logs one progress line per link.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rows = []
-    for snr in snr_list_db:
-        point = replace(cfg, snr_db=float(snr))
-        metrics = [run_random_link(point, _trial_rng(cfg.seed, t)) for t in range(trials)]
-        rows.append(_average_row(point, metrics))
-    return rows
+    points = list(points)
+    slot = RealizationSlot()
+    metrics = [[] for _ in points]
+    total = trials * len(points)
+    start = time.perf_counter()
+    for t in range(trials):
+        for i, point in enumerate(points):
+            metrics[i].append(run_random_link(point, _trial_rng(point.seed, t), slot))
+            done = t * len(points) + i + 1
+            elapsed = time.perf_counter() - start
+            logger.info(
+                "link %d/%d (trial %d, grid point %d): %.2f s elapsed, ETA %.2f s",
+                done, total, t + 1, i + 1, elapsed, elapsed / done * (total - done),
+            )
+    return [_average_row(point, m) for point, m in zip(points, metrics)]
+
+
+def snr_points(cfg: SimConfig, snr_list_db=DEFAULT_SNR_GRID_DB) -> list[SimConfig]:
+    """The grid points of an SNR sweep: ``cfg`` at each SNR."""
+    return [replace(cfg, snr_db=float(snr)) for snr in snr_list_db]
+
+
+def antenna_points(cfg: SimConfig, n_tx_list=DEFAULT_ANTENNA_GRID) -> list[SimConfig]:
+    """The grid points of an antenna sweep: ``cfg`` at each n_tx, keeping n_rx = n_tx."""
+    return [replace(cfg, n_tx=int(n_tx), n_rx=int(n_tx)) for n_tx in n_tx_list]
+
+
+def snr_sweep(cfg: SimConfig, snr_list_db=DEFAULT_SNR_GRID_DB, trials: int = 1) -> list[SweepRow]:
+    """Average ``trials`` random links at each SNR; one row per grid point."""
+    return run_sweep(snr_points(cfg, snr_list_db), trials)
 
 
 def antenna_sweep(cfg: SimConfig, n_tx_list=DEFAULT_ANTENNA_GRID, trials: int = 1) -> list[SweepRow]:
     """Average ``trials`` random links per antenna count, keeping n_rx = n_tx."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rows = []
-    for n_tx in n_tx_list:
-        point = replace(cfg, n_tx=int(n_tx), n_rx=int(n_tx))
-        metrics = [run_random_link(point, _trial_rng(cfg.seed, t)) for t in range(trials)]
-        rows.append(_average_row(point, metrics))
-    return rows
+    return run_sweep(antenna_points(cfg, n_tx_list), trials)
 
 
 def write_csv(rows, fileobj) -> None:

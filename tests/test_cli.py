@@ -1,6 +1,7 @@
 """CLI tests: config validation, sweep output, determinism, validate suite."""
 
 import json
+import math
 import os
 
 import pytest
@@ -75,6 +76,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "update, field",
+        [
+            ({"snr_db": -math.inf}, "snr_db"),
+            ({"snr_grid_db": [0.0, -math.inf]}, "snr_grid_db"),
+            ({"snr_grid_db": [math.nan]}, "snr_grid_db"),
+            ({"n_tx_grid": [2, 0]}, "n_tx_grid"),
+            ({"n_rf": 2, "n_paths": 1}, "n_rf"),
+        ],
+        ids=["snr_db_-inf", "snr_grid_-inf", "snr_grid_nan", "n_tx_grid_zero", "n_rf_above_n_paths"],
+    )
+    def test_unusable_values_rejected_before_running(self, tmp_path, capsys, update, field):
+        cfg = dict(SMALL_CONFIG)
+        cfg.update(update)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))  # non-finite floats become -Infinity / NaN
+        with pytest.raises(ConfigError, match=field):
+            parse_config(path)
+        out = tmp_path / "never.csv"
+        assert main(["sweep", str(path), "--output", str(out)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noiseless_snr_accepted(self, tmp_path):
+        cfg = dict(SMALL_CONFIG)
+        cfg.update({"snr_db": math.inf, "snr_grid_db": [math.inf]})
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(cfg))
+        assert parse_config(path).snr_grid_db == (math.inf,)
+
     def test_defaults_fill_in(self, tmp_path):
         path = tmp_path / "minimal.json"
         path.write_text("{}")
@@ -132,6 +163,20 @@ class TestSweepCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n_rf": 0}))
         assert main(["sweep", str(bad)]) == 2
+
+    def test_log_level_leaves_csv_bytes_unchanged(self, small_config, tmp_path, monkeypatch, capsys):
+        texts, errs = {}, {}
+        for level in ("error", "debug"):
+            monkeypatch.setenv("OTFSLINK_LOG", level)
+            out = tmp_path / f"{level}.csv"
+            assert main(["sweep", str(small_config), "--output", str(out)]) == 0
+            texts[level] = out.read_bytes()
+            errs[level] = capsys.readouterr().err
+        assert texts["error"] == texts["debug"]
+        assert "ETA" not in errs["error"]
+        # two SNR points x two trials: one progress line per link
+        assert errs["debug"].count("ETA") == 4
+        assert "link 4/4 (trial 2, grid point 2)" in errs["debug"]
 
     def test_antenna_sweep_row_count(self, tmp_path):
         cfg = dict(SMALL_CONFIG)

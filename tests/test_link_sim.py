@@ -1,20 +1,30 @@
 """End-to-end link pipeline tests: recovery, pairing, sweeps, CSV."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from otfslink import link_sim
+from otfslink.channel import sample_channel
 from otfslink.link_sim import (
     CSV_COLUMNS,
+    RealizationSlot,
     SimConfig,
+    _average_row,
+    _trial_rng,
+    antenna_points,
     antenna_sweep,
     format_csv,
+    realize,
     run_link,
     run_random_link,
+    run_sweep,
     sample_importance,
     sample_payload,
+    snr_points,
     snr_sweep,
     snr_to_noise_var,
 )
@@ -63,6 +73,12 @@ class TestSimConfig:
     def test_counts_positive(self):
         with pytest.raises(ValueError, match="n_rf"):
             SimConfig(n_rf=0)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_snr_must_be_a_level_or_noiseless(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            SimConfig(snr_db=snr_db)
+        assert SimConfig(snr_db=math.inf).snr_db == math.inf
 
 
 class TestRunLink:
@@ -194,6 +210,102 @@ class TestSweeps:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             snr_sweep(SMALL, [0.0], trials=0)
+
+
+def _oracle_rows(points, trials):
+    """Each (point, trial) link run on its own, with no realization reuse."""
+    return [
+        _average_row(p, [run_random_link(p, _trial_rng(p.seed, t)) for t in range(trials)])
+        for p in points
+    ]
+
+
+def _count_decompose(monkeypatch):
+    calls = []
+    real = link_sim.decompose
+
+    def counted(h):
+        calls.append(1)
+        return real(h)
+
+    monkeypatch.setattr(link_sim, "decompose", counted)
+    return calls
+
+
+class TestSweepLoop:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            snr_points(SMALL, [-6.0, 0.0, math.inf, 12.0]),
+            snr_points(replace(SMALL, n_frames=3, allocation_mode="uniform"), [0.0, 18.0]),
+            antenna_points(replace(SMALL, n_frames=2), [2, 3, 4]),
+        ],
+        ids=["snr", "snr_frames", "antennas"],
+    )
+    def test_bytes_match_links_run_alone(self, points):
+        assert format_csv(run_sweep(points, trials=3)) == format_csv(_oracle_rows(points, 3))
+
+    def test_snr_sweep_decomposes_once_per_trial(self, monkeypatch):
+        calls = _count_decompose(monkeypatch)
+        snr_sweep(SMALL, [-6.0, 0.0, 6.0, 12.0, 18.0], trials=3)
+        assert len(calls) == 3
+
+    def test_antenna_sweep_decomposes_every_link(self, monkeypatch):
+        calls = _count_decompose(monkeypatch)
+        antenna_sweep(SMALL, [2, 3, 4], trials=2)
+        assert len(calls) == 3 * 2
+
+
+class TestRealizationSlot:
+    CFG = replace(SMALL, n_rf=2)
+
+    def _chan(self, seed):
+        return sample_channel(self.CFG.channel_config, np.random.default_rng(seed))
+
+    def test_reuses_an_equal_channel(self):
+        slot = RealizationSlot()
+        held = slot.get(self._chan(0), 1, "dd_corrected")
+        # an equal channel drawn again is a hit, not only the same object
+        assert slot.get(self._chan(0), 1, "dd_corrected") is held
+
+    @pytest.mark.parametrize(
+        "key",
+        [(1, 1, "dd_corrected"), (0, 2, "dd_corrected"), (0, 1, "paper_literal")],
+        ids=["channel", "n_rf", "precoder_mode"],
+    )
+    def test_never_reuses_a_mismatched_realization(self, key):
+        slot = RealizationSlot()
+        slot.get(self._chan(0), 1, "dd_corrected")
+        chan_seed, n_rf, mode = key
+        chan = self._chan(chan_seed)
+        got = slot.get(chan, n_rf, mode)
+        fresh = realize(chan, n_rf, mode)
+        assert (got.chan, got.n_rf, got.precoder_mode) == (chan, n_rf, mode)
+        np.testing.assert_array_equal(got.gains, fresh.gains)
+        np.testing.assert_array_equal(got.pc.g, fresh.pc.g)
+        np.testing.assert_array_equal(got.pc.w, fresh.pc.w)
+
+    def test_miss_drops_the_held_realization_first(self, monkeypatch):
+        slot = RealizationSlot()
+        held = weakref.ref(slot.get(self._chan(0), 1, "dd_corrected"))
+        alive_during_realize = []
+        real_realize = link_sim.realize
+
+        def spy(*args):
+            alive_during_realize.append(held() is not None)
+            return real_realize(*args)
+
+        monkeypatch.setattr(link_sim, "realize", spy)
+        slot.get(self._chan(1), 1, "dd_corrected")
+        assert alive_during_realize == [False]
+
+    def test_metrics_gains_do_not_alias_the_held_realization(self):
+        slot = RealizationSlot()
+        cfg = self.CFG
+        a = run_random_link(cfg, _trial_rng(0, 0), slot)
+        a.gains[:] = 0.0
+        b = run_random_link(cfg, _trial_rng(0, 0), slot)
+        assert np.all(b.gains > 0)
 
 
 class TestCsv:
