@@ -9,7 +9,7 @@ Submodules:
 * :mod:`otfslink.modem`         -- Gray 64-QAM, hard demapping, zero forcing
 * :mod:`otfslink.link_sim`      -- end-to-end runs, sweeps, CSV rows
 * :mod:`otfslink.losses`        -- rate/distortion/alignment objectives
-* :mod:`otfslink.validation`    -- cross-module invariant suite
+* :mod:`otfslink.validation`    -- invariant suite of ``validate`` and the acceptance tests
 * :mod:`otfslink.cli`           -- ``otfslink`` command-line entry point
 """
 
@@ -45,10 +45,8 @@ from .link_sim import (
     LinkMetrics,
     SimConfig,
     SweepRow,
-    antenna_sweep,
     run_link,
     run_random_link,
-    snr_sweep,
     snr_to_noise_var,
 )
 from .losses import LossWeights, cross_entropy, l1_loss, l2_loss, rate_term
@@ -66,6 +64,5 @@ from .precoding import (
     build_precoder_combiner,
     decompose,
     effective_dd_channel,
-    per_subchannel_receive,
     sub_channel_gains,
 )

@@ -10,8 +10,6 @@ sigmoid surrogate.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from scipy.special import expit, ndtr
 
@@ -121,19 +119,3 @@ def invert_allocation(received, pi) -> np.ndarray:
     out = np.empty_like(received)
     out[pi] = received
     return out
-
-
-def save_allocation_fixture(path, importance, permutation) -> None:
-    """Write an importance vector and permutation as a JSON fixture."""
-    doc = {
-        "importance": [float(x) for x in np.asarray(importance)],
-        "permutation": [int(x) for x in np.asarray(permutation)],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def load_allocation_fixture(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return np.asarray(doc["importance"], dtype=float), np.asarray(doc["permutation"], dtype=np.intp)

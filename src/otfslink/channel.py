@@ -15,7 +15,6 @@ no explicit cyclic prefix is modeled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,55 +60,6 @@ class DdMimoChannel:
     @property
     def mn(self) -> int:
         return self.m_delay * self.n_doppler
-
-    def to_dict(self) -> dict:
-        """JSON-ready description: geometry plus one record per path."""
-        return {
-            "n_tx": self.n_tx,
-            "n_rx": self.n_rx,
-            "m_delay": self.m_delay,
-            "n_doppler": self.n_doppler,
-            "paths": [
-                {
-                    "gain_re": float(p.gain.real),
-                    "gain_im": float(p.gain.imag),
-                    "delay_tap": int(p.delay_tap),
-                    "doppler_tap": int(p.doppler_tap),
-                    "aod": float(p.aod),
-                    "aoa": float(p.aoa),
-                }
-                for p in self.paths
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DdMimoChannel":
-        paths = tuple(
-            PathParams(
-                gain=complex(p["gain_re"], p["gain_im"]),
-                delay_tap=int(p["delay_tap"]),
-                doppler_tap=int(p["doppler_tap"]),
-                aod=float(p["aod"]),
-                aoa=float(p["aoa"]),
-            )
-            for p in d["paths"]
-        )
-        return cls(
-            paths=paths,
-            n_tx=int(d["n_tx"]),
-            n_rx=int(d["n_rx"]),
-            m_delay=int(d["m_delay"]),
-            n_doppler=int(d["n_doppler"]),
-        )
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    @classmethod
-    def load_json(cls, path) -> "DdMimoChannel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

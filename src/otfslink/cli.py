@@ -5,15 +5,15 @@ Subcommands:
 * ``simulate <config>`` -- one grid point at the configured SNR.
 * ``sweep <config>``    -- SNR sweep, antenna sweep, or single point,
   selected by the config's ``sweep`` field.
-* ``validate``          -- run the cross-module invariant suite.
+* ``validate``          -- run :data:`otfslink.validation.CHECKS`, the checks
+  of the acceptance tests at the same tolerances.
 
 Configs are strict JSON: unknown keys are rejected by name, and an invalid
 config never starts a simulation. Output CSV is written atomically (temp
-file + rename) and begins with a versioned comment line; everything after
-that line is a pure function of (config, seed). Set the environment
-variable ``OTFSLINK_LOG`` to debug/info/warning/error to tune verbosity
-(one progress line per link, with elapsed time and an ETA, is logged to
-stderr at info level).
+file + rename) and begins with a versioned comment line; the rest is a
+function of (config, seed), byte for byte at a fixed BLAS thread count
+(README "Reproducibility"). ``OTFSLINK_LOG=debug|info|warning|error`` tunes
+the stderr log; at info it has one progress line per link with an ETA.
 """
 
 from __future__ import annotations
@@ -66,15 +66,7 @@ class ExperimentConfig:
 
 
 _SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)}
-_EXP_KEYS = {
-    "sweep",
-    "snr_grid_db",
-    "n_tx_grid",
-    "trials",
-    "output",
-    "carrier_freq_hz",
-    "subcarrier_spacing_hz",
-}
+_EXP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"sim"}
 
 
 def _require_number(name: str, value, integer: bool = False):

@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -62,6 +61,9 @@ ALLOCATION_MODES = ("semantic", "uniform")
 
 DEFAULT_SNR_GRID_DB = (-6.0, 0.0, 6.0, 12.0, 18.0)
 DEFAULT_ANTENNA_GRID = (4, 6, 8, 10, 12, 14, 16)
+
+# Lowest accepted SNR (noise variance 1e10); far lower ones overflow or saturate the metrics.
+MIN_SNR_DB = -100.0
 
 CSV_COLUMNS = (
     "snr_db",
@@ -116,10 +118,14 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not (0 <= value < mn):
                 raise ValueError(f"{name} must be in [0, {mn}), got {value}")
+        if self.n_subchannels < 2:  # Kendall alignment needs a pair of sub-channels
+            raise ValueError(f"n_rf*m_delay*n_doppler must be >= 2, got {self.n_subchannels}")
         if not isinstance(self.snr_db, (int, float)) or isinstance(self.snr_db, bool):
             raise ValueError(f"snr_db must be a number, got {self.snr_db!r}")
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must not be {self.snr_db} (+inf is the noiseless case)")
+        if not self.snr_db >= MIN_SNR_DB:  # also rejects NaN
+            raise ValueError(
+                f"snr_db must be >= {MIN_SNR_DB:g} dB or +inf (noiseless), got {self.snr_db}"
+            )
         if self.precoder_mode not in PRECODER_MODES:
             raise ValueError(f"precoder_mode must be one of {PRECODER_MODES}, got {self.precoder_mode!r}")
         if self.allocation_mode not in ALLOCATION_MODES:
@@ -317,12 +323,8 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
         wsq_sum += float((w_f * err2).sum())
         w_sum += float(w_f.sum())
         n_err += int(np.count_nonzero(rx_idx_payload != idx_f))
-        if k >= 2:
-            kappa_exact[p] = allocation.exact_kendall_tau(w_f[pi], gains)
-            kappa_soft[p] = allocation.soft_kendall(w_f[pi], gains)
-        else:
-            kappa_exact[p] = math.nan
-            kappa_soft[p] = math.nan
+        kappa_exact[p] = allocation.exact_kendall_tau(w_f[pi], gains)
+        kappa_soft[p] = allocation.soft_kendall(w_f[pi], gains)
 
     total = cfg.payload_len
     mse = sq_sum / total
@@ -403,16 +405,6 @@ def snr_points(cfg: SimConfig, snr_list_db=DEFAULT_SNR_GRID_DB) -> list[SimConfi
 def antenna_points(cfg: SimConfig, n_tx_list=DEFAULT_ANTENNA_GRID) -> list[SimConfig]:
     """The grid points of an antenna sweep: ``cfg`` at each n_tx, keeping n_rx = n_tx."""
     return [replace(cfg, n_tx=int(n_tx), n_rx=int(n_tx)) for n_tx in n_tx_list]
-
-
-def snr_sweep(cfg: SimConfig, snr_list_db=DEFAULT_SNR_GRID_DB, trials: int = 1) -> list[SweepRow]:
-    """Average ``trials`` random links at each SNR; one row per grid point."""
-    return run_sweep(snr_points(cfg, snr_list_db), trials)
-
-
-def antenna_sweep(cfg: SimConfig, n_tx_list=DEFAULT_ANTENNA_GRID, trials: int = 1) -> list[SweepRow]:
-    """Average ``trials`` random links per antenna count, keeping n_rx = n_tx."""
-    return run_sweep(antenna_points(cfg, n_tx_list), trials)
 
 
 def write_csv(rows, fileobj) -> None:

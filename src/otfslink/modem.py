@@ -11,8 +11,6 @@ energy; label 0 is therefore the corner ``(-7 - 7j)/sqrt(42)``.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 from scipy.special import erfc
 
@@ -46,27 +44,25 @@ def constellation_points() -> np.ndarray:
     return _POINTS
 
 
-def modulate(indices, points: np.ndarray | None = None) -> np.ndarray:
+def modulate(indices) -> np.ndarray:
     """Map integer labels in [0, 64) to constellation symbols."""
-    pts = _POINTS if points is None else np.asarray(points)
     idx = np.asarray(indices)
     if idx.size and (not np.issubdtype(idx.dtype, np.integer)):
         raise ValueError(f"symbol indices must be integers, got dtype {idx.dtype}")
-    if np.any(idx < 0) or np.any(idx >= pts.size):
-        raise ValueError(f"symbol indices must lie in [0, {pts.size})")
-    return pts[idx]
+    if np.any(idx < 0) or np.any(idx >= QAM_ORDER):
+        raise ValueError(f"symbol indices must lie in [0, {QAM_ORDER})")
+    return _POINTS[idx]
 
 
-def demodulate_hard(received, points: np.ndarray | None = None) -> np.ndarray:
+def demodulate_hard(received) -> np.ndarray:
     """Minimum-distance labels for received symbols; ties take the smallest label."""
-    pts = _POINTS if points is None else np.asarray(points)
     r = np.asarray(received, dtype=complex)
     flat = r.ravel()
     out = np.empty(flat.shape, dtype=np.intp)
     for start in range(0, flat.size, _DEMOD_CHUNK):
         block = flat[start : start + _DEMOD_CHUNK]
         out[start : start + _DEMOD_CHUNK] = np.argmin(
-            np.abs(block[:, None] - pts[None, :]), axis=1
+            np.abs(block[:, None] - _POINTS[None, :]), axis=1
         )
     return out.reshape(r.shape)
 
@@ -101,13 +97,3 @@ def square_qam_ser(snr_linear, order: int = QAM_ORDER):
     p_axis = 2.0 * (1.0 - 1.0 / root) * q
     ser = 1.0 - (1.0 - p_axis) ** 2
     return float(ser) if np.isscalar(snr_linear) else ser
-
-
-def dump_constellation_csv(path, points: np.ndarray | None = None) -> None:
-    """Write the constellation as ``label, re, im`` rows for cross-checking fixtures."""
-    pts = _POINTS if points is None else np.asarray(points)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "re", "im"])
-        for label, p in enumerate(pts):
-            writer.writerow([label, repr(float(p.real)), repr(float(p.imag))])

@@ -142,10 +142,3 @@ def sub_channel_gains(dec: SubChannelDecomposition, n_rf: int, m: int, n: int) -
             f"channel rank {dec.rank} cannot carry {k} = n_rf*m*n streams"
         )
     return dec.sigma[:k].copy()
-
-
-def per_subchannel_receive(x_s: complex, lambda_s: float, noise: complex) -> complex:
-    """Scalar sub-channel model: received = gain * sent + noise."""
-    if lambda_s < 0:
-        raise ValueError(f"sub-channel gain must be >= 0, got {lambda_s}")
-    return lambda_s * x_s + noise

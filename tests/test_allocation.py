@@ -13,8 +13,6 @@ from otfslink.allocation import (
     exact_kendall_tau,
     gaussian_bin_entropy,
     invert_allocation,
-    load_allocation_fixture,
-    save_allocation_fixture,
     soft_kendall,
 )
 
@@ -214,13 +212,3 @@ class TestApplyInvert:
             apply_allocation(np.zeros(3), [0, 0, 2])
         with pytest.raises(ValueError):
             invert_allocation(np.zeros(3), [0, 1])
-
-
-def test_fixture_round_trip(tmp_path):
-    w = np.array([1.5, 0.25, 3.0])
-    pi = np.array([2, 0, 1])
-    path = tmp_path / "alloc.json"
-    save_allocation_fixture(path, w, pi)
-    w2, pi2 = load_allocation_fixture(path)
-    np.testing.assert_array_equal(w2, w)
-    np.testing.assert_array_equal(pi2, pi)

@@ -212,11 +212,3 @@ class TestApplyChannel:
     def test_negative_noise_var(self):
         with pytest.raises(ValueError):
             apply_channel(np.eye(2), np.zeros(2, complex), -0.1)
-
-
-class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
-        chan = sample_channel(ChannelConfig(n_tx=3, n_rx=2), 7)
-        path = tmp_path / "chan.json"
-        chan.save_json(path)
-        assert DdMimoChannel.load_json(path) == chan

@@ -16,7 +16,6 @@ from otfslink.link_sim import (
     _average_row,
     _trial_rng,
     antenna_points,
-    antenna_sweep,
     format_csv,
     realize,
     run_link,
@@ -25,7 +24,6 @@ from otfslink.link_sim import (
     sample_importance,
     sample_payload,
     snr_points,
-    snr_sweep,
     snr_to_noise_var,
 )
 from otfslink.precoding import RankDeficientChannelError
@@ -161,26 +159,26 @@ class TestRunLink:
 
 class TestSweeps:
     def test_snr_sweep_shape_and_grid(self):
-        rows = snr_sweep(SMALL, [-6.0, 0.0, 6.0, 12.0, 18.0], trials=2)
+        rows = run_sweep(snr_points(SMALL, [-6.0, 0.0, 6.0, 12.0, 18.0]), trials=2)
         assert [r.snr_db for r in rows] == [-6.0, 0.0, 6.0, 12.0, 18.0]
         assert all(r.trials == 2 for r in rows)
         assert all(0.0 <= r.ser <= 1.0 and r.mse >= 0.0 for r in rows)
 
     def test_single_point_equals_run_link(self):
-        rows = snr_sweep(SMALL, [SMALL.snr_db], trials=1)
+        rows = run_sweep(snr_points(SMALL, [SMALL.snr_db]), trials=1)
         direct = run_random_link(SMALL, np.random.default_rng([SMALL.seed, 0]))
         assert rows[0].mse == direct.mse
         assert rows[0].ser == direct.ser
 
     def test_metrics_improve_with_snr(self):
-        rows = snr_sweep(SMALL, [-6.0, 18.0], trials=200)
+        rows = run_sweep(snr_points(SMALL, [-6.0, 18.0]), trials=200)
         assert rows[1].ser < rows[0].ser
         assert rows[1].mse < rows[0].mse
 
     def test_monotone_under_common_randomness(self):
         # trials share channels and noise shapes across grid points, so the
         # per-point averages are monotone, not just trending
-        rows = snr_sweep(SMALL, [-6.0, 0.0, 6.0, 12.0, 18.0], trials=20)
+        rows = run_sweep(snr_points(SMALL, [-6.0, 0.0, 6.0, 12.0, 18.0]), trials=20)
         sers = [r.ser for r in rows]
         mses = [r.mse for r in rows]
         assert all(a >= b for a, b in zip(sers, sers[1:]))
@@ -188,13 +186,13 @@ class TestSweeps:
 
     def test_antenna_sweep_rows(self):
         cfg = replace(SMALL, n_rf=2, n_tx=4, n_rx=4)
-        rows = antenna_sweep(cfg, [4, 6, 8, 10, 12, 14, 16], trials=1)
+        rows = run_sweep(antenna_points(cfg, [4, 6, 8, 10, 12, 14, 16]), trials=1)
         assert [r.n_tx for r in rows] == [4, 6, 8, 10, 12, 14, 16]
         assert all(r.n_rx == r.n_tx for r in rows)
 
     def test_antenna_sweep_single_point_matches_snr_sweep(self):
-        rows_a = antenna_sweep(SMALL, [SMALL.n_tx], trials=3)
-        rows_s = snr_sweep(SMALL, [SMALL.snr_db], trials=3)
+        rows_a = run_sweep(antenna_points(SMALL, [SMALL.n_tx]), trials=3)
+        rows_s = run_sweep(snr_points(SMALL, [SMALL.snr_db]), trials=3)
         assert rows_a[0] == rows_s[0]
 
     def test_more_antennas_harden_the_used_subchannels(self):
@@ -203,13 +201,13 @@ class TestSweeps:
         # instead. The weakest used sub-channel strengthens and the link MSE
         # drops -- the quantities the equalized link actually depends on.
         cfg = replace(SMALL, n_rf=2, n_tx=4, n_rx=4, n_paths=10)
-        rows = antenna_sweep(cfg, [4, 16], trials=200)
+        rows = run_sweep(antenna_points(cfg, [4, 16]), trials=200)
         assert rows[1].gamma_min > rows[0].gamma_min
         assert rows[1].mse < rows[0].mse
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            snr_sweep(SMALL, [0.0], trials=0)
+            run_sweep(snr_points(SMALL, [0.0]), trials=0)
 
 
 def _oracle_rows(points, trials):
@@ -247,12 +245,12 @@ class TestSweepLoop:
 
     def test_snr_sweep_decomposes_once_per_trial(self, monkeypatch):
         calls = _count_decompose(monkeypatch)
-        snr_sweep(SMALL, [-6.0, 0.0, 6.0, 12.0, 18.0], trials=3)
+        run_sweep(snr_points(SMALL, [-6.0, 0.0, 6.0, 12.0, 18.0]), trials=3)
         assert len(calls) == 3
 
     def test_antenna_sweep_decomposes_every_link(self, monkeypatch):
         calls = _count_decompose(monkeypatch)
-        antenna_sweep(SMALL, [2, 3, 4], trials=2)
+        run_sweep(antenna_points(SMALL, [2, 3, 4]), trials=2)
         assert len(calls) == 3 * 2
 
 
@@ -310,15 +308,15 @@ class TestRealizationSlot:
 
 class TestCsv:
     def test_header_and_row_count(self):
-        rows = snr_sweep(SMALL, [0.0, 6.0], trials=1)
+        rows = run_sweep(snr_points(SMALL, [0.0, 6.0]), trials=1)
         text = format_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
 
     def test_deterministic_bytes(self):
-        rows_a = snr_sweep(SMALL, [0.0], trials=2)
-        rows_b = snr_sweep(SMALL, [0.0], trials=2)
+        rows_a = run_sweep(snr_points(SMALL, [0.0]), trials=2)
+        rows_b = run_sweep(snr_points(SMALL, [0.0]), trials=2)
         assert format_csv(rows_a) == format_csv(rows_b)
 
 

@@ -1,7 +1,5 @@
 """64-QAM constellation, demapper, and equalizer tests."""
 
-import csv
-
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -11,7 +9,6 @@ from otfslink.modem import (
     QAM_ORDER,
     constellation_points,
     demodulate_hard,
-    dump_constellation_csv,
     equalize,
     modulate,
     square_qam_ser,
@@ -140,16 +137,3 @@ class TestEqualize:
         _, erased = equalize(1.0 + 0j, 0.5, min_gain=0.6)
         assert erased
         assert DEFAULT_MIN_GAIN == 1e-6
-
-
-def test_constellation_csv_dump(tmp_path):
-    path = tmp_path / "qam64.csv"
-    dump_constellation_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["label", "re", "im"]
-    assert len(rows) == 65
-    pts = constellation_points()
-    for row in rows[1:]:
-        lbl = int(row[0])
-        assert complex(float(row[1]), float(row[2])) == pts[lbl]

@@ -10,7 +10,6 @@ from otfslink.precoding import (
     dd_transform_matrices,
     decompose,
     effective_dd_channel,
-    per_subchannel_receive,
     sub_channel_gains,
 )
 
@@ -216,21 +215,3 @@ class TestSubChannelGains:
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficientChannelError):
             sub_channel_gains(decompose(np.diag([1.0, 0.0, 0.0, 0.0])), 1, 2, 2)
-
-
-class TestPerSubchannelReceive:
-    def test_examples(self):
-        assert per_subchannel_receive(1.0 + 0j, 2.0, 0.0 + 0j) == 2.0 + 0j
-        assert per_subchannel_receive(5.0 + 1j, 0.0, 0.3 - 0.2j) == 0.3 - 0.2j
-
-    def test_random_triples(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            x = complex(rng.standard_normal(), rng.standard_normal())
-            lam = float(rng.uniform(0, 3))
-            n = complex(rng.standard_normal(), rng.standard_normal())
-            assert per_subchannel_receive(x, lam, n) == lam * x + n
-
-    def test_negative_gain_rejected(self):
-        with pytest.raises(ValueError):
-            per_subchannel_receive(1.0 + 0j, -1.0, 0j)
