@@ -13,7 +13,7 @@ Submodules:
 * :mod:`otfslink.cli`           -- ``otfslink`` command-line entry point
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .allocation import (
     allocate,

@@ -1,4 +1,4 @@
-"""Delay-Doppler MIMO channel: path model, dense time-domain matrix, AWGN.
+"""Delay-Doppler MIMO channel: path model, dense time-domain matrix, spatial core, AWGN.
 
 The channel is a superposition of L discrete propagation paths. Path i has
 a complex gain, an integer delay tap l_i, an integer Doppler tap k_i and a
@@ -112,20 +112,58 @@ def phase_rotation_matrix(size: int, power: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * q * power / size))
 
 
+def _path_sum(chan: DdMimoChannel, rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """``sum_i gain_i (rx[:, i] tx[:, i]^H) kron (Pi^l_i Delta^k_i)``, written into its nonzeros.
+
+    ``Pi^l Delta^k`` has one nonzero per column q: ``exp(j 2 pi k q / MN)``
+    at row ``(q + l) mod MN``. So each path adds its ``rx x tx`` spatial
+    block to ``MN`` entries of every block, O(n_rx*n_tx*MN) work instead of
+    the O(n_rx*n_tx*MN^2) of a Kronecker product.
+    """
+    mn = chan.mn
+    n_r, n_t = rx.shape[0], tx.shape[0]
+    out = np.zeros((n_r, mn, n_t, mn), dtype=complex)
+    q = np.arange(mn)
+    for i, p in enumerate(chan.paths):
+        doppler = p.gain * np.diagonal(phase_rotation_matrix(mn, p.doppler_tap))
+        spatial = np.multiply.outer(rx[:, i], tx[:, i].conj())
+        # two index arrays split by a slice: the indexed view is (q, n_r, n_t)
+        out[:, (q + p.delay_tap) % mn, :, q] += doppler[:, None, None] * spatial
+    return out.reshape(n_r * mn, n_t * mn)
+
+
+def _array_matrices(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n_rx x L`` and ``n_tx x L`` ULA responses, one column per path."""
+    a_rx = np.column_stack([ula_response(p.aoa, chan.n_rx) for p in chan.paths])
+    a_tx = np.column_stack([ula_response(p.aod, chan.n_tx) for p in chan.paths])
+    return a_rx, a_tx
+
+
 def build_time_channel(chan: DdMimoChannel) -> np.ndarray:
     """Expand a path-parameterized channel to its dense time-domain matrix.
 
     Returns the ``(n_rx*MN, n_tx*MN)`` complex matrix; block (r, t) holds
     the sum over paths of ``gain * a_rx[r] * conj(a_tx[t]) * Pi^l Delta^k``.
     """
-    mn = chan.mn
-    h = np.zeros((chan.n_rx * mn, chan.n_tx * mn), dtype=complex)
-    for p in chan.paths:
-        spatial = np.outer(ula_response(p.aoa, chan.n_rx), ula_response(p.aod, chan.n_tx).conj())
-        # Pi^l Delta^k == roll the rows of Delta^k down by l (cyclically)
-        dd = np.roll(phase_rotation_matrix(mn, p.doppler_tap), p.delay_tap, axis=0)
-        h += p.gain * np.kron(spatial, dd)
-    return h
+    return _path_sum(chan, *_array_matrices(chan))
+
+
+def spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(Q_rx, C, Q_tx)`` with ``H = (Q_rx kron I_MN) C (Q_tx kron I_MN)^H`` exactly.
+
+    With ``A_rx = Q_rx R_rx`` and ``A_tx = Q_tx R_tx`` the reduced QR
+    factorizations of the ``n x L`` array matrices, the spatial factor
+    ``a_rx,i a_tx,i^H`` of path i is ``Q_rx r_rx,i r_tx,i^H Q_tx^H``, so C is
+    the path sum of H with the columns of R in place of the array
+    responses. C is ``min(n_rx, L)*MN x min(n_tx, L)*MN``: smaller than H
+    when an array has more antennas than the channel has paths, H's size
+    otherwise. ``Q kron I_MN`` has orthonormal columns, so C and H share
+    their nonzero singular values.
+    """
+    a_rx, a_tx = _array_matrices(chan)
+    q_rx, r_rx = np.linalg.qr(a_rx)
+    q_tx, r_tx = np.linalg.qr(a_tx)
+    return q_rx, _path_sum(chan, r_rx, r_tx), q_tx
 
 
 def sample_channel(cfg: ChannelConfig, rng=None) -> DdMimoChannel:

@@ -77,6 +77,17 @@ def _require_number(name: str, value, integer: bool = False):
     return value
 
 
+def _require_float(name: str, value) -> float:
+    """``value`` as a float; JSON keeps integer literals exact, which may not fit one."""
+    _require_number(name, value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{name} must be within the float range, got an integer of {value.bit_length()} bits"
+        ) from None
+
+
 def parse_config(path) -> ExperimentConfig:
     """Load and fully validate a JSON experiment config.
 
@@ -90,7 +101,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal of over 4300 digits
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
@@ -115,7 +126,7 @@ def parse_config(path) -> ExperimentConfig:
     snr_grid = doc.get("snr_grid_db", list(DEFAULT_SNR_GRID_DB))
     if not isinstance(snr_grid, list) or not snr_grid:
         raise ConfigError("snr_grid_db must be a non-empty list of numbers")
-    snr_grid = tuple(float(_require_number("snr_grid_db entry", v)) for v in snr_grid)
+    snr_grid = tuple(_require_float("snr_grid_db entry", v) for v in snr_grid)
 
     n_tx_grid = doc.get("n_tx_grid", list(DEFAULT_ANTENNA_GRID))
     if not isinstance(n_tx_grid, list) or not n_tx_grid:
@@ -139,8 +150,8 @@ def parse_config(path) -> ExperimentConfig:
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a string path or null, got {output!r}")
 
-    carrier = float(_require_number("carrier_freq_hz", doc.get("carrier_freq_hz", 28.0e9)))
-    scs = float(_require_number("subcarrier_spacing_hz", doc.get("subcarrier_spacing_hz", 120.0e3)))
+    carrier = _require_float("carrier_freq_hz", doc.get("carrier_freq_hz", 28.0e9))
+    scs = _require_float("subcarrier_spacing_hz", doc.get("subcarrier_spacing_hz", 120.0e3))
 
     return ExperimentConfig(
         sim=sim,

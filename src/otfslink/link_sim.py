@@ -22,10 +22,16 @@ A sweep runs trials in the outer loop and grid points in the inner one.
 Every link still draws its payload, importance, channel and noise from its
 own fresh trial stream in that order, so the CSV is the same as running
 each (point, trial) link on its own. Only the deterministic expansion of
-the drawn channel (dense H, SVD, precoder/combiner, gains; see
+the drawn channel (gains, precoder/combiner and dense H; see
 :func:`realize`) is reused: a :class:`RealizationSlot` hands it on to the
 next link whose drawn channel, ``n_rf`` and precoder mode are equal. An SNR
 sweep therefore decomposes one channel per trial instead of one per link.
+
+The decomposition is the SVD of the channel's exact spatial core, not of
+the dense H: H factors as ``(Q_rx kron I) C (Q_tx kron I)^H`` with ``C`` of
+size ``min(n_rx, L)*MN x min(n_tx, L)*MN`` for L paths, and only the
+singular vectors the link uses are lifted back to H's coordinates. The
+dense H is built only to apply the channel to the transmitted frames.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .channel import (
     apply_channel,
     build_time_channel,
     sample_channel,
+    spatial_core,
 )
 from .dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from .precoding import (
@@ -52,6 +59,7 @@ from .precoding import (
     PrecoderCombiner,
     build_precoder_combiner,
     decompose,
+    lift_leading,
     sub_channel_gains,
 )
 
@@ -122,6 +130,12 @@ class SimConfig:
             raise ValueError(f"n_rf*m_delay*n_doppler must be >= 2, got {self.n_subchannels}")
         if not isinstance(self.snr_db, (int, float)) or isinstance(self.snr_db, bool):
             raise ValueError(f"snr_db must be a number, got {self.snr_db!r}")
+        try:
+            float(self.snr_db)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(
+                f"snr_db must be within the float range, got an integer of {self.snr_db.bit_length()} bits"
+            ) from None
         if not self.snr_db >= MIN_SNR_DB:  # also rejects NaN
             raise ValueError(
                 f"snr_db must be >= {MIN_SNR_DB:g} dB or +inf (noiseless), got {self.snr_db}"
@@ -222,11 +236,27 @@ class Realization:
 
 
 def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
-    """Dense H, its SVD, the precoder/combiner and the sub-channel gains of ``chan``."""
+    """The sub-channel gains, the precoder/combiner and the dense H of ``chan``.
+
+    The SVD is taken of the spatial core C, ``H = (Q_rx kron I) C (Q_tx
+    kron I)^H``, which has H's nonzero singular values and is smaller than
+    H when an array has more antennas than the channel has paths. The core
+    is freed after its SVD; the gains raise
+    :class:`~otfslink.precoding.RankDeficientChannelError` before any
+    vector is lifted; only the ``n_rf*MN`` singular-vector pairs the link
+    uses are lifted to H's coordinates. H itself, which only
+    :func:`~otfslink.channel.apply_channel` needs, is built last, so the
+    core, its SVD and H are never alive together.
+    """
+    m, n = chan.m_delay, chan.n_doppler
+    q_rx, core, q_tx = spatial_core(chan)
+    dec = decompose(core)
+    del core
+    gains = sub_channel_gains(dec, n_rf, m, n)
+    dec = lift_leading(dec, q_rx, q_tx, gains.size)
+    pc = build_precoder_combiner(dec, n_rf, m, n, precoder_mode)
+    del dec
     h = build_time_channel(chan)
-    dec = decompose(h)
-    pc = build_precoder_combiner(dec, n_rf, chan.m_delay, chan.n_doppler, precoder_mode)
-    gains = sub_channel_gains(dec, n_rf, chan.m_delay, chan.n_doppler)
     return Realization(chan=chan, n_rf=n_rf, precoder_mode=precoder_mode, h=h, pc=pc, gains=gains)
 
 

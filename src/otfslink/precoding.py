@@ -1,7 +1,10 @@
 """SVD sub-channel decomposition and precoder/combiner construction.
 
 An SVD of the time-domain channel turns the MIMO-OTFS link into parallel
-scalar sub-channels whose gains are the singular values. Two precoder /
+scalar sub-channels whose gains are the singular values. The link takes
+that SVD from the channel's spatial core C, ``H = (Q_rx kron I) C (Q_tx
+kron I)^H`` (:func:`otfslink.channel.spatial_core`), and :func:`lift_leading`
+maps the leading singular vectors of C to those of H. Two precoder /
 combiner modes are provided:
 
 * ``paper_literal``: use the leading SVD factors directly (G = V1, W = U1),
@@ -38,10 +41,12 @@ class RankDeficientChannelError(ValueError):
 
 @dataclass(frozen=True)
 class SubChannelDecomposition:
-    """Rank-truncated SVD factors of a channel matrix.
+    """Leading SVD factors of a channel matrix.
 
-    ``u`` and ``v`` are semi-unitary with ``rank`` columns; ``sigma`` holds
-    the corresponding singular values in descending order.
+    ``u`` and ``v`` are semi-unitary and hold the leading singular vectors;
+    ``sigma`` holds the corresponding singular values in descending order.
+    ``rank`` is the channel's numerical rank: :func:`decompose` keeps all
+    ``rank`` triplets, :func:`lift_leading` only the ones the link uses.
     """
 
     u: np.ndarray
@@ -62,19 +67,51 @@ class PrecoderCombiner:
 def decompose(h: np.ndarray) -> SubChannelDecomposition:
     """SVD of the channel, truncated to its numerical rank.
 
-    Exact singular-value ties are index-stabilized (value descending,
-    original index ascending) so repeated runs order them identically.
+    LAPACK returns the singular values in descending order, ties in a
+    fixed order, so repeated runs order them identically.
     """
     h = np.asarray(h)
     if not np.all(np.isfinite(h)):
         raise ValueError("channel matrix must be finite")
     u, s, vh = np.linalg.svd(h, full_matrices=False)
-    order = np.argsort(-s, kind="stable")
-    u, s, vh = u[:, order], s[order], vh[order]
     sigma_max = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > RANK_TOLERANCE * sigma_max))
     return SubChannelDecomposition(
         u=u[:, :rank], sigma=s[:rank], v=vh[:rank].conj().T, rank=rank
+    )
+
+
+def _require_rank(dec: SubChannelDecomposition, k: int) -> None:
+    if dec.rank < k:
+        raise RankDeficientChannelError(
+            f"channel rank {dec.rank} cannot carry {k} = n_rf*m*n streams"
+        )
+
+
+def _kron_eye_times(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(Q kron I) @ x`` without forming the Kronecker product."""
+    k = x.shape[1]
+    return (q @ x.reshape(q.shape[1], -1)).reshape(-1, k)
+
+
+def lift_leading(
+    dec: SubChannelDecomposition, q_rx: np.ndarray, q_tx: np.ndarray, k: int
+) -> SubChannelDecomposition:
+    """The leading ``k`` singular triplets of H from those of its spatial core.
+
+    ``dec`` decomposes C in ``H = (Q_rx kron I) C (Q_tx kron I)^H``. Both
+    ``Q kron I`` have orthonormal columns, so ``(Q_rx kron I) u`` and
+    ``(Q_tx kron I) v`` are singular vectors of H with the singular values
+    of C. Only the first ``k`` columns are mapped; ``rank`` stays the
+    channel's rank. Raises :class:`RankDeficientChannelError` when the
+    rank is below ``k``.
+    """
+    _require_rank(dec, k)
+    return SubChannelDecomposition(
+        u=_kron_eye_times(q_rx, dec.u[:, :k]),
+        sigma=dec.sigma[:k],
+        v=_kron_eye_times(q_tx, dec.v[:, :k]),
+        rank=dec.rank,
     )
 
 
@@ -101,10 +138,7 @@ def build_precoder_combiner(
     if mode not in PRECODER_MODES:
         raise ValueError(f"mode must be one of {PRECODER_MODES}, got {mode!r}")
     k = n_rf * m * n
-    if dec.rank < k:
-        raise RankDeficientChannelError(
-            f"channel rank {dec.rank} cannot carry {k} = n_rf*m*n streams"
-        )
+    _require_rank(dec, k)
     v1 = dec.v[:, :k]
     u1 = dec.u[:, :k]
     if mode == "paper_literal":
@@ -137,8 +171,5 @@ def effective_dd_channel(
 def sub_channel_gains(dec: SubChannelDecomposition, n_rf: int, m: int, n: int) -> np.ndarray:
     """Leading ``n_rf * m * n`` singular values, descending: the sub-channel gains."""
     k = n_rf * m * n
-    if dec.rank < k:
-        raise RankDeficientChannelError(
-            f"channel rank {dec.rank} cannot carry {k} = n_rf*m*n streams"
-        )
+    _require_rank(dec, k)
     return dec.sigma[:k].copy()

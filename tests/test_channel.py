@@ -12,6 +12,7 @@ from otfslink.channel import (
     cyclic_shift_matrix,
     phase_rotation_matrix,
     sample_channel,
+    spatial_core,
     ula_response,
 )
 
@@ -109,6 +110,20 @@ class TestBuildTimeChannel:
             chan = sample_channel(cfg, rng)
             assert np.max(np.abs(build_time_channel(chan) - entry_oracle(chan))) < 1e-12
 
+    @pytest.mark.parametrize(
+        "n_tx, n_rx, m, n, n_paths",
+        [(3, 2, 2, 3, 4), (1, 4, 3, 2, 1), (5, 5, 2, 2, 12)],
+        ids=["n_tx_ne_n_rx", "one_path", "many_paths"],
+    )
+    def test_scatter_matches_entry_oracle(self, n_tx, n_rx, m, n, n_paths):
+        # delays wrap around the frame and Doppler taps take both signs
+        cfg = ChannelConfig(n_tx=n_tx, n_rx=n_rx, m_delay=m, n_doppler=n, n_paths=n_paths,
+                            max_delay_tap=m * n - 1, max_doppler_tap=m * n - 1)
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            chan = sample_channel(cfg, rng)
+            assert np.max(np.abs(build_time_channel(chan) - entry_oracle(chan))) < 1e-12
+
     def test_linear_in_gains(self):
         rng = np.random.default_rng(12)
         cfg = ChannelConfig(n_tx=2, n_rx=3, m_delay=2, n_doppler=2, n_paths=4,
@@ -153,6 +168,25 @@ class TestBuildTimeChannel:
                 paths=(PathParams(1.0 + 0j, 0, 4, 0.0, 0.0),),
                 n_tx=1, n_rx=1, m_delay=2, n_doppler=2,
             )
+
+
+class TestSpatialCore:
+    @pytest.mark.parametrize(
+        "n_tx, n_rx, n_paths",
+        [(3, 5, 4), (6, 6, 3), (2, 3, 7), (4, 4, 1)],
+        ids=["n_tx_ne_n_rx", "paths_below_antennas", "paths_above_antennas", "one_path"],
+    )
+    def test_factors_h_exactly(self, n_tx, n_rx, n_paths):
+        cfg = ChannelConfig(n_tx=n_tx, n_rx=n_rx, m_delay=2, n_doppler=3, n_paths=n_paths,
+                            max_delay_tap=5, max_doppler_tap=2)
+        chan = sample_channel(cfg, 15)
+        mn = chan.mn
+        q_rx, core, q_tx = spatial_core(chan)
+        assert core.shape == (min(n_rx, n_paths) * mn, min(n_tx, n_paths) * mn)
+        for q in (q_rx, q_tx):
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-14)
+        lifted = np.kron(q_rx, np.eye(mn)) @ core @ np.kron(q_tx, np.eye(mn)).conj().T
+        assert np.max(np.abs(lifted - entry_oracle(chan))) < 1e-12
 
 
 class TestSampleChannel:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import otfslink
 from otfslink.cli import _EXP_KEYS, _SIM_KEYS, ConfigError, main, parse_config
 from otfslink.link_sim import CSV_COLUMNS
 from otfslink.modem import constellation_points
@@ -116,10 +117,16 @@ class TestParseConfig:
             ({"snr_grid_db": [0.0, -1e308]}, "snr_grid_db"),
             ({"snr_grid_db": [-101]}, "snr_grid_db"),
             ({"m_delay": 1, "n_doppler": 1, "max_delay_tap": 0, "max_doppler_tap": 0}, "n_rf"),
+            # JSON keeps integer literals exact; these do not fit a float
+            ({"snr_db": 10**400}, "snr_db"),
+            ({"snr_grid_db": [0.0, 10**400]}, "snr_grid_db"),
+            ({"carrier_freq_hz": 10**400}, "carrier_freq_hz"),
+            ({"subcarrier_spacing_hz": -(10**400)}, "subcarrier_spacing_hz"),
         ],
         ids=[
             "snr_db_-inf", "snr_grid_-inf", "snr_grid_nan", "n_tx_grid_zero", "n_rf_above_n_paths",
             "snr_db_-1e308", "snr_db_-101", "snr_grid_-1e308", "snr_grid_-101", "one_subchannel",
+            "snr_db_int_1e400", "snr_grid_int_1e400", "carrier_int_1e400", "scs_int_-1e400",
         ],
     )
     def test_unusable_values_rejected_before_running(self, tmp_path, capsys, update, field):
@@ -133,6 +140,12 @@ class TestParseConfig:
         assert main(["sweep", str(path), "--output", str(out)]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_integer_too_long_to_parse_is_a_config_error(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"snr_db": 1' + "0" * 5000 + "}")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            parse_config(path)
 
     def test_noiseless_snr_accepted(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
@@ -168,6 +181,15 @@ class TestSweepCommand:
         assert lines[0].startswith("# otfslink ")
         assert lines[1].startswith("snr_db,")
         assert len(lines) == 2 + 2  # comment + header + one row per SNR
+
+    def test_version_line_is_the_package_version(self, small_config, tmp_path):
+        # the first CSV line marks which release wrote the bits below it
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        version = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["version"]
+        assert otfslink.__version__ == version
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", str(small_config), "--output", str(out)]) == 0
+        assert out.read_text().split("\n", 1)[0] == f"# otfslink {version}"
 
     def test_body_deterministic_across_runs(self, small_config, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

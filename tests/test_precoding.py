@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from otfslink.channel import ChannelConfig, build_time_channel, sample_channel
+from otfslink.channel import ChannelConfig, build_time_channel, sample_channel, spatial_core
+from otfslink.link_sim import realize
 from otfslink.precoding import (
     RankDeficientChannelError,
     build_precoder_combiner,
     dd_transform_matrices,
     decompose,
     effective_dd_channel,
+    lift_leading,
     sub_channel_gains,
 )
 
@@ -215,3 +217,65 @@ class TestSubChannelGains:
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficientChannelError):
             sub_channel_gains(decompose(np.diag([1.0, 0.0, 0.0, 0.0])), 1, 2, 2)
+
+
+class TestSpatialCoreRoute:
+    """The link's decomposition (SVD of the spatial core) against the dense SVD of H."""
+
+    SHAPES = pytest.mark.parametrize(
+        "n_tx, n_rx, n_paths, n_rf",
+        [(3, 5, 4, 2), (6, 6, 3, 2), (2, 3, 7, 2), (4, 4, 1, 1)],
+        ids=["n_tx_ne_n_rx", "paths_below_antennas", "paths_above_antennas", "one_path"],
+    )
+
+    @staticmethod
+    def _chan(n_tx, n_rx, n_paths, seed=16):
+        cfg = ChannelConfig(n_tx=n_tx, n_rx=n_rx, m_delay=2, n_doppler=3, n_paths=n_paths,
+                            max_delay_tap=5, max_doppler_tap=2)
+        return sample_channel(cfg, seed)
+
+    @SHAPES
+    def test_gains_and_rank_match_the_dense_svd(self, n_tx, n_rx, n_paths, n_rf):
+        chan = self._chan(n_tx, n_rx, n_paths)
+        dense = decompose(build_time_channel(chan))
+        core = decompose(spatial_core(chan)[1])
+        assert core.rank == dense.rank
+        np.testing.assert_allclose(core.sigma, dense.sigma, rtol=0, atol=1e-12 * dense.sigma[0])
+        k = n_rf * chan.mn
+        gains = realize(chan, n_rf, "dd_corrected").gains
+        np.testing.assert_allclose(gains, dense.sigma[:k], rtol=1e-12, atol=0)
+
+    @SHAPES
+    def test_lifted_pairs_are_singular_vectors_of_h(self, n_tx, n_rx, n_paths, n_rf):
+        chan = self._chan(n_tx, n_rx, n_paths)
+        h = build_time_channel(chan)
+        q_rx, core, q_tx = spatial_core(chan)
+        k = n_rf * chan.mn
+        dec = lift_leading(decompose(core), q_rx, q_tx, k)
+        assert dec.u.shape == (h.shape[0], k) and dec.v.shape == (h.shape[1], k)
+        tol = 1e-12 * dec.sigma[0]
+        assert np.max(np.abs(h @ dec.v - dec.u * dec.sigma)) < tol
+        assert np.max(np.abs(h.conj().T @ dec.u - dec.v * dec.sigma)) < tol
+        for f in (dec.u, dec.v):
+            np.testing.assert_allclose(f.conj().T @ f, np.eye(k), atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["dd_corrected", "paper_literal"])
+    def test_precoder_combiner_diagonalize_the_dense_h(self, mode):
+        chan = self._chan(5, 3, 2)  # more antennas than paths: the core is smaller than H
+        real = realize(chan, 2, mode)
+        eff = real.pc.w.conj().T @ real.h @ real.pc.g
+        if mode == "dd_corrected":
+            c_t, c_r = dd_transform_matrices(2, 2, 3)
+            eff = c_r @ eff @ c_t
+        np.testing.assert_allclose(eff, np.diag(real.gains), atol=1e-12 * real.gains[0])
+
+    def test_rank_deficient_core_raises(self):
+        # one path carries MN streams, not the 2*MN of two chains
+        chan = self._chan(4, 4, 1)
+        q_rx, core, q_tx = spatial_core(chan)
+        dec = decompose(core)
+        assert dec.rank == chan.mn
+        with pytest.raises(RankDeficientChannelError):
+            lift_leading(dec, q_rx, q_tx, 2 * chan.mn)
+        with pytest.raises(RankDeficientChannelError):
+            realize(chan, 2, "dd_corrected")
