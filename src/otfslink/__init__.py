@@ -7,6 +7,7 @@ Submodules:
 * :mod:`otfslink.precoding`     -- SVD sub-channels, precoder/combiner modes
 * :mod:`otfslink.allocation`    -- entropy scores, Kendall correlation, allocation
 * :mod:`otfslink.modem`         -- Gray 64-QAM, hard demapping, zero forcing
+* :mod:`otfslink.special`       -- sigmoid, erfc and normal CDF on numpy arrays
 * :mod:`otfslink.link_sim`      -- end-to-end runs, sweeps, CSV rows
 * :mod:`otfslink.losses`        -- rate/distortion/alignment objectives
 * :mod:`otfslink.validation`    -- invariant suite of ``validate`` and the acceptance tests

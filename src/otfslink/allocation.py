@@ -11,7 +11,8 @@ sigmoid surrogate.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, ndtr
+
+from .special import ndtr, sigmoid
 
 # Entropy clamp: bin probabilities below 2**-MAX_IMPORTANCE_BITS saturate.
 MAX_IMPORTANCE_BITS = 64.0
@@ -76,7 +77,7 @@ def soft_kendall(w, g, sharpness: float = 2.0, sign: float = -1.0) -> float:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     prod = (w[:, None] - w[None, :]) * (g[:, None] - g[None, :])
     iu = np.triu_indices(k, 1)
-    return float(2.0 * np.sum(expit(sign * sharpness * prod[iu])) / (k * (k - 1)))
+    return float(2.0 * np.sum(sigmoid(sign * sharpness * prod[iu])) / (k * (k - 1)))
 
 
 def allocate(w, g) -> np.ndarray:

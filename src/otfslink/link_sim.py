@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -72,6 +73,21 @@ DEFAULT_ANTENNA_GRID = (4, 6, 8, 10, 12, 14, 16)
 
 # Lowest accepted SNR (noise variance 1e10); far lower ones overflow or saturate the metrics.
 MIN_SNR_DB = -100.0
+
+# Most entries a config may ask of any array a link allocates. The dense H at
+# this size is 4 GiB of complex128, and the SVD of a core that large needs
+# several times that.
+MAX_ARRAY_ENTRIES = 2**28
+
+# The largest arrays of a link, as products of SimConfig size fields and their
+# powers: the dense H, (n_rx*M*N) x (n_tx*M*N); the n x n_paths array
+# responses of each side; and the payload of n_frames*n_rf*M*N elements.
+_ARRAY_SIZES = (
+    ("the dense channel matrix", (("n_tx", 1), ("n_rx", 1), ("m_delay", 2), ("n_doppler", 2))),
+    ("the transmit array response", (("n_tx", 1), ("n_paths", 1))),
+    ("the receive array response", (("n_rx", 1), ("n_paths", 1))),
+    ("the payload", (("n_frames", 1), ("n_rf", 1), ("m_delay", 1), ("n_doppler", 1))),
+)
 
 CSV_COLUMNS = (
     "snr_db",
@@ -115,6 +131,16 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        for array, factors in _ARRAY_SIZES:
+            powers = [getattr(self, name) ** power for name, power in factors]
+            if math.prod(powers) > MAX_ARRAY_ENTRIES:
+                name = factors[powers.index(max(powers))][0]
+                value = getattr(self, name)
+                shown = value if value.bit_length() <= 64 else f"an integer of {value.bit_length()} bits"
+                raise ValueError(
+                    f"{name} is too large: {array} would have more than "
+                    f"{MAX_ARRAY_ENTRIES} entries, got {name} = {shown}"
+                )
         if self.n_rf > min(self.n_tx, self.n_rx):
             raise ValueError(
                 f"n_rf must be <= min(n_tx, n_rx) = {min(self.n_tx, self.n_rx)}, got {self.n_rf}"

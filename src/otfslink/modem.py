@@ -12,7 +12,8 @@ energy; label 0 is therefore the corner ``(-7 - 7j)/sqrt(42)``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc
+
+from .special import erfc
 
 QAM_ORDER = 64
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from itertools import permutations, product
 
 import numpy as np
-from scipy.special import erfc
 
 from . import allocation, modem
 from .channel import (
@@ -28,6 +27,7 @@ from .link_sim import SimConfig, realize, run_random_link
 from .precoding import (
     RankDeficientChannelError, dd_transform_matrices, decompose, effective_dd_channel,
 )
+from .special import erfc
 
 TOL_DIAG_RATIO = 1e-9          # off-diagonal / diagonal Frobenius mass of the DD channel
 TOL_DIAG_MATCH = 1e-9          # relative gap of that diagonal and the gains to the dense SVD

@@ -1,10 +1,12 @@
 """Importance scoring and allocation tests with hand-enumerated oracles."""
 
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from otfslink.allocation import (
@@ -15,6 +17,7 @@ from otfslink.allocation import (
     invert_allocation,
     soft_kendall,
 )
+from otfslink.special import ndtr, sigmoid
 
 SIGMOID_MINUS_2 = 0.11920292202211755  # 1 / (1 + e^2)
 
@@ -24,6 +27,25 @@ def erf_bin_bits(mu, sigma, y):
     phi = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
     p = phi((y + 0.5 - mu) / sigma) - phi((y - 0.5 - mu) / sigma)
     return -math.log2(p)
+
+
+@pytest.mark.parametrize("ours, oracle", [(sigmoid, scipy.special.expit), (ndtr, scipy.special.ndtr)],
+                         ids=["sigmoid", "ndtr"])
+@pytest.mark.parametrize("bound", [745.0, 40.0])
+def test_special_function_matches_scipy(ours, oracle, bound):
+    x = np.linspace(-bound, bound, 100_001)
+    got, want = ours(x), oracle(x)
+    normal = want >= np.finfo(float).tiny
+    assert np.all(np.abs(got[normal] / want[normal] - 1.0) <= 1e-12)
+    assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
+
+
+def test_sigmoid_saturates_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sigmoid(np.array([-1e6, -np.inf, 0.0, 1e6, np.inf]))
+    assert values[2] == 0.5 and values[3] == values[4] == 1.0
+    assert 0.0 <= values[0] <= 1e-300 and 0.0 <= values[1] <= 1e-300
 
 
 class TestGaussianBinEntropy:

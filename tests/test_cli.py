@@ -16,7 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import otfslink
 from otfslink.cli import _EXP_KEYS, _SIM_KEYS, ConfigError, main, parse_config
-from otfslink.link_sim import CSV_COLUMNS
+from otfslink.link_sim import CSV_COLUMNS, MAX_ARRAY_ENTRIES
 from otfslink.modem import constellation_points
 from otfslink.validation import CHECKS, check_gray_labeling
 
@@ -50,6 +50,19 @@ def _rows(path):
 
 def _metric_values(path):
     return [float(row[col]) for row in _rows(path) for col in METRIC_COLUMNS]
+
+
+def _assert_rejected_before_running(tmp_path, capsys, update, field):
+    cfg = dict(SMALL_CONFIG)
+    cfg.update(update)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))  # non-finite floats become -Infinity / NaN
+    with pytest.raises(ConfigError, match=field):
+        parse_config(path)
+    out = tmp_path / "never.csv"
+    assert main(["sweep", str(path), "--output", str(out)]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -130,16 +143,24 @@ class TestParseConfig:
         ],
     )
     def test_unusable_values_rejected_before_running(self, tmp_path, capsys, update, field):
-        cfg = dict(SMALL_CONFIG)
-        cfg.update(update)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg))  # non-finite floats become -Infinity / NaN
-        with pytest.raises(ConfigError, match=field):
+        _assert_rejected_before_running(tmp_path, capsys, update, field)
+
+    @pytest.mark.parametrize("value", [10**9, 10**400], ids=["1e9", "int_1e400"])
+    @pytest.mark.parametrize(
+        "field", ["n_tx", "n_rx", "n_rf", "m_delay", "n_doppler", "n_frames", "n_paths", "n_tx_grid"]
+    )
+    def test_sizes_too_large_to_allocate_rejected(self, tmp_path, capsys, field, value):
+        update = {field: [2, value] if field == "n_tx_grid" else value}
+        _assert_rejected_before_running(tmp_path, capsys, update, field)
+
+    def test_array_entry_limit_is_inclusive(self, tmp_path):
+        # SMALL_CONFIG carries n_rf*m_delay*n_doppler = 4 payload elements per frame
+        path = tmp_path / "frames.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, n_frames=MAX_ARRAY_ENTRIES // 4)))
+        assert parse_config(path).sim.payload_len == MAX_ARRAY_ENTRIES
+        path.write_text(json.dumps(dict(SMALL_CONFIG, n_frames=MAX_ARRAY_ENTRIES // 4 + 1)))
+        with pytest.raises(ConfigError, match="n_frames is too large: the payload"):
             parse_config(path)
-        out = tmp_path / "never.csv"
-        assert main(["sweep", str(path), "--output", str(out)]) == 2
-        assert f"config error: {field}" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_integer_too_long_to_parse_is_a_config_error(self, tmp_path):
         path = tmp_path / "long.json"
@@ -324,6 +345,18 @@ def test_any_config_is_a_named_config_error_or_finite_metrics(cfg):
             assert code == 0, err.getvalue()
             # snr_db echoes the grid and may be +inf (noiseless); the metrics are finite
             assert all(math.isfinite(v) for v in _metric_values(out))
+
+
+def test_runtime_imports_load_no_scipy():
+    """The package, its CLI and config parsing need numpy only; scipy is a test oracle."""
+    code = (
+        "import sys, otfslink, otfslink.cli\n"
+        f"otfslink.cli.parse_config({str(ROOT / 'configs' / 'default.json')!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_blas_thread_count_changes_only_the_last_bits(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from otfslink import special
 from otfslink.modem import (
     DEFAULT_MIN_GAIN,
     QAM_ORDER,
@@ -100,6 +101,15 @@ class TestModulateDemodulate:
         ser = np.mean(demodulate_hard(x + noise) != labels)
         theory = square_qam_ser(10.0 ** (snr_db / 10.0))
         assert abs(ser - theory) / theory < 0.10
+
+
+@pytest.mark.parametrize("bound", [745.0, 40.0])
+def test_erfc_matches_scipy(bound):
+    x = np.linspace(-bound, bound, 100_001)
+    got, want = special.erfc(x), erfc(x)
+    normal = want >= np.finfo(float).tiny
+    assert np.all(np.abs(got[normal] / want[normal] - 1.0) <= 1e-12)
+    assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
 
 
 class TestSquareQamSer:
