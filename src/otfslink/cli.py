@@ -31,6 +31,7 @@ from .link_sim import (
     ALLOCATION_MODES,
     DEFAULT_ANTENNA_GRID,
     DEFAULT_SNR_GRID_DB,
+    MAX_TRIALS,
     SimConfig,
     antenna_points,
     format_csv,
@@ -88,6 +89,14 @@ def _require_float(name: str, value) -> float:
         ) from None
 
 
+def _require_trials(value) -> int:
+    _require_number("trials", value, integer=True)
+    if not 1 <= value <= MAX_TRIALS:
+        shown = value if value.bit_length() <= 64 else f"an integer of {value.bit_length()} bits"
+        raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {shown}")
+    return value
+
+
 def parse_config(path) -> ExperimentConfig:
     """Load and fully validate a JSON experiment config.
 
@@ -141,10 +150,7 @@ def parse_config(path) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{name} entry: {exc}") from exc
 
-    trials = doc.get("trials", 1)
-    _require_number("trials", trials, integer=True)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    trials = _require_trials(doc.get("trials", 1))
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
@@ -181,9 +187,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
             raise ConfigError(str(exc)) from exc
     updates = {"sim": sim}
     if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {args.trials}")
-        updates["trials"] = args.trials
+        updates["trials"] = _require_trials(args.trials)
     if args.output is not None:
         updates["output"] = args.output
     return dataclasses.replace(cfg, **updates)

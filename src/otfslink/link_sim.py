@@ -74,9 +74,16 @@ DEFAULT_ANTENNA_GRID = (4, 6, 8, 10, 12, 14, 16)
 # Lowest accepted SNR (noise variance 1e10); far lower ones overflow or saturate the metrics.
 MIN_SNR_DB = -100.0
 
+# Most trials a sweep may run at each grid point. A link of the smallest shape
+# takes about 1 ms on a 2-core x86 host, so a million of them per point is
+# already a long run; far larger counts never finish.
+MAX_TRIALS = 10**6
+
 # Most entries a config may ask of any array a link allocates. The dense H at
 # this size is 4 GiB of complex128, and the SVD of a core that large needs
-# several times that.
+# more: about 3 such matrices of touched memory for zgesvdx, whose LAPACKE
+# wrapper also reserves 17 doubles per core entry of mostly untouched
+# workspace, and about 9 for zgesdd (see precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # The largest arrays of a link, as products of SimConfig size fields and their
@@ -266,17 +273,18 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
 
     The SVD is taken of the spatial core C, ``H = (Q_rx kron I) C (Q_tx
     kron I)^H``, which has H's nonzero singular values and is smaller than
-    H when an array has more antennas than the channel has paths. The core
-    is freed after its SVD; the gains raise
+    H when an array has more antennas than the channel has paths, and only
+    the ``n_rf*MN`` leading triplets the link uses are computed (see
+    :func:`~otfslink.precoding.decompose`). The core is freed after its
+    SVD; the gains raise
     :class:`~otfslink.precoding.RankDeficientChannelError` before any
-    vector is lifted; only the ``n_rf*MN`` singular-vector pairs the link
-    uses are lifted to H's coordinates. H itself, which only
+    vector is lifted to H's coordinates. H itself, which only
     :func:`~otfslink.channel.apply_channel` needs, is built last, so the
     core, its SVD and H are never alive together.
     """
     m, n = chan.m_delay, chan.n_doppler
     q_rx, core, q_tx = spatial_core(chan)
-    dec = decompose(core)
+    dec = decompose(core, n_rf * m * n)
     del core
     gains = sub_channel_gains(dec, n_rf, m, n)
     dec = lift_leading(dec, q_rx, q_tx, gains.size)
@@ -434,8 +442,8 @@ def run_sweep(points, trials: int = 1) -> list[SweepRow]:
     (point, t) uses the stream ``_trial_rng(point.seed, t)`` exactly as a
     lone ``run_random_link`` call would. Logs one progress line per link.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     points = list(points)
     slot = RealizationSlot()
     metrics = [[] for _ in points]

@@ -16,7 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import otfslink
 from otfslink.cli import _EXP_KEYS, _SIM_KEYS, ConfigError, main, parse_config
-from otfslink.link_sim import CSV_COLUMNS, MAX_ARRAY_ENTRIES
+from otfslink.link_sim import CSV_COLUMNS, MAX_ARRAY_ENTRIES, MAX_TRIALS
 from otfslink.modem import constellation_points
 from otfslink.validation import CHECKS, check_gray_labeling
 
@@ -161,6 +161,26 @@ class TestParseConfig:
         path.write_text(json.dumps(dict(SMALL_CONFIG, n_frames=MAX_ARRAY_ENTRIES // 4 + 1)))
         with pytest.raises(ConfigError, match="n_frames is too large: the payload"):
             parse_config(path)
+
+    TRIAL_COUNTS = pytest.mark.parametrize(
+        "value", [0, MAX_TRIALS + 1, 10**50, 10**400], ids=["0", "max_plus_1", "1e50", "int_1e400"]
+    )
+
+    @TRIAL_COUNTS
+    def test_trials_out_of_range_rejected(self, tmp_path, capsys, value):
+        _assert_rejected_before_running(tmp_path, capsys, {"trials": value}, "trials")
+
+    @TRIAL_COUNTS
+    def test_trials_flag_out_of_range_rejected(self, small_config, tmp_path, capsys, value):
+        out = tmp_path / "never.csv"
+        assert main(["sweep", str(small_config), "--trials", str(value), "--output", str(out)]) == 2
+        assert "config error: trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trials_limit_is_inclusive(self, tmp_path):
+        path = tmp_path / "trials.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, trials=MAX_TRIALS)))
+        assert parse_config(path).trials == MAX_TRIALS
 
     def test_integer_too_long_to_parse_is_a_config_error(self, tmp_path):
         path = tmp_path / "long.json"

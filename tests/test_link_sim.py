@@ -11,6 +11,7 @@ from otfslink import link_sim
 from otfslink.channel import sample_channel
 from otfslink.link_sim import (
     CSV_COLUMNS,
+    MAX_TRIALS,
     RealizationSlot,
     SimConfig,
     _average_row,
@@ -209,6 +210,11 @@ class TestSweeps:
         with pytest.raises(ValueError):
             run_sweep(snr_points(SMALL, [0.0]), trials=0)
 
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**400], ids=["max_plus_1", "int_1e400"])
+    def test_trials_bounded(self, trials):
+        with pytest.raises(ValueError, match="trials must be in"):
+            run_sweep(snr_points(SMALL, [0.0]), trials=trials)
+
 
 def _oracle_rows(points, trials):
     """Each (point, trial) link run on its own, with no realization reuse."""
@@ -222,9 +228,9 @@ def _count_decompose(monkeypatch):
     calls = []
     real = link_sim.decompose
 
-    def counted(h):
+    def counted(h, k=None):
         calls.append(1)
-        return real(h)
+        return real(h, k)
 
     monkeypatch.setattr(link_sim, "decompose", counted)
     return calls

@@ -1,8 +1,15 @@
 """SVD decomposition and precoder/combiner tests, with eigenvalue oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from otfslink import precoding
 from otfslink.channel import ChannelConfig, build_time_channel, sample_channel, spatial_core
 from otfslink.link_sim import realize
 from otfslink.precoding import (
@@ -15,6 +22,7 @@ from otfslink.precoding import (
     sub_channel_gains,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def random_channel(seed, n_ant=2, grid=2, n_paths=5):
     cfg = ChannelConfig(
@@ -279,3 +287,132 @@ class TestSpatialCoreRoute:
             lift_leading(dec, q_rx, q_tx, 2 * chan.mn)
         with pytest.raises(RankDeficientChannelError):
             realize(chan, 2, "dd_corrected")
+
+
+def _complex_gaussian(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _core(n_tx, n_rx, n_paths):
+    return spatial_core(TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths))[1]
+
+
+@pytest.fixture
+def subset_calls(monkeypatch):
+    """Records the ``k`` of every decomposition that took the subset SVD."""
+    calls = []
+    real = precoding._leading_svd
+
+    def counted(gesvdx, h, k):
+        calls.append(k)
+        return real(gesvdx, h, k)
+
+    monkeypatch.setattr(precoding, "_leading_svd", counted)
+    return calls
+
+
+class TestSubsetDecompose:
+    """``decompose(c, k)`` against the full ``np.linalg.svd`` of ``decompose(c)``."""
+
+    @pytest.mark.parametrize(
+        "c, k, subset",
+        [
+            (_core(8, 8, 10), 12, True),  # 48 x 48 core, n_rf = 2: k is a quarter of the side
+            (_core(4, 6, 10), 6, True),  # 36 x 24 core, n_rf = 1
+            (_core(6, 4, 10), 6, True),  # 24 x 36 core
+            (_core(6, 6, 10), 12, False),  # 36 x 36 core, n_rf = 2: k is a third of the side
+            (_core(3, 5, 10), 6, False),  # 30 x 18 core
+            (_complex_gaussian(96, 64, 1), 16, True),
+            (_complex_gaussian(64, 96, 2), 16, True),
+            (_complex_gaussian(96, 64, 3), 17, False),
+        ],
+        ids=["core_square", "core_tall", "core_wide", "core_square_full", "core_tall_full",
+             "tall", "wide", "tall_just_above_a_quarter"],
+    )
+    def test_matches_the_full_svd_truncated(self, subset_calls, c, k, subset):
+        before = c.copy()
+        dec = decompose(c, k)
+        assert np.array_equal(c, before)
+        assert subset_calls == ([k] if subset else [])
+        full = decompose(c)
+        assert dec.rank == k and dec.u.shape == (c.shape[0], k) and dec.v.shape == (c.shape[1], k)
+        tol = 1e-12 * full.sigma[0]
+        np.testing.assert_allclose(dec.sigma, full.sigma[:k], rtol=0, atol=tol)
+        assert np.max(np.abs(c @ dec.v - dec.u * dec.sigma)) < tol
+        assert np.max(np.abs(c.conj().T @ dec.u - dec.v * dec.sigma)) < tol
+        for f in (dec.u, dec.v):
+            np.testing.assert_allclose(f.conj().T @ f, np.eye(k), rtol=0, atol=1e-12)
+
+    def test_rank_below_k_on_the_subset_branch(self, subset_calls):
+        r, k = 10, 16
+        c = _complex_gaussian(64, r, 4) @ _complex_gaussian(r, 80, 5)
+        dec = decompose(c, k)
+        assert subset_calls == [k]
+        assert dec.rank == r and dec.sigma.shape == (r,)
+        np.testing.assert_allclose(dec.sigma, decompose(c).sigma, rtol=0, atol=1e-12 * dec.sigma[0])
+        with pytest.raises(RankDeficientChannelError):
+            lift_leading(dec, np.eye(1), np.eye(1), k)
+
+    def test_k_above_the_side_is_all_triplets(self):
+        c = _complex_gaussian(6, 4, 6)
+        dec = decompose(c, 9)
+        assert dec.rank == 4
+        np.testing.assert_allclose(dec.sigma, decompose(c).sigma, rtol=0, atol=1e-12 * dec.sigma[0])
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            decompose(np.eye(4), 0)
+
+    def test_subset_branch_needs_no_numpy_svd(self, monkeypatch, subset_calls):
+        c = _complex_gaussian(64, 64, 7)
+        oracle = decompose(c)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called on the subset branch")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        dec = decompose(c, 16)
+        assert subset_calls == [16]
+        np.testing.assert_allclose(dec.sigma, oracle.sigma[:16], rtol=0, atol=1e-12 * oracle.sigma[0])
+
+    def test_falls_back_when_no_library_exports_zgesvdx(self, monkeypatch, subset_calls):
+        monkeypatch.setattr(precoding, "_ZGESVDX_SYMBOLS", ("otfslink_no_such_symbol",))
+        precoding._zgesvdx.cache_clear()
+        try:
+            assert precoding._zgesvdx() is None
+            c = _complex_gaussian(64, 64, 8)
+            dec = decompose(c, 16)
+        finally:
+            precoding._zgesvdx.cache_clear()  # resolved again once the symbols are restored
+        assert subset_calls == []
+        oracle = decompose(c)
+        assert dec.rank == 16
+        np.testing.assert_allclose(dec.sigma, oracle.sigma[:16], rtol=0, atol=1e-12 * oracle.sigma[0])
+        assert np.max(np.abs(c @ dec.v - dec.u * dec.sigma)) < 1e-12 * oracle.sigma[0]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_one_openblas_file_after_a_realization():
+    code = textwrap.dedent(
+        """
+        import sys
+        from otfslink import precoding
+        from otfslink.channel import sample_channel
+        from otfslink.cli import parse_config
+        from otfslink.link_sim import realize
+
+        sim = parse_config(sys.argv[1]).sim
+        realize(sample_channel(sim.channel_config, 0), sim.n_rf, sim.precoder_mode)
+        assert precoding._zgesvdx() is not None
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()}
+        print("\\n".join(sorted(paths)))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "configs" / "default.json")],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    assert len(out.split()) == 1, out
