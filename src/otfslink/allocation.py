@@ -39,45 +39,46 @@ def gaussian_bin_entropy(mu, sigma, y_hat) -> np.ndarray:
     return -np.log2(p)
 
 
-def _check_pair(w, g) -> tuple[np.ndarray, np.ndarray, int]:
+def _pairs(w, g):
+    """``w``, ``g`` as float arrays and the index pairs ``i < j`` of their last axis."""
     w = np.asarray(w, dtype=float)
     g = np.asarray(g, dtype=float)
-    if w.ndim != 1 or g.ndim != 1 or w.size != g.size:
-        raise ValueError(f"inputs must be 1-D of equal length, got {w.shape} and {g.shape}")
-    if w.size < 2:
-        raise ValueError("need at least 2 elements to correlate")
-    return w, g, w.size
+    if w.ndim < 1 or w.shape[-1:] != g.shape[-1:] or w.shape[-1] < 2:
+        raise ValueError(f"inputs must end in axes of equal length >= 2, got {w.shape} and {g.shape}")
+    i, j = np.triu_indices(w.shape[-1], 1)
+    return w, g, i, j
 
 
-def exact_kendall_tau(w, g) -> float:
+def exact_kendall_tau(w, g):
     """Exact Kendall correlation: (concordant - discordant) / (K(K-1)/2).
 
     Tied pairs count as zero. Brute-force over all pairs; kept deliberately
     elementary so it can serve as the reference for the smooth surrogate.
+    Correlates along the last axis and broadcasts the leading ones, so
+    ``(frames, K)`` inputs give one value per frame.
     """
-    w, g, k = _check_pair(w, g)
-    dw = np.sign(w[:, None] - w[None, :])
-    dg = np.sign(g[:, None] - g[None, :])
-    iu = np.triu_indices(k, 1)
-    return float(np.sum(dw[iu] * dg[iu]) / (k * (k - 1) / 2.0))
+    w, g, i, j = _pairs(w, g)
+    concordance = np.sign(w[..., i] - w[..., j]) * np.sign(g[..., i] - g[..., j])
+    return np.sum(concordance, axis=-1) / float(i.size)
 
 
-def soft_kendall(w, g, sharpness: float = 2.0, sign: float = -1.0) -> float:
-    """Sigmoid-smoothed Kendall correlation in (0, 1).
+def soft_kendall(w, g, sharpness: float = 2.0, sign: float = -1.0):
+    """Sigmoid-smoothed Kendall correlation in (0, 1), along the last axis.
 
     Returns ``2 sum_{s<s'} sigmoid(sign * sharpness * (w_s-w_s')(g_s-g_s'))
     / (K(K-1))``. The default ``sign=-1, sharpness=2`` scores concordant
     pairs *below* 0.5; ``sign=+1`` is the concordance-consistent variant
     whose sharp limit is ``(exact_kendall_tau + 1) / 2`` on tie-free input.
+    Leading axes broadcast as in :func:`exact_kendall_tau`.
     """
-    w, g, k = _check_pair(w, g)
+    w, g, i, j = _pairs(w, g)
     if sharpness <= 0:
         raise ValueError(f"sharpness must be > 0, got {sharpness}")
     if sign not in (1, -1, 1.0, -1.0):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    prod = (w[:, None] - w[None, :]) * (g[:, None] - g[None, :])
-    iu = np.triu_indices(k, 1)
-    return float(2.0 * np.sum(sigmoid(sign * sharpness * prod[iu])) / (k * (k - 1)))
+    k = w.shape[-1]
+    prod = (w[..., i] - w[..., j]) * (g[..., i] - g[..., j])
+    return 2.0 * np.sum(sigmoid(sign * sharpness * prod), axis=-1) / (k * (k - 1))
 
 
 def allocate(w, g) -> np.ndarray:
@@ -99,24 +100,23 @@ def allocate(w, g) -> np.ndarray:
     return pi
 
 
-def _check_permutation(pi, length: int) -> np.ndarray:
+def _check_permutation(pi, shape) -> np.ndarray:
+    """``pi`` broadcast to ``shape``, checked to be a bijection along the last axis."""
     pi = np.asarray(pi)
-    if pi.shape != (length,) or not np.array_equal(np.sort(pi), np.arange(length)):
+    if pi.shape[-1:] != shape[-1:] or not (np.sort(pi, axis=-1) == np.arange(pi.shape[-1])).all():
         raise ValueError("pi must be a bijection on {0..K-1} matching the payload length")
-    return pi.astype(np.intp)
+    return np.broadcast_to(pi.astype(np.intp), shape)
 
 
 def apply_allocation(payload, pi) -> np.ndarray:
-    """Reorder a payload into sub-channel order: output[s] = payload[pi[s]]."""
+    """Reorder payloads into sub-channel order along the last axis: ``out[..., s] = payload[..., pi[..., s]]``."""
     payload = np.asarray(payload)
-    pi = _check_permutation(pi, payload.size)
-    return payload[pi]
+    return np.take_along_axis(payload, _check_permutation(pi, payload.shape), axis=-1)
 
 
 def invert_allocation(received, pi) -> np.ndarray:
     """Undo :func:`apply_allocation`: restores original payload order."""
     received = np.asarray(received)
-    pi = _check_permutation(pi, received.size)
     out = np.empty_like(received)
-    out[pi] = received
+    np.put_along_axis(out, _check_permutation(pi, received.shape), received, axis=-1)
     return out

@@ -201,23 +201,23 @@ def sample_channel(cfg: ChannelConfig, rng=None) -> DdMimoChannel:
 
 
 def apply_channel(h: np.ndarray, y: np.ndarray, noise_var: float, rng=None) -> np.ndarray:
-    """Apply ``r = h @ y + n`` with circular complex Gaussian noise.
+    """Apply ``r = h @ y + n`` with circular complex Gaussian noise to each frame.
 
-    ``noise_var`` is the total per-complex-component variance (real and
-    imaginary parts carry ``noise_var/2`` each); 0 gives the exact product.
-    ``y`` may be a vector or an ``(n_tx*MN, batch)`` matrix of columns.
+    ``y`` is one frame or a ``(frames, n_tx*MN)`` array, frames on the leading
+    axis, and ``r`` has its layout. ``noise_var`` is the total
+    per-complex-component variance (``noise_var/2`` per part); 0 gives the
+    exact product. Each frame draws its real, then its imaginary parts, so
+    ``rng`` is consumed exactly as by one call per frame.
     """
     h = np.asarray(h)
     y = np.asarray(y)
-    if y.ndim not in (1, 2) or y.shape[0] != h.shape[1]:
+    if y.ndim not in (1, 2) or y.shape[-1] != h.shape[1]:
         raise ValueError(f"signal shape {y.shape} incompatible with channel shape {h.shape}")
     if noise_var < 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    r = h @ y
+    r = y @ h.T
     if noise_var > 0:
         rng = np.random.default_rng(rng)
-        noise = (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)) * np.sqrt(
-            noise_var / 2.0
-        )
-        r = r + noise
+        z = rng.standard_normal(r.shape[:-1] + (2, r.shape[-1]))
+        r = r + (z[..., 0, :] + 1j * z[..., 1, :]) * np.sqrt(noise_var / 2.0)
     return r

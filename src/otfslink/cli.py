@@ -9,8 +9,9 @@ Subcommands:
   of the acceptance tests at the same tolerances.
 
 Configs are strict JSON: unknown keys are rejected by name, and an invalid
-config never starts a simulation. Output CSV is written atomically (temp
-file + rename) and begins with a versioned comment line; the rest is a
+config never starts a simulation. Output CSV is written atomically (a temp
+file, created in the target directory before the first link, then a
+rename) and begins with a versioned comment line; the rest is a
 function of (config, seed), byte for byte at a fixed BLAS thread count
 (README "Reproducibility"). ``OTFSLINK_LOG=debug|info|warning|error`` tunes
 the stderr log; at info it has one progress line per link with an ETA.
@@ -193,9 +194,9 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates)
 
 
-def _run_grid(cfg: ExperimentConfig, single: bool):
+def _run_grid(cfg: ExperimentConfig):
     """One sweep row per grid point; the whole grid goes through one sweep loop."""
-    if single or cfg.sweep == "single":
+    if cfg.sweep == "single":
         points = snr_points(cfg.sim, [cfg.sim.snr_db])
     elif cfg.sweep == "snr":
         points = snr_points(cfg.sim, cfg.snr_grid_db)
@@ -204,34 +205,41 @@ def _run_grid(cfg: ExperimentConfig, single: bool):
     return run_sweep(points, cfg.trials)
 
 
-def emit_csv(rows, output: str | None) -> int:
-    text = f"# otfslink {__version__}\n" + format_csv(rows)
-    if output is None:
-        sys.stdout.write(text)
-        return 0
-    directory = os.path.dirname(os.path.abspath(output))
-    try:
-        fd, tmp_path = tempfile.mkstemp(prefix=".otfslink-", suffix=".csv", dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp_path, output)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
-    except OSError as exc:
-        logger.error("cannot write output %s: %s", output, exc)
-        return 1
-    logger.info("wrote %d rows to %s", len(rows), output)
-    return 0
+def emit_csv(rows, fh) -> None:
+    fh.write(f"# otfslink {__version__}\n" + format_csv(rows))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    return emit_csv(_run_grid(cfg, single=True), cfg.output)
+    return cmd_sweep(dataclasses.replace(cfg, sweep="single"))
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    return emit_csv(_run_grid(cfg, single=False), cfg.output)
+    """Run the grid; write its CSV to stdout, or to a temp file renamed onto ``cfg.output``.
+
+    The temp file is created before the first link, so an unwritable target fails at once.
+    """
+    if cfg.output is None:
+        emit_csv(_run_grid(cfg), sys.stdout)
+        return 0
+    try:
+        fh = tempfile.NamedTemporaryFile("w", encoding="utf-8", prefix=".otfslink-", suffix=".csv",
+                                         dir=os.path.dirname(os.path.abspath(cfg.output)), delete=False)
+    except OSError as exc:
+        logger.error("cannot write output %s: %s", cfg.output, exc)
+        return 1
+    try:
+        with fh:
+            rows = _run_grid(cfg)
+            emit_csv(rows, fh)
+        os.replace(fh.name, cfg.output)
+    except BaseException as exc:
+        os.unlink(fh.name)
+        if not isinstance(exc, OSError):
+            raise
+        logger.error("cannot write output %s: %s", cfg.output, exc)
+        return 1
+    logger.info("wrote %d rows to %s", len(rows), cfg.output)
+    return 0
 
 
 def cmd_validate() -> int:

@@ -1,4 +1,4 @@
-"""Delay-Doppler <-> time-domain transforms for one OTFS frame.
+"""Delay-Doppler <-> time-domain transforms for OTFS frames.
 
 Conventions used throughout the package:
 
@@ -9,6 +9,9 @@ Conventions used throughout the package:
   ``vec(S) = (F_N^H kron I_M) @ vec(X)`` are the same operation.
 * DFT matrices are unitary (``1/sqrt(size)`` normalization) and exactly
   symmetric, which makes every transform here energy preserving.
+* Every function acts on the trailing axes and keeps any leading ones, so
+  a burst of frames (leading frame axis, then RF chains) goes through as
+  one array.
 
 With rectangular transmit/receive pulses the ISFFT + Heisenberg cascade of
 OTFS modulation collapses to a single inverse DFT across the Doppler axis,
@@ -45,62 +48,55 @@ def dft_matrix(size: int) -> np.ndarray:
 
 
 def otfs_modulate(grid: np.ndarray) -> np.ndarray:
-    """Map one (M, N) DD grid to its length-M*N time-domain frame.
+    """Map ``(..., M, N)`` DD grids to their length-M*N time-domain frames.
 
-    Computes ``vec(X @ F_N^H)`` with column-major vectorization. The
-    transform is unitary, so ``norm(out) == frobenius_norm(grid)``.
+    Computes ``vec(X @ F_N^H)`` with column-major vectorization for each
+    grid on the leading axes. The transform is unitary, so
+    ``norm(out) == frobenius_norm(grid)`` per grid.
     """
     grid = np.asarray(grid)
-    if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] < 1:
-        raise ValueError(f"DD grid must be a 2-D array with M, N >= 1, got shape {grid.shape}")
+    if grid.ndim < 2 or grid.shape[-2] < 1 or grid.shape[-1] < 1:
+        raise ValueError(f"DD grids must be (..., M, N) arrays with M, N >= 1, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise ValueError("DD grid entries must be finite")
-    n = grid.shape[1]
-    s = grid @ dft_matrix(n).conj().T
-    return s.ravel(order="F")
+    s = grid @ dft_matrix(grid.shape[-1]).conj().T
+    return s.swapaxes(-1, -2).reshape(grid.shape[:-2] + (-1,))
 
 
 def otfs_demodulate(frame: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Recover the (m, n) DD grid from a time-domain frame.
+    """Recover the ``(..., m, n)`` DD grids from ``(..., m*n)`` time-domain frames.
 
-    Exact inverse of :func:`otfs_modulate`: reshapes column-major and
-    applies the forward Doppler-axis DFT.
+    Exact inverse of :func:`otfs_modulate`: reshapes each frame
+    column-major and applies the forward Doppler-axis DFT.
     """
     frame = np.asarray(frame)
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
-    if frame.ndim != 1 or frame.size != m * n:
-        raise ValueError(f"frame must be 1-D of length m*n={m * n}, got shape {frame.shape}")
-    s = frame.reshape((m, n), order="F")
+    if frame.ndim < 1 or frame.shape[-1] != m * n:
+        raise ValueError(f"frames must end in an axis of length m*n={m * n}, got shape {frame.shape}")
+    s = frame.reshape(frame.shape[:-1] + (n, m)).swapaxes(-1, -2)
     return s @ dft_matrix(n)
 
 
 def stack_chains(frames) -> np.ndarray:
-    """Concatenate the per-RF-chain time frames of one slot into one vector.
+    """Concatenate ``(..., n_chains, L)`` per-RF-chain frames into ``(..., n_chains*L)`` vectors.
 
-    Element ``c*L + q`` of the output is element ``q`` of frame ``c``.
+    Element ``c*L + q`` of an output vector is element ``q`` of chain ``c``.
     """
-    arrs = [np.asarray(f) for f in frames]
-    if not arrs:
-        raise ValueError("need at least one frame to stack")
-    length = arrs[0].size
-    for a in arrs:
-        if a.ndim != 1 or a.size != length:
-            raise ValueError("all frames must be 1-D and of equal length")
-    return np.concatenate(arrs)
+    frames = np.asarray(frames)
+    if frames.ndim < 2 or frames.shape[-2] < 1:
+        raise ValueError(f"need (..., n_chains, L) frames with n_chains >= 1, got shape {frames.shape}")
+    return frames.reshape(frames.shape[:-2] + (-1,))
 
 
 def unstack_chains(signal: np.ndarray, n_chains: int) -> np.ndarray:
-    """Split a stacked multi-chain vector back into per-chain rows.
+    """Split ``(..., n_chains*L)`` stacked vectors back into ``(..., n_chains, L)`` chains.
 
-    Inverse of :func:`stack_chains`; returns an ``(n_chains, L)`` array
-    whose rows are the per-chain frames.
+    Inverse of :func:`stack_chains`.
     """
     signal = np.asarray(signal)
     if n_chains < 1:
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
-    if signal.ndim != 1 or signal.size % n_chains != 0:
-        raise ValueError(
-            f"signal of length {signal.size} does not split into {n_chains} equal chains"
-        )
-    return signal.reshape(n_chains, -1)
+    if signal.ndim < 1 or signal.shape[-1] % n_chains != 0:
+        raise ValueError(f"signal of shape {signal.shape} does not split into {n_chains} equal chains")
+    return signal.reshape(signal.shape[:-1] + (n_chains, -1))

@@ -27,6 +27,12 @@ the drawn channel (gains, precoder/combiner and dense H; see
 next link whose drawn channel, ``n_rf`` and precoder mode are equal. An SNR
 sweep therefore decomposes one channel per trial instead of one per link.
 
+A link's burst of ``n_frames`` frames shares its channel and goes through
+as ``(frames, ...)`` arrays, frame axis leading, in chunks bounded by
+:data:`FRAME_CHUNK_ENTRIES`; only ``allocation.allocate`` runs once per
+frame. CSV version 0.4.0 writes 0.3.0's bytes for single-frame links;
+with several frames per chunk the floats move by rounding.
+
 The decomposition is the SVD of the channel's exact spatial core, not of
 the dense H: H factors as ``(Q_rx kron I) C (Q_tx kron I)^H`` with ``C`` of
 size ``min(n_rx, L)*MN x min(n_tx, L)*MN`` for L paths, and only the
@@ -86,6 +92,11 @@ MAX_TRIALS = 10**6
 # workspace, and about 9 for zgesdd (see precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
+# Most entries of any per-chunk array of a burst: run_link passes as many frames
+# at once as keep the larger of a frame's K(K-1)/2 Kendall pairs and its n*MN
+# signal entries (n the larger array) within this bound, one frame at least.
+FRAME_CHUNK_ENTRIES = 2**18
+
 # The largest arrays of a link, as products of SimConfig size fields and their
 # powers: the dense H, (n_rx*M*N) x (n_tx*M*N); the n x n_paths array
 # responses of each side; and the payload of n_frames*n_rf*M*N elements.
@@ -111,6 +122,8 @@ CSV_COLUMNS = (
     "gamma_max",
     "gamma_min",
 )
+# Written as they are; every other column is a float written with full repr precision.
+_VERBATIM_COLUMNS = ("n_tx", "n_rx", "n_rf", "mode", "trials")
 
 
 @dataclass(frozen=True)
@@ -239,10 +252,10 @@ def snr_to_noise_var(snr_db: float) -> float:
     return float(10.0 ** (-float(snr_db) / 10.0))
 
 
-def sample_importance(rng, n: int, sigma: float = 1.0) -> np.ndarray:
-    """Heavy-tailed synthetic importance scores: log-normal(0, sigma)."""
+def sample_importance(rng, n: int) -> np.ndarray:
+    """Heavy-tailed synthetic importance scores: log-normal(0, 1)."""
     rng = np.random.default_rng(rng)
-    return rng.lognormal(mean=0.0, sigma=sigma, size=n)
+    return rng.lognormal(mean=0.0, sigma=1.0, size=n)
 
 
 def sample_payload(rng, n: int) -> np.ndarray:
@@ -316,6 +329,12 @@ class RealizationSlot:
         return self._held
 
 
+def _frames_per_chunk(cfg: SimConfig) -> int:
+    k = cfg.n_subchannels
+    per_frame = max(k * (k - 1) // 2, max(cfg.n_tx, cfg.n_rx) * cfg.m_delay * cfg.n_doppler)
+    return max(1, FRAME_CHUNK_ENTRIES // per_frame)
+
+
 def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -> LinkMetrics:
     """Run one burst of ``cfg.n_frames`` OTFS frames over a fresh channel.
 
@@ -338,66 +357,54 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
         raise ValueError("importance scores must be finite and >= 0")
 
     chan = sample_channel(cfg.channel_config, rng)
-    if slot is None:
-        real = realize(chan, cfg.n_rf, cfg.precoder_mode)
-    else:
-        real = slot.get(chan, cfg.n_rf, cfg.precoder_mode)
+    real = (slot if slot is not None else RealizationSlot()).get(chan, cfg.n_rf, cfg.precoder_mode)
     h, pc, gains = real.h, real.pc, real.gains
     noise_var = snr_to_noise_var(cfg.snr_db)
 
-    k = cfg.n_subchannels
-    m, n = cfg.m_delay, cfg.n_doppler
-    mn = m * n
-    w_h = pc.w.conj().T
-
-    n_err = 0
-    sq_sum = 0.0
-    wsq_sum = 0.0
-    w_sum = 0.0
-    kappa_exact = np.empty(cfg.n_frames)
-    kappa_soft = np.empty(cfg.n_frames)
-    for p in range(cfg.n_frames):
-        sl = slice(p * k, (p + 1) * k)
-        idx_f = idx[sl]
-        w_f = w_all[sl]
+    k, m, n, n_rf = cfg.n_subchannels, cfg.m_delay, cfg.n_doppler, cfg.n_rf
+    idx, w_all = idx.reshape(cfg.n_frames, k), w_all.reshape(cfg.n_frames, k)
+    # per frame: squared error, weighted squared error, weight, symbol errors, both Kendall values
+    per_frame = np.empty((6, cfg.n_frames))
+    step = _frames_per_chunk(cfg)
+    for start in range(0, cfg.n_frames, step):
+        sl = slice(start, start + step)
+        idx_f, w_f = idx[sl], w_all[sl]
         if cfg.allocation_mode == "semantic":
-            pi = allocation.allocate(w_f, gains)
+            pi = np.array([allocation.allocate(w, gains) for w in w_f])
         else:
             pi = np.arange(k, dtype=np.intp)
         x = modem.modulate(allocation.apply_allocation(idx_f, pi))
 
-        frames = [
-            otfs_modulate(x[c * mn : (c + 1) * mn].reshape((m, n), order="F"))
-            for c in range(cfg.n_rf)
-        ]
-        y = pc.g @ stack_chains(frames)
+        # each chain's K/n_rf symbols fill its (m, n) DD grid column-major
+        grids = unstack_chains(x, n_rf).reshape(len(x), n_rf, n, m).swapaxes(-1, -2)
+        y = stack_chains(otfs_modulate(grids)) @ pc.g.T
         r = apply_channel(h, y, noise_var, rng)
-        s_hat = w_h @ r
-        x_hat = np.concatenate(
-            [otfs_demodulate(chunk, m, n).ravel(order="F") for chunk in unstack_chains(s_hat, cfg.n_rf)]
-        )
+        s_hat = unstack_chains(r @ pc.w.conj(), n_rf)
+        x_hat = otfs_demodulate(s_hat, m, n).swapaxes(-1, -2).reshape(len(x), k)
 
         x_eq, _ = modem.equalize(x_hat, gains)
-        rx_idx = modem.demodulate_hard(x_eq)
-        x_eq_payload = allocation.invert_allocation(x_eq, pi)
-        rx_idx_payload = allocation.invert_allocation(rx_idx, pi)
+        rx_idx = allocation.invert_allocation(modem.demodulate_hard(x_eq), pi)
+        err2 = np.abs(allocation.invert_allocation(x_eq, pi) - modem.modulate(idx_f)) ** 2
+        w_sorted = allocation.apply_allocation(w_f, pi)
+        per_frame[:, sl] = (
+            err2.sum(axis=1),
+            (w_f * err2).sum(axis=1),
+            w_f.sum(axis=1),
+            np.count_nonzero(rx_idx != idx_f, axis=1),
+            allocation.exact_kendall_tau(w_sorted, gains),
+            allocation.soft_kendall(w_sorted, gains),
+        )
 
-        err2 = np.abs(x_eq_payload - modem.modulate(idx_f)) ** 2
-        sq_sum += float(err2.sum())
-        wsq_sum += float((w_f * err2).sum())
-        w_sum += float(w_f.sum())
-        n_err += int(np.count_nonzero(rx_idx_payload != idx_f))
-        kappa_exact[p] = allocation.exact_kendall_tau(w_f[pi], gains)
-        kappa_soft[p] = allocation.soft_kendall(w_f[pi], gains)
-
+    # cumsum adds strictly in frame order, so one frame per chunk rounds as frame by frame
+    sq_sum, wsq_sum, w_sum, n_err = np.cumsum(per_frame[:4], axis=1)[:, -1]
     total = cfg.payload_len
     mse = sq_sum / total
     return LinkMetrics(
-        mse=mse,
-        weighted_mse=wsq_sum / w_sum if w_sum > 0 else mse,
-        ser=n_err / total,
-        kappa_exact=float(np.mean(kappa_exact)),
-        kappa_soft=float(np.mean(kappa_soft)),
+        mse=float(mse),
+        weighted_mse=float(wsq_sum / w_sum if w_sum > 0 else mse),
+        ser=float(n_err / total),
+        kappa_exact=float(np.mean(per_frame[4])),
+        kappa_soft=float(np.mean(per_frame[5])),
         # a copy: the held realization's gains serve later links of the sweep
         gains=gains.copy(),
     )
@@ -477,21 +484,7 @@ def write_csv(rows, fileobj) -> None:
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         writer.writerow(
-            [
-                repr(float(row.snr_db)),
-                row.n_tx,
-                row.n_rx,
-                row.n_rf,
-                row.mode,
-                row.trials,
-                repr(float(row.ser)),
-                repr(float(row.mse)),
-                repr(float(row.weighted_mse)),
-                repr(float(row.kappa_exact)),
-                repr(float(row.kappa_soft)),
-                repr(float(row.gamma_max)),
-                repr(float(row.gamma_min)),
-            ]
+            [getattr(row, c) if c in _VERBATIM_COLUMNS else repr(float(getattr(row, c))) for c in CSV_COLUMNS]
         )
 
 

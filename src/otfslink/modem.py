@@ -68,16 +68,16 @@ def demodulate_hard(received) -> np.ndarray:
     return out.reshape(r.shape)
 
 
-def equalize(x_hat, gains, min_gain: float = DEFAULT_MIN_GAIN):
+def equalize(x_hat, gains):
     """Zero-forcing per sub-channel: ``x_hat / gain``, with erasure flagging.
 
-    Entries whose gain falls below ``min_gain`` are returned as 0 and
-    flagged in the boolean erasure mask (second return value); an erasure
-    is a value, not an error.
+    Entries whose gain falls below :data:`DEFAULT_MIN_GAIN` are returned as
+    0 and flagged in the boolean erasure mask (second return value); an
+    erasure is a value, not an error. ``gains`` broadcast along the last axis.
     """
     x = np.asarray(x_hat)
     lam = np.asarray(gains, dtype=float)
-    erased = lam < min_gain
+    erased = lam < DEFAULT_MIN_GAIN
     safe = np.where(erased, 1.0, lam)
     eq = np.where(erased, 0.0, x / safe)
     return eq, erased

@@ -130,10 +130,10 @@ def criterion_2_parallel_subchannel_noise() -> CheckResult:
     h, pc, gains = real.h, real.pc, real.gains
     c_t, c_r = dd_transform_matrices(n_rf, grid, grid)
     noise_var = 0.1  # 10 dB at unit symbol energy
-    x = modem.modulate(rng.integers(0, modem.QAM_ORDER, (k, 10_000)))
-    r = apply_channel(h, pc.g @ (c_t @ x), noise_var, rng)
-    err = (c_r @ (pc.w.conj().T @ r)) / gains[:, None] - x
-    ratio = np.mean(np.abs(err) ** 2, axis=1) / (noise_var / gains**2)
+    x = modem.modulate(rng.integers(0, modem.QAM_ORDER, (10_000, k)))  # one frame per row
+    r = apply_channel(h, x @ (pc.g @ c_t).T, noise_var, rng)
+    err = (r @ (c_r @ pc.w.conj().T).T) / gains - x
+    ratio = np.mean(np.abs(err) ** 2, axis=0) / (noise_var / gains**2)
     worst = float(np.max(np.abs(ratio - 1.0)))
     return CheckResult(
         "criterion_2_parallel_subchannel_noise",

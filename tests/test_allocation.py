@@ -116,6 +116,14 @@ class TestExactKendallTau:
         assert exact_kendall_tau(x, x) == 1.0
         assert exact_kendall_tau(x, -y) == -exact_kendall_tau(x, y)
 
+    def test_rows_match_one_call_per_row(self):
+        rng = np.random.default_rng(36)
+        w = rng.integers(0, 4, (5, 9)).astype(float)  # with ties
+        g = rng.standard_normal(9)
+        taus = exact_kendall_tau(w, g)
+        assert taus.shape == (5,)
+        np.testing.assert_array_equal(taus, [exact_kendall_tau(row, g) for row in w])
+
 
 class TestSoftKendall:
     def test_all_equal_gives_half(self):
@@ -150,6 +158,15 @@ class TestSoftKendall:
         for sign in (1.0, -1.0):
             kappa = soft_kendall(w, g, sharpness=2.0, sign=sign)
             assert 0.0 < kappa < 1.0
+
+    def test_rows_match_one_call_per_row(self):
+        rng = np.random.default_rng(37)
+        w = rng.lognormal(size=(4, 40))
+        g = np.sort(rng.uniform(0.1, 2.0, 40))[::-1]
+        kappas = soft_kendall(w, g)
+        assert kappas.shape == (4,)
+        # a row sum may add its terms in another order than a 1-D sum
+        np.testing.assert_allclose(kappas, [soft_kendall(row, g) for row in w], rtol=1e-13)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -229,8 +246,19 @@ class TestApplyInvert:
         pi = rng.permutation(k)
         np.testing.assert_array_equal(invert_allocation(apply_allocation(payload, pi), pi), payload)
 
+    def test_rows_are_permuted_independently(self):
+        payload = np.array([[1, 2, 3], [4, 5, 6]])
+        pi = np.array([[2, 0, 1], [0, 1, 2]])
+        streamed = apply_allocation(payload, pi)
+        np.testing.assert_array_equal(streamed, [[3, 1, 2], [4, 5, 6]])
+        np.testing.assert_array_equal(invert_allocation(streamed, pi), payload)
+        # one permutation broadcasts over every row
+        np.testing.assert_array_equal(apply_allocation(payload, [1, 2, 0]), [[2, 3, 1], [5, 6, 4]])
+
     def test_non_bijective_rejected(self):
         with pytest.raises(ValueError):
             apply_allocation(np.zeros(3), [0, 0, 2])
         with pytest.raises(ValueError):
             invert_allocation(np.zeros(3), [0, 1])
+        with pytest.raises(ValueError):
+            apply_allocation(np.zeros((2, 3)), [[0, 1, 2], [1, 1, 2]])

@@ -230,14 +230,27 @@ class TestApplyChannel:
 
     def test_noise_variance(self):
         n = 100_000
-        r = apply_channel(np.eye(1), np.zeros((1, n), complex), 1.0, np.random.default_rng(6))
+        r = apply_channel(np.eye(1), np.zeros((n, 1), complex), 1.0, np.random.default_rng(6))
         assert abs(np.mean(np.abs(r) ** 2) - 1.0) < 0.05
 
     def test_noise_circular_symmetry(self):
         n = 100_000
-        r = apply_channel(np.eye(1), np.zeros((1, n), complex), 1.0, np.random.default_rng(7)).ravel()
+        r = apply_channel(np.eye(1), np.zeros((n, 1), complex), 1.0, np.random.default_rng(7)).ravel()
         assert abs(np.mean(r)) < 0.02
         assert abs(np.mean(r**2)) < 0.02  # pseudo-covariance
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.3])
+    def test_frames_on_leading_axis_equal_one_call_per_frame(self, noise_var):
+        # small-integer entries make every product exact, whatever the BLAS call
+        rng = np.random.default_rng(8)
+        h = rng.integers(-3, 4, (6, 4)) + 1j * rng.integers(-3, 4, (6, 4))
+        y = rng.integers(-3, 4, (5, 4)) + 1j * rng.integers(-3, 4, (5, 4))
+        batched_rng, frame_rng = np.random.default_rng(9), np.random.default_rng(9)
+        batched = apply_channel(h, y, noise_var, batched_rng)
+        per_frame = np.stack([apply_channel(h, row, noise_var, frame_rng) for row in y])
+        assert batched.shape == (5, 6)
+        assert np.array_equal(batched, per_frame)
+        assert batched_rng.bit_generator.state == frame_rng.bit_generator.state
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

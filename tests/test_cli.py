@@ -15,8 +15,10 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import otfslink
+from otfslink import cli
 from otfslink.cli import _EXP_KEYS, _SIM_KEYS, ConfigError, main, parse_config
-from otfslink.link_sim import CSV_COLUMNS, MAX_ARRAY_ENTRIES, MAX_TRIALS
+from otfslink.link_sim import CSV_COLUMNS, MAX_ARRAY_ENTRIES, MAX_TRIALS, SimConfig, _frames_per_chunk
+from otfslink.precoding import RankDeficientChannelError
 from otfslink.modem import constellation_points
 from otfslink.validation import CHECKS, check_gray_labeling
 
@@ -266,6 +268,26 @@ class TestSweepCommand:
         assert main(["sweep", str(small_config), "--output", str(missing_dir)]) == 1
         assert not missing_dir.exists()
 
+    def test_unwritable_output_fails_before_the_first_link(self, small_config, tmp_path, monkeypatch, caplog):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran although its output cannot be written")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", str(small_config), "--output", str(target)]) == 1
+        assert f"cannot write output {target}" in caplog.text
+        assert not list(tmp_path.rglob(".otfslink-*"))
+
+    def test_failed_sweep_leaves_no_temp_file(self, small_config, tmp_path, monkeypatch):
+        def rank_deficient(*args, **kwargs):
+            raise RankDeficientChannelError("injected")
+
+        monkeypatch.setattr(cli, "run_sweep", rank_deficient)
+        target = tmp_path / "x.csv"
+        assert main(["sweep", str(small_config), "--output", str(target)]) == 1
+        assert not target.exists()
+        assert not list(tmp_path.glob(".otfslink-*"))
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n_rf": 0}))
@@ -380,27 +402,37 @@ def test_runtime_imports_load_no_scipy():
 
 
 def test_blas_thread_count_changes_only_the_last_bits(tmp_path):
-    """Reproducibility contract: across BLAS thread counts only float rounding differs."""
-    rows = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads,
-            OTFSLINK_LOG="error",
-            PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
-        )
-        subprocess.run(
-            [sys.executable, "-m", "otfslink", "sweep", str(ROOT / "configs" / "default.json"),
-             "--trials", "3", "--output", str(out)],
-            env=env, check=True,
-        )
-        rows[threads] = _rows(out)
-    assert len(rows["1"]) == len(rows["2"]) == 5
-    for one, two in zip(rows["1"], rows["2"]):
-        for col in CSV_COLUMNS:
-            if col in ("snr_db", "n_tx", "n_rx", "n_rf", "mode", "trials", "ser"):
-                assert one[col] == two[col], col
-            else:
-                assert math.isclose(float(one[col]), float(two[col]), rel_tol=1e-12), col
+    """Reproducibility contract: across BLAS thread counts only float rounding differs.
+
+    The burst config passes more frames than one chunk, so the batched
+    products of the multi-frame path are covered too.
+    """
+    default = json.loads((ROOT / "configs" / "default.json").read_text())
+    burst = dict(default, n_tx=4, n_rx=4, snr_grid_db=[0.0, 18.0], trials=1)
+    burst["n_frames"] = _frames_per_chunk(SimConfig(**{k: burst[k] for k in _SIM_KEYS if k in burst})) + 5
+    burst_path = tmp_path / "burst.json"
+    burst_path.write_text(json.dumps(burst))
+    runs = {"default": (ROOT / "configs" / "default.json", ["--trials", "3"], 5), "burst": (burst_path, [], 2)}
+    for name, (config, flags, n_rows) in runs.items():
+        rows = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_threads{threads}.csv"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                OTFSLINK_LOG="error",
+                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+            )
+            subprocess.run(
+                [sys.executable, "-m", "otfslink", "sweep", str(config), *flags, "--output", str(out)],
+                env=env, check=True,
+            )
+            rows[threads] = _rows(out)
+        assert len(rows["1"]) == len(rows["2"]) == n_rows
+        for one, two in zip(rows["1"], rows["2"]):
+            for col in CSV_COLUMNS:
+                if col in ("snr_db", "n_tx", "n_rx", "n_rf", "mode", "trials", "ser"):
+                    assert one[col] == two[col], (name, col)
+                else:
+                    assert math.isclose(float(one[col]), float(two[col]), rel_tol=1e-12), (name, col)

@@ -123,6 +123,23 @@ def test_parseval_property(m, n, seed):
     assert abs(np.linalg.norm(frame) - norm) < 1e-12 * norm
 
 
+def test_leading_axes_match_one_call_per_grid():
+    rng = np.random.default_rng(5)
+    m, n = 4, 8
+    grids = rng.standard_normal((3, 2, m, n)) + 1j * rng.standard_normal((3, 2, m, n))
+    frames = otfs_modulate(grids)
+    assert frames.shape == (3, 2, m * n)
+    for f in range(3):
+        for c in range(2):
+            np.testing.assert_array_equal(frames[f, c], otfs_modulate(grids[f, c]))
+    back = otfs_demodulate(frames, m, n)
+    assert back.shape == grids.shape
+    for f in range(3):
+        for c in range(2):
+            np.testing.assert_array_equal(back[f, c], otfs_demodulate(frames[f, c], m, n))
+    assert np.max(np.abs(back - grids)) < 1e-12
+
+
 class TestChainStacking:
     def test_two_frames(self):
         out = stack_chains([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
@@ -138,6 +155,12 @@ class TestChainStacking:
         frames = unstack_chains(signal, 2)
         assert frames.shape == (2, 64)
         np.testing.assert_array_equal(stack_chains(frames), signal)
+
+    def test_leading_frame_axis(self):
+        frames = np.arange(12.0).reshape(2, 3, 2)  # 2 frames, 3 chains of length 2
+        stacked = stack_chains(frames)
+        np.testing.assert_array_equal(stacked, [np.arange(6.0), np.arange(6.0, 12.0)])
+        np.testing.assert_array_equal(unstack_chains(stacked, 3), frames)
 
     def test_inconsistent_lengths(self):
         with pytest.raises(ValueError):

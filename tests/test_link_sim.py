@@ -7,14 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otfslink import link_sim
-from otfslink.channel import sample_channel
+from otfslink import allocation, link_sim, modem
+from otfslink.channel import apply_channel, sample_channel
+from otfslink.dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from otfslink.link_sim import (
     CSV_COLUMNS,
     MAX_TRIALS,
+    LinkMetrics,
     RealizationSlot,
     SimConfig,
     _average_row,
+    _frames_per_chunk,
     _trial_rng,
     antenna_points,
     format_csv,
@@ -156,6 +159,116 @@ class TestRunLink:
         )
         with pytest.raises(RankDeficientChannelError):
             run_random_link(cfg, np.random.default_rng(8))
+
+
+def run_link_per_frame(cfg: SimConfig, payload_indices, importance, rng=None) -> LinkMetrics:
+    """Oracle of :func:`run_link`: the burst frame by frame, one 1-D call per layer."""
+    rng = np.random.default_rng(rng if rng is not None else cfg.seed)
+    idx = np.asarray(payload_indices)
+    w_all = np.asarray(importance, dtype=float)
+    chan = sample_channel(cfg.channel_config, rng)
+    real = realize(chan, cfg.n_rf, cfg.precoder_mode)
+    h, pc, gains = real.h, real.pc, real.gains
+    noise_var = snr_to_noise_var(cfg.snr_db)
+
+    k = cfg.n_subchannels
+    m, n = cfg.m_delay, cfg.n_doppler
+    mn = m * n
+    w_h = pc.w.conj().T
+
+    n_err = 0
+    sq_sum = 0.0
+    wsq_sum = 0.0
+    w_sum = 0.0
+    kappa_exact = np.empty(cfg.n_frames)
+    kappa_soft = np.empty(cfg.n_frames)
+    for p in range(cfg.n_frames):
+        sl = slice(p * k, (p + 1) * k)
+        idx_f = idx[sl]
+        w_f = w_all[sl]
+        if cfg.allocation_mode == "semantic":
+            pi = allocation.allocate(w_f, gains)
+        else:
+            pi = np.arange(k, dtype=np.intp)
+        x = modem.modulate(allocation.apply_allocation(idx_f, pi))
+
+        frames = [
+            otfs_modulate(x[c * mn : (c + 1) * mn].reshape((m, n), order="F"))
+            for c in range(cfg.n_rf)
+        ]
+        y = pc.g @ stack_chains(frames)
+        r = apply_channel(h, y, noise_var, rng)
+        s_hat = w_h @ r
+        x_hat = np.concatenate(
+            [otfs_demodulate(chunk, m, n).ravel(order="F") for chunk in unstack_chains(s_hat, cfg.n_rf)]
+        )
+
+        x_eq, _ = modem.equalize(x_hat, gains)
+        rx_idx = modem.demodulate_hard(x_eq)
+        x_eq_payload = allocation.invert_allocation(x_eq, pi)
+        rx_idx_payload = allocation.invert_allocation(rx_idx, pi)
+
+        err2 = np.abs(x_eq_payload - modem.modulate(idx_f)) ** 2
+        sq_sum += float(err2.sum())
+        wsq_sum += float((w_f * err2).sum())
+        w_sum += float(w_f.sum())
+        n_err += int(np.count_nonzero(rx_idx_payload != idx_f))
+        kappa_exact[p] = allocation.exact_kendall_tau(w_f[pi], gains)
+        kappa_soft[p] = allocation.soft_kendall(w_f[pi], gains)
+
+    total = cfg.payload_len
+    mse = sq_sum / total
+    return LinkMetrics(
+        mse=mse,
+        weighted_mse=wsq_sum / w_sum if w_sum > 0 else mse,
+        ser=n_err / total,
+        kappa_exact=float(np.mean(kappa_exact)),
+        kappa_soft=float(np.mean(kappa_soft)),
+        gains=gains.copy(),
+    )
+
+
+# 16 sub-channels: 120 Kendall pairs per frame, more than its 4*8 signal entries
+BURST = SimConfig(
+    n_tx=4, n_rx=4, n_rf=2, m_delay=2, n_doppler=4, n_paths=6,
+    max_delay_tap=1, max_doppler_tap=1, snr_db=6.0, seed=0,
+)
+BURST_CHUNK = 4
+
+
+class TestChunkedBurst:
+    @pytest.mark.parametrize("n_frames", [1, BURST_CHUNK - 1, 2 * BURST_CHUNK + 1])
+    @pytest.mark.parametrize("allocation_mode", ["semantic", "uniform"])
+    @pytest.mark.parametrize("precoder_mode", ["dd_corrected", "paper_literal"])
+    @pytest.mark.parametrize("snr_db", [6.0, math.inf])
+    def test_matches_the_per_frame_oracle(self, monkeypatch, n_frames, allocation_mode, precoder_mode, snr_db):
+        monkeypatch.setattr(link_sim, "FRAME_CHUNK_ENTRIES", 120 * BURST_CHUNK)
+        cfg = replace(BURST, n_frames=n_frames, allocation_mode=allocation_mode,
+                      precoder_mode=precoder_mode, snr_db=snr_db)
+        assert _frames_per_chunk(cfg) == BURST_CHUNK
+        draw = np.random.default_rng(11)
+        idx = sample_payload(draw, cfg.payload_len)
+        w = sample_importance(draw, cfg.payload_len)
+        rng, oracle_rng = np.random.default_rng(12), np.random.default_rng(12)
+        got = run_link(cfg, idx, w, rng)
+        want = run_link_per_frame(cfg, idx, w, oracle_rng)
+
+        assert got.ser == want.ser
+        for name in ("mse", "weighted_mse", "kappa_exact", "kappa_soft"):
+            a, b = getattr(got, name), getattr(want, name)
+            if abs(b) < 1e-20:
+                assert abs(a - b) <= 1e-20, name
+            else:
+                assert abs(a - b) <= 1e-12 * abs(b), name
+        np.testing.assert_array_equal(got.gains, want.gains)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_chunk_holds_at_least_one_frame(self, monkeypatch):
+        monkeypatch.setattr(link_sim, "FRAME_CHUNK_ENTRIES", 1)
+        assert _frames_per_chunk(BURST) == 1
+        monkeypatch.undo()
+        # the larger array sets the chunk: 32 signal entries per frame here
+        assert _frames_per_chunk(replace(BURST, n_rf=1, m_delay=1)) == link_sim.FRAME_CHUNK_ENTRIES // 16
 
 
 class TestSweeps:

@@ -137,13 +137,16 @@ class TestEqualize:
     def test_erasure_below_min_gain(self):
         eq, erased = equalize(1.0 + 1j, 1e-9)
         assert erased and eq == 0.0
+        assert DEFAULT_MIN_GAIN == 1e-6
+        assert not equalize(1.0 + 0j, DEFAULT_MIN_GAIN)[1]
 
     def test_vector_mixed(self):
         eq, erased = equalize(np.array([2.0 + 0j, 3.0 + 0j]), np.array([2.0, 1e-12]))
         np.testing.assert_array_equal(eq, [1.0 + 0j, 0.0 + 0j])
         np.testing.assert_array_equal(erased, [False, True])
 
-    def test_custom_min_gain(self):
-        _, erased = equalize(1.0 + 0j, 0.5, min_gain=0.6)
-        assert erased
-        assert DEFAULT_MIN_GAIN == 1e-6
+    def test_frames_on_the_leading_axis(self):
+        x = np.array([[2.0 + 0j, 3.0 + 0j], [4.0 + 0j, 5.0 + 0j]])
+        eq, erased = equalize(x, np.array([2.0, 1e-12]))
+        np.testing.assert_array_equal(eq, [[1.0, 0.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(erased, [False, True])
