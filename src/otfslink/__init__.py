@@ -25,12 +25,10 @@ from .allocation import (
     soft_kendall,
 )
 from .channel import (
-    ChannelConfig,
     DdMimoChannel,
     PathParams,
     apply_channel,
     build_time_channel,
-    cyclic_shift_matrix,
     phase_rotation_matrix,
     sample_channel,
     ula_response,
@@ -64,6 +62,5 @@ from .precoding import (
     SubChannelDecomposition,
     build_precoder_combiner,
     decompose,
-    effective_dd_channel,
     sub_channel_gains,
 )

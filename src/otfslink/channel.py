@@ -11,13 +11,22 @@ phase-rotation matrix diag{exp(j 2 pi q / MN)}, and a_tx/a_rx are
 half-wavelength uniform-linear-array responses. Delays act as cyclic
 shifts over one frame, i.e. the frame is treated as cyclically extended;
 no explicit cyclic prefix is modeled.
+
+:func:`sample_channel` draws a channel for a
+:class:`~otfslink.link_sim.SimConfig`, which checks every sampling
+parameter; this module keeps no config of its own. The dense cyclic shift
+Pi is a test oracle and lives in :mod:`otfslink.validation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .link_sim import SimConfig
 
 
 @dataclass(frozen=True)
@@ -62,29 +71,6 @@ class DdMimoChannel:
         return self.m_delay * self.n_doppler
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Sampling parameters for random channel realizations."""
-
-    n_tx: int = 8
-    n_rx: int = 8
-    m_delay: int = 8
-    n_doppler: int = 8
-    n_paths: int = 10
-    max_delay_tap: int = 5
-    max_doppler_tap: int = 1
-
-    def __post_init__(self):
-        for name in ("n_tx", "n_rx", "m_delay", "n_doppler", "n_paths"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        mn = self.m_delay * self.n_doppler
-        if not (0 <= self.max_delay_tap < mn):
-            raise ValueError(f"max_delay_tap must be in [0, {mn}), got {self.max_delay_tap}")
-        if not (0 <= self.max_doppler_tap < mn):
-            raise ValueError(f"max_doppler_tap must be in [0, {mn}), got {self.max_doppler_tap}")
-
-
 def ula_response(angle: float, n_antennas: int) -> np.ndarray:
     """Half-wavelength uniform linear array response, unit L2 norm.
 
@@ -95,13 +81,6 @@ def ula_response(angle: float, n_antennas: int) -> np.ndarray:
         raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
     a = np.arange(n_antennas)
     return np.exp(1j * np.pi * a * np.cos(angle)) / np.sqrt(n_antennas)
-
-
-def cyclic_shift_matrix(size: int, power: int) -> np.ndarray:
-    """Forward cyclic shift to the given power: entry (i, j) = 1 iff i == (j + power) mod size."""
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    return np.roll(np.eye(size), power, axis=0)
 
 
 def phase_rotation_matrix(size: int, power: int) -> np.ndarray:
@@ -166,9 +145,12 @@ def spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return q_rx, _path_sum(chan, r_rx, r_tx), q_tx
 
 
-def sample_channel(cfg: ChannelConfig, rng=None) -> DdMimoChannel:
-    """Draw one random channel realization.
+def sample_channel(cfg: SimConfig, rng=None) -> DdMimoChannel:
+    """Draw one random channel realization for the link config ``cfg``.
 
+    ``cfg`` supplies the array sizes, the ``m_delay x n_doppler`` grid,
+    ``n_paths`` and the tap bounds, all checked by
+    :class:`~otfslink.link_sim.SimConfig`; its other fields are not read.
     Gains are standard circular complex Gaussian, delay taps uniform on
     {0..max_delay_tap}, Doppler taps uniform on the symmetric range
     {-max_doppler_tap..max_doppler_tap}, angles uniform on [0, pi].
@@ -213,7 +195,7 @@ def apply_channel(h: np.ndarray, y: np.ndarray, noise_var: float, rng=None) -> n
     y = np.asarray(y)
     if y.ndim not in (1, 2) or y.shape[-1] != h.shape[1]:
         raise ValueError(f"signal shape {y.shape} incompatible with channel shape {h.shape}")
-    if noise_var < 0:
+    if not noise_var >= 0:  # also rejects NaN
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
     r = y @ h.T
     if noise_var > 0:

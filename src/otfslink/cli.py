@@ -8,10 +8,14 @@ Subcommands:
 * ``validate``          -- run :data:`otfslink.validation.CHECKS`, the checks
   of the acceptance tests at the same tolerances.
 
-Configs are strict JSON: unknown keys are rejected by name, and an invalid
-config never starts a simulation. Output CSV is written atomically (a temp
-file, created in the target directory before the first link, then a
-rename) and begins with a versioned comment line; the rest is a
+Configs are strict JSON: :func:`parse_config` reads and decodes the file,
+rejects unknown keys by name and constructs the configs. Every rule on a
+field belongs to :class:`~otfslink.link_sim.SimConfig` or
+:class:`ExperimentConfig`, which check themselves, so the rules hold for
+library callers and flag overrides alike, and an invalid config never
+starts a simulation. Output CSV is written atomically (a temp file,
+created in the target directory before the first link, then a rename)
+and begins with a versioned comment line; the rest is a
 function of (config, seed), byte for byte at a fixed BLAS thread count
 (README "Reproducibility"). ``OTFSLINK_LOG=debug|info|warning|error`` tunes
 the stderr log; at info it has one progress line per link with an ETA.
@@ -54,7 +58,13 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """A simulation config plus sweep grid, trial count, and output target."""
+    """A simulation config plus sweep grid, trial count, and output target.
+
+    Construction, and so ``dataclasses.replace``, checks every field and
+    raises :class:`ConfigError` naming the first bad one; each grid entry is
+    judged by building its :class:`SimConfig` point. The grids are kept as
+    tuples.
+    """
 
     sim: SimConfig
     sweep: str = "snr"
@@ -66,43 +76,48 @@ class ExperimentConfig:
     carrier_freq_hz: float = 28.0e9
     subcarrier_spacing_hz: float = 120.0e3
 
+    def __post_init__(self):
+        if self.sweep not in SWEEP_KINDS:
+            raise ConfigError(f"sweep must be one of {SWEEP_KINDS}, got {self.sweep!r}")
+        for name, points in (("snr_grid_db", snr_points), ("n_tx_grid", antenna_points)):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) or not grid:
+                raise ConfigError(f"{name} must be a non-empty list, got {grid!r}")
+            try:
+                points(self.sim, grid)
+            except ValueError as exc:
+                raise ConfigError(f"{name} entry: {exc}") from exc
+            object.__setattr__(self, name, tuple(grid))
+        trials = self.trials
+        if not isinstance(trials, int) or isinstance(trials, bool):
+            raise ConfigError(f"trials must be an integer, got {trials!r}")
+        if not 1 <= trials <= MAX_TRIALS:
+            shown = trials if trials.bit_length() <= 64 else f"an integer of {trials.bit_length()} bits"
+            raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {shown}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a string path or null, got {self.output!r}")
+        for name in ("carrier_freq_hz", "subcarrier_spacing_hz"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:  # JSON keeps integer literals exact, which may not fit a float
+                raise ConfigError(
+                    f"{name} must be within the float range, got an integer of {value.bit_length()} bits"
+                ) from None
+
 
 _SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)}
 _EXP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"sim"}
 
 
-def _require_number(name: str, value, integer: bool = False):
-    ok_types = (int,) if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, ok_types):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return value
-
-
-def _require_float(name: str, value) -> float:
-    """``value`` as a float; JSON keeps integer literals exact, which may not fit one."""
-    _require_number(name, value)
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(
-            f"{name} must be within the float range, got an integer of {value.bit_length()} bits"
-        ) from None
-
-
-def _require_trials(value) -> int:
-    _require_number("trials", value, integer=True)
-    if not 1 <= value <= MAX_TRIALS:
-        shown = value if value.bit_length() <= 64 else f"an integer of {value.bit_length()} bits"
-        raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {shown}")
-    return value
-
-
 def parse_config(path) -> ExperimentConfig:
-    """Load and fully validate a JSON experiment config.
+    """Load a JSON experiment config; every range rule is the config classes' own.
 
-    Unknown keys are rejected with the offending key named; range errors
-    name the field and its constraint. Nothing is executed on failure.
+    Unknown keys are rejected with the offending key named; a bad value
+    fails in :class:`SimConfig` or :class:`ExperimentConfig`, naming its
+    field. Nothing is executed on failure.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -119,79 +134,21 @@ def parse_config(path) -> ExperimentConfig:
     unknown = sorted(set(doc) - _SIM_KEYS - _EXP_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]!r}")
-
-    sim_kwargs = {k: doc[k] for k in doc if k in _SIM_KEYS}
     try:
-        sim = SimConfig(**sim_kwargs)
+        sim = SimConfig(**{k: v for k, v in doc.items() if k in _SIM_KEYS})
+        return ExperimentConfig(sim, **{k: v for k, v in doc.items() if k in _EXP_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if sim.n_rf > sim.n_paths:
-        # rank(H) <= n_paths*M*N, so n_rf*M*N streams can never fit
-        raise ConfigError(f"n_rf must be <= n_paths = {sim.n_paths}, got {sim.n_rf}")
-
-    sweep = doc.get("sweep", "snr")
-    if sweep not in SWEEP_KINDS:
-        raise ConfigError(f"sweep must be one of {SWEEP_KINDS}, got {sweep!r}")
-
-    snr_grid = doc.get("snr_grid_db", list(DEFAULT_SNR_GRID_DB))
-    if not isinstance(snr_grid, list) or not snr_grid:
-        raise ConfigError("snr_grid_db must be a non-empty list of numbers")
-    snr_grid = tuple(_require_float("snr_grid_db entry", v) for v in snr_grid)
-
-    n_tx_grid = doc.get("n_tx_grid", list(DEFAULT_ANTENNA_GRID))
-    if not isinstance(n_tx_grid, list) or not n_tx_grid:
-        raise ConfigError("n_tx_grid must be a non-empty list of integers")
-    n_tx_grid = tuple(_require_number("n_tx_grid entry", v, integer=True) for v in n_tx_grid)
-    for name, points, grid in (
-        ("snr_grid_db", snr_points, snr_grid),
-        ("n_tx_grid", antenna_points, n_tx_grid),
-    ):
-        try:
-            points(sim, grid)
-        except ValueError as exc:
-            raise ConfigError(f"{name} entry: {exc}") from exc
-
-    trials = _require_trials(doc.get("trials", 1))
-
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output must be a string path or null, got {output!r}")
-
-    carrier = _require_float("carrier_freq_hz", doc.get("carrier_freq_hz", 28.0e9))
-    scs = _require_float("subcarrier_spacing_hz", doc.get("subcarrier_spacing_hz", 120.0e3))
-
-    return ExperimentConfig(
-        sim=sim,
-        sweep=sweep,
-        snr_grid_db=snr_grid,
-        n_tx_grid=n_tx_grid,
-        trials=trials,
-        output=output,
-        carrier_freq_hz=carrier,
-        subcarrier_spacing_hz=scs,
-    )
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    sim = cfg.sim
-    sim_updates = {}
-    if args.seed is not None:
-        sim_updates["seed"] = args.seed
-    if args.mode is not None:
-        sim_updates["allocation_mode"] = args.mode
-    if args.precoder is not None:
-        sim_updates["precoder_mode"] = args.precoder
-    if sim_updates:
-        try:
-            sim = dataclasses.replace(sim, **sim_updates)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    updates = {"sim": sim}
-    if args.trials is not None:
-        updates["trials"] = _require_trials(args.trials)
-    if args.output is not None:
-        updates["output"] = args.output
-    return dataclasses.replace(cfg, **updates)
+    sim_flags = {"seed": args.seed, "allocation_mode": args.mode, "precoder_mode": args.precoder}
+    exp_flags = {"trials": args.trials, "output": args.output}
+    try:
+        sim = dataclasses.replace(cfg.sim, **{k: v for k, v in sim_flags.items() if v is not None})
+        return dataclasses.replace(cfg, sim=sim, **{k: v for k, v in exp_flags.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _run_grid(cfg: ExperimentConfig):

@@ -52,14 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import allocation, modem
-from .channel import (
-    ChannelConfig,
-    DdMimoChannel,
-    apply_channel,
-    build_time_channel,
-    sample_channel,
-    spatial_core,
-)
+from .channel import DdMimoChannel, apply_channel, build_time_channel, sample_channel, spatial_core
 from .dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from .precoding import (
     PRECODER_MODES,
@@ -128,7 +121,12 @@ _VERBATIM_COLUMNS = ("n_tx", "n_rx", "n_rf", "mode", "trials")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full configuration of one link simulation."""
+    """Full configuration of one link simulation.
+
+    Every rule on these fields lives here: construction, and so
+    ``dataclasses.replace``, raises a ``ValueError`` that names the first
+    bad field, for library callers and the CLI alike.
+    """
 
     n_tx: int = 8
     n_rx: int = 8
@@ -164,6 +162,11 @@ class SimConfig:
         if self.n_rf > min(self.n_tx, self.n_rx):
             raise ValueError(
                 f"n_rf must be <= min(n_tx, n_rx) = {min(self.n_tx, self.n_rx)}, got {self.n_rf}"
+            )
+        if self.n_rf > self.n_paths:
+            raise ValueError(
+                f"n_rf must be <= n_paths = {self.n_paths}, got {self.n_rf}: the channel's rank "
+                f"is at most n_paths*m_delay*n_doppler, too low for n_rf*m_delay*n_doppler streams"
             )
         mn = self.m_delay * self.n_doppler
         for name in ("max_delay_tap", "max_doppler_tap"):
@@ -202,19 +205,6 @@ class SimConfig:
     @property
     def payload_len(self) -> int:
         return self.n_subchannels * self.n_frames
-
-    @property
-    def channel_config(self) -> ChannelConfig:
-        return ChannelConfig(
-            n_tx=self.n_tx,
-            n_rx=self.n_rx,
-            m_delay=self.m_delay,
-            n_doppler=self.n_doppler,
-            n_paths=self.n_paths,
-            max_delay_tap=self.max_delay_tap,
-            max_doppler_tap=self.max_doppler_tap,
-        )
-
 
 @dataclass(frozen=True)
 class LinkMetrics:
@@ -356,7 +346,7 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
     if np.any(w_all < 0) or not np.all(np.isfinite(w_all)):
         raise ValueError("importance scores must be finite and >= 0")
 
-    chan = sample_channel(cfg.channel_config, rng)
+    chan = sample_channel(cfg, rng)
     real = (slot if slot is not None else RealizationSlot()).get(chan, cfg.n_rf, cfg.precoder_mode)
     h, pc, gains = real.h, real.pc, real.gains
     noise_var = snr_to_noise_var(cfg.snr_db)
@@ -469,13 +459,13 @@ def run_sweep(points, trials: int = 1) -> list[SweepRow]:
 
 
 def snr_points(cfg: SimConfig, snr_list_db=DEFAULT_SNR_GRID_DB) -> list[SimConfig]:
-    """The grid points of an SNR sweep: ``cfg`` at each SNR."""
-    return [replace(cfg, snr_db=float(snr)) for snr in snr_list_db]
+    """The grid points of an SNR sweep: ``cfg`` at each SNR, each checked by :class:`SimConfig`."""
+    return [replace(cfg, snr_db=snr) for snr in snr_list_db]
 
 
 def antenna_points(cfg: SimConfig, n_tx_list=DEFAULT_ANTENNA_GRID) -> list[SimConfig]:
     """The grid points of an antenna sweep: ``cfg`` at each n_tx, keeping n_rx = n_tx."""
-    return [replace(cfg, n_tx=int(n_tx), n_rx=int(n_tx)) for n_tx in n_tx_list]
+    return [replace(cfg, n_tx=n_tx, n_rx=n_tx) for n_tx in n_tx_list]
 
 
 def write_csv(rows, fileobj) -> None:

@@ -256,27 +256,6 @@ def build_precoder_combiner(
     return PrecoderCombiner(g=v1 @ c_t.conj().T, w=u1 @ c_r, mode=mode)
 
 
-def effective_dd_channel(
-    h: np.ndarray, pc: PrecoderCombiner, n_rf: int, m: int, n: int
-) -> np.ndarray:
-    """End-to-end DD-domain channel ``C_R W^H H G C_T``.
-
-    In ``dd_corrected`` mode this is ``diag(sigma[:k])`` up to rounding; in
-    ``paper_literal`` mode it is returned as-is and is generally not
-    diagonal.
-    """
-    h = np.asarray(h)
-    k = n_rf * m * n
-    if pc.g.shape[0] != h.shape[1] or pc.w.shape[0] != h.shape[0]:
-        raise ValueError(
-            f"precoder/combiner shapes {pc.g.shape}, {pc.w.shape} do not match channel {h.shape}"
-        )
-    if pc.g.shape[1] != k or pc.w.shape[1] != k:
-        raise ValueError(f"precoder/combiner carry {pc.g.shape[1]} streams, expected {k}")
-    c_t, c_r = dd_transform_matrices(n_rf, m, n)
-    return c_r @ pc.w.conj().T @ h @ pc.g @ c_t
-
-
 def sub_channel_gains(dec: SubChannelDecomposition, n_rf: int, m: int, n: int) -> np.ndarray:
     """Leading ``n_rf * m * n`` singular values, descending: the sub-channel gains."""
     k = n_rf * m * n

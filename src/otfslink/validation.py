@@ -3,7 +3,9 @@
 Each check in :data:`CHECKS` seeds its own generator and returns a
 :class:`CheckResult`. Expected values come from independent oracles:
 hand-computed literals, dense enumerations, written-out closed forms, brute
-force, or Monte-Carlo estimates with the stated margin. The tolerances are
+force, or Monte-Carlo estimates with the stated margin. The dense oracles
+that only these checks and the tests use, :func:`cyclic_shift_matrix` and
+:func:`effective_dd_channel`, live here too. The tolerances are
 defined here, once; ``tests/test_acceptance.py`` runs the same checks and
 pins them. ``paper_literal_gap`` is informational and never fails.
 """
@@ -19,13 +21,12 @@ import numpy as np
 
 from . import allocation, modem
 from .channel import (
-    ChannelConfig, DdMimoChannel, apply_channel, build_time_channel, cyclic_shift_matrix,
-    phase_rotation_matrix, sample_channel,
+    DdMimoChannel, apply_channel, build_time_channel, phase_rotation_matrix, sample_channel,
 )
 from .dd_transforms import dft_matrix, otfs_demodulate, otfs_modulate
 from .link_sim import SimConfig, realize, run_random_link
 from .precoding import (
-    RankDeficientChannelError, dd_transform_matrices, decompose, effective_dd_channel,
+    PrecoderCombiner, RankDeficientChannelError, dd_transform_matrices, decompose,
 )
 from .special import erfc
 
@@ -63,14 +64,42 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
+def cyclic_shift_matrix(size: int, power: int) -> np.ndarray:
+    """Forward cyclic shift to the given power: entry (i, j) = 1 iff i == (j + power) mod size."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    return np.roll(np.eye(size), power, axis=0)
+
+
+def effective_dd_channel(
+    h: np.ndarray, pc: PrecoderCombiner, n_rf: int, m: int, n: int
+) -> np.ndarray:
+    """End-to-end DD-domain channel ``C_R W^H H G C_T``.
+
+    In ``dd_corrected`` mode this is ``diag(sigma[:k])`` up to rounding; in
+    ``paper_literal`` mode it is returned as-is and is generally not
+    diagonal.
+    """
+    h = np.asarray(h)
+    k = n_rf * m * n
+    if pc.g.shape[0] != h.shape[1] or pc.w.shape[0] != h.shape[0]:
+        raise ValueError(
+            f"precoder/combiner shapes {pc.g.shape}, {pc.w.shape} do not match channel {h.shape}"
+        )
+    if pc.g.shape[1] != k or pc.w.shape[1] != k:
+        raise ValueError(f"precoder/combiner carry {pc.g.shape[1]} streams, expected {k}")
+    c_t, c_r = dd_transform_matrices(n_rf, m, n)
+    return c_r @ pc.w.conj().T @ h @ pc.g @ c_t
+
+
 def _offdiag_ratio(mat: np.ndarray) -> float:
     diag = np.diag(mat)
     return float(np.linalg.norm(mat - np.diag(diag)) / np.linalg.norm(diag))
 
 
 def _random_channel(n_ant: int, grid: int, n_paths: int, rng) -> DdMimoChannel:
-    cfg = ChannelConfig(
-        n_tx=n_ant, n_rx=n_ant, m_delay=grid, n_doppler=grid, n_paths=n_paths,
+    cfg = SimConfig(
+        n_tx=n_ant, n_rx=n_ant, n_rf=1, m_delay=grid, n_doppler=grid, n_paths=n_paths,
         max_delay_tap=min(5, grid * grid - 1), max_doppler_tap=1,
     )
     return sample_channel(cfg, rng)
@@ -164,8 +193,8 @@ def criterion_4_channel_matrix_oracle() -> CheckResult:
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(20):
-        cfg = ChannelConfig(
-            n_tx=int(rng.integers(1, 3)), n_rx=int(rng.integers(1, 3)),
+        cfg = SimConfig(
+            n_tx=int(rng.integers(1, 3)), n_rx=int(rng.integers(1, 3)), n_rf=1,
             m_delay=2, n_doppler=2, n_paths=int(rng.integers(1, 5)),
             max_delay_tap=3, max_doppler_tap=1,
         )

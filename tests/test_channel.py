@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from otfslink.channel import (
-    ChannelConfig,
     DdMimoChannel,
     PathParams,
     apply_channel,
     build_time_channel,
-    cyclic_shift_matrix,
     phase_rotation_matrix,
     sample_channel,
     spatial_core,
     ula_response,
 )
+from otfslink.link_sim import SimConfig
+from otfslink.validation import cyclic_shift_matrix
 
 
 def entry_oracle(chan):
@@ -103,8 +103,8 @@ class TestBuildTimeChannel:
 
     def test_matches_entry_oracle(self):
         rng = np.random.default_rng(11)
-        cfg = ChannelConfig(
-            n_tx=2, n_rx=2, m_delay=2, n_doppler=2, n_paths=3, max_delay_tap=3, max_doppler_tap=1
+        cfg = SimConfig(
+            n_tx=2, n_rx=2, n_rf=1, m_delay=2, n_doppler=2, n_paths=3, max_delay_tap=3, max_doppler_tap=1
         )
         for _ in range(5):
             chan = sample_channel(cfg, rng)
@@ -117,8 +117,8 @@ class TestBuildTimeChannel:
     )
     def test_scatter_matches_entry_oracle(self, n_tx, n_rx, m, n, n_paths):
         # delays wrap around the frame and Doppler taps take both signs
-        cfg = ChannelConfig(n_tx=n_tx, n_rx=n_rx, m_delay=m, n_doppler=n, n_paths=n_paths,
-                            max_delay_tap=m * n - 1, max_doppler_tap=m * n - 1)
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=m, n_doppler=n, n_paths=n_paths,
+                        max_delay_tap=m * n - 1, max_doppler_tap=m * n - 1)
         rng = np.random.default_rng(14)
         for _ in range(3):
             chan = sample_channel(cfg, rng)
@@ -126,8 +126,8 @@ class TestBuildTimeChannel:
 
     def test_linear_in_gains(self):
         rng = np.random.default_rng(12)
-        cfg = ChannelConfig(n_tx=2, n_rx=3, m_delay=2, n_doppler=2, n_paths=4,
-                            max_delay_tap=2, max_doppler_tap=1)
+        cfg = SimConfig(n_tx=2, n_rx=3, n_rf=1, m_delay=2, n_doppler=2, n_paths=4,
+                        max_delay_tap=2, max_doppler_tap=1)
         chan = sample_channel(cfg, rng)
         doubled = DdMimoChannel(
             paths=tuple(
@@ -141,8 +141,8 @@ class TestBuildTimeChannel:
     def test_single_antenna_kron_structure(self):
         # against the shift/rotation primitives raised to matrix powers
         rng = np.random.default_rng(13)
-        cfg = ChannelConfig(n_tx=1, n_rx=1, m_delay=2, n_doppler=3, n_paths=4,
-                            max_delay_tap=5, max_doppler_tap=2)
+        cfg = SimConfig(n_tx=1, n_rx=1, n_rf=1, m_delay=2, n_doppler=3, n_paths=4,
+                        max_delay_tap=5, max_doppler_tap=2)
         chan = sample_channel(cfg, rng)
         mn = chan.mn
         pi_1 = cyclic_shift_matrix(mn, 1)
@@ -177,8 +177,8 @@ class TestSpatialCore:
         ids=["n_tx_ne_n_rx", "paths_below_antennas", "paths_above_antennas", "one_path"],
     )
     def test_factors_h_exactly(self, n_tx, n_rx, n_paths):
-        cfg = ChannelConfig(n_tx=n_tx, n_rx=n_rx, m_delay=2, n_doppler=3, n_paths=n_paths,
-                            max_delay_tap=5, max_doppler_tap=2)
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths,
+                        max_delay_tap=5, max_doppler_tap=2)
         chan = sample_channel(cfg, 15)
         mn = chan.mn
         q_rx, core, q_tx = spatial_core(chan)
@@ -191,18 +191,18 @@ class TestSpatialCore:
 
 class TestSampleChannel:
     def test_default_config_bounds(self):
-        chan = sample_channel(ChannelConfig(), 123)
+        chan = sample_channel(SimConfig(), 123)
         assert len(chan.paths) == 10
         assert all(0 <= p.delay_tap <= 5 for p in chan.paths)
         assert all(abs(p.doppler_tap) <= 1 for p in chan.paths)
         assert all(0.0 <= p.aod <= np.pi and 0.0 <= p.aoa <= np.pi for p in chan.paths)
 
     def test_seed_determinism(self):
-        assert sample_channel(ChannelConfig(), 42) == sample_channel(ChannelConfig(), 42)
+        assert sample_channel(SimConfig(), 42) == sample_channel(SimConfig(), 42)
 
     def test_gain_second_moment(self):
         # Monte-Carlo check: E|gain|^2 = 1 within 5%
-        cfg = ChannelConfig(n_paths=10)
+        cfg = SimConfig(n_paths=10)
         rng = np.random.default_rng(99)
         gains = np.concatenate(
             [[p.gain for p in sample_channel(cfg, rng).paths] for _ in range(1000)]
@@ -211,10 +211,11 @@ class TestSampleChannel:
         assert abs(np.mean(np.abs(gains) ** 2) - 1.0) < 0.05
 
     def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(m_delay=2, n_doppler=2, max_delay_tap=4)
-        with pytest.raises(ValueError):
-            ChannelConfig(m_delay=2, n_doppler=2, max_doppler_tap=7)
+        # the tap bounds sample_channel draws from are checked by SimConfig
+        with pytest.raises(ValueError, match="max_delay_tap"):
+            SimConfig(m_delay=2, n_doppler=2, max_delay_tap=4)
+        with pytest.raises(ValueError, match="max_doppler_tap"):
+            SimConfig(m_delay=2, n_doppler=2, max_delay_tap=3, max_doppler_tap=7)
 
 
 class TestApplyChannel:
@@ -257,5 +258,7 @@ class TestApplyChannel:
             apply_channel(np.eye(4), np.zeros(5, complex), 0.0)
 
     def test_negative_noise_var(self):
-        with pytest.raises(ValueError):
-            apply_channel(np.eye(2), np.zeros(2, complex), -0.1)
+        # NaN fails every comparison, so it must not pass as noiseless
+        for noise_var in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="noise_var"):
+                apply_channel(np.eye(2), np.zeros(2, complex), noise_var)

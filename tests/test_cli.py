@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -206,6 +207,23 @@ class TestParseConfig:
         assert main(["sweep", str(path), "--output", str(out)]) == 0
         assert all(math.isfinite(v) for v in _metric_values(out))
 
+    @pytest.mark.parametrize(
+        "update, field",
+        [
+            ({"trials": 0}, "trials"),
+            ({"sweep": "frequency"}, "sweep"),
+            ({"snr_grid_db": ()}, "snr_grid_db"),
+            ({"n_tx_grid": (4, 4.9)}, "n_tx_grid"),
+            ({"output": 3}, "output"),
+            ({"carrier_freq_hz": 10**400}, "carrier_freq_hz"),
+        ],
+        ids=["trials", "sweep", "empty_snr_grid", "fractional_n_tx", "output", "carrier_int_1e400"],
+    )
+    def test_replace_checks_the_experiment_fields(self, small_config, update, field):
+        # the rules belong to ExperimentConfig, not to parse_config
+        with pytest.raises(ConfigError, match=f"^{field}"):
+            dataclasses.replace(parse_config(small_config), **update)
+
     def test_defaults_fill_in(self, tmp_path):
         path = tmp_path / "minimal.json"
         path.write_text("{}")
@@ -346,9 +364,17 @@ SNRS = st.one_of(
 )
 
 
+# JSON keeps integer literals exact; 10**400 does not fit a float
+GRID_SNRS = SNRS | st.just(10**400)
+
+
 @st.composite
 def small_configs(draw):
-    """At most 3 antennas, a grid of at most 2x2, 2 trials; one integer field may go negative."""
+    """At most 3 antennas, a grid of at most 2x2, 2 trials; one integer field may go negative.
+
+    Grid entries may also be out of their type: an SNR beyond the float range,
+    or a fractional antenna count.
+    """
     cfg = {name: draw(st.integers(1, 3)) for name in ("n_tx", "n_rx", "n_paths")}
     for name in ("m_delay", "n_doppler", "n_frames", "trials"):
         cfg[name] = draw(st.integers(1, 2))
@@ -362,8 +388,9 @@ def small_configs(draw):
         cfg[bad] = draw(st.integers(-3, -1))
     cfg["sweep"] = draw(st.sampled_from(["snr", "antennas", "single"]))
     cfg["snr_db"] = draw(SNRS)
-    cfg["snr_grid_db"] = draw(st.lists(SNRS, min_size=1, max_size=2))
-    cfg["n_tx_grid"] = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    cfg["snr_grid_db"] = draw(st.lists(GRID_SNRS, min_size=1, max_size=2))
+    n_tx = st.integers(0, 3) | st.floats(0.0, 3.9).filter(lambda v: not v.is_integer())
+    cfg["n_tx_grid"] = draw(st.lists(n_tx, min_size=1, max_size=2))
     return cfg
 
 

@@ -61,6 +61,9 @@ class TestSimConfig:
     def test_too_many_chains(self):
         with pytest.raises(ValueError, match="n_rf"):
             SimConfig(n_tx=2, n_rx=2, n_rf=3)
+        # rank(H) <= n_paths*M*N, too low for n_rf*M*N streams
+        with pytest.raises(ValueError, match="n_rf must be <= n_paths"):
+            SimConfig(n_rf=2, n_paths=1)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="allocation_mode"):
@@ -71,6 +74,12 @@ class TestSimConfig:
     def test_tap_bounds(self):
         with pytest.raises(ValueError, match="max_delay_tap"):
             SimConfig(m_delay=2, n_doppler=2, max_delay_tap=4)
+
+    def test_grid_points_are_checked_not_coerced(self):
+        with pytest.raises(ValueError, match="n_tx must be an integer"):
+            antenna_points(SMALL, [4.9])
+        with pytest.raises(ValueError, match="snr_db must be within the float range"):
+            snr_points(SMALL, [10**400])
 
     def test_counts_positive(self):
         with pytest.raises(ValueError, match="n_rf"):
@@ -151,11 +160,15 @@ class TestRunLink:
         with pytest.raises(ValueError, match="importance"):
             run_link(SMALL, idx, np.full(SMALL.payload_len, -1.0))
 
-    def test_rank_deficiency_propagates(self):
-        # a single path cannot fill two spatial streams
+    def test_rank_deficiency_propagates(self, monkeypatch):
+        # a single path cannot fill two spatial streams; SimConfig rejects
+        # n_rf > n_paths, so the one-path draw is injected
         cfg = SimConfig(
-            n_tx=2, n_rx=2, n_rf=2, m_delay=2, n_doppler=2, n_paths=1,
+            n_tx=2, n_rx=2, n_rf=2, m_delay=2, n_doppler=2, n_paths=2,
             max_delay_tap=3, max_doppler_tap=1,
+        )
+        monkeypatch.setattr(
+            link_sim, "sample_channel", lambda c, rng: sample_channel(replace(c, n_rf=1, n_paths=1), rng)
         )
         with pytest.raises(RankDeficientChannelError):
             run_random_link(cfg, np.random.default_rng(8))
@@ -166,7 +179,7 @@ def run_link_per_frame(cfg: SimConfig, payload_indices, importance, rng=None) ->
     rng = np.random.default_rng(rng if rng is not None else cfg.seed)
     idx = np.asarray(payload_indices)
     w_all = np.asarray(importance, dtype=float)
-    chan = sample_channel(cfg.channel_config, rng)
+    chan = sample_channel(cfg, rng)
     real = realize(chan, cfg.n_rf, cfg.precoder_mode)
     h, pc, gains = real.h, real.pc, real.gains
     noise_var = snr_to_noise_var(cfg.snr_db)
@@ -377,7 +390,7 @@ class TestRealizationSlot:
     CFG = replace(SMALL, n_rf=2)
 
     def _chan(self, seed):
-        return sample_channel(self.CFG.channel_config, np.random.default_rng(seed))
+        return sample_channel(self.CFG, np.random.default_rng(seed))
 
     def test_reuses_an_equal_channel(self):
         slot = RealizationSlot()

@@ -10,23 +10,23 @@ import numpy as np
 import pytest
 
 from otfslink import precoding
-from otfslink.channel import ChannelConfig, build_time_channel, sample_channel, spatial_core
-from otfslink.link_sim import realize
+from otfslink.channel import build_time_channel, sample_channel, spatial_core
+from otfslink.link_sim import SimConfig, realize
 from otfslink.precoding import (
     RankDeficientChannelError,
     build_precoder_combiner,
     dd_transform_matrices,
     decompose,
-    effective_dd_channel,
     lift_leading,
     sub_channel_gains,
 )
+from otfslink.validation import effective_dd_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 
 def random_channel(seed, n_ant=2, grid=2, n_paths=5):
-    cfg = ChannelConfig(
-        n_tx=n_ant, n_rx=n_ant, m_delay=grid, n_doppler=grid, n_paths=n_paths,
+    cfg = SimConfig(
+        n_tx=n_ant, n_rx=n_ant, n_rf=1, m_delay=grid, n_doppler=grid, n_paths=n_paths,
         max_delay_tap=min(5, grid * grid - 1), max_doppler_tap=1,
     )
     return build_time_channel(sample_channel(cfg, seed))
@@ -84,8 +84,8 @@ class TestPrecoderCombiner:
         # N = 1 makes the DD transforms the identity
         h = build_time_channel(
             sample_channel(
-                ChannelConfig(n_tx=2, n_rx=2, m_delay=4, n_doppler=1, n_paths=4,
-                              max_delay_tap=3, max_doppler_tap=0),
+                SimConfig(n_tx=2, n_rx=2, n_rf=1, m_delay=4, n_doppler=1, n_paths=4,
+                          max_delay_tap=3, max_doppler_tap=0),
                 5,
             )
         )
@@ -147,8 +147,8 @@ class TestEffectiveDdChannel:
         # factors diagonalize and the diagonal is exactly the leading gains
         h = build_time_channel(
             sample_channel(
-                ChannelConfig(n_tx=2, n_rx=2, m_delay=4, n_doppler=1, n_paths=4,
-                              max_delay_tap=3, max_doppler_tap=0),
+                SimConfig(n_tx=2, n_rx=2, n_rf=1, m_delay=4, n_doppler=1, n_paths=4,
+                          max_delay_tap=3, max_doppler_tap=0),
                 15,
             )
         )
@@ -238,8 +238,8 @@ class TestSpatialCoreRoute:
 
     @staticmethod
     def _chan(n_tx, n_rx, n_paths, seed=16):
-        cfg = ChannelConfig(n_tx=n_tx, n_rx=n_rx, m_delay=2, n_doppler=3, n_paths=n_paths,
-                            max_delay_tap=5, max_doppler_tap=2)
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths,
+                        max_delay_tap=5, max_doppler_tap=2)
         return sample_channel(cfg, seed)
 
     @SHAPES
@@ -403,7 +403,7 @@ def test_one_openblas_file_after_a_realization():
         from otfslink.link_sim import realize
 
         sim = parse_config(sys.argv[1]).sim
-        realize(sample_channel(sim.channel_config, 0), sim.n_rf, sim.precoder_mode)
+        realize(sample_channel(sim, 0), sim.n_rf, sim.precoder_mode)
         assert precoding._zgesvdx() is not None
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()}
