@@ -14,7 +14,7 @@ Submodules:
 * :mod:`otfslink.cli`           -- ``otfslink`` command-line entry point
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .allocation import (
     allocate,

@@ -17,6 +17,13 @@ from .special import ndtr, sigmoid
 # Entropy clamp: bin probabilities below 2**-MAX_IMPORTANCE_BITS saturate.
 MAX_IMPORTANCE_BITS = 64.0
 
+# Gains closer than GAIN_TIE_RTOL * max|g| tie in exact_kendall_tau. The link's
+# gains carry up to 4e-15 relative rounding, so mathematically equal gains (one
+# path: every gain is |g_1|) would otherwise be ordered by rounding; the
+# smallest adjacent gap measured between distinct gains of benchmark-sized
+# draws is 2.7e-11 relative.
+GAIN_TIE_RTOL = 1e-13
+
 
 def gaussian_bin_entropy(mu, sigma, y_hat) -> np.ndarray:
     """Per-element entropy in bits of unit-quantized values under Gaussian models.
@@ -52,13 +59,17 @@ def _pairs(w, g):
 def exact_kendall_tau(w, g):
     """Exact Kendall correlation: (concordant - discordant) / (K(K-1)/2).
 
-    Tied pairs count as zero. Brute-force over all pairs; kept deliberately
-    elementary so it can serve as the reference for the smooth surrogate.
+    Tied pairs count as zero; two entries of ``g`` tie when they differ by at
+    most ``GAIN_TIE_RTOL * max|g|``. Brute-force over all pairs; kept
+    deliberately elementary so it can serve as the reference for the smooth
+    surrogate.
     Correlates along the last axis and broadcasts the leading ones, so
     ``(frames, K)`` inputs give one value per frame.
     """
     w, g, i, j = _pairs(w, g)
-    concordance = np.sign(w[..., i] - w[..., j]) * np.sign(g[..., i] - g[..., j])
+    dg = g[..., i] - g[..., j]
+    tied = np.abs(dg) <= GAIN_TIE_RTOL * np.max(np.abs(g), axis=-1, keepdims=True)
+    concordance = np.sign(w[..., i] - w[..., j]) * np.where(tied, 0.0, np.sign(dg))
     return np.sum(concordance, axis=-1) / float(i.size)
 
 

@@ -30,14 +30,19 @@ sweep therefore decomposes one channel per trial instead of one per link.
 A link's burst of ``n_frames`` frames shares its channel and goes through
 as ``(frames, ...)`` arrays, frame axis leading, in chunks bounded by
 :data:`FRAME_CHUNK_ENTRIES`; only ``allocation.allocate`` runs once per
-frame. CSV version 0.4.0 writes 0.3.0's bytes for single-frame links;
-with several frames per chunk the floats move by rounding.
+frame. With several frames per chunk the floats move by rounding against
+one frame at a time.
 
 The decomposition is the SVD of the channel's exact spatial core, not of
 the dense H: H factors as ``(Q_rx kron I) C (Q_tx kron I)^H`` with ``C`` of
-size ``min(n_rx, L)*MN x min(n_tx, L)*MN`` for L paths, and only the
-singular vectors the link uses are lifted back to H's coordinates. The
-dense H is built only to apply the channel to the transmitted frames.
+size ``min(n_rx, L)*MN x min(n_tx, L)*MN`` for L paths. Only the
+``n_rf*MN`` leading triplets the link uses are computed, from the leading
+eigenpairs of C's Gram matrix, and only they are lifted back to H's
+coordinates. The dense H is built only to apply the channel to the
+transmitted frames. The singular vectors of CSV version 0.5.0 carry other
+phases than 0.4.0's, which rotate each sub-channel's noise: at equal seeds
+the ``ser`` bits move, the other columns agree to rounding, and
+``kappa_exact`` reads 0 where all gains are equal.
 """
 
 from __future__ import annotations
@@ -79,10 +84,10 @@ MIN_SNR_DB = -100.0
 MAX_TRIALS = 10**6
 
 # Most entries a config may ask of any array a link allocates. The dense H at
-# this size is 4 GiB of complex128, and the SVD of a core that large needs
-# more: about 3 such matrices of touched memory for zgesvdx, whose LAPACKE
-# wrapper also reserves 17 doubles per core entry of mostly untouched
-# workspace, and about 9 for zgesdd (see precoding.decompose).
+# this size is 4 GiB of complex128. The decomposition of a core that large
+# adds its Gram matrix, one more such matrix, and the k eigenvectors; the
+# workspace LAPACKE allocates for zheevr is O(side), so no side**2-sized
+# workspace is reserved or can fail to allocate (see precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of any per-chunk array of a burst: run_link passes as many frames
@@ -277,7 +282,8 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     The SVD is taken of the spatial core C, ``H = (Q_rx kron I) C (Q_tx
     kron I)^H``, which has H's nonzero singular values and is smaller than
     H when an array has more antennas than the channel has paths, and only
-    the ``n_rf*MN`` leading triplets the link uses are computed (see
+    the ``n_rf*MN`` leading triplets the link uses are computed, from the
+    leading eigenpairs of C's Gram matrix (see
     :func:`~otfslink.precoding.decompose`). The core is freed after its
     SVD; the gains raise
     :class:`~otfslink.precoding.RankDeficientChannelError` before any

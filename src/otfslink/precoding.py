@@ -4,8 +4,11 @@ An SVD of the time-domain channel turns the MIMO-OTFS link into parallel
 scalar sub-channels whose gains are the singular values. The link takes
 that SVD from the channel's spatial core C, ``H = (Q_rx kron I) C (Q_tx
 kron I)^H`` (:func:`otfslink.channel.spatial_core`), and :func:`lift_leading`
-maps the leading singular vectors of C to those of H. Two precoder /
-combiner modes are provided:
+maps the leading singular vectors of C to those of H. :func:`decompose`
+computes only the leading triplets a link uses, as the leading eigenpairs
+of the Gram matrix of C's smaller side (BLAS ``zherk``, then LAPACK
+``zheevr`` for an index range of eigenpairs). Two precoder / combiner modes
+are provided:
 
 * ``paper_literal``: use the leading SVD factors directly (G = V1, W = U1),
   the textbook eigenmode scheme. The resulting DD-domain effective channel
@@ -34,21 +37,18 @@ from .dd_transforms import dft_matrix
 
 PRECODER_MODES = ("dd_corrected", "paper_literal")
 
-# Singular values below RANK_TOLERANCE * sigma_max count as zero.
-RANK_TOLERANCE = 1e-10
+# Singular values below RANK_TOLERANCE * sigma_max count as zero. decompose takes
+# them from a Gram matrix, whose eigenvalues carry rounding of about
+# side * eps * sigma_max**2, so it resolves sigma / sigma_max only down to
+# about sqrt(side * eps), 5e-7 at side 2048.
+RANK_TOLERANCE = 1e-6
 
-# decompose(h, k) computes only the leading k triplets (LAPACK zgesvdx) when
-# min(h.shape) >= SUBSET_SVD_MIN_RATIO * k. Against the full zgesdd on square
-# complex matrices (2 BLAS threads) zgesvdx takes 0.75-0.9x the time at
-# k/side = 1/4 for sides 512-2048, but 1.0-1.7x at k/side = 1/2 and about 2.2x
-# for all triplets; at side 256 it is slower even at 1/4 (1.1x).
-SUBSET_SVD_MIN_RATIO = 4
-
-# LAPACKE's subset SVD with 64-bit integers, under the names the OpenBLAS builds
-# that numpy ships export it by.
-_ZGESVDX_SYMBOLS = ("scipy_LAPACKE_zgesvdx64_", "LAPACKE_zgesvdx64_")
+# cblas_zherk and LAPACKE_zheevr with 64-bit integers, under the names the
+# OpenBLAS builds that numpy ships export them by.
+_ZHERK_SYMBOLS = ("scipy_cblas_zherk64_", "cblas_zherk64_")
+_ZHEEVR_SYMBOLS = ("scipy_LAPACKE_zheevr64_", "LAPACKE_zheevr64_")
+_CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS, _CBLAS_CONJ_TRANS = 101, 121, 111, 113
 _LAPACK_COL_MAJOR = 102
-_LAPACK_WORK_MEMORY_ERROR = -1010
 
 
 class RankDeficientChannelError(ValueError):
@@ -83,17 +83,23 @@ class PrecoderCombiner:
 
 
 @functools.cache
-def _zgesvdx():
-    """``LAPACKE_zgesvdx`` of the OpenBLAS numpy has loaded, or None if there is none.
+def _gram_routines():
+    """``(zherk, zheevr)`` of the OpenBLAS numpy has loaded, or None if it lacks either.
 
     Only a library already in the process is opened (``RTLD_NOLOAD``), so the
-    handle is numpy's own and no second BLAS, with its own thread pool, is
+    handles are numpy's own and no second BLAS, with its own thread pool, is
     ever loaded. Resolved on the first call, so importing the package does
     not pay for ``ctypes``.
     """
     import ctypes
 
-    i64 = ctypes.c_int64
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    enum, char = ctypes.c_int, ctypes.c_char
+    # zherk(order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
+    zherk_args = [enum, enum, enum, i64, i64, f64, ptr, i64, f64, ptr, i64]
+    # zheevr(layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz)
+    zheevr_args = [enum, char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64,
+                   ctypes.POINTER(i64), ptr, ptr, i64, ptr]
     package = Path(np.__file__).resolve().parent
     candidates = sorted(package.parent.glob("numpy.libs/*openblas*")) + sorted(
         package.glob(".dylibs/*openblas*")
@@ -103,91 +109,83 @@ def _zgesvdx():
             lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
         except OSError:
             continue
-        for name in _ZGESVDX_SYMBOLS:
-            fn = getattr(lib, name, None)
-            if fn is None:
-                continue
-            fn.restype = i64
-            fn.argtypes = [
-                ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,  # layout, jobu, jobvt, range
-                i64, i64, ctypes.c_void_p, i64,  # m, n, a, lda
-                ctypes.c_double, ctypes.c_double, i64, i64,  # vl, vu, il, iu
-                ctypes.POINTER(i64), ctypes.c_void_p,  # ns, s
-                ctypes.c_void_p, i64, ctypes.c_void_p, i64,  # u, ldu, vt, ldvt
-                ctypes.c_void_p,  # superb
-            ]
-            return fn
+        zherk, zheevr = (next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+                         for names in (_ZHERK_SYMBOLS, _ZHEEVR_SYMBOLS))
+        if zherk is not None and zheevr is not None:
+            zherk.restype, zherk.argtypes = None, zherk_args
+            zheevr.restype, zheevr.argtypes = i64, zheevr_args
+            return zherk, zheevr
     return None
 
 
-def _leading_svd(gesvdx, h: np.ndarray, k: int):
-    """``(u, s, vh)`` of the ``k`` largest singular values of ``h`` by zgesvdx.
+def _lapack_eigenpairs(routines, h: np.ndarray, k: int):
+    """``(lam, zh)``: the ``k`` largest eigenpairs of h's Gram matrix G, ascending.
 
-    LAPACK reads the C-ordered copy of ``h`` as column-major, i.e. as
-    ``h^T = U' S V'^H``; then ``h = conj(V') S U'^T``, and the column-major
-    ``VT'`` and ``U'`` it writes are, read back in C order, ``u`` and ``vh``.
-    LAPACKE so makes no transposed copies, but it reserves 17*min(h.shape)**2
-    doubles of real workspace, which is virtual and only partly touched.
+    G is ``h^H h`` when h has at least as many rows as columns, else ``h h^H``.
+    ``zherk`` writes G's upper triangle in C order into a fresh buffer, which
+    LAPACK reads column-major as the lower triangle of ``conj(G)``. ``zheevr``
+    (RANGE='I') overwrites it and writes the eigenvectors of ``conj(G)`` as
+    the rows of the C-ordered ``zh``, so ``zh = Z^H`` for eigenvectors Z of G.
+    Neither h nor G is copied, and LAPACKE's workspace is O(side).
     """
     import ctypes
 
+    zherk, zheevr = routines
     rows, cols = h.shape
-    a = np.array(h, dtype=np.complex128, order="C")  # LAPACK overwrites it
-    s = np.empty(min(rows, cols))
-    vh = np.empty((k, cols), dtype=np.complex128)
-    u = np.empty((rows, k), dtype=np.complex128)
-    superb = np.empty(12 * min(rows, cols), dtype=np.int64)
-    ns = ctypes.c_int64()
-    info = gesvdx(
-        _LAPACK_COL_MAJOR, b"V", b"V", b"I",
-        cols, rows, a.ctypes.data, cols,
-        0.0, 0.0, 1, k,
-        ctypes.byref(ns), s.ctypes.data,
-        vh.ctypes.data, cols, u.ctypes.data, k,
-        superb.ctypes.data,
-    )
-    if info == _LAPACK_WORK_MEMORY_ERROR:
-        raise np.linalg.LinAlgError("zgesvdx could not allocate its workspace")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zgesvdx failed with info = {info}")
-    if ns.value != k:
-        raise np.linalg.LinAlgError(f"zgesvdx returned {ns.value} singular values, expected {k}")
-    return u, s[:k], vh
+    side = min(rows, cols)
+    g = np.empty((side, side), dtype=np.complex128)
+    trans = _CBLAS_CONJ_TRANS if rows >= cols else _CBLAS_NO_TRANS
+    zherk(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, trans, side, max(rows, cols), 1.0, h.ctypes.data, cols,
+          0.0, g.ctypes.data, side)
+    lam, zh, isuppz = np.empty(side), np.empty((k, side), np.complex128), np.empty(2 * k, np.int64)
+    found = ctypes.c_int64()
+    info = zheevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", side, g.ctypes.data, side, 0.0, 0.0,
+                  side - k + 1, side, 0.0, ctypes.byref(found), lam.ctypes.data, zh.ctypes.data,
+                  side, isuppz.ctypes.data)
+    if info != 0 or found.value != k:
+        raise np.linalg.LinAlgError(f"zheevr failed: info = {info}, {found.value} of {k} eigenpairs")
+    return lam[:k], zh
 
 
 def decompose(h: np.ndarray, k: int | None = None) -> SubChannelDecomposition:
     """The leading ``k`` singular triplets of the channel, truncated to its numerical rank.
 
-    ``k = None`` asks for all of them. When ``k`` is at most
-    ``min(h.shape) / SUBSET_SVD_MIN_RATIO`` and numpy's OpenBLAS exports
-    ``zgesvdx``, only those ``k`` are computed (factors in complex128);
-    otherwise ``np.linalg.svd`` computes all and the rest are dropped.
-    ``h`` is never modified. ``rank`` counts the computed triplets above
-    ``RANK_TOLERANCE * sigma_max``, so it is ``min(rank(h), k)``.
-
-    LAPACK returns the singular values in descending order, ties in a
-    fixed order, so repeated runs order them identically.
+    ``k = None`` asks for all of them. They come from the ``k`` leading
+    eigenpairs of the Gram matrix of h's smaller side, by ``zherk`` and
+    ``zheevr`` from numpy's own OpenBLAS (by ``np.linalg.eigh`` when it
+    exports neither); the other side's vectors are ``h v / sigma`` or
+    ``h^H u / sigma``. Factors are complex128, and ``h`` is never
+    modified. ``rank`` counts the eigenvalues above
+    ``RANK_TOLERANCE**2 * lambda_max``, so it is ``min(rank(h), k)``.
+    LAPACK orders the eigenvalues, ties in a fixed order, so repeated runs
+    order them identically.
     """
     h = np.asarray(h)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("channel matrix must be finite")
-    side = min(h.shape)
+    if h.ndim != 2 or h.size == 0 or not np.all(np.isfinite(h)):
+        raise ValueError(f"channel matrix must be finite, 2-D and non-empty, got shape {h.shape}")
+    side, tall = min(h.shape), h.shape[0] >= h.shape[1]
     if k is None:
         k = side
     elif k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, side)
-    gesvdx = _zgesvdx() if 1 <= k and SUBSET_SVD_MIN_RATIO * k <= side else None
-    if gesvdx is not None:
-        u, s, vh = _leading_svd(gesvdx, h, k)
-    else:
-        u, s, vh = np.linalg.svd(h, full_matrices=False)
-        s = s[:k]
-    sigma_max = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > RANK_TOLERANCE * sigma_max))
-    return SubChannelDecomposition(
-        u=u[:, :rank], sigma=s[:rank], v=vh[:rank].conj().T, rank=rank
-    )
+    h = np.ascontiguousarray(h, dtype=np.complex128)
+    routines = _gram_routines()
+    if routines is not None:
+        lam, zh = _lapack_eigenpairs(routines, h, k)
+    else:  # the same eigenpairs of the same Gram matrix
+        lam, z = np.linalg.eigh(h.conj().T @ h if tall else h @ h.conj().T)
+        lam, zh = lam[-k:], z[:, -k:].conj().T
+    lam, zh = lam[::-1], zh[::-1]
+    rank = int(np.count_nonzero(lam > RANK_TOLERANCE**2 * lam[0]))
+    sigma, zh = np.sqrt(lam[:rank]), zh[:rank]
+    if tall:  # zh = v^H
+        v = zh.conj().T
+        u = h @ v / sigma
+    else:  # zh = u^H
+        u = zh.conj().T
+        v = (zh @ h / sigma[:, None]).conj().T
+    return SubChannelDecomposition(u=u, sigma=sigma, v=v, rank=rank)
 
 
 def _require_rank(dec: SubChannelDecomposition, k: int) -> None:

@@ -10,6 +10,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from otfslink.allocation import (
+    GAIN_TIE_RTOL,
     allocate,
     apply_allocation,
     exact_kendall_tau,
@@ -102,6 +103,14 @@ class TestExactKendallTau:
 
     def test_ties_count_zero(self):
         assert exact_kendall_tau([1.0, 1.0], [1.0, 2.0]) == 0.0
+
+    def test_gains_equal_to_rounding_tie(self):
+        # one path: every gain is mathematically |g_1|, off by rounding only
+        g = 2.0 * (1.0 + np.array([4e-15, 2e-15, 0.0, -4e-15]))
+        assert exact_kendall_tau([4.0, 3.0, 2.0, 1.0], g) == 0.0
+        # a gap above the tolerance is an order, not a tie
+        g = 2.0 * (1.0 + np.array([3, 2, 1, 0]) * 10 * GAIN_TIE_RTOL)
+        assert exact_kendall_tau([4.0, 3.0, 2.0, 1.0], g) == 1.0
 
     def test_too_short(self):
         with pytest.raises(ValueError):

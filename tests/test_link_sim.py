@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otfslink import allocation, link_sim, modem
+from otfslink import allocation, link_sim, modem, precoding
 from otfslink.channel import apply_channel, sample_channel
 from otfslink.dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from otfslink.link_sim import (
@@ -117,6 +117,15 @@ class TestRunLink:
         m_uni = run_link(replace(SMALL, allocation_mode="uniform"), idx, w, rng_b)
         assert (m_sem.mse, m_sem.ser, m_sem.weighted_mse) == (m_uni.mse, m_uni.ser, m_uni.weighted_mse)
         np.testing.assert_array_equal(m_sem.gains, m_uni.gains)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_path_gains_tie(self, seed):
+        # every gain of a one-path channel equals |g_1|, so no pair is concordant
+        cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=4, n_doppler=4, n_paths=1,
+                        max_delay_tap=3, max_doppler_tap=1)
+        metrics = run_random_link(cfg, np.random.default_rng(seed))
+        np.testing.assert_allclose(metrics.gains, metrics.gains[0], rtol=1e-14, atol=0)
+        assert metrics.kappa_exact == 0.0
 
     def test_seed_determinism(self):
         a = run_random_link(SMALL, np.random.default_rng([0, 7]))
@@ -351,15 +360,21 @@ def _oracle_rows(points, trials):
 
 
 def _count_decompose(monkeypatch):
-    calls = []
-    real = link_sim.decompose
+    """Records the ``k`` of every ``decompose`` a sweep makes, and of every one that took zheevr."""
+    calls, lapack = [], []
+    real, real_lapack = link_sim.decompose, precoding._lapack_eigenpairs
 
     def counted(h, k=None):
-        calls.append(1)
+        calls.append(k)
         return real(h, k)
 
+    def counted_lapack(routines, h, k):
+        lapack.append(k)
+        return real_lapack(routines, h, k)
+
     monkeypatch.setattr(link_sim, "decompose", counted)
-    return calls
+    monkeypatch.setattr(precoding, "_lapack_eigenpairs", counted_lapack)
+    return calls, lapack
 
 
 class TestSweepLoop:
@@ -376,14 +391,23 @@ class TestSweepLoop:
         assert format_csv(run_sweep(points, trials=3)) == format_csv(_oracle_rows(points, 3))
 
     def test_snr_sweep_decomposes_once_per_trial(self, monkeypatch):
-        calls = _count_decompose(monkeypatch)
+        calls, lapack = _count_decompose(monkeypatch)
         run_sweep(snr_points(SMALL, [-6.0, 0.0, 6.0, 12.0, 18.0]), trials=3)
-        assert len(calls) == 3
+        assert calls == lapack == [SMALL.n_subchannels] * 3
 
     def test_antenna_sweep_decomposes_every_link(self, monkeypatch):
-        calls = _count_decompose(monkeypatch)
+        calls, lapack = _count_decompose(monkeypatch)
         run_sweep(antenna_points(SMALL, [2, 3, 4]), trials=2)
-        assert len(calls) == 3 * 2
+        assert calls == lapack == [SMALL.n_subchannels] * (3 * 2)
+
+    def test_sweeps_never_call_the_svd_oracle(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called on the sweep path")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for points in (snr_points(SMALL, [0.0, 12.0]), antenna_points(SMALL, [2, 4])):
+            rows = run_sweep(points, trials=2)
+            assert all(math.isfinite(row.mse) for row in rows)
 
 
 class TestRealizationSlot:

@@ -299,58 +299,64 @@ def _core(n_tx, n_rx, n_paths):
 
 
 @pytest.fixture
-def subset_calls(monkeypatch):
-    """Records the ``k`` of every decomposition that took the subset SVD."""
+def lapack_calls(monkeypatch):
+    """Records the ``k`` of every decomposition that took the zherk/zheevr route."""
     calls = []
-    real = precoding._leading_svd
+    real = precoding._lapack_eigenpairs
 
-    def counted(gesvdx, h, k):
+    def counted(routines, h, k):
         calls.append(k)
-        return real(gesvdx, h, k)
+        return real(routines, h, k)
 
-    monkeypatch.setattr(precoding, "_leading_svd", counted)
+    monkeypatch.setattr(precoding, "_lapack_eigenpairs", counted)
     return calls
 
 
 class TestSubsetDecompose:
-    """``decompose(c, k)`` against the full ``np.linalg.svd`` of ``decompose(c)``."""
+    """``decompose(c, k)`` against the full ``np.linalg.svd`` of ``c``."""
 
     @pytest.mark.parametrize(
-        "c, k, subset",
+        "c, k",
         [
-            (_core(8, 8, 10), 12, True),  # 48 x 48 core, n_rf = 2: k is a quarter of the side
-            (_core(4, 6, 10), 6, True),  # 36 x 24 core, n_rf = 1
-            (_core(6, 4, 10), 6, True),  # 24 x 36 core
-            (_core(6, 6, 10), 12, False),  # 36 x 36 core, n_rf = 2: k is a third of the side
-            (_core(3, 5, 10), 6, False),  # 30 x 18 core
-            (_complex_gaussian(96, 64, 1), 16, True),
-            (_complex_gaussian(64, 96, 2), 16, True),
-            (_complex_gaussian(96, 64, 3), 17, False),
+            (_core(8, 8, 10), 12),  # 48 x 48 core, n_rf = 2: k is a quarter of the side
+            (_core(4, 6, 10), 6),  # 36 x 24 core, n_rf = 1
+            (_core(6, 4, 10), 6),  # 24 x 36 core
+            (_core(6, 6, 10), 12),  # 36 x 36 core, n_rf = 2: k is a third of the side
+            (_core(3, 5, 10), 6),  # 30 x 18 core
+            (_complex_gaussian(96, 64, 1), 16),
+            (_complex_gaussian(64, 96, 2), 16),
+            (_complex_gaussian(96, 64, 3), 17),
+            (_complex_gaussian(96, 64, 9), 32),
+            (_complex_gaussian(64, 96, 10), 32),
+            (_complex_gaussian(96, 64, 11), 64),
+            (_complex_gaussian(64, 96, 12), 64),
         ],
         ids=["core_square", "core_tall", "core_wide", "core_square_full", "core_tall_full",
-             "tall", "wide", "tall_just_above_a_quarter"],
+             "tall", "wide", "tall_just_above_a_quarter", "tall_half", "wide_half", "tall_all",
+             "wide_all"],
     )
-    def test_matches_the_full_svd_truncated(self, subset_calls, c, k, subset):
+    def test_matches_the_full_svd_truncated(self, lapack_calls, c, k):
         before = c.copy()
         dec = decompose(c, k)
         assert np.array_equal(c, before)
-        assert subset_calls == ([k] if subset else [])
-        full = decompose(c)
+        assert lapack_calls == [k]
+        s = np.linalg.svd(c, compute_uv=False)
         assert dec.rank == k and dec.u.shape == (c.shape[0], k) and dec.v.shape == (c.shape[1], k)
-        tol = 1e-12 * full.sigma[0]
-        np.testing.assert_allclose(dec.sigma, full.sigma[:k], rtol=0, atol=tol)
+        tol = 1e-12 * s[0]
+        np.testing.assert_allclose(dec.sigma, s[:k], rtol=0, atol=tol)
         assert np.max(np.abs(c @ dec.v - dec.u * dec.sigma)) < tol
         assert np.max(np.abs(c.conj().T @ dec.u - dec.v * dec.sigma)) < tol
         for f in (dec.u, dec.v):
             np.testing.assert_allclose(f.conj().T @ f, np.eye(k), rtol=0, atol=1e-12)
 
-    def test_rank_below_k_on_the_subset_branch(self, subset_calls):
+    def test_rank_below_k_on_the_subset_branch(self, lapack_calls):
         r, k = 10, 16
         c = _complex_gaussian(64, r, 4) @ _complex_gaussian(r, 80, 5)
         dec = decompose(c, k)
-        assert subset_calls == [k]
+        assert lapack_calls == [k]
         assert dec.rank == r and dec.sigma.shape == (r,)
-        np.testing.assert_allclose(dec.sigma, decompose(c).sigma, rtol=0, atol=1e-12 * dec.sigma[0])
+        s = np.linalg.svd(c, compute_uv=False)
+        np.testing.assert_allclose(dec.sigma, s[:r], rtol=0, atol=1e-12 * dec.sigma[0])
         with pytest.raises(RankDeficientChannelError):
             lift_leading(dec, np.eye(1), np.eye(1), k)
 
@@ -358,44 +364,63 @@ class TestSubsetDecompose:
         c = _complex_gaussian(6, 4, 6)
         dec = decompose(c, 9)
         assert dec.rank == 4
-        np.testing.assert_allclose(dec.sigma, decompose(c).sigma, rtol=0, atol=1e-12 * dec.sigma[0])
+        s = np.linalg.svd(c, compute_uv=False)
+        np.testing.assert_allclose(dec.sigma, s, rtol=0, atol=1e-12 * dec.sigma[0])
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             decompose(np.eye(4), 0)
 
-    def test_subset_branch_needs_no_numpy_svd(self, monkeypatch, subset_calls):
-        c = _complex_gaussian(64, 64, 7)
-        oracle = decompose(c)
+    def test_subset_branch_needs_no_numpy_svd(self, monkeypatch, lapack_calls):
+        c = _complex_gaussian(64, 48, 7)
+        s = np.linalg.svd(c, compute_uv=False)
 
         def no_svd(*args, **kwargs):
-            raise AssertionError("np.linalg.svd called on the subset branch")
+            raise AssertionError("np.linalg.svd called by decompose")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        dec = decompose(c, 16)
-        assert subset_calls == [16]
-        np.testing.assert_allclose(dec.sigma, oracle.sigma[:16], rtol=0, atol=1e-12 * oracle.sigma[0])
+        for k in (16, None):
+            dec = decompose(c, k)
+            np.testing.assert_allclose(dec.sigma, s[:k], rtol=0, atol=1e-12 * s[0])
+        assert lapack_calls == [16, 48]
 
-    def test_falls_back_when_no_library_exports_zgesvdx(self, monkeypatch, subset_calls):
-        monkeypatch.setattr(precoding, "_ZGESVDX_SYMBOLS", ("otfslink_no_such_symbol",))
-        precoding._zgesvdx.cache_clear()
+    def test_falls_back_to_eigh_when_no_library_exports_zheevr(self, monkeypatch, lapack_calls):
+        eigh_calls = []
+        real_eigh = np.linalg.eigh
+
+        def counted_eigh(a, *args, **kwargs):
+            eigh_calls.append(a.shape)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(precoding, "_ZHEEVR_SYMBOLS", ("otfslink_no_such_symbol",))
+        precoding._gram_routines.cache_clear()
         try:
-            assert precoding._zgesvdx() is None
-            c = _complex_gaussian(64, 64, 8)
-            dec = decompose(c, 16)
+            assert precoding._gram_routines() is None
+            tall, wide = _complex_gaussian(64, 48, 8), _complex_gaussian(48, 64, 13)
+            decs = [decompose(c, 16) for c in (tall, wide)]
         finally:
-            precoding._zgesvdx.cache_clear()  # resolved again once the symbols are restored
-        assert subset_calls == []
-        oracle = decompose(c)
-        assert dec.rank == 16
-        np.testing.assert_allclose(dec.sigma, oracle.sigma[:16], rtol=0, atol=1e-12 * oracle.sigma[0])
-        assert np.max(np.abs(c @ dec.v - dec.u * dec.sigma)) < 1e-12 * oracle.sigma[0]
+            precoding._gram_routines.cache_clear()  # resolved again once the symbols are restored
+        assert lapack_calls == [] and eigh_calls == [(48, 48), (48, 48)]
+        for c, dec in zip((tall, wide), decs):
+            s = np.linalg.svd(c, compute_uv=False)
+            assert dec.rank == 16
+            np.testing.assert_allclose(dec.sigma, s[:16], rtol=0, atol=1e-12 * s[0])
+            assert np.max(np.abs(c @ dec.v - dec.u * dec.sigma)) < 1e-12 * s[0]
+            assert np.max(np.abs(c.conj().T @ dec.u - dec.v * dec.sigma)) < 1e-12 * s[0]
+
+
+def _run_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *map(str, args)],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
 def test_one_openblas_file_after_a_realization():
-    code = textwrap.dedent(
-        """
+    code = """
         import sys
         from otfslink import precoding
         from otfslink.channel import sample_channel
@@ -404,15 +429,34 @@ def test_one_openblas_file_after_a_realization():
 
         sim = parse_config(sys.argv[1]).sim
         realize(sample_channel(sim, 0), sim.n_rf, sim.precoder_mode)
-        assert precoding._zgesvdx() is not None
+        assert precoding._gram_routines() is not None
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()}
         print("\\n".join(sorted(paths)))
         """
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(ROOT / "configs" / "default.json")],
-        env=env, check=True, capture_output=True, text=True,
-    ).stdout
+    out = _run_python(code, ROOT / "configs" / "default.json")
     assert len(out.split()) == 1, out
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+def test_decompose_raises_peak_memory_by_under_1_75_core_sized_matrices():
+    # ru_maxrss is KiB on Linux, bytes on macOS. The route holds the Gram
+    # matrix and k eigenvectors; a stray copy of the core or of the Gram
+    # matrix would add one more core-sized matrix.
+    code = """
+        import resource, sys
+        from otfslink.channel import sample_channel, spatial_core
+        from otfslink.link_sim import SimConfig
+        from otfslink.precoding import decompose
+
+        cfg = SimConfig(m_delay=8, n_doppler=16)
+        core = spatial_core(sample_channel(cfg, 0))[1]
+        unit = 1 if sys.platform == "darwin" else 1024
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        dec = decompose(core, cfg.n_subchannels)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(core.shape[0], core.shape[1], dec.rank, (after - before) * unit / core.nbytes)
+        """
+    rows, cols, rank, rise = _run_python(code).split()
+    assert (int(rows), int(cols), int(rank)) == (1024, 1024, 256)
+    assert float(rise) < 1.75, f"decompose raised the peak RSS by {float(rise):.2f} core-sized matrices"
