@@ -44,7 +44,6 @@ from .link_sim import (
     snr_points,
 )
 from .precoding import PRECODER_MODES, RankDeficientChannelError
-from .validation import run_validation_suite
 
 LOG_ENV_VAR = "OTFSLINK_LOG"
 SWEEP_KINDS = ("snr", "antennas", "single")
@@ -200,6 +199,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_validate() -> int:
+    # imported here: the invariant suite and its dense oracles serve only this command
+    from .validation import run_validation_suite
+
     results = run_validation_suite()
     failed = 0
     for res in results:

@@ -38,11 +38,14 @@ the dense H: H factors as ``(Q_rx kron I) C (Q_tx kron I)^H`` with ``C`` of
 size ``min(n_rx, L)*MN x min(n_tx, L)*MN`` for L paths. Only the
 ``n_rf*MN`` leading triplets the link uses are computed, from the leading
 eigenpairs of C's Gram matrix, and only they are lifted back to H's
-coordinates. The dense H is built only to apply the channel to the
-transmitted frames. The singular vectors of CSV version 0.5.0 carry other
-phases than 0.4.0's, which rotate each sub-channel's noise: at equal seeds
-the ``ser`` bits move, the other columns agree to rounding, and
-``kappa_exact`` reads 0 where all gains are equal.
+coordinates. C itself is never formed: its Gram matrix is summed from the
+path pairs and its products are taken path by path
+(:class:`~otfslink.channel.SpatialCore`). The dense H is built only to
+apply the channel to the transmitted frames. In CSV version 0.6.0 that
+Gram matrix and product round differently from 0.5.0's dense ones, so at
+equal seeds the float columns move by rounding (up to about 1e-14
+relative on the shipped configs, where ``ser`` and ``kappa_exact`` are
+unchanged).
 """
 
 from __future__ import annotations
@@ -84,10 +87,11 @@ MIN_SNR_DB = -100.0
 MAX_TRIALS = 10**6
 
 # Most entries a config may ask of any array a link allocates. The dense H at
-# this size is 4 GiB of complex128. The decomposition of a core that large
-# adds its Gram matrix, one more such matrix, and the k eigenvectors; the
-# workspace LAPACKE allocates for zheevr is O(side), so no side**2-sized
-# workspace is reserved or can fail to allocate (see precoding.decompose).
+# this size is 4 GiB of complex128. The spatial core is never formed; its
+# decomposition holds the core's Gram matrix (at most H's size), the k
+# eigenvectors and the other side's k vectors, and the workspace LAPACKE
+# allocates for zheevr is O(side), so no side**2-sized workspace is reserved
+# or can fail to allocate (see precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of any per-chunk array of a burst: run_link passes as many frames
@@ -284,12 +288,13 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     H when an array has more antennas than the channel has paths, and only
     the ``n_rf*MN`` leading triplets the link uses are computed, from the
     leading eigenpairs of C's Gram matrix (see
-    :func:`~otfslink.precoding.decompose`). The core is freed after its
-    SVD; the gains raise
+    :func:`~otfslink.precoding.decompose`). C is held by its paths, never
+    as a matrix: the Gram matrix is summed from the path pairs and freed
+    inside the decomposition. The gains raise
     :class:`~otfslink.precoding.RankDeficientChannelError` before any
     vector is lifted to H's coordinates. H itself, which only
     :func:`~otfslink.channel.apply_channel` needs, is built last, so the
-    core, its SVD and H are never alive together.
+    Gram matrix and H are never alive together.
     """
     m, n = chan.m_delay, chan.n_doppler
     q_rx, core, q_tx = spatial_core(chan)

@@ -6,9 +6,10 @@ that SVD from the channel's spatial core C, ``H = (Q_rx kron I) C (Q_tx
 kron I)^H`` (:func:`otfslink.channel.spatial_core`), and :func:`lift_leading`
 maps the leading singular vectors of C to those of H. :func:`decompose`
 computes only the leading triplets a link uses, as the leading eigenpairs
-of the Gram matrix of C's smaller side (BLAS ``zherk``, then LAPACK
-``zheevr`` for an index range of eigenpairs). Two precoder / combiner modes
-are provided:
+of the Gram matrix of C's smaller side (LAPACK ``zheevr`` for an index
+range of eigenpairs). C is never formed: the channel module builds that
+Gram matrix from the path pairs and applies C path by path. Two precoder /
+combiner modes are provided:
 
 * ``paper_literal``: use the leading SVD factors directly (G = V1, W = U1),
   the textbook eigenmode scheme. The resulting DD-domain effective channel
@@ -43,11 +44,9 @@ PRECODER_MODES = ("dd_corrected", "paper_literal")
 # about sqrt(side * eps), 5e-7 at side 2048.
 RANK_TOLERANCE = 1e-6
 
-# cblas_zherk and LAPACKE_zheevr with 64-bit integers, under the names the
-# OpenBLAS builds that numpy ships export them by.
-_ZHERK_SYMBOLS = ("scipy_cblas_zherk64_", "cblas_zherk64_")
+# LAPACKE_zheevr with 64-bit integers, under the names the OpenBLAS builds that
+# numpy ships export it by.
 _ZHEEVR_SYMBOLS = ("scipy_LAPACKE_zheevr64_", "LAPACKE_zheevr64_")
-_CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS, _CBLAS_CONJ_TRANS = 101, 121, 111, 113
 _LAPACK_COL_MAJOR = 102
 
 
@@ -84,10 +83,10 @@ class PrecoderCombiner:
 
 @functools.cache
 def _gram_routines():
-    """``(zherk, zheevr)`` of the OpenBLAS numpy has loaded, or None if it lacks either.
+    """``zheevr`` of the OpenBLAS numpy has loaded, or None if it does not export it.
 
     Only a library already in the process is opened (``RTLD_NOLOAD``), so the
-    handles are numpy's own and no second BLAS, with its own thread pool, is
+    handle is numpy's own and no second BLAS, with its own thread pool, is
     ever loaded. Resolved on the first call, so importing the package does
     not pay for ``ctypes``.
     """
@@ -95,8 +94,6 @@ def _gram_routines():
 
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     enum, char = ctypes.c_int, ctypes.c_char
-    # zherk(order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
-    zherk_args = [enum, enum, enum, i64, i64, f64, ptr, i64, f64, ptr, i64]
     # zheevr(layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz)
     zheevr_args = [enum, char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64,
                    ctypes.POINTER(i64), ptr, ptr, i64, ptr]
@@ -109,34 +106,25 @@ def _gram_routines():
             lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
         except OSError:
             continue
-        zherk, zheevr = (next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
-                         for names in (_ZHERK_SYMBOLS, _ZHEEVR_SYMBOLS))
-        if zherk is not None and zheevr is not None:
-            zherk.restype, zherk.argtypes = None, zherk_args
+        zheevr = next((getattr(lib, n) for n in _ZHEEVR_SYMBOLS if hasattr(lib, n)), None)
+        if zheevr is not None:
             zheevr.restype, zheevr.argtypes = i64, zheevr_args
-            return zherk, zheevr
+            return zheevr
     return None
 
 
-def _lapack_eigenpairs(routines, h: np.ndarray, k: int):
-    """``(lam, zh)``: the ``k`` largest eigenpairs of h's Gram matrix G, ascending.
+def _lapack_eigenpairs(zheevr, g: np.ndarray, k: int):
+    """``(lam, zh)``: the ``k`` largest eigenpairs of the Hermitian ``g``, ascending.
 
-    G is ``h^H h`` when h has at least as many rows as columns, else ``h h^H``.
-    ``zherk`` writes G's upper triangle in C order into a fresh buffer, which
-    LAPACK reads column-major as the lower triangle of ``conj(G)``. ``zheevr``
-    (RANGE='I') overwrites it and writes the eigenvectors of ``conj(G)`` as
-    the rows of the C-ordered ``zh``, so ``zh = Z^H`` for eigenvectors Z of G.
-    Neither h nor G is copied, and LAPACKE's workspace is O(side).
+    LAPACK reads the C-ordered ``g`` column-major, that is as ``g^T =
+    conj(g)``, and uses its lower triangle. ``zheevr`` (RANGE='I')
+    overwrites ``g`` and writes the eigenvectors of ``conj(g)`` as the rows
+    of the C-ordered ``zh``, so ``zh = Z^H`` for eigenvectors Z of g.
+    LAPACKE's workspace is O(side).
     """
     import ctypes
 
-    zherk, zheevr = routines
-    rows, cols = h.shape
-    side = min(rows, cols)
-    g = np.empty((side, side), dtype=np.complex128)
-    trans = _CBLAS_CONJ_TRANS if rows >= cols else _CBLAS_NO_TRANS
-    zherk(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, trans, side, max(rows, cols), 1.0, h.ctypes.data, cols,
-          0.0, g.ctypes.data, side)
+    side = g.shape[0]
     lam, zh, isuppz = np.empty(side), np.empty((k, side), np.complex128), np.empty(2 * k, np.int64)
     found = ctypes.c_int64()
     info = zheevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", side, g.ctypes.data, side, 0.0, 0.0,
@@ -147,45 +135,51 @@ def _lapack_eigenpairs(routines, h: np.ndarray, k: int):
     return lam[:k], zh
 
 
-def decompose(h: np.ndarray, k: int | None = None) -> SubChannelDecomposition:
-    """The leading ``k`` singular triplets of the channel, truncated to its numerical rank.
+def decompose(core, k: int | None = None) -> SubChannelDecomposition:
+    """The leading ``k`` singular triplets of a channel core C, truncated to its numerical rank.
 
-    ``k = None`` asks for all of them. They come from the ``k`` leading
-    eigenpairs of the Gram matrix of h's smaller side, by ``zherk`` and
-    ``zheevr`` from numpy's own OpenBLAS (by ``np.linalg.eigh`` when it
-    exports neither); the other side's vectors are ``h v / sigma`` or
-    ``h^H u / sigma``. Factors are complex128, and ``h`` is never
-    modified. ``rank`` counts the eigenvalues above
-    ``RANK_TOLERANCE**2 * lambda_max``, so it is ``min(rank(h), k)``.
+    ``core`` gives C in the form this route needs, never C itself:
+    ``core.gram()`` is the Gram matrix of C's smaller side over
+    ``core.scale**2`` (``C^H C``, or ``C C^H`` when ``core.wide``), and
+    ``core.times(x)`` maps that side's vectors to the other side over
+    ``core.scale`` (``C x``, or ``C^H x``). The link passes a
+    :class:`~otfslink.channel.SpatialCore`; a dense matrix goes through
+    :class:`otfslink.validation.DenseCore`.
+
+    ``k = None`` asks for all of them. The triplets come from the ``k``
+    leading eigenpairs of the Gram matrix, by ``zheevr`` from numpy's own
+    OpenBLAS (by ``np.linalg.eigh`` when it does not export it); the Gram
+    matrix is freed before the other side's vectors, ``times(z) / sigma``,
+    are formed. Factors are complex128. ``rank`` counts the eigenvalues
+    above ``RANK_TOLERANCE**2 * lambda_max``, so it is ``min(rank(C), k)``.
     LAPACK orders the eigenvalues, ties in a fixed order, so repeated runs
     order them identically.
     """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.size == 0 or not np.all(np.isfinite(h)):
-        raise ValueError(f"channel matrix must be finite, 2-D and non-empty, got shape {h.shape}")
-    side, tall = min(h.shape), h.shape[0] >= h.shape[1]
+    g = np.ascontiguousarray(core.gram(), dtype=np.complex128)
+    # |G_ij|**2 <= G_ii G_jj for a Gram matrix, so a finite diagonal means a finite G
+    if g.ndim != 2 or g.size == 0 or g.shape[0] != g.shape[1] or not np.all(np.isfinite(g.diagonal())):
+        raise ValueError(f"Gram matrix must be finite, square and non-empty, got shape {g.shape}")
+    side = g.shape[0]
     if k is None:
         k = side
     elif k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, side)
-    h = np.ascontiguousarray(h, dtype=np.complex128)
-    routines = _gram_routines()
-    if routines is not None:
-        lam, zh = _lapack_eigenpairs(routines, h, k)
+    zheevr = _gram_routines()
+    if zheevr is not None:
+        lam, zh = _lapack_eigenpairs(zheevr, g, k)
     else:  # the same eigenpairs of the same Gram matrix
-        lam, z = np.linalg.eigh(h.conj().T @ h if tall else h @ h.conj().T)
+        lam, z = np.linalg.eigh(g)
         lam, zh = lam[-k:], z[:, -k:].conj().T
+    del g
     lam, zh = lam[::-1], zh[::-1]
     rank = int(np.count_nonzero(lam > RANK_TOLERANCE**2 * lam[0]))
-    sigma, zh = np.sqrt(lam[:rank]), zh[:rank]
-    if tall:  # zh = v^H
-        v = zh.conj().T
-        u = h @ v / sigma
-    else:  # zh = u^H
-        u = zh.conj().T
-        v = (zh @ h / sigma[:, None]).conj().T
-    return SubChannelDecomposition(u=u, sigma=sigma, v=v, rank=rank)
+    sigma = np.sqrt(lam[:rank])
+    z = np.conjugate(zh, out=zh)[:rank].T  # the eigenvectors, in zh's buffer
+    other = core.times(z)
+    other /= sigma
+    u, v = (z, other) if core.wide else (other, z)
+    return SubChannelDecomposition(u=u, sigma=sigma * core.scale, v=v, rank=rank)
 
 
 def _require_rank(dec: SubChannelDecomposition, k: int) -> None:

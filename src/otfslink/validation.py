@@ -4,8 +4,10 @@ Each check in :data:`CHECKS` seeds its own generator and returns a
 :class:`CheckResult`. Expected values come from independent oracles:
 hand-computed literals, dense enumerations, written-out closed forms, brute
 force, or Monte-Carlo estimates with the stated margin. The dense oracles
-that only these checks and the tests use, :func:`cyclic_shift_matrix` and
-:func:`effective_dd_channel`, live here too. The tolerances are
+that only these checks and the tests use, :func:`cyclic_shift_matrix`,
+:func:`dense_spatial_core` and :func:`effective_dd_channel`, live here too,
+with :class:`DenseCore`, the adapter through which a dense matrix reaches
+:func:`~otfslink.precoding.decompose`. The tolerances are
 defined here, once; ``tests/test_acceptance.py`` runs the same checks and
 pins them. ``paper_literal_gap`` is informational and never fails.
 """
@@ -22,6 +24,7 @@ import numpy as np
 from . import allocation, modem
 from .channel import (
     DdMimoChannel, apply_channel, build_time_channel, phase_rotation_matrix, sample_channel,
+    spatial_core, ula_response,
 )
 from .dd_transforms import dft_matrix, otfs_demodulate, otfs_modulate
 from .link_sim import SimConfig, realize, run_random_link
@@ -35,7 +38,7 @@ TOL_DIAG_MATCH = 1e-9          # relative gap of that diagonal and the gains to 
 TOL_DIAG_SECONDS = 30.0        # wall-time budget of criterion 1
 TOL_NOISE_VAR = 0.10           # relative, per sub-channel, 1e4 symbols
 TOL_ROUND_TRIP = 1e-12         # max abs, and relative for Parseval
-TOL_CHANNEL_ORACLE = 1e-12     # max abs entry gap
+TOL_CHANNEL_ORACLE = 1e-12     # max abs entry gap (for the core's Gram matrix, per largest entry)
 TOL_SOFT_KENDALL_LIMIT = 1e-3  # sharp-sigmoid limit vs (tau+1)/2
 TOL_KENDALL_LITERAL = 1e-12    # single-pair sigmoid(-2) value
 TOL_ALLOCATION_GAP = 1e-12     # cost gap to brute force, absolute and relative to the optimum
@@ -69,6 +72,58 @@ def cyclic_shift_matrix(size: int, power: int) -> np.ndarray:
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     return np.roll(np.eye(size), power, axis=0)
+
+
+def dense_spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(Q_rx, C, Q_tx)`` of :func:`otfslink.channel.spatial_core`, with C dense, by Kronecker products.
+
+    Q and R come from the reduced QR factorizations of the array matrices,
+    as there, and ``C = sum_i gain_i (r_rx,i r_tx,i^H) kron (Pi^l_i
+    Delta^k_i)`` with the dense shift and rotation.
+    """
+    a_rx = np.column_stack([ula_response(p.aoa, chan.n_rx) for p in chan.paths])
+    a_tx = np.column_stack([ula_response(p.aod, chan.n_tx) for p in chan.paths])
+    q_rx, r_rx = np.linalg.qr(a_rx)
+    q_tx, r_tx = np.linalg.qr(a_tx)
+    mn = chan.mn
+    core = sum(
+        p.gain * np.kron(
+            np.outer(r_rx[:, i], r_tx[:, i].conj()),
+            cyclic_shift_matrix(mn, p.delay_tap) @ phase_rotation_matrix(mn, p.doppler_tap),
+        )
+        for i, p in enumerate(chan.paths)
+    )
+    return q_rx, core, q_tx
+
+
+@dataclass(frozen=True, eq=False)
+class DenseCore:
+    """A dense matrix h in the form :func:`~otfslink.precoding.decompose` takes.
+
+    Its Gram matrix and products are dense products with h, and ``scale``
+    is 1: the adapter through which the oracles and the tests decompose a
+    dense matrix.
+    """
+
+    h: np.ndarray
+    scale: float = 1.0
+
+    def __post_init__(self):
+        h = np.asarray(self.h)
+        if h.ndim != 2 or h.size == 0 or not np.all(np.isfinite(h)):
+            raise ValueError(f"channel matrix must be finite, 2-D and non-empty, got shape {h.shape}")
+        object.__setattr__(self, "h", h)
+
+    @property
+    def wide(self) -> bool:
+        return self.h.shape[0] < self.h.shape[1]
+
+    def gram(self) -> np.ndarray:
+        h = self.h
+        return h @ h.conj().T if self.wide else h.conj().T @ h
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        return (self.h.conj().T if self.wide else self.h) @ x
 
 
 def effective_dd_channel(
@@ -213,6 +268,38 @@ def criterion_4_channel_matrix_oracle() -> CheckResult:
         worst = max(worst, float(np.max(np.abs(h - oracle))))
     return CheckResult(
         "criterion_4_channel_matrix_oracle", worst < TOL_CHANNEL_ORACLE, f"max abs gap {worst:.2e}"
+    )
+
+
+def core_gram_oracle() -> CheckResult:
+    """The spatial core's path-built Gram matrix and products equal the dense core's.
+
+    Tall, wide and square cores, one path, and taps that wrap the frame.
+    Gaps are relative to the largest entry of the dense Gram matrix and of
+    the dense product.
+    """
+    rng = np.random.default_rng(1414)
+    shapes = [(3, 5, 4, 3), (5, 3, 4, 3), (4, 4, 6, 3), (3, 3, 1, 3), (2, 3, 3, 5), (3, 2, 3, 5)]
+    worst = 0.0
+    for n_tx, n_rx, n_paths, max_tap in shapes:
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths,
+                        max_delay_tap=max_tap, max_doppler_tap=max_tap)
+        chan = sample_channel(cfg, rng)
+        core = spatial_core(chan)[1]
+        dense = dense_spatial_core(chan)[1]
+        a = dense.conj().T if core.wide else dense
+        gram = a.conj().T @ a
+        x = rng.standard_normal((a.shape[1], 4)) + 1j * rng.standard_normal((a.shape[1], 4))
+        product = a @ x
+        worst = max(
+            worst,
+            float(np.max(np.abs(core.gram() * core.scale**2 - gram)) / np.max(np.abs(gram))),
+            float(np.max(np.abs(core.times(x) * core.scale - product)) / np.max(np.abs(product))),
+        )
+    return CheckResult(
+        "core_gram_oracle",
+        worst < TOL_CHANNEL_ORACLE,
+        f"{len(shapes)} cores: max gap per largest entry {worst:.2e}",
     )
 
 
@@ -422,6 +509,7 @@ CHECKS = (
     criterion_2_parallel_subchannel_noise,
     criterion_3_transform_round_trips,
     criterion_4_channel_matrix_oracle,
+    core_gram_oracle,
     criterion_5_kendall_suite,
     criterion_6_allocation_optimality,
     criterion_7_noiseless_recovery,

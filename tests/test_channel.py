@@ -14,7 +14,7 @@ from otfslink.channel import (
     ula_response,
 )
 from otfslink.link_sim import SimConfig
-from otfslink.validation import cyclic_shift_matrix
+from otfslink.validation import cyclic_shift_matrix, dense_spatial_core
 
 
 def entry_oracle(chan):
@@ -181,12 +181,47 @@ class TestSpatialCore:
                         max_delay_tap=5, max_doppler_tap=2)
         chan = sample_channel(cfg, 15)
         mn = chan.mn
-        q_rx, core, q_tx = spatial_core(chan)
+        q_rx, core, q_tx = dense_spatial_core(chan)
         assert core.shape == (min(n_rx, n_paths) * mn, min(n_tx, n_paths) * mn)
         for q in (q_rx, q_tx):
             np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-14)
         lifted = np.kron(q_rx, np.eye(mn)) @ core @ np.kron(q_tx, np.eye(mn)).conj().T
         assert np.max(np.abs(lifted - entry_oracle(chan))) < 1e-12
+        path_q_rx, path_core, path_q_tx = spatial_core(chan)
+        assert np.array_equal(path_q_rx, q_rx) and np.array_equal(path_q_tx, q_tx)
+        assert path_core.side == min(core.shape) and path_core.wide == (core.shape[0] < core.shape[1])
+
+    @pytest.mark.parametrize(
+        "n_tx, n_rx, n_paths, max_tap",
+        [(3, 5, 4, 3), (6, 4, 10, 3), (4, 4, 6, 3), (4, 4, 1, 3), (3, 2, 4, 5), (2, 3, 4, 5)],
+        ids=["tall", "wide", "square", "one_path", "taps_wrap_wide", "taps_wrap_tall"],
+    )
+    def test_gram_and_product_match_the_dense_core(self, n_tx, n_rx, n_paths, max_tap):
+        # max_tap = MN - 1: delays wrap the frame, Doppler differences exceed MN
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths,
+                        max_delay_tap=max_tap, max_doppler_tap=max_tap)
+        for seed in range(3):
+            chan = sample_channel(cfg, seed)
+            core = spatial_core(chan)[1]
+            dense = dense_spatial_core(chan)[1]
+            assert core.wide == (dense.shape[0] < dense.shape[1])
+            a = dense.conj().T if core.wide else dense  # the tall one of C and C^H
+            gram = a.conj().T @ a
+            assert core.gram().shape == gram.shape == (core.side, core.side)
+            assert np.max(np.abs(core.gram() * core.scale**2 - gram)) < 1e-12 * np.max(np.abs(gram))
+            x = np.random.default_rng(seed).standard_normal((core.side, 5)) * (1 + 2j)
+            product = a @ x
+            assert np.max(np.abs(core.times(x) * core.scale - product)) < 1e-12 * np.max(np.abs(product))
+
+    def test_gains_are_scaled_by_a_power_of_two(self):
+        chan = DdMimoChannel(
+            paths=(PathParams(3e200 + 4e200j, 1, -1, 0.3, 1.2), PathParams(1e-5, 0, 1, 2.0, 0.4)),
+            n_tx=2, n_rx=2, m_delay=2, n_doppler=2,
+        )
+        core = spatial_core(chan)[1]
+        assert core.scale == 2.0 ** np.frexp(5e200)[1]
+        assert 0.5 <= np.max(np.abs(core.gains)) < 1.0
+        assert np.all(np.isfinite(core.gram()))
 
 
 class TestSampleChannel:

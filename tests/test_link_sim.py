@@ -1,14 +1,15 @@
 """End-to-end link pipeline tests: recovery, pairing, sweeps, CSV."""
 
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from otfslink import allocation, link_sim, modem, precoding
-from otfslink.channel import apply_channel, sample_channel
+from otfslink import allocation, link_sim, modem, precoding, validation
+from otfslink.channel import DdMimoChannel, PathParams, apply_channel, sample_channel
 from otfslink.dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from otfslink.link_sim import (
     CSV_COLUMNS,
@@ -181,6 +182,40 @@ class TestRunLink:
         )
         with pytest.raises(RankDeficientChannelError):
             run_random_link(cfg, np.random.default_rng(8))
+
+
+def _two_path_channel(gains):
+    return DdMimoChannel(
+        paths=(PathParams(gains[0], 0, 1, 0.4, 1.1), PathParams(gains[1], 1, -1, 2.0, 0.7)),
+        n_tx=2, n_rx=2, m_delay=2, n_doppler=2,
+    )
+
+
+class TestGainScale:
+    """A finite channel decomposes at any gain scale; its Gram matrix cannot overflow."""
+
+    BASE = (0.8 + 0.3j, -0.2 + 0.9j)
+
+    @pytest.mark.parametrize("factor", [1e200, 1e160, 1e-200])
+    def test_realization_scales_with_the_gains(self, factor):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            base = realize(_two_path_channel(self.BASE), 2, "dd_corrected")
+            scaled = realize(_two_path_channel([g * factor for g in self.BASE]), 2, "dd_corrected")
+        np.testing.assert_allclose(scaled.gains, factor * base.gains, rtol=1e-12, atol=0)
+        # Each singular pair (u_i, v_i) carries a phase that rounding decides,
+        # so the precoder/combiner are compared through w g^H = U V^H, which
+        # that phase leaves unchanged.
+        np.testing.assert_allclose(
+            scaled.pc.w @ scaled.pc.g.conj().T, base.pc.w @ base.pc.g.conj().T, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("gain", [1e200, 1e160])
+    def test_one_huge_path_reports_the_other_as_too_weak(self, gain):
+        # the weak path's MN = 4 singular values lie 1e-160 below the strong
+        # one's: the rank is the strong path's 4, not 0
+        with pytest.raises(RankDeficientChannelError, match="channel rank 4 cannot carry 8"):
+            realize(_two_path_channel((gain, self.BASE[1])), 2, "dd_corrected")
 
 
 def run_link_per_frame(cfg: SimConfig, payload_indices, importance, rng=None) -> LinkMetrics:
@@ -364,13 +399,13 @@ def _count_decompose(monkeypatch):
     calls, lapack = [], []
     real, real_lapack = link_sim.decompose, precoding._lapack_eigenpairs
 
-    def counted(h, k=None):
+    def counted(core, k=None):
         calls.append(k)
-        return real(h, k)
+        return real(core, k)
 
-    def counted_lapack(routines, h, k):
+    def counted_lapack(zheevr, g, k):
         lapack.append(k)
-        return real_lapack(routines, h, k)
+        return real_lapack(zheevr, g, k)
 
     monkeypatch.setattr(link_sim, "decompose", counted)
     monkeypatch.setattr(precoding, "_lapack_eigenpairs", counted_lapack)
@@ -406,6 +441,16 @@ class TestSweepLoop:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         for points in (snr_points(SMALL, [0.0, 12.0]), antenna_points(SMALL, [2, 4])):
+            rows = run_sweep(points, trials=2)
+            assert all(math.isfinite(row.mse) for row in rows)
+
+    def test_sweeps_never_form_the_dense_core(self, monkeypatch):
+        def no_dense(*args, **kwargs):
+            raise AssertionError("a dense core formed on the sweep path")
+
+        monkeypatch.setattr(validation, "dense_spatial_core", no_dense)
+        monkeypatch.setattr(validation, "DenseCore", no_dense)
+        for points in (snr_points(SMALL, [0.0, 12.0]), antenna_points(SMALL, [2, 3, 4])):
             rows = run_sweep(points, trials=2)
             assert all(math.isfinite(row.mse) for row in rows)
 

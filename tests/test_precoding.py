@@ -20,7 +20,7 @@ from otfslink.precoding import (
     lift_leading,
     sub_channel_gains,
 )
-from otfslink.validation import effective_dd_channel
+from otfslink.validation import DenseCore, dense_spatial_core, effective_dd_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,18 +34,18 @@ def random_channel(seed, n_ant=2, grid=2, n_paths=5):
 
 class TestDecompose:
     def test_identity(self):
-        dec = decompose(np.eye(4))
+        dec = decompose(DenseCore(np.eye(4)))
         np.testing.assert_allclose(dec.sigma, np.ones(4))
         assert dec.rank == 4
 
     def test_scaled_identity(self):
-        dec = decompose(3.0 * np.eye(2))
+        dec = decompose(DenseCore(3.0 * np.eye(2)))
         np.testing.assert_allclose(dec.sigma, [3.0, 3.0])
 
     def test_reconstruction_and_eig_oracle(self):
         rng = np.random.default_rng(21)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         recon = dec.u @ np.diag(dec.sigma) @ dec.v.conj().T
         assert np.linalg.norm(recon - h) < 1e-9 * np.linalg.norm(h)
         # singular values == sqrt of eigenvalues of H^H H (independent route)
@@ -54,20 +54,20 @@ class TestDecompose:
 
     def test_semi_unitary_factors(self):
         h = random_channel(3)
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         eye = np.eye(dec.rank)
         assert np.linalg.norm(dec.u.conj().T @ dec.u - eye) < 1e-10
         assert np.linalg.norm(dec.v.conj().T @ dec.v - eye) < 1e-10
 
     def test_sigma_descending_nonnegative(self):
-        dec = decompose(random_channel(4))
+        dec = decompose(DenseCore(random_channel(4)))
         assert np.all(np.diff(dec.sigma) <= 0)
         assert np.all(dec.sigma >= 0)
 
     def test_rank_truncation(self):
         h = np.zeros((4, 4), complex)
         h[0, 0] = 2.0
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         assert dec.rank == 1
         assert dec.sigma.shape == (1,)
 
@@ -76,7 +76,7 @@ class TestDecompose:
         h = h.astype(complex)
         h[0, 0] = np.inf
         with pytest.raises(ValueError):
-            decompose(h)
+            decompose(DenseCore(h))
 
 
 class TestPrecoderCombiner:
@@ -89,7 +89,7 @@ class TestPrecoderCombiner:
                 5,
             )
         )
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         literal = build_precoder_combiner(dec, 1, 4, 1, "paper_literal")
         corrected = build_precoder_combiner(dec, 1, 4, 1, "dd_corrected")
         np.testing.assert_allclose(literal.g, corrected.g, atol=1e-12)
@@ -97,7 +97,7 @@ class TestPrecoderCombiner:
 
     @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
     def test_semi_unitary(self, mode):
-        dec = decompose(random_channel(6))
+        dec = decompose(DenseCore(random_channel(6)))
         pc = build_precoder_combiner(dec, 1, 2, 2, mode)
         k = 4
         assert np.linalg.norm(pc.g.conj().T @ pc.g - np.eye(k)) < 1e-10
@@ -106,12 +106,12 @@ class TestPrecoderCombiner:
     def test_rank_deficiency_raises(self):
         h = np.zeros((8, 8), complex)
         h[0, 0] = 1.0
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         with pytest.raises(RankDeficientChannelError):
             build_precoder_combiner(dec, 1, 2, 2)
 
     def test_unknown_mode(self):
-        dec = decompose(np.eye(4))
+        dec = decompose(DenseCore(np.eye(4)))
         with pytest.raises(ValueError):
             build_precoder_combiner(dec, 1, 2, 2, "bogus")
 
@@ -120,7 +120,7 @@ class TestEffectiveDdChannel:
     def test_dd_corrected_diagonalizes(self):
         for seed in range(50):
             h = random_channel(seed, n_ant=2, grid=2, n_paths=2)
-            dec = decompose(h)
+            dec = decompose(DenseCore(h))
             if dec.rank < 4:
                 continue
             pc = build_precoder_combiner(dec, 1, 2, 2, "dd_corrected")
@@ -132,7 +132,7 @@ class TestEffectiveDdChannel:
 
     def test_literal_mode_returned_as_is(self):
         h = random_channel(1)
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         pc = build_precoder_combiner(dec, 1, 2, 2, "paper_literal")
         eff = effective_dd_channel(h, pc, 1, 2, 2)
         c_t, c_r = dd_transform_matrices(1, 2, 2)
@@ -152,7 +152,7 @@ class TestEffectiveDdChannel:
                 15,
             )
         )
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         pc = build_precoder_combiner(dec, 1, 4, 1, "paper_literal")
         eff = effective_dd_channel(h, pc, 1, 4, 1)
         gains = sub_channel_gains(dec, 1, 4, 1)
@@ -162,7 +162,7 @@ class TestEffectiveDdChannel:
 
     def test_scaling_linearity(self):
         h = random_channel(2)
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         pc = build_precoder_combiner(dec, 1, 2, 2, "dd_corrected")
         eff = effective_dd_channel(h, pc, 1, 2, 2)
         scaled = effective_dd_channel(3.0 * h, pc, 1, 2, 2)
@@ -171,7 +171,7 @@ class TestEffectiveDdChannel:
 
     def test_modes_share_singular_values(self):
         h = random_channel(7)
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         effs = [
             effective_dd_channel(h, build_precoder_combiner(dec, 1, 2, 2, mode), 1, 2, 2)
             for mode in ("paper_literal", "dd_corrected")
@@ -184,7 +184,7 @@ class TestEffectiveDdChannel:
 
     def test_noise_statistics_preserved(self):
         h = random_channel(8)
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         pc = build_precoder_combiner(dec, 1, 2, 2, "dd_corrected")
         _, c_r = dd_transform_matrices(1, 2, 2)
         cov = c_r @ pc.w.conj().T @ pc.w @ c_r.conj().T
@@ -192,7 +192,7 @@ class TestEffectiveDdChannel:
 
     def test_shape_validation(self):
         h = random_channel(9)
-        dec = decompose(h)
+        dec = decompose(DenseCore(h))
         pc = build_precoder_combiner(dec, 1, 2, 2)
         with pytest.raises(ValueError):
             effective_dd_channel(h[:, :4], pc, 1, 2, 2)
@@ -200,31 +200,31 @@ class TestEffectiveDdChannel:
 
 class TestSubChannelGains:
     def test_identity_channel(self):
-        gains = sub_channel_gains(decompose(np.eye(4)), 1, 2, 2)
+        gains = sub_channel_gains(decompose(DenseCore(np.eye(4))), 1, 2, 2)
         np.testing.assert_allclose(gains, np.ones(4))
 
     def test_takes_leading_values(self):
-        gains = sub_channel_gains(decompose(np.diag([4.0, 3.0, 2.0, 1.0])), 1, 2, 1)
+        gains = sub_channel_gains(decompose(DenseCore(np.diag([4.0, 3.0, 2.0, 1.0]))), 1, 2, 1)
         np.testing.assert_allclose(gains, [4.0, 3.0])
 
     def test_matches_eig_oracle(self):
         h = random_channel(10)
         expected = np.sqrt(np.maximum(np.linalg.eigvalsh(h.conj().T @ h), 0.0))[::-1][:4]
-        np.testing.assert_allclose(sub_channel_gains(decompose(h), 1, 2, 2), expected, atol=1e-8)
+        np.testing.assert_allclose(sub_channel_gains(decompose(DenseCore(h)), 1, 2, 2), expected, atol=1e-8)
 
     def test_descending(self):
-        gains = sub_channel_gains(decompose(random_channel(11)), 1, 2, 2)
+        gains = sub_channel_gains(decompose(DenseCore(random_channel(11))), 1, 2, 2)
         assert np.all(np.diff(gains) <= 0)
 
     def test_scaling(self):
         h = random_channel(12)
-        g1 = sub_channel_gains(decompose(h), 1, 2, 2)
-        g2 = sub_channel_gains(decompose(2.5 * h), 1, 2, 2)
+        g1 = sub_channel_gains(decompose(DenseCore(h)), 1, 2, 2)
+        g2 = sub_channel_gains(decompose(DenseCore(2.5 * h)), 1, 2, 2)
         np.testing.assert_allclose(g2, 2.5 * g1, rtol=1e-10)
 
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficientChannelError):
-            sub_channel_gains(decompose(np.diag([1.0, 0.0, 0.0, 0.0])), 1, 2, 2)
+            sub_channel_gains(decompose(DenseCore(np.diag([1.0, 0.0, 0.0, 0.0]))), 1, 2, 2)
 
 
 class TestSpatialCoreRoute:
@@ -245,7 +245,7 @@ class TestSpatialCoreRoute:
     @SHAPES
     def test_gains_and_rank_match_the_dense_svd(self, n_tx, n_rx, n_paths, n_rf):
         chan = self._chan(n_tx, n_rx, n_paths)
-        dense = decompose(build_time_channel(chan))
+        dense = decompose(DenseCore(build_time_channel(chan)))
         core = decompose(spatial_core(chan)[1])
         assert core.rank == dense.rank
         np.testing.assert_allclose(core.sigma, dense.sigma, rtol=0, atol=1e-12 * dense.sigma[0])
@@ -294,50 +294,59 @@ def _complex_gaussian(rows, cols, seed):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _dense(rows, cols, seed):
+    """A Gaussian matrix as ``decompose`` takes it, and as itself."""
+    h = _complex_gaussian(rows, cols, seed)
+    return DenseCore(h), h
+
+
 def _core(n_tx, n_rx, n_paths):
-    return spatial_core(TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths))[1]
+    """A channel's path-built spatial core, and the dense core it stands for."""
+    chan = TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths)
+    return spatial_core(chan)[1], dense_spatial_core(chan)[1]
 
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Records the ``k`` of every decomposition that took the zherk/zheevr route."""
+    """Records the ``k`` of every decomposition that took the zheevr route."""
     calls = []
     real = precoding._lapack_eigenpairs
 
-    def counted(routines, h, k):
+    def counted(zheevr, g, k):
         calls.append(k)
-        return real(routines, h, k)
+        return real(zheevr, g, k)
 
     monkeypatch.setattr(precoding, "_lapack_eigenpairs", counted)
     return calls
 
 
 class TestSubsetDecompose:
-    """``decompose(c, k)`` against the full ``np.linalg.svd`` of ``c``."""
+    """``decompose(core, k)`` against the full ``np.linalg.svd`` of the dense ``c``."""
 
     @pytest.mark.parametrize(
-        "c, k",
+        "case, k",
         [
             (_core(8, 8, 10), 12),  # 48 x 48 core, n_rf = 2: k is a quarter of the side
             (_core(4, 6, 10), 6),  # 36 x 24 core, n_rf = 1
             (_core(6, 4, 10), 6),  # 24 x 36 core
             (_core(6, 6, 10), 12),  # 36 x 36 core, n_rf = 2: k is a third of the side
             (_core(3, 5, 10), 6),  # 30 x 18 core
-            (_complex_gaussian(96, 64, 1), 16),
-            (_complex_gaussian(64, 96, 2), 16),
-            (_complex_gaussian(96, 64, 3), 17),
-            (_complex_gaussian(96, 64, 9), 32),
-            (_complex_gaussian(64, 96, 10), 32),
-            (_complex_gaussian(96, 64, 11), 64),
-            (_complex_gaussian(64, 96, 12), 64),
+            (_dense(96, 64, 1), 16),
+            (_dense(64, 96, 2), 16),
+            (_dense(96, 64, 3), 17),
+            (_dense(96, 64, 9), 32),
+            (_dense(64, 96, 10), 32),
+            (_dense(96, 64, 11), 64),
+            (_dense(64, 96, 12), 64),
         ],
         ids=["core_square", "core_tall", "core_wide", "core_square_full", "core_tall_full",
              "tall", "wide", "tall_just_above_a_quarter", "tall_half", "wide_half", "tall_all",
              "wide_all"],
     )
-    def test_matches_the_full_svd_truncated(self, lapack_calls, c, k):
+    def test_matches_the_full_svd_truncated(self, lapack_calls, case, k):
+        core, c = case
         before = c.copy()
-        dec = decompose(c, k)
+        dec = decompose(core, k)
         assert np.array_equal(c, before)
         assert lapack_calls == [k]
         s = np.linalg.svd(c, compute_uv=False)
@@ -352,7 +361,7 @@ class TestSubsetDecompose:
     def test_rank_below_k_on_the_subset_branch(self, lapack_calls):
         r, k = 10, 16
         c = _complex_gaussian(64, r, 4) @ _complex_gaussian(r, 80, 5)
-        dec = decompose(c, k)
+        dec = decompose(DenseCore(c), k)
         assert lapack_calls == [k]
         assert dec.rank == r and dec.sigma.shape == (r,)
         s = np.linalg.svd(c, compute_uv=False)
@@ -362,14 +371,14 @@ class TestSubsetDecompose:
 
     def test_k_above_the_side_is_all_triplets(self):
         c = _complex_gaussian(6, 4, 6)
-        dec = decompose(c, 9)
+        dec = decompose(DenseCore(c), 9)
         assert dec.rank == 4
         s = np.linalg.svd(c, compute_uv=False)
         np.testing.assert_allclose(dec.sigma, s, rtol=0, atol=1e-12 * dec.sigma[0])
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            decompose(np.eye(4), 0)
+            decompose(DenseCore(np.eye(4)), 0)
 
     def test_subset_branch_needs_no_numpy_svd(self, monkeypatch, lapack_calls):
         c = _complex_gaussian(64, 48, 7)
@@ -380,7 +389,7 @@ class TestSubsetDecompose:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         for k in (16, None):
-            dec = decompose(c, k)
+            dec = decompose(DenseCore(c), k)
             np.testing.assert_allclose(dec.sigma, s[:k], rtol=0, atol=1e-12 * s[0])
         assert lapack_calls == [16, 48]
 
@@ -398,7 +407,7 @@ class TestSubsetDecompose:
         try:
             assert precoding._gram_routines() is None
             tall, wide = _complex_gaussian(64, 48, 8), _complex_gaussian(48, 64, 13)
-            decs = [decompose(c, 16) for c in (tall, wide)]
+            decs = [decompose(DenseCore(c), 16) for c in (tall, wide)]
         finally:
             precoding._gram_routines.cache_clear()  # resolved again once the symbols are restored
         assert lapack_calls == [] and eigh_calls == [(48, 48), (48, 48)]
@@ -429,34 +438,61 @@ def test_one_openblas_file_after_a_realization():
 
         sim = parse_config(sys.argv[1]).sim
         realize(sample_channel(sim, 0), sim.n_rf, sim.precoder_mode)
-        assert precoding._gram_routines() is not None
+        print(precoding._gram_routines().__name__)
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()}
         print("\\n".join(sorted(paths)))
         """
-    out = _run_python(code, ROOT / "configs" / "default.json")
-    assert len(out.split()) == 1, out
+    routine, *paths = _run_python(code, ROOT / "configs" / "default.json").split()
+    assert routine in precoding._ZHEEVR_SYMBOLS
+    assert len(paths) == 1, paths
+    # the only BLAS/LAPACK routine the package binds is zheevr
+    sources = (ROOT / "src" / "otfslink").glob("*.py")
+    assert not [path.name for path in sources if "zherk" in path.read_text()]
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_decompose_raises_peak_memory_by_under_1_75_core_sized_matrices():
-    # ru_maxrss is KiB on Linux, bytes on macOS. The route holds the Gram
-    # matrix and k eigenvectors; a stray copy of the core or of the Gram
-    # matrix would add one more core-sized matrix.
+    # realize with 8x8 antennas on an 8x16 grid: a 1024-square Gram matrix,
+    # k = 256. Its decomposition holds the Gram matrix, the k eigenvectors
+    # and the other side's k vectors, never the core itself: a dense core or
+    # a copy of the Gram matrix would add one more core-sized matrix
+    # (16*side**2 bytes). The core's own construction allocates next to nothing.
+    # VmHWM is the peak of this process image; ru_maxrss would carry over the
+    # peak of the forked test runner across exec.
     code = """
-        import resource, sys
-        from otfslink.channel import sample_channel, spatial_core
-        from otfslink.link_sim import SimConfig
-        from otfslink.precoding import decompose
+        import tracemalloc
+        from otfslink import link_sim
+        from otfslink.channel import sample_channel
+        from otfslink.link_sim import SimConfig, realize
 
+        def peak():  # bytes
+            with open("/proc/self/status") as fh:
+                return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1]) * 1024
+
+        seen = {}
+        build_core, decompose = link_sim.spatial_core, link_sim.decompose
+
+        def traced_core(chan):
+            tracemalloc.start()
+            out = build_core(chan)
+            seen["core"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return out
+
+        def measured(core, k):
+            before = peak()
+            dec = decompose(core, k)
+            seen.update(side=core.side, rank=dec.rank, rise=peak() - before)
+            return dec
+
+        link_sim.spatial_core, link_sim.decompose = traced_core, measured
         cfg = SimConfig(m_delay=8, n_doppler=16)
-        core = spatial_core(sample_channel(cfg, 0))[1]
-        unit = 1 if sys.platform == "darwin" else 1024
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        dec = decompose(core, cfg.n_subchannels)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(core.shape[0], core.shape[1], dec.rank, (after - before) * unit / core.nbytes)
+        realize(sample_channel(cfg, 0), cfg.n_rf, cfg.precoder_mode)
+        unit = 16 * seen["side"] ** 2
+        print(seen["side"], seen["rank"], seen["rise"] / unit, seen["core"] / unit)
         """
-    rows, cols, rank, rise = _run_python(code).split()
-    assert (int(rows), int(cols), int(rank)) == (1024, 1024, 256)
+    side, rank, rise, core = _run_python(code).split()
+    assert (int(side), int(rank)) == (1024, 256)
     assert float(rise) < 1.75, f"decompose raised the peak RSS by {float(rise):.2f} core-sized matrices"
+    assert float(core) < 0.01, f"spatial_core allocated {float(core):.2f} core-sized matrices"
