@@ -98,11 +98,10 @@ def phase_rotation_matrix(size: int, power: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * q * power / size))
 
 
-# Most entries of the per-path slabs SpatialCore.times holds at once: it takes
-# as many columns at a time as keep paths * MN * columns within this bound.
-# Blocks of 1 MiB took a 2048 x 512 product from 0.028 s (4 MiB) to 0.020 s on
-# a 2-vCPU host and leave less freed heap resident behind them.
-_TIMES_CHUNK_ENTRIES = 2**16
+# Most entries of the per-pair s x s blocks SpatialCore.gram holds at once: it
+# sums the path pairs in row blocks of as many paths as keep paths * s**2 *
+# rows within this bound, so its memory does not grow with paths**2.
+_GRAM_CHUNK_ENTRIES = 2**16
 
 
 def _path_sum(mn: int, gains, blocks: np.ndarray, delays, dopplers) -> np.ndarray:
@@ -169,10 +168,11 @@ class SpatialCore:
     swap sides. Either way the fields describe a tall matrix A, C or C^H,
     with ``r_in`` the smaller side.
 
-    ``scale`` is the smallest power of two above the largest ``|gain|``,
-    and ``gains`` are the path gains divided by it, which is exact, so that
-    the Gram matrix of a finite channel can neither overflow nor lose its
-    leading digits to underflow.
+    ``scale`` is half the smallest power of two above the largest real or
+    imaginary part of a gain, so it is finite for every finite gain, and
+    ``gains`` are the path gains divided by it, which is exact: no scaled
+    part reaches 2, so the Gram matrix of a finite channel can neither
+    overflow nor lose its leading digits to underflow.
     """
 
     r_out: np.ndarray
@@ -195,46 +195,65 @@ class SpatialCore:
         ``A^H A = sum_(i,j) conj(g_i) g_j (o_i^H o_j) (n_i n_j^H) kron
         Delta^(-k_i) Pi^(l_j - l_i) Delta^(k_j)``, and ``Delta^(-k_i) Pi^d
         Delta^(k_j) = w^(-k_i d) Pi^d Delta^(k_j - k_i)``. Path pairs with
-        equal ``(l_j - l_i, k_j - k_i)`` share one ``side/MN``-square block,
-        so the Gram matrix is one :func:`_path_sum` of at most
-        ``(2*max_delay_tap + 1)*(4*max_doppler_tap + 1)`` terms.
+        equal ``(l_j - l_i, k_j - k_i)`` modulo MN share one
+        ``side/MN``-square block, so the Gram matrix is one
+        :func:`_path_sum` of at most ``min(L**2, MN**2,
+        (2*max_delay_tap + 1)*(4*max_doppler_tap + 1))`` terms, whose blocks
+        together hold no more entries than the Gram matrix. The pairs are
+        summed into the blocks a few rows of paths at a time, at most
+        :data:`_GRAM_CHUNK_ENTRIES` pair entries at once.
         """
         mn, g, l, k = self.mn, self.gains, self.delays, self.dopplers
-        d = l[None, :] - l[:, None]  # d[i, j] = l_j - l_i
-        dk = k[None, :] - k[:, None]
-        weight = (g.conj()[:, None] * g[None, :] * (self.r_out.conj().T @ self.r_out)
-                  * np.exp(-2j * np.pi * ((k[:, None] * d) % mn) / mn))
-        taps, group = np.unique(np.stack([d.ravel(), dk.ravel()], axis=1), axis=0, return_inverse=True)
-        pairs = np.zeros((len(taps), g.size * g.size), dtype=complex)
-        pairs[group.ravel(), np.arange(g.size * g.size)] = weight.ravel()
-        blocks = self.r_in @ pairs.reshape(len(taps), g.size, g.size) @ self.r_in.conj().T
-        return _path_sum(mn, np.ones(len(taps)), blocks, taps[:, 0], taps[:, 1])
+        n_in = self.r_in.T  # row i: path i's column of r_in
+        paths, s = n_in.shape
+        step = max(1, _GRAM_CHUNK_ENTRIES // (paths * s * s))
+        rows = [slice(start, start + step) for start in range(0, paths, step)]
+
+        def pair_taps(i):
+            # (d, k_j - k_i) mod MN as one key: Pi, Delta and w^(-k_i d) have period MN
+            return (l[None, :] - l[i, None]) % mn * mn + (k[None, :] - k[i, None]) % mn
+
+        taps = np.unique(np.concatenate([np.unique(pair_taps(i)) for i in rows]))
+        blocks = np.zeros((taps.size, s, s), dtype=complex)
+        for i in rows:
+            keys = pair_taps(i)
+            weight = (g[i].conj()[:, None] * g[None, :] * (self.r_out[:, i].conj().T @ self.r_out)
+                      * np.exp(-2j * np.pi * ((k[i, None] * (keys // mn)) % mn) / mn))
+            outer = weight[:, :, None, None] * n_in[i, None, :, None] * n_in.conj()[None, :, None, :]
+            np.add.at(blocks, np.searchsorted(taps, keys).ravel(), outer.reshape(-1, s, s))
+        return _path_sum(mn, np.ones(taps.size), blocks, taps // mn, taps % mn)
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """``A x / scale`` for the ``(side, k)`` array ``x``: ``C x`` or ``C^H x``, over ``scale``.
 
         One product with ``R_in^H`` takes x to one ``MN x k`` slab per path,
         each path shifts and rotates its slab, and one product with
-        ``R_out`` sums the paths into A's row space. Columns go through in
-        blocks of at most :data:`_TIMES_CHUNK_ENTRIES` slab entries.
+        ``R_out`` sums the paths into A's row space. The slabs of all
+        paths would outgrow the result once there are more paths than
+        ``R_out`` has rows, so the columns go through in blocks whose slabs
+        hold no more entries than the result.
         """
-        mn, paths = self.mn, self.gains.size
-        out = np.empty((self.r_out.shape[0] * mn, x.shape[1]), dtype=complex)
-        step = max(1, _TIMES_CHUNK_ENTRIES // (paths * mn))
+        mn = self.mn
+        n_out = self.r_out.shape[0]
+        out = np.empty((n_out * mn, x.shape[1]), dtype=complex)
+        step = max(1, n_out * x.shape[1] // self.gains.size)
         q = np.arange(mn)
         phases = self.gains[:, None] * np.exp(2j * np.pi * ((self.dopplers[:, None] * q) % mn) / mn)
         for start in range(0, x.shape[1], step):
-            block = x[:, start:start + step]
-            cols = block.shape[1]
-            slabs = (self.r_in.conj().T @ block.reshape(self.r_in.shape[0], mn * cols)).reshape(paths, mn, cols)
-            shifted = np.empty_like(slabs)
-            for i, delay in enumerate(self.delays):
-                # row q of the slab, times its phase, lands on row (q + delay) mod MN
-                cut = mn - delay
-                np.multiply(slabs[i, :cut], phases[i, :cut, None], out=shifted[i, delay:])
-                np.multiply(slabs[i, cut:], phases[i, cut:, None], out=shifted[i, :delay])
-            out[:, start:start + step] = (self.r_out @ shifted.reshape(paths, mn * cols)).reshape(-1, cols)
+            out[:, start:start + step] = self._times_block(x[:, start:start + step], phases)
         return out
+
+    def _times_block(self, block: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """One column block of :meth:`times`; its slabs are freed on return."""
+        mn, paths, cols = self.mn, self.gains.size, block.shape[1]
+        slabs = (self.r_in.conj().T @ block.reshape(self.r_in.shape[0], mn * cols)).reshape(paths, mn, cols)
+        shifted = np.empty_like(slabs)
+        for i, delay in enumerate(self.delays):
+            # row q of the slab, times its phase, lands on row (q + delay) mod MN
+            cut = mn - delay
+            np.multiply(slabs[i, :cut], phases[i, :cut, None], out=shifted[i, delay:])
+            np.multiply(slabs[i, cut:], phases[i, cut:, None], out=shifted[i, :delay])
+        return (self.r_out @ shifted.reshape(paths, mn * cols)).reshape(-1, cols)
 
 
 def spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, SpatialCore, np.ndarray]:
@@ -254,8 +273,9 @@ def spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, SpatialCore, np.ndarr
     q_rx, r_rx = np.linalg.qr(a_rx)
     q_tx, r_tx = np.linalg.qr(a_tx)
     gains, delays, dopplers = _taps(chan)
-    peak = float(np.max(np.abs(gains)))
-    scale = 2.0 ** np.frexp(peak)[1] if peak > 0 else 1.0
+    # the parts, not |gain|: |gain| overflows for parts near the largest float
+    peak = float(np.max(np.abs(gains.view(float))))
+    scale = 2.0 ** (np.frexp(peak)[1] - 1) if peak > 0 else 1.0
     gains = gains / scale
     mn = chan.mn
     wide = r_rx.shape[0] < r_tx.shape[0]

@@ -1,5 +1,8 @@
 """Channel construction tests against an entry-by-entry closed-form oracle."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -213,15 +216,54 @@ class TestSpatialCore:
             product = a @ x
             assert np.max(np.abs(core.times(x) * core.scale - product)) < 1e-12 * np.max(np.abs(product))
 
-    def test_gains_are_scaled_by_a_power_of_two(self):
+    @pytest.mark.parametrize("big", [3e200 + 4e200j, 1e308, 1.5e308 + 1.5e308j])
+    def test_gains_are_scaled_by_a_power_of_two(self, big):
+        # 1.5e308 + 1.5e308j is finite though its modulus is not
         chan = DdMimoChannel(
-            paths=(PathParams(3e200 + 4e200j, 1, -1, 0.3, 1.2), PathParams(1e-5, 0, 1, 2.0, 0.4)),
+            paths=(PathParams(big, 1, -1, 0.3, 1.2), PathParams(1e-5, 0, 1, 2.0, 0.4)),
             n_tx=2, n_rx=2, m_delay=2, n_doppler=2,
         )
-        core = spatial_core(chan)[1]
-        assert core.scale == 2.0 ** np.frexp(5e200)[1]
-        assert 0.5 <= np.max(np.abs(core.gains)) < 1.0
-        assert np.all(np.isfinite(core.gram()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            core = spatial_core(chan)[1]
+            gram = core.gram()
+        peak = max(abs(big.real), abs(big.imag))
+        assert core.scale == 2.0 ** (np.frexp(peak)[1] - 1)
+        assert 1.0 <= np.max(np.abs(core.gains.view(float))) < 2.0
+        assert np.all(np.isfinite(gram))
+
+    def test_gram_memory_stays_within_a_few_gram_sized_matrices(self):
+        # 60 paths whose taps span the whole 16 x 8 grid: thousands of distinct
+        # pair taps, which a pairs-by-taps array would hold 50 times the Gram
+        # matrix's bytes for
+        cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=16, n_doppler=8, n_paths=60,
+                        max_delay_tap=127, max_doppler_tap=127)
+        core = spatial_core(sample_channel(cfg, 3))[1]
+        gram_bytes = 16 * core.side**2
+        tracemalloc.start()
+        try:
+            gram = core.gram()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gram.shape == (core.side, core.side)
+        assert peak < 2.5 * gram_bytes
+
+    def test_product_memory_stays_within_a_few_result_sized_matrices(self):
+        # 60 paths against 4 rows of R_out: all paths' slabs at once would
+        # hold 15 times the result's entries, twice over
+        cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=16, n_doppler=8, n_paths=60,
+                        max_delay_tap=127, max_doppler_tap=127)
+        core = spatial_core(sample_channel(cfg, 3))[1]
+        x = np.random.default_rng(3).standard_normal((core.side, core.side)) + 0j
+        tracemalloc.start()
+        try:
+            product = core.times(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * product.nbytes
+        np.testing.assert_allclose(product[:, :5], core.times(x[:, :5]), rtol=0, atol=1e-12)
 
 
 class TestSampleChannel:

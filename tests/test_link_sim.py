@@ -196,7 +196,7 @@ class TestGainScale:
 
     BASE = (0.8 + 0.3j, -0.2 + 0.9j)
 
-    @pytest.mark.parametrize("factor", [1e200, 1e160, 1e-200])
+    @pytest.mark.parametrize("factor", [1e308, 1e200, 1e160, 1e-200])
     def test_realization_scales_with_the_gains(self, factor):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -210,7 +210,7 @@ class TestGainScale:
             scaled.pc.w @ scaled.pc.g.conj().T, base.pc.w @ base.pc.g.conj().T, rtol=0, atol=1e-12
         )
 
-    @pytest.mark.parametrize("gain", [1e200, 1e160])
+    @pytest.mark.parametrize("gain", [1e308, 1e200, 1e160])
     def test_one_huge_path_reports_the_other_as_too_weak(self, gain):
         # the weak path's MN = 4 singular values lie 1e-160 below the strong
         # one's: the rank is the strong path's 4, not 0
