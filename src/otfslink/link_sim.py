@@ -24,8 +24,9 @@ own fresh trial stream in that order, so the CSV is the same as running
 each (point, trial) link on its own. Only the deterministic expansion of
 the drawn channel (gains, precoder/combiner and dense H; see
 :func:`realize`) is reused: a :class:`RealizationSlot` hands it on to the
-next link whose drawn channel, ``n_rf`` and precoder mode are equal. An SNR
-sweep therefore decomposes one channel per trial instead of one per link.
+next link whose drawn channel, ``n_rf`` and precoder mode equal the ones it
+was computed for. An SNR sweep therefore decomposes one channel per trial
+instead of one per link.
 
 A link's burst of ``n_frames`` frames shares its channel and goes through
 as ``(frames, ...)`` arrays, frame axis leading, in chunks bounded by
@@ -35,11 +36,12 @@ one frame at a time.
 
 The decomposition is the SVD of the channel's exact spatial core, not of
 the dense H: H factors as ``(Q_rx kron I) C (Q_tx kron I)^H`` with ``C`` of
-size ``min(n_rx, L)*MN x min(n_tx, L)*MN`` for L paths. Only the
-``n_rf*MN`` leading triplets the link uses are computed, from the leading
-eigenpairs of C's Gram matrix, and only they are lifted back to H's
-coordinates. C itself is never formed: its Gram matrix is summed from the
-path pairs and its products are taken path by path
+size ``min(n_rx, L)*MN x min(n_tx, L)*MN`` for L paths.
+:func:`~otfslink.precoding.decompose` returns exactly the ``n_rf*MN``
+leading triplets the link uses, from the leading eigenpairs of C's Gram
+matrix, or raises when the channel's rank is lower; :func:`realize` lifts
+them to H's coordinates. C itself is never formed: its Gram matrix is
+summed from the path pairs and its products are taken path by path
 (:class:`~otfslink.channel.SpatialCore`). The dense H is built only to
 apply the channel to the transmitted frames. In CSV version 0.6.0 that
 Gram matrix and product round differently from 0.5.0's dense ones, so at
@@ -55,7 +57,7 @@ import io
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,7 +69,6 @@ from .precoding import (
     PrecoderCombiner,
     build_precoder_combiner,
     decompose,
-    lift_leading,
     sub_channel_gains,
 )
 
@@ -108,25 +109,6 @@ _ARRAY_SIZES = (
     ("the receive array response", (("n_rx", 1), ("n_paths", 1))),
     ("the payload", (("n_frames", 1), ("n_rf", 1), ("m_delay", 1), ("n_doppler", 1))),
 )
-
-CSV_COLUMNS = (
-    "snr_db",
-    "n_tx",
-    "n_rx",
-    "n_rf",
-    "mode",
-    "trials",
-    "ser",
-    "mse",
-    "weighted_mse",
-    "kappa_exact",
-    "kappa_soft",
-    "gamma_max",
-    "gamma_min",
-)
-# Written as they are; every other column is a float written with full repr precision.
-_VERBATIM_COLUMNS = ("n_tx", "n_rx", "n_rf", "mode", "trials")
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -246,6 +228,11 @@ class SweepRow:
     gamma_min: float
 
 
+CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
+# Written as they are; every other column is a float written with full repr precision.
+_VERBATIM_COLUMNS = ("n_tx", "n_rx", "n_rf", "mode", "trials")
+
+
 def snr_to_noise_var(snr_db: float) -> float:
     """Per-complex-component noise variance at unit symbol energy: 10**(-snr_db/10)."""
     return float(10.0 ** (-float(snr_db) / 10.0))
@@ -272,9 +259,6 @@ class Realization:
     a transmission uses of them.
     """
 
-    chan: DdMimoChannel
-    n_rf: int
-    precoder_mode: str
     h: np.ndarray
     pc: PrecoderCombiner
     gains: np.ndarray
@@ -285,14 +269,16 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
 
     The SVD is taken of the spatial core C, ``H = (Q_rx kron I) C (Q_tx
     kron I)^H``, which has H's nonzero singular values and is smaller than
-    H when an array has more antennas than the channel has paths, and only
-    the ``n_rf*MN`` leading triplets the link uses are computed, from the
-    leading eigenpairs of C's Gram matrix (see
-    :func:`~otfslink.precoding.decompose`). C is held by its paths, never
-    as a matrix: the Gram matrix is summed from the path pairs and freed
-    inside the decomposition. The gains raise
+    H when an array has more antennas than the channel has paths.
+    :func:`~otfslink.precoding.decompose` returns exactly the ``n_rf*MN``
+    leading triplets of C the link uses, from the leading eigenpairs of its
+    Gram matrix, or raises
     :class:`~otfslink.precoding.RankDeficientChannelError` before any
-    vector is lifted to H's coordinates. H itself, which only
+    vector is lifted. Both ``Q kron I`` have orthonormal columns, so
+    ``(Q_rx kron I) u`` and ``(Q_tx kron I) v`` are singular vectors of H
+    with C's singular values. C is held by its paths, never as a matrix:
+    the Gram matrix is summed from the path pairs and freed inside the
+    decomposition. H itself, which only
     :func:`~otfslink.channel.apply_channel` needs, is built last, so the
     Gram matrix and H are never alive together.
     """
@@ -300,12 +286,18 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     q_rx, core, q_tx = spatial_core(chan)
     dec = decompose(core, n_rf * m * n)
     del core
-    gains = sub_channel_gains(dec, n_rf, m, n)
-    dec = lift_leading(dec, q_rx, q_tx, gains.size)
+    gains = sub_channel_gains(dec)
+    dec = replace(dec, u=_kron_eye_times(q_rx, dec.u), v=_kron_eye_times(q_tx, dec.v))
     pc = build_precoder_combiner(dec, n_rf, m, n, precoder_mode)
     del dec
     h = build_time_channel(chan)
-    return Realization(chan=chan, n_rf=n_rf, precoder_mode=precoder_mode, h=h, pc=pc, gains=gains)
+    return Realization(h=h, pc=pc, gains=gains)
+
+
+def _kron_eye_times(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(Q kron I) @ x`` without forming the Kronecker product."""
+    k = x.shape[1]
+    return (q @ x.reshape(q.shape[1], -1)).reshape(-1, k)
 
 
 class RealizationSlot:
@@ -313,20 +305,21 @@ class RealizationSlot:
 
     :meth:`get` returns the held realization only when the channel compares
     equal (exact equality of the frozen path parameters and geometry) and
-    ``n_rf`` and the precoder mode match. On a miss it drops the held one
-    before computing the next, so at most one dense H is alive at a time.
+    ``n_rf`` and the precoder mode match the ones it was computed for. On a
+    miss it drops the held one before computing the next, so at most one
+    dense H is alive at a time.
     """
 
     def __init__(self):
-        self._held = None
+        self._key = self._held = None
 
     def get(self, chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
-        held = self._held
         key = (chan, n_rf, precoder_mode)
-        if held is not None and (held.chan, held.n_rf, held.precoder_mode) == key:
-            return held
-        self._held = held = None
+        if key == self._key:
+            return self._held
+        self._key = self._held = None
         self._held = realize(chan, n_rf, precoder_mode)
+        self._key = key
         return self._held
 
 

@@ -1,15 +1,17 @@
 """SVD sub-channel decomposition and precoder/combiner construction.
 
 An SVD of the time-domain channel turns the MIMO-OTFS link into parallel
-scalar sub-channels whose gains are the singular values. The link takes
-that SVD from the channel's spatial core C, ``H = (Q_rx kron I) C (Q_tx
-kron I)^H`` (:func:`otfslink.channel.spatial_core`), and :func:`lift_leading`
-maps the leading singular vectors of C to those of H. :func:`decompose`
-computes only the leading triplets a link uses, as the leading eigenpairs
-of the Gram matrix of C's smaller side (LAPACK ``zheevr`` for an index
-range of eigenpairs). C is never formed: the channel module builds that
-Gram matrix from the path pairs and applies C path by path. Two precoder /
-combiner modes are provided:
+scalar sub-channels whose gains are the singular values. A link of
+``n_rf`` chains on an (M, N) grid uses exactly k = n_rf*M*N of them and
+needs a channel of rank >= k. :func:`decompose` owns that rule: it
+returns exactly the k leading triplets of the channel's spatial core C,
+``H = (Q_rx kron I) C (Q_tx kron I)^H``
+(:func:`otfslink.channel.spatial_core`), or raises
+:class:`RankDeficientChannelError`. It takes them from the leading
+eigenpairs of the Gram matrix of C's smaller side (LAPACK ``zheevr`` for
+an index range of eigenpairs). C is never formed: the channel module
+builds that Gram matrix from the path pairs and applies C path by path.
+Two precoder / combiner modes are provided:
 
 * ``paper_literal``: use the leading SVD factors directly (G = V1, W = U1),
   the textbook eigenmode scheme. The resulting DD-domain effective channel
@@ -60,10 +62,9 @@ class SubChannelDecomposition:
 
     ``u`` and ``v`` are semi-unitary and hold the leading singular vectors;
     ``sigma`` holds the corresponding singular values in descending order.
-    ``rank`` is the numerical rank among the triplets that were computed:
-    the channel's rank when :func:`decompose` computed all of them, else at
-    most the ``k`` it was asked for. :func:`decompose` keeps all ``rank``
-    triplets, :func:`lift_leading` only the ones the link uses.
+    ``rank`` always equals ``sigma.size``, the ``k`` that :func:`decompose`
+    was asked for; it stays only for the benchmark's rank counter, which
+    ROADMAP item 3 retires.
     """
 
     u: np.ndarray
@@ -78,7 +79,6 @@ class PrecoderCombiner:
 
     g: np.ndarray
     w: np.ndarray
-    mode: str
 
 
 @functools.cache
@@ -135,8 +135,8 @@ def _lapack_eigenpairs(zheevr, g: np.ndarray, k: int):
     return lam[:k], zh
 
 
-def decompose(core, k: int | None = None) -> SubChannelDecomposition:
-    """The leading ``k`` singular triplets of a channel core C, truncated to its numerical rank.
+def decompose(core, k: int) -> SubChannelDecomposition:
+    """The ``k`` leading singular triplets of a channel core C, or an error.
 
     ``core`` gives C in the form this route needs, never C itself:
     ``core.gram()`` is the Gram matrix of C's smaller side over
@@ -146,74 +146,43 @@ def decompose(core, k: int | None = None) -> SubChannelDecomposition:
     :class:`~otfslink.channel.SpatialCore`; a dense matrix goes through
     :class:`otfslink.validation.DenseCore`.
 
-    ``k = None`` asks for all of them. The triplets come from the ``k``
-    leading eigenpairs of the Gram matrix, by ``zheevr`` from numpy's own
-    OpenBLAS (by ``np.linalg.eigh`` when it does not export it); the Gram
-    matrix is freed before the other side's vectors, ``times(z) / sigma``,
-    are formed. Factors are complex128. ``rank`` counts the eigenvalues
-    above ``RANK_TOLERANCE**2 * lambda_max``, so it is ``min(rank(C), k)``.
-    LAPACK orders the eigenvalues, ties in a fixed order, so repeated runs
-    order them identically.
+    The triplets come from the ``k`` leading eigenpairs of the Gram matrix,
+    by ``zheevr`` from numpy's own OpenBLAS (by ``np.linalg.eigh`` when it
+    does not export it); the Gram matrix is freed before the other side's
+    vectors, ``times(z) / sigma``, are formed. Factors are complex128.
+    Raises :class:`RankDeficientChannelError` when fewer than ``k``
+    eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above
+    the side included, and ``ValueError`` when ``sigma_max * core.scale``
+    exceeds the float range. LAPACK orders the eigenvalues, ties in a
+    fixed order, so repeated runs order them identically.
     """
     g = np.ascontiguousarray(core.gram(), dtype=np.complex128)
     # |G_ij|**2 <= G_ii G_jj for a Gram matrix, so a finite diagonal means a finite G
     if g.ndim != 2 or g.size == 0 or g.shape[0] != g.shape[1] or not np.all(np.isfinite(g.diagonal())):
         raise ValueError(f"Gram matrix must be finite, square and non-empty, got shape {g.shape}")
-    side = g.shape[0]
-    if k is None:
-        k = side
-    elif k < 1:
+    if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    k = min(k, side)
+    # k above the side takes all the side's eigenpairs, so that the error names the rank
+    computed = min(k, g.shape[0])
     zheevr = _gram_routines()
     if zheevr is not None:
-        lam, zh = _lapack_eigenpairs(zheevr, g, k)
+        lam, zh = _lapack_eigenpairs(zheevr, g, computed)
     else:  # the same eigenpairs of the same Gram matrix
         lam, z = np.linalg.eigh(g)
-        lam, zh = lam[-k:], z[:, -k:].conj().T
+        lam, zh = lam[-computed:], z[:, -computed:].conj().T
     del g
     lam, zh = lam[::-1], zh[::-1]
     rank = int(np.count_nonzero(lam > RANK_TOLERANCE**2 * lam[0]))
-    sigma = np.sqrt(lam[:rank])
-    z = np.conjugate(zh, out=zh)[:rank].T  # the eigenvectors, in zh's buffer
+    if rank < k:
+        raise RankDeficientChannelError(f"channel rank {rank} cannot carry {k} streams")
+    sigma = np.sqrt(lam)
+    if sigma[0] > np.finfo(np.float64).max / max(core.scale, 1.0):
+        raise ValueError(f"the largest singular value {sigma[0]:.3g} * {core.scale:.3g} overflows the float range")
+    z = np.conjugate(zh, out=zh).T  # the eigenvectors, in zh's buffer
     other = core.times(z)
     other /= sigma
     u, v = (z, other) if core.wide else (other, z)
-    return SubChannelDecomposition(u=u, sigma=sigma * core.scale, v=v, rank=rank)
-
-
-def _require_rank(dec: SubChannelDecomposition, k: int) -> None:
-    if dec.rank < k:
-        raise RankDeficientChannelError(
-            f"channel rank {dec.rank} cannot carry {k} = n_rf*m*n streams"
-        )
-
-
-def _kron_eye_times(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(Q kron I) @ x`` without forming the Kronecker product."""
-    k = x.shape[1]
-    return (q @ x.reshape(q.shape[1], -1)).reshape(-1, k)
-
-
-def lift_leading(
-    dec: SubChannelDecomposition, q_rx: np.ndarray, q_tx: np.ndarray, k: int
-) -> SubChannelDecomposition:
-    """The leading ``k`` singular triplets of H from those of its spatial core.
-
-    ``dec`` decomposes C in ``H = (Q_rx kron I) C (Q_tx kron I)^H``. Both
-    ``Q kron I`` have orthonormal columns, so ``(Q_rx kron I) u`` and
-    ``(Q_tx kron I) v`` are singular vectors of H with the singular values
-    of C. Only the first ``k`` columns are mapped; ``rank`` stays
-    ``dec.rank``. Raises :class:`RankDeficientChannelError` when the
-    rank is below ``k``.
-    """
-    _require_rank(dec, k)
-    return SubChannelDecomposition(
-        u=_kron_eye_times(q_rx, dec.u[:, :k]),
-        sigma=dec.sigma[:k],
-        v=_kron_eye_times(q_tx, dec.v[:, :k]),
-        rank=dec.rank,
-    )
+    return SubChannelDecomposition(u=u, sigma=sigma * core.scale, v=v, rank=k)
 
 
 def dd_transform_matrices(n_rf: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,25 +200,15 @@ def dd_transform_matrices(n_rf: int, m: int, n: int) -> tuple[np.ndarray, np.nda
 def build_precoder_combiner(
     dec: SubChannelDecomposition, n_rf: int, m: int, n: int, mode: str = "dd_corrected"
 ) -> PrecoderCombiner:
-    """Build the precoder/combiner pair for ``n_rf * m * n`` streams.
-
-    Raises :class:`RankDeficientChannelError` when the channel rank is
-    below the requested stream count.
-    """
+    """The precoder/combiner pair of ``dec``'s ``n_rf * m * n`` triplets."""
     if mode not in PRECODER_MODES:
         raise ValueError(f"mode must be one of {PRECODER_MODES}, got {mode!r}")
-    k = n_rf * m * n
-    _require_rank(dec, k)
-    v1 = dec.v[:, :k]
-    u1 = dec.u[:, :k]
     if mode == "paper_literal":
-        return PrecoderCombiner(g=v1, w=u1, mode=mode)
+        return PrecoderCombiner(g=dec.v, w=dec.u)
     c_t, c_r = dd_transform_matrices(n_rf, m, n)
-    return PrecoderCombiner(g=v1 @ c_t.conj().T, w=u1 @ c_r, mode=mode)
+    return PrecoderCombiner(g=dec.v @ c_t.conj().T, w=dec.u @ c_r)
 
 
-def sub_channel_gains(dec: SubChannelDecomposition, n_rf: int, m: int, n: int) -> np.ndarray:
-    """Leading ``n_rf * m * n`` singular values, descending: the sub-channel gains."""
-    k = n_rf * m * n
-    _require_rank(dec, k)
-    return dec.sigma[:k].copy()
+def sub_channel_gains(dec: SubChannelDecomposition) -> np.ndarray:
+    """The singular values of ``dec``, descending: the sub-channel gains."""
+    return dec.sigma.copy()

@@ -5,7 +5,8 @@ Each check in :data:`CHECKS` seeds its own generator and returns a
 hand-computed literals, dense enumerations, written-out closed forms, brute
 force, or Monte-Carlo estimates with the stated margin. The dense oracles
 that only these checks and the tests use, :func:`cyclic_shift_matrix`,
-:func:`dense_spatial_core` and :func:`effective_dd_channel`, live here too,
+:func:`time_channel_entry_oracle`, :func:`dense_spatial_core` and
+:func:`effective_dd_channel`, live here too,
 with :class:`DenseCore`, the adapter through which a dense matrix reaches
 :func:`~otfslink.precoding.decompose`. The tolerances are
 defined here, once; ``tests/test_acceptance.py`` runs the same checks and
@@ -72,6 +73,20 @@ def cyclic_shift_matrix(size: int, power: int) -> np.ndarray:
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     return np.roll(np.eye(size), power, axis=0)
+
+
+def time_channel_entry_oracle(chan: DdMimoChannel) -> np.ndarray:
+    """The dense H entry by entry from the closed form, independent of ``build_time_channel``."""
+    mn = chan.mn
+    h = np.zeros((chan.n_rx * mn, chan.n_tx * mn), dtype=complex)
+    for p in chan.paths:
+        a_r = np.exp(1j * np.pi * np.arange(chan.n_rx) * np.cos(p.aoa)) / np.sqrt(chan.n_rx)
+        a_t = np.exp(1j * np.pi * np.arange(chan.n_tx) * np.cos(p.aod)) / np.sqrt(chan.n_tx)
+        for r, t, q in product(range(chan.n_rx), range(chan.n_tx), range(mn)):
+            h[r * mn + (q + p.delay_tap) % mn, t * mn + q] += (
+                p.gain * a_r[r] * np.conj(a_t[t]) * np.exp(2j * np.pi * p.doppler_tap * q / mn)
+            )
+    return h
 
 
 def dense_spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,17 +270,7 @@ def criterion_4_channel_matrix_oracle() -> CheckResult:
             max_delay_tap=3, max_doppler_tap=1,
         )
         chan = sample_channel(cfg, rng)
-        h = build_time_channel(chan)
-        mn = chan.mn
-        oracle = np.zeros_like(h)
-        for p in chan.paths:
-            a_r = np.exp(1j * np.pi * np.arange(chan.n_rx) * np.cos(p.aoa)) / np.sqrt(chan.n_rx)
-            a_t = np.exp(1j * np.pi * np.arange(chan.n_tx) * np.cos(p.aod)) / np.sqrt(chan.n_tx)
-            for r_i, t_i, q in product(range(chan.n_rx), range(chan.n_tx), range(mn)):
-                oracle[r_i * mn + (q + p.delay_tap) % mn, t_i * mn + q] += (
-                    p.gain * a_r[r_i] * np.conj(a_t[t_i]) * np.exp(2j * np.pi * p.doppler_tap * q / mn)
-                )
-        worst = max(worst, float(np.max(np.abs(h - oracle))))
+        worst = max(worst, float(np.max(np.abs(build_time_channel(chan) - time_channel_entry_oracle(chan)))))
     return CheckResult(
         "criterion_4_channel_matrix_oracle", worst < TOL_CHANNEL_ORACLE, f"max abs gap {worst:.2e}"
     )

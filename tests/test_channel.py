@@ -17,24 +17,7 @@ from otfslink.channel import (
     ula_response,
 )
 from otfslink.link_sim import SimConfig
-from otfslink.validation import cyclic_shift_matrix, dense_spatial_core
-
-
-def entry_oracle(chan):
-    """Brute-force H from the per-entry formula, independent of build_time_channel."""
-    mn = chan.mn
-    h = np.zeros((chan.n_rx * mn, chan.n_tx * mn), dtype=complex)
-    for p in chan.paths:
-        a_r = np.exp(1j * np.pi * np.arange(chan.n_rx) * np.cos(p.aoa)) / np.sqrt(chan.n_rx)
-        a_t = np.exp(1j * np.pi * np.arange(chan.n_tx) * np.cos(p.aod)) / np.sqrt(chan.n_tx)
-        for r in range(chan.n_rx):
-            for t in range(chan.n_tx):
-                for q in range(mn):
-                    q_out = (q + p.delay_tap) % mn
-                    h[r * mn + q_out, t * mn + q] += (
-                        p.gain * a_r[r] * np.conj(a_t[t]) * np.exp(2j * np.pi * p.doppler_tap * q / mn)
-                    )
-    return h
+from otfslink.validation import cyclic_shift_matrix, dense_spatial_core, time_channel_entry_oracle
 
 
 class TestUlaResponse:
@@ -111,7 +94,7 @@ class TestBuildTimeChannel:
         )
         for _ in range(5):
             chan = sample_channel(cfg, rng)
-            assert np.max(np.abs(build_time_channel(chan) - entry_oracle(chan))) < 1e-12
+            assert np.max(np.abs(build_time_channel(chan) - time_channel_entry_oracle(chan))) < 1e-12
 
     @pytest.mark.parametrize(
         "n_tx, n_rx, m, n, n_paths",
@@ -125,7 +108,7 @@ class TestBuildTimeChannel:
         rng = np.random.default_rng(14)
         for _ in range(3):
             chan = sample_channel(cfg, rng)
-            assert np.max(np.abs(build_time_channel(chan) - entry_oracle(chan))) < 1e-12
+            assert np.max(np.abs(build_time_channel(chan) - time_channel_entry_oracle(chan))) < 1e-12
 
     def test_linear_in_gains(self):
         rng = np.random.default_rng(12)
@@ -189,7 +172,7 @@ class TestSpatialCore:
         for q in (q_rx, q_tx):
             np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-14)
         lifted = np.kron(q_rx, np.eye(mn)) @ core @ np.kron(q_tx, np.eye(mn)).conj().T
-        assert np.max(np.abs(lifted - entry_oracle(chan))) < 1e-12
+        assert np.max(np.abs(lifted - time_channel_entry_oracle(chan))) < 1e-12
         path_q_rx, path_core, path_q_tx = spatial_core(chan)
         assert np.array_equal(path_q_rx, q_rx) and np.array_equal(path_q_tx, q_tx)
         assert path_core.side == min(core.shape) and path_core.wide == (core.shape[0] < core.shape[1])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from otfslink import allocation, link_sim, modem, precoding, validation
-from otfslink.channel import DdMimoChannel, PathParams, apply_channel, sample_channel
+from otfslink.channel import DdMimoChannel, PathParams, apply_channel, sample_channel, spatial_core
 from otfslink.dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from otfslink.link_sim import (
     CSV_COLUMNS,
@@ -210,6 +210,18 @@ class TestGainScale:
             scaled.pc.w @ scaled.pc.g.conj().T, base.pc.w @ base.pc.g.conj().T, rtol=0, atol=1e-12
         )
 
+    def test_singular_value_beyond_the_float_range_raises(self):
+        # |gain| = 1.5e308 * sqrt(2) is the one singular value of a 1x1 channel
+        chan = DdMimoChannel(
+            paths=(PathParams(1.5e308 + 1.5e308j, 0, 0, 0.4, 1.1),), n_tx=1, n_rx=1, m_delay=2, n_doppler=2
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="overflows the float range"):
+                precoding.decompose(spatial_core(chan)[1], 4)
+            with pytest.raises(ValueError, match="overflows the float range"):
+                realize(chan, 1, "dd_corrected")
+
     @pytest.mark.parametrize("gain", [1e308, 1e200, 1e160])
     def test_one_huge_path_reports_the_other_as_too_weak(self, gain):
         # the weak path's MN = 4 singular values lie 1e-160 below the strong
@@ -399,7 +411,7 @@ def _count_decompose(monkeypatch):
     calls, lapack = [], []
     real, real_lapack = link_sim.decompose, precoding._lapack_eigenpairs
 
-    def counted(core, k=None):
+    def counted(core, k):
         calls.append(k)
         return real(core, k)
 
@@ -479,7 +491,8 @@ class TestRealizationSlot:
         chan = self._chan(chan_seed)
         got = slot.get(chan, n_rf, mode)
         fresh = realize(chan, n_rf, mode)
-        assert (got.chan, got.n_rf, got.precoder_mode) == (chan, n_rf, mode)
+        # the slot now holds the new key: asking for it again is a hit
+        assert slot.get(chan, n_rf, mode) is got
         np.testing.assert_array_equal(got.gains, fresh.gains)
         np.testing.assert_array_equal(got.pc.g, fresh.pc.g)
         np.testing.assert_array_equal(got.pc.w, fresh.pc.w)

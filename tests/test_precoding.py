@@ -17,7 +17,6 @@ from otfslink.precoding import (
     build_precoder_combiner,
     dd_transform_matrices,
     decompose,
-    lift_leading,
     sub_channel_gains,
 )
 from otfslink.validation import DenseCore, dense_spatial_core, effective_dd_channel
@@ -34,18 +33,18 @@ def random_channel(seed, n_ant=2, grid=2, n_paths=5):
 
 class TestDecompose:
     def test_identity(self):
-        dec = decompose(DenseCore(np.eye(4)))
+        dec = decompose(DenseCore(np.eye(4)), 4)
         np.testing.assert_allclose(dec.sigma, np.ones(4))
         assert dec.rank == 4
 
     def test_scaled_identity(self):
-        dec = decompose(DenseCore(3.0 * np.eye(2)))
+        dec = decompose(DenseCore(3.0 * np.eye(2)), 2)
         np.testing.assert_allclose(dec.sigma, [3.0, 3.0])
 
     def test_reconstruction_and_eig_oracle(self):
         rng = np.random.default_rng(21)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        dec = decompose(DenseCore(h))
+        dec = decompose(DenseCore(h), 8)
         recon = dec.u @ np.diag(dec.sigma) @ dec.v.conj().T
         assert np.linalg.norm(recon - h) < 1e-9 * np.linalg.norm(h)
         # singular values == sqrt of eigenvalues of H^H H (independent route)
@@ -54,29 +53,29 @@ class TestDecompose:
 
     def test_semi_unitary_factors(self):
         h = random_channel(3)
-        dec = decompose(DenseCore(h))
-        eye = np.eye(dec.rank)
+        dec = decompose(DenseCore(h), 8)
+        eye = np.eye(8)
         assert np.linalg.norm(dec.u.conj().T @ dec.u - eye) < 1e-10
         assert np.linalg.norm(dec.v.conj().T @ dec.v - eye) < 1e-10
 
     def test_sigma_descending_nonnegative(self):
-        dec = decompose(DenseCore(random_channel(4)))
+        dec = decompose(DenseCore(random_channel(4)), 8)
         assert np.all(np.diff(dec.sigma) <= 0)
         assert np.all(dec.sigma >= 0)
 
-    def test_rank_truncation(self):
+    def test_rank_below_k_raises(self):
         h = np.zeros((4, 4), complex)
         h[0, 0] = 2.0
-        dec = decompose(DenseCore(h))
-        assert dec.rank == 1
-        assert dec.sigma.shape == (1,)
+        assert decompose(DenseCore(h), 1).sigma.shape == (1,)
+        with pytest.raises(RankDeficientChannelError, match="channel rank 1 cannot carry 2 streams"):
+            decompose(DenseCore(h), 2)
 
     def test_nonfinite_rejected(self):
         h = np.eye(2)
         h = h.astype(complex)
         h[0, 0] = np.inf
         with pytest.raises(ValueError):
-            decompose(DenseCore(h))
+            decompose(DenseCore(h), 2)
 
 
 class TestPrecoderCombiner:
@@ -89,7 +88,7 @@ class TestPrecoderCombiner:
                 5,
             )
         )
-        dec = decompose(DenseCore(h))
+        dec = decompose(DenseCore(h), 4)
         literal = build_precoder_combiner(dec, 1, 4, 1, "paper_literal")
         corrected = build_precoder_combiner(dec, 1, 4, 1, "dd_corrected")
         np.testing.assert_allclose(literal.g, corrected.g, atol=1e-12)
@@ -97,21 +96,21 @@ class TestPrecoderCombiner:
 
     @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
     def test_semi_unitary(self, mode):
-        dec = decompose(DenseCore(random_channel(6)))
+        dec = decompose(DenseCore(random_channel(6)), 4)
         pc = build_precoder_combiner(dec, 1, 2, 2, mode)
         k = 4
         assert np.linalg.norm(pc.g.conj().T @ pc.g - np.eye(k)) < 1e-10
         assert np.linalg.norm(pc.w.conj().T @ pc.w - np.eye(k)) < 1e-10
 
     def test_rank_deficiency_raises(self):
+        # n_rf*m*n = 4 streams for (1, 2, 2) need rank 4: decompose checks it, not the builder
         h = np.zeros((8, 8), complex)
         h[0, 0] = 1.0
-        dec = decompose(DenseCore(h))
-        with pytest.raises(RankDeficientChannelError):
-            build_precoder_combiner(dec, 1, 2, 2)
+        with pytest.raises(RankDeficientChannelError, match="channel rank 1 cannot carry 4 streams"):
+            decompose(DenseCore(h), 1 * 2 * 2)
 
     def test_unknown_mode(self):
-        dec = decompose(DenseCore(np.eye(4)))
+        dec = decompose(DenseCore(np.eye(4)), 4)
         with pytest.raises(ValueError):
             build_precoder_combiner(dec, 1, 2, 2, "bogus")
 
@@ -120,19 +119,20 @@ class TestEffectiveDdChannel:
     def test_dd_corrected_diagonalizes(self):
         for seed in range(50):
             h = random_channel(seed, n_ant=2, grid=2, n_paths=2)
-            dec = decompose(DenseCore(h))
-            if dec.rank < 4:
+            try:
+                dec = decompose(DenseCore(h), 4)
+            except RankDeficientChannelError:
                 continue
             pc = build_precoder_combiner(dec, 1, 2, 2, "dd_corrected")
             eff = effective_dd_channel(h, pc, 1, 2, 2)
-            gains = sub_channel_gains(dec, 1, 2, 2)
+            gains = sub_channel_gains(dec)
             off = eff - np.diag(np.diag(eff))
             assert np.linalg.norm(off) < 1e-10 * np.linalg.norm(np.diag(np.diag(eff)))
             np.testing.assert_allclose(np.diag(eff), gains, atol=1e-10 * gains[0])
 
     def test_literal_mode_returned_as_is(self):
         h = random_channel(1)
-        dec = decompose(DenseCore(h))
+        dec = decompose(DenseCore(h), 4)
         pc = build_precoder_combiner(dec, 1, 2, 2, "paper_literal")
         eff = effective_dd_channel(h, pc, 1, 2, 2)
         c_t, c_r = dd_transform_matrices(1, 2, 2)
@@ -152,17 +152,17 @@ class TestEffectiveDdChannel:
                 15,
             )
         )
-        dec = decompose(DenseCore(h))
+        dec = decompose(DenseCore(h), 4)
         pc = build_precoder_combiner(dec, 1, 4, 1, "paper_literal")
         eff = effective_dd_channel(h, pc, 1, 4, 1)
-        gains = sub_channel_gains(dec, 1, 4, 1)
+        gains = sub_channel_gains(dec)
         np.testing.assert_allclose(np.diag(eff), gains, atol=1e-12 * gains[0])
         off = eff - np.diag(np.diag(eff))
         assert np.linalg.norm(off) < 1e-12 * gains[0]
 
     def test_scaling_linearity(self):
         h = random_channel(2)
-        dec = decompose(DenseCore(h))
+        dec = decompose(DenseCore(h), 4)
         pc = build_precoder_combiner(dec, 1, 2, 2, "dd_corrected")
         eff = effective_dd_channel(h, pc, 1, 2, 2)
         scaled = effective_dd_channel(3.0 * h, pc, 1, 2, 2)
@@ -171,7 +171,7 @@ class TestEffectiveDdChannel:
 
     def test_modes_share_singular_values(self):
         h = random_channel(7)
-        dec = decompose(DenseCore(h))
+        dec = decompose(DenseCore(h), 4)
         effs = [
             effective_dd_channel(h, build_precoder_combiner(dec, 1, 2, 2, mode), 1, 2, 2)
             for mode in ("paper_literal", "dd_corrected")
@@ -184,7 +184,7 @@ class TestEffectiveDdChannel:
 
     def test_noise_statistics_preserved(self):
         h = random_channel(8)
-        dec = decompose(DenseCore(h))
+        dec = decompose(DenseCore(h), 4)
         pc = build_precoder_combiner(dec, 1, 2, 2, "dd_corrected")
         _, c_r = dd_transform_matrices(1, 2, 2)
         cov = c_r @ pc.w.conj().T @ pc.w @ c_r.conj().T
@@ -192,7 +192,7 @@ class TestEffectiveDdChannel:
 
     def test_shape_validation(self):
         h = random_channel(9)
-        dec = decompose(DenseCore(h))
+        dec = decompose(DenseCore(h), 4)
         pc = build_precoder_combiner(dec, 1, 2, 2)
         with pytest.raises(ValueError):
             effective_dd_channel(h[:, :4], pc, 1, 2, 2)
@@ -200,31 +200,31 @@ class TestEffectiveDdChannel:
 
 class TestSubChannelGains:
     def test_identity_channel(self):
-        gains = sub_channel_gains(decompose(DenseCore(np.eye(4))), 1, 2, 2)
+        gains = sub_channel_gains(decompose(DenseCore(np.eye(4)), 4))
         np.testing.assert_allclose(gains, np.ones(4))
 
     def test_takes_leading_values(self):
-        gains = sub_channel_gains(decompose(DenseCore(np.diag([4.0, 3.0, 2.0, 1.0]))), 1, 2, 1)
+        gains = sub_channel_gains(decompose(DenseCore(np.diag([4.0, 3.0, 2.0, 1.0])), 2))
         np.testing.assert_allclose(gains, [4.0, 3.0])
 
     def test_matches_eig_oracle(self):
         h = random_channel(10)
         expected = np.sqrt(np.maximum(np.linalg.eigvalsh(h.conj().T @ h), 0.0))[::-1][:4]
-        np.testing.assert_allclose(sub_channel_gains(decompose(DenseCore(h)), 1, 2, 2), expected, atol=1e-8)
+        np.testing.assert_allclose(sub_channel_gains(decompose(DenseCore(h), 4)), expected, atol=1e-8)
 
     def test_descending(self):
-        gains = sub_channel_gains(decompose(DenseCore(random_channel(11))), 1, 2, 2)
+        gains = sub_channel_gains(decompose(DenseCore(random_channel(11)), 4))
         assert np.all(np.diff(gains) <= 0)
 
     def test_scaling(self):
         h = random_channel(12)
-        g1 = sub_channel_gains(decompose(DenseCore(h)), 1, 2, 2)
-        g2 = sub_channel_gains(decompose(DenseCore(2.5 * h)), 1, 2, 2)
+        g1 = sub_channel_gains(decompose(DenseCore(h), 4))
+        g2 = sub_channel_gains(decompose(DenseCore(2.5 * h), 4))
         np.testing.assert_allclose(g2, 2.5 * g1, rtol=1e-10)
 
     def test_rank_deficiency(self):
-        with pytest.raises(RankDeficientChannelError):
-            sub_channel_gains(decompose(DenseCore(np.diag([1.0, 0.0, 0.0, 0.0]))), 1, 2, 2)
+        with pytest.raises(RankDeficientChannelError, match="channel rank 1 cannot carry 4 streams"):
+            decompose(DenseCore(np.diag([1.0, 0.0, 0.0, 0.0])), 4)
 
 
 class TestSpatialCoreRoute:
@@ -245,26 +245,29 @@ class TestSpatialCoreRoute:
     @SHAPES
     def test_gains_and_rank_match_the_dense_svd(self, n_tx, n_rx, n_paths, n_rf):
         chan = self._chan(n_tx, n_rx, n_paths)
-        dense = decompose(DenseCore(build_time_channel(chan)))
-        core = decompose(spatial_core(chan)[1])
-        assert core.rank == dense.rank
-        np.testing.assert_allclose(core.sigma, dense.sigma, rtol=0, atol=1e-12 * dense.sigma[0])
+        h, core = DenseCore(build_time_channel(chan)), spatial_core(chan)[1]
+        rank = min(n_tx, n_rx, n_paths) * chan.mn
+        dense = decompose(h, rank)
+        np.testing.assert_allclose(decompose(core, rank).sigma, dense.sigma, rtol=0, atol=1e-12 * dense.sigma[0])
+        for c in (h, core):
+            with pytest.raises(RankDeficientChannelError, match=f"channel rank {rank} cannot carry {rank + 1}"):
+                decompose(c, rank + 1)
         k = n_rf * chan.mn
         gains = realize(chan, n_rf, "dd_corrected").gains
         np.testing.assert_allclose(gains, dense.sigma[:k], rtol=1e-12, atol=0)
 
     @SHAPES
     def test_lifted_pairs_are_singular_vectors_of_h(self, n_tx, n_rx, n_paths, n_rf):
+        # paper_literal keeps realize's lifted factors as they are: g = V, w = U
         chan = self._chan(n_tx, n_rx, n_paths)
-        h = build_time_channel(chan)
-        q_rx, core, q_tx = spatial_core(chan)
+        real = realize(chan, n_rf, "paper_literal")
+        h, u, v, sigma = real.h, real.pc.w, real.pc.g, real.gains
         k = n_rf * chan.mn
-        dec = lift_leading(decompose(core), q_rx, q_tx, k)
-        assert dec.u.shape == (h.shape[0], k) and dec.v.shape == (h.shape[1], k)
-        tol = 1e-12 * dec.sigma[0]
-        assert np.max(np.abs(h @ dec.v - dec.u * dec.sigma)) < tol
-        assert np.max(np.abs(h.conj().T @ dec.u - dec.v * dec.sigma)) < tol
-        for f in (dec.u, dec.v):
+        assert u.shape == (h.shape[0], k) and v.shape == (h.shape[1], k)
+        tol = 1e-12 * sigma[0]
+        assert np.max(np.abs(h @ v - u * sigma)) < tol
+        assert np.max(np.abs(h.conj().T @ u - v * sigma)) < tol
+        for f in (u, v):
             np.testing.assert_allclose(f.conj().T @ f, np.eye(k), atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["dd_corrected", "paper_literal"])
@@ -280,11 +283,10 @@ class TestSpatialCoreRoute:
     def test_rank_deficient_core_raises(self):
         # one path carries MN streams, not the 2*MN of two chains
         chan = self._chan(4, 4, 1)
-        q_rx, core, q_tx = spatial_core(chan)
-        dec = decompose(core)
-        assert dec.rank == chan.mn
-        with pytest.raises(RankDeficientChannelError):
-            lift_leading(dec, q_rx, q_tx, 2 * chan.mn)
+        core = spatial_core(chan)[1]
+        assert decompose(core, chan.mn).rank == chan.mn
+        with pytest.raises(RankDeficientChannelError, match=f"channel rank {chan.mn} cannot carry {2 * chan.mn}"):
+            decompose(core, 2 * chan.mn)
         with pytest.raises(RankDeficientChannelError):
             realize(chan, 2, "dd_corrected")
 
@@ -358,23 +360,23 @@ class TestSubsetDecompose:
         for f in (dec.u, dec.v):
             np.testing.assert_allclose(f.conj().T @ f, np.eye(k), rtol=0, atol=1e-12)
 
-    def test_rank_below_k_on_the_subset_branch(self, lapack_calls):
-        r, k = 10, 16
-        c = _complex_gaussian(64, r, 4) @ _complex_gaussian(r, 80, 5)
-        dec = decompose(DenseCore(c), k)
-        assert lapack_calls == [k]
-        assert dec.rank == r and dec.sigma.shape == (r,)
+    @pytest.mark.parametrize("route", ["zheevr", "eigh"])
+    @pytest.mark.parametrize(
+        "rows, cols, rank, k",
+        [(64, 80, 10, 16), (80, 64, 10, 16), (6, 4, 4, 9), (4, 6, 4, 5)],
+        ids=["rank_below_k", "rank_below_k_tall", "k_above_the_side", "k_above_the_side_wide"],
+    )
+    def test_raises_naming_the_rank_and_k(self, monkeypatch, lapack_calls, route, rows, cols, rank, k):
+        c = _complex_gaussian(rows, rank, 4) @ _complex_gaussian(rank, cols, 5)
         s = np.linalg.svd(c, compute_uv=False)
-        np.testing.assert_allclose(dec.sigma, s[:r], rtol=0, atol=1e-12 * dec.sigma[0])
-        with pytest.raises(RankDeficientChannelError):
-            lift_leading(dec, np.eye(1), np.eye(1), k)
-
-    def test_k_above_the_side_is_all_triplets(self):
-        c = _complex_gaussian(6, 4, 6)
-        dec = decompose(DenseCore(c), 9)
-        assert dec.rank == 4
-        s = np.linalg.svd(c, compute_uv=False)
-        np.testing.assert_allclose(dec.sigma, s, rtol=0, atol=1e-12 * dec.sigma[0])
+        if route == "eigh":
+            monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
+        with pytest.raises(RankDeficientChannelError, match=f"channel rank {rank} cannot carry {k} streams"):
+            decompose(DenseCore(c), k)
+        # the leading triplets up to the rank still decompose
+        dec = decompose(DenseCore(c), rank)
+        np.testing.assert_allclose(dec.sigma, s[:rank], rtol=0, atol=1e-12 * s[0])
+        assert lapack_calls == ([] if route == "eigh" else [min(k, rows, cols), rank])
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
@@ -388,7 +390,7 @@ class TestSubsetDecompose:
             raise AssertionError("np.linalg.svd called by decompose")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        for k in (16, None):
+        for k in (16, 48):
             dec = decompose(DenseCore(c), k)
             np.testing.assert_allclose(dec.sigma, s[:k], rtol=0, atol=1e-12 * s[0])
         assert lapack_calls == [16, 48]
