@@ -93,8 +93,8 @@ class ExperimentConfig:
         if not 1 <= trials <= MAX_TRIALS:
             shown = trials if trials.bit_length() <= 64 else f"an integer of {trials.bit_length()} bits"
             raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {shown}")
-        if self.output is not None and not isinstance(self.output, str):
-            raise ConfigError(f"output must be a string path or null, got {self.output!r}")
+        if self.output is not None and (not isinstance(self.output, str) or not self.output):
+            raise ConfigError(f"output must be a non-empty string path or null, got {self.output!r}")
         for name in ("carrier_freq_hz", "subcarrier_spacing_hz"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -172,11 +172,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     """Run the grid; write its CSV to stdout, or to a temp file renamed onto ``cfg.output``.
 
-    The temp file is created before the first link, so an unwritable target fails at once.
+    The temp file is created before the first link, so an unwritable target, or one
+    that is a directory, fails at once.
     """
     if cfg.output is None:
         emit_csv(_run_grid(cfg), sys.stdout)
         return 0
+    if os.path.isdir(cfg.output):
+        logger.error("cannot write output %s: it is a directory", cfg.output)
+        return 1
     try:
         fh = tempfile.NamedTemporaryFile("w", encoding="utf-8", prefix=".otfslink-", suffix=".csv",
                                          dir=os.path.dirname(os.path.abspath(cfg.output)), delete=False)

@@ -90,9 +90,10 @@ MAX_TRIALS = 10**6
 # Most entries a config may ask of any array a link allocates. The dense H at
 # this size is 4 GiB of complex128. The spatial core is never formed; its
 # decomposition holds the core's Gram matrix (at most H's size), the k
-# eigenvectors and the other side's k vectors, and the workspace LAPACKE
-# allocates for zheevr is O(side), so no side**2-sized workspace is reserved
-# or can fail to allocate (see precoding.decompose).
+# eigenvectors and the other side's k vectors, and the workspaces LAPACKE
+# allocates for zhetrd, dsterf, zstein and zunmtr are O(side), so no
+# side**2-sized workspace is reserved or can fail to allocate (see
+# precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of any per-chunk array of a burst: run_link passes as many frames

@@ -8,8 +8,9 @@ returns exactly the k leading triplets of the channel's spatial core C,
 ``H = (Q_rx kron I) C (Q_tx kron I)^H``
 (:func:`otfslink.channel.spatial_core`), or raises
 :class:`RankDeficientChannelError`. It takes them from the leading
-eigenpairs of the Gram matrix of C's smaller side (LAPACK ``zheevr`` for
-an index range of eigenpairs). C is never formed: the channel module
+eigenpairs of the Gram matrix of C's smaller side: LAPACK's tridiagonal
+reduction, all eigenvalues of the tridiagonal without vectors, and
+vectors for the k largest only. C is never formed: the channel module
 builds that Gram matrix from the path pairs and applies C path by path.
 Two precoder / combiner modes are provided:
 
@@ -46,9 +47,12 @@ PRECODER_MODES = ("dd_corrected", "paper_literal")
 # about sqrt(side * eps), 5e-7 at side 2048.
 RANK_TOLERANCE = 1e-6
 
-# LAPACKE_zheevr with 64-bit integers, under the names the OpenBLAS builds that
-# numpy ships export it by.
-_ZHEEVR_SYMBOLS = ("scipy_LAPACKE_zheevr64_", "LAPACKE_zheevr64_")
+# The four LAPACKE routines of decompose's eigenpair route, with 64-bit
+# integers, under the names the OpenBLAS builds that numpy ships export them by.
+_LAPACKE_SYMBOLS = {
+    name: (f"scipy_LAPACKE_{name}64_", f"LAPACKE_{name}64_")
+    for name in ("zhetrd", "dsterf", "zstein", "zunmtr")
+}
 _LAPACK_COL_MAJOR = 102
 
 
@@ -83,20 +87,24 @@ class PrecoderCombiner:
 
 @functools.cache
 def _gram_routines():
-    """``zheevr`` of the OpenBLAS numpy has loaded, or None if it does not export it.
+    """``(zhetrd, dsterf, zstein, zunmtr)`` of the OpenBLAS numpy has loaded, or None.
 
-    Only a library already in the process is opened (``RTLD_NOLOAD``), so the
-    handle is numpy's own and no second BLAS, with its own thread pool, is
-    ever loaded. Resolved on the first call, so importing the package does
-    not pay for ``ctypes``.
+    None when that library does not export all four. Only a library already
+    in the process is opened (``RTLD_NOLOAD``), so the handle is numpy's own
+    and no second BLAS, with its own thread pool, is ever loaded. Resolved on
+    the first call, so importing the package does not pay for ``ctypes``.
     """
     import ctypes
 
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    enum, char = ctypes.c_int, ctypes.c_char
-    # zheevr(layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz)
-    zheevr_args = [enum, char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64,
-                   ctypes.POINTER(i64), ptr, ptr, i64, ptr]
+    i64, ptr, enum, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int, ctypes.c_char
+    argtypes = {
+        "zhetrd": [enum, char, i64, ptr, i64, ptr, ptr, ptr],  # layout, uplo, n, a, lda, d, e, tau
+        "dsterf": [i64, ptr, ptr],  # n, d, e
+        # layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
+        "zstein": [enum, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr],
+        # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
+        "zunmtr": [enum, char, char, char, i64, i64, ptr, i64, ptr, ptr, i64],
+    }
     package = Path(np.__file__).resolve().parent
     candidates = sorted(package.parent.glob("numpy.libs/*openblas*")) + sorted(
         package.glob(".dylibs/*openblas*")
@@ -106,33 +114,88 @@ def _gram_routines():
             lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
         except OSError:
             continue
-        zheevr = next((getattr(lib, n) for n in _ZHEEVR_SYMBOLS if hasattr(lib, n)), None)
-        if zheevr is not None:
-            zheevr.restype, zheevr.argtypes = i64, zheevr_args
-            return zheevr
+        routines = [next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
+                    for symbols in _LAPACKE_SYMBOLS.values()]
+        if None not in routines:
+            for routine, name in zip(routines, _LAPACKE_SYMBOLS):
+                routine.restype, routine.argtypes = i64, argtypes[name]
+            return tuple(routines)
     return None
 
 
-def _lapack_eigenpairs(zheevr, g: np.ndarray, k: int):
+def _check(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed: info = {info}")
+
+
+def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
+    """``a[:] = a[order]`` in place, through one row of scratch."""
+    row, placed = np.empty_like(a[0]), np.zeros(len(order), bool)
+    for first in range(len(order)):
+        if placed[first]:
+            continue
+        row[:] = a[first]
+        i = first
+        while order[i] != first:  # walk the cycle through first
+            a[i] = a[order[i]]
+            placed[i] = True
+            i = order[i]
+        a[i] = row
+        placed[i] = True
+
+
+def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
     """``(lam, zh)``: the ``k`` largest eigenpairs of the Hermitian ``g``, ascending.
 
     LAPACK reads the C-ordered ``g`` column-major, that is as ``g^T =
-    conj(g)``, and uses its lower triangle. ``zheevr`` (RANGE='I')
-    overwrites ``g`` and writes the eigenvectors of ``conj(g)`` as the rows
-    of the C-ordered ``zh``, so ``zh = Z^H`` for eigenvectors Z of g.
-    LAPACKE's workspace is O(side).
-    """
-    import ctypes
+    conj(g)``, and uses its lower triangle. ``zhetrd`` reduces it in place
+    to a real tridiagonal T = Q^H conj(g) Q; ``dsterf`` takes all of T's
+    eigenvalues by root-free QR, without vectors; ``zstein`` finds the
+    vectors of the k largest by inverse iteration and ``zunmtr`` applies Q
+    to them. They land as the rows of the C-ordered ``zh``, so ``zh = Z^H``
+    for eigenvectors Z of g. LAPACKE's workspaces are O(side).
 
+    T is split where LAPACK's bisection ``dstebz`` splits it, at each e_j
+    with e_j**2 below ulp**2 |d_j d_(j+1)| + safmin, and every block is
+    solved on its own: ``zstein`` takes the eigenvalues grouped by block,
+    ascending within each, and does not converge on a block that is in
+    fact split (G = c I, say). ``g`` is first scaled by a power of two when
+    its entries lie outside LAPACK's safe range for the eigensolvers,
+    [sqrt(safmin / ulp), safmin**-0.25], where their squares would
+    underflow or overflow.
+    """
+    zhetrd, dsterf, zstein, zunmtr = routines
     side = g.shape[0]
-    lam, zh, isuppz = np.empty(side), np.empty((k, side), np.complex128), np.empty(2 * k, np.int64)
-    found = ctypes.c_int64()
-    info = zheevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", side, g.ctypes.data, side, 0.0, 0.0,
-                  side - k + 1, side, 0.0, ctypes.byref(found), lam.ctypes.data, zh.ctypes.data,
-                  side, isuppz.ctypes.data)
-    if info != 0 or found.value != k:
-        raise np.linalg.LinAlgError(f"zheevr failed: info = {info}, {found.value} of {k} eigenpairs")
-    return lam[:k], zh
+    peak = g.diagonal().real.max()  # the largest |g_ij|, since |g_ij|**2 <= g_ii g_jj
+    scale = 2.0 ** -np.frexp(peak)[1] if 0 < peak < 2.0**-485 or peak > 2.0**255 else 1.0
+    if scale != 1.0:
+        g *= scale
+    d, e, tau = np.empty(side), np.empty(side - 1), np.empty(side - 1, np.complex128)
+    _check("zhetrd", zhetrd(_LAPACK_COL_MAJOR, b"L", side, g.ctypes.data, side, d.ctypes.data,
+                            e.ctypes.data, tau.ctypes.data))
+    ulp, safmin = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    split = e**2 < ulp**2 * np.abs(d[:-1] * d[1:]) + safmin
+    isplit = np.append(np.flatnonzero(split) + 1, side).astype(np.int64)  # each block's last row, 1-based
+    lam, off = d.copy(), e.copy()
+    for first, last in zip([0, *isplit[:-1].tolist()], isplit.tolist()):
+        _check("dsterf", dsterf(last - first, lam[first:].ctypes.data, off[first:].ctypes.data))
+    block = np.repeat(np.arange(1, isplit.size + 1, dtype=np.int64), np.diff(isplit, prepend=0))
+    chosen = np.sort(np.argsort(lam, kind="stable")[side - k:])  # by block, ascending in each
+    w = np.zeros(side)  # LAPACKE checks all side entries of w for NaN
+    w[:k] = lam[chosen]
+    iblock, ifail = block[chosen], np.empty(k, np.int64)
+    zh = np.empty((k, side), np.complex128)
+    _check("zstein", zstein(_LAPACK_COL_MAJOR, side, d.ctypes.data, e.ctypes.data, k, w.ctypes.data,
+                            iblock.ctypes.data, isplit.ctypes.data, zh.ctypes.data, side,
+                            ifail.ctypes.data))
+    _check("zunmtr", zunmtr(_LAPACK_COL_MAJOR, b"L", b"L", b"N", side, k, g.ctypes.data, side,
+                            tau.ctypes.data, zh.ctypes.data, side))
+    lam = w[:k] / scale
+    if isplit.size > 1:  # the blocks' eigenvalues interleave
+        order = np.argsort(lam, kind="stable")
+        lam = lam[order]
+        _permute_rows(zh, order)
+    return lam, zh
 
 
 def decompose(core, k: int) -> SubChannelDecomposition:
@@ -147,9 +210,10 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     :class:`otfslink.validation.DenseCore`.
 
     The triplets come from the ``k`` leading eigenpairs of the Gram matrix,
-    by ``zheevr`` from numpy's own OpenBLAS (by ``np.linalg.eigh`` when it
-    does not export it); the Gram matrix is freed before the other side's
-    vectors, ``times(z) / sigma``, are formed. Factors are complex128.
+    by ``zhetrd``, ``dsterf``, ``zstein`` and ``zunmtr`` from numpy's own
+    OpenBLAS (by ``np.linalg.eigh`` when it does not export all four); the
+    Gram matrix is freed before the other side's vectors, ``times(z) /
+    sigma``, are formed. Factors are complex128.
     Raises :class:`RankDeficientChannelError` when fewer than ``k``
     eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above
     the side included, and ``ValueError`` when ``sigma_max * core.scale``
@@ -164,9 +228,9 @@ def decompose(core, k: int) -> SubChannelDecomposition:
         raise ValueError(f"k must be >= 1, got {k}")
     # k above the side takes all the side's eigenpairs, so that the error names the rank
     computed = min(k, g.shape[0])
-    zheevr = _gram_routines()
-    if zheevr is not None:
-        lam, zh = _lapack_eigenpairs(zheevr, g, computed)
+    routines = _gram_routines()
+    if routines is not None:
+        lam, zh = _lapack_eigenpairs(routines, g, computed)
     else:  # the same eigenpairs of the same Gram matrix
         lam, z = np.linalg.eigh(g)
         lam, zh = lam[-computed:], z[:, -computed:].conj().T

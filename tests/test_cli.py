@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import otfslink
 from otfslink import cli
@@ -215,9 +215,11 @@ class TestParseConfig:
             ({"snr_grid_db": ()}, "snr_grid_db"),
             ({"n_tx_grid": (4, 4.9)}, "n_tx_grid"),
             ({"output": 3}, "output"),
+            ({"output": ""}, "output"),
             ({"carrier_freq_hz": 10**400}, "carrier_freq_hz"),
         ],
-        ids=["trials", "sweep", "empty_snr_grid", "fractional_n_tx", "output", "carrier_int_1e400"],
+        ids=["trials", "sweep", "empty_snr_grid", "fractional_n_tx", "output", "empty_output",
+             "carrier_int_1e400"],
     )
     def test_replace_checks_the_experiment_fields(self, small_config, update, field):
         # the rules belong to ExperimentConfig, not to parse_config
@@ -294,6 +296,31 @@ class TestSweepCommand:
         target = tmp_path / "missing" / "x.csv"
         assert main(["sweep", str(small_config), "--output", str(target)]) == 1
         assert f"cannot write output {target}" in caplog.text
+        assert not list(tmp_path.rglob(".otfslink-*"))
+
+    def test_empty_output_is_a_config_error(self, small_config, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran with an empty output path")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        work = tmp_path / "work"  # "" once resolved to a temp file in the parent of the working directory
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["sweep", str(small_config), "--output", ""]) == 2
+        assert "config error: output" in capsys.readouterr().err
+        path = tmp_path / "empty_output.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, output="")))
+        assert main(["sweep", str(path)]) == 2
+        assert "config error: output" in capsys.readouterr().err
+        assert not list(tmp_path.rglob(".otfslink-*"))
+
+    def test_directory_output_fails_before_the_first_link(self, small_config, tmp_path, monkeypatch, caplog):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran although its output is a directory")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        assert main(["sweep", str(small_config), "--output", str(tmp_path)]) == 1
+        assert f"cannot write output {tmp_path}: it is a directory" in caplog.text
         assert not list(tmp_path.rglob(".otfslink-*"))
 
     def test_failed_sweep_leaves_no_temp_file(self, small_config, tmp_path, monkeypatch):
@@ -396,6 +423,11 @@ def small_configs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(small_configs())
+@example({  # every tap 0 on one antenna pair: the Gram matrix is c I, its tridiagonal splits everywhere
+    "n_tx": 1, "n_rx": 1, "n_paths": 3, "m_delay": 1, "n_doppler": 2, "n_frames": 1, "trials": 1,
+    "n_rf": 1, "max_delay_tap": 0, "max_doppler_tap": 0, "seed": 1048577, "sweep": "snr",
+    "snr_db": 0.0, "snr_grid_db": [0.0], "n_tx_grid": [1],
+})
 def test_any_config_is_a_named_config_error_or_finite_metrics(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out.csv")

@@ -407,7 +407,7 @@ def _oracle_rows(points, trials):
 
 
 def _count_decompose(monkeypatch):
-    """Records the ``k`` of every ``decompose`` a sweep makes, and of every one that took zheevr."""
+    """Records the ``k`` of every ``decompose`` a sweep makes, and of every one that took LAPACK."""
     calls, lapack = [], []
     real, real_lapack = link_sim.decompose, precoding._lapack_eigenpairs
 
@@ -415,9 +415,9 @@ def _count_decompose(monkeypatch):
         calls.append(k)
         return real(core, k)
 
-    def counted_lapack(zheevr, g, k):
+    def counted_lapack(routines, g, k):
         lapack.append(k)
-        return real_lapack(zheevr, g, k)
+        return real_lapack(routines, g, k)
 
     monkeypatch.setattr(link_sim, "decompose", counted)
     monkeypatch.setattr(precoding, "_lapack_eigenpairs", counted_lapack)
