@@ -113,15 +113,20 @@ def _path_sum(mn: int, gains, blocks: np.ndarray, delays, dopplers) -> np.ndarra
     instead of the O(n_r*n_t*MN^2) of a Kronecker product. Terms of one
     delay share those entries: they are summed, in order, and written once.
     Both the dense H and the Gram matrix of the spatial core are such sums.
+    Each distinct Doppler tap's phases are taken once, for all its terms.
     """
     n_r, n_t = blocks.shape[1:]
     out = np.zeros((n_r, mn, n_t, mn), dtype=complex)
     q = np.arange(mn)
     delays = np.asarray(delays) % mn
+    taps, tap_of = np.unique(dopplers, return_inverse=True)
+    rotations = np.empty((taps.size, mn), dtype=complex)
+    for rotation, tap in zip(rotations, taps):  # each dense matrix is freed before the next
+        rotation[:] = np.diagonal(phase_rotation_matrix(mn, tap))
     for delay in np.unique(delays):
         diagonal = np.zeros((mn, n_r, n_t), dtype=complex)
         for i in np.flatnonzero(delays == delay):
-            phase = gains[i] * np.diagonal(phase_rotation_matrix(mn, dopplers[i]))
+            phase = gains[i] * rotations[tap_of[i]]
             diagonal += phase[:, None, None] * blocks[i]
         # two index arrays split by a slice: the indexed view is (q, n_r, n_t)
         out[:, (q + delay) % mn, :, q] = diagonal

@@ -279,26 +279,61 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     ``(Q_rx kron I) u`` and ``(Q_tx kron I) v`` are singular vectors of H
     with C's singular values. C is held by its paths, never as a matrix:
     the Gram matrix is summed from the path pairs and freed inside the
-    decomposition. H itself, which only
-    :func:`~otfslink.channel.apply_channel` needs, is built last, so the
-    Gram matrix and H are never alive together.
+    decomposition.
+
+    The factors are lifted and then folded into the precoder/combiner in
+    the arrays the decomposition returned (see :func:`_kron_eye_times` and
+    :func:`~otfslink.precoding.build_precoder_combiner`), which owns them
+    from then on; only a side with more antennas than paths gets one new,
+    larger array. So a realization has two memory peaks: inside the
+    decomposition, the Gram matrix and the k eigenvectors; and at the end,
+    H, which only :func:`~otfslink.channel.apply_channel` needs and which
+    is built last, next to the precoder/combiner.
     """
     m, n = chan.m_delay, chan.n_doppler
     q_rx, core, q_tx = spatial_core(chan)
     dec = decompose(core, n_rf * m * n)
     del core
     gains = sub_channel_gains(dec)
-    dec = replace(dec, u=_kron_eye_times(q_rx, dec.u), v=_kron_eye_times(q_tx, dec.v))
+    # one side at a time, so that a core-side factor lifted into a new array is dropped at once
+    dec = replace(dec, u=_kron_eye_times(q_rx, dec.u))
+    dec = replace(dec, v=_kron_eye_times(q_tx, dec.v))
     pc = build_precoder_combiner(dec, n_rf, m, n, precoder_mode)
     del dec
     h = build_time_channel(chan)
     return Realization(h=h, pc=pc, gains=gains)
 
 
+# _kron_eye_times lifts a factor in place in this many blocks, as precoding._FOLD_BLOCKS.
+_LIFT_BLOCKS = 8
+
+
 def _kron_eye_times(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(Q kron I) @ x`` without forming the Kronecker product."""
+    """``(Q kron I) @ x`` without forming the Kronecker product, in ``x``'s buffer when Q is square.
+
+    Each column of ``x`` is a ``(Q.shape[1], MN)`` slab that Q multiplies
+    from the left. When every column of ``x`` is contiguous, as in the
+    eigenvectors :func:`~otfslink.precoding.decompose` returns, the slabs
+    are the rows of ``x.T``; otherwise ``x`` is taken C-ordered, a copy only
+    if it is not, and its slabs lie side by side. When Q is square (no more
+    antennas than paths) the product overwrites ``x`` in
+    :data:`_LIFT_BLOCKS` blocks, through scratch the size of one, and ``x``
+    is returned; otherwise the result is one new array.
+    """
+    n, r = q.shape
     k = x.shape[1]
-    return (q @ x.reshape(q.shape[1], -1)).reshape(-1, k)
+    by_column = x.strides[0] == x.itemsize
+    if by_column:
+        slabs = x.T.reshape(k, r, -1)  # a view: each row of x.T is contiguous
+    else:
+        x = np.ascontiguousarray(x)
+        slabs = x.reshape(r, -1)
+    if n != r:
+        lifted = q @ slabs
+        return lifted.reshape(k, -1).T if by_column else lifted.reshape(-1, k)
+    for block in np.array_split(slabs, _LIFT_BLOCKS, axis=0 if by_column else 1):  # views of x
+        block[...] = q @ block
+    return x
 
 
 class RealizationSlot:
@@ -307,8 +342,12 @@ class RealizationSlot:
     :meth:`get` returns the held realization only when the channel compares
     equal (exact equality of the frozen path parameters and geometry) and
     ``n_rf`` and the precoder mode match the ones it was computed for. On a
-    miss it drops the held one before computing the next, so at most one
-    dense H is alive at a time.
+    miss it drops the held one before computing the next, so neither of
+    the next one's two memory peaks (see :func:`realize`) adds to a held
+    realization, and at most one dense H is alive at a time. The held
+    ``pc.g`` and ``pc.w`` are read-only (see
+    :func:`~otfslink.precoding.build_precoder_combiner`), so no link can
+    change what later links reuse.
     """
 
     def __init__(self):
@@ -374,7 +413,9 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
         grids = unstack_chains(x, n_rf).reshape(len(x), n_rf, n, m).swapaxes(-1, -2)
         y = stack_chains(otfs_modulate(grids)) @ pc.g.T
         r = apply_channel(h, y, noise_var, rng)
-        s_hat = unstack_chains(r @ pc.w.conj(), n_rf)
+        # conj(conj(r) @ w) = r @ conj(w) without a conjugated copy of the whole combiner
+        combined = np.conj(r) @ pc.w
+        s_hat = unstack_chains(np.conj(combined, out=combined), n_rf)
         x_hat = otfs_demodulate(s_hat, m, n).swapaxes(-1, -2).reshape(len(x), k)
 
         x_eq, _ = modem.equalize(x_hat, gains)

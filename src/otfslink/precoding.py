@@ -233,7 +233,8 @@ def decompose(core, k: int) -> SubChannelDecomposition:
         lam, zh = _lapack_eigenpairs(routines, g, computed)
     else:  # the same eigenpairs of the same Gram matrix
         lam, z = np.linalg.eigh(g)
-        lam, zh = lam[-computed:], z[:, -computed:].conj().T
+        # C-ordered rows, as LAPACK's: each eigenvector contiguous, so realize lifts it in place
+        lam, zh = lam[-computed:], np.conjugate(z[:, -computed:].T, order="C")
     del g
     lam, zh = lam[::-1], zh[::-1]
     rank = int(np.count_nonzero(lam > RANK_TOLERANCE**2 * lam[0]))
@@ -264,13 +265,48 @@ def dd_transform_matrices(n_rf: int, m: int, n: int) -> tuple[np.ndarray, np.nda
 def build_precoder_combiner(
     dec: SubChannelDecomposition, n_rf: int, m: int, n: int, mode: str = "dd_corrected"
 ) -> PrecoderCombiner:
-    """The precoder/combiner pair of ``dec``'s ``n_rf * m * n`` triplets."""
+    """The precoder/combiner pair of ``dec``'s ``n_rf * m * n`` triplets, in ``dec``'s own arrays.
+
+    Takes ownership of ``dec``: ``g`` is the array ``dec.v`` and ``w`` is
+    ``dec.u``. In ``dd_corrected`` mode C_T^H and C_R are folded into them
+    in place, in :data:`_FOLD_BLOCKS` blocks of rows, so the pair costs no
+    memory beyond the factors, the two dense ``k x k`` transforms and one
+    block of scratch. Both are then left read-only, so that a held pair
+    cannot change. One decomposition therefore yields one
+    precoder/combiner: factors that are
+    already read-only are refused with a ``ValueError``, and a second pair
+    needs a copy of the decomposition. The factors must be complex128, as
+    :func:`decompose` returns them.
+    """
     if mode not in PRECODER_MODES:
         raise ValueError(f"mode must be one of {PRECODER_MODES}, got {mode!r}")
-    if mode == "paper_literal":
-        return PrecoderCombiner(g=dec.v, w=dec.u)
-    c_t, c_r = dd_transform_matrices(n_rf, m, n)
-    return PrecoderCombiner(g=dec.v @ c_t.conj().T, w=dec.u @ c_r)
+    for name, factor in (("u", dec.u), ("v", dec.v)):
+        if not factor.flags.writeable:
+            raise ValueError(
+                f"factor {name} is read-only: the decomposition's factors are already used by a "
+                f"precoder/combiner; build the next one from a copy of the decomposition"
+            )
+        if factor.dtype != np.complex128:
+            raise ValueError(f"factor {name} must be complex128, got {factor.dtype}")
+    if mode == "dd_corrected":
+        c_t, c_r = dd_transform_matrices(n_rf, m, n)
+        _fold(dec.v, np.conjugate(c_t, out=c_t).T)
+        _fold(dec.u, c_r)
+    for factor in (dec.u, dec.v):
+        factor.flags.writeable = False
+    return PrecoderCombiner(g=dec.v, w=dec.u)
+
+
+# build_precoder_combiner folds a factor in this many blocks of rows, so its scratch is
+# an eighth of the factor. One block as large as the factor left holes in the heap that
+# raised the default sweep's peak RSS by 1 MiB; blocks of a few rows slow the products.
+_FOLD_BLOCKS = 8
+
+
+def _fold(x: np.ndarray, c: np.ndarray) -> None:
+    """``x[:] = x @ c`` in place, for a square ``c``, a block of rows at a time."""
+    for rows in np.array_split(x, _FOLD_BLOCKS):  # views of x
+        rows[...] = rows @ c
 
 
 def sub_channel_gains(dec: SubChannelDecomposition) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from otfslink import channel
 from otfslink.channel import (
     DdMimoChannel,
     PathParams,
@@ -154,6 +156,49 @@ class TestBuildTimeChannel:
                 paths=(PathParams(1.0 + 0j, 0, 4, 0.0, 0.0),),
                 n_tx=1, n_rx=1, m_delay=2, n_doppler=2,
             )
+
+
+class TestOneRotationPerDopplerTap:
+    """``_path_sum`` takes each distinct Doppler tap's phases once, not once per term."""
+
+    @pytest.fixture
+    def rotation_calls(self, monkeypatch):
+        calls = []
+        real = channel.phase_rotation_matrix
+
+        def counted(size, power):
+            calls.append(int(power))
+            return real(size, power)
+
+        monkeypatch.setattr(channel, "phase_rotation_matrix", counted)
+        return calls
+
+    CFG = SimConfig(n_tx=3, n_rx=4, n_rf=1, m_delay=2, n_doppler=3, n_paths=12,
+                    max_delay_tap=5, max_doppler_tap=2)
+
+    def test_h(self, rotation_calls):
+        for seed in range(3):
+            chan = sample_channel(self.CFG, seed)
+            del rotation_calls[:]
+            h = build_time_channel(chan)
+            taps = {p.doppler_tap for p in chan.paths}
+            assert sorted(rotation_calls) == sorted(taps) and len(taps) < len(chan.paths)
+            assert np.max(np.abs(h - time_channel_entry_oracle(chan))) < 1e-12
+
+    @pytest.mark.parametrize("n_tx, n_rx", [(3, 4), (4, 3)], ids=["tall", "wide"])
+    def test_gram(self, rotation_calls, n_tx, n_rx):
+        for seed in range(3):
+            chan = sample_channel(replace(self.CFG, n_tx=n_tx, n_rx=n_rx), seed)
+            core = spatial_core(chan)[1]
+            del rotation_calls[:]
+            gram = core.gram()
+            # the Gram matrix's terms carry the pairs' Doppler differences modulo MN
+            taps = {(p.doppler_tap - o.doppler_tap) % chan.mn for p in chan.paths for o in chan.paths}
+            assert len(rotation_calls) == len(set(rotation_calls)) <= len(taps)
+            dense = dense_spatial_core(chan)[1]
+            a = dense.conj().T if core.wide else dense
+            expected = a.conj().T @ a
+            assert np.max(np.abs(gram * core.scale**2 - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 class TestSpatialCore:

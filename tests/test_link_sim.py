@@ -1,6 +1,7 @@
 """End-to-end link pipeline tests: recovery, pairing, sweeps, CSV."""
 
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -19,6 +20,7 @@ from otfslink.link_sim import (
     SimConfig,
     _average_row,
     _frames_per_chunk,
+    _kron_eye_times,
     _trial_rng,
     antenna_points,
     format_csv,
@@ -511,6 +513,13 @@ class TestRealizationSlot:
         slot.get(self._chan(1), 1, "dd_corrected")
         assert alive_during_realize == [False]
 
+    def test_held_precoder_and_combiner_are_read_only(self):
+        slot = RealizationSlot()
+        held = slot.get(self._chan(0), 1, "dd_corrected")
+        for factor in (held.pc.g, held.pc.w):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 0.0
+
     def test_metrics_gains_do_not_alias_the_held_realization(self):
         slot = RealizationSlot()
         cfg = self.CFG
@@ -518,6 +527,145 @@ class TestRealizationSlot:
         a.gains[:] = 0.0
         b = run_random_link(cfg, _trial_rng(0, 0), slot)
         assert np.all(b.gains > 0)
+
+
+def _orthonormal(n, r, seed):
+    """An ``n x r`` matrix with orthonormal columns, like the Q of an array matrix's QR."""
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))[0]
+
+
+class TestLift:
+    """``_kron_eye_times`` against the dense ``np.kron(Q, I) @ x``."""
+
+    MN, K = 6, 7
+
+    @pytest.mark.parametrize("n, r", [(3, 3), (5, 2)], ids=["square_q", "tall_q"])
+    @pytest.mark.parametrize("order", ["C", "F", "F_reversed", "strided"])
+    def test_matches_the_kronecker_product(self, monkeypatch, n, r, order):
+        # 3 blocks: 3, 2 and 2 of the 7 slabs by column, 14 columns each of the C-ordered slabs
+        monkeypatch.setattr(link_sim, "_LIFT_BLOCKS", 3)
+        q = _orthonormal(n, r, 41)
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((r * self.MN, 2 * self.K)) + 1j * rng.standard_normal((r * self.MN, 2 * self.K))
+        x = {
+            "C": x[:, : self.K].copy(),
+            "F": np.asfortranarray(x[:, : self.K]),
+            # decompose's eigenvectors: contiguous columns, in reverse order
+            "F_reversed": np.asfortranarray(x[:, : self.K])[:, ::-1],
+            "strided": x[:, ::2],
+        }[order]
+        before = x.copy()
+        lifted = _kron_eye_times(q, x)
+        expected = np.kron(q, np.eye(self.MN)) @ before
+        np.testing.assert_allclose(lifted, expected, rtol=0, atol=1e-13)
+        if n == r and order != "strided":  # lifted in x's own buffer
+            assert np.shares_memory(lifted, x)
+            np.testing.assert_array_equal(x, lifted)
+        else:  # one new array, and x as it was
+            assert not np.shares_memory(lifted, x)
+            np.testing.assert_array_equal(x, before)
+
+
+class TestRealizeInPlace:
+    """``realize``'s in-place lift and fold against out-of-place products of the same factors."""
+
+    @pytest.mark.parametrize("route", ["lapack", "eigh"])
+    def test_both_decomposition_routes_are_lifted_in_place(self, monkeypatch, route):
+        # 4 antennas, 6 paths: both Q are square
+        cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=2, n_doppler=3, n_paths=6)
+        q_rx, core, q_tx = spatial_core(sample_channel(cfg, 46))
+        if route == "eigh":
+            monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
+        dec = precoding.decompose(core, cfg.n_subchannels)
+        for q, factor in ((q_rx, dec.u), (q_tx, dec.v)):
+            assert _kron_eye_times(q, factor) is factor
+
+    @pytest.mark.parametrize("mode", ["dd_corrected", "paper_literal"])
+    @pytest.mark.parametrize(
+        "n_tx, n_rx, n_paths",
+        [(3, 5, 6), (5, 3, 6), (4, 6, 3), (2, 6, 4), (6, 2, 4)],
+        ids=["tall_square_qs", "wide_square_qs", "tall_q_each_side", "tall_q_rx", "wide_q_tx"],
+    )
+    def test_matches_the_dense_products(self, mode, n_tx, n_rx, n_paths):
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=2, m_delay=2, n_doppler=3, n_paths=n_paths,
+                        max_delay_tap=5, max_doppler_tap=2)
+        chan = sample_channel(cfg, 43)
+        q_rx, core, q_tx = spatial_core(chan)
+        assert core.wide == (n_tx > n_rx)
+        dec = precoding.decompose(core, cfg.n_subchannels)
+        eye = np.eye(chan.mn)
+        u, v = np.kron(q_rx, eye) @ dec.u, np.kron(q_tx, eye) @ dec.v
+        if mode == "dd_corrected":
+            c_t, c_r = precoding.dd_transform_matrices(2, 2, 3)
+            u, v = u @ c_r, v @ c_t.conj().T
+        pc = realize(chan, cfg.n_rf, mode).pc
+        np.testing.assert_allclose(pc.w, u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(pc.g, v, rtol=0, atol=1e-13)
+
+
+GRID16 = SimConfig(m_delay=16, n_doppler=16)
+
+
+@pytest.fixture(scope="module")
+def grid16_realization():
+    """A ``grid16``-shaped realization, and the traced peak between its decomposition and H.
+
+    The peak is in k-column arrays, ``n*MN x k`` complex128 (16 MiB here,
+    k = n_rf*MN = 512): tracing starts when ``decompose`` returns and stops
+    when ``build_time_channel`` is called.
+    """
+    cfg = GRID16
+    chan = sample_channel(cfg, np.random.default_rng(44))
+    decompose, build_time_channel = link_sim.decompose, link_sim.build_time_channel
+    peak = []
+
+    def traced_decompose(core, k):
+        dec = decompose(core, k)
+        tracemalloc.start()
+        return dec
+
+    def traced_build(c):
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        return build_time_channel(c)
+
+    link_sim.decompose, link_sim.build_time_channel = traced_decompose, traced_build
+    try:
+        slot = RealizationSlot()
+        real = slot.get(chan, cfg.n_rf, cfg.precoder_mode)
+    finally:
+        link_sim.decompose, link_sim.build_time_channel = decompose, build_time_channel
+        tracemalloc.stop()
+    k_column = 16 * cfg.n_tx * chan.mn * cfg.n_subchannels
+    assert real.pc.g.nbytes == real.pc.w.nbytes == k_column
+    return slot, real, peak[0] / k_column
+
+
+class TestGrid16Memory:
+    def test_precoder_and_combiner_need_under_one_k_column_array(self, grid16_realization):
+        # lifting into new arrays and folding by out-of-place products held 4.5
+        peak = grid16_realization[2]
+        assert peak < 1.0, f"{peak:.2f} k-column arrays between decompose and build_time_channel"
+
+    def test_a_link_on_a_held_realization_copies_no_factor(self, grid16_realization):
+        # a conjugated copy of the combiner is one k-column array; the chunk's
+        # own arrays, the Kendall pairs' the largest (about 0.4 here), stay
+        # within FRAME_CHUNK_ENTRIES entries each
+        slot, real, _ = grid16_realization
+        rng = np.random.default_rng(45)
+        idx, w = sample_payload(rng, GRID16.payload_len), sample_importance(rng, GRID16.payload_len)
+        k_column = real.pc.w.nbytes
+        tracemalloc.start()
+        try:
+            metrics = run_link(GRID16, idx, w, np.random.default_rng(44), slot)
+            peak = tracemalloc.get_traced_memory()[1] / k_column
+        finally:
+            tracemalloc.stop()
+        assert slot.get(sample_channel(GRID16, np.random.default_rng(44)), GRID16.n_rf,
+                        GRID16.precoder_mode) is real  # the link reused the held realization
+        assert math.isfinite(metrics.mse)
+        assert peak < 0.5, f"run_link allocated {peak:.2f} k-column arrays"
 
 
 class TestCsv:

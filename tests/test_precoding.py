@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,11 @@ from otfslink.precoding import (
 from otfslink.validation import DenseCore, dense_spatial_core, effective_dd_channel
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _copy(dec):
+    """A decomposition with factors of its own: a precoder/combiner takes its factors over."""
+    return replace(dec, u=dec.u.copy(), v=dec.v.copy())
 
 def random_channel(seed, n_ant=2, grid=2, n_paths=5):
     cfg = SimConfig(
@@ -90,7 +96,7 @@ class TestPrecoderCombiner:
             )
         )
         dec = decompose(DenseCore(h), 4)
-        literal = build_precoder_combiner(dec, 1, 4, 1, "paper_literal")
+        literal = build_precoder_combiner(_copy(dec), 1, 4, 1, "paper_literal")
         corrected = build_precoder_combiner(dec, 1, 4, 1, "dd_corrected")
         np.testing.assert_allclose(literal.g, corrected.g, atol=1e-12)
         np.testing.assert_allclose(literal.w, corrected.w, atol=1e-12)
@@ -114,6 +120,62 @@ class TestPrecoderCombiner:
         dec = decompose(DenseCore(np.eye(4)), 4)
         with pytest.raises(ValueError):
             build_precoder_combiner(dec, 1, 2, 2, "bogus")
+
+    @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
+    @pytest.mark.parametrize("order", ["C", "F", "F_reversed"])
+    def test_folds_in_the_factors_own_arrays(self, mode, order):
+        # 11 and 10 rows in 8 blocks of 1 or 2 rows each
+        rng = np.random.default_rng(40)
+
+        def factor(rows):
+            x = rng.standard_normal((rows, 8)) + 1j * rng.standard_normal((rows, 8))
+            if order == "C":
+                return x
+            x = np.asfortranarray(x)
+            # decompose's eigenvectors: contiguous columns, in reverse order
+            return x[:, ::-1] if order == "F_reversed" else x
+
+        dec = precoding.SubChannelDecomposition(u=factor(11), sigma=np.ones(8), v=factor(10), rank=8)
+        u, v = dec.u.copy(), dec.v.copy()
+        pc = build_precoder_combiner(dec, 2, 2, 2, mode)
+        assert pc.g is dec.v and pc.w is dec.u
+        if mode == "dd_corrected":
+            c_t, c_r = dd_transform_matrices(2, 2, 2)
+            u, v = u @ c_r, v @ c_t.conj().T
+        np.testing.assert_allclose(pc.g, v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(pc.w, u, rtol=0, atol=1e-13)
+
+
+class TestOneBuildPerDecomposition:
+    @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
+    def test_factors_are_left_read_only(self, mode):
+        dec = decompose(DenseCore(random_channel(6)), 4)
+        pc = build_precoder_combiner(dec, 1, 2, 2, mode)
+        for factor in (pc.g, pc.w, dec.u, dec.v):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 0.0
+
+    @pytest.mark.parametrize("first", ["paper_literal", "dd_corrected"])
+    @pytest.mark.parametrize("second", ["paper_literal", "dd_corrected"])
+    def test_a_second_build_is_refused(self, first, second):
+        dec = decompose(DenseCore(random_channel(6)), 4)
+        pc = build_precoder_combiner(dec, 1, 2, 2, first)
+        g = pc.g.copy()
+        with pytest.raises(ValueError, match="already used by a precoder/combiner"):
+            build_precoder_combiner(dec, 1, 2, 2, second)
+        np.testing.assert_array_equal(pc.g, g)
+
+    def test_a_copy_builds_a_second_pair(self):
+        dec = decompose(DenseCore(random_channel(6)), 4)
+        spare = _copy(dec)
+        first = build_precoder_combiner(dec, 1, 2, 2)
+        np.testing.assert_allclose(build_precoder_combiner(spare, 1, 2, 2).g, first.g, rtol=0, atol=1e-13)
+
+    def test_factors_other_than_complex128_are_refused(self):
+        dec = precoding.SubChannelDecomposition(u=np.eye(4), sigma=np.ones(4), v=np.eye(4), rank=4)
+        with pytest.raises(ValueError, match="factor u must be complex128"):
+            build_precoder_combiner(dec, 1, 2, 2)
 
 
 class TestEffectiveDdChannel:
@@ -174,7 +236,7 @@ class TestEffectiveDdChannel:
         h = random_channel(7)
         dec = decompose(DenseCore(h), 4)
         effs = [
-            effective_dd_channel(h, build_precoder_combiner(dec, 1, 2, 2, mode), 1, 2, 2)
+            effective_dd_channel(h, build_precoder_combiner(_copy(dec), 1, 2, 2, mode), 1, 2, 2)
             for mode in ("paper_literal", "dd_corrected")
         ]
         np.testing.assert_allclose(
