@@ -14,7 +14,7 @@ Submodules:
 * :mod:`otfslink.cli`           -- ``otfslink`` command-line entry point
 """
 
-__version__ = "0.7.1"
+__version__ = "0.7.2"
 
 from .allocation import (
     allocate,

@@ -12,12 +12,13 @@ half-wavelength uniform-linear-array responses. Delays act as cyclic
 shifts over one frame, i.e. the frame is treated as cyclically extended;
 no explicit cyclic prefix is modeled.
 
-The link decomposes the channel through its spatial core C
-(:func:`spatial_core`), which it never forms as a matrix: a
-:class:`SpatialCore` keeps C's paths and gives the two things the
-decomposition needs, the Gram matrix of C's smaller side, summed from the
-path pairs, and C's product with a block of vectors, taken path by path.
-The dense H is built only to carry the transmitted frames.
+The link decomposes the channel through a :class:`SpatialCore`
+(:func:`spatial_core`), which keeps H's paths and gives the three things
+the decomposition needs: the Gram matrix of H's spatial core on its
+smaller side, summed from the path pairs; the lift of that matrix's
+eigenvectors to H's coordinates; and H's product with a block of vectors,
+taken path by path. Neither the core nor H is formed for it; the dense H
+is built only to carry the transmitted frames.
 
 :func:`sample_channel` draws a channel for a
 :class:`~otfslink.link_sim.SimConfig`, which checks every sampling
@@ -72,6 +73,9 @@ class DdMimoChannel:
                 raise ValueError(f"path {i}: |doppler_tap| {abs(p.doppler_tap)} must be < {mn}")
             if not np.isfinite(p.gain):
                 raise ValueError(f"path {i}: gain must be finite")
+            for name in ("aod", "aoa"):
+                if not np.isfinite(getattr(p, name)):
+                    raise ValueError(f"path {i}: {name} must be finite, got {getattr(p, name)}")
 
     @property
     def mn(self) -> int:
@@ -160,18 +164,30 @@ def build_time_channel(chan: DdMimoChannel) -> np.ndarray:
     return _path_sum(chan.mn, gains, spatial, delays, dopplers)
 
 
+# SpatialCore.lift overwrites the eigenvectors in this many blocks, as precoding._FOLD_BLOCKS.
+_LIFT_BLOCKS = 8
+
+
 @dataclass(frozen=True, eq=False)
 class SpatialCore:
-    """The spatial core C of a channel, kept as the path sum it is.
+    """A channel H kept as the path sum it is, in the form :func:`~otfslink.precoding.decompose` takes.
 
-    ``C = scale * sum_i gains[i] (r_out[:, i] r_in[:, i]^H) kron (Pi^l_i
-    Delta^k_i)`` when C has at least as many rows as columns. When it has
-    fewer (``wide``), these fields describe C^H instead, which is again a
-    path sum: ``(Pi^l Delta^k)^H = w^(kl) Pi^(-l) Delta^(-k)`` with
-    ``w = exp(j 2 pi / MN)``, so path i moves to taps ``(-l_i mod MN,
-    -k_i)`` with gain ``conj(gain_i) w^(k_i l_i)`` and the two R factors
-    swap sides. Either way the fields describe a tall matrix A, C or C^H,
-    with ``r_in`` the smaller side.
+    ``H = scale * sum_i gains[i] (a_out[:, i] a_in[:, i]^H) kron (Pi^l_i
+    Delta^k_i)`` unless ``wide``; then these fields describe H^H, which is
+    again a path sum: ``(Pi^l Delta^k)^H = w^(kl) Pi^(-l) Delta^(-k)``
+    with ``w = exp(j 2 pi / MN)``, so path i moves to taps ``(-l_i mod MN,
+    -k_i)`` with gain ``conj(gain_i) w^(k_i l_i)`` and the two array
+    responses swap sides. Either way the fields describe a matrix A, H or
+    H^H, whose in side is the Gram side.
+
+    ``a_in = q_in r_in`` is the reduced QR factorization of the in side's
+    ``n x L`` array responses, so A's right singular vectors of nonzero
+    singular value lie in the span of ``q_in kron I_MN``, whose
+    ``min(n, L)*MN`` columns are orthonormal. The Gram side is the side
+    where that count is the smaller (the transmit side on a tie), and
+    ``wide`` says it is the receive side. The decomposition takes those
+    vectors from the eigenvectors of :meth:`gram`, lifted by :meth:`lift`,
+    and the left ones from :meth:`times`.
 
     ``scale`` is half the smallest power of two above the largest real or
     imaginary part of a gain, so it is finite for every finite gain, and
@@ -180,7 +196,9 @@ class SpatialCore:
     overflow nor lose its leading digits to underflow.
     """
 
-    r_out: np.ndarray
+    a_out: np.ndarray
+    a_in: np.ndarray
+    q_in: np.ndarray
     r_in: np.ndarray
     gains: np.ndarray
     delays: np.ndarray
@@ -191,13 +209,14 @@ class SpatialCore:
 
     @property
     def side(self) -> int:
-        """Size of the Gram matrix: C's smaller side, ``min(n_rx, n_tx, L)*MN``."""
+        """Size of the Gram matrix: ``min(n_rx, n_tx, L)*MN``."""
         return self.r_in.shape[0] * self.mn
 
     def gram(self) -> np.ndarray:
-        """``A^H A / scale**2``: ``C^H C``, or ``C C^H`` when ``wide``, over ``scale**2``.
+        """``(q_in kron I)^H A^H A (q_in kron I) / scale**2``: A's Gram matrix on the Gram side.
 
-        ``A^H A = sum_(i,j) conj(g_i) g_j (o_i^H o_j) (n_i n_j^H) kron
+        With ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``a_out``,
+        it is ``sum_(i,j) conj(g_i) g_j (o_i^H o_j) (r_i r_j^H) kron
         Delta^(-k_i) Pi^(l_j - l_i) Delta^(k_j)``, and ``Delta^(-k_i) Pi^d
         Delta^(k_j) = w^(-k_i d) Pi^d Delta^(k_j - k_i)``. Path pairs with
         equal ``(l_j - l_i, k_j - k_i)`` modulo MN share one
@@ -222,24 +241,46 @@ class SpatialCore:
         blocks = np.zeros((taps.size, s, s), dtype=complex)
         for i in rows:
             keys = pair_taps(i)
-            weight = (g[i].conj()[:, None] * g[None, :] * (self.r_out[:, i].conj().T @ self.r_out)
+            weight = (g[i].conj()[:, None] * g[None, :] * (self.a_out[:, i].conj().T @ self.a_out)
                       * np.exp(-2j * np.pi * ((k[i, None] * (keys // mn)) % mn) / mn))
             outer = weight[:, :, None, None] * n_in[i, None, :, None] * n_in.conj()[None, :, None, :]
             np.add.at(blocks, np.searchsorted(taps, keys).ravel(), outer.reshape(-1, s, s))
         return _path_sum(mn, np.ones(taps.size), blocks, taps // mn, taps % mn)
 
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """``A x / scale`` for the ``(side, k)`` array ``x``: ``C x`` or ``C^H x``, over ``scale``.
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """``(q_in kron I_MN) z`` for the ``(side, k)`` eigenvectors ``z`` of :meth:`gram`.
 
-        One product with ``R_in^H`` takes x to one ``MN x k`` slab per path,
+        Every column of ``z`` must be contiguous, as the eigenvectors
+        :func:`~otfslink.precoding.decompose` takes are: each is a
+        ``(min(n, L), MN)`` slab, a row of ``z.T``, that ``q_in`` multiplies
+        from the left. When ``q_in`` is square (no more antennas than paths
+        on the Gram side) the product overwrites ``z`` in
+        :data:`_LIFT_BLOCKS` blocks, through scratch the size of one, and
+        ``z`` is returned; otherwise the result is one new array.
+        """
+        if z.strides[0] != z.itemsize:  # else the slabs below are a copy, and writes to them are lost
+            raise ValueError(f"the columns of z must be contiguous, got strides {z.strides}")
+        n, r = self.q_in.shape
+        k = z.shape[1]
+        slabs = z.T.reshape(k, r, self.mn)  # a view: each row of z.T is contiguous
+        if n != r:
+            return (self.q_in @ slabs).reshape(k, -1).T
+        for block in np.array_split(slabs, _LIFT_BLOCKS):  # views of z
+            block[...] = self.q_in @ block
+        return z
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """``A x / scale`` for the ``(n_in*MN, k)`` array ``x``: ``H x``, or ``H^H x`` when ``wide``.
+
+        One product with ``a_in^H`` takes x to one ``MN x k`` slab per path,
         each path shifts and rotates its slab, and one product with
-        ``R_out`` sums the paths into A's row space. The slabs of all
+        ``a_out`` sums the paths into A's row space. The slabs of all
         paths would outgrow the result once there are more paths than
-        ``R_out`` has rows, so the columns go through in blocks whose slabs
+        ``a_out`` has rows, so the columns go through in blocks whose slabs
         hold no more entries than the result.
         """
         mn = self.mn
-        n_out = self.r_out.shape[0]
+        n_out = self.a_out.shape[0]
         out = np.empty((n_out * mn, x.shape[1]), dtype=complex)
         step = max(1, n_out * x.shape[1] // self.gains.size)
         q = np.arange(mn)
@@ -251,46 +292,47 @@ class SpatialCore:
     def _times_block(self, block: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """One column block of :meth:`times`; its slabs are freed on return."""
         mn, paths, cols = self.mn, self.gains.size, block.shape[1]
-        slabs = (self.r_in.conj().T @ block.reshape(self.r_in.shape[0], mn * cols)).reshape(paths, mn, cols)
+        slabs = (self.a_in.conj().T @ block.reshape(self.a_in.shape[0], mn * cols)).reshape(paths, mn, cols)
         shifted = np.empty_like(slabs)
         for i, delay in enumerate(self.delays):
             # row q of the slab, times its phase, lands on row (q + delay) mod MN
             cut = mn - delay
             np.multiply(slabs[i, :cut], phases[i, :cut, None], out=shifted[i, delay:])
             np.multiply(slabs[i, cut:], phases[i, cut:, None], out=shifted[i, :delay])
-        return (self.r_out @ shifted.reshape(paths, mn * cols)).reshape(-1, cols)
+        return (self.a_out @ shifted.reshape(paths, mn * cols)).reshape(-1, cols)
 
 
-def spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, SpatialCore, np.ndarray]:
-    """``(Q_rx, C, Q_tx)`` with ``H = (Q_rx kron I_MN) C (Q_tx kron I_MN)^H`` exactly.
+def spatial_core(chan: DdMimoChannel) -> SpatialCore:
+    """``chan`` as the :class:`SpatialCore` through which :func:`~otfslink.precoding.decompose` takes H's SVD.
 
     With ``A_rx = Q_rx R_rx`` and ``A_tx = Q_tx R_tx`` the reduced QR
     factorizations of the ``n x L`` array matrices, the spatial factor
-    ``a_rx,i a_tx,i^H`` of path i is ``Q_rx r_rx,i r_tx,i^H Q_tx^H``, so C is
-    the path sum of H with the columns of R in place of the array
-    responses. C is ``min(n_rx, L)*MN x min(n_tx, L)*MN``: smaller than H
-    when an array has more antennas than the channel has paths, H's size
-    otherwise. ``Q kron I_MN`` has orthonormal columns, so C and H share
-    their nonzero singular values. C is returned as a :class:`SpatialCore`,
-    which gives its Gram matrix and its products without forming C.
+    ``a_rx,i a_tx,i^H`` of path i is ``Q_rx r_rx,i r_tx,i^H Q_tx^H``, so
+    ``H = (Q_rx kron I_MN) C (Q_tx kron I_MN)^H`` exactly, with C the path
+    sum of H with the columns of R in place of the array responses. C is
+    ``min(n_rx, L)*MN x min(n_tx, L)*MN``: smaller than H when an array has
+    more antennas than the channel has paths, H's size otherwise, and it
+    shares H's nonzero singular values. The core's Gram matrix is C's on
+    its smaller side, so only that side's Q and R are kept; neither C nor
+    the other side's Q is formed.
     """
     a_rx, a_tx = _array_matrices(chan)
-    q_rx, r_rx = np.linalg.qr(a_rx)
-    q_tx, r_tx = np.linalg.qr(a_tx)
     gains, delays, dopplers = _taps(chan)
     # the parts, not |gain|: |gain| overflows for parts near the largest float
     peak = float(np.max(np.abs(gains.view(float))))
     scale = 2.0 ** (np.frexp(peak)[1] - 1) if peak > 0 else 1.0
     gains = gains / scale
     mn = chan.mn
-    wide = r_rx.shape[0] < r_tx.shape[0]
+    paths = len(chan.paths)
+    wide = min(chan.n_rx, paths) < min(chan.n_tx, paths)
+    a_out, a_in = a_rx, a_tx
     if wide:
         gains = gains.conj() * np.exp(2j * np.pi * ((dopplers * delays) % mn) / mn)
         delays, dopplers = -delays % mn, -dopplers
-        r_rx, r_tx = r_tx, r_rx
-    core = SpatialCore(r_out=r_rx, r_in=r_tx, gains=gains, delays=delays, dopplers=dopplers,
-                       mn=mn, scale=scale, wide=wide)
-    return q_rx, core, q_tx
+        a_out, a_in = a_tx, a_rx
+    q_in, r_in = np.linalg.qr(a_in)
+    return SpatialCore(a_out=a_out, a_in=a_in, q_in=q_in, r_in=r_in, gains=gains, delays=delays,
+                       dopplers=dopplers, mn=mn, scale=scale, wide=wide)
 
 
 def sample_channel(cfg: SimConfig, rng=None) -> DdMimoChannel:

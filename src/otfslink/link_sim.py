@@ -34,20 +34,14 @@ as ``(frames, ...)`` arrays, frame axis leading, in chunks bounded by
 frame. With several frames per chunk the floats move by rounding against
 one frame at a time.
 
-The decomposition is the SVD of the channel's exact spatial core, not of
-the dense H: H factors as ``(Q_rx kron I) C (Q_tx kron I)^H`` with ``C`` of
-size ``min(n_rx, L)*MN x min(n_tx, L)*MN`` for L paths.
-:func:`~otfslink.precoding.decompose` returns exactly the ``n_rf*MN``
-leading triplets the link uses, from the leading eigenpairs of C's Gram
-matrix, or raises when the channel's rank is lower; :func:`realize` lifts
-them to H's coordinates. C itself is never formed: its Gram matrix is
-summed from the path pairs and its products are taken path by path
+The decomposition never forms H: :func:`~otfslink.precoding.decompose`
+returns exactly the ``n_rf*MN`` leading triplets of H the link uses, in
+H's own coordinates, or raises when the channel's rank is lower. It takes
+them from the leading eigenpairs of the Gram matrix of H's spatial core,
+which is summed from the path pairs, and applies H path by path
 (:class:`~otfslink.channel.SpatialCore`). The dense H is built only to
-apply the channel to the transmitted frames. In CSV version 0.6.0 that
-Gram matrix and product round differently from 0.5.0's dense ones, so at
-equal seeds the float columns move by rounding (up to about 1e-14
-relative on the shipped configs, where ``ser`` and ``kappa_exact`` are
-unchanged).
+apply the channel to the transmitted frames. How each version of the CSV
+moved against the one before is kept in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -96,9 +90,11 @@ MAX_TRIALS = 10**6
 # precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
-# Most entries of any per-chunk array of a burst: run_link passes as many frames
+# Most entries of each per-chunk array of a burst: run_link passes as many frames
 # at once as keep the larger of a frame's K(K-1)/2 Kendall pairs and its n*MN
-# signal entries (n the larger array) within this bound, one frame at least.
+# signal entries (n the larger array) within this bound, one frame at least. It
+# bounds each array, not their sum: the two Kendall functions hold several
+# pair-sized arrays at once (0.38 and 0.31 k-column arrays at grid16's K = 512).
 FRAME_CHUNK_ENTRIES = 2**18
 
 # The largest arrays of a link, as products of SimConfig size fields and their
@@ -268,72 +264,28 @@ class Realization:
 def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     """The sub-channel gains, the precoder/combiner and the dense H of ``chan``.
 
-    The SVD is taken of the spatial core C, ``H = (Q_rx kron I) C (Q_tx
-    kron I)^H``, which has H's nonzero singular values and is smaller than
-    H when an array has more antennas than the channel has paths.
     :func:`~otfslink.precoding.decompose` returns exactly the ``n_rf*MN``
-    leading triplets of C the link uses, from the leading eigenpairs of its
-    Gram matrix, or raises
-    :class:`~otfslink.precoding.RankDeficientChannelError` before any
-    vector is lifted. Both ``Q kron I`` have orthonormal columns, so
-    ``(Q_rx kron I) u`` and ``(Q_tx kron I) v`` are singular vectors of H
-    with C's singular values. C is held by its paths, never as a matrix:
-    the Gram matrix is summed from the path pairs and freed inside the
-    decomposition.
+    leading singular triplets of H the link uses, from the leading
+    eigenpairs of the Gram matrix of H's spatial core
+    (:func:`~otfslink.channel.spatial_core`), or raises
+    :class:`~otfslink.precoding.RankDeficientChannelError`. The core is
+    held by its paths, never as a matrix, and the Gram matrix is freed
+    inside the decomposition.
 
-    The factors are lifted and then folded into the precoder/combiner in
-    the arrays the decomposition returned (see :func:`_kron_eye_times` and
-    :func:`~otfslink.precoding.build_precoder_combiner`), which owns them
-    from then on; only a side with more antennas than paths gets one new,
-    larger array. So a realization has two memory peaks: inside the
-    decomposition, the Gram matrix and the k eigenvectors; and at the end,
-    H, which only :func:`~otfslink.channel.apply_channel` needs and which
-    is built last, next to the precoder/combiner.
+    The precoder/combiner is folded in the arrays the decomposition
+    returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
+    which owns them from then on. So a realization has two memory peaks:
+    inside the decomposition, the Gram matrix and the k eigenvectors; and
+    at the end, H, which only :func:`~otfslink.channel.apply_channel` needs
+    and which is built last, next to the precoder/combiner.
     """
     m, n = chan.m_delay, chan.n_doppler
-    q_rx, core, q_tx = spatial_core(chan)
-    dec = decompose(core, n_rf * m * n)
-    del core
+    dec = decompose(spatial_core(chan), n_rf * m * n)
     gains = sub_channel_gains(dec)
-    # one side at a time, so that a core-side factor lifted into a new array is dropped at once
-    dec = replace(dec, u=_kron_eye_times(q_rx, dec.u))
-    dec = replace(dec, v=_kron_eye_times(q_tx, dec.v))
     pc = build_precoder_combiner(dec, n_rf, m, n, precoder_mode)
     del dec
     h = build_time_channel(chan)
     return Realization(h=h, pc=pc, gains=gains)
-
-
-# _kron_eye_times lifts a factor in place in this many blocks, as precoding._FOLD_BLOCKS.
-_LIFT_BLOCKS = 8
-
-
-def _kron_eye_times(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(Q kron I) @ x`` without forming the Kronecker product, in ``x``'s buffer when Q is square.
-
-    Each column of ``x`` is a ``(Q.shape[1], MN)`` slab that Q multiplies
-    from the left. When every column of ``x`` is contiguous, as in the
-    eigenvectors :func:`~otfslink.precoding.decompose` returns, the slabs
-    are the rows of ``x.T``; otherwise ``x`` is taken C-ordered, a copy only
-    if it is not, and its slabs lie side by side. When Q is square (no more
-    antennas than paths) the product overwrites ``x`` in
-    :data:`_LIFT_BLOCKS` blocks, through scratch the size of one, and ``x``
-    is returned; otherwise the result is one new array.
-    """
-    n, r = q.shape
-    k = x.shape[1]
-    by_column = x.strides[0] == x.itemsize
-    if by_column:
-        slabs = x.T.reshape(k, r, -1)  # a view: each row of x.T is contiguous
-    else:
-        x = np.ascontiguousarray(x)
-        slabs = x.reshape(r, -1)
-    if n != r:
-        lifted = q @ slabs
-        return lifted.reshape(k, -1).T if by_column else lifted.reshape(-1, k)
-    for block in np.array_split(slabs, _LIFT_BLOCKS, axis=0 if by_column else 1):  # views of x
-        block[...] = q @ block
-    return x
 
 
 class RealizationSlot:

@@ -4,14 +4,14 @@ An SVD of the time-domain channel turns the MIMO-OTFS link into parallel
 scalar sub-channels whose gains are the singular values. A link of
 ``n_rf`` chains on an (M, N) grid uses exactly k = n_rf*M*N of them and
 needs a channel of rank >= k. :func:`decompose` owns that rule: it
-returns exactly the k leading triplets of the channel's spatial core C,
-``H = (Q_rx kron I) C (Q_tx kron I)^H``
-(:func:`otfslink.channel.spatial_core`), or raises
+returns exactly the k leading triplets of H, or raises
 :class:`RankDeficientChannelError`. It takes them from the leading
-eigenpairs of the Gram matrix of C's smaller side: LAPACK's tridiagonal
-reduction, all eigenvalues of the tridiagonal without vectors, and
-vectors for the k largest only. C is never formed: the channel module
-builds that Gram matrix from the path pairs and applies C path by path.
+eigenpairs of the Gram matrix of H's spatial core on its smaller side
+(:class:`otfslink.channel.SpatialCore`): LAPACK's tridiagonal reduction,
+all eigenvalues of the tridiagonal without vectors, and vectors for the
+k largest only. Neither the core nor H is formed: the channel module
+builds that Gram matrix from the path pairs, lifts its eigenvectors to
+H's coordinates and applies H path by path.
 Two precoder / combiner modes are provided:
 
 * ``paper_literal``: use the leading SVD factors directly (G = V1, W = U1),
@@ -62,10 +62,11 @@ class RankDeficientChannelError(ValueError):
 
 @dataclass(frozen=True)
 class SubChannelDecomposition:
-    """Leading SVD factors of a channel matrix.
+    """Leading SVD factors of a channel matrix H, in H's own coordinates.
 
-    ``u`` and ``v`` are semi-unitary and hold the leading singular vectors;
-    ``sigma`` holds the corresponding singular values in descending order.
+    ``u`` (``H.shape[0] x k``) and ``v`` (``H.shape[1] x k``) are
+    semi-unitary and hold the leading singular vectors, ``H v = u
+    diag(sigma)``; ``sigma`` holds the singular values in descending order.
     ``rank`` always equals ``sigma.size``, the ``k`` that :func:`decompose`
     was asked for; it stays only for the benchmark's rank counter, which
     ROADMAP item 3 retires.
@@ -128,22 +129,6 @@ def _check(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"{routine} failed: info = {info}")
 
 
-def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
-    """``a[:] = a[order]`` in place, through one row of scratch."""
-    row, placed = np.empty_like(a[0]), np.zeros(len(order), bool)
-    for first in range(len(order)):
-        if placed[first]:
-            continue
-        row[:] = a[first]
-        i = first
-        while order[i] != first:  # walk the cycle through first
-            a[i] = a[order[i]]
-            placed[i] = True
-            i = order[i]
-        a[i] = row
-        placed[i] = True
-
-
 def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
     """``(lam, zh)``: the ``k`` largest eigenpairs of the Hermitian ``g``, ascending.
 
@@ -193,27 +178,28 @@ def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
     lam = w[:k] / scale
     if isplit.size > 1:  # the blocks' eigenvalues interleave
         order = np.argsort(lam, kind="stable")
-        lam = lam[order]
-        _permute_rows(zh, order)
+        lam, zh = lam[order], zh[order]
     return lam, zh
 
 
 def decompose(core, k: int) -> SubChannelDecomposition:
-    """The ``k`` leading singular triplets of a channel core C, or an error.
+    """The ``k`` leading singular triplets of a channel H, or an error.
 
-    ``core`` gives C in the form this route needs, never C itself:
-    ``core.gram()`` is the Gram matrix of C's smaller side over
-    ``core.scale**2`` (``C^H C``, or ``C C^H`` when ``core.wide``), and
-    ``core.times(x)`` maps that side's vectors to the other side over
-    ``core.scale`` (``C x``, or ``C^H x``). The link passes a
-    :class:`~otfslink.channel.SpatialCore`; a dense matrix goes through
-    :class:`otfslink.validation.DenseCore`.
+    ``core`` gives H in the form this route needs, never H itself. With A
+    = H, or H^H when ``core.wide``: ``core.gram()`` is the Gram matrix of A
+    compressed to a basis of its in side, over ``core.scale**2``;
+    ``core.lift(z)`` takes that basis's coordinates back to A's in side,
+    for eigenvectors ``z`` with contiguous columns, in ``z``'s buffer when
+    it can; and ``core.times(x)`` is ``A x / core.scale``. The link passes
+    a :class:`~otfslink.channel.SpatialCore`; a dense matrix goes through
+    :class:`otfslink.validation.DenseCore`, whose basis is the identity.
 
-    The triplets come from the ``k`` leading eigenpairs of the Gram matrix,
-    by ``zhetrd``, ``dsterf``, ``zstein`` and ``zunmtr`` from numpy's own
-    OpenBLAS (by ``np.linalg.eigh`` when it does not export all four); the
-    Gram matrix is freed before the other side's vectors, ``times(z) /
-    sigma``, are formed. Factors are complex128.
+    The triplets come from the ``k`` leading eigenpairs ``(lambda, z)`` of
+    the Gram matrix, by ``zhetrd``, ``dsterf``, ``zstein`` and ``zunmtr``
+    from numpy's own OpenBLAS (by ``np.linalg.eigh`` when it does not
+    export all four): ``sigma = sqrt(lambda)``, A's right singular vectors
+    are ``lift(z)`` and its left ones ``times(lift(z)) / sigma``. The Gram
+    matrix is freed before either is formed. Factors are complex128.
     Raises :class:`RankDeficientChannelError` when fewer than ``k``
     eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above
     the side included, and ``ValueError`` when ``sigma_max * core.scale``
@@ -233,7 +219,7 @@ def decompose(core, k: int) -> SubChannelDecomposition:
         lam, zh = _lapack_eigenpairs(routines, g, computed)
     else:  # the same eigenpairs of the same Gram matrix
         lam, z = np.linalg.eigh(g)
-        # C-ordered rows, as LAPACK's: each eigenvector contiguous, so realize lifts it in place
+        # C-ordered rows, as LAPACK's: each eigenvector contiguous, so core.lift works in place
         lam, zh = lam[-computed:], np.conjugate(z[:, -computed:].T, order="C")
     del g
     lam, zh = lam[::-1], zh[::-1]
@@ -243,7 +229,8 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     sigma = np.sqrt(lam)
     if sigma[0] > np.finfo(np.float64).max / max(core.scale, 1.0):
         raise ValueError(f"the largest singular value {sigma[0]:.3g} * {core.scale:.3g} overflows the float range")
-    z = np.conjugate(zh, out=zh).T  # the eigenvectors, in zh's buffer
+    z = core.lift(np.conjugate(zh, out=zh).T)  # the eigenvectors, in zh's buffer, lifted
+    del zh  # a lift into a new array frees the eigenvectors
     other = core.times(z)
     other /= sigma
     u, v = (z, other) if core.wide else (other, z)

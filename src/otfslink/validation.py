@@ -90,11 +90,12 @@ def time_channel_entry_oracle(chan: DdMimoChannel) -> np.ndarray:
 
 
 def dense_spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(Q_rx, C, Q_tx)`` of :func:`otfslink.channel.spatial_core`, with C dense, by Kronecker products.
+    """``(Q_rx, C, Q_tx)`` with ``H = (Q_rx kron I) C (Q_tx kron I)^H``, C dense, by Kronecker products.
 
     Q and R come from the reduced QR factorizations of the array matrices,
-    as there, and ``C = sum_i gain_i (r_rx,i r_tx,i^H) kron (Pi^l_i
-    Delta^k_i)`` with the dense shift and rotation.
+    as in :func:`otfslink.channel.spatial_core`, and ``C = sum_i gain_i
+    (r_rx,i r_tx,i^H) kron (Pi^l_i Delta^k_i)`` with the dense shift and
+    rotation: the core whose Gram matrix a ``SpatialCore`` gives.
     """
     a_rx = np.column_stack([ula_response(p.aoa, chan.n_rx) for p in chan.paths])
     a_tx = np.column_stack([ula_response(p.aod, chan.n_tx) for p in chan.paths])
@@ -115,9 +116,9 @@ def dense_spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.
 class DenseCore:
     """A dense matrix h in the form :func:`~otfslink.precoding.decompose` takes.
 
-    Its Gram matrix and products are dense products with h, and ``scale``
-    is 1: the adapter through which the oracles and the tests decompose a
-    dense matrix.
+    Its Gram matrix and products are dense products with h, its lift is
+    the identity, and ``scale`` is 1: the adapter through which the oracles
+    and the tests decompose a dense matrix.
     """
 
     h: np.ndarray
@@ -136,6 +137,9 @@ class DenseCore:
     def gram(self) -> np.ndarray:
         h = self.h
         return h @ h.conj().T if self.wide else h.conj().T @ h
+
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        return z
 
     def times(self, x: np.ndarray) -> np.ndarray:
         return (self.h.conj().T if self.wide else self.h) @ x
@@ -277,11 +281,11 @@ def criterion_4_channel_matrix_oracle() -> CheckResult:
 
 
 def core_gram_oracle() -> CheckResult:
-    """The spatial core's path-built Gram matrix and products equal the dense core's.
+    """The spatial core's path-built Gram matrix equals the dense core's, its product the dense H's.
 
     Tall, wide and square cores, one path, and taps that wrap the frame.
     Gaps are relative to the largest entry of the dense Gram matrix and of
-    the dense product.
+    the dense product with H (H^H for a wide core) from its closed form.
     """
     rng = np.random.default_rng(1414)
     shapes = [(3, 5, 4, 3), (5, 3, 4, 3), (4, 4, 6, 3), (3, 3, 1, 3), (2, 3, 3, 5), (3, 2, 3, 5)]
@@ -290,12 +294,14 @@ def core_gram_oracle() -> CheckResult:
         cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths,
                         max_delay_tap=max_tap, max_doppler_tap=max_tap)
         chan = sample_channel(cfg, rng)
-        core = spatial_core(chan)[1]
+        core = spatial_core(chan)
         dense = dense_spatial_core(chan)[1]
         a = dense.conj().T if core.wide else dense
         gram = a.conj().T @ a
-        x = rng.standard_normal((a.shape[1], 4)) + 1j * rng.standard_normal((a.shape[1], 4))
-        product = a @ x
+        h = time_channel_entry_oracle(chan)
+        h = h.conj().T if core.wide else h
+        x = rng.standard_normal((h.shape[1], 4)) + 1j * rng.standard_normal((h.shape[1], 4))
+        product = h @ x
         worst = max(
             worst,
             float(np.max(np.abs(core.gram() * core.scale**2 - gram)) / np.max(np.abs(gram))),

@@ -158,6 +158,15 @@ class TestBuildTimeChannel:
             )
 
 
+    @pytest.mark.parametrize("angle", ["aod", "aoa"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_angle_rejected_naming_the_path(self, angle, value):
+        good = PathParams(1.0 + 0j, 0, 0, 0.5, 1.0)
+        bad = replace(good, **{angle: value})
+        with pytest.raises(ValueError, match=f"path 1: {angle} must be finite"):
+            DdMimoChannel(paths=(good, bad), n_tx=2, n_rx=2, m_delay=2, n_doppler=2)
+
+
 class TestOneRotationPerDopplerTap:
     """``_path_sum`` takes each distinct Doppler tap's phases once, not once per term."""
 
@@ -189,7 +198,7 @@ class TestOneRotationPerDopplerTap:
     def test_gram(self, rotation_calls, n_tx, n_rx):
         for seed in range(3):
             chan = sample_channel(replace(self.CFG, n_tx=n_tx, n_rx=n_rx), seed)
-            core = spatial_core(chan)[1]
+            core = spatial_core(chan)
             del rotation_calls[:]
             gram = core.gram()
             # the Gram matrix's terms carry the pairs' Doppler differences modulo MN
@@ -218,9 +227,10 @@ class TestSpatialCore:
             np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-14)
         lifted = np.kron(q_rx, np.eye(mn)) @ core @ np.kron(q_tx, np.eye(mn)).conj().T
         assert np.max(np.abs(lifted - time_channel_entry_oracle(chan))) < 1e-12
-        path_q_rx, path_core, path_q_tx = spatial_core(chan)
-        assert np.array_equal(path_q_rx, q_rx) and np.array_equal(path_q_tx, q_tx)
+        path_core = spatial_core(chan)
         assert path_core.side == min(core.shape) and path_core.wide == (core.shape[0] < core.shape[1])
+        # the path core keeps the Q of the Gram side, the smaller side of C
+        assert np.array_equal(path_core.q_in, q_rx if path_core.wide else q_tx)
 
     @pytest.mark.parametrize(
         "n_tx, n_rx, n_paths, max_tap",
@@ -228,20 +238,23 @@ class TestSpatialCore:
         ids=["tall", "wide", "square", "one_path", "taps_wrap_wide", "taps_wrap_tall"],
     )
     def test_gram_and_product_match_the_dense_core(self, n_tx, n_rx, n_paths, max_tap):
+        """The Gram matrix against the dense core C's, the product against the dense H's."""
         # max_tap = MN - 1: delays wrap the frame, Doppler differences exceed MN
         cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths,
                         max_delay_tap=max_tap, max_doppler_tap=max_tap)
         for seed in range(3):
             chan = sample_channel(cfg, seed)
-            core = spatial_core(chan)[1]
+            core = spatial_core(chan)
             dense = dense_spatial_core(chan)[1]
             assert core.wide == (dense.shape[0] < dense.shape[1])
             a = dense.conj().T if core.wide else dense  # the tall one of C and C^H
             gram = a.conj().T @ a
             assert core.gram().shape == gram.shape == (core.side, core.side)
             assert np.max(np.abs(core.gram() * core.scale**2 - gram)) < 1e-12 * np.max(np.abs(gram))
-            x = np.random.default_rng(seed).standard_normal((core.side, 5)) * (1 + 2j)
-            product = a @ x
+            h = build_time_channel(chan)
+            h = h.conj().T if core.wide else h
+            x = np.random.default_rng(seed).standard_normal((h.shape[1], 5)) * (1 + 2j)
+            product = h @ x
             assert np.max(np.abs(core.times(x) * core.scale - product)) < 1e-12 * np.max(np.abs(product))
 
     @pytest.mark.parametrize("big", [3e200 + 4e200j, 1e308, 1.5e308 + 1.5e308j])
@@ -253,7 +266,7 @@ class TestSpatialCore:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            core = spatial_core(chan)[1]
+            core = spatial_core(chan)
             gram = core.gram()
         peak = max(abs(big.real), abs(big.imag))
         assert core.scale == 2.0 ** (np.frexp(peak)[1] - 1)
@@ -266,7 +279,7 @@ class TestSpatialCore:
         # matrix's bytes for
         cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=16, n_doppler=8, n_paths=60,
                         max_delay_tap=127, max_doppler_tap=127)
-        core = spatial_core(sample_channel(cfg, 3))[1]
+        core = spatial_core(sample_channel(cfg, 3))
         gram_bytes = 16 * core.side**2
         tracemalloc.start()
         try:
@@ -278,11 +291,11 @@ class TestSpatialCore:
         assert peak < 2.5 * gram_bytes
 
     def test_product_memory_stays_within_a_few_result_sized_matrices(self):
-        # 60 paths against 4 rows of R_out: all paths' slabs at once would
+        # 60 paths against 4 antennas: all paths' slabs at once would
         # hold 15 times the result's entries, twice over
         cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=16, n_doppler=8, n_paths=60,
                         max_delay_tap=127, max_doppler_tap=127)
-        core = spatial_core(sample_channel(cfg, 3))[1]
+        core = spatial_core(sample_channel(cfg, 3))
         x = np.random.default_rng(3).standard_normal((core.side, core.side)) + 0j
         tracemalloc.start()
         try:

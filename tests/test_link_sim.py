@@ -9,8 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otfslink import allocation, link_sim, modem, precoding, validation
-from otfslink.channel import DdMimoChannel, PathParams, apply_channel, sample_channel, spatial_core
+from otfslink import allocation, channel, link_sim, modem, precoding, validation
+from otfslink.channel import (
+    DdMimoChannel, PathParams, SpatialCore, apply_channel, build_time_channel, sample_channel, spatial_core,
+)
 from otfslink.dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from otfslink.link_sim import (
     CSV_COLUMNS,
@@ -20,7 +22,6 @@ from otfslink.link_sim import (
     SimConfig,
     _average_row,
     _frames_per_chunk,
-    _kron_eye_times,
     _trial_rng,
     antenna_points,
     format_csv,
@@ -220,7 +221,7 @@ class TestGainScale:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="overflows the float range"):
-                precoding.decompose(spatial_core(chan)[1], 4)
+                precoding.decompose(spatial_core(chan), 4)
             with pytest.raises(ValueError, match="overflows the float range"):
                 realize(chan, 1, "dd_corrected")
 
@@ -529,42 +530,38 @@ class TestRealizationSlot:
         assert np.all(b.gains > 0)
 
 
-def _orthonormal(n, r, seed):
-    """An ``n x r`` matrix with orthonormal columns, like the Q of an array matrix's QR."""
-    rng = np.random.default_rng(seed)
-    return np.linalg.qr(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))[0]
-
-
 class TestLift:
-    """``_kron_eye_times`` against the dense ``np.kron(Q, I) @ x``."""
+    """``SpatialCore.lift`` against the dense ``np.kron(q_in, I) @ z``."""
 
-    MN, K = 6, 7
+    K = 7
 
-    @pytest.mark.parametrize("n, r", [(3, 3), (5, 2)], ids=["square_q", "tall_q"])
-    @pytest.mark.parametrize("order", ["C", "F", "F_reversed", "strided"])
-    def test_matches_the_kronecker_product(self, monkeypatch, n, r, order):
-        # 3 blocks: 3, 2 and 2 of the 7 slabs by column, 14 columns each of the C-ordered slabs
-        monkeypatch.setattr(link_sim, "_LIFT_BLOCKS", 3)
-        q = _orthonormal(n, r, 41)
+    @pytest.mark.parametrize("n, n_paths", [(3, 6), (5, 2)], ids=["square_q", "tall_q"])
+    @pytest.mark.parametrize("order", ["F", "F_reversed"])
+    def test_matches_the_kronecker_product(self, monkeypatch, n, n_paths, order):
+        # 3 blocks: 3, 2 and 2 of the 7 columns
+        monkeypatch.setattr(channel, "_LIFT_BLOCKS", 3)
+        cfg = SimConfig(n_tx=n, n_rx=n, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths)
+        core = spatial_core(sample_channel(cfg, 41))
         rng = np.random.default_rng(42)
-        x = rng.standard_normal((r * self.MN, 2 * self.K)) + 1j * rng.standard_normal((r * self.MN, 2 * self.K))
-        x = {
-            "C": x[:, : self.K].copy(),
-            "F": np.asfortranarray(x[:, : self.K]),
-            # decompose's eigenvectors: contiguous columns, in reverse order
-            "F_reversed": np.asfortranarray(x[:, : self.K])[:, ::-1],
-            "strided": x[:, ::2],
-        }[order]
-        before = x.copy()
-        lifted = _kron_eye_times(q, x)
-        expected = np.kron(q, np.eye(self.MN)) @ before
+        shape = (core.side, self.K)
+        z = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if order == "F_reversed":  # decompose's eigenvectors: contiguous columns, in reverse order
+            z = z[:, ::-1]
+        before = z.copy()
+        lifted = core.lift(z)
+        expected = np.kron(core.q_in, np.eye(core.mn)) @ before
+        assert lifted.shape == (n * core.mn, self.K)
         np.testing.assert_allclose(lifted, expected, rtol=0, atol=1e-13)
-        if n == r and order != "strided":  # lifted in x's own buffer
-            assert np.shares_memory(lifted, x)
-            np.testing.assert_array_equal(x, lifted)
-        else:  # one new array, and x as it was
-            assert not np.shares_memory(lifted, x)
-            np.testing.assert_array_equal(x, before)
+        if n <= n_paths:  # lifted in z's own buffer
+            assert lifted is z
+        else:  # one new array, and z as it was
+            assert not np.shares_memory(lifted, z)
+            np.testing.assert_array_equal(z, before)
+
+    def test_columns_that_are_not_contiguous_are_refused(self):
+        core = spatial_core(sample_channel(SimConfig(n_tx=3, n_rx=3, n_rf=1, m_delay=2, n_doppler=3), 41))
+        with pytest.raises(ValueError, match="columns of z must be contiguous"):
+            core.lift(np.zeros((core.side, self.K), dtype=complex))
 
 
 class TestRealizeInPlace:
@@ -572,14 +569,23 @@ class TestRealizeInPlace:
 
     @pytest.mark.parametrize("route", ["lapack", "eigh"])
     def test_both_decomposition_routes_are_lifted_in_place(self, monkeypatch, route):
-        # 4 antennas, 6 paths: both Q are square
+        # 4 antennas, 6 paths: both Q are square, so the eigenvectors are lifted in their own buffer
         cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=2, n_doppler=3, n_paths=6)
-        q_rx, core, q_tx = spatial_core(sample_channel(cfg, 46))
+        core = spatial_core(sample_channel(cfg, 46))
         if route == "eigh":
             monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
+        lifts = []
+        real_lift = SpatialCore.lift
+
+        def recorded(self, z):
+            lifted = real_lift(self, z)
+            lifts.append((z, lifted))
+            return lifted
+
+        monkeypatch.setattr(SpatialCore, "lift", recorded)
         dec = precoding.decompose(core, cfg.n_subchannels)
-        for q, factor in ((q_rx, dec.u), (q_tx, dec.v)):
-            assert _kron_eye_times(q, factor) is factor
+        [(z, lifted)] = lifts
+        assert lifted is z and (dec.u if core.wide else dec.v) is z
 
     @pytest.mark.parametrize("mode", ["dd_corrected", "paper_literal"])
     @pytest.mark.parametrize(
@@ -591,11 +597,12 @@ class TestRealizeInPlace:
         cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=2, m_delay=2, n_doppler=3, n_paths=n_paths,
                         max_delay_tap=5, max_doppler_tap=2)
         chan = sample_channel(cfg, 43)
-        q_rx, core, q_tx = spatial_core(chan)
+        core = spatial_core(chan)
         assert core.wide == (n_tx > n_rx)
         dec = precoding.decompose(core, cfg.n_subchannels)
-        eye = np.eye(chan.mn)
-        u, v = np.kron(q_rx, eye) @ dec.u, np.kron(q_tx, eye) @ dec.v
+        u, v = dec.u, dec.v
+        h = build_time_channel(chan)
+        assert np.max(np.abs(h @ v - u * dec.sigma)) < 1e-12 * dec.sigma[0]
         if mode == "dd_corrected":
             c_t, c_r = precoding.dd_transform_matrices(2, 2, 3)
             u, v = u @ c_r, v @ c_t.conj().T

@@ -1,5 +1,6 @@
 """SVD decomposition and precoder/combiner tests, with eigenvalue oracles."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from otfslink.precoding import (
     decompose,
     sub_channel_gains,
 )
-from otfslink.validation import DenseCore, dense_spatial_core, effective_dd_channel
+from otfslink.validation import DenseCore, effective_dd_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -308,7 +309,7 @@ class TestSpatialCoreRoute:
     @SHAPES
     def test_gains_and_rank_match_the_dense_svd(self, n_tx, n_rx, n_paths, n_rf):
         chan = self._chan(n_tx, n_rx, n_paths)
-        h, core = DenseCore(build_time_channel(chan)), spatial_core(chan)[1]
+        h, core = DenseCore(build_time_channel(chan)), spatial_core(chan)
         rank = min(n_tx, n_rx, n_paths) * chan.mn
         dense = decompose(h, rank)
         np.testing.assert_allclose(decompose(core, rank).sigma, dense.sigma, rtol=0, atol=1e-12 * dense.sigma[0])
@@ -346,7 +347,7 @@ class TestSpatialCoreRoute:
     def test_rank_deficient_core_raises(self):
         # one path carries MN streams, not the 2*MN of two chains
         chan = self._chan(4, 4, 1)
-        core = spatial_core(chan)[1]
+        core = spatial_core(chan)
         assert decompose(core, chan.mn).rank == chan.mn
         with pytest.raises(RankDeficientChannelError, match=f"channel rank {chan.mn} cannot carry {2 * chan.mn}"):
             decompose(core, 2 * chan.mn)
@@ -366,9 +367,9 @@ def _dense(rows, cols, seed):
 
 
 def _core(n_tx, n_rx, n_paths):
-    """A channel's path-built spatial core, and the dense core it stands for."""
+    """A channel's path-built spatial core, and the dense H it stands for."""
     chan = TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths)
-    return spatial_core(chan)[1], dense_spatial_core(chan)[1]
+    return spatial_core(chan), build_time_channel(chan)
 
 
 def _assert_leading_triplets(c, dec, k):
@@ -490,18 +491,24 @@ class TestSubsetDecompose:
 
 @pytest.fixture(params=["lapack", "eigh"])
 def route(request, monkeypatch):
-    """Each of decompose's two routes; the LAPACK one records the row orders of split tridiagonals."""
+    """Each of decompose's two routes; the LAPACK one records the order of ``zstein``'s eigenvalues.
+
+    ``zstein`` takes them grouped by block of the tridiagonal, ascending in
+    each, so an order other than ascending means split blocks whose
+    eigenvalues interleave and whose vectors ``decompose`` puts in order.
+    """
     orders = []
     if request.param == "eigh":
         monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
     else:
-        real = precoding._permute_rows
+        zhetrd, dsterf, zstein, zunmtr = precoding._gram_routines()
 
-        def recorded(a, order):
-            orders.append(order.tolist())
-            real(a, order)
+        def recorded(layout, n, d, e, m, w, *rest):
+            values = np.ctypeslib.as_array(ctypes.cast(w, ctypes.POINTER(ctypes.c_double)), (m,))
+            orders.append(np.argsort(values, kind="stable").tolist())
+            return zstein(layout, n, d, e, m, w, *rest)
 
-        monkeypatch.setattr(precoding, "_permute_rows", recorded)
+        monkeypatch.setattr(precoding, "_gram_routines", lambda: (zhetrd, dsterf, recorded, zunmtr))
     return request.param, orders
 
 
@@ -515,7 +522,7 @@ class TestSplitTridiagonal:
                         max_delay_tap=0, max_doppler_tap=0)
         for seed in (1048577, *range(200)):
             chan = sample_channel(cfg, seed)
-            core, c = spatial_core(chan)[1], dense_spatial_core(chan)[1]
+            core, c = spatial_core(chan), build_time_channel(chan)
             assert np.array_equal(c, c[0, 0] * np.eye(2))
             for k in (1, 2):
                 _assert_leading_triplets(c, decompose(core, k), k)
@@ -539,6 +546,29 @@ class TestSplitTridiagonal:
         assert core.wide == (n_tx > n_rx)
         for k in range(1, core.side + 1):
             _assert_leading_triplets(c, decompose(core, k), k)
+
+
+class TestTripletsOfH:
+    """``decompose(spatial_core(chan), k)`` gives singular triplets of the dense H on both routes."""
+
+    @pytest.mark.parametrize(
+        "n_tx, n_rx, n_paths",
+        [(2, 3, 4), (3, 2, 4), (2, 6, 4), (6, 2, 4), (5, 4, 4), (5, 6, 3)],
+        ids=["tall_both_below", "wide_both_below", "tall_rx_above", "wide_tx_above", "tall_tx_above",
+             "tall_both_above"],
+    )
+    def test_leading_triplets_of_h(self, route, n_tx, n_rx, n_paths):
+        # "above": that side has more antennas than paths, so its Q is tall. Seed 22
+        # draws H's rank-th singular value above 4% of the largest on every shape:
+        # the Gram route's vectors lose orthogonality as eps * (sigma_max / sigma)**2,
+        # 4e-9 at seed 16's 4e-5, on either side's coordinates alike.
+        chan = TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths, seed=22)
+        core, h = spatial_core(chan), build_time_channel(chan)
+        assert core.wide == (min(n_rx, n_paths) < min(n_tx, n_paths))
+        n_in = n_rx if core.wide else n_tx
+        assert core.q_in.shape == (n_in, min(n_in, n_paths))
+        for k in (1, core.side // 2, core.side):
+            _assert_leading_triplets(h, decompose(core, k), k)
 
 
 @pytest.mark.parametrize("factor", [1e-100, 1e100])
