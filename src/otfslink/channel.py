@@ -48,6 +48,11 @@ class PathParams:
     aoa: float
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bools and floats, even integral ones, are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DdMimoChannel:
     """A set of paths plus antenna geometry; expandable to a dense matrix."""
@@ -63,10 +68,15 @@ class DdMimoChannel:
         if len(self.paths) < 1:
             raise ValueError("channel needs at least one path")
         for name in ("n_tx", "n_rx", "m_delay", "n_doppler"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         mn = self.mn
         for i, p in enumerate(self.paths):
+            for name in ("delay_tap", "doppler_tap"):
+                if not _is_integer(getattr(p, name)):
+                    raise ValueError(f"path {i}: {name} must be an integer, got {getattr(p, name)!r}")
             if not (0 <= p.delay_tap < mn):
                 raise ValueError(f"path {i}: delay_tap {p.delay_tap} outside [0, {mn})")
             if not (abs(p.doppler_tap) < mn):

@@ -228,6 +228,8 @@ class SweepRow:
 CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
 # Written as they are; every other column is a float written with full repr precision.
 _VERBATIM_COLUMNS = ("n_tx", "n_rx", "n_rf", "mode", "trials")
+# The columns a row averages over its links; a sweep keeps only these of a finished link.
+_AVERAGED_COLUMNS = ("ser", "mse", "weighted_mse", "kappa_exact", "kappa_soft", "gamma_max", "gamma_min")
 
 
 def snr_to_noise_var(snr_db: float) -> float:
@@ -410,21 +412,20 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def _average_row(cfg: SimConfig, metrics: list[LinkMetrics]) -> SweepRow:
+def _average_row(cfg: SimConfig, values: np.ndarray) -> SweepRow:
+    """The row of ``cfg``; ``values[c, t]`` is column ``_AVERAGED_COLUMNS[c]`` of link ``t``.
+
+    Each column's links are contiguous, so ``np.mean`` reduces them exactly
+    as it reduces a list of them.
+    """
     return SweepRow(
         snr_db=cfg.snr_db,
         n_tx=cfg.n_tx,
         n_rx=cfg.n_rx,
         n_rf=cfg.n_rf,
         mode=cfg.allocation_mode,
-        trials=len(metrics),
-        ser=float(np.mean([m.ser for m in metrics])),
-        mse=float(np.mean([m.mse for m in metrics])),
-        weighted_mse=float(np.mean([m.weighted_mse for m in metrics])),
-        kappa_exact=float(np.mean([m.kappa_exact for m in metrics])),
-        kappa_soft=float(np.mean([m.kappa_soft for m in metrics])),
-        gamma_max=float(np.mean([m.gains[0] for m in metrics])),
-        gamma_min=float(np.mean([m.gains[-1] for m in metrics])),
+        trials=values.shape[1],
+        **{name: float(np.mean(column)) for name, column in zip(_AVERAGED_COLUMNS, values)},
     )
 
 
@@ -441,19 +442,20 @@ def run_sweep(points, trials: int = 1) -> list[SweepRow]:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     points = list(points)
     slot = RealizationSlot()
-    metrics = [[] for _ in points]
+    values = np.empty((len(points), len(_AVERAGED_COLUMNS), trials))
     total = trials * len(points)
     start = time.perf_counter()
     for t in range(trials):
         for i, point in enumerate(points):
-            metrics[i].append(run_random_link(point, _trial_rng(point.seed, t), slot))
+            m = run_random_link(point, _trial_rng(point.seed, t), slot)
+            values[i, :, t] = m.ser, m.mse, m.weighted_mse, m.kappa_exact, m.kappa_soft, m.gains[0], m.gains[-1]
             done = t * len(points) + i + 1
             elapsed = time.perf_counter() - start
             logger.info(
                 "link %d/%d (trial %d, grid point %d): %.2f s elapsed, ETA %.2f s",
                 done, total, t + 1, i + 1, elapsed, elapsed / done * (total - done),
             )
-    return [_average_row(point, m) for point, m in zip(points, metrics)]
+    return [_average_row(point, v) for point, v in zip(points, values)]
 
 
 def snr_points(cfg: SimConfig, snr_list_db=DEFAULT_SNR_GRID_DB) -> list[SimConfig]:

@@ -7,6 +7,9 @@ quadrature bits ``(b2 b1 b0)``. Each 3-bit group is the reflected Gray code
 level index ``i`` maps to amplitude ``2*i - 7`` (so the levels are
 -7,-5,-3,-1,1,3,5,7). Points are scaled by ``1/sqrt(42)`` for unit average
 energy; label 0 is therefore the corner ``(-7 - 7j)/sqrt(42)``.
+
+Because the grid is square, the nearest point is the nearest level on each
+axis, decided on its own against the 7 midpoints between adjacent levels.
 """
 
 from __future__ import annotations
@@ -20,23 +23,17 @@ QAM_ORDER = 64
 # Gains below this are flagged as erasures rather than inverted.
 DEFAULT_MIN_GAIN = 1e-6
 
-_DEMOD_CHUNK = 1 << 16
+_LEVEL = np.arange(8)
+_GRAY = _LEVEL ^ (_LEVEL >> 1)
+# _LABELS[i, q]: the label of in-phase level index i and quadrature level index q.
+_LABELS = _GRAY[:, None] << 3 | _GRAY
 
+# The decision thresholds of either axis: (2i - 6)/sqrt(42), midway between levels i and i+1.
+MIDPOINTS = (2 * _LEVEL[:-1] - 6) / np.sqrt(42.0)
+MIDPOINTS.flags.writeable = False
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
-
-
-def _build_points() -> np.ndarray:
-    pts = np.empty(QAM_ORDER, dtype=complex)
-    for i_idx in range(8):
-        for q_idx in range(8):
-            label = (_gray(i_idx) << 3) | _gray(q_idx)
-            pts[label] = (2 * i_idx - 7) + 1j * (2 * q_idx - 7)
-    return pts / np.sqrt(42.0)
-
-
-_POINTS = _build_points()
+_POINTS = np.empty(QAM_ORDER, dtype=complex)
+_POINTS[_LABELS] = ((2 * _LEVEL - 7)[:, None] + 1j * (2 * _LEVEL - 7)) / np.sqrt(42.0)
 _POINTS.flags.writeable = False
 
 
@@ -56,16 +53,16 @@ def modulate(indices) -> np.ndarray:
 
 
 def demodulate_hard(received) -> np.ndarray:
-    """Minimum-distance labels for received symbols; ties take the smallest label."""
+    """Minimum-distance labels for received symbols, decided per axis.
+
+    Each part takes the level whose interval of :data:`MIDPOINTS` holds it;
+    a value exactly on a threshold takes the lower level. Non-finite
+    symbols raise ``ValueError``.
+    """
     r = np.asarray(received, dtype=complex)
-    flat = r.ravel()
-    out = np.empty(flat.shape, dtype=np.intp)
-    for start in range(0, flat.size, _DEMOD_CHUNK):
-        block = flat[start : start + _DEMOD_CHUNK]
-        out[start : start + _DEMOD_CHUNK] = np.argmin(
-            np.abs(block[:, None] - _POINTS[None, :]), axis=1
-        )
-    return out.reshape(r.shape)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("received symbols must be finite")
+    return _LABELS[np.searchsorted(MIDPOINTS, r.real), np.searchsorted(MIDPOINTS, r.imag)]
 
 
 def equalize(x_hat, gains):

@@ -18,7 +18,7 @@ from otfslink.channel import (
     spatial_core,
     ula_response,
 )
-from otfslink.link_sim import SimConfig
+from otfslink.link_sim import SimConfig, realize
 from otfslink.validation import cyclic_shift_matrix, dense_spatial_core, time_channel_entry_oracle
 
 
@@ -165,6 +165,32 @@ class TestBuildTimeChannel:
         bad = replace(good, **{angle: value})
         with pytest.raises(ValueError, match=f"path 1: {angle} must be finite"):
             DdMimoChannel(paths=(good, bad), n_tx=2, n_rx=2, m_delay=2, n_doppler=2)
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_tx", 2.5), ("n_rx", 2.0), ("m_delay", np.float64(2.0)), ("n_doppler", True), ("n_tx", np.bool_(True))],
+        ids=["n_tx_2.5", "n_rx_2.0", "m_delay_float64", "n_doppler_True", "n_tx_numpy_bool"],
+    )
+    def test_non_integer_size_rejected_naming_the_field(self, field, value):
+        sizes = {**dict(n_tx=2, n_rx=2, m_delay=2, n_doppler=2), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DdMimoChannel(paths=(PathParams(1.0 + 0j, 0, 0, 0.5, 1.0),), **sizes)
+
+    @pytest.mark.parametrize(
+        "tap, value", [("delay_tap", 1.5), ("doppler_tap", 0.5), ("delay_tap", True), ("doppler_tap", 1.0)]
+    )
+    def test_non_integer_tap_rejected_naming_the_path(self, tap, value):
+        good = PathParams(1.0 + 0j, 0, 0, 0.5, 1.0)
+        bad = replace(good, **{tap: value})
+        with pytest.raises(ValueError, match=f"path 1: {tap} must be an integer"):
+            DdMimoChannel(paths=(good, bad), n_tx=2, n_rx=2, m_delay=2, n_doppler=2)
+
+    def test_numpy_integers_accepted(self):
+        path = PathParams(1.0 + 0j, np.int64(1), np.int32(-1), 0.5, 1.0)
+        chan = DdMimoChannel(paths=(path,), n_tx=np.int64(2), n_rx=2, m_delay=np.intp(2), n_doppler=2)
+        assert build_time_channel(chan).shape == (8, 8)
+        assert realize(chan, 1, "dd_corrected").gains.shape == (4,)
 
 
 class TestOneRotationPerDopplerTap:

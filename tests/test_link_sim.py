@@ -20,7 +20,7 @@ from otfslink.link_sim import (
     LinkMetrics,
     RealizationSlot,
     SimConfig,
-    _average_row,
+    SweepRow,
     _frames_per_chunk,
     _trial_rng,
     antenna_points,
@@ -402,11 +402,15 @@ class TestSweeps:
 
 
 def _oracle_rows(points, trials):
-    """Each (point, trial) link run on its own, with no realization reuse."""
-    return [
-        _average_row(p, [run_random_link(p, _trial_rng(p.seed, t)) for t in range(trials)])
-        for p in points
-    ]
+    """Each (point, trial) link run on its own, with no realization reuse, averaged from a list of its metrics."""
+    rows = []
+    for p in points:
+        links = [run_random_link(p, _trial_rng(p.seed, t)) for t in range(trials)]
+        means = [np.mean([getattr(m, name) for m in links]) for name in ("ser", "mse", "weighted_mse")]
+        means += [np.mean([getattr(m, name) for m in links]) for name in ("kappa_exact", "kappa_soft")]
+        means += [np.mean([m.gains[0] for m in links]), np.mean([m.gains[-1] for m in links])]
+        rows.append(SweepRow(p.snr_db, p.n_tx, p.n_rx, p.n_rf, p.allocation_mode, trials, *map(float, means)))
+    return rows
 
 
 def _count_decompose(monkeypatch):
@@ -439,6 +443,27 @@ class TestSweepLoop:
     )
     def test_bytes_match_links_run_alone(self, points):
         assert format_csv(run_sweep(points, trials=3)) == format_csv(_oracle_rows(points, 3))
+
+    def test_memory_held_per_finished_link_does_not_depend_on_k(self, monkeypatch):
+        def held_per_link(k):
+            held = []
+
+            def fake_link(point, rng, slot=None):
+                held.append(tracemalloc.get_traced_memory()[0])
+                return LinkMetrics(0.5, 0.25, 0.125, 1.0, 0.75, np.linspace(2.0, 1.0, k))
+
+            monkeypatch.setattr(link_sim, "run_random_link", fake_link)
+            monkeypatch.setattr(link_sim.logger, "disabled", True)  # captured progress lines are held too
+            tracemalloc.start()
+            try:
+                run_sweep(snr_points(SMALL, [0.0, 6.0]), trials=500)
+            finally:
+                tracemalloc.stop()
+            # from the second link on, so that the last link's metrics are held at both ends
+            return (held[-1] - held[1]) / (len(held) - 2)
+
+        # a sweep that kept each link's gains would hold 8 * 1016 more bytes per link
+        assert abs(held_per_link(1024) - held_per_link(8)) < 8
 
     def test_snr_sweep_decomposes_once_per_trial(self, monkeypatch):
         calls, lapack = _count_decompose(monkeypatch)

@@ -1,5 +1,8 @@
 """64-QAM constellation, demapper, and equalizer tests."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -7,6 +10,7 @@ from scipy.special import erfc
 from otfslink import special
 from otfslink.modem import (
     DEFAULT_MIN_GAIN,
+    MIDPOINTS,
     QAM_ORDER,
     constellation_points,
     demodulate_hard,
@@ -20,6 +24,17 @@ def independent_grid():
     """All 64 unnormalized square-QAM amplitudes, built without the package's tables."""
     levels = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=float)
     return np.array([i + 1j * q for i in levels for q in levels])
+
+
+def exhaustive_labels(received):
+    """Oracle: the label of the nearest of all 64 points to each symbol; ties take the smallest label."""
+    r = np.asarray(received, dtype=complex)
+    return np.argmin(np.abs(r[..., None] - constellation_points()), axis=-1)
+
+
+def label_of_levels(i, q):
+    """The label of in-phase level index ``i`` and quadrature level index ``q``, from the written-out Gray rule."""
+    return (i ^ (i >> 1)) << 3 | (q ^ (q >> 1))
 
 
 class TestConstellation:
@@ -101,6 +116,68 @@ class TestModulateDemodulate:
         ser = np.mean(demodulate_hard(x + noise) != labels)
         theory = square_qam_ser(10.0 ** (snr_db / 10.0))
         assert abs(ser - theory) / theory < 0.10
+
+
+class TestHardDecision:
+    """The per-axis threshold rule against the exhaustive 64-point search."""
+
+    @pytest.mark.parametrize("std", [0.02, 0.1, 0.5, 5.0])
+    def test_matches_the_exhaustive_search(self, std):
+        rng = np.random.default_rng(int(std * 100))
+        n = 20_000
+        x = modulate(rng.integers(0, QAM_ORDER, n))
+        r = x + std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        np.testing.assert_array_equal(demodulate_hard(r), exhaustive_labels(r))
+
+    def test_matches_the_exhaustive_search_on_the_constellation(self):
+        pts = constellation_points()
+        np.testing.assert_array_equal(demodulate_hard(pts), exhaustive_labels(pts))
+        np.testing.assert_array_equal(demodulate_hard(pts), np.arange(QAM_ORDER))
+
+    def test_thresholds_are_the_midpoints(self):
+        np.testing.assert_allclose(MIDPOINTS, (2 * np.arange(7) - 6) / np.sqrt(42.0), rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("j", range(7))
+    def test_a_value_on_a_threshold_takes_the_lower_level(self, j):
+        # MIDPOINTS[j] is the float nearest the exact midpoint between levels j
+        # and j + 1, so one ulp to either side lies strictly on that side of it
+        t = MIDPOINTS[j]
+        below, above = np.nextafter(t, -np.inf), np.nextafter(t, np.inf)
+        other = 5  # any level index for the other axis
+        y = (2 * other - 7) / np.sqrt(42.0)
+        for value, level in ((t, j), (below, j), (above, j + 1)):
+            assert demodulate_hard(complex(value, y)) == label_of_levels(level, other)
+            assert demodulate_hard(complex(y, value)) == label_of_levels(other, level)
+
+    def test_largest_finite_values_take_the_edge_labels(self):
+        big = np.finfo(float).max
+        r = np.array([complex(big, big), complex(-big, -big), complex(big, -big), complex(-big, big)])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = demodulate_hard(r)
+        np.testing.assert_array_equal(
+            got, [label_of_levels(7, 7), label_of_levels(0, 0), label_of_levels(7, 0), label_of_levels(0, 7)]
+        )
+        assert got[0] == 36
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_symbols_rejected(self, bad):
+        for symbol in (complex(bad, 0.0), complex(0.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                demodulate_hard(np.array([0.1 + 0.1j, symbol]))
+
+    def test_memory_does_not_hold_a_row_per_point(self):
+        rng = np.random.default_rng(7)
+        n = 2**18
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            demodulate_hard(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an exhaustive search in blocks of 2**16 held 96 MiB here (24 symbol-sized arrays)
+        assert peak < 3 * r.nbytes
 
 
 @pytest.mark.parametrize("bound", [745.0, 40.0])
