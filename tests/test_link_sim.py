@@ -406,8 +406,8 @@ def _oracle_rows(points, trials):
     rows = []
     for p in points:
         links = [run_random_link(p, _trial_rng(p.seed, t)) for t in range(trials)]
-        means = [np.mean([getattr(m, name) for m in links]) for name in ("ser", "mse", "weighted_mse")]
-        means += [np.mean([getattr(m, name) for m in links]) for name in ("kappa_exact", "kappa_soft")]
+        names = ("ser", "mse", "weighted_mse", "kappa_exact", "kappa_soft")
+        means = [np.mean([getattr(m, name) for m in links]) for name in names]
         means += [np.mean([m.gains[0] for m in links]), np.mean([m.gains[-1] for m in links])]
         rows.append(SweepRow(p.snr_db, p.n_tx, p.n_rx, p.n_rf, p.allocation_mode, trials, *map(float, means)))
     return rows
