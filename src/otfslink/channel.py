@@ -1,4 +1,4 @@
-"""Delay-Doppler MIMO channel: path model, dense time-domain matrix, spatial core, AWGN.
+"""Delay-Doppler MIMO channel: path model, delay taps, spatial core, AWGN.
 
 The channel is a superposition of L discrete propagation paths. Path i has
 a complex gain, an integer delay tap l_i, an integer Doppler tap k_i and a
@@ -12,18 +12,15 @@ half-wavelength uniform-linear-array responses. Delays act as cyclic
 shifts over one frame, i.e. the frame is treated as cyclically extended;
 no explicit cyclic prefix is modeled.
 
-The link decomposes the channel through a :class:`SpatialCore`
-(:func:`spatial_core`), which keeps H's paths and gives the three things
-the decomposition needs: the Gram matrix of H's spatial core on its
-smaller side, summed from the path pairs; the lift of that matrix's
-eigenvectors to H's coordinates; and H's product with a block of vectors,
-taken path by path. Neither the core nor H is formed for it; the dense H
-is built only to carry the transmitted frames.
-
-:func:`sample_channel` draws a channel for a
-:class:`~otfslink.link_sim.SimConfig`, which checks every sampling
-parameter; this module keeps no config of its own. The dense cyclic shift
-Pi and the dense core are test oracles and live in :mod:`otfslink.validation`.
+The link carries its frames through the channel's taps, a slab of
+antenna blocks per delay (:func:`build_time_channel`, :func:`apply_channel`),
+and decomposes it through a :class:`SpatialCore` (:func:`spatial_core`):
+H's paths, giving the Gram matrix of H's spatial core on its smaller side,
+the lift of its eigenvectors to H's coordinates, and H's product with a
+block of vectors, path by path. Neither the core nor H is formed.
+:func:`sample_channel` draws a channel for a checked
+:class:`~otfslink.link_sim.SimConfig`. The dense H, cyclic shift Pi and
+core are test oracles and live in :mod:`otfslink.validation`.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class DdMimoChannel:
-    """A set of paths plus antenna geometry; expandable to a dense matrix."""
+    """A set of paths plus antenna geometry; expandable to its delay taps."""
 
     paths: tuple[PathParams, ...]
     n_tx: int
@@ -118,32 +115,35 @@ def phase_rotation_matrix(size: int, power: int) -> np.ndarray:
 _GRAM_CHUNK_ENTRIES = 2**16
 
 
-def _path_sum(mn: int, gains, blocks: np.ndarray, delays, dopplers) -> np.ndarray:
-    """``sum_i gains[i] blocks[i] kron (Pi^delays[i] Delta^dopplers[i])``, written into its nonzeros.
+def _delay_slabs(mn: int, gains, blocks: np.ndarray, delays, dopplers):
+    """Yield ``(l, slab)`` per distinct delay l of ``sum_i gains[i] blocks[i] kron (Pi^delays[i] Delta^dopplers[i])``.
 
-    ``Pi^l Delta^k`` has one nonzero per column q: ``exp(j 2 pi k q / MN)``
-    at row ``(q + l) mod MN``. So each term adds its ``n_r x n_t`` block
-    ``blocks[i]`` to ``MN`` entries of every block, O(n_r*n_t*MN) work
-    instead of the O(n_r*n_t*MN^2) of a Kronecker product. Terms of one
-    delay share those entries: they are summed, in order, and written once.
-    Both the dense H and the Gram matrix of the spatial core are such sums.
-    Each distinct Doppler tap's phases are taken once, for all its terms.
+    ``Pi^l Delta^k`` has one nonzero per column q, ``exp(j 2 pi k q / MN)``
+    at row ``(q + l) mod MN``, so ``slab[q]`` sums, in order, the terms of
+    delay l at column q of every ``n_r x n_t`` block: O(n_r*n_t*MN) work per
+    term instead of a Kronecker product's O(n_r*n_t*MN^2). Each distinct
+    Doppler tap's phases are taken once, for all its terms.
     """
     n_r, n_t = blocks.shape[1:]
-    out = np.zeros((n_r, mn, n_t, mn), dtype=complex)
-    q = np.arange(mn)
-    delays = np.asarray(delays) % mn
     taps, tap_of = np.unique(dopplers, return_inverse=True)
     rotations = np.empty((taps.size, mn), dtype=complex)
     for rotation, tap in zip(rotations, taps):  # each dense matrix is freed before the next
         rotation[:] = np.diagonal(phase_rotation_matrix(mn, tap))
     for delay in np.unique(delays):
-        diagonal = np.zeros((mn, n_r, n_t), dtype=complex)
+        slab = np.zeros((mn, n_r, n_t), dtype=complex)
         for i in np.flatnonzero(delays == delay):
-            phase = gains[i] * rotations[tap_of[i]]
-            diagonal += phase[:, None, None] * blocks[i]
+            slab += (gains[i] * rotations[tap_of[i]])[:, None, None] * blocks[i]
+        yield delay, slab
+
+
+def _path_sum(mn: int, gains, blocks: np.ndarray, delays, dopplers) -> np.ndarray:
+    """The :func:`_delay_slabs` sum as a dense ``(n_r*MN, n_t*MN)`` matrix; ``delays`` lie in ``[0, MN)``."""
+    n_r, n_t = blocks.shape[1:]
+    out = np.zeros((n_r, mn, n_t, mn), dtype=complex)
+    q = np.arange(mn)
+    for delay, slab in _delay_slabs(mn, gains, blocks, delays, dopplers):
         # two index arrays split by a slice: the indexed view is (q, n_r, n_t)
-        out[:, (q + delay) % mn, :, q] = diagonal
+        out[:, (q + delay) % mn, :, q] = slab
     return out.reshape(n_r * mn, n_t * mn)
 
 
@@ -157,21 +157,25 @@ def _array_matrices(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray]:
 def _taps(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gains, delay taps and Doppler taps of the paths, as arrays."""
     gains = np.array([p.gain for p in chan.paths], dtype=complex)
-    delays = np.array([p.delay_tap for p in chan.paths])
-    dopplers = np.array([p.doppler_tap for p in chan.paths])
-    return gains, delays, dopplers
+    return gains, np.array([p.delay_tap for p in chan.paths]), np.array([p.doppler_tap for p in chan.paths])
 
 
 def build_time_channel(chan: DdMimoChannel) -> np.ndarray:
-    """Expand a path-parameterized channel to its dense time-domain matrix.
+    """The channel's time-varying impulse response: one ``(MN, n_rx, n_tx)`` slab per delay.
 
-    Returns the ``(n_rx*MN, n_tx*MN)`` complex matrix; block (r, t) holds
-    the sum over paths of ``gain * a_rx[r] * conj(a_tx[t]) * Pi^l Delta^k``.
+    Entry ``[d, q, r, t]`` carries transmit antenna t's sample q to receive
+    antenna r's sample ``(q + d) mod MN``: the sum over the paths of delay
+    tap d of ``gain * a_rx[r] * conj(a_tx[t]) * exp(j 2 pi k q / MN)``. The
+    delays run up to the largest tap, so the slabs, at most MN, hold every
+    nonzero of the dense H that :func:`otfslink.validation.dense_time_channel` expands.
     """
     a_rx, a_tx = _array_matrices(chan)
     gains, delays, dopplers = _taps(chan)
     spatial = a_rx.T[:, :, None] * a_tx.T.conj()[:, None, :]  # path i: a_rx,i a_tx,i^H
-    return _path_sum(chan.mn, gains, spatial, delays, dopplers)
+    h = np.zeros((delays.max() + 1, chan.mn, chan.n_rx, chan.n_tx), dtype=complex)
+    for delay, slab in _delay_slabs(chan.mn, gains, spatial, delays, dopplers):
+        h[delay] = slab
+    return h
 
 
 # SpatialCore.lift overwrites the eigenvectors in this many blocks, as precoding._FOLD_BLOCKS.
@@ -364,40 +368,35 @@ def sample_channel(cfg: SimConfig, rng=None) -> DdMimoChannel:
     aods = rng.uniform(0.0, np.pi, size=n)
     aoas = rng.uniform(0.0, np.pi, size=n)
     paths = tuple(
-        PathParams(
-            gain=complex(gains[i]),
-            delay_tap=int(delays[i]),
-            doppler_tap=int(dopplers[i]),
-            aod=float(aods[i]),
-            aoa=float(aoas[i]),
-        )
-        for i in range(n)
+        PathParams(gain=complex(g), delay_tap=int(l), doppler_tap=int(k), aod=float(aod), aoa=float(aoa))
+        for g, l, k, aod, aoa in zip(gains, delays, dopplers, aods, aoas)
     )
-    return DdMimoChannel(
-        paths=paths,
-        n_tx=cfg.n_tx,
-        n_rx=cfg.n_rx,
-        m_delay=cfg.m_delay,
-        n_doppler=cfg.n_doppler,
-    )
+    return DdMimoChannel(paths=paths, n_tx=cfg.n_tx, n_rx=cfg.n_rx, m_delay=cfg.m_delay, n_doppler=cfg.n_doppler)
 
 
 def apply_channel(h: np.ndarray, y: np.ndarray, noise_var: float, rng=None) -> np.ndarray:
-    """Apply ``r = h @ y + n`` with circular complex Gaussian noise to each frame.
+    """Apply the taps ``h`` of :func:`build_time_channel` to each frame, plus circular complex Gaussian noise.
 
-    ``y`` is one frame or a ``(frames, n_tx*MN)`` array, frames on the leading
-    axis, and ``r`` has its layout. ``noise_var`` is the total
-    per-complex-component variance (``noise_var/2`` per part); 0 gives the
-    exact product. Each frame draws its real, then its imaginary parts, so
-    ``rng`` is consumed exactly as by one call per frame.
+    ``y`` is one frame or a ``(frames, n_tx*MN)`` array, frames on the
+    leading axis, antenna by antenna, and ``r = H y + n`` has its layout.
+    Each delay is one batched product over the MN samples. ``noise_var`` is
+    the total per-complex-component variance (``noise_var/2`` per part); 0
+    gives the exact product. Each frame draws its real, then its imaginary
+    parts, so ``rng`` is consumed exactly as by one call per frame.
     """
-    h = np.asarray(h)
-    y = np.asarray(y)
-    if y.ndim not in (1, 2) or y.shape[-1] != h.shape[1]:
-        raise ValueError(f"signal shape {y.shape} incompatible with channel shape {h.shape}")
-    if not noise_var >= 0:  # also rejects NaN
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    r = y @ h.T
+    h, y = np.asarray(h), np.asarray(y)
+    if h.ndim != 4 or y.ndim not in (1, 2) or y.shape[-1] != h.shape[1] * h.shape[3]:
+        raise ValueError(f"signal shape {y.shape} incompatible with channel taps of shape {h.shape}")
+    if not 0 <= noise_var < np.inf:  # also rejects NaN
+        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
+    mn, n_rx, n_tx = h.shape[1:]
+    frames = np.ascontiguousarray(y.reshape(-1, n_tx, mn).transpose(2, 1, 0))  # (MN, n_tx, frames)
+    r = np.zeros((mn, n_rx, frames.shape[2]), dtype=complex)
+    for d, slabs in enumerate(h):
+        product = slabs @ frames  # sample q of each frame lands on sample (q + d) mod MN
+        r[d:] += product[:mn - d]
+        r[:d] += product[mn - d:]
+    r = r.transpose(2, 1, 0).reshape(y.shape[:-1] + (n_rx * mn,))
     if noise_var > 0:
         rng = np.random.default_rng(rng)
         z = rng.standard_normal(r.shape[:-1] + (2, r.shape[-1]))

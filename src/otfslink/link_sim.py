@@ -22,7 +22,7 @@ A sweep runs trials in the outer loop and grid points in the inner one.
 Every link still draws its payload, importance, channel and noise from its
 own fresh trial stream in that order, so the CSV is the same as running
 each (point, trial) link on its own. Only the deterministic expansion of
-the drawn channel (gains, precoder/combiner and dense H; see
+the drawn channel (gains, precoder/combiner and delay taps; see
 :func:`realize`) is reused: a :class:`RealizationSlot` hands it on to the
 next link whose drawn channel, ``n_rf`` and precoder mode equal the ones it
 was computed for. An SNR sweep therefore decomposes one channel per trial
@@ -39,9 +39,9 @@ returns exactly the ``n_rf*MN`` leading triplets of H the link uses, in
 H's own coordinates, or raises when the channel's rank is lower. It takes
 them from the leading eigenpairs of the Gram matrix of H's spatial core,
 which is summed from the path pairs, and applies H path by path
-(:class:`~otfslink.channel.SpatialCore`). The dense H is built only to
-apply the channel to the transmitted frames. How each version of the CSV
-moved against the one before is kept in ``CHANGES.md``.
+(:class:`~otfslink.channel.SpatialCore`). The transmitted frames go
+through the channel's delay taps, and no H-sized array is allocated. How
+each version of the CSV moved against the one before is kept in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -81,13 +81,12 @@ MIN_SNR_DB = -100.0
 # already a long run; far larger counts never finish.
 MAX_TRIALS = 10**6
 
-# Most entries a config may ask of any array a link allocates. The dense H at
-# this size is 4 GiB of complex128. The spatial core is never formed; its
-# decomposition holds the core's Gram matrix (at most H's size), the k
-# eigenvectors and the other side's k vectors, and the workspaces LAPACKE
-# allocates for zhetrd, dsterf, zstein and zunmtr are O(side), so no
-# side**2-sized workspace is reserved or can fail to allocate (see
-# precoding.decompose).
+# Most entries a config may ask of any array a link allocates. Neither H nor
+# the spatial core is formed; the decomposition holds the core's Gram matrix
+# (at most H's size), the k eigenvectors and the other side's k vectors, and
+# the workspaces LAPACKE allocates for zhetrd, dsterf, zstein and zunmtr are
+# O(side), so no side**2-sized workspace is reserved or can fail to allocate
+# (see precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of each per-chunk array of a burst: run_link passes as many frames
@@ -98,10 +97,10 @@ MAX_ARRAY_ENTRIES = 2**28
 FRAME_CHUNK_ENTRIES = 2**18
 
 # The largest arrays of a link, as products of SimConfig size fields and their
-# powers: the dense H, (n_rx*M*N) x (n_tx*M*N); the n x n_paths array
-# responses of each side; and the payload of n_frames*n_rf*M*N elements.
+# powers: H's size, (n_rx*M*N) x (n_tx*M*N), which bounds the Gram matrix; the
+# n x n_paths array responses of each side; and the payload of n_frames*n_rf*M*N.
 _ARRAY_SIZES = (
-    ("the dense channel matrix", (("n_tx", 1), ("n_rx", 1), ("m_delay", 2), ("n_doppler", 2))),
+    ("the channel matrix H", (("n_tx", 1), ("n_rx", 1), ("m_delay", 2), ("n_doppler", 2))),
     ("the transmit array response", (("n_tx", 1), ("n_paths", 1))),
     ("the receive array response", (("n_rx", 1), ("n_paths", 1))),
     ("the payload", (("n_frames", 1), ("n_rf", 1), ("m_delay", 1), ("n_doppler", 1))),
@@ -254,6 +253,7 @@ class Realization:
     """What a link needs from one drawn channel, for ``n_rf`` chains and a precoder mode.
 
     A pure function of ``(chan, n_rf, precoder_mode)``; see :func:`realize`.
+    ``h`` is the channel's delay taps (:func:`~otfslink.channel.build_time_channel`).
     The SVD factors themselves are not kept: ``pc`` and ``gains`` carry all
     a transmission uses of them.
     """
@@ -264,7 +264,7 @@ class Realization:
 
 
 def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
-    """The sub-channel gains, the precoder/combiner and the dense H of ``chan``.
+    """The sub-channel gains, the precoder/combiner and the delay taps of ``chan``.
 
     :func:`~otfslink.precoding.decompose` returns exactly the ``n_rf*MN``
     leading singular triplets of H the link uses, from the leading
@@ -276,10 +276,10 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
 
     The precoder/combiner is folded in the arrays the decomposition
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
-    which owns them from then on. So a realization has two memory peaks:
-    inside the decomposition, the Gram matrix and the k eigenvectors; and
-    at the end, H, which only :func:`~otfslink.channel.apply_channel` needs
-    and which is built last, next to the precoder/combiner.
+    which owns them from then on. So a realization's memory peaks inside
+    the decomposition, at the Gram matrix and the k eigenvectors. The taps
+    that :func:`~otfslink.channel.apply_channel` takes are built last; they
+    hold (max delay + 1)*MN*n_rx*n_tx entries, never more than H's.
     """
     m, n = chan.m_delay, chan.n_doppler
     dec = decompose(spatial_core(chan), n_rf * m * n)
@@ -296,10 +296,9 @@ class RealizationSlot:
     :meth:`get` returns the held realization only when the channel compares
     equal (exact equality of the frozen path parameters and geometry) and
     ``n_rf`` and the precoder mode match the ones it was computed for. On a
-    miss it drops the held one before computing the next, so neither of
-    the next one's two memory peaks (see :func:`realize`) adds to a held
-    realization, and at most one dense H is alive at a time. The held
-    ``pc.g`` and ``pc.w`` are read-only (see
+    miss it drops the held one before computing the next, so the next
+    one's memory peak (see :func:`realize`) does not add to a held
+    realization. The held ``pc.g`` and ``pc.w`` are read-only (see
     :func:`~otfslink.precoding.build_precoder_combiner`), so no link can
     change what later links reuse.
     """

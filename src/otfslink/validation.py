@@ -5,8 +5,8 @@ Each check in :data:`CHECKS` seeds its own generator and returns a
 hand-computed literals, dense enumerations, written-out closed forms, brute
 force, or Monte-Carlo estimates with the stated margin. The dense oracles
 that only these checks and the tests use, :func:`cyclic_shift_matrix`,
-:func:`time_channel_entry_oracle`, :func:`dense_spatial_core` and
-:func:`effective_dd_channel`, live here too,
+:func:`time_channel_entry_oracle`, :func:`dense_time_channel`,
+:func:`dense_spatial_core` and :func:`effective_dd_channel`, live here too,
 with :class:`DenseCore`, the adapter through which a dense matrix reaches
 :func:`~otfslink.precoding.decompose`. The tolerances are
 defined here, once; ``tests/test_acceptance.py`` runs the same checks and
@@ -87,6 +87,22 @@ def time_channel_entry_oracle(chan: DdMimoChannel) -> np.ndarray:
                 p.gain * a_r[r] * np.conj(a_t[t]) * np.exp(2j * np.pi * p.doppler_tap * q / mn)
             )
     return h
+
+
+def dense_time_channel(taps: np.ndarray) -> np.ndarray:
+    """The dense ``(n_rx*MN, n_tx*MN)`` H of the delay taps :func:`~otfslink.channel.build_time_channel` returns.
+
+    Block (r, t) of H holds ``taps[d, q, r, t]`` at row ``(q + d) mod MN``
+    of column q, for every delay d.
+    """
+    taps = np.asarray(taps)
+    delays, mn, n_rx, n_tx = taps.shape
+    h = np.zeros((n_rx, mn, n_tx, mn), dtype=taps.dtype)
+    q = np.arange(mn)
+    for d in range(delays):
+        # two index arrays split by a slice: the indexed view is (q, n_rx, n_tx)
+        h[:, (q + d) % mn, :, q] = taps[d]
+    return h.reshape(n_rx * mn, n_tx * mn)
 
 
 def dense_spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,7 +211,7 @@ def criterion_1_diagonalization() -> CheckResult:
     rank_agrees = True
     for n_ant, grid, n_rf, n_paths, seed in product((2, 4, 8), (2, 4), (1, 2), (2, 5, 10), (0, 1)):
         chan = _random_channel(n_ant, grid, n_paths, seed)
-        h = build_time_channel(chan)
+        h = dense_time_channel(build_time_channel(chan))
         dense = np.linalg.svd(h, compute_uv=False)
         dense_rank = int(np.count_nonzero(dense > RANK_TOLERANCE * dense[0]))
         k = n_rf * grid * grid
@@ -224,8 +240,8 @@ def criterion_1_diagonalization() -> CheckResult:
 def criterion_2_parallel_subchannel_noise() -> CheckResult:
     """Post-equalization noise variance is sigma^2 / lambda_s^2 per sub-channel, at 10 dB.
 
-    The precoder/combiner and gains are the sweep's (``realize``); the
-    signal goes through the dense H.
+    The precoder/combiner, gains and delay taps are the sweep's
+    (``realize``), and the signal goes through the taps.
     """
     rng = np.random.default_rng(202)
     n_rf, grid = 2, 2
@@ -264,7 +280,7 @@ def criterion_3_transform_round_trips() -> CheckResult:
 
 
 def criterion_4_channel_matrix_oracle() -> CheckResult:
-    """Dense channel equals the entry-by-entry closed form on 20 random channels."""
+    """The delay taps, expanded to the dense H, equal the entry-by-entry closed form on 20 random channels."""
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(20):
@@ -274,7 +290,8 @@ def criterion_4_channel_matrix_oracle() -> CheckResult:
             max_delay_tap=3, max_doppler_tap=1,
         )
         chan = sample_channel(cfg, rng)
-        worst = max(worst, float(np.max(np.abs(build_time_channel(chan) - time_channel_entry_oracle(chan)))))
+        h = dense_time_channel(build_time_channel(chan))
+        worst = max(worst, float(np.max(np.abs(h - time_channel_entry_oracle(chan)))))
     return CheckResult(
         "criterion_4_channel_matrix_oracle", worst < TOL_CHANNEL_ORACLE, f"max abs gap {worst:.2e}"
     )
@@ -452,7 +469,7 @@ def paper_literal_gap() -> CheckResult:
     ratios = []
     for _ in range(5):
         real = realize(_random_channel(2, 2, 5, rng), 1, "paper_literal")
-        ratios.append(_offdiag_ratio(effective_dd_channel(real.h, real.pc, 1, 2, 2)))
+        ratios.append(_offdiag_ratio(effective_dd_channel(dense_time_channel(real.h), real.pc, 1, 2, 2)))
     return CheckResult(
         "paper_literal_gap",
         True,

@@ -19,7 +19,9 @@ from otfslink.channel import (
     ula_response,
 )
 from otfslink.link_sim import SimConfig, realize
-from otfslink.validation import cyclic_shift_matrix, dense_spatial_core, time_channel_entry_oracle
+from otfslink.validation import (
+    cyclic_shift_matrix, dense_spatial_core, dense_time_channel, time_channel_entry_oracle,
+)
 
 
 class TestUlaResponse:
@@ -80,14 +82,18 @@ class TestBuildTimeChannel:
             paths=(PathParams(1.0 + 0j, 0, 0, 0.7, 0.3),),
             n_tx=1, n_rx=1, m_delay=2, n_doppler=2,
         )
-        np.testing.assert_allclose(build_time_channel(chan), np.eye(4), atol=1e-14)
+        h = build_time_channel(chan)
+        assert h.shape == (1, 4, 1, 1)
+        np.testing.assert_allclose(dense_time_channel(h), np.eye(4), atol=1e-14)
 
     def test_pure_delay_is_shift(self):
         chan = DdMimoChannel(
             paths=(PathParams(1.0 + 0j, 1, 0, 0.7, 0.3),),
             n_tx=1, n_rx=1, m_delay=2, n_doppler=2,
         )
-        np.testing.assert_allclose(build_time_channel(chan), cyclic_shift_matrix(4, 1), atol=1e-14)
+        h = build_time_channel(chan)
+        assert h.shape == (2, 4, 1, 1) and not np.any(h[0])  # no path has delay 0
+        np.testing.assert_allclose(dense_time_channel(h), cyclic_shift_matrix(4, 1), atol=1e-14)
 
     def test_matches_entry_oracle(self):
         rng = np.random.default_rng(11)
@@ -96,7 +102,8 @@ class TestBuildTimeChannel:
         )
         for _ in range(5):
             chan = sample_channel(cfg, rng)
-            assert np.max(np.abs(build_time_channel(chan) - time_channel_entry_oracle(chan))) < 1e-12
+            h = dense_time_channel(build_time_channel(chan))
+            assert np.max(np.abs(h - time_channel_entry_oracle(chan))) < 1e-12
 
     @pytest.mark.parametrize(
         "n_tx, n_rx, m, n, n_paths",
@@ -110,7 +117,13 @@ class TestBuildTimeChannel:
         rng = np.random.default_rng(14)
         for _ in range(3):
             chan = sample_channel(cfg, rng)
-            assert np.max(np.abs(build_time_channel(chan) - time_channel_entry_oracle(chan))) < 1e-12
+            taps, oracle = build_time_channel(chan), time_channel_entry_oracle(chan)
+            assert taps.shape == (max(p.delay_tap for p in chan.paths) + 1, m * n, n_rx, n_tx)
+            # entry [d, q, r, t] is H's at row r*MN + (q + d) mod MN, column t*MN + q
+            d, q, r, t = np.indices(taps.shape)
+            rows, cols = r * m * n + (q + d) % (m * n), t * m * n + q
+            assert np.max(np.abs(taps - oracle[rows, cols])) < 1e-12
+            assert np.max(np.abs(dense_time_channel(taps) - oracle)) < 1e-12
 
     def test_linear_in_gains(self):
         rng = np.random.default_rng(12)
@@ -143,7 +156,7 @@ class TestBuildTimeChannel:
             else:
                 rot = np.linalg.matrix_power(delta_1.conj(), -p.doppler_tap)
             expected += p.gain * shift @ rot
-        np.testing.assert_allclose(build_time_channel(chan), expected, atol=1e-12)
+        np.testing.assert_allclose(dense_time_channel(build_time_channel(chan)), expected, atol=1e-12)
 
     def test_tap_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -189,12 +202,12 @@ class TestBuildTimeChannel:
     def test_numpy_integers_accepted(self):
         path = PathParams(1.0 + 0j, np.int64(1), np.int32(-1), 0.5, 1.0)
         chan = DdMimoChannel(paths=(path,), n_tx=np.int64(2), n_rx=2, m_delay=np.intp(2), n_doppler=2)
-        assert build_time_channel(chan).shape == (8, 8)
+        assert build_time_channel(chan).shape == (2, 4, 2, 2)
         assert realize(chan, 1, "dd_corrected").gains.shape == (4,)
 
 
 class TestOneRotationPerDopplerTap:
-    """``_path_sum`` takes each distinct Doppler tap's phases once, not once per term."""
+    """``_delay_slabs`` takes each distinct Doppler tap's phases once, not once per term."""
 
     @pytest.fixture
     def rotation_calls(self, monkeypatch):
@@ -215,7 +228,7 @@ class TestOneRotationPerDopplerTap:
         for seed in range(3):
             chan = sample_channel(self.CFG, seed)
             del rotation_calls[:]
-            h = build_time_channel(chan)
+            h = dense_time_channel(build_time_channel(chan))
             taps = {p.doppler_tap for p in chan.paths}
             assert sorted(rotation_calls) == sorted(taps) and len(taps) < len(chan.paths)
             assert np.max(np.abs(h - time_channel_entry_oracle(chan))) < 1e-12
@@ -277,7 +290,7 @@ class TestSpatialCore:
             gram = a.conj().T @ a
             assert core.gram().shape == gram.shape == (core.side, core.side)
             assert np.max(np.abs(core.gram() * core.scale**2 - gram)) < 1e-12 * np.max(np.abs(gram))
-            h = build_time_channel(chan)
+            h = dense_time_channel(build_time_channel(chan))
             h = h.conj().T if core.wide else h
             x = np.random.default_rng(seed).standard_normal((h.shape[1], 5)) * (1 + 2j)
             product = h @ x
@@ -363,33 +376,52 @@ class TestSampleChannel:
 
 
 class TestApplyChannel:
+    @staticmethod
+    def _integer_taps(shape, seed):
+        # small-integer entries make every product and sum exact, whatever the order
+        rng = np.random.default_rng(seed)
+        return rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+
     def test_noiseless_exact(self):
-        rng = np.random.default_rng(5)
-        h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        np.testing.assert_array_equal(apply_channel(h, y, 0.0), h @ y)
+        h = self._integer_taps((3, 4, 2, 3), 5)
+        y = self._integer_taps((3 * 4,), 6)
+        np.testing.assert_array_equal(apply_channel(h, y, 0.0), dense_time_channel(h) @ y)
+
+    @pytest.mark.parametrize("frames", [None, 7], ids=["one_frame", "many_frames"])
+    @pytest.mark.parametrize(
+        "n_tx, n_rx, n_paths", [(2, 4, 3), (4, 2, 3), (5, 6, 2)], ids=["tall", "wide", "more_antennas_than_paths"]
+    )
+    def test_matches_the_entry_oracle(self, n_tx, n_rx, n_paths, frames):
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths,
+                        max_delay_tap=5, max_doppler_tap=2)
+        chan = sample_channel(cfg, 17)
+        rng = np.random.default_rng(18)
+        shape = (n_tx * chan.mn,) if frames is None else (frames, n_tx * chan.mn)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = y @ time_channel_entry_oracle(chan).T
+        got = apply_channel(build_time_channel(chan), y, 0.0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_identity_channel_passthrough(self):
         y = np.arange(4) + 1j
-        np.testing.assert_array_equal(apply_channel(np.eye(4), y, 0.0), y)
+        np.testing.assert_array_equal(apply_channel(np.ones((1, 4, 1, 1)), y, 0.0), y)
 
     def test_noise_variance(self):
         n = 100_000
-        r = apply_channel(np.eye(1), np.zeros((n, 1), complex), 1.0, np.random.default_rng(6))
+        r = apply_channel(np.ones((1, 1, 1, 1)), np.zeros((n, 1), complex), 1.0, np.random.default_rng(6))
         assert abs(np.mean(np.abs(r) ** 2) - 1.0) < 0.05
 
     def test_noise_circular_symmetry(self):
         n = 100_000
-        r = apply_channel(np.eye(1), np.zeros((n, 1), complex), 1.0, np.random.default_rng(7)).ravel()
+        r = apply_channel(np.ones((1, 1, 1, 1)), np.zeros((n, 1), complex), 1.0, np.random.default_rng(7)).ravel()
         assert abs(np.mean(r)) < 0.02
         assert abs(np.mean(r**2)) < 0.02  # pseudo-covariance
 
     @pytest.mark.parametrize("noise_var", [0.0, 0.3])
     def test_frames_on_leading_axis_equal_one_call_per_frame(self, noise_var):
-        # small-integer entries make every product exact, whatever the BLAS call
-        rng = np.random.default_rng(8)
-        h = rng.integers(-3, 4, (6, 4)) + 1j * rng.integers(-3, 4, (6, 4))
-        y = rng.integers(-3, 4, (5, 4)) + 1j * rng.integers(-3, 4, (5, 4))
+        h = self._integer_taps((2, 3, 2, 4), 8)  # n_tx*MN = 12 inputs, n_rx*MN = 6 outputs
+        y = self._integer_taps((5, 12), 9)
         batched_rng, frame_rng = np.random.default_rng(9), np.random.default_rng(9)
         batched = apply_channel(h, y, noise_var, batched_rng)
         per_frame = np.stack([apply_channel(h, row, noise_var, frame_rng) for row in y])
@@ -398,11 +430,15 @@ class TestApplyChannel:
         assert batched_rng.bit_generator.state == frame_rng.bit_generator.state
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_channel(np.eye(4), np.zeros(5, complex), 0.0)
+        # a frame or frames of the wrong length, a dense matrix as taps, a signal of three axes
+        for h_shape, y_shape in [((2, 4, 1, 1), (5,)), ((2, 4, 2, 2), (3, 4)), ((4, 4), (4,)),
+                                 ((1, 2, 1, 1), (1, 1, 2))]:
+            with pytest.raises(ValueError, match="incompatible with channel taps"):
+                apply_channel(np.ones(h_shape), np.zeros(y_shape, complex), 0.0)
 
     def test_negative_noise_var(self):
-        # NaN fails every comparison, so it must not pass as noiseless
-        for noise_var in (-0.1, float("nan")):
+        # NaN fails every comparison, so it must not pass as noiseless; inf would
+        # turn the signal into inf and zero noise samples into NaN
+        for noise_var in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise_var"):
-                apply_channel(np.eye(2), np.zeros(2, complex), noise_var)
+                apply_channel(np.ones((1, 2, 1, 1)), np.ones(2, complex), noise_var)

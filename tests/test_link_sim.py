@@ -626,7 +626,7 @@ class TestRealizeInPlace:
         assert core.wide == (n_tx > n_rx)
         dec = precoding.decompose(core, cfg.n_subchannels)
         u, v = dec.u, dec.v
-        h = build_time_channel(chan)
+        h = validation.dense_time_channel(build_time_channel(chan))
         assert np.max(np.abs(h @ v - u * dec.sigma)) < 1e-12 * dec.sigma[0]
         if mode == "dd_corrected":
             c_t, c_r = precoding.dd_transform_matrices(2, 2, 3)
@@ -641,7 +641,7 @@ GRID16 = SimConfig(m_delay=16, n_doppler=16)
 
 @pytest.fixture(scope="module")
 def grid16_realization():
-    """A ``grid16``-shaped realization, and the traced peak between its decomposition and H.
+    """A ``grid16``-shaped realization, and the traced peak between its decomposition and its taps.
 
     The peak is in k-column arrays, ``n*MN x k`` complex128 (16 MiB here,
     k = n_rf*MN = 512): tracing starts when ``decompose`` returns and stops
@@ -698,6 +698,24 @@ class TestGrid16Memory:
                         GRID16.precoder_mode) is real  # the link reused the held realization
         assert math.isfinite(metrics.mse)
         assert peak < 0.5, f"run_link allocated {peak:.2f} k-column arrays"
+
+    def test_the_taps_and_a_link_need_under_an_eighth_of_the_dense_h(self, grid16_realization):
+        # the dense H of this shape is 64 MiB, its taps 1.5 MiB; the link's
+        # largest arrays are the Kendall pairs (see the test above)
+        slot, real, _ = grid16_realization
+        chan = sample_channel(GRID16, np.random.default_rng(44))
+        rng = np.random.default_rng(45)
+        idx, w = sample_payload(rng, GRID16.payload_len), sample_importance(rng, GRID16.payload_len)
+        dense_h = 16 * (GRID16.n_rx * chan.mn) * (GRID16.n_tx * chan.mn)
+        tracemalloc.start()
+        try:
+            assert build_time_channel(chan).shape == real.h.shape  # freed at once: the slot holds the taps
+            run_link(GRID16, idx, w, np.random.default_rng(44), slot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slot.get(chan, GRID16.n_rf, GRID16.precoder_mode) is real
+        assert peak < dense_h / 8, f"the taps and a link allocated {peak / 2**20:.2f} MiB"
 
 
 class TestCsv:

@@ -22,9 +22,14 @@ from otfslink.precoding import (
     decompose,
     sub_channel_gains,
 )
-from otfslink.validation import DenseCore, effective_dd_channel
+from otfslink.validation import DenseCore, dense_time_channel, effective_dd_channel
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def dense_h(chan):
+    """The dense H of ``chan``, expanded from its delay taps."""
+    return dense_time_channel(build_time_channel(chan))
 
 
 def _copy(dec):
@@ -36,7 +41,7 @@ def random_channel(seed, n_ant=2, grid=2, n_paths=5):
         n_tx=n_ant, n_rx=n_ant, n_rf=1, m_delay=grid, n_doppler=grid, n_paths=n_paths,
         max_delay_tap=min(5, grid * grid - 1), max_doppler_tap=1,
     )
-    return build_time_channel(sample_channel(cfg, seed))
+    return dense_h(sample_channel(cfg, seed))
 
 
 class TestDecompose:
@@ -89,7 +94,7 @@ class TestDecompose:
 class TestPrecoderCombiner:
     def test_modes_coincide_without_doppler_dft(self):
         # N = 1 makes the DD transforms the identity
-        h = build_time_channel(
+        h = dense_h(
             sample_channel(
                 SimConfig(n_tx=2, n_rx=2, n_rf=1, m_delay=4, n_doppler=1, n_paths=4,
                           max_delay_tap=3, max_doppler_tap=0),
@@ -209,7 +214,7 @@ class TestEffectiveDdChannel:
     def test_literal_mode_diagonal_without_doppler_dft(self):
         # N = 1: the DD transforms are the identity, so even the literal
         # factors diagonalize and the diagonal is exactly the leading gains
-        h = build_time_channel(
+        h = dense_h(
             sample_channel(
                 SimConfig(n_tx=2, n_rx=2, n_rf=1, m_delay=4, n_doppler=1, n_paths=4,
                           max_delay_tap=3, max_doppler_tap=0),
@@ -309,7 +314,7 @@ class TestSpatialCoreRoute:
     @SHAPES
     def test_gains_and_rank_match_the_dense_svd(self, n_tx, n_rx, n_paths, n_rf):
         chan = self._chan(n_tx, n_rx, n_paths)
-        h, core = DenseCore(build_time_channel(chan)), spatial_core(chan)
+        h, core = DenseCore(dense_h(chan)), spatial_core(chan)
         rank = min(n_tx, n_rx, n_paths) * chan.mn
         dense = decompose(h, rank)
         np.testing.assert_allclose(decompose(core, rank).sigma, dense.sigma, rtol=0, atol=1e-12 * dense.sigma[0])
@@ -325,7 +330,7 @@ class TestSpatialCoreRoute:
         # paper_literal keeps realize's lifted factors as they are: g = V, w = U
         chan = self._chan(n_tx, n_rx, n_paths)
         real = realize(chan, n_rf, "paper_literal")
-        h, u, v, sigma = real.h, real.pc.w, real.pc.g, real.gains
+        h, u, v, sigma = dense_time_channel(real.h), real.pc.w, real.pc.g, real.gains
         k = n_rf * chan.mn
         assert u.shape == (h.shape[0], k) and v.shape == (h.shape[1], k)
         tol = 1e-12 * sigma[0]
@@ -338,7 +343,7 @@ class TestSpatialCoreRoute:
     def test_precoder_combiner_diagonalize_the_dense_h(self, mode):
         chan = self._chan(5, 3, 2)  # more antennas than paths: the core is smaller than H
         real = realize(chan, 2, mode)
-        eff = real.pc.w.conj().T @ real.h @ real.pc.g
+        eff = real.pc.w.conj().T @ dense_time_channel(real.h) @ real.pc.g
         if mode == "dd_corrected":
             c_t, c_r = dd_transform_matrices(2, 2, 3)
             eff = c_r @ eff @ c_t
@@ -369,7 +374,7 @@ def _dense(rows, cols, seed):
 def _core(n_tx, n_rx, n_paths):
     """A channel's path-built spatial core, and the dense H it stands for."""
     chan = TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths)
-    return spatial_core(chan), build_time_channel(chan)
+    return spatial_core(chan), dense_h(chan)
 
 
 def _assert_leading_triplets(c, dec, k):
@@ -522,7 +527,7 @@ class TestSplitTridiagonal:
                         max_delay_tap=0, max_doppler_tap=0)
         for seed in (1048577, *range(200)):
             chan = sample_channel(cfg, seed)
-            core, c = spatial_core(chan), build_time_channel(chan)
+            core, c = spatial_core(chan), dense_h(chan)
             assert np.array_equal(c, c[0, 0] * np.eye(2))
             for k in (1, 2):
                 _assert_leading_triplets(c, decompose(core, k), k)
@@ -563,7 +568,7 @@ class TestTripletsOfH:
         # the Gram route's vectors lose orthogonality as eps * (sigma_max / sigma)**2,
         # 4e-9 at seed 16's 4e-5, on either side's coordinates alike.
         chan = TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths, seed=22)
-        core, h = spatial_core(chan), build_time_channel(chan)
+        core, h = spatial_core(chan), dense_h(chan)
         assert core.wide == (min(n_rx, n_paths) < min(n_tx, n_paths))
         n_in = n_rx if core.wide else n_tx
         assert core.q_in.shape == (n_in, min(n_in, n_paths))
