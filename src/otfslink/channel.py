@@ -25,6 +25,7 @@ core are test oracles and live in :mod:`otfslink.validation`.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -136,15 +137,43 @@ def _delay_slabs(mn: int, gains, blocks: np.ndarray, delays, dopplers):
         yield delay, slab
 
 
+# _path_sum puts a matrix of more bytes than this in a fresh anonymous mapping,
+# whose pages are committed only where they are written. glibc's heap keeps
+# freed blocks of up to 32 MiB (its largest dynamic mmap threshold on 64-bit
+# hosts) for reuse, so a smaller matrix from np.zeros mostly lands on pages the
+# process already holds. For the 4 MiB Gram matrix of 8x8 antennas on an 8x8
+# grid, a mapping cost 3200 page faults per sweep of perfbench's snr_default
+# workload, 6% of its time, and raised its peak RSS by 0.8 MiB: glibc, no
+# longer seeing the matrix, kept a lower trim threshold and so returned and
+# refetched heap pages more often.
+_GRAM_MAPPING_BYTES = 2**25
+
+
 def _path_sum(mn: int, gains, blocks: np.ndarray, delays, dopplers) -> np.ndarray:
-    """The :func:`_delay_slabs` sum as a dense ``(n_r*MN, n_t*MN)`` matrix; ``delays`` lie in ``[0, MN)``."""
-    n_r, n_t = blocks.shape[1:]
-    out = np.zeros((n_r, mn, n_t, mn), dtype=complex)
-    q = np.arange(mn)
+    """The stored triangle of the :func:`_delay_slabs` sum of square blocks, as an ``(n*MN, n*MN)`` matrix.
+
+    Only the entries with column >= row are written, the triangle LAPACK
+    reads of a C-ordered Hermitian matrix (see
+    :func:`~otfslink.precoding.decompose`); the others read zero.
+    ``delays`` lie in ``[0, MN)``. A matrix above
+    :data:`_GRAM_MAPPING_BYTES` lives in a fresh anonymous mapping, so the
+    other triangle's pages, about half the matrix, are never committed.
+    ``np.zeros`` would not do there: numpy advises huge pages for large
+    arrays, and each 2 MiB page spans both triangles.
+    """
+    n = blocks.shape[1]
+    side = n * mn
+    nbytes = side * side * np.dtype(complex).itemsize
+    out = (np.frombuffer(mmap.mmap(-1, nbytes), dtype=complex) if nbytes > _GRAM_MAPPING_BYTES
+           else np.zeros(side * side, dtype=complex))
+    q = np.arange(mn)[:, None, None]
+    block = np.arange(n)
+    col = block * mn + q  # slab entry [q, r, t] lies in column t*MN + q
     for delay, slab in _delay_slabs(mn, gains, blocks, delays, dopplers):
-        # two index arrays split by a slice: the indexed view is (q, n_r, n_t)
-        out[:, (q + delay) % mn, :, q] = slab
-    return out.reshape(n_r * mn, n_t * mn)
+        row = block[:, None] * mn + (q + delay) % mn  # and in row r*MN + (q + delay) mod MN
+        stored = col >= row
+        out[(row * side + col)[stored]] = slab[stored]
+    return out.reshape(side, side)
 
 
 def _array_matrices(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +207,8 @@ def build_time_channel(chan: DdMimoChannel) -> np.ndarray:
     return h
 
 
-# SpatialCore.lift overwrites the eigenvectors in this many blocks, as precoding._FOLD_BLOCKS.
+# SpatialCore.lift overwrites the eigenvectors in this many blocks, as precoding._FOLD_BLOCKS,
+# and SpatialCore.times keeps each column block's temporaries to about this fraction of its result.
 _LIFT_BLOCKS = 8
 
 
@@ -240,6 +270,12 @@ class SpatialCore:
         together hold no more entries than the Gram matrix. The pairs are
         summed into the blocks a few rows of paths at a time, at most
         :data:`_GRAM_CHUNK_ENTRIES` pair entries at once.
+
+        Only G's stored triangle is written, the entries with column >= row
+        that :func:`~otfslink.precoding.decompose` reads; the strictly lower
+        triangle reads zero. Above 32 MiB that triangle's pages are never
+        committed (see :func:`_path_sum`), so G costs about half its size
+        in memory.
         """
         mn, g, l, k = self.mn, self.gains, self.delays, self.dopplers
         n_in = self.r_in.T  # row i: path i's column of r_in
@@ -291,12 +327,13 @@ class SpatialCore:
         ``a_out`` sums the paths into A's row space. The slabs of all
         paths would outgrow the result once there are more paths than
         ``a_out`` has rows, so the columns go through in blocks whose slabs
-        hold no more entries than the result.
+        and products each hold about a :data:`_LIFT_BLOCKS`-th of the
+        result's entries.
         """
         mn = self.mn
         n_out = self.a_out.shape[0]
         out = np.empty((n_out * mn, x.shape[1]), dtype=complex)
-        step = max(1, n_out * x.shape[1] // self.gains.size)
+        step = max(1, n_out * x.shape[1] // (max(self.gains.size, n_out) * _LIFT_BLOCKS))
         q = np.arange(mn)
         phases = self.gains[:, None] * np.exp(2j * np.pi * ((self.dopplers[:, None] * q) % mn) / mn)
         for start in range(0, x.shape[1], step):

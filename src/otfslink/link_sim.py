@@ -82,11 +82,12 @@ MIN_SNR_DB = -100.0
 MAX_TRIALS = 10**6
 
 # Most entries a config may ask of any array a link allocates. Neither H nor
-# the spatial core is formed; the decomposition holds the core's Gram matrix
-# (at most H's size), the k eigenvectors and the other side's k vectors, and
-# the workspaces LAPACKE allocates for zhetrd, dsterf, zstein and zunmtr are
-# O(side), so no side**2-sized workspace is reserved or can fail to allocate
-# (see precoding.decompose).
+# the spatial core is formed; the decomposition holds G's stored triangle plus
+# the k eigenvectors (G, the core's Gram matrix, is at most H's size, and above
+# 32 MiB only its triangle's pages are committed), then the other side's k
+# vectors, and the workspaces of zhetrd, dsterf, zstein and zunmtr are O(side),
+# so no side**2-sized workspace is reserved or can fail to allocate (see
+# precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of each per-chunk array of a burst: run_link passes as many frames
@@ -277,9 +278,11 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     The precoder/combiner is folded in the arrays the decomposition
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
     which owns them from then on. So a realization's memory peaks inside
-    the decomposition, at the Gram matrix and the k eigenvectors. The taps
-    that :func:`~otfslink.channel.apply_channel` takes are built last; they
-    hold (max delay + 1)*MN*n_rx*n_tx entries, never more than H's.
+    the decomposition, at G's stored triangle plus the k eigenvectors, G
+    being the Gram matrix (see :meth:`~otfslink.channel.SpatialCore.gram`).
+    The taps that :func:`~otfslink.channel.apply_channel` takes are built
+    last; they hold (max delay + 1)*MN*n_rx*n_tx entries, never more than
+    H's.
     """
     m, n = chan.m_delay, chan.n_doppler
     dec = decompose(spatial_core(chan), n_rf * m * n)

@@ -49,9 +49,13 @@ RANK_TOLERANCE = 1e-6
 
 # The four LAPACKE routines of decompose's eigenpair route, with 64-bit
 # integers, under the names the OpenBLAS builds that numpy ships export them by.
+# zunmtr is taken in its _work form, which leaves the workspace to the caller:
+# LAPACKE_zunmtr scans the whole square for NaN, which commits the pages of the
+# triangle the Gram matrix leaves unwritten.
 _LAPACKE_SYMBOLS = {
-    name: (f"scipy_LAPACKE_{name}64_", f"LAPACKE_{name}64_")
-    for name in ("zhetrd", "dsterf", "zstein", "zunmtr")
+    name: (f"scipy_LAPACKE_{symbol}64_", f"LAPACKE_{symbol}64_")
+    for name, symbol in (("zhetrd", "zhetrd"), ("dsterf", "dsterf"), ("zstein", "zstein"),
+                         ("zunmtr", "zunmtr_work"))
 }
 _LAPACK_COL_MAJOR = 102
 
@@ -103,8 +107,8 @@ def _gram_routines():
         "dsterf": [i64, ptr, ptr],  # n, d, e
         # layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
         "zstein": [enum, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr],
-        # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
-        "zunmtr": [enum, char, char, char, i64, i64, ptr, i64, ptr, ptr, i64],
+        # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
+        "zunmtr": [enum, char, char, char, i64, i64, ptr, i64, ptr, ptr, i64, ptr, i64],
     }
     package = Path(np.__file__).resolve().parent
     candidates = sorted(package.parent.glob("numpy.libs/*openblas*")) + sorted(
@@ -133,12 +137,16 @@ def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
     """``(lam, zh)``: the ``k`` largest eigenpairs of the Hermitian ``g``, ascending.
 
     LAPACK reads the C-ordered ``g`` column-major, that is as ``g^T =
-    conj(g)``, and uses its lower triangle. ``zhetrd`` reduces it in place
+    conj(g)``, and uses its lower triangle: the C-ordered entries with
+    column >= row, g's stored triangle. Nothing here reads or writes the
+    other triangle, which may hold anything. ``zhetrd`` reduces it in place
     to a real tridiagonal T = Q^H conj(g) Q; ``dsterf`` takes all of T's
     eigenvalues by root-free QR, without vectors; ``zstein`` finds the
     vectors of the k largest by inverse iteration and ``zunmtr`` applies Q
-    to them. They land as the rows of the C-ordered ``zh``, so ``zh = Z^H``
-    for eigenvectors Z of g. LAPACKE's workspaces are O(side).
+    to them, through a workspace it is asked for first. They land as the
+    rows of the C-ordered ``zh``, so ``zh = Z^H`` for eigenvectors Z of g.
+    Beyond g's stored triangle plus the k eigenvectors, LAPACKE's
+    workspaces and zunmtr's are O(side) or O(k).
 
     T is split where LAPACK's bisection ``dstebz`` splits it, at each e_j
     with e_j**2 below ulp**2 |d_j d_(j+1)| + safmin, and every block is
@@ -154,7 +162,8 @@ def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
     peak = g.diagonal().real.max()  # the largest |g_ij|, since |g_ij|**2 <= g_ii g_jj
     scale = 2.0 ** -np.frexp(peak)[1] if 0 < peak < 2.0**-485 or peak > 2.0**255 else 1.0
     if scale != 1.0:
-        g *= scale
+        for i in range(side):  # the stored triangle only: even a read of the other commits its pages
+            g[i, i:] *= scale
     d, e, tau = np.empty(side), np.empty(side - 1), np.empty(side - 1, np.complex128)
     _check("zhetrd", zhetrd(_LAPACK_COL_MAJOR, b"L", side, g.ctypes.data, side, d.ctypes.data,
                             e.ctypes.data, tau.ctypes.data))
@@ -173,8 +182,12 @@ def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
     _check("zstein", zstein(_LAPACK_COL_MAJOR, side, d.ctypes.data, e.ctypes.data, k, w.ctypes.data,
                             iblock.ctypes.data, isplit.ctypes.data, zh.ctypes.data, side,
                             ifail.ctypes.data))
-    _check("zunmtr", zunmtr(_LAPACK_COL_MAJOR, b"L", b"L", b"N", side, k, g.ctypes.data, side,
-                            tau.ctypes.data, zh.ctypes.data, side))
+    args = (_LAPACK_COL_MAJOR, b"L", b"L", b"N", side, k, g.ctypes.data, side, tau.ctypes.data,
+            zh.ctypes.data, side)
+    query = np.empty(1, np.complex128)
+    _check("zunmtr", zunmtr(*args, query.ctypes.data, -1))
+    work = np.empty(int(query[0].real), np.complex128)
+    _check("zunmtr", zunmtr(*args, work.ctypes.data, work.size))
     lam = w[:k] / scale
     if isplit.size > 1:  # the blocks' eigenvalues interleave
         order = np.argsort(lam, kind="stable")
@@ -187,7 +200,9 @@ def decompose(core, k: int) -> SubChannelDecomposition:
 
     ``core`` gives H in the form this route needs, never H itself. With A
     = H, or H^H when ``core.wide``: ``core.gram()`` is the Gram matrix of A
-    compressed to a basis of its in side, over ``core.scale**2``;
+    compressed to a basis of its in side, over ``core.scale**2``, of which
+    only the stored triangle is read: the entries with column >= row (a
+    ``SpatialCore`` writes no others, to save their memory);
     ``core.lift(z)`` takes that basis's coordinates back to A's in side,
     for eigenvectors ``z`` with contiguous columns, in ``z``'s buffer when
     it can; and ``core.times(x)`` is ``A x / core.scale``. The link passes
@@ -199,7 +214,10 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     from numpy's own OpenBLAS (by ``np.linalg.eigh`` when it does not
     export all four): ``sigma = sqrt(lambda)``, A's right singular vectors
     are ``lift(z)`` and its left ones ``times(lift(z)) / sigma``. The Gram
-    matrix is freed before either is formed. Factors are complex128.
+    matrix is freed before either is formed, so the decomposition's memory
+    peaks at G's stored triangle plus the k eigenvectors (the ``eigh``
+    fallback copies the whole square and all its eigenvectors). Factors
+    are complex128.
     Raises :class:`RankDeficientChannelError` when fewer than ``k``
     eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above
     the side included, and ``ValueError`` when ``sigma_max * core.scale``
@@ -217,8 +235,8 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     routines = _gram_routines()
     if routines is not None:
         lam, zh = _lapack_eigenpairs(routines, g, computed)
-    else:  # the same eigenpairs of the same Gram matrix
-        lam, z = np.linalg.eigh(g)
+    else:  # the same eigenpairs of the same triangle of the Gram matrix
+        lam, z = np.linalg.eigh(g, UPLO="U")
         # C-ordered rows, as LAPACK's: each eigenvector contiguous, so core.lift works in place
         lam, zh = lam[-computed:], np.conjugate(z[:, -computed:].T, order="C")
     del g

@@ -206,6 +206,12 @@ class TestBuildTimeChannel:
         assert realize(chan, 1, "dd_corrected").gains.shape == (4,)
 
 
+def _assert_stored_triangle(got, want):
+    """``got`` holds ``want``'s entries with column >= row, within 1e-12 of its largest, and zeros below."""
+    assert np.all(np.tril(got, -1) == 0)
+    assert np.max(np.abs(np.triu(got) - np.triu(want))) < 1e-12 * np.max(np.abs(want))
+
+
 class TestOneRotationPerDopplerTap:
     """``_delay_slabs`` takes each distinct Doppler tap's phases once, not once per term."""
 
@@ -246,7 +252,7 @@ class TestOneRotationPerDopplerTap:
             dense = dense_spatial_core(chan)[1]
             a = dense.conj().T if core.wide else dense
             expected = a.conj().T @ a
-            assert np.max(np.abs(gram * core.scale**2 - expected)) < 1e-12 * np.max(np.abs(expected))
+            _assert_stored_triangle(gram * core.scale**2, expected)
 
 
 class TestSpatialCore:
@@ -289,12 +295,34 @@ class TestSpatialCore:
             a = dense.conj().T if core.wide else dense  # the tall one of C and C^H
             gram = a.conj().T @ a
             assert core.gram().shape == gram.shape == (core.side, core.side)
-            assert np.max(np.abs(core.gram() * core.scale**2 - gram)) < 1e-12 * np.max(np.abs(gram))
+            _assert_stored_triangle(core.gram() * core.scale**2, gram)
             h = dense_time_channel(build_time_channel(chan))
             h = h.conj().T if core.wide else h
             x = np.random.default_rng(seed).standard_normal((h.shape[1], 5)) * (1 + 2j)
             product = h @ x
             assert np.max(np.abs(core.times(x) * core.scale - product)) < 1e-12 * np.max(np.abs(product))
+
+    def test_a_gram_matrix_above_the_mapping_size_is_mapped_with_the_same_bits(self, monkeypatch):
+        cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=4, n_doppler=4, n_paths=6,
+                        max_delay_tap=15, max_doppler_tap=7)
+        core = spatial_core(sample_channel(cfg, 7))
+        mapped = []
+        real = channel.mmap.mmap
+
+        def counted(fileno, length):
+            mapped.append(length)
+            return real(fileno, length)
+
+        monkeypatch.setattr(channel.mmap, "mmap", counted)
+        nbytes = 16 * core.side**2
+        monkeypatch.setattr(channel, "_GRAM_MAPPING_BYTES", nbytes)
+        heap = core.gram()
+        assert mapped == []
+        monkeypatch.setattr(channel, "_GRAM_MAPPING_BYTES", nbytes - 1)
+        gram = core.gram()
+        assert mapped == [nbytes]
+        assert gram.flags.c_contiguous and gram.flags.writeable
+        assert gram.tobytes() == heap.tobytes()
 
     @pytest.mark.parametrize("big", [3e200 + 4e200j, 1e308, 1.5e308 + 1.5e308j])
     def test_gains_are_scaled_by_a_power_of_two(self, big):

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -583,6 +583,43 @@ def test_gram_entries_beyond_lapacks_safe_range(route, factor):
     _assert_leading_triplets(c, decompose(DenseCore(c), 8), 8)
 
 
+@dataclass(frozen=True, eq=False)
+class _LitterBelowTheDiagonal(DenseCore):
+    """A ``DenseCore`` whose Gram matrix holds NaN and a finite value, alternately, below the diagonal.
+
+    :func:`decompose` reads only the entries with column >= row, so it must
+    neither read nor write the others. ``last`` keeps the array ``gram()``
+    returned and what was written below its diagonal.
+    """
+
+    last: dict = field(default_factory=dict)
+
+    def gram(self):
+        g = super().gram()
+        lower = np.tril_indices(g.shape[0], -1)
+        below = np.where(np.arange(lower[0].size) % 2, np.nan, 3.0 - 4.0j)
+        g[lower] = below
+        self.last.update(g=g, below=below)
+        return g
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0**140], ids=["in_range", "rescaled"])
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+def test_the_gram_matrix_below_its_diagonal_is_neither_read_nor_written(route, factor, wide):
+    # NaN there fails a NaN scan of the whole square and an eigh of the other triangle; the
+    # finite value changes under a rescale of the whole square. 2**140 puts G's entries above
+    # 2**255, where decompose rescales G.
+    c = factor * _complex_gaussian(24, 16, 33)
+    c = c.T if wide else c
+    full = decompose(DenseCore(c), 8)
+    core = _LitterBelowTheDiagonal(c)
+    litter = decompose(core, 8)
+    for name in ("u", "sigma", "v"):
+        assert np.array_equal(getattr(litter, name), getattr(full, name)), name
+    g = core.last["g"]
+    assert g[np.tril_indices(g.shape[0], -1)].tobytes() == core.last["below"].tobytes()
+
+
 def _run_python(code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
@@ -623,6 +660,42 @@ def test_one_openblas_file_after_a_realization():
     # and they are the only BLAS/LAPACK routines the package binds
     sources = {path.name: path.read_text() for path in (ROOT / "src" / "otfslink").glob("*.py")}
     assert not [name for name, text in sources.items() if "zheevr" in text or "zherk" in text]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_a_mapped_gram_matrix_commits_little_more_than_its_stored_triangle():
+    # the 1024-square Gram matrix of 8x8 antennas on an 8x16 grid, put in a mapping
+    # though it is below the mapping size: its rows span 4 pages, so the stored
+    # triangle commits 5/8 of its pages. Committing all of them, as a read or a
+    # write of the other triangle would, raised the peak by 1.55 core-sized
+    # matrices; the mapped triangle raises it by about 1.3.
+    code = """
+        from otfslink import channel, link_sim
+        from otfslink.channel import sample_channel
+        from otfslink.link_sim import SimConfig, realize
+
+        def peak():  # bytes
+            with open("/proc/self/status") as fh:
+                return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1]) * 1024
+
+        seen = {}
+        decompose = link_sim.decompose
+
+        def measured(core, k):
+            before = peak()
+            dec = decompose(core, k)
+            seen.update(side=core.side, rise=peak() - before)
+            return dec
+
+        channel._GRAM_MAPPING_BYTES = 0
+        link_sim.decompose = measured
+        cfg = SimConfig(m_delay=8, n_doppler=16)
+        realize(sample_channel(cfg, 0), cfg.n_rf, cfg.precoder_mode)
+        print(seen["side"], seen["rise"] / (16 * seen["side"] ** 2))
+        """
+    side, rise = _run_python(code).split()
+    assert int(side) == 1024
+    assert float(rise) < 1.45, f"decompose raised the peak RSS by {float(rise):.2f} core-sized matrices"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
