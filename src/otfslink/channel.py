@@ -31,6 +31,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .precoding import packed_row_offsets
+
 if TYPE_CHECKING:
     from .link_sim import SimConfig
 
@@ -137,43 +139,60 @@ def _delay_slabs(mn: int, gains, blocks: np.ndarray, delays, dopplers):
         yield delay, slab
 
 
-# _path_sum puts a matrix of more bytes than this in a fresh anonymous mapping,
-# whose pages are committed only where they are written. glibc's heap keeps
-# freed blocks of up to 32 MiB (its largest dynamic mmap threshold on 64-bit
-# hosts) for reuse, so a smaller matrix from np.zeros mostly lands on pages the
-# process already holds. For the 4 MiB Gram matrix of 8x8 antennas on an 8x8
-# grid, a mapping cost 3200 page faults per sweep of perfbench's snr_default
-# workload, 6% of its time, and raised its peak RSS by 0.8 MiB: glibc, no
-# longer seeing the matrix, kept a lower trim threshold and so returned and
-# refetched heap pages more often.
-_GRAM_MAPPING_BYTES = 2**25
+# _path_sum packs a Gram matrix whose square would take at most this many bytes,
+# 896**2 complex entries (12.25 MiB), and puts a larger one in a fresh private
+# mapping as a square. On a 2-core x86 host with 2 BLAS threads, LAPACK's packed
+# reduction and back-transform, zhptrd and zupmtr, took 0.82 to 0.89 of the time
+# of the blocked square pair, zhetrd and zunmtr, at sides 256 to 768, tied with
+# it at 832 and 896 and lost beyond (1.03 at 960, 1.13 at 1152; k = side/4).
+_GRAM_MAPPING_BYTES = 896**2 * 16
+
+
+def _mapped_zeros(count: int) -> np.ndarray:
+    """``count`` complex zeros in a fresh anonymous mapping, whose pages are committed only where written.
+
+    The mapping is private, so a read of a page never written maps the
+    shared zero page and commits nothing (a shared mapping commits a page
+    on a read too), and it asks for small pages where the host allows, so
+    no 2 MiB page spans both triangles of a Gram matrix.
+    """
+    buffer = mmap.mmap(-1, count * np.dtype(complex).itemsize, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=complex)
 
 
 def _path_sum(mn: int, gains, blocks: np.ndarray, delays, dopplers) -> np.ndarray:
-    """The stored triangle of the :func:`_delay_slabs` sum of square blocks, as an ``(n*MN, n*MN)`` matrix.
+    """The stored triangle of the :func:`_delay_slabs` sum of square blocks, a ``side = n*MN`` Hermitian matrix.
 
     Only the entries with column >= row are written, the triangle LAPACK
     reads of a C-ordered Hermitian matrix (see
-    :func:`~otfslink.precoding.decompose`); the others read zero.
-    ``delays`` lie in ``[0, MN)``. A matrix above
-    :data:`_GRAM_MAPPING_BYTES` lives in a fresh anonymous mapping, so the
-    other triangle's pages, about half the matrix, are never committed.
-    ``np.zeros`` would not do there: numpy advises huge pages for large
-    arrays, and each 2 MiB page spans both triangles.
+    :func:`~otfslink.precoding.decompose`). ``delays`` lie in ``[0, MN)``.
+    A matrix whose square takes at most :data:`_GRAM_MAPPING_BYTES` comes
+    packed, as a 1-D array of ``side*(side+1)/2`` entries in the layout of
+    :func:`~otfslink.precoding.packed_row_offsets`. A larger one is a
+    ``(side, side)`` square in a fresh private mapping, whose strictly lower
+    triangle reads zero and whose pages there, about half the matrix, are
+    never committed. ``np.zeros`` would not do for it: numpy advises huge
+    pages for large arrays, and each 2 MiB page spans both triangles.
     """
     n = blocks.shape[1]
     side = n * mn
-    nbytes = side * side * np.dtype(complex).itemsize
-    out = (np.frombuffer(mmap.mmap(-1, nbytes), dtype=complex) if nbytes > _GRAM_MAPPING_BYTES
-           else np.zeros(side * side, dtype=complex))
+    if side * side * np.dtype(complex).itemsize > _GRAM_MAPPING_BYTES:
+        out = _mapped_zeros(side * side).reshape(side, side)
+        offsets = np.arange(side) * side
+    else:
+        out = np.zeros(side * (side + 1) // 2, dtype=complex)
+        offsets = packed_row_offsets(side)
+    flat = out.reshape(-1)  # a view of either
     q = np.arange(mn)[:, None, None]
     block = np.arange(n)
     col = block * mn + q  # slab entry [q, r, t] lies in column t*MN + q
     for delay, slab in _delay_slabs(mn, gains, blocks, delays, dopplers):
         row = block[:, None] * mn + (q + delay) % mn  # and in row r*MN + (q + delay) mod MN
         stored = col >= row
-        out[(row * side + col)[stored]] = slab[stored]
-    return out.reshape(side, side)
+        flat[(offsets[row] + col)[stored]] = slab[stored]
+    return out
 
 
 def _array_matrices(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -272,10 +291,11 @@ class SpatialCore:
         :data:`_GRAM_CHUNK_ENTRIES` pair entries at once.
 
         Only G's stored triangle is written, the entries with column >= row
-        that :func:`~otfslink.precoding.decompose` reads; the strictly lower
-        triangle reads zero. Above 32 MiB that triangle's pages are never
-        committed (see :func:`_path_sum`), so G costs about half its size
-        in memory.
+        that :func:`~otfslink.precoding.decompose` reads, so G costs about
+        half its square in memory. Up to :data:`_GRAM_MAPPING_BYTES` of
+        square (896**2 entries) it comes packed, as a 1-D array of that
+        triangle's rows; above, as a mapped square whose strictly lower
+        triangle reads zero and is never committed (see :func:`_path_sum`).
         """
         mn, g, l, k = self.mn, self.gains, self.delays, self.dopplers
         n_in = self.r_in.T  # row i: path i's column of r_in

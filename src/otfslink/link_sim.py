@@ -83,11 +83,12 @@ MAX_TRIALS = 10**6
 
 # Most entries a config may ask of any array a link allocates. Neither H nor
 # the spatial core is formed; the decomposition holds G's stored triangle plus
-# the k eigenvectors (G, the core's Gram matrix, is at most H's size, and above
-# 32 MiB only its triangle's pages are committed), then the other side's k
-# vectors, and the workspaces of zhetrd, dsterf, zstein and zunmtr are O(side),
-# so no side**2-sized workspace is reserved or can fail to allocate (see
-# precoding.decompose).
+# the k eigenvectors (G, the core's Gram matrix, is at most H's size: packed,
+# side*(side+1)/2 entries, up to a side of 896, and above it a mapped square of
+# which only the triangle's pages are committed), then the other side's k
+# vectors, and the workspaces of zhetrd or zhptrd, dsterf, zstein and zunmtr or
+# zupmtr are O(side), so no side**2-sized workspace is reserved or can fail to
+# allocate (see precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of each per-chunk array of a burst: run_link passes as many frames

@@ -11,7 +11,11 @@ eigenpairs of the Gram matrix of H's spatial core on its smaller side
 all eigenvalues of the tridiagonal without vectors, and vectors for the
 k largest only. Neither the core nor H is formed: the channel module
 builds that Gram matrix from the path pairs, lifts its eigenvectors to
-H's coordinates and applies H path by path.
+H's coordinates and applies H path by path. Only the Gram matrix's
+stored triangle is kept, in one of two layouts that its size selects:
+packed (:func:`packed_row_offsets`) up to a side of 896, reduced by
+``zhptrd``, and a square above it, reduced by the blocked ``zhetrd``,
+each the faster there.
 Two precoder / combiner modes are provided:
 
 * ``paper_literal``: use the leading SVD factors directly (G = V1, W = U1),
@@ -30,7 +34,9 @@ are preserved through combining.
 
 from __future__ import annotations
 
+import collections
 import functools
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,17 +53,58 @@ PRECODER_MODES = ("dd_corrected", "paper_literal")
 # about sqrt(side * eps), 5e-7 at side 2048.
 RANK_TOLERANCE = 1e-6
 
-# The four LAPACKE routines of decompose's eigenpair route, with 64-bit
-# integers, under the names the OpenBLAS builds that numpy ships export them by.
-# zunmtr is taken in its _work form, which leaves the workspace to the caller:
+# The LAPACKE routines of decompose's eigenpair route, with 64-bit integers,
+# under the names the OpenBLAS builds that numpy ships export them by: the
+# reduction and back-transform of a square Gram matrix (zhetrd, zunmtr) and of a
+# packed one (zhptrd, zupmtr), and the tridiagonal solvers both share. zunmtr
+# is taken in its _work form, which leaves the workspace to the caller:
 # LAPACKE_zunmtr scans the whole square for NaN, which commits the pages of the
-# triangle the Gram matrix leaves unwritten.
+# triangle the Gram matrix leaves unwritten. zupmtr needs no workspace query.
 _LAPACKE_SYMBOLS = {
     name: (f"scipy_LAPACKE_{symbol}64_", f"LAPACKE_{symbol}64_")
-    for name, symbol in (("zhetrd", "zhetrd"), ("dsterf", "dsterf"), ("zstein", "zstein"),
-                         ("zunmtr", "zunmtr_work"))
+    for name, symbol in (("zhetrd", "zhetrd"), ("zhptrd", "zhptrd"), ("dsterf", "dsterf"),
+                         ("zstein", "zstein"), ("zunmtr", "zunmtr_work"), ("zupmtr", "zupmtr_work"))
 }
+_Routines = collections.namedtuple("_Routines", list(_LAPACKE_SYMBOLS))
 _LAPACK_COL_MAJOR = 102
+
+
+def packed_row_offsets(side: int) -> np.ndarray:
+    """The row offsets of a packed Gram matrix of ``side``: entry ``(r, c)``, ``c >= r``, lies at ``offsets[r] + c``.
+
+    The packed layout holds a Hermitian matrix's C-ordered entries with
+    column >= row, row after row, ``side*(side+1)/2`` of them: LAPACK's lower
+    packed storage of the column-major matrix (see :func:`decompose`).
+    """
+    r = np.arange(side)
+    return r * (2 * side - r - 1) // 2
+
+
+def packed_side(length: int) -> int:
+    """The side of a packed Gram matrix of ``length`` entries; ``ValueError`` if no side has that many."""
+    side = (math.isqrt(8 * length + 1) - 1) // 2
+    if side * (side + 1) // 2 != length:
+        raise ValueError(f"a packed Gram matrix holds side*(side+1)/2 entries for some side, got length {length}")
+    return side
+
+
+def _diagonal(g: np.ndarray) -> np.ndarray:
+    """The diagonal of a packed or square Gram matrix."""
+    if g.ndim == 1:
+        side = packed_side(g.size)
+        return g[packed_row_offsets(side) + np.arange(side)]
+    return g.diagonal()
+
+
+def unpacked(g: np.ndarray) -> np.ndarray:
+    """A packed Gram matrix as a new square holding its stored triangle, zero below; a square one as it is."""
+    if g.ndim != 1:
+        return g
+    side = packed_side(g.size)
+    rows, cols = np.triu_indices(side)
+    square = np.zeros((side, side), dtype=g.dtype)
+    square[rows, cols] = g[packed_row_offsets(side)[rows] + cols]
+    return square
 
 
 class RankDeficientChannelError(ValueError):
@@ -92,9 +139,9 @@ class PrecoderCombiner:
 
 @functools.cache
 def _gram_routines():
-    """``(zhetrd, dsterf, zstein, zunmtr)`` of the OpenBLAS numpy has loaded, or None.
+    """The :data:`_LAPACKE_SYMBOLS` routines of the OpenBLAS numpy has loaded, as a ``_Routines``, or None.
 
-    None when that library does not export all four. Only a library already
+    None when that library does not export them all. Only a library already
     in the process is opened (``RTLD_NOLOAD``), so the handle is numpy's own
     and no second BLAS, with its own thread pool, is ever loaded. Resolved on
     the first call, so importing the package does not pay for ``ctypes``.
@@ -104,11 +151,14 @@ def _gram_routines():
     i64, ptr, enum, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int, ctypes.c_char
     argtypes = {
         "zhetrd": [enum, char, i64, ptr, i64, ptr, ptr, ptr],  # layout, uplo, n, a, lda, d, e, tau
+        "zhptrd": [enum, char, i64, ptr, ptr, ptr, ptr],  # layout, uplo, n, ap, d, e, tau
         "dsterf": [i64, ptr, ptr],  # n, d, e
         # layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
         "zstein": [enum, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr],
         # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
         "zunmtr": [enum, char, char, char, i64, i64, ptr, i64, ptr, ptr, i64, ptr, i64],
+        # layout, side, uplo, trans, m, n, ap, tau, c, ldc, work
+        "zupmtr": [enum, char, char, char, i64, i64, ptr, ptr, ptr, i64, ptr],
     }
     package = Path(np.__file__).resolve().parent
     candidates = sorted(package.parent.glob("numpy.libs/*openblas*")) + sorted(
@@ -124,7 +174,7 @@ def _gram_routines():
         if None not in routines:
             for routine, name in zip(routines, _LAPACKE_SYMBOLS):
                 routine.restype, routine.argtypes = i64, argtypes[name]
-            return tuple(routines)
+            return _Routines(*routines)
     return None
 
 
@@ -138,15 +188,20 @@ def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
 
     LAPACK reads the C-ordered ``g`` column-major, that is as ``g^T =
     conj(g)``, and uses its lower triangle: the C-ordered entries with
-    column >= row, g's stored triangle. Nothing here reads or writes the
-    other triangle, which may hold anything. ``zhetrd`` reduces it in place
-    to a real tridiagonal T = Q^H conj(g) Q; ``dsterf`` takes all of T's
-    eigenvalues by root-free QR, without vectors; ``zstein`` finds the
-    vectors of the k largest by inverse iteration and ``zunmtr`` applies Q
-    to them, through a workspace it is asked for first. They land as the
-    rows of the C-ordered ``zh``, so ``zh = Z^H`` for eigenvectors Z of g.
-    Beyond g's stored triangle plus the k eigenvectors, LAPACKE's
-    workspaces and zunmtr's are O(side) or O(k).
+    column >= row, g's stored triangle. A square ``g`` holds it in place,
+    and nothing here reads or writes the other triangle, which may hold
+    anything; a 1-D ``g`` holds it packed (:func:`packed_row_offsets`),
+    LAPACK's lower packed storage. ``zhetrd`` (``zhptrd`` when packed)
+    reduces it in place to a real tridiagonal T = Q^H conj(g) Q; ``dsterf``
+    takes all of T's eigenvalues by root-free QR, without vectors;
+    ``zstein`` finds the vectors of the k largest by inverse iteration and
+    ``zunmtr`` (``zupmtr``) applies Q to them, ``zunmtr`` through a
+    workspace it is asked for first. They land as the rows of the C-ordered
+    ``zh``, so ``zh = Z^H`` for eigenvectors Z of g. Beyond g plus the k
+    eigenvectors, LAPACKE's workspaces and the back-transform's are O(side)
+    or O(k). ``zhptrd`` is unblocked and ``zhetrd`` blocked, running part
+    of its work as matrix products: the first was the faster up to a side
+    of about 900, the second beyond (see ``channel._GRAM_MAPPING_BYTES``).
 
     T is split where LAPACK's bisection ``dstebz`` splits it, at each e_j
     with e_j**2 below ulp**2 |d_j d_(j+1)| + safmin, and every block is
@@ -157,37 +212,49 @@ def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
     [sqrt(safmin / ulp), safmin**-0.25], where their squares would
     underflow or overflow.
     """
-    zhetrd, dsterf, zstein, zunmtr = routines
-    side = g.shape[0]
-    peak = g.diagonal().real.max()  # the largest |g_ij|, since |g_ij|**2 <= g_ii g_jj
+    packed = g.ndim == 1
+    diagonal = _diagonal(g)
+    side = diagonal.size
+    peak = diagonal.real.max()  # the largest |g_ij|, since |g_ij|**2 <= g_ii g_jj
     scale = 2.0 ** -np.frexp(peak)[1] if 0 < peak < 2.0**-485 or peak > 2.0**255 else 1.0
-    if scale != 1.0:
+    if scale != 1.0 and packed:
+        g *= scale
+    elif scale != 1.0:
         for i in range(side):  # the stored triangle only: even a read of the other commits its pages
             g[i, i:] *= scale
     d, e, tau = np.empty(side), np.empty(side - 1), np.empty(side - 1, np.complex128)
-    _check("zhetrd", zhetrd(_LAPACK_COL_MAJOR, b"L", side, g.ctypes.data, side, d.ctypes.data,
-                            e.ctypes.data, tau.ctypes.data))
+    if packed:
+        _check("zhptrd", routines.zhptrd(_LAPACK_COL_MAJOR, b"L", side, g.ctypes.data, d.ctypes.data,
+                                         e.ctypes.data, tau.ctypes.data))
+    else:
+        _check("zhetrd", routines.zhetrd(_LAPACK_COL_MAJOR, b"L", side, g.ctypes.data, side, d.ctypes.data,
+                                         e.ctypes.data, tau.ctypes.data))
     ulp, safmin = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     split = e**2 < ulp**2 * np.abs(d[:-1] * d[1:]) + safmin
     isplit = np.append(np.flatnonzero(split) + 1, side).astype(np.int64)  # each block's last row, 1-based
     lam, off = d.copy(), e.copy()
     for first, last in zip([0, *isplit[:-1].tolist()], isplit.tolist()):
-        _check("dsterf", dsterf(last - first, lam[first:].ctypes.data, off[first:].ctypes.data))
+        _check("dsterf", routines.dsterf(last - first, lam[first:].ctypes.data, off[first:].ctypes.data))
     block = np.repeat(np.arange(1, isplit.size + 1, dtype=np.int64), np.diff(isplit, prepend=0))
     chosen = np.sort(np.argsort(lam, kind="stable")[side - k:])  # by block, ascending in each
     w = np.zeros(side)  # LAPACKE checks all side entries of w for NaN
     w[:k] = lam[chosen]
     iblock, ifail = block[chosen], np.empty(k, np.int64)
     zh = np.empty((k, side), np.complex128)
-    _check("zstein", zstein(_LAPACK_COL_MAJOR, side, d.ctypes.data, e.ctypes.data, k, w.ctypes.data,
-                            iblock.ctypes.data, isplit.ctypes.data, zh.ctypes.data, side,
-                            ifail.ctypes.data))
-    args = (_LAPACK_COL_MAJOR, b"L", b"L", b"N", side, k, g.ctypes.data, side, tau.ctypes.data,
-            zh.ctypes.data, side)
-    query = np.empty(1, np.complex128)
-    _check("zunmtr", zunmtr(*args, query.ctypes.data, -1))
-    work = np.empty(int(query[0].real), np.complex128)
-    _check("zunmtr", zunmtr(*args, work.ctypes.data, work.size))
+    _check("zstein", routines.zstein(_LAPACK_COL_MAJOR, side, d.ctypes.data, e.ctypes.data, k, w.ctypes.data,
+                                     iblock.ctypes.data, isplit.ctypes.data, zh.ctypes.data, side,
+                                     ifail.ctypes.data))
+    if packed:
+        work = np.empty(k, np.complex128)
+        _check("zupmtr", routines.zupmtr(_LAPACK_COL_MAJOR, b"L", b"L", b"N", side, k, g.ctypes.data,
+                                         tau.ctypes.data, zh.ctypes.data, side, work.ctypes.data))
+    else:
+        args = (_LAPACK_COL_MAJOR, b"L", b"L", b"N", side, k, g.ctypes.data, side, tau.ctypes.data,
+                zh.ctypes.data, side)
+        query = np.empty(1, np.complex128)
+        _check("zunmtr", routines.zunmtr(*args, query.ctypes.data, -1))
+        work = np.empty(int(query[0].real), np.complex128)
+        _check("zunmtr", routines.zunmtr(*args, work.ctypes.data, work.size))
     lam = w[:k] / scale
     if isplit.size > 1:  # the blocks' eigenvalues interleave
         order = np.argsort(lam, kind="stable")
@@ -201,45 +268,55 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     ``core`` gives H in the form this route needs, never H itself. With A
     = H, or H^H when ``core.wide``: ``core.gram()`` is the Gram matrix of A
     compressed to a basis of its in side, over ``core.scale**2``, of which
-    only the stored triangle is read: the entries with column >= row (a
-    ``SpatialCore`` writes no others, to save their memory);
-    ``core.lift(z)`` takes that basis's coordinates back to A's in side,
-    for eigenvectors ``z`` with contiguous columns, in ``z``'s buffer when
-    it can; and ``core.times(x)`` is ``A x / core.scale``. The link passes
-    a :class:`~otfslink.channel.SpatialCore`; a dense matrix goes through
-    :class:`otfslink.validation.DenseCore`, whose basis is the identity.
+    only the stored triangle is read, the entries with column >= row. It
+    comes either as a square, whose other triangle is never read (a
+    ``SpatialCore`` leaves it unwritten, to save its memory), or packed: a
+    1-D array of that triangle's rows, one after another (see
+    :func:`packed_row_offsets`); a ``SpatialCore`` packs it below
+    ``channel._GRAM_MAPPING_BYTES``. ``core.lift(z)`` takes that basis's
+    coordinates back to A's in side, for eigenvectors ``z`` with contiguous
+    columns, in ``z``'s buffer when it can; and ``core.times(x)`` is ``A x
+    / core.scale``. The link passes a
+    :class:`~otfslink.channel.SpatialCore`; a dense matrix goes through
+    :class:`otfslink.validation.DenseCore`, whose basis is the identity and
+    whose Gram matrix is square.
 
     The triplets come from the ``k`` leading eigenpairs ``(lambda, z)`` of
-    the Gram matrix, by ``zhetrd``, ``dsterf``, ``zstein`` and ``zunmtr``
-    from numpy's own OpenBLAS (by ``np.linalg.eigh`` when it does not
-    export all four): ``sigma = sqrt(lambda)``, A's right singular vectors
-    are ``lift(z)`` and its left ones ``times(lift(z)) / sigma``. The Gram
-    matrix is freed before either is formed, so the decomposition's memory
-    peaks at G's stored triangle plus the k eigenvectors (the ``eigh``
-    fallback copies the whole square and all its eigenvectors). Factors
-    are complex128.
+    the Gram matrix, by ``zhetrd`` (``zhptrd`` when packed), ``dsterf``,
+    ``zstein`` and ``zunmtr`` (``zupmtr``) from numpy's own OpenBLAS (by
+    ``np.linalg.eigh`` of the square, unpacked once if need be, when it does
+    not export them all): ``sigma = sqrt(lambda)``, A's right singular
+    vectors are ``lift(z)`` and its left ones ``times(lift(z)) / sigma``.
+    The Gram matrix is freed before either is formed, so the
+    decomposition's memory peaks at G's stored triangle plus the k
+    eigenvectors (the ``eigh`` fallback copies the whole square and all its
+    eigenvectors). Factors are complex128.
     Raises :class:`RankDeficientChannelError` when fewer than ``k``
     eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above
     the side included, and ``ValueError`` when ``sigma_max * core.scale``
-    exceeds the float range. LAPACK orders the eigenvalues, ties in a
-    fixed order, so repeated runs order them identically.
+    exceeds the float range, or when G is not finite, not square and
+    not a packed triangle, or empty. LAPACK orders the eigenvalues, ties in
+    a fixed order, so repeated runs order them identically.
     """
     g = np.ascontiguousarray(core.gram(), dtype=np.complex128)
+    if not (g.ndim == 1 or g.ndim == 2 and g.shape[0] == g.shape[1]):
+        raise ValueError(f"Gram matrix must be square or packed, got shape {g.shape}")
+    diagonal = _diagonal(g)  # a packed length that is no triangle raises, naming it
     # |G_ij|**2 <= G_ii G_jj for a Gram matrix, so a finite diagonal means a finite G
-    if g.ndim != 2 or g.size == 0 or g.shape[0] != g.shape[1] or not np.all(np.isfinite(g.diagonal())):
-        raise ValueError(f"Gram matrix must be finite, square and non-empty, got shape {g.shape}")
+    if diagonal.size == 0 or not np.all(np.isfinite(diagonal)):
+        raise ValueError(f"Gram matrix must be finite and non-empty, got shape {g.shape}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     # k above the side takes all the side's eigenpairs, so that the error names the rank
-    computed = min(k, g.shape[0])
+    computed = min(k, diagonal.size)
     routines = _gram_routines()
     if routines is not None:
         lam, zh = _lapack_eigenpairs(routines, g, computed)
     else:  # the same eigenpairs of the same triangle of the Gram matrix
-        lam, z = np.linalg.eigh(g, UPLO="U")
+        lam, z = np.linalg.eigh(unpacked(g), UPLO="U")
         # C-ordered rows, as LAPACK's: each eigenvector contiguous, so core.lift works in place
         lam, zh = lam[-computed:], np.conjugate(z[:, -computed:].T, order="C")
-    del g
+    del g, diagonal  # a square G's diagonal is a view of it
     lam, zh = lam[::-1], zh[::-1]
     rank = int(np.count_nonzero(lam > RANK_TOLERANCE**2 * lam[0]))
     if rank < k:

@@ -30,7 +30,7 @@ from .channel import (
 from .dd_transforms import dft_matrix, otfs_demodulate, otfs_modulate
 from .link_sim import SimConfig, realize, run_random_link
 from .precoding import (
-    RANK_TOLERANCE, PrecoderCombiner, RankDeficientChannelError, dd_transform_matrices,
+    RANK_TOLERANCE, PrecoderCombiner, RankDeficientChannelError, dd_transform_matrices, unpacked,
 )
 from .special import erfc
 
@@ -301,8 +301,9 @@ def core_gram_oracle() -> CheckResult:
     """The spatial core's path-built Gram matrix equals the dense core's, its product the dense H's.
 
     Tall, wide and square cores, one path, and taps that wrap the frame.
-    The Gram matrix is compared where it is stored, on and above the
-    diagonal, and its strictly lower triangle must be exactly zero. Gaps
+    The Gram matrix, unpacked if it comes packed, is compared where it is
+    stored, on and above the diagonal, and its strictly lower triangle must
+    be exactly zero. Gaps
     are relative to the largest entry of the dense Gram matrix and of the
     dense product with H (H^H for a wide core) from its closed form.
     """
@@ -322,7 +323,7 @@ def core_gram_oracle() -> CheckResult:
         h = h.conj().T if core.wide else h
         x = rng.standard_normal((h.shape[1], 4)) + 1j * rng.standard_normal((h.shape[1], 4))
         product = h @ x
-        stored = core.gram() * core.scale**2
+        stored = unpacked(core.gram()) * core.scale**2
         lower_zero = lower_zero and not np.any(np.tril(stored, -1))
         worst = max(
             worst,

@@ -7,12 +7,13 @@ import sys
 import textwrap
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from otfslink import precoding
+from otfslink import channel, precoding
 from otfslink.channel import build_time_channel, sample_channel, spatial_core
 from otfslink.link_sim import SimConfig, realize
 from otfslink.precoding import (
@@ -89,6 +90,30 @@ class TestDecompose:
         h[0, 0] = np.inf
         with pytest.raises(ValueError):
             decompose(DenseCore(h), 2)
+
+    @pytest.mark.parametrize("layout", ["square", "packed"])
+    def test_checks_hold_for_both_layouts(self, layout):
+        def core(g):  # only gram() is read before these errors
+            g = np.asarray(g, dtype=complex)
+            return SimpleNamespace(gram=lambda: _packed(g) if layout == "packed" else g, scale=1.0, wide=False)
+
+        for g in (np.diag([1.0, np.nan]), np.diag([np.inf, 1.0, 1.0]), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="Gram matrix must be finite and non-empty"):
+                decompose(core(g), 1)
+        with pytest.raises(RankDeficientChannelError, match="channel rank 1 cannot carry 2 streams"):
+            decompose(core(np.diag([2.0, 0.0, 0.0])), 2)
+
+    @pytest.mark.parametrize("length", [2, 5, 7, 4097])
+    def test_a_packed_length_that_is_no_triangle_is_refused_by_name(self, length):
+        core = SimpleNamespace(gram=lambda: np.ones(length, dtype=complex), scale=1.0, wide=False)
+        with pytest.raises(ValueError, match=f"got length {length}$"):
+            decompose(core, 1)
+
+    def test_a_gram_matrix_neither_square_nor_packed_is_refused(self):
+        for shape in ((2, 3), (2, 2, 2)):
+            core = SimpleNamespace(gram=lambda: np.ones(shape, dtype=complex), scale=1.0, wide=False)
+            with pytest.raises(ValueError, match=r"must be square or packed, got shape \("):
+                decompose(core, 1)
 
 
 class TestPrecoderCombiner:
@@ -482,39 +507,71 @@ class TestSubsetDecompose:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setitem(precoding._LAPACKE_SYMBOLS, routine, ("otfslink_no_such_symbol",))
         precoding._gram_routines.cache_clear()
+        core, h = _core(3, 5, 10)  # an 18-square Gram matrix, which comes packed
+        assert core.gram().shape == (18 * 19 // 2,)
         try:
             assert precoding._gram_routines() is None
             tall, wide = _complex_gaussian(64, 48, 8), _complex_gaussian(48, 64, 13)
             decs = [decompose(DenseCore(c), 16) for c in (tall, wide)]
+            packed = decompose(core, 6)
         finally:
             precoding._gram_routines.cache_clear()  # resolved again once the symbols are restored
-        assert lapack_calls == [] and eigh_calls == [(48, 48), (48, 48)]
+        assert lapack_calls == [] and eigh_calls == [(48, 48), (48, 48), (18, 18)]
         for c, dec in zip((tall, wide), decs):
             assert dec.rank == 16
             _assert_leading_triplets(c, dec, 16)
+        _assert_leading_triplets(h, packed, 6)
 
 
-@pytest.fixture(params=["lapack", "eigh"])
-def route(request, monkeypatch):
-    """Each of decompose's two routes; the LAPACK one records the order of ``zstein``'s eigenvalues.
+def _packed(g):
+    """The stored triangle of the square Gram matrix ``g``, packed.
 
-    ``zstein`` takes them grouped by block of the tridiagonal, ascending in
-    each, so an order other than ascending means split blocks whose
-    eigenvalues interleave and whose vectors ``decompose`` puts in order.
+    The packed layout holds the entries with column >= row, row after row,
+    which is the order of ``np.triu_indices``.
     """
-    orders = []
-    if request.param == "eigh":
+    return g[np.triu_indices(g.shape[0])]
+
+
+@pytest.fixture(params=["lapack", "packed", "eigh"])
+def route(request, monkeypatch):
+    """Each of decompose's routes; the LAPACK ones record the order of ``zstein``'s eigenvalues.
+
+    ``lapack`` reduces a square Gram matrix by ``zhetrd`` (a ``SpatialCore``
+    puts its G in a mapped square), ``packed`` a packed one by ``zhptrd``
+    (a ``DenseCore``'s G is packed too), and ``eigh`` takes
+    ``np.linalg.eigh`` of the layout G's size selects. Each LAPACK route
+    must reduce every G by its own routine. ``zstein`` takes the
+    eigenvalues grouped by block of the tridiagonal, ascending in each, so
+    an order other than ascending means split blocks whose eigenvalues
+    interleave and whose vectors ``decompose`` puts in order.
+    """
+    name, orders, reductions = request.param, [], []
+    if name == "eigh":
         monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
     else:
-        zhetrd, dsterf, zstein, zunmtr = precoding._gram_routines()
+        if name == "lapack":
+            monkeypatch.setattr(channel, "_GRAM_MAPPING_BYTES", 0)
+        else:
+            square = DenseCore.gram
+            monkeypatch.setattr(DenseCore, "gram", lambda self: _packed(square(self)))
+        routines = precoding._gram_routines()
+
+        def reduction(routine, layout):
+            def recorded(*args):
+                reductions.append(layout)
+                return routine(*args)
+            return recorded
 
         def recorded(layout, n, d, e, m, w, *rest):
             values = np.ctypeslib.as_array(ctypes.cast(w, ctypes.POINTER(ctypes.c_double)), (m,))
             orders.append(np.argsort(values, kind="stable").tolist())
-            return zstein(layout, n, d, e, m, w, *rest)
+            return routines.zstein(layout, n, d, e, m, w, *rest)
 
-        monkeypatch.setattr(precoding, "_gram_routines", lambda: (zhetrd, dsterf, recorded, zunmtr))
-    return request.param, orders
+        chain = routines._replace(zhetrd=reduction(routines.zhetrd, "lapack"),
+                                  zhptrd=reduction(routines.zhptrd, "packed"), zstein=recorded)
+        monkeypatch.setattr(precoding, "_gram_routines", lambda: chain)
+    yield name, orders
+    assert set(reductions) == (set() if name == "eigh" else {name})
 
 
 class TestSplitTridiagonal:
@@ -542,7 +599,7 @@ class TestSplitTridiagonal:
         for k in range(1, side + 1):
             _assert_leading_triplets(c, decompose(DenseCore(c), k), k)
         name, orders = route
-        if name == "lapack":  # the rows came back grouped by block and were put in order
+        if name != "eigh":  # the rows came back grouped by block and were put in order
             assert any(order != sorted(order) for order in orders)
 
     @pytest.mark.parametrize("n_tx, n_rx", [(3, 5), (5, 3)], ids=["tall", "wide"])
@@ -551,6 +608,22 @@ class TestSplitTridiagonal:
         assert core.wide == (n_tx > n_rx)
         for k in range(1, core.side + 1):
             _assert_leading_triplets(c, decompose(core, k), k)
+
+
+@pytest.mark.parametrize("n_tx, n_rx, n_paths", [(3, 5, 10), (5, 3, 10), (6, 6, 3)],
+                         ids=["tall", "wide", "paths_below_antennas"])
+def test_one_core_decomposes_alike_packed_and_square(monkeypatch, n_tx, n_rx, n_paths):
+    core, h = _core(n_tx, n_rx, n_paths)
+    k = core.side // 2
+    reconstructions = []
+    for limit, shape in ((16 * core.side**2, (core.side * (core.side + 1) // 2,)), (0, (core.side,) * 2)):
+        monkeypatch.setattr(channel, "_GRAM_MAPPING_BYTES", limit)
+        assert core.gram().shape == shape
+        dec = decompose(core, k)
+        _assert_leading_triplets(h, dec, k)
+        reconstructions.append((dec.u * dec.sigma) @ dec.v.conj().T)  # free of each pair's phase
+    packed, square = reconstructions
+    assert np.max(np.abs(packed - square)) < 1e-12 * np.linalg.norm(h, 2)
 
 
 class TestTripletsOfH:
@@ -605,6 +678,7 @@ class _LitterBelowTheDiagonal(DenseCore):
 
 @pytest.mark.parametrize("factor", [1.0, 2.0**140], ids=["in_range", "rescaled"])
 @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+@pytest.mark.parametrize("route", ["lapack", "eigh"], indirect=True)  # the routes that take a square
 def test_the_gram_matrix_below_its_diagonal_is_neither_read_nor_written(route, factor, wide):
     # NaN there fails a NaN scan of the whole square and an eigh of the other triangle; the
     # finite value changes under a rescale of the whole square. 2**140 puts G's entries above
@@ -652,7 +726,7 @@ def test_one_openblas_file_after_a_realization():
         """
     *routines, mapped = _run_python(code, ROOT / "configs" / "default.json").splitlines()
     assert len(mapped.split()) == 1, mapped
-    # each of the four routines resolves inside the one OpenBLAS file mapped
+    # each routine resolves inside the one OpenBLAS file mapped
     assert len(routines) == len(precoding._LAPACKE_SYMBOLS)
     for line, symbols in zip(routines, precoding._LAPACKE_SYMBOLS.values()):
         name, *home = line.split()
@@ -665,10 +739,10 @@ def test_one_openblas_file_after_a_realization():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_a_mapped_gram_matrix_commits_little_more_than_its_stored_triangle():
     # the 1024-square Gram matrix of 8x8 antennas on an 8x16 grid, put in a mapping
-    # though it is below the mapping size: its rows span 4 pages, so the stored
-    # triangle commits 5/8 of its pages. Committing all of them, as a read or a
+    # whatever the mapping size: its rows span 4 pages, so the stored triangle
+    # commits 5/8 of its pages. Committing all of them, as a read or a
     # write of the other triangle would, raised the peak by 1.55 core-sized
-    # matrices; the mapped triangle raises it by about 1.3.
+    # matrices; the mapped triangle raises it by about 1.2.
     code = """
         from otfslink import channel, link_sim
         from otfslink.channel import sample_channel
@@ -696,6 +770,32 @@ def test_a_mapped_gram_matrix_commits_little_more_than_its_stored_triangle():
     side, rise = _run_python(code).split()
     assert int(side) == 1024
     assert float(rise) < 1.45, f"decompose raised the peak RSS by {float(rise):.2f} core-sized matrices"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_reading_the_unwritten_triangle_of_a_mapped_gram_matrix_commits_no_memory():
+    # the 1024-square Gram matrix of 8x8 antennas on an 8x16 grid, mapped. Its rows
+    # span 4 pages, so 3/8 of its pages lie wholly below the diagonal: a shared
+    # mapping commits each of them on its first read, a private one maps them
+    # all to the zero page
+    code = """
+        from otfslink import channel
+        from otfslink.channel import sample_channel, spatial_core
+        from otfslink.link_sim import SimConfig
+
+        def rss():  # bytes
+            with open("/proc/self/status") as fh:
+                return int(next(line for line in fh if line.startswith("VmRSS:")).split()[1]) * 1024
+
+        channel._GRAM_MAPPING_BYTES = 0
+        g = spatial_core(sample_channel(SimConfig(m_delay=8, n_doppler=16), 0)).gram()
+        before = rss()
+        below = sum(g[r, :r].sum() for r in range(g.shape[0]))  # every entry below the diagonal
+        print(g.shape[0], g.shape[1], below == 0, (rss() - before) / g.nbytes)
+        """
+    rows, cols, zero, rise = _run_python(code).split()
+    assert (int(rows), int(cols), zero) == (1024, 1024, "True")
+    assert float(rise) < 0.05, f"reading below the diagonal committed {float(rise):.2f} of the matrix"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
