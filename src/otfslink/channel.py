@@ -17,7 +17,9 @@ antenna blocks per delay (:func:`build_time_channel`, :func:`apply_channel`),
 and decomposes it through a :class:`SpatialCore` (:func:`spatial_core`):
 H's paths, giving the Gram matrix of H's spatial core on its smaller side,
 the lift of its eigenvectors to H's coordinates, and H's product with a
-block of vectors, path by path. Neither the core nor H is formed.
+block of vectors, path by path. Neither the core nor H is formed. The Gram
+matrix's storage and layout belong to :func:`~otfslink.precoding.decompose`,
+which allocates it; the core only sums the stored triangle into it.
 :func:`sample_channel` draws a channel for a checked
 :class:`~otfslink.link_sim.SimConfig`. The dense H, cyclic shift Pi and
 core are test oracles and live in :mod:`otfslink.validation`.
@@ -25,13 +27,10 @@ core are test oracles and live in :mod:`otfslink.validation`.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .precoding import packed_row_offsets
 
 if TYPE_CHECKING:
     from .link_sim import SimConfig
@@ -139,60 +138,26 @@ def _delay_slabs(mn: int, gains, blocks: np.ndarray, delays, dopplers):
         yield delay, slab
 
 
-# _path_sum packs a Gram matrix whose square would take at most this many bytes,
-# 896**2 complex entries (12.25 MiB), and puts a larger one in a fresh private
-# mapping as a square. On a 2-core x86 host with 2 BLAS threads, LAPACK's packed
-# reduction and back-transform, zhptrd and zupmtr, took 0.82 to 0.89 of the time
-# of the blocked square pair, zhetrd and zunmtr, at sides 256 to 768, tied with
-# it at 832 and 896 and lost beyond (1.03 at 960, 1.13 at 1152; k = side/4).
-_GRAM_MAPPING_BYTES = 896**2 * 16
+def _path_sum(mn: int, gains, blocks: np.ndarray, delays, dopplers, allocate):
+    """The :func:`_delay_slabs` sum of square blocks, a ``side = n*MN`` Hermitian matrix, summed into ``allocate(side)``.
 
-
-def _mapped_zeros(count: int) -> np.ndarray:
-    """``count`` complex zeros in a fresh anonymous mapping, whose pages are committed only where written.
-
-    The mapping is private, so a read of a page never written maps the
-    shared zero page and commits nothing (a shared mapping commits a page
-    on a read too), and it asks for small pages where the host allows, so
-    no 2 MiB page spans both triangles of a Gram matrix.
-    """
-    buffer = mmap.mmap(-1, count * np.dtype(complex).itemsize, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buffer, dtype=complex)
-
-
-def _path_sum(mn: int, gains, blocks: np.ndarray, delays, dopplers) -> np.ndarray:
-    """The stored triangle of the :func:`_delay_slabs` sum of square blocks, a ``side = n*MN`` Hermitian matrix.
-
-    Only the entries with column >= row are written, the triangle LAPACK
-    reads of a C-ordered Hermitian matrix (see
-    :func:`~otfslink.precoding.decompose`). ``delays`` lie in ``[0, MN)``.
-    A matrix whose square takes at most :data:`_GRAM_MAPPING_BYTES` comes
-    packed, as a 1-D array of ``side*(side+1)/2`` entries in the layout of
-    :func:`~otfslink.precoding.packed_row_offsets`. A larger one is a
-    ``(side, side)`` square in a fresh private mapping, whose strictly lower
-    triangle reads zero and whose pages there, about half the matrix, are
-    never committed. ``np.zeros`` would not do for it: numpy advises huge
-    pages for large arrays, and each 2 MiB page spans both triangles.
+    ``allocate(side)`` returns ``(out, offsets)``, zeros for the matrix's
+    stored triangle in a layout of :func:`~otfslink.precoding.gram_zeros`:
+    entry ``(r, c)``, ``c >= r``, lies at ``out[offsets[r] + c]``. Only
+    those entries are written, the triangle LAPACK reads of a C-ordered
+    Hermitian matrix (see :func:`~otfslink.precoding.decompose`), and the
+    pair is returned. ``delays`` lie in ``[0, MN)``.
     """
     n = blocks.shape[1]
-    side = n * mn
-    if side * side * np.dtype(complex).itemsize > _GRAM_MAPPING_BYTES:
-        out = _mapped_zeros(side * side).reshape(side, side)
-        offsets = np.arange(side) * side
-    else:
-        out = np.zeros(side * (side + 1) // 2, dtype=complex)
-        offsets = packed_row_offsets(side)
-    flat = out.reshape(-1)  # a view of either
+    out, offsets = allocate(n * mn)
     q = np.arange(mn)[:, None, None]
     block = np.arange(n)
     col = block * mn + q  # slab entry [q, r, t] lies in column t*MN + q
     for delay, slab in _delay_slabs(mn, gains, blocks, delays, dopplers):
         row = block[:, None] * mn + (q + delay) % mn  # and in row r*MN + (q + delay) mod MN
         stored = col >= row
-        flat[(offsets[row] + col)[stored]] = slab[stored]
-    return out
+        out[(offsets[row] + col)[stored]] = slab[stored]
+    return out, offsets
 
 
 def _array_matrices(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +240,8 @@ class SpatialCore:
         """Size of the Gram matrix: ``min(n_rx, n_tx, L)*MN``."""
         return self.r_in.shape[0] * self.mn
 
-    def gram(self) -> np.ndarray:
-        """``(q_in kron I)^H A^H A (q_in kron I) / scale**2``: A's Gram matrix on the Gram side.
+    def gram(self, allocate) -> tuple[np.ndarray, np.ndarray]:
+        """``(q_in kron I)^H A^H A (q_in kron I) / scale**2``, A's Gram matrix on the Gram side, into ``allocate``.
 
         With ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``a_out``,
         it is ``sum_(i,j) conj(g_i) g_j (o_i^H o_j) (r_i r_j^H) kron
@@ -290,12 +255,12 @@ class SpatialCore:
         summed into the blocks a few rows of paths at a time, at most
         :data:`_GRAM_CHUNK_ENTRIES` pair entries at once.
 
-        Only G's stored triangle is written, the entries with column >= row
-        that :func:`~otfslink.precoding.decompose` reads, so G costs about
-        half its square in memory. Up to :data:`_GRAM_MAPPING_BYTES` of
-        square (896**2 entries) it comes packed, as a 1-D array of that
-        triangle's rows; above, as a mapped square whose strictly lower
-        triangle reads zero and is never committed (see :func:`_path_sum`).
+        G's storage and its layout are :func:`~otfslink.precoding.decompose`'s:
+        ``allocate(side)`` returns zeros for G's stored triangle, the entries
+        with column >= row that ``decompose`` reads, and their row offsets
+        (see :func:`~otfslink.precoding.gram_zeros`). It is called once the
+        blocks are summed, and only that triangle is written, so G costs
+        what its layout keeps of it; the filled pair is returned.
         """
         mn, g, l, k = self.mn, self.gains, self.delays, self.dopplers
         n_in = self.r_in.T  # row i: path i's column of r_in
@@ -315,7 +280,7 @@ class SpatialCore:
                       * np.exp(-2j * np.pi * ((k[i, None] * (keys // mn)) % mn) / mn))
             outer = weight[:, :, None, None] * n_in[i, None, :, None] * n_in.conj()[None, :, None, :]
             np.add.at(blocks, np.searchsorted(taps, keys).ravel(), outer.reshape(-1, s, s))
-        return _path_sum(mn, np.ones(taps.size), blocks, taps // mn, taps % mn)
+        return _path_sum(mn, np.ones(taps.size), blocks, taps // mn, taps % mn, allocate)
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """``(q_in kron I_MN) z`` for the ``(side, k)`` eigenvectors ``z`` of :meth:`gram`.
@@ -343,33 +308,33 @@ class SpatialCore:
         """``A x / scale`` for the ``(n_in*MN, k)`` array ``x``: ``H x``, or ``H^H x`` when ``wide``.
 
         One product with ``a_in^H`` takes x to one ``MN x k`` slab per path,
-        each path shifts and rotates its slab, and one product with
-        ``a_out`` sums the paths into A's row space. The slabs of all
-        paths would outgrow the result once there are more paths than
-        ``a_out`` has rows, so the columns go through in blocks whose slabs
-        and products each hold about a :data:`_LIFT_BLOCKS`-th of the
-        result's entries.
+        one gather shifts every path's slab and one product rotates it, and
+        one product with ``a_out`` sums the paths into A's row space. The
+        slabs of all paths would outgrow the result once there are more
+        paths than ``a_out`` has rows, so the columns go through in blocks
+        whose slabs and products each hold about a :data:`_LIFT_BLOCKS`-th
+        of the result's entries.
         """
-        mn = self.mn
+        mn, paths = self.mn, self.gains.size
         n_out = self.a_out.shape[0]
         out = np.empty((n_out * mn, x.shape[1]), dtype=complex)
-        step = max(1, n_out * x.shape[1] // (max(self.gains.size, n_out) * _LIFT_BLOCKS))
+        step = max(1, n_out * x.shape[1] // (max(paths, n_out) * _LIFT_BLOCKS))
+        # row q of path i's slab, times its phase, lands on row (q + l_i) mod MN: row p
+        # of all the shifted slabs, stacked, takes that of the stacked slabs at rows[p]
         q = np.arange(mn)
-        phases = self.gains[:, None] * np.exp(2j * np.pi * ((self.dopplers[:, None] * q) % mn) / mn)
+        source = (q - self.delays[:, None]) % mn
+        rows = (np.arange(paths)[:, None] * mn + source).ravel()
+        phases = (self.gains[:, None] * np.exp(2j * np.pi * ((self.dopplers[:, None] * source) % mn) / mn)).reshape(-1, 1)
         for start in range(0, x.shape[1], step):
-            out[:, start:start + step] = self._times_block(x[:, start:start + step], phases)
+            out[:, start:start + step] = self._times_block(x[:, start:start + step], rows, phases)
         return out
 
-    def _times_block(self, block: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    def _times_block(self, block: np.ndarray, rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """One column block of :meth:`times`; its slabs are freed on return."""
         mn, paths, cols = self.mn, self.gains.size, block.shape[1]
-        slabs = (self.a_in.conj().T @ block.reshape(self.a_in.shape[0], mn * cols)).reshape(paths, mn, cols)
-        shifted = np.empty_like(slabs)
-        for i, delay in enumerate(self.delays):
-            # row q of the slab, times its phase, lands on row (q + delay) mod MN
-            cut = mn - delay
-            np.multiply(slabs[i, :cut], phases[i, :cut, None], out=shifted[i, delay:])
-            np.multiply(slabs[i, cut:], phases[i, cut:, None], out=shifted[i, :delay])
+        slabs = (self.a_in.conj().T @ block.reshape(self.a_in.shape[0], mn * cols)).reshape(paths * mn, cols)
+        shifted = slabs[rows]
+        shifted *= phases  # in place: a product into a new array raised the sweep's peak RSS
         return (self.a_out @ shifted.reshape(paths, mn * cols)).reshape(-1, cols)
 
 

@@ -83,7 +83,8 @@ MAX_TRIALS = 10**6
 
 # Most entries a config may ask of any array a link allocates. Neither H nor
 # the spatial core is formed; the decomposition holds G's stored triangle plus
-# the k eigenvectors (G, the core's Gram matrix, is at most H's size: packed,
+# the k eigenvectors (G, the core's Gram matrix, is at most H's size, and
+# precoding.decompose allocates it and picks its layout: packed,
 # side*(side+1)/2 entries, up to a side of 896, and above it a mapped square of
 # which only the triangle's pages are committed), then the other side's k
 # vectors, and the workspaces of zhetrd or zhptrd, dsterf, zstein and zunmtr or
@@ -280,7 +281,7 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
     which owns them from then on. So a realization's memory peaks inside
     the decomposition, at G's stored triangle plus the k eigenvectors, G
-    being the Gram matrix (see :meth:`~otfslink.channel.SpatialCore.gram`).
+    being the Gram matrix (see :func:`~otfslink.precoding.gram_zeros`).
     The taps that :func:`~otfslink.channel.apply_channel` takes are built
     last; they hold (max delay + 1)*MN*n_rx*n_tx entries, never more than
     H's.

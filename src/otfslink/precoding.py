@@ -10,12 +10,14 @@ eigenpairs of the Gram matrix of H's spatial core on its smaller side
 (:class:`otfslink.channel.SpatialCore`): LAPACK's tridiagonal reduction,
 all eigenvalues of the tridiagonal without vectors, and vectors for the
 k largest only. Neither the core nor H is formed: the channel module
-builds that Gram matrix from the path pairs, lifts its eigenvectors to
-H's coordinates and applies H path by path. Only the Gram matrix's
-stored triangle is kept, in one of two layouts that its size selects:
-packed (:func:`packed_row_offsets`) up to a side of 896, reduced by
-``zhptrd``, and a square above it, reduced by the blocked ``zhetrd``,
-each the faster there.
+sums that Gram matrix from the path pairs, lifts its eigenvectors to
+H's coordinates and applies H path by path. The Gram matrix's storage
+belongs to :func:`decompose`: one allocator, :func:`gram_zeros`, keeps
+only its stored triangle, in the layout its size and the route select,
+and the core only fills that triangle. It is packed up to a side of 896,
+reduced by ``zhptrd``, and a square above it, reduced by the blocked
+``zhetrd``, each the faster there; ``np.linalg.eigh``, the fallback
+where numpy's OpenBLAS lacks those routines, gets a plain square.
 Two precoder / combiner modes are provided:
 
 * ``paper_literal``: use the leading SVD factors directly (G = V1, W = U1),
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import collections
 import functools
-import math
+import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,42 +71,50 @@ _Routines = collections.namedtuple("_Routines", list(_LAPACKE_SYMBOLS))
 _LAPACK_COL_MAJOR = 102
 
 
-def packed_row_offsets(side: int) -> np.ndarray:
-    """The row offsets of a packed Gram matrix of ``side``: entry ``(r, c)``, ``c >= r``, lies at ``offsets[r] + c``.
+# decompose packs a Gram matrix whose square would take at most this many bytes,
+# 896**2 complex entries (12.25 MiB), and puts a larger one in a fresh private
+# mapping as a square. On a 2-core x86 host with 2 BLAS threads, LAPACK's packed
+# reduction and back-transform, zhptrd and zupmtr, took 0.82 to 0.89 of the time
+# of the blocked square pair, zhetrd and zunmtr, at sides 256 to 768, tied with
+# it at 832 and 896 and lost beyond (1.03 at 960, 1.13 at 1152; k = side/4).
+_GRAM_MAPPING_BYTES = 896**2 * 16
 
-    The packed layout holds a Hermitian matrix's C-ordered entries with
-    column >= row, row after row, ``side*(side+1)/2`` of them: LAPACK's lower
-    packed storage of the column-major matrix (see :func:`decompose`).
+
+def _mapped_zeros(count: int) -> np.ndarray:
+    """``count`` complex zeros in a fresh anonymous mapping, whose pages are committed only where written.
+
+    The mapping is private, so a read of a page never written maps the
+    shared zero page and commits nothing (a shared mapping commits a page
+    on a read too), and it asks for small pages where the host allows, so
+    no 2 MiB page spans both triangles of a Gram matrix.
     """
+    buffer = mmap.mmap(-1, count * np.dtype(complex).itemsize, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=complex)
+
+
+def gram_zeros(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(g, offsets)``: zeros for the stored triangle of a ``side``-square Hermitian matrix, and its row offsets.
+
+    Entry ``(r, c)``, ``c >= r``, lies at ``g[offsets[r] + c]`` of the flat
+    ``g``: the C-ordered entries with column >= row, the triangle LAPACK
+    reads (see :func:`_lapack_eigenpairs`). Up to
+    :data:`_GRAM_MAPPING_BYTES` of square they are packed, row after row,
+    ``side*(side+1)/2`` entries: LAPACK's lower packed storage. A larger
+    matrix is a square in a fresh private mapping (:func:`_mapped_zeros`),
+    whose other triangle's pages, about half the matrix, are never
+    committed (``np.zeros`` would advise huge pages, each spanning both
+    triangles). Where :func:`_gram_routines` finds no LAPACK routines, it
+    is a plain square at any size, the one ``np.linalg.eigh`` takes.
+    """
+    square = _gram_routines() is None
+    if square or side * side * np.dtype(complex).itemsize > _GRAM_MAPPING_BYTES:
+        g = np.zeros(side * side, dtype=complex) if square else _mapped_zeros(side * side)
+        return g, np.arange(side) * side
+    g = np.zeros(side * (side + 1) // 2, dtype=complex)
     r = np.arange(side)
-    return r * (2 * side - r - 1) // 2
-
-
-def packed_side(length: int) -> int:
-    """The side of a packed Gram matrix of ``length`` entries; ``ValueError`` if no side has that many."""
-    side = (math.isqrt(8 * length + 1) - 1) // 2
-    if side * (side + 1) // 2 != length:
-        raise ValueError(f"a packed Gram matrix holds side*(side+1)/2 entries for some side, got length {length}")
-    return side
-
-
-def _diagonal(g: np.ndarray) -> np.ndarray:
-    """The diagonal of a packed or square Gram matrix."""
-    if g.ndim == 1:
-        side = packed_side(g.size)
-        return g[packed_row_offsets(side) + np.arange(side)]
-    return g.diagonal()
-
-
-def unpacked(g: np.ndarray) -> np.ndarray:
-    """A packed Gram matrix as a new square holding its stored triangle, zero below; a square one as it is."""
-    if g.ndim != 1:
-        return g
-    side = packed_side(g.size)
-    rows, cols = np.triu_indices(side)
-    square = np.zeros((side, side), dtype=g.dtype)
-    square[rows, cols] = g[packed_row_offsets(side)[rows] + cols]
-    return square
+    return g, r * (2 * side - r - 1) // 2
 
 
 class RankDeficientChannelError(ValueError):
@@ -183,15 +193,16 @@ def _check(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"{routine} failed: info = {info}")
 
 
-def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
+def _lapack_eigenpairs(routines, g: np.ndarray, offsets: np.ndarray, k: int):
     """``(lam, zh)``: the ``k`` largest eigenpairs of the Hermitian ``g``, ascending.
 
-    LAPACK reads the C-ordered ``g`` column-major, that is as ``g^T =
-    conj(g)``, and uses its lower triangle: the C-ordered entries with
-    column >= row, g's stored triangle. A square ``g`` holds it in place,
-    and nothing here reads or writes the other triangle, which may hold
-    anything; a 1-D ``g`` holds it packed (:func:`packed_row_offsets`),
-    LAPACK's lower packed storage. ``zhetrd`` (``zhptrd`` when packed)
+    ``g`` and ``offsets`` are a matrix's stored triangle in a layout of
+    :func:`gram_zeros`. LAPACK reads the C-ordered matrix column-major,
+    that is as ``g^T = conj(g)``, and uses its lower triangle: the
+    C-ordered entries with column >= row, g's stored triangle. A square
+    ``g`` holds it in place, and nothing here reads or writes the other
+    triangle, which may hold anything; a packed ``g`` holds it in LAPACK's
+    lower packed storage. ``zhetrd`` (``zhptrd`` when packed)
     reduces it in place to a real tridiagonal T = Q^H conj(g) Q; ``dsterf``
     takes all of T's eigenvalues by root-free QR, without vectors;
     ``zstein`` finds the vectors of the k largest by inverse iteration and
@@ -201,7 +212,7 @@ def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
     eigenvectors, LAPACKE's workspaces and the back-transform's are O(side)
     or O(k). ``zhptrd`` is unblocked and ``zhetrd`` blocked, running part
     of its work as matrix products: the first was the faster up to a side
-    of about 900, the second beyond (see ``channel._GRAM_MAPPING_BYTES``).
+    of about 900, the second beyond (see :data:`_GRAM_MAPPING_BYTES`).
 
     T is split where LAPACK's bisection ``dstebz`` splits it, at each e_j
     with e_j**2 below ulp**2 |d_j d_(j+1)| + safmin, and every block is
@@ -212,16 +223,13 @@ def _lapack_eigenpairs(routines, g: np.ndarray, k: int):
     [sqrt(safmin / ulp), safmin**-0.25], where their squares would
     underflow or overflow.
     """
-    packed = g.ndim == 1
-    diagonal = _diagonal(g)
-    side = diagonal.size
-    peak = diagonal.real.max()  # the largest |g_ij|, since |g_ij|**2 <= g_ii g_jj
+    side = offsets.size
+    packed = g.size < side * side
+    peak = g[offsets + np.arange(side)].real.max()  # the largest |g_ij|, since |g_ij|**2 <= g_ii g_jj
     scale = 2.0 ** -np.frexp(peak)[1] if 0 < peak < 2.0**-485 or peak > 2.0**255 else 1.0
-    if scale != 1.0 and packed:
-        g *= scale
-    elif scale != 1.0:
-        for i in range(side):  # the stored triangle only: even a read of the other commits its pages
-            g[i, i:] *= scale
+    if scale != 1.0:
+        for r in range(side):  # the stored triangle only: even a read of the other commits its pages
+            g[offsets[r] + r:offsets[r] + side] *= scale
     d, e, tau = np.empty(side), np.empty(side - 1), np.empty(side - 1, np.complex128)
     if packed:
         _check("zhptrd", routines.zhptrd(_LAPACK_COL_MAJOR, b"L", side, g.ctypes.data, d.ctypes.data,
@@ -266,57 +274,55 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     """The ``k`` leading singular triplets of a channel H, or an error.
 
     ``core`` gives H in the form this route needs, never H itself. With A
-    = H, or H^H when ``core.wide``: ``core.gram()`` is the Gram matrix of A
-    compressed to a basis of its in side, over ``core.scale**2``, of which
-    only the stored triangle is read, the entries with column >= row. It
-    comes either as a square, whose other triangle is never read (a
-    ``SpatialCore`` leaves it unwritten, to save its memory), or packed: a
-    1-D array of that triangle's rows, one after another (see
-    :func:`packed_row_offsets`); a ``SpatialCore`` packs it below
-    ``channel._GRAM_MAPPING_BYTES``. ``core.lift(z)`` takes that basis's
+    = H, or H^H when ``core.wide``: ``core.gram(gram_zeros)`` sums the Gram
+    matrix G of A compressed to a basis of its in side, over
+    ``core.scale**2``, into the stored triangle of the storage
+    :func:`gram_zeros` allocates, and returns that storage; nothing else of
+    it is read. So G's layout is the size's and the route's alone,
+    whatever the core. ``core.lift(z)`` takes that basis's
     coordinates back to A's in side, for eigenvectors ``z`` with contiguous
     columns, in ``z``'s buffer when it can; and ``core.times(x)`` is ``A x
     / core.scale``. The link passes a
     :class:`~otfslink.channel.SpatialCore`; a dense matrix goes through
-    :class:`otfslink.validation.DenseCore`, whose basis is the identity and
-    whose Gram matrix is square.
+    :class:`otfslink.validation.DenseCore`, whose basis is the identity.
 
     The triplets come from the ``k`` leading eigenpairs ``(lambda, z)`` of
-    the Gram matrix, by ``zhetrd`` (``zhptrd`` when packed), ``dsterf``,
-    ``zstein`` and ``zunmtr`` (``zupmtr``) from numpy's own OpenBLAS (by
-    ``np.linalg.eigh`` of the square, unpacked once if need be, when it does
-    not export them all): ``sigma = sqrt(lambda)``, A's right singular
-    vectors are ``lift(z)`` and its left ones ``times(lift(z)) / sigma``.
-    The Gram matrix is freed before either is formed, so the
-    decomposition's memory peaks at G's stored triangle plus the k
-    eigenvectors (the ``eigh`` fallback copies the whole square and all its
-    eigenvectors). Factors are complex128.
+    G, by ``zhptrd`` (``zhetrd`` for a square), ``dsterf``, ``zstein`` and
+    ``zupmtr`` (``zunmtr``) from numpy's own OpenBLAS, or by
+    ``np.linalg.eigh`` when it does not export them all: ``sigma =
+    sqrt(lambda)``, A's right singular vectors are
+    ``lift(z)`` and its left ones ``times(lift(z)) / sigma``. G is freed
+    before either is formed, so the decomposition's memory peaks at G's
+    stored triangle plus the k eigenvectors. The ``eigh`` fallback copies
+    the whole square and returns all its eigenvectors: one ``realize`` of
+    8x8 antennas on a 16x16 grid (a 2048-square G) raised the peak RSS by
+    331 MiB on it against 60 MiB on LAPACK's route, and took 6.6 s against
+    2.5 s (2-core x86 host, 2 BLAS threads).
+    Factors are complex128.
     Raises :class:`RankDeficientChannelError` when fewer than ``k``
     eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above
     the side included, and ``ValueError`` when ``sigma_max * core.scale``
-    exceeds the float range, or when G is not finite, not square and
-    not a packed triangle, or empty. LAPACK orders the eigenvalues, ties in
-    a fixed order, so repeated runs order them identically.
+    exceeds the float range, or when G is not finite or empty. LAPACK
+    orders the eigenvalues, ties in a fixed order, so repeated runs order
+    them identically.
     """
-    g = np.ascontiguousarray(core.gram(), dtype=np.complex128)
-    if not (g.ndim == 1 or g.ndim == 2 and g.shape[0] == g.shape[1]):
-        raise ValueError(f"Gram matrix must be square or packed, got shape {g.shape}")
-    diagonal = _diagonal(g)  # a packed length that is no triangle raises, naming it
+    g, offsets = core.gram(gram_zeros)
+    side = offsets.size
     # |G_ij|**2 <= G_ii G_jj for a Gram matrix, so a finite diagonal means a finite G
-    if diagonal.size == 0 or not np.all(np.isfinite(diagonal)):
-        raise ValueError(f"Gram matrix must be finite and non-empty, got shape {g.shape}")
+    if side == 0 or not np.all(np.isfinite(g[offsets + np.arange(side)])):
+        raise ValueError(f"Gram matrix must be finite and non-empty, got side {side}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     # k above the side takes all the side's eigenpairs, so that the error names the rank
-    computed = min(k, diagonal.size)
+    computed = min(k, side)
     routines = _gram_routines()
     if routines is not None:
-        lam, zh = _lapack_eigenpairs(routines, g, computed)
+        lam, zh = _lapack_eigenpairs(routines, g, offsets, computed)
     else:  # the same eigenpairs of the same triangle of the Gram matrix
-        lam, z = np.linalg.eigh(unpacked(g), UPLO="U")
+        lam, z = np.linalg.eigh(g.reshape(side, side), UPLO="U")
         # C-ordered rows, as LAPACK's: each eigenvector contiguous, so core.lift works in place
         lam, zh = lam[-computed:], np.conjugate(z[:, -computed:].T, order="C")
-    del g, diagonal  # a square G's diagonal is a view of it
+    del g
     lam, zh = lam[::-1], zh[::-1]
     rank = int(np.count_nonzero(lam > RANK_TOLERANCE**2 * lam[0]))
     if rank < k:
@@ -351,11 +357,13 @@ def build_precoder_combiner(
 
     Takes ownership of ``dec``: ``g`` is the array ``dec.v`` and ``w`` is
     ``dec.u``. In ``dd_corrected`` mode C_T^H and C_R are folded into them
-    in place, in :data:`_FOLD_BLOCKS` blocks of rows, so the pair costs no
-    memory beyond the factors, the two dense ``k x k`` transforms and one
-    block of scratch. Both are then left read-only, so that a held pair
-    cannot change. One decomposition therefore yields one
-    precoder/combiner: factors that are
+    in place: both are ``I_{n_rf} kron (F_N kron I_M)`` (one chain's C_T^H
+    equals its C_R exactly, entry for entry), so each chain's ``m*n``
+    columns are multiplied by one chain's C_R, in :data:`_FOLD_BLOCKS`
+    blocks of rows. The pair costs no memory beyond the factors, one
+    chain's dense ``mn x mn`` transforms and one block of scratch. Both are
+    then left read-only, so that a held pair cannot change. One
+    decomposition therefore yields one precoder/combiner: factors that are
     already read-only are refused with a ``ValueError``, and a second pair
     needs a copy of the decomposition. The factors must be complex128, as
     :func:`decompose` returns them.
@@ -371,8 +379,8 @@ def build_precoder_combiner(
         if factor.dtype != np.complex128:
             raise ValueError(f"factor {name} must be complex128, got {factor.dtype}")
     if mode == "dd_corrected":
-        c_t, c_r = dd_transform_matrices(n_rf, m, n)
-        _fold(dec.v, np.conjugate(c_t, out=c_t).T)
+        c_r = dd_transform_matrices(1, m, n)[1]
+        _fold(dec.v, c_r)
         _fold(dec.u, c_r)
     for factor in (dec.u, dec.v):
         factor.flags.writeable = False
@@ -386,9 +394,12 @@ _FOLD_BLOCKS = 8
 
 
 def _fold(x: np.ndarray, c: np.ndarray) -> None:
-    """``x[:] = x @ c`` in place, for a square ``c``, a block of rows at a time."""
+    """``x[:] = x @ (I kron c)`` in place, for a square ``c``: each block of ``c``'s size of columns times ``c``."""
+    size = c.shape[0]
     for rows in np.array_split(x, _FOLD_BLOCKS):  # views of x
-        rows[...] = rows @ c
+        for start in range(0, x.shape[1], size):
+            chain = rows[:, start:start + size]
+            chain[...] = chain @ c
 
 
 def sub_channel_gains(dec: SubChannelDecomposition) -> np.ndarray:

@@ -30,7 +30,7 @@ from .channel import (
 from .dd_transforms import dft_matrix, otfs_demodulate, otfs_modulate
 from .link_sim import SimConfig, realize, run_random_link
 from .precoding import (
-    RANK_TOLERANCE, PrecoderCombiner, RankDeficientChannelError, dd_transform_matrices, unpacked,
+    RANK_TOLERANCE, PrecoderCombiner, RankDeficientChannelError, dd_transform_matrices, gram_zeros,
 )
 from .special import erfc
 
@@ -150,9 +150,13 @@ class DenseCore:
     def wide(self) -> bool:
         return self.h.shape[0] < self.h.shape[1]
 
-    def gram(self) -> np.ndarray:
+    def gram(self, allocate) -> tuple[np.ndarray, np.ndarray]:
         h = self.h
-        return h @ h.conj().T if self.wide else h.conj().T @ h
+        full = h @ h.conj().T if self.wide else h.conj().T @ h
+        g, offsets = allocate(full.shape[0])
+        rows, cols = np.triu_indices(full.shape[0])
+        g[offsets[rows] + cols] = full[rows, cols]
+        return g, offsets
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         return z
@@ -297,13 +301,27 @@ def criterion_4_channel_matrix_oracle() -> CheckResult:
     )
 
 
+def unpacked(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """A Gram matrix from :func:`~otfslink.precoding.gram_zeros` as a square: a square one as it is, a packed one new.
+
+    A packed matrix holds its stored triangle's rows one after another, in
+    the order of ``np.triu_indices``; its square is zero below the diagonal.
+    """
+    side = offsets.size
+    if g.size == side * side:
+        return g.reshape(side, side)
+    square = np.zeros((side, side), dtype=g.dtype)
+    square[np.triu_indices(side)] = g
+    return square
+
+
 def core_gram_oracle() -> CheckResult:
     """The spatial core's path-built Gram matrix equals the dense core's, its product the dense H's.
 
     Tall, wide and square cores, one path, and taps that wrap the frame.
-    The Gram matrix, unpacked if it comes packed, is compared where it is
-    stored, on and above the diagonal, and its strictly lower triangle must
-    be exactly zero. Gaps
+    The Gram matrix, in the layout ``decompose`` gives it and unpacked, is
+    compared where it is stored, on and above the diagonal, and its
+    strictly lower triangle must be exactly zero. Gaps
     are relative to the largest entry of the dense Gram matrix and of the
     dense product with H (H^H for a wide core) from its closed form.
     """
@@ -323,7 +341,7 @@ def core_gram_oracle() -> CheckResult:
         h = h.conj().T if core.wide else h
         x = rng.standard_normal((h.shape[1], 4)) + 1j * rng.standard_normal((h.shape[1], 4))
         product = h @ x
-        stored = unpacked(core.gram()) * core.scale**2
+        stored = unpacked(*core.gram(gram_zeros)) * core.scale**2
         lower_zero = lower_zero and not np.any(np.tril(stored, -1))
         worst = max(
             worst,

@@ -1,6 +1,5 @@
 """Channel construction tests against an entry-by-entry closed-form oracle."""
 
-import mmap
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -21,7 +20,7 @@ from otfslink.channel import (
 )
 from otfslink.link_sim import SimConfig, realize
 from otfslink.validation import (
-    cyclic_shift_matrix, dense_spatial_core, dense_time_channel, time_channel_entry_oracle,
+    cyclic_shift_matrix, dense_spatial_core, dense_time_channel, time_channel_entry_oracle, unpacked,
 )
 
 
@@ -207,26 +206,13 @@ class TestBuildTimeChannel:
         assert realize(chan, 1, "dd_corrected").gains.shape == (4,)
 
 
-def _square(g):
-    """A packed Gram matrix as the square it stands for, zero below the diagonal; a square one as it is.
-
-    The packed layout holds the entries with column >= row, row after row,
-    which is the order of ``np.triu_indices``.
-    """
-    if g.ndim == 2:
-        return g
-    side = precoding.packed_side(g.size)
-    square = np.zeros((side, side), dtype=g.dtype)
-    square[np.triu_indices(side)] = g
-    return square
+def _gram(core):
+    """``core``'s Gram matrix in the layout ``decompose`` gives it at its size, as a square."""
+    return unpacked(*core.gram(precoding.gram_zeros))
 
 
 def _assert_stored_triangle(got, want):
-    """``got`` holds ``want``'s entries with column >= row, within 1e-12 of its largest, and zeros below.
-
-    A packed ``got`` is read as its square.
-    """
-    got = _square(got)
+    """The square ``got`` holds ``want``'s entries with column >= row, within 1e-12 of its largest, and zeros below."""
     assert np.all(np.tril(got, -1) == 0)
     assert np.max(np.abs(np.triu(got) - np.triu(want))) < 1e-12 * np.max(np.abs(want))
 
@@ -264,7 +250,7 @@ class TestOneRotationPerDopplerTap:
             chan = sample_channel(replace(self.CFG, n_tx=n_tx, n_rx=n_rx), seed)
             core = spatial_core(chan)
             del rotation_calls[:]
-            gram = core.gram()
+            gram = _gram(core)
             # the Gram matrix's terms carry the pairs' Doppler differences modulo MN
             taps = {(p.doppler_tap - o.doppler_tap) % chan.mn for p in chan.paths for o in chan.paths}
             assert len(rotation_calls) == len(set(rotation_calls)) <= len(taps)
@@ -314,59 +300,14 @@ class TestSpatialCore:
             a = dense.conj().T if core.wide else dense  # the tall one of C and C^H
             gram = a.conj().T @ a
             assert gram.shape == (core.side, core.side)
-            assert core.gram().shape == (core.side * (core.side + 1) // 2,)  # packed at this size
-            _assert_stored_triangle(core.gram() * core.scale**2, gram)
+            g, offsets = core.gram(precoding.gram_zeros)
+            assert g.shape == (core.side * (core.side + 1) // 2,)  # packed at this size
+            _assert_stored_triangle(unpacked(g, offsets) * core.scale**2, gram)
             h = dense_time_channel(build_time_channel(chan))
             h = h.conj().T if core.wide else h
             x = np.random.default_rng(seed).standard_normal((h.shape[1], 5)) * (1 + 2j)
             product = h @ x
             assert np.max(np.abs(core.times(x) * core.scale - product)) < 1e-12 * np.max(np.abs(product))
-
-    def test_a_gram_matrix_above_the_mapping_size_is_mapped_with_the_same_bits(self, monkeypatch):
-        # at most the mapping size, G comes packed; above it, a private mapping holds
-        # the square, whose stored triangle holds the packed G's bits
-        cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=4, n_doppler=4, n_paths=6,
-                        max_delay_tap=15, max_doppler_tap=7)
-        core = spatial_core(sample_channel(cfg, 7))
-        mapped = []
-        real = channel.mmap.mmap
-
-        def counted(fileno, length, **kwargs):
-            mapped.append((length, kwargs))
-            return real(fileno, length, **kwargs)
-
-        monkeypatch.setattr(channel.mmap, "mmap", counted)
-        nbytes = 16 * core.side**2
-        monkeypatch.setattr(channel, "_GRAM_MAPPING_BYTES", nbytes)
-        packed = core.gram()
-        assert mapped == [] and packed.shape == (core.side * (core.side + 1) // 2,)
-        monkeypatch.setattr(channel, "_GRAM_MAPPING_BYTES", nbytes - 1)
-        gram = core.gram()
-        assert mapped == [(nbytes, {"flags": mmap.MAP_PRIVATE})]
-        assert gram.shape == (core.side, core.side) and gram.flags.c_contiguous and gram.flags.writeable
-        assert gram[np.triu_indices(core.side)].tobytes() == packed.tobytes()
-        assert not np.any(np.tril(gram, -1))
-
-    @pytest.mark.parametrize(
-        "n_rx, m_delay, n_doppler, layout",
-        [(8, 8, 8, "packed"), (10, 8, 8, "packed"), (8, 16, 16, "square")],
-        ids=["512", "640", "2048"],
-    )
-    def test_the_size_of_the_gram_matrix_selects_its_layout(self, n_rx, m_delay, n_doppler, layout):
-        # the Gram sides of the benchmark's snr_default, the largest of antenna_sweep, and grid16
-        cfg = SimConfig(n_tx=n_rx, n_rx=n_rx, m_delay=m_delay, n_doppler=n_doppler, n_paths=10)
-        core = spatial_core(sample_channel(cfg, 0))
-        gram = core.gram()
-        side = min(n_rx, 10) * m_delay * n_doppler
-        assert core.side == side
-        if layout == "packed":
-            assert gram.shape == (side * (side + 1) // 2,)
-        else:
-            assert gram.shape == (side, side)
-            base = gram
-            while isinstance(base, np.ndarray):
-                base = base.base
-            assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
     @pytest.mark.parametrize("big", [3e200 + 4e200j, 1e308, 1.5e308 + 1.5e308j])
     def test_gains_are_scaled_by_a_power_of_two(self, big):
@@ -378,7 +319,7 @@ class TestSpatialCore:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             core = spatial_core(chan)
-            gram = core.gram()
+            gram, _ = core.gram(precoding.gram_zeros)
         peak = max(abs(big.real), abs(big.imag))
         assert core.scale == 2.0 ** (np.frexp(peak)[1] - 1)
         assert 1.0 <= np.max(np.abs(core.gains.view(float))) < 2.0
@@ -394,7 +335,7 @@ class TestSpatialCore:
         gram_bytes = 16 * core.side**2
         tracemalloc.start()
         try:
-            gram = core.gram()
+            gram, _ = core.gram(precoding.gram_zeros)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

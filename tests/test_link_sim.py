@@ -422,9 +422,9 @@ def _count_decompose(monkeypatch):
         calls.append(k)
         return real(core, k)
 
-    def counted_lapack(routines, g, k):
+    def counted_lapack(routines, g, offsets, k):
         lapack.append(k)
-        return real_lapack(routines, g, k)
+        return real_lapack(routines, g, offsets, k)
 
     monkeypatch.setattr(link_sim, "decompose", counted)
     monkeypatch.setattr(precoding, "_lapack_eigenpairs", counted_lapack)

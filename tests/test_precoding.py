@@ -1,6 +1,7 @@
 """SVD decomposition and precoder/combiner tests, with eigenvalue oracles."""
 
 import ctypes
+import mmap
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from otfslink import channel, precoding
+from otfslink import precoding
 from otfslink.channel import build_time_channel, sample_channel, spatial_core
 from otfslink.link_sim import SimConfig, realize
 from otfslink.precoding import (
@@ -92,31 +93,40 @@ class TestDecompose:
             decompose(DenseCore(h), 2)
 
     @pytest.mark.parametrize("layout", ["square", "packed"])
-    def test_checks_hold_for_both_layouts(self, layout):
+    def test_checks_hold_for_both_layouts(self, monkeypatch, layout):
+        if layout == "square":
+            monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", 0)
+        sizes = []
+
         def core(g):  # only gram() is read before these errors
             g = np.asarray(g, dtype=complex)
-            return SimpleNamespace(gram=lambda: _packed(g) if layout == "packed" else g, scale=1.0, wide=False)
+
+            def gram(allocate):
+                out, offsets = allocate(g.shape[0])
+                sizes.append(out.size)
+                rows, cols = np.triu_indices(g.shape[0])
+                out[offsets[rows] + cols] = g[rows, cols]
+                return out, offsets
+
+            return SimpleNamespace(gram=gram, scale=1.0, wide=False)
 
         for g in (np.diag([1.0, np.nan]), np.diag([np.inf, 1.0, 1.0]), np.zeros((0, 0))):
             with pytest.raises(ValueError, match="Gram matrix must be finite and non-empty"):
                 decompose(core(g), 1)
         with pytest.raises(RankDeficientChannelError, match="channel rank 1 cannot carry 2 streams"):
             decompose(core(np.diag([2.0, 0.0, 0.0])), 2)
-
-    @pytest.mark.parametrize("length", [2, 5, 7, 4097])
-    def test_a_packed_length_that_is_no_triangle_is_refused_by_name(self, length):
-        core = SimpleNamespace(gram=lambda: np.ones(length, dtype=complex), scale=1.0, wide=False)
-        with pytest.raises(ValueError, match=f"got length {length}$"):
-            decompose(core, 1)
-
-    def test_a_gram_matrix_neither_square_nor_packed_is_refused(self):
-        for shape in ((2, 3), (2, 2, 2)):
-            core = SimpleNamespace(gram=lambda: np.ones(shape, dtype=complex), scale=1.0, wide=False)
-            with pytest.raises(ValueError, match=r"must be square or packed, got shape \("):
-                decompose(core, 1)
+        # sides 2, 3, 0 and 3: squares, or packed triangles
+        assert sizes == {"square": [4, 9, 0, 9], "packed": [3, 6, 0, 6]}[layout]
 
 
 class TestPrecoderCombiner:
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (4, 4), (8, 16)])
+    def test_one_chains_transmit_transform_adjoint_is_its_receive_transform(self, m, n):
+        # build_precoder_combiner folds both factors with one chain's C_R: every entry of
+        # C_T^H equals C_R's exactly (their zeros may differ in sign)
+        c_t, c_r = dd_transform_matrices(1, m, n)
+        assert np.array_equal(c_t.conj().T, c_r)
+
     def test_modes_coincide_without_doppler_dft(self):
         # N = 1 makes the DD transforms the identity
         h = dense_h(
@@ -420,9 +430,9 @@ def lapack_calls(monkeypatch):
     calls = []
     real = precoding._lapack_eigenpairs
 
-    def counted(routines, g, k):
+    def counted(routines, g, offsets, k):
         calls.append(k)
-        return real(routines, g, k)
+        return real(routines, g, offsets, k)
 
     monkeypatch.setattr(precoding, "_lapack_eigenpairs", counted)
     return calls
@@ -507,40 +517,32 @@ class TestSubsetDecompose:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setitem(precoding._LAPACKE_SYMBOLS, routine, ("otfslink_no_such_symbol",))
         precoding._gram_routines.cache_clear()
-        core, h = _core(3, 5, 10)  # an 18-square Gram matrix, which comes packed
-        assert core.gram().shape == (18 * 19 // 2,)
+        core, h = _core(3, 5, 10)  # an 18-square Gram matrix, which the LAPACK route packs
         try:
             assert precoding._gram_routines() is None
+            assert core.gram(precoding.gram_zeros)[0].shape == (18 * 18,)  # a plain square for eigh
             tall, wide = _complex_gaussian(64, 48, 8), _complex_gaussian(48, 64, 13)
             decs = [decompose(DenseCore(c), 16) for c in (tall, wide)]
-            packed = decompose(core, 6)
+            spatial = decompose(core, 6)
         finally:
             precoding._gram_routines.cache_clear()  # resolved again once the symbols are restored
         assert lapack_calls == [] and eigh_calls == [(48, 48), (48, 48), (18, 18)]
         for c, dec in zip((tall, wide), decs):
             assert dec.rank == 16
             _assert_leading_triplets(c, dec, 16)
-        _assert_leading_triplets(h, packed, 6)
-
-
-def _packed(g):
-    """The stored triangle of the square Gram matrix ``g``, packed.
-
-    The packed layout holds the entries with column >= row, row after row,
-    which is the order of ``np.triu_indices``.
-    """
-    return g[np.triu_indices(g.shape[0])]
+        _assert_leading_triplets(h, spatial, 6)
 
 
 @pytest.fixture(params=["lapack", "packed", "eigh"])
 def route(request, monkeypatch):
     """Each of decompose's routes; the LAPACK ones record the order of ``zstein``'s eigenvalues.
 
-    ``lapack`` reduces a square Gram matrix by ``zhetrd`` (a ``SpatialCore``
-    puts its G in a mapped square), ``packed`` a packed one by ``zhptrd``
-    (a ``DenseCore``'s G is packed too), and ``eigh`` takes
-    ``np.linalg.eigh`` of the layout G's size selects. Each LAPACK route
-    must reduce every G by its own routine. ``zstein`` takes the
+    ``lapack`` reduces a square Gram matrix by ``zhetrd`` (the mapping
+    size set to 0 puts every G in a mapped square), ``packed`` a packed one
+    by ``zhptrd`` (every G here is small enough to be packed), and ``eigh``
+    takes ``np.linalg.eigh`` of a plain square. Both cores get their G's
+    storage from ``decompose``, so the one constant steers them alike. Each
+    LAPACK route must reduce every G by its own routine. ``zstein`` takes the
     eigenvalues grouped by block of the tridiagonal, ascending in each, so
     an order other than ascending means split blocks whose eigenvalues
     interleave and whose vectors ``decompose`` puts in order.
@@ -550,10 +552,7 @@ def route(request, monkeypatch):
         monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
     else:
         if name == "lapack":
-            monkeypatch.setattr(channel, "_GRAM_MAPPING_BYTES", 0)
-        else:
-            square = DenseCore.gram
-            monkeypatch.setattr(DenseCore, "gram", lambda self: _packed(square(self)))
+            monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", 0)
         routines = precoding._gram_routines()
 
         def reduction(routine, layout):
@@ -616,14 +615,89 @@ def test_one_core_decomposes_alike_packed_and_square(monkeypatch, n_tx, n_rx, n_
     core, h = _core(n_tx, n_rx, n_paths)
     k = core.side // 2
     reconstructions = []
-    for limit, shape in ((16 * core.side**2, (core.side * (core.side + 1) // 2,)), (0, (core.side,) * 2)):
-        monkeypatch.setattr(channel, "_GRAM_MAPPING_BYTES", limit)
-        assert core.gram().shape == shape
+    for limit, size in ((16 * core.side**2, core.side * (core.side + 1) // 2), (0, core.side**2)):
+        monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", limit)
+        assert core.gram(precoding.gram_zeros)[0].size == size
         dec = decompose(core, k)
         _assert_leading_triplets(h, dec, k)
         reconstructions.append((dec.u * dec.sigma) @ dec.v.conj().T)  # free of each pair's phase
     packed, square = reconstructions
     assert np.max(np.abs(packed - square)) < 1e-12 * np.linalg.norm(h, 2)
+
+
+def _layout(g, offsets):
+    """The layout of a Gram matrix's storage: ``packed``, ``mapped`` (a square in a mapping) or ``square``."""
+    if g.size < offsets.size**2:
+        return "packed"
+    base = g
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return "mapped" if isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap) else "square"
+
+
+def test_a_gram_matrix_above_the_mapping_size_is_mapped_with_the_same_bits(monkeypatch):
+    # at most the mapping size, G comes packed; above it, a private mapping holds
+    # the square, whose stored triangle holds the packed G's bits
+    cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=4, n_doppler=4, n_paths=6,
+                    max_delay_tap=15, max_doppler_tap=7)
+    core = spatial_core(sample_channel(cfg, 7))
+    mapped = []
+    real = mmap.mmap
+
+    def counted(fileno, length, **kwargs):
+        mapped.append((length, kwargs))
+        return real(fileno, length, **kwargs)
+
+    monkeypatch.setattr(precoding.mmap, "mmap", counted)
+    nbytes = 16 * core.side**2
+    monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", nbytes)
+    packed, _ = core.gram(precoding.gram_zeros)
+    assert mapped == [] and packed.shape == (core.side * (core.side + 1) // 2,)
+    monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", nbytes - 1)
+    gram, offsets = core.gram(precoding.gram_zeros)
+    assert mapped == [(nbytes, {"flags": mmap.MAP_PRIVATE})]
+    assert gram.flags.writeable and np.array_equal(offsets, np.arange(core.side) * core.side)
+    gram = gram.reshape(core.side, core.side)
+    assert gram[np.triu_indices(core.side)].tobytes() == packed.tobytes()
+    assert not np.any(np.tril(gram, -1))
+
+
+@pytest.mark.parametrize(
+    "n_rx, m_delay, n_doppler, layout",
+    [(8, 8, 8, "packed"), (10, 8, 8, "packed"), (8, 16, 16, "mapped")],
+    ids=["512", "640", "2048"],
+)
+def test_the_size_of_the_gram_matrix_selects_its_layout(n_rx, m_delay, n_doppler, layout):
+    # the Gram sides of the benchmark's snr_default, the largest of antenna_sweep, and grid16
+    cfg = SimConfig(n_tx=n_rx, n_rx=n_rx, m_delay=m_delay, n_doppler=n_doppler, n_paths=10)
+    core = spatial_core(sample_channel(cfg, 0))
+    assert core.side == min(n_rx, 10) * m_delay * n_doppler
+    assert _layout(*core.gram(precoding.gram_zeros)) == layout
+
+
+@pytest.mark.parametrize(
+    "n_ant, m_delay, n_doppler, layout",
+    [(8, 8, 8, "packed"), (9, 8, 16, "mapped"), (8, 8, 8, "square")],
+    ids=["512", "1152", "512_eigh"],
+)
+def test_dense_and_spatial_cores_of_equal_side_get_one_layout(monkeypatch, n_ant, m_delay, n_doppler, layout):
+    # decompose allocates G for either core, so the side and the route alone pick its layout
+    cfg = SimConfig(n_tx=n_ant, n_rx=n_ant, m_delay=m_delay, n_doppler=n_doppler, n_paths=10)
+    core = spatial_core(sample_channel(cfg, 0))
+    layouts = []
+    real = precoding.gram_zeros
+
+    def recorded(side):
+        g, offsets = real(side)
+        layouts.append((side, _layout(g, offsets)))
+        return g, offsets
+
+    monkeypatch.setattr(precoding, "gram_zeros", recorded)
+    if layout == "square":
+        monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
+    for c in (core, DenseCore(np.eye(core.side))):
+        decompose(c, 1)
+    assert layouts == [(core.side, layout)] * 2
 
 
 class TestTripletsOfH:
@@ -661,19 +735,24 @@ class _LitterBelowTheDiagonal(DenseCore):
     """A ``DenseCore`` whose Gram matrix holds NaN and a finite value, alternately, below the diagonal.
 
     :func:`decompose` reads only the entries with column >= row, so it must
-    neither read nor write the others. ``last`` keeps the array ``gram()``
-    returned and what was written below its diagonal.
+    neither read nor write the others. The litter goes into the square
+    ``decompose`` allocates, before the stored triangle is summed into it;
+    ``last`` keeps that square and what was written below its diagonal.
     """
 
     last: dict = field(default_factory=dict)
 
-    def gram(self):
-        g = super().gram()
-        lower = np.tril_indices(g.shape[0], -1)
-        below = np.where(np.arange(lower[0].size) % 2, np.nan, 3.0 - 4.0j)
-        g[lower] = below
-        self.last.update(g=g, below=below)
-        return g
+    def gram(self, allocate):
+        def littered(side):
+            g, offsets = allocate(side)
+            square = g.reshape(side, side)
+            lower = np.tril_indices(side, -1)
+            below = np.where(np.arange(lower[0].size) % 2, np.nan, 3.0 - 4.0j)
+            square[lower] = below
+            self.last.update(g=square, below=below)
+            return g, offsets
+
+        return super().gram(littered)
 
 
 @pytest.mark.parametrize("factor", [1.0, 2.0**140], ids=["in_range", "rescaled"])
@@ -744,7 +823,7 @@ def test_a_mapped_gram_matrix_commits_little_more_than_its_stored_triangle():
     # write of the other triangle would, raised the peak by 1.55 core-sized
     # matrices; the mapped triangle raises it by about 1.2.
     code = """
-        from otfslink import channel, link_sim
+        from otfslink import link_sim, precoding
         from otfslink.channel import sample_channel
         from otfslink.link_sim import SimConfig, realize
 
@@ -761,7 +840,7 @@ def test_a_mapped_gram_matrix_commits_little_more_than_its_stored_triangle():
             seen.update(side=core.side, rise=peak() - before)
             return dec
 
-        channel._GRAM_MAPPING_BYTES = 0
+        precoding._GRAM_MAPPING_BYTES = 0
         link_sim.decompose = measured
         cfg = SimConfig(m_delay=8, n_doppler=16)
         realize(sample_channel(cfg, 0), cfg.n_rf, cfg.precoder_mode)
@@ -779,7 +858,7 @@ def test_reading_the_unwritten_triangle_of_a_mapped_gram_matrix_commits_no_memor
     # mapping commits each of them on its first read, a private one maps them
     # all to the zero page
     code = """
-        from otfslink import channel
+        from otfslink import precoding
         from otfslink.channel import sample_channel, spatial_core
         from otfslink.link_sim import SimConfig
 
@@ -787,8 +866,9 @@ def test_reading_the_unwritten_triangle_of_a_mapped_gram_matrix_commits_no_memor
             with open("/proc/self/status") as fh:
                 return int(next(line for line in fh if line.startswith("VmRSS:")).split()[1]) * 1024
 
-        channel._GRAM_MAPPING_BYTES = 0
-        g = spatial_core(sample_channel(SimConfig(m_delay=8, n_doppler=16), 0)).gram()
+        precoding._GRAM_MAPPING_BYTES = 0
+        g, offsets = spatial_core(sample_channel(SimConfig(m_delay=8, n_doppler=16), 0)).gram(precoding.gram_zeros)
+        g = g.reshape(offsets.size, offsets.size)
         before = rss()
         below = sum(g[r, :r].sum() for r in range(g.shape[0]))  # every entry below the diagonal
         print(g.shape[0], g.shape[1], below == 0, (rss() - before) / g.nbytes)
