@@ -73,23 +73,21 @@ def exact_kendall_tau(w, g):
     return np.sum(concordance, axis=-1) / float(i.size)
 
 
-def soft_kendall(w, g, sharpness: float = 2.0, sign: float = -1.0):
+def soft_kendall(w, g, sharpness: float = 2.0):
     """Sigmoid-smoothed Kendall correlation in (0, 1), along the last axis.
 
-    Returns ``2 sum_{s<s'} sigmoid(sign * sharpness * (w_s-w_s')(g_s-g_s'))
-    / (K(K-1))``. The default ``sign=-1, sharpness=2`` scores concordant
-    pairs *below* 0.5; ``sign=+1`` is the concordance-consistent variant
-    whose sharp limit is ``(exact_kendall_tau + 1) / 2`` on tie-free input.
-    Leading axes broadcast as in :func:`exact_kendall_tau`.
+    Returns ``2 sum_{s<s'} sigmoid(-sharpness * (w_s-w_s')(g_s-g_s')) / (K(K-1))``:
+    concordant pairs score *below* 0.5. ``1 - soft_kendall(w, g, sharpness)`` is the
+    concordance-consistent variant (sigmoid(-x) = 1 - sigmoid(x)), whose sharp
+    limit is ``(exact_kendall_tau + 1) / 2`` on tie-free input. Leading axes
+    broadcast as in :func:`exact_kendall_tau`.
     """
     w, g, i, j = _pairs(w, g)
     if sharpness <= 0:
         raise ValueError(f"sharpness must be > 0, got {sharpness}")
-    if sign not in (1, -1, 1.0, -1.0):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     k = w.shape[-1]
     prod = (w[..., i] - w[..., j]) * (g[..., i] - g[..., j])
-    return 2.0 * np.sum(sigmoid(sign * sharpness * prod), axis=-1) / (k * (k - 1))
+    return 2.0 * np.sum(sigmoid(-sharpness * prod), axis=-1) / (k * (k - 1))
 
 
 def allocate(w, g) -> np.ndarray:

@@ -289,7 +289,7 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     m, n = chan.m_delay, chan.n_doppler
     dec = decompose(spatial_core(chan), n_rf * m * n)
     gains = sub_channel_gains(dec)
-    pc = build_precoder_combiner(dec, n_rf, m, n, precoder_mode)
+    pc = build_precoder_combiner(dec, m, n, precoder_mode)
     del dec
     h = build_time_channel(chan)
     return Realization(h=h, pc=pc, gains=gains)

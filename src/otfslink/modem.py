@@ -80,18 +80,14 @@ def equalize(x_hat, gains):
     return eq, erased
 
 
-def square_qam_ser(snr_linear, order: int = QAM_ORDER):
-    """Closed-form symbol error rate of Gray square QAM over AWGN.
+def square_qam_ser(snr_linear):
+    """Closed-form symbol error rate of the Gray 64-QAM over AWGN.
 
     ``snr_linear`` is Es/N0 with Es the unit average symbol energy and N0
     the total per-complex-component noise variance.
     """
-    m = int(order)
-    root = np.sqrt(m)
-    if root != int(root):
-        raise ValueError(f"order must be a perfect square, got {order}")
     snr = np.asarray(snr_linear, dtype=float)
-    q = 0.5 * erfc(np.sqrt(3.0 * snr / (m - 1)) / np.sqrt(2.0))
-    p_axis = 2.0 * (1.0 - 1.0 / root) * q
+    q = 0.5 * erfc(np.sqrt(3.0 * snr / (QAM_ORDER - 1)) / np.sqrt(2.0))
+    p_axis = 2.0 * (1.0 - 1.0 / _LEVEL.size) * q
     ser = 1.0 - (1.0 - p_axis) ** 2
     return float(ser) if np.isscalar(snr_linear) else ser

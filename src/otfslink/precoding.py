@@ -291,7 +291,9 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     ``zupmtr`` (``zunmtr``) from numpy's own OpenBLAS, or by
     ``np.linalg.eigh`` when it does not export them all: ``sigma =
     sqrt(lambda)``, A's right singular vectors are
-    ``lift(z)`` and its left ones ``times(lift(z)) / sigma``. G is freed
+    ``lift(z)`` and its left ones ``times(lift(z)) / sigma``; for a weak
+    sub-channel those are orthonormal only to about ``eps * (sigma_max /
+    sigma)**2`` (worst seen: 1.6e-12 in 1200 draws). G is freed
     before either is formed, so the decomposition's memory peaks at G's
     stored triangle plus the k eigenvectors. The ``eigh`` fallback copies
     the whole square and returns all its eigenvectors: one ``realize`` of
@@ -339,37 +341,39 @@ def decompose(core, k: int) -> SubChannelDecomposition:
 
 
 def dd_transform_matrices(n_rf: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense stacked DD transforms (C_T, C_R) for n_rf chains of an (m, n) grid."""
+    """Dense stacked DD transforms (C_T, C_R) for n_rf chains of an (m, n) grid.
+
+    ``dft_matrix`` is exactly symmetric, so C_T = I kron (F_N^H kron I_M) is ``conj(C_R)``.
+    """
     if n_rf < 1 or m < 1 or n < 1:
         raise ValueError(f"n_rf, m, n must all be >= 1, got {(n_rf, m, n)}")
-    f = dft_matrix(n)
-    eye_rf = np.eye(n_rf)
-    eye_m = np.eye(m)
-    c_t = np.kron(eye_rf, np.kron(f.conj().T, eye_m))
-    c_r = np.kron(eye_rf, np.kron(f, eye_m))
-    return c_t, c_r
+    c_r = np.kron(np.eye(n_rf), np.kron(dft_matrix(n), np.eye(m)))
+    return np.conj(c_r), c_r
 
 
-def build_precoder_combiner(
-    dec: SubChannelDecomposition, n_rf: int, m: int, n: int, mode: str = "dd_corrected"
-) -> PrecoderCombiner:
-    """The precoder/combiner pair of ``dec``'s ``n_rf * m * n`` triplets, in ``dec``'s own arrays.
+def build_precoder_combiner(dec: SubChannelDecomposition, m: int, n: int, mode: str = "dd_corrected") -> PrecoderCombiner:
+    """The precoder/combiner pair of ``dec``'s triplets, ``m*n`` per RF chain, in ``dec``'s own arrays.
 
     Takes ownership of ``dec``: ``g`` is the array ``dec.v`` and ``w`` is
-    ``dec.u``. In ``dd_corrected`` mode C_T^H and C_R are folded into them
-    in place: both are ``I_{n_rf} kron (F_N kron I_M)`` (one chain's C_T^H
-    equals its C_R exactly, entry for entry), so each chain's ``m*n``
-    columns are multiplied by one chain's C_R, in :data:`_FOLD_BLOCKS`
-    blocks of rows. The pair costs no memory beyond the factors, one
-    chain's dense ``mn x mn`` transforms and one block of scratch. Both are
-    then left read-only, so that a held pair cannot change. One
-    decomposition therefore yields one precoder/combiner: factors that are
-    already read-only are refused with a ``ValueError``, and a second pair
-    needs a copy of the decomposition. The factors must be complex128, as
-    :func:`decompose` returns them.
+    ``dec.u``, which must be equally wide, a multiple of ``m*n``. In
+    ``dd_corrected`` mode C_T^H and C_R are folded into them in place: both
+    are ``I_{n_rf} kron (F_N kron I_M)`` (one chain's C_T^H equals its C_R
+    exactly, entry for entry), so each chain's ``m*n`` columns are
+    multiplied by one chain's C_R, in :data:`_FOLD_BLOCKS` blocks of rows.
+    The pair costs no memory beyond the factors, one chain's dense ``mn x
+    mn`` transforms and one block of scratch. Both are then left read-only,
+    so that a held pair cannot change. One decomposition therefore yields
+    one precoder/combiner: factors that are already read-only are refused
+    with a ``ValueError``, and a second pair needs a copy of the
+    decomposition. The factors must be complex128, as :func:`decompose`
+    returns them.
     """
     if mode not in PRECODER_MODES:
         raise ValueError(f"mode must be one of {PRECODER_MODES}, got {mode!r}")
+    (_, u_width), (_, v_width) = dec.u.shape, dec.v.shape
+    if min(m, n) < 1 or u_width != v_width or u_width % (m * n):
+        raise ValueError(f"factors u and v have {u_width} and {v_width} columns; both need the same number, "
+                         f"a multiple of m*n for m, n >= 1, got (m, n) = {(m, n)}")
     for name, factor in (("u", dec.u), ("v", dec.v)):
         if not factor.flags.writeable:
             raise ValueError(

@@ -370,9 +370,9 @@ def criterion_5_kendall_suite() -> CheckResult:
     for _ in range(100):
         w = rng.permutation(8) + 1.0
         g = rng.permutation(8) + 1.0
-        kappa = allocation.soft_kendall(w, g, sharpness=1e4, sign=+1.0)
+        kappa = 1.0 - allocation.soft_kendall(w, g, sharpness=1e4)  # the concordance-consistent variant
         worst = max(worst, abs(kappa - (allocation.exact_kendall_tau(w, g) + 1.0) / 2.0))
-    literal = allocation.soft_kendall([1.0, 2.0], [1.0, 2.0], sharpness=2.0, sign=-1.0)
+    literal = allocation.soft_kendall([1.0, 2.0], [1.0, 2.0], sharpness=2.0)
     literal_gap = abs(literal - SIGMOID_MINUS_2)
     return CheckResult(
         "criterion_5_kendall_suite",

@@ -139,7 +139,7 @@ class TestSoftKendall:
         assert soft_kendall([1.0, 1.0, 1.0], [5.0, 2.0, 9.0]) == 0.5
 
     def test_single_pair_literal_value(self):
-        kappa = soft_kendall([1.0, 2.0], [1.0, 2.0], sharpness=2.0, sign=-1.0)
+        kappa = soft_kendall([1.0, 2.0], [1.0, 2.0], sharpness=2.0)
         assert abs(kappa - SIGMOID_MINUS_2) < 1e-12
 
     def test_sharp_limit_matches_exact_tau(self):
@@ -147,8 +147,18 @@ class TestSoftKendall:
         for _ in range(50):
             w = rng.permutation(8) + 1.0
             g = rng.permutation(8) + 1.0
-            kappa = soft_kendall(w, g, sharpness=1e4, sign=+1.0)
+            kappa = 1.0 - soft_kendall(w, g, sharpness=1e4)
             assert abs(kappa - (exact_kendall_tau(w, g) + 1.0) / 2.0) < 1e-3
+
+    @pytest.mark.parametrize("sharpness", [2.0, 1e4])
+    def test_one_minus_kappa_is_the_concordant_sigmoid_sum(self, sharpness):
+        # sigmoid(-x) = 1 - sigmoid(x), so 1 - kappa sums sigmoid(+s dw dg) over the pairs
+        rng = np.random.default_rng(39)
+        for k in (2, 5, 16):
+            w, g = rng.standard_normal(k), rng.standard_normal(k)
+            pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+            brute = math.fsum(scipy.special.expit(sharpness * (w[a] - w[b]) * (g[a] - g[b])) for a, b in pairs)
+            assert abs((1.0 - soft_kendall(w, g, sharpness)) - brute / len(pairs)) <= 1e-15
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8))
@@ -164,9 +174,8 @@ class TestSoftKendall:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal(6)
         g = rng.standard_normal(6)
-        for sign in (1.0, -1.0):
-            kappa = soft_kendall(w, g, sharpness=2.0, sign=sign)
-            assert 0.0 < kappa < 1.0
+        kappa = soft_kendall(w, g, sharpness=2.0)
+        assert 0.0 < kappa < 1.0
 
     def test_rows_match_one_call_per_row(self):
         rng = np.random.default_rng(37)
@@ -180,8 +189,6 @@ class TestSoftKendall:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             soft_kendall([1.0, 2.0], [1.0, 2.0], sharpness=0.0)
-        with pytest.raises(ValueError):
-            soft_kendall([1.0, 2.0], [1.0, 2.0], sign=0.5)
         with pytest.raises(ValueError):
             soft_kendall([1.0], [1.0])
 

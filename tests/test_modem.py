@@ -200,10 +200,6 @@ class TestSquareQamSer:
         sers = square_qam_ser(10.0 ** (np.array([5.0, 10.0, 15.0, 20.0]) / 10.0))
         assert np.all(np.diff(sers) < 0)
 
-    def test_non_square_order_rejected(self):
-        with pytest.raises(ValueError):
-            square_qam_ser(1.0, order=32)
-
 
 class TestEqualize:
     def test_scalar_division(self):

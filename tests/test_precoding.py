@@ -16,6 +16,7 @@ from scipy.linalg import block_diag
 
 from otfslink import precoding
 from otfslink.channel import build_time_channel, sample_channel, spatial_core
+from otfslink.dd_transforms import dft_matrix
 from otfslink.link_sim import SimConfig, realize
 from otfslink.precoding import (
     RankDeficientChannelError,
@@ -127,6 +128,13 @@ class TestPrecoderCombiner:
         c_t, c_r = dd_transform_matrices(1, m, n)
         assert np.array_equal(c_t.conj().T, c_r)
 
+    @pytest.mark.parametrize("n_rf, m, n", [(1, 1, 1), (1, 2, 3), (2, 4, 4), (3, 2, 5), (1, 16, 16)])
+    def test_transmit_transform_equals_its_kronecker_form(self, n_rf, m, n):
+        # C_T is returned as conj(C_R); in value it is I_{n_rf} kron (F_N^H kron I_M)
+        c_t, _ = dd_transform_matrices(n_rf, m, n)
+        f = dft_matrix(n)
+        assert np.array_equal(c_t, np.kron(np.eye(n_rf), np.kron(f.conj().T, np.eye(m))))
+
     def test_modes_coincide_without_doppler_dft(self):
         # N = 1 makes the DD transforms the identity
         h = dense_h(
@@ -137,15 +145,15 @@ class TestPrecoderCombiner:
             )
         )
         dec = decompose(DenseCore(h), 4)
-        literal = build_precoder_combiner(_copy(dec), 1, 4, 1, "paper_literal")
-        corrected = build_precoder_combiner(dec, 1, 4, 1, "dd_corrected")
+        literal = build_precoder_combiner(_copy(dec), 4, 1, "paper_literal")
+        corrected = build_precoder_combiner(dec, 4, 1, "dd_corrected")
         np.testing.assert_allclose(literal.g, corrected.g, atol=1e-12)
         np.testing.assert_allclose(literal.w, corrected.w, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
     def test_semi_unitary(self, mode):
         dec = decompose(DenseCore(random_channel(6)), 4)
-        pc = build_precoder_combiner(dec, 1, 2, 2, mode)
+        pc = build_precoder_combiner(dec, 2, 2, mode)
         k = 4
         assert np.linalg.norm(pc.g.conj().T @ pc.g - np.eye(k)) < 1e-10
         assert np.linalg.norm(pc.w.conj().T @ pc.w - np.eye(k)) < 1e-10
@@ -160,7 +168,24 @@ class TestPrecoderCombiner:
     def test_unknown_mode(self):
         dec = decompose(DenseCore(np.eye(4)), 4)
         with pytest.raises(ValueError):
-            build_precoder_combiner(dec, 1, 2, 2, "bogus")
+            build_precoder_combiner(dec, 2, 2, "bogus")
+
+    @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
+    @pytest.mark.parametrize("u_cols, v_cols", [(8, 4), (4, 8), (6, 6)], ids=["u_wider", "v_wider", "no_multiple"])
+    def test_factor_widths_other_than_equal_multiples_of_mn_are_refused_by_name(self, mode, u_cols, v_cols):
+        # (m, n) = (2, 2): each chain takes 4 columns of both factors
+        dec = precoding.SubChannelDecomposition(
+            u=np.ones((9, u_cols), complex), sigma=np.ones(u_cols), v=np.ones((9, v_cols), complex), rank=u_cols
+        )
+        with pytest.raises(ValueError, match=rf"factors u and v have {u_cols} and {v_cols} columns; .* = \(2, 2\)"):
+            build_precoder_combiner(dec, 2, 2, mode)
+        assert dec.u.flags.writeable and dec.v.flags.writeable
+
+    @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
+    def test_an_empty_grid_is_refused(self, mode):
+        dec = decompose(DenseCore(np.eye(4)), 4)
+        with pytest.raises(ValueError, match=r"m, n >= 1, got \(m, n\) = \(2, 0\)"):
+            build_precoder_combiner(dec, 2, 0, mode)
 
     @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
     @pytest.mark.parametrize("order", ["C", "F", "F_reversed"])
@@ -178,7 +203,7 @@ class TestPrecoderCombiner:
 
         dec = precoding.SubChannelDecomposition(u=factor(11), sigma=np.ones(8), v=factor(10), rank=8)
         u, v = dec.u.copy(), dec.v.copy()
-        pc = build_precoder_combiner(dec, 2, 2, 2, mode)
+        pc = build_precoder_combiner(dec, 2, 2, mode)
         assert pc.g is dec.v and pc.w is dec.u
         if mode == "dd_corrected":
             c_t, c_r = dd_transform_matrices(2, 2, 2)
@@ -191,7 +216,7 @@ class TestOneBuildPerDecomposition:
     @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
     def test_factors_are_left_read_only(self, mode):
         dec = decompose(DenseCore(random_channel(6)), 4)
-        pc = build_precoder_combiner(dec, 1, 2, 2, mode)
+        pc = build_precoder_combiner(dec, 2, 2, mode)
         for factor in (pc.g, pc.w, dec.u, dec.v):
             assert not factor.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -201,22 +226,22 @@ class TestOneBuildPerDecomposition:
     @pytest.mark.parametrize("second", ["paper_literal", "dd_corrected"])
     def test_a_second_build_is_refused(self, first, second):
         dec = decompose(DenseCore(random_channel(6)), 4)
-        pc = build_precoder_combiner(dec, 1, 2, 2, first)
+        pc = build_precoder_combiner(dec, 2, 2, first)
         g = pc.g.copy()
         with pytest.raises(ValueError, match="already used by a precoder/combiner"):
-            build_precoder_combiner(dec, 1, 2, 2, second)
+            build_precoder_combiner(dec, 2, 2, second)
         np.testing.assert_array_equal(pc.g, g)
 
     def test_a_copy_builds_a_second_pair(self):
         dec = decompose(DenseCore(random_channel(6)), 4)
         spare = _copy(dec)
-        first = build_precoder_combiner(dec, 1, 2, 2)
-        np.testing.assert_allclose(build_precoder_combiner(spare, 1, 2, 2).g, first.g, rtol=0, atol=1e-13)
+        first = build_precoder_combiner(dec, 2, 2)
+        np.testing.assert_allclose(build_precoder_combiner(spare, 2, 2).g, first.g, rtol=0, atol=1e-13)
 
     def test_factors_other_than_complex128_are_refused(self):
         dec = precoding.SubChannelDecomposition(u=np.eye(4), sigma=np.ones(4), v=np.eye(4), rank=4)
         with pytest.raises(ValueError, match="factor u must be complex128"):
-            build_precoder_combiner(dec, 1, 2, 2)
+            build_precoder_combiner(dec, 2, 2)
 
 
 class TestEffectiveDdChannel:
@@ -227,7 +252,7 @@ class TestEffectiveDdChannel:
                 dec = decompose(DenseCore(h), 4)
             except RankDeficientChannelError:
                 continue
-            pc = build_precoder_combiner(dec, 1, 2, 2, "dd_corrected")
+            pc = build_precoder_combiner(dec, 2, 2, "dd_corrected")
             eff = effective_dd_channel(h, pc, 1, 2, 2)
             gains = sub_channel_gains(dec)
             off = eff - np.diag(np.diag(eff))
@@ -237,7 +262,7 @@ class TestEffectiveDdChannel:
     def test_literal_mode_returned_as_is(self):
         h = random_channel(1)
         dec = decompose(DenseCore(h), 4)
-        pc = build_precoder_combiner(dec, 1, 2, 2, "paper_literal")
+        pc = build_precoder_combiner(dec, 2, 2, "paper_literal")
         eff = effective_dd_channel(h, pc, 1, 2, 2)
         c_t, c_r = dd_transform_matrices(1, 2, 2)
         expected = c_r @ pc.w.conj().T @ h @ pc.g @ c_t
@@ -257,7 +282,7 @@ class TestEffectiveDdChannel:
             )
         )
         dec = decompose(DenseCore(h), 4)
-        pc = build_precoder_combiner(dec, 1, 4, 1, "paper_literal")
+        pc = build_precoder_combiner(dec, 4, 1, "paper_literal")
         eff = effective_dd_channel(h, pc, 1, 4, 1)
         gains = sub_channel_gains(dec)
         np.testing.assert_allclose(np.diag(eff), gains, atol=1e-12 * gains[0])
@@ -267,7 +292,7 @@ class TestEffectiveDdChannel:
     def test_scaling_linearity(self):
         h = random_channel(2)
         dec = decompose(DenseCore(h), 4)
-        pc = build_precoder_combiner(dec, 1, 2, 2, "dd_corrected")
+        pc = build_precoder_combiner(dec, 2, 2, "dd_corrected")
         eff = effective_dd_channel(h, pc, 1, 2, 2)
         scaled = effective_dd_channel(3.0 * h, pc, 1, 2, 2)
         # off-diagonal entries are exact zeros up to rounding, so compare absolutely
@@ -277,7 +302,7 @@ class TestEffectiveDdChannel:
         h = random_channel(7)
         dec = decompose(DenseCore(h), 4)
         effs = [
-            effective_dd_channel(h, build_precoder_combiner(_copy(dec), 1, 2, 2, mode), 1, 2, 2)
+            effective_dd_channel(h, build_precoder_combiner(_copy(dec), 2, 2, mode), 1, 2, 2)
             for mode in ("paper_literal", "dd_corrected")
         ]
         np.testing.assert_allclose(
@@ -289,7 +314,7 @@ class TestEffectiveDdChannel:
     def test_noise_statistics_preserved(self):
         h = random_channel(8)
         dec = decompose(DenseCore(h), 4)
-        pc = build_precoder_combiner(dec, 1, 2, 2, "dd_corrected")
+        pc = build_precoder_combiner(dec, 2, 2, "dd_corrected")
         _, c_r = dd_transform_matrices(1, 2, 2)
         cov = c_r @ pc.w.conj().T @ pc.w @ c_r.conj().T
         assert np.max(np.abs(cov - np.eye(4))) < 1e-10
@@ -297,7 +322,7 @@ class TestEffectiveDdChannel:
     def test_shape_validation(self):
         h = random_channel(9)
         dec = decompose(DenseCore(h), 4)
-        pc = build_precoder_combiner(dec, 1, 2, 2)
+        pc = build_precoder_combiner(dec, 2, 2)
         with pytest.raises(ValueError):
             effective_dd_channel(h[:, :4], pc, 1, 2, 2)
 
