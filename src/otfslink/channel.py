@@ -191,9 +191,8 @@ def build_time_channel(chan: DdMimoChannel) -> np.ndarray:
     return h
 
 
-# SpatialCore.lift overwrites the eigenvectors in this many blocks, as precoding._FOLD_BLOCKS,
-# and SpatialCore.times keeps each column block's temporaries to about this fraction of its result.
-_LIFT_BLOCKS = 8
+# SpatialCore.times keeps each column block's temporaries to about this fraction of its result.
+_TIMES_BLOCKS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +207,15 @@ class SpatialCore:
     responses swap sides. Either way the fields describe a matrix A, H or
     H^H, whose in side is the Gram side.
 
-    ``a_in = q_in r_in`` is the reduced QR factorization of the in side's
-    ``n x L`` array responses, so A's right singular vectors of nonzero
-    singular value lie in the span of ``q_in kron I_MN``, whose
-    ``min(n, L)*MN`` columns are orthonormal. The Gram side is the side
-    where that count is the smaller (the transmit side on a tie), and
-    ``wide`` says it is the receive side. The decomposition takes those
-    vectors from the eigenvectors of :meth:`gram`, lifted by :meth:`lift`,
-    and the left ones from :meth:`times`.
+    A's right singular vectors of nonzero singular value lie in the span
+    of ``a_in kron I_MN``, ``min(n, L)*MN`` dimensions for the in side's
+    ``n x L`` array responses ``a_in``. The Gram side is the side where
+    that count is the smaller (the transmit side on a tie), and ``wide``
+    says it is the receive side. It is compressed only when it has more
+    antennas than paths: ``a_in = q_in r_in`` is then its reduced QR
+    factorization; otherwise ``q_in`` is None and ``r_in`` is ``a_in``. The
+    decomposition takes those vectors from the eigenvectors of
+    :meth:`gram`, lifted by :meth:`lift`, and the left ones from :meth:`times`.
 
     ``scale`` is half the smallest power of two above the largest real or
     imaginary part of a gain, so it is finite for every finite gain, and
@@ -226,7 +226,7 @@ class SpatialCore:
 
     a_out: np.ndarray
     a_in: np.ndarray
-    q_in: np.ndarray
+    q_in: np.ndarray | None
     r_in: np.ndarray
     gains: np.ndarray
     delays: np.ndarray
@@ -243,7 +243,7 @@ class SpatialCore:
     def gram(self, allocate) -> tuple[np.ndarray, np.ndarray]:
         """``(q_in kron I)^H A^H A (q_in kron I) / scale**2``, A's Gram matrix on the Gram side, into ``allocate``.
 
-        With ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``a_out``,
+        With a ``q_in`` of None read as I, ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``a_out``,
         it is ``sum_(i,j) conj(g_i) g_j (o_i^H o_j) (r_i r_j^H) kron
         Delta^(-k_i) Pi^(l_j - l_i) Delta^(k_j)``, and ``Delta^(-k_i) Pi^d
         Delta^(k_j) = w^(-k_i d) Pi^d Delta^(k_j - k_i)``. Path pairs with
@@ -285,24 +285,15 @@ class SpatialCore:
     def lift(self, z: np.ndarray) -> np.ndarray:
         """``(q_in kron I_MN) z`` for the ``(side, k)`` eigenvectors ``z`` of :meth:`gram`.
 
-        Every column of ``z`` must be contiguous, as the eigenvectors
-        :func:`~otfslink.precoding.decompose` takes are: each is a
-        ``(min(n, L), MN)`` slab, a row of ``z.T``, that ``q_in`` multiplies
-        from the left. When ``q_in`` is square (no more antennas than paths
-        on the Gram side) the product overwrites ``z`` in
-        :data:`_LIFT_BLOCKS` blocks, through scratch the size of one, and
-        ``z`` is returned; otherwise the result is one new array.
+        ``z`` itself when the Gram side is not compressed (``q_in`` is
+        None): its coordinates are then A's own. Otherwise one new array:
+        each column of ``z`` is an ``(L, MN)`` slab that the tall ``q_in``
+        multiplies from the left.
         """
-        if z.strides[0] != z.itemsize:  # else the slabs below are a copy, and writes to them are lost
-            raise ValueError(f"the columns of z must be contiguous, got strides {z.strides}")
-        n, r = self.q_in.shape
+        if self.q_in is None:
+            return z
         k = z.shape[1]
-        slabs = z.T.reshape(k, r, self.mn)  # a view: each row of z.T is contiguous
-        if n != r:
-            return (self.q_in @ slabs).reshape(k, -1).T
-        for block in np.array_split(slabs, _LIFT_BLOCKS):  # views of z
-            block[...] = self.q_in @ block
-        return z
+        return (self.q_in @ z.T.reshape(k, -1, self.mn)).reshape(k, -1).T
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """``A x / scale`` for the ``(n_in*MN, k)`` array ``x``: ``H x``, or ``H^H x`` when ``wide``.
@@ -312,13 +303,13 @@ class SpatialCore:
         one product with ``a_out`` sums the paths into A's row space. The
         slabs of all paths would outgrow the result once there are more
         paths than ``a_out`` has rows, so the columns go through in blocks
-        whose slabs and products each hold about a :data:`_LIFT_BLOCKS`-th
+        whose slabs and products each hold about a :data:`_TIMES_BLOCKS`-th
         of the result's entries.
         """
         mn, paths = self.mn, self.gains.size
         n_out = self.a_out.shape[0]
         out = np.empty((n_out * mn, x.shape[1]), dtype=complex)
-        step = max(1, n_out * x.shape[1] // (max(paths, n_out) * _LIFT_BLOCKS))
+        step = max(1, n_out * x.shape[1] // (max(paths, n_out) * _TIMES_BLOCKS))
         # row q of path i's slab, times its phase, lands on row (q + l_i) mod MN: row p
         # of all the shifted slabs, stacked, takes that of the stacked slabs at rows[p]
         q = np.arange(mn)
@@ -342,13 +333,12 @@ def spatial_core(chan: DdMimoChannel) -> SpatialCore:
     """``chan`` as the :class:`SpatialCore` through which :func:`~otfslink.precoding.decompose` takes H's SVD.
 
     With ``A_rx = Q_rx R_rx`` and ``A_tx = Q_tx R_tx`` the reduced QR
-    factorizations of the ``n x L`` array matrices, the spatial factor
-    ``a_rx,i a_tx,i^H`` of path i is ``Q_rx r_rx,i r_tx,i^H Q_tx^H``, so
-    ``H = (Q_rx kron I_MN) C (Q_tx kron I_MN)^H`` exactly, with C the path
-    sum of H with the columns of R in place of the array responses. C is
-    ``min(n_rx, L)*MN x min(n_tx, L)*MN``: smaller than H when an array has
-    more antennas than the channel has paths, H's size otherwise, and it
-    shares H's nonzero singular values. The core's Gram matrix is C's on
+    factorizations of the ``n x L`` array matrices, ``H = (Q_rx kron I_MN)
+    C (Q_tx kron I_MN)^H`` exactly, with C the path sum of H with the
+    columns of R in place of the array responses: a core that shares H's
+    nonzero singular values. Only a side with more antennas than paths is
+    compressed so, by a tall Q; on any other side Q would be square and
+    only rotate, so there Q = I and R = A. The core's Gram matrix is C's on
     its smaller side, so only that side's Q and R are kept; neither C nor
     the other side's Q is formed.
     """
@@ -366,7 +356,7 @@ def spatial_core(chan: DdMimoChannel) -> SpatialCore:
         gains = gains.conj() * np.exp(2j * np.pi * ((dopplers * delays) % mn) / mn)
         delays, dopplers = -delays % mn, -dopplers
         a_out, a_in = a_tx, a_rx
-    q_in, r_in = np.linalg.qr(a_in)
+    q_in, r_in = np.linalg.qr(a_in) if a_in.shape[0] > paths else (None, a_in)
     return SpatialCore(a_out=a_out, a_in=a_in, q_in=q_in, r_in=r_in, gains=gains, delays=delays,
                        dopplers=dopplers, mn=mn, scale=scale, wide=wide)
 

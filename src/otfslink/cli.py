@@ -46,6 +46,7 @@ from .link_sim import (
 from .precoding import PRECODER_MODES, RankDeficientChannelError
 
 LOG_ENV_VAR = "OTFSLINK_LOG"
+LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
 SWEEP_KINDS = ("snr", "antennas", "single")
 
 logger = logging.getLogger("otfslink")
@@ -219,9 +220,10 @@ def cmd_validate() -> int:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get(LOG_ENV_VAR, "info").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
+    value = os.environ.get(LOG_ENV_VAR, "")
+    level = LOG_LEVELS.get(value.lower() or "info")
+    if level is None:
+        print(f"otfslink: unknown {LOG_ENV_VAR}={value!r}, using info", file=sys.stderr)
         level = logging.INFO
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))

@@ -279,11 +279,11 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     ``core.scale**2``, into the stored triangle of the storage
     :func:`gram_zeros` allocates, and returns that storage; nothing else of
     it is read. So G's layout is the size's and the route's alone,
-    whatever the core. ``core.lift(z)`` takes that basis's
-    coordinates back to A's in side, for eigenvectors ``z`` with contiguous
-    columns, in ``z``'s buffer when it can; and ``core.times(x)`` is ``A x
-    / core.scale``. The link passes a
-    :class:`~otfslink.channel.SpatialCore`; a dense matrix goes through
+    whatever the core. ``core.lift(z)`` takes that basis's coordinates
+    back to A's in side, and returns ``z`` itself when the basis is A's
+    own; and ``core.times(x)`` is ``A x / core.scale``. The link passes a
+    :class:`~otfslink.channel.SpatialCore`, whose in side is compressed
+    only when it has more antennas than paths; a dense matrix goes through
     :class:`otfslink.validation.DenseCore`, whose basis is the identity.
 
     The triplets come from the ``k`` leading eigenpairs ``(lambda, z)`` of
@@ -322,7 +322,7 @@ def decompose(core, k: int) -> SubChannelDecomposition:
         lam, zh = _lapack_eigenpairs(routines, g, offsets, computed)
     else:  # the same eigenpairs of the same triangle of the Gram matrix
         lam, z = np.linalg.eigh(g.reshape(side, side), UPLO="U")
-        # C-ordered rows, as LAPACK's: each eigenvector contiguous, so core.lift works in place
+        # C-ordered rows, as LAPACK's, so both routes give factors of one layout
         lam, zh = lam[-computed:], np.conjugate(z[:, -computed:].T, order="C")
     del g
     lam, zh = lam[::-1], zh[::-1]

@@ -108,15 +108,16 @@ def dense_time_channel(taps: np.ndarray) -> np.ndarray:
 def dense_spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(Q_rx, C, Q_tx)`` with ``H = (Q_rx kron I) C (Q_tx kron I)^H``, C dense, by Kronecker products.
 
-    Q and R come from the reduced QR factorizations of the array matrices,
-    as in :func:`otfslink.channel.spatial_core`, and ``C = sum_i gain_i
-    (r_rx,i r_tx,i^H) kron (Pi^l_i Delta^k_i)`` with the dense shift and
-    rotation: the core whose Gram matrix a ``SpatialCore`` gives.
+    As in :func:`otfslink.channel.spatial_core`, a side is compressed only
+    when it has more antennas than paths, by the reduced QR factorization
+    of its array matrix; on any other side Q is I and R the array matrix.
+    ``C = sum_i gain_i (r_rx,i r_tx,i^H) kron (Pi^l_i Delta^k_i)`` with the
+    dense shift and rotation: the core whose Gram matrix a ``SpatialCore`` gives.
     """
     a_rx = np.column_stack([ula_response(p.aoa, chan.n_rx) for p in chan.paths])
     a_tx = np.column_stack([ula_response(p.aod, chan.n_tx) for p in chan.paths])
-    q_rx, r_rx = np.linalg.qr(a_rx)
-    q_tx, r_tx = np.linalg.qr(a_tx)
+    (q_rx, r_rx), (q_tx, r_tx) = (np.linalg.qr(a) if a.shape[0] > len(chan.paths) else (np.eye(a.shape[0]), a)
+                                  for a in (a_rx, a_tx))
     mn = chan.mn
     core = sum(
         p.gain * np.kron(
@@ -318,11 +319,11 @@ def unpacked(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def core_gram_oracle() -> CheckResult:
     """The spatial core's path-built Gram matrix equals the dense core's, its product the dense H's.
 
-    Tall, wide and square cores, one path, and taps that wrap the frame.
-    The Gram matrix, in the layout ``decompose`` gives it and unpacked, is
-    compared where it is stored, on and above the diagonal, and its
-    strictly lower triangle must be exactly zero. Gaps
-    are relative to the largest entry of the dense Gram matrix and of the
+    Tall, wide and square cores, one path (the one compressed Gram side),
+    and taps that wrap the frame. The Gram matrix, in the layout
+    ``decompose`` gives it and unpacked, is compared where it is stored, on
+    and above the diagonal, and its strictly lower triangle must be exactly
+    zero. Gaps are relative to the largest entry of the dense Gram matrix and of the
     dense product with H (H^H for a wide core) from its closed form.
     """
     rng = np.random.default_rng(1414)

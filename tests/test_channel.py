@@ -279,8 +279,36 @@ class TestSpatialCore:
         assert np.max(np.abs(lifted - time_channel_entry_oracle(chan))) < 1e-12
         path_core = spatial_core(chan)
         assert path_core.side == min(core.shape) and path_core.wide == (core.shape[0] < core.shape[1])
-        # the path core keeps the Q of the Gram side, the smaller side of C
-        assert np.array_equal(path_core.q_in, q_rx if path_core.wide else q_tx)
+        # the path core keeps the Q of the Gram side, the smaller side of C, if that side is compressed
+        q_in = q_rx if path_core.wide else q_tx
+        if path_core.q_in is None:
+            assert np.array_equal(q_in, np.eye(q_in.shape[0]))
+        else:
+            assert np.array_equal(path_core.q_in, q_in)
+
+    @pytest.mark.parametrize(
+        "n_tx, n_rx, n_paths",
+        [(5, 6, 3), (3, 5, 4), (5, 3, 4), (4, 4, 4), (4, 4, 1), (1, 1, 1)],
+        ids=["tall_compressed", "tall", "wide", "equal_count", "one_path", "one_path_one_antenna"],
+    )
+    def test_compresses_the_gram_side_only_when_it_has_more_antennas_than_paths(
+        self, monkeypatch, n_tx, n_rx, n_paths
+    ):
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths)
+        chan = sample_channel(cfg, 16)
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
+        core = spatial_core(chan)
+        n_in = n_rx if core.wide else n_tx
+        z = np.ones((core.side, 2), dtype=complex)
+        lifted = core.lift(z)
+        if n_in > n_paths:
+            assert qr_calls == [(n_in, n_paths)] and core.q_in.shape == (n_in, n_paths)
+            assert core.side == n_paths * chan.mn and lifted.shape == (n_in * chan.mn, 2)
+        else:  # the Gram matrix is H's own on that side, so its eigenvectors need no lift
+            assert qr_calls == [] and core.q_in is None and core.r_in is core.a_in
+            assert core.side == n_in * chan.mn and lifted is z
 
     @pytest.mark.parametrize(
         "n_tx, n_rx, n_paths, max_tap",

@@ -352,6 +352,26 @@ class TestSweepCommand:
         assert errs["debug"].count("ETA") == 4
         assert "link 4/4 (trial 2, grid point 2)" in errs["debug"]
 
+    # notset is a logging level name, but as the logger's level it defers to the root's warning
+    @pytest.mark.parametrize("value", ["verbose", "notset", ""], ids=["unknown", "notset", "empty"])
+    def test_unknown_log_level_warns_once_and_runs_at_info(self, small_config, tmp_path, monkeypatch, capsys, value):
+        texts, errs = {}, {}
+        for level in ("Info", value):  # a known level in any case
+            monkeypatch.setenv("OTFSLINK_LOG", level)
+            out = tmp_path / f"{level or 'empty'}.csv"
+            assert main(["sweep", str(small_config), "--output", str(out)]) == 0
+            texts[level] = out.read_bytes()
+            errs[level] = capsys.readouterr().err
+        assert texts[value] == texts["Info"]
+        lines = errs[value].splitlines()
+        if value:
+            assert lines[0] == f"otfslink: unknown OTFSLINK_LOG={value!r}, using info"
+            assert sum("OTFSLINK_LOG" in line for line in lines) == 1
+        else:  # an empty value, as a known one, warns of nothing
+            assert "OTFSLINK_LOG" not in errs[value]
+        # and the rest is info's log: one progress line per link
+        assert errs[value].count("ETA") == errs["Info"].count("ETA") == 4
+
     def test_antenna_sweep_row_count(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
         cfg.update({"sweep": "antennas", "n_tx_grid": [2, 3, 4], "trials": 1})

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otfslink import allocation, channel, link_sim, modem, precoding, validation
+from otfslink import allocation, link_sim, modem, precoding, validation
 from otfslink.channel import (
     DdMimoChannel, PathParams, SpatialCore, apply_channel, build_time_channel, sample_channel, spatial_core,
 )
@@ -560,33 +560,25 @@ class TestLift:
 
     K = 7
 
-    @pytest.mark.parametrize("n, n_paths", [(3, 6), (5, 2)], ids=["square_q", "tall_q"])
-    @pytest.mark.parametrize("order", ["F", "F_reversed"])
-    def test_matches_the_kronecker_product(self, monkeypatch, n, n_paths, order):
-        # 3 blocks: 3, 2 and 2 of the 7 columns
-        monkeypatch.setattr(channel, "_LIFT_BLOCKS", 3)
+    @pytest.mark.parametrize("n, n_paths", [(3, 6), (5, 2)], ids=["uncompressed", "tall_q"])
+    @pytest.mark.parametrize("order", ["C", "F", "F_reversed"])
+    def test_matches_the_kronecker_product(self, n, n_paths, order):
         cfg = SimConfig(n_tx=n, n_rx=n, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths)
         core = spatial_core(sample_channel(cfg, 41))
         rng = np.random.default_rng(42)
         shape = (core.side, self.K)
-        z = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        z = np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), order=order[0])
         if order == "F_reversed":  # decompose's eigenvectors: contiguous columns, in reverse order
             z = z[:, ::-1]
         before = z.copy()
         lifted = core.lift(z)
-        expected = np.kron(core.q_in, np.eye(core.mn)) @ before
         assert lifted.shape == (n * core.mn, self.K)
-        np.testing.assert_allclose(lifted, expected, rtol=0, atol=1e-13)
-        if n <= n_paths:  # lifted in z's own buffer
-            assert lifted is z
+        if n <= n_paths:  # no Q: the eigenvectors are already in H's coordinates
+            assert core.q_in is None and lifted is z
         else:  # one new array, and z as it was
+            np.testing.assert_allclose(lifted, np.kron(core.q_in, np.eye(core.mn)) @ before, rtol=0, atol=1e-13)
             assert not np.shares_memory(lifted, z)
-            np.testing.assert_array_equal(z, before)
-
-    def test_columns_that_are_not_contiguous_are_refused(self):
-        core = spatial_core(sample_channel(SimConfig(n_tx=3, n_rx=3, n_rf=1, m_delay=2, n_doppler=3), 41))
-        with pytest.raises(ValueError, match="columns of z must be contiguous"):
-            core.lift(np.zeros((core.side, self.K), dtype=complex))
+        np.testing.assert_array_equal(z, before)
 
 
 class TestRealizeInPlace:
@@ -594,7 +586,7 @@ class TestRealizeInPlace:
 
     @pytest.mark.parametrize("route", ["lapack", "eigh"])
     def test_both_decomposition_routes_are_lifted_in_place(self, monkeypatch, route):
-        # 4 antennas, 6 paths: both Q are square, so the eigenvectors are lifted in their own buffer
+        # 4 antennas, 6 paths: no side is compressed, so the eigenvectors are the factor as they are
         cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=2, n_doppler=3, n_paths=6)
         core = spatial_core(sample_channel(cfg, 46))
         if route == "eigh":
@@ -616,7 +608,7 @@ class TestRealizeInPlace:
     @pytest.mark.parametrize(
         "n_tx, n_rx, n_paths",
         [(3, 5, 6), (5, 3, 6), (4, 6, 3), (2, 6, 4), (6, 2, 4)],
-        ids=["tall_square_qs", "wide_square_qs", "tall_q_each_side", "tall_q_rx", "wide_q_tx"],
+        ids=["tall_uncompressed", "wide_uncompressed", "tall_q_each_side", "tall_q_rx", "wide_q_tx"],
     )
     def test_matches_the_dense_products(self, mode, n_tx, n_rx, n_paths):
         cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=2, m_delay=2, n_doppler=3, n_paths=n_paths,
