@@ -15,11 +15,12 @@ no explicit cyclic prefix is modeled.
 The link carries its frames through the channel's taps, a slab of
 antenna blocks per delay (:func:`build_time_channel`, :func:`apply_channel`),
 and decomposes it through a :class:`SpatialCore` (:func:`spatial_core`):
-H's paths, giving the Gram matrix of H's spatial core on its smaller side,
-the lift of its eigenvectors to H's coordinates, and H's product with a
-block of vectors, path by path. Neither the core nor H is formed. The Gram
-matrix's storage and layout belong to :func:`~otfslink.precoding.decompose`,
-which allocates it; the core only sums the stored triangle into it.
+H's paths, describing the Gram matrix of H's spatial core on its smaller
+side as one slab per delay, the lift of its eigenvectors to H's
+coordinates, and H's product with a block of vectors, path by path.
+Neither the core nor H is formed. The Gram matrix itself, its storage
+and its layout belong to :func:`~otfslink.precoding.gram_matrix`, which
+writes the slabs into it.
 :func:`sample_channel` draws a channel for a checked
 :class:`~otfslink.link_sim.SimConfig`. The dense H, cyclic shift Pi and
 core are test oracles and live in :mod:`otfslink.validation`.
@@ -27,6 +28,7 @@ core are test oracles and live in :mod:`otfslink.validation`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -97,6 +99,7 @@ def ula_response(angle: float, n_antennas: int) -> np.ndarray:
     Element a is ``exp(j pi a cos(angle)) / sqrt(n_antennas)``; ``angle`` is
     the azimuth in radians measured from the array axis (pi/2 = broadside).
     """
+    n_antennas = operator.index(n_antennas)  # np.arange would round a float count up
     if n_antennas < 1:
         raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
     a = np.arange(n_antennas)
@@ -105,6 +108,7 @@ def ula_response(angle: float, n_antennas: int) -> np.ndarray:
 
 def phase_rotation_matrix(size: int, power: int) -> np.ndarray:
     """Diagonal phase rotation to the given power: diag{exp(j 2 pi q power / size)}."""
+    size = operator.index(size)
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     q = np.arange(size)
@@ -136,28 +140,6 @@ def _delay_slabs(mn: int, gains, blocks: np.ndarray, delays, dopplers):
         for i in np.flatnonzero(delays == delay):
             slab += (gains[i] * rotations[tap_of[i]])[:, None, None] * blocks[i]
         yield delay, slab
-
-
-def _path_sum(mn: int, gains, blocks: np.ndarray, delays, dopplers, allocate):
-    """The :func:`_delay_slabs` sum of square blocks, a ``side = n*MN`` Hermitian matrix, summed into ``allocate(side)``.
-
-    ``allocate(side)`` returns ``(out, offsets)``, zeros for the matrix's
-    stored triangle in a layout of :func:`~otfslink.precoding.gram_zeros`:
-    entry ``(r, c)``, ``c >= r``, lies at ``out[offsets[r] + c]``. Only
-    those entries are written, the triangle LAPACK reads of a C-ordered
-    Hermitian matrix (see :func:`~otfslink.precoding.decompose`), and the
-    pair is returned. ``delays`` lie in ``[0, MN)``.
-    """
-    n = blocks.shape[1]
-    out, offsets = allocate(n * mn)
-    q = np.arange(mn)[:, None, None]
-    block = np.arange(n)
-    col = block * mn + q  # slab entry [q, r, t] lies in column t*MN + q
-    for delay, slab in _delay_slabs(mn, gains, blocks, delays, dopplers):
-        row = block[:, None] * mn + (q + delay) % mn  # and in row r*MN + (q + delay) mod MN
-        stored = col >= row
-        out[(offsets[row] + col)[stored]] = slab[stored]
-    return out, offsets
 
 
 def _array_matrices(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -240,8 +222,8 @@ class SpatialCore:
         """Size of the Gram matrix: ``min(n_rx, n_tx, L)*MN``."""
         return self.r_in.shape[0] * self.mn
 
-    def gram(self, allocate) -> tuple[np.ndarray, np.ndarray]:
-        """``(q_in kron I)^H A^H A (q_in kron I) / scale**2``, A's Gram matrix on the Gram side, into ``allocate``.
+    def gram(self):
+        """``(q_in kron I)^H A^H A (q_in kron I) / scale**2``, A's Gram matrix on the Gram side, as delay slabs.
 
         With a ``q_in`` of None read as I, ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``a_out``,
         it is ``sum_(i,j) conj(g_i) g_j (o_i^H o_j) (r_i r_j^H) kron
@@ -249,18 +231,12 @@ class SpatialCore:
         Delta^(k_j) = w^(-k_i d) Pi^d Delta^(k_j - k_i)``. Path pairs with
         equal ``(l_j - l_i, k_j - k_i)`` modulo MN share one
         ``side/MN``-square block, so the Gram matrix is one
-        :func:`_path_sum` of at most ``min(L**2, MN**2,
+        :func:`_delay_slabs` sum of at most ``min(L**2, MN**2,
         (2*max_delay_tap + 1)*(4*max_doppler_tap + 1))`` terms, whose blocks
         together hold no more entries than the Gram matrix. The pairs are
         summed into the blocks a few rows of paths at a time, at most
-        :data:`_GRAM_CHUNK_ENTRIES` pair entries at once.
-
-        G's storage and its layout are :func:`~otfslink.precoding.decompose`'s:
-        ``allocate(side)`` returns zeros for G's stored triangle, the entries
-        with column >= row that ``decompose`` reads, and their row offsets
-        (see :func:`~otfslink.precoding.gram_zeros`). It is called once the
-        blocks are summed, and only that triangle is written, so G costs
-        what its layout keeps of it; the filled pair is returned.
+        :data:`_GRAM_CHUNK_ENTRIES` pair entries at once. Returns the sum's
+        ``(delay, slab)`` pairs, which :func:`~otfslink.precoding.gram_matrix` writes.
         """
         mn, g, l, k = self.mn, self.gains, self.delays, self.dopplers
         n_in = self.r_in.T  # row i: path i's column of r_in
@@ -280,7 +256,7 @@ class SpatialCore:
                       * np.exp(-2j * np.pi * ((k[i, None] * (keys // mn)) % mn) / mn))
             outer = weight[:, :, None, None] * n_in[i, None, :, None] * n_in.conj()[None, :, None, :]
             np.add.at(blocks, np.searchsorted(taps, keys).ravel(), outer.reshape(-1, s, s))
-        return _path_sum(mn, np.ones(taps.size), blocks, taps // mn, taps % mn, allocate)
+        return _delay_slabs(mn, np.ones(taps.size), blocks, taps // mn, taps % mn)
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """``(q_in kron I_MN) z`` for the ``(side, k)`` eigenvectors ``z`` of :meth:`gram`.

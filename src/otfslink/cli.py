@@ -36,9 +36,9 @@ from .link_sim import (
     ALLOCATION_MODES,
     DEFAULT_ANTENNA_GRID,
     DEFAULT_SNR_GRID_DB,
-    MAX_TRIALS,
     SimConfig,
     antenna_points,
+    checked_trials,
     format_csv,
     run_sweep,
     snr_points,
@@ -88,12 +88,10 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"{name} entry: {exc}") from exc
             object.__setattr__(self, name, tuple(grid))
-        trials = self.trials
-        if not isinstance(trials, int) or isinstance(trials, bool):
-            raise ConfigError(f"trials must be an integer, got {trials!r}")
-        if not 1 <= trials <= MAX_TRIALS:
-            shown = trials if trials.bit_length() <= 64 else f"an integer of {trials.bit_length()} bits"
-            raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {shown}")
+        try:
+            object.__setattr__(self, "trials", checked_trials(self.trials))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.output is not None and (not isinstance(self.output, str) or not self.output):
             raise ConfigError(f"output must be a non-empty string path or null, got {self.output!r}")
         for name in ("carrier_freq_hz", "subcarrier_spacing_hz"):

@@ -22,6 +22,7 @@ grid is never materialized.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -42,9 +43,10 @@ def dft_matrix(size: int) -> np.ndarray:
     table ``a*b`` is) and unitary. The returned array is cached and marked
     read-only; copy before mutating.
     """
+    size = operator.index(size)  # a float size is a TypeError, not truncated
     if size < 1:
         raise ValueError(f"DFT size must be >= 1, got {size}")
-    return _dft_cached(int(size))
+    return _dft_cached(size)
 
 
 def otfs_modulate(grid: np.ndarray) -> np.ndarray:

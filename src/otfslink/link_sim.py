@@ -84,7 +84,7 @@ MAX_TRIALS = 10**6
 # Most entries a config may ask of any array a link allocates. Neither H nor
 # the spatial core is formed; the decomposition holds G's stored triangle plus
 # the k eigenvectors (G, the core's Gram matrix, is at most H's size, and
-# precoding.decompose allocates it and picks its layout: packed,
+# precoding.gram_matrix allocates it and picks its layout: packed,
 # side*(side+1)/2 entries, up to a side of 896, and above it a mapped square of
 # which only the triangle's pages are committed), then the other side's k
 # vectors, and the workspaces of zhetrd or zhptrd, dsterf, zstein and zunmtr or
@@ -133,6 +133,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for field in fields(self):  # a numpy integer is kept as the int it equals, so no size product wraps
+            if isinstance(getattr(self, field.name), np.integer):
+                object.__setattr__(self, field.name, int(getattr(self, field.name)))
         for name in ("n_tx", "n_rx", "n_rf", "m_delay", "n_doppler", "n_frames", "n_paths"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -281,7 +284,7 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
     which owns them from then on. So a realization's memory peaks inside
     the decomposition, at G's stored triangle plus the k eigenvectors, G
-    being the Gram matrix (see :func:`~otfslink.precoding.gram_zeros`).
+    being the Gram matrix (see :func:`~otfslink.precoding.gram_matrix`).
     The taps that :func:`~otfslink.channel.apply_channel` takes are built
     last; they hold (max delay + 1)*MN*n_rx*n_tx entries, never more than
     H's.
@@ -433,6 +436,18 @@ def _average_row(cfg: SimConfig, values: np.ndarray) -> SweepRow:
     )
 
 
+def checked_trials(trials) -> int:
+    """``trials`` as an int if it is a Python or numpy integer in [1, MAX_TRIALS], else a ``ValueError`` naming it."""
+    if isinstance(trials, np.integer):
+        trials = int(trials)
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if not 1 <= trials <= MAX_TRIALS:
+        shown = trials if trials.bit_length() <= 64 else f"an integer of {trials.bit_length()} bits"
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {shown}")
+    return trials
+
+
 def run_sweep(points, trials: int = 1) -> list[SweepRow]:
     """Average ``trials`` random links at each grid point; one row per point.
 
@@ -442,8 +457,7 @@ def run_sweep(points, trials: int = 1) -> list[SweepRow]:
     (point, t) uses the stream ``_trial_rng(point.seed, t)`` exactly as a
     lone ``run_random_link`` call would. Logs one progress line per link.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    trials = checked_trials(trials)
     points = list(points)
     slot = RealizationSlot()
     values = np.empty((len(points), len(_AVERAGED_COLUMNS), trials))

@@ -10,11 +10,11 @@ eigenpairs of the Gram matrix of H's spatial core on its smaller side
 (:class:`otfslink.channel.SpatialCore`): LAPACK's tridiagonal reduction,
 all eigenvalues of the tridiagonal without vectors, and vectors for the
 k largest only. Neither the core nor H is formed: the channel module
-sums that Gram matrix from the path pairs, lifts its eigenvectors to
-H's coordinates and applies H path by path. The Gram matrix's storage
-belongs to :func:`decompose`: one allocator, :func:`gram_zeros`, keeps
-only its stored triangle, in the layout its size and the route select,
-and the core only fills that triangle. It is packed up to a side of 896,
+describes that Gram matrix by delay slabs summed from the path pairs,
+lifts its eigenvectors to H's coordinates and applies H path by path.
+:func:`gram_matrix` writes the slabs into the storage of one allocator,
+:func:`gram_zeros`, which keeps only G's stored triangle, in the layout
+its size and the route select. It is packed up to a side of 896,
 reduced by ``zhptrd``, and a square above it, reduced by the blocked
 ``zhetrd``, each the faster there; ``np.linalg.eigh``, the fallback
 where numpy's OpenBLAS lacks those routines, gets a plain square.
@@ -115,6 +115,26 @@ def gram_zeros(side: int) -> tuple[np.ndarray, np.ndarray]:
     g = np.zeros(side * (side + 1) // 2, dtype=complex)
     r = np.arange(side)
     return g, r * (2 * side - r - 1) // 2
+
+
+def gram_matrix(core) -> tuple[np.ndarray, np.ndarray]:
+    """``(g, offsets)`` of :func:`gram_zeros` for ``core``'s Gram matrix G, its stored triangle written.
+
+    ``core.gram()`` gives G as ``(delay, slab)`` pairs, each slab of shape
+    ``(mn, n, n)`` for ``n*mn = core.side``: entry ``[q, r, t]`` lies at row
+    ``r*mn + (q + delay) mod mn`` and column ``t*mn + q``, as in the
+    channel's delay taps. G is allocated once they are given, and only its
+    entries with column >= row, the triangle LAPACK reads, are written.
+    """
+    mn, slabs = core.mn, core.gram()
+    g, offsets = gram_zeros(core.side)
+    q, block = np.arange(mn)[:, None, None], np.arange(core.side // mn)
+    col = block * mn + q  # slab entry [q, r, t] lies in column t*MN + q
+    for delay, slab in slabs:
+        row = block[:, None] * mn + (q + delay) % mn  # and in row r*MN + (q + delay) mod MN
+        stored = col >= row
+        g[(offsets[row] + col)[stored]] = slab[stored]
+    return g, offsets
 
 
 class RankDeficientChannelError(ValueError):
@@ -274,14 +294,14 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     """The ``k`` leading singular triplets of a channel H, or an error.
 
     ``core`` gives H in the form this route needs, never H itself. With A
-    = H, or H^H when ``core.wide``: ``core.gram(gram_zeros)`` sums the Gram
-    matrix G of A compressed to a basis of its in side, over
-    ``core.scale**2``, into the stored triangle of the storage
-    :func:`gram_zeros` allocates, and returns that storage; nothing else of
-    it is read. So G's layout is the size's and the route's alone,
-    whatever the core. ``core.lift(z)`` takes that basis's coordinates
-    back to A's in side, and returns ``z`` itself when the basis is A's
-    own; and ``core.times(x)`` is ``A x / core.scale``. The link passes a
+    = H, or H^H when ``core.wide``: ``core.gram()`` gives the Gram matrix
+    G of A compressed to a basis of its in side, over ``core.scale**2``,
+    as the delay slabs :func:`gram_matrix` writes into the stored triangle
+    :func:`gram_zeros` allocates; nothing else of it is read. So G's
+    layout is the size's and the route's alone, whatever the core.
+    ``core.lift(z)`` takes that basis's coordinates back to A's in side,
+    and returns ``z`` itself when the basis is A's own; and
+    ``core.times(x)`` is ``A x / core.scale``. The link passes a
     :class:`~otfslink.channel.SpatialCore`, whose in side is compressed
     only when it has more antennas than paths; a dense matrix goes through
     :class:`otfslink.validation.DenseCore`, whose basis is the identity.
@@ -308,7 +328,7 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     orders the eigenvalues, ties in a fixed order, so repeated runs order
     them identically.
     """
-    g, offsets = core.gram(gram_zeros)
+    g, offsets = gram_matrix(core)
     side = offsets.size
     # |G_ij|**2 <= G_ii G_jj for a Gram matrix, so a finite diagonal means a finite G
     if side == 0 or not np.all(np.isfinite(g[offsets + np.arange(side)])):

@@ -30,7 +30,7 @@ from .channel import (
 from .dd_transforms import dft_matrix, otfs_demodulate, otfs_modulate
 from .link_sim import SimConfig, realize, run_random_link
 from .precoding import (
-    RANK_TOLERANCE, PrecoderCombiner, RankDeficientChannelError, dd_transform_matrices, gram_zeros,
+    RANK_TOLERANCE, PrecoderCombiner, RankDeficientChannelError, dd_transform_matrices, gram_matrix,
 )
 from .special import erfc
 
@@ -133,13 +133,15 @@ def dense_spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.
 class DenseCore:
     """A dense matrix h in the form :func:`~otfslink.precoding.decompose` takes.
 
-    Its Gram matrix and products are dense products with h, its lift is
-    the identity, and ``scale`` is 1: the adapter through which the oracles
-    and the tests decompose a dense matrix.
+    Its Gram matrix is one dense slab of delay 0 on a grid of one sample,
+    which :func:`~otfslink.precoding.gram_matrix` writes as a spatial
+    core's; its products are dense products with h, its lift is the
+    identity, and ``scale`` is 1: the oracles' and tests' dense core.
     """
 
     h: np.ndarray
     scale: float = 1.0
+    mn = 1
 
     def __post_init__(self):
         h = np.asarray(self.h)
@@ -151,13 +153,13 @@ class DenseCore:
     def wide(self) -> bool:
         return self.h.shape[0] < self.h.shape[1]
 
-    def gram(self, allocate) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def side(self) -> int:
+        return min(self.h.shape)
+
+    def gram(self):
         h = self.h
-        full = h @ h.conj().T if self.wide else h.conj().T @ h
-        g, offsets = allocate(full.shape[0])
-        rows, cols = np.triu_indices(full.shape[0])
-        g[offsets[rows] + cols] = full[rows, cols]
-        return g, offsets
+        return [(0, (h @ h.conj().T if self.wide else h.conj().T @ h)[None])]
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         return z
@@ -342,7 +344,7 @@ def core_gram_oracle() -> CheckResult:
         h = h.conj().T if core.wide else h
         x = rng.standard_normal((h.shape[1], 4)) + 1j * rng.standard_normal((h.shape[1], 4))
         product = h @ x
-        stored = unpacked(*core.gram(gram_zeros)) * core.scale**2
+        stored = unpacked(*gram_matrix(core)) * core.scale**2
         lower_zero = lower_zero and not np.any(np.tril(stored, -1))
         worst = max(
             worst,

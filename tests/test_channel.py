@@ -18,6 +18,7 @@ from otfslink.channel import (
     spatial_core,
     ula_response,
 )
+from otfslink.dd_transforms import dft_matrix
 from otfslink.link_sim import SimConfig, realize
 from otfslink.validation import (
     cyclic_shift_matrix, dense_spatial_core, dense_time_channel, time_channel_entry_oracle, unpacked,
@@ -43,6 +44,18 @@ class TestUlaResponse:
     def test_zero_antennas(self):
         with pytest.raises(ValueError):
             ula_response(0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "function, before, after",
+    [(dft_matrix, (), ()), (ula_response, (0.3,), ()), (phase_rotation_matrix, (), (1,))],
+    ids=["dft_matrix", "ula_response", "phase_rotation_matrix"],
+)
+def test_a_size_must_be_an_integer(function, before, after):
+    # np.arange and int() would take 2.5 as 3 or as 2 entries
+    with pytest.raises(TypeError):
+        function(*before, 2.5, *after)
+    assert np.array_equal(function(*before, np.int64(3), *after), function(*before, 3, *after))
 
 
 class TestShiftAndRotation:
@@ -208,7 +221,7 @@ class TestBuildTimeChannel:
 
 def _gram(core):
     """``core``'s Gram matrix in the layout ``decompose`` gives it at its size, as a square."""
-    return unpacked(*core.gram(precoding.gram_zeros))
+    return unpacked(*precoding.gram_matrix(core))
 
 
 def _assert_stored_triangle(got, want):
@@ -328,7 +341,7 @@ class TestSpatialCore:
             a = dense.conj().T if core.wide else dense  # the tall one of C and C^H
             gram = a.conj().T @ a
             assert gram.shape == (core.side, core.side)
-            g, offsets = core.gram(precoding.gram_zeros)
+            g, offsets = precoding.gram_matrix(core)
             assert g.shape == (core.side * (core.side + 1) // 2,)  # packed at this size
             _assert_stored_triangle(unpacked(g, offsets) * core.scale**2, gram)
             h = dense_time_channel(build_time_channel(chan))
@@ -347,7 +360,7 @@ class TestSpatialCore:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             core = spatial_core(chan)
-            gram, _ = core.gram(precoding.gram_zeros)
+            gram, _ = precoding.gram_matrix(core)
         peak = max(abs(big.real), abs(big.imag))
         assert core.scale == 2.0 ** (np.frexp(peak)[1] - 1)
         assert 1.0 <= np.max(np.abs(core.gains.view(float))) < 2.0
@@ -363,7 +376,7 @@ class TestSpatialCore:
         gram_bytes = 16 * core.side**2
         tracemalloc.start()
         try:
-            gram, _ = core.gram(precoding.gram_zeros)
+            gram, _ = precoding.gram_matrix(core)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

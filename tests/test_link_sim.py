@@ -89,6 +89,29 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="n_rf"):
             SimConfig(n_rf=0)
 
+    def test_numpy_integers_are_kept_as_ints(self):
+        names = ("n_tx", "n_rx", "n_rf", "m_delay", "n_doppler", "n_frames", "n_paths", "max_delay_tap",
+                 "max_doppler_tap", "seed")
+        ints = {name: getattr(SMALL, name) for name in names}
+        cfg = SimConfig(**{name: np.int64(value) for name, value in ints.items()})
+        assert cfg == SimConfig(**ints)
+        assert all(type(getattr(cfg, name)) is int for name in names)
+        points = antenna_points(SMALL, np.arange(4, 9, 2))
+        assert [(p.n_tx, type(p.n_tx), type(p.n_rx)) for p in points] == [(n, int, int) for n in (4, 6, 8)]
+
+    def test_numpy_integers_above_the_cap_are_refused_by_name(self):
+        # as int64 the channel's size, 2**20 * 2**20 * (2**24)**2 * (2**24)**2, wraps to 0
+        huge = {"n_tx": np.int64(2**20), "n_rx": np.int64(2**20), "m_delay": np.int64(2**24),
+                "n_doppler": np.int64(2**24)}
+        with pytest.raises(ValueError, match="m_delay is too large: the channel matrix H"):
+            SimConfig(**huge)
+
+    @pytest.mark.parametrize("value", [True, np.True_, 8.0, np.float64(8.0)],
+                             ids=["bool", "numpy_bool", "float", "numpy_float"])
+    def test_bools_and_floats_are_not_integers(self, value):
+        with pytest.raises(ValueError, match="n_tx must be an integer"):
+            SimConfig(n_tx=value)
+
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_snr_must_be_a_level_or_noiseless(self, snr_db):
         with pytest.raises(ValueError, match="snr_db"):
@@ -394,6 +417,11 @@ class TestSweeps:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             run_sweep(snr_points(SMALL, [0.0]), trials=0)
+
+    @pytest.mark.parametrize("trials", [True, 1.5], ids=["bool", "float"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_sweep(snr_points(SMALL, [0.0]), trials=trials)
 
     @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**400], ids=["max_plus_1", "int_1e400"])
     def test_trials_bounded(self, trials):

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -98,18 +98,18 @@ class TestDecompose:
         if layout == "square":
             monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", 0)
         sizes = []
+        real = precoding.gram_zeros
 
-        def core(g):  # only gram() is read before these errors
+        def recorded(side):
+            g, offsets = real(side)
+            sizes.append(g.size)
+            return g, offsets
+
+        monkeypatch.setattr(precoding, "gram_zeros", recorded)
+
+        def core(g):  # only side, mn and gram() are read before these errors
             g = np.asarray(g, dtype=complex)
-
-            def gram(allocate):
-                out, offsets = allocate(g.shape[0])
-                sizes.append(out.size)
-                rows, cols = np.triu_indices(g.shape[0])
-                out[offsets[rows] + cols] = g[rows, cols]
-                return out, offsets
-
-            return SimpleNamespace(gram=gram, scale=1.0, wide=False)
+            return SimpleNamespace(side=g.shape[0], mn=1, gram=lambda: [(0, g[None])], scale=1.0, wide=False)
 
         for g in (np.diag([1.0, np.nan]), np.diag([np.inf, 1.0, 1.0]), np.zeros((0, 0))):
             with pytest.raises(ValueError, match="Gram matrix must be finite and non-empty"):
@@ -545,7 +545,7 @@ class TestSubsetDecompose:
         core, h = _core(3, 5, 10)  # an 18-square Gram matrix, which the LAPACK route packs
         try:
             assert precoding._gram_routines() is None
-            assert core.gram(precoding.gram_zeros)[0].shape == (18 * 18,)  # a plain square for eigh
+            assert precoding.gram_matrix(core)[0].shape == (18 * 18,)  # a plain square for eigh
             tall, wide = _complex_gaussian(64, 48, 8), _complex_gaussian(48, 64, 13)
             decs = [decompose(DenseCore(c), 16) for c in (tall, wide)]
             spatial = decompose(core, 6)
@@ -642,7 +642,7 @@ def test_one_core_decomposes_alike_packed_and_square(monkeypatch, n_tx, n_rx, n_
     reconstructions = []
     for limit, size in ((16 * core.side**2, core.side * (core.side + 1) // 2), (0, core.side**2)):
         monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", limit)
-        assert core.gram(precoding.gram_zeros)[0].size == size
+        assert precoding.gram_matrix(core)[0].size == size
         dec = decompose(core, k)
         _assert_leading_triplets(h, dec, k)
         reconstructions.append((dec.u * dec.sigma) @ dec.v.conj().T)  # free of each pair's phase
@@ -676,10 +676,10 @@ def test_a_gram_matrix_above_the_mapping_size_is_mapped_with_the_same_bits(monke
     monkeypatch.setattr(precoding.mmap, "mmap", counted)
     nbytes = 16 * core.side**2
     monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", nbytes)
-    packed, _ = core.gram(precoding.gram_zeros)
+    packed, _ = precoding.gram_matrix(core)
     assert mapped == [] and packed.shape == (core.side * (core.side + 1) // 2,)
     monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", nbytes - 1)
-    gram, offsets = core.gram(precoding.gram_zeros)
+    gram, offsets = precoding.gram_matrix(core)
     assert mapped == [(nbytes, {"flags": mmap.MAP_PRIVATE})]
     assert gram.flags.writeable and np.array_equal(offsets, np.arange(core.side) * core.side)
     gram = gram.reshape(core.side, core.side)
@@ -697,18 +697,21 @@ def test_the_size_of_the_gram_matrix_selects_its_layout(n_rx, m_delay, n_doppler
     cfg = SimConfig(n_tx=n_rx, n_rx=n_rx, m_delay=m_delay, n_doppler=n_doppler, n_paths=10)
     core = spatial_core(sample_channel(cfg, 0))
     assert core.side == min(n_rx, 10) * m_delay * n_doppler
-    assert _layout(*core.gram(precoding.gram_zeros)) == layout
+    assert _layout(*precoding.gram_matrix(core)) == layout
 
 
 @pytest.mark.parametrize(
-    "n_ant, m_delay, n_doppler, layout",
-    [(8, 8, 8, "packed"), (9, 8, 16, "mapped"), (8, 8, 8, "square")],
-    ids=["512", "1152", "512_eigh"],
+    "n_tx, n_rx, m_delay, n_doppler, layout",
+    [(8, 8, 8, 8, "packed"), (9, 9, 8, 16, "mapped"), (8, 8, 8, 8, "square"),
+     (8, 9, 8, 8, "packed"), (9, 8, 8, 8, "packed"), (9, 10, 8, 16, "mapped"), (10, 9, 8, 16, "mapped")],
+    ids=["512", "1152", "512_eigh", "512_tall", "512_wide", "1152_tall", "1152_wide"],
 )
-def test_dense_and_spatial_cores_of_equal_side_get_one_layout(monkeypatch, n_ant, m_delay, n_doppler, layout):
-    # decompose allocates G for either core, so the side and the route alone pick its layout
-    cfg = SimConfig(n_tx=n_ant, n_rx=n_ant, m_delay=m_delay, n_doppler=n_doppler, n_paths=10)
+def test_dense_and_spatial_cores_of_equal_side_get_one_layout(monkeypatch, n_tx, n_rx, m_delay, n_doppler, layout):
+    # gram_matrix allocates G for either core, so the side and the route alone pick its layout;
+    # an extra receive (transmit) antenna makes the core tall (wide) at the same Gram side
+    cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, m_delay=m_delay, n_doppler=n_doppler, n_paths=10)
     core = spatial_core(sample_channel(cfg, 0))
+    assert core.wide == (n_tx > n_rx) and core.side == min(n_tx, n_rx) * m_delay * n_doppler
     layouts = []
     real = precoding.gram_zeros
 
@@ -756,47 +759,63 @@ def test_gram_entries_beyond_lapacks_safe_range(route, factor):
     _assert_leading_triplets(c, decompose(DenseCore(c), 8), 8)
 
 
-@dataclass(frozen=True, eq=False)
-class _LitterBelowTheDiagonal(DenseCore):
-    """A ``DenseCore`` whose Gram matrix holds NaN and a finite value, alternately, below the diagonal.
+class _LitterBelowTheDiagonal:
+    """A :func:`~otfslink.precoding.gram_zeros` whose square holds NaN and a finite value, alternately, below the diagonal.
 
     :func:`decompose` reads only the entries with column >= row, so it must
     neither read nor write the others. The litter goes into the square
-    ``decompose`` allocates, before the stored triangle is summed into it;
-    ``last`` keeps that square and what was written below its diagonal.
+    ``gram_zeros`` allocates, before the stored triangle is written into
+    it; ``last`` keeps that square and what was written below its diagonal.
     """
 
-    last: dict = field(default_factory=dict)
+    def __init__(self, allocate):
+        self.allocate = allocate
+        self.last = {}
 
-    def gram(self, allocate):
-        def littered(side):
-            g, offsets = allocate(side)
-            square = g.reshape(side, side)
-            lower = np.tril_indices(side, -1)
-            below = np.where(np.arange(lower[0].size) % 2, np.nan, 3.0 - 4.0j)
-            square[lower] = below
-            self.last.update(g=square, below=below)
-            return g, offsets
-
-        return super().gram(littered)
+    def __call__(self, side):
+        g, offsets = self.allocate(side)
+        square = g.reshape(side, side)
+        lower = np.tril_indices(side, -1)
+        below = np.where(np.arange(lower[0].size) % 2, np.nan, 3.0 - 4.0j)
+        square[lower] = below
+        self.last.update(g=square, below=below)
+        return g, offsets
 
 
 @pytest.mark.parametrize("factor", [1.0, 2.0**140], ids=["in_range", "rescaled"])
 @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
 @pytest.mark.parametrize("route", ["lapack", "eigh"], indirect=True)  # the routes that take a square
-def test_the_gram_matrix_below_its_diagonal_is_neither_read_nor_written(route, factor, wide):
+def test_the_gram_matrix_below_its_diagonal_is_neither_read_nor_written(monkeypatch, route, factor, wide):
     # NaN there fails a NaN scan of the whole square and an eigh of the other triangle; the
     # finite value changes under a rescale of the whole square. 2**140 puts G's entries above
     # 2**255, where decompose rescales G.
     c = factor * _complex_gaussian(24, 16, 33)
     c = c.T if wide else c
-    full = decompose(DenseCore(c), 8)
-    core = _LitterBelowTheDiagonal(c)
-    litter = decompose(core, 8)
+    _assert_litter_changes_nothing(monkeypatch, DenseCore(c))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+@pytest.mark.parametrize("route", ["lapack"], indirect=True)  # it maps every G as a square
+def test_a_spatial_gram_matrix_below_its_diagonal_is_neither_read_nor_written(monkeypatch, route, wide):
+    # more transmit antennas than receive ones make a wide core, fewer a tall one
+    n_tx, n_rx = (3, 2) if wide else (2, 3)
+    cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=3, n_doppler=4, n_paths=4,
+                    max_delay_tap=5, max_doppler_tap=2)
+    core = spatial_core(sample_channel(cfg, 33))
+    assert core.wide == wide and core.mn > 1 and core.side == 24
+    _assert_litter_changes_nothing(monkeypatch, core)
+
+
+def _assert_litter_changes_nothing(monkeypatch, core):
+    """Litter below G's diagonal leaves ``decompose(core, 8)`` bit for bit as it was, and is left as it was."""
+    full = decompose(core, 8)
+    litter = _LitterBelowTheDiagonal(precoding.gram_zeros)
+    monkeypatch.setattr(precoding, "gram_zeros", litter)
+    littered = decompose(core, 8)
     for name in ("u", "sigma", "v"):
-        assert np.array_equal(getattr(litter, name), getattr(full, name)), name
-    g = core.last["g"]
-    assert g[np.tril_indices(g.shape[0], -1)].tobytes() == core.last["below"].tobytes()
+        assert np.array_equal(getattr(littered, name), getattr(full, name)), name
+    g = litter.last["g"]
+    assert g[np.tril_indices(g.shape[0], -1)].tobytes() == litter.last["below"].tobytes()
 
 
 def _run_python(code, *args):
@@ -893,7 +912,7 @@ def test_reading_the_unwritten_triangle_of_a_mapped_gram_matrix_commits_no_memor
                 return int(next(line for line in fh if line.startswith("VmRSS:")).split()[1]) * 1024
 
         precoding._GRAM_MAPPING_BYTES = 0
-        g, offsets = spatial_core(sample_channel(SimConfig(m_delay=8, n_doppler=16), 0)).gram(precoding.gram_zeros)
+        g, offsets = precoding.gram_matrix(spatial_core(sample_channel(SimConfig(m_delay=8, n_doppler=16), 0)))
         g = g.reshape(offsets.size, offsets.size)
         before = rss()
         below = sum(g[r, :r].sum() for r in range(g.shape[0]))  # every entry below the diagonal
