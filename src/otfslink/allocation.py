@@ -41,6 +41,8 @@ def gaussian_bin_entropy(mu, sigma, y_hat) -> np.ndarray:
         )
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
         raise ValueError("sigma must be strictly positive and finite")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(y))):
+        raise ValueError("mu and y_hat must be finite")
     p = ndtr((y + 0.5 - mu) / sigma) - ndtr((y - 0.5 - mu) / sigma)
     p = np.maximum(p, 2.0 ** -MAX_IMPORTANCE_BITS)
     return -np.log2(p)
@@ -83,8 +85,8 @@ def soft_kendall(w, g, sharpness: float = 2.0):
     broadcast as in :func:`exact_kendall_tau`.
     """
     w, g, i, j = _pairs(w, g)
-    if sharpness <= 0:
-        raise ValueError(f"sharpness must be > 0, got {sharpness}")
+    if not 0 < sharpness < np.inf:  # also rejects NaN
+        raise ValueError(f"sharpness must be finite and > 0, got {sharpness}")
     k = w.shape[-1]
     prod = (w[..., i] - w[..., j]) * (g[..., i] - g[..., j])
     return 2.0 * np.sum(sigmoid(-sharpness * prod), axis=-1) / (k * (k - 1))

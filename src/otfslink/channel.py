@@ -22,8 +22,10 @@ Neither the core nor H is formed. The Gram matrix itself, its storage
 and its layout belong to :func:`~otfslink.precoding.gram_matrix`, which
 writes the slabs into it.
 :func:`sample_channel` draws a channel for a checked
-:class:`~otfslink.link_sim.SimConfig`. The dense H, cyclic shift Pi and
-core are test oracles and live in :mod:`otfslink.validation`.
+:class:`~otfslink.link_sim.SimConfig`. :class:`DdMimoChannel` checks its
+sizes and taps by the configs' integer rule, in :mod:`otfslink._fields`.
+The dense H, cyclic shift Pi and core are test oracles and live in
+:mod:`otfslink.validation`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from . import _fields
 
 if TYPE_CHECKING:
     from .link_sim import SimConfig
@@ -49,14 +53,9 @@ class PathParams:
     aoa: float
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; bools and floats, even integral ones, are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class DdMimoChannel:
-    """A set of paths plus antenna geometry; expandable to its delay taps."""
+    """A set of paths plus antenna geometry; expandable to its delay taps. Sizes are stored as ``int``."""
 
     paths: tuple[PathParams, ...]
     n_tx: int
@@ -69,22 +68,12 @@ class DdMimoChannel:
         if len(self.paths) < 1:
             raise ValueError("channel needs at least one path")
         for name in ("n_tx", "n_rx", "m_delay", "n_doppler"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, _fields.integer(name, getattr(self, name), 1))
         mn = self.mn
         for i, p in enumerate(self.paths):
-            for name in ("delay_tap", "doppler_tap"):
-                if not _is_integer(getattr(p, name)):
-                    raise ValueError(f"path {i}: {name} must be an integer, got {getattr(p, name)!r}")
-            if not (0 <= p.delay_tap < mn):
-                raise ValueError(f"path {i}: delay_tap {p.delay_tap} outside [0, {mn})")
-            if not (abs(p.doppler_tap) < mn):
-                raise ValueError(f"path {i}: |doppler_tap| {abs(p.doppler_tap)} must be < {mn}")
-            if not np.isfinite(p.gain):
-                raise ValueError(f"path {i}: gain must be finite")
-            for name in ("aod", "aoa"):
+            _fields.integer(f"path {i}: delay_tap", p.delay_tap, 0, mn - 1)
+            _fields.integer(f"path {i}: doppler_tap", p.doppler_tap, 1 - mn, mn - 1)
+            for name in ("gain", "aod", "aoa"):
                 if not np.isfinite(getattr(p, name)):
                     raise ValueError(f"path {i}: {name} must be finite, got {getattr(p, name)}")
 

@@ -13,10 +13,11 @@ rejects unknown keys by name and constructs the configs. Every rule on a
 field belongs to :class:`~otfslink.link_sim.SimConfig` or
 :class:`ExperimentConfig`, which check themselves, so the rules hold for
 library callers and flag overrides alike, and an invalid config never
-starts a simulation. Output CSV is written atomically (a temp file,
-created in the target directory before the first link, then a rename)
-and begins with a versioned comment line; the rest is a
-function of (config, seed), byte for byte at a fixed BLAS thread count
+starts a simulation. Both read their integer and number fields through the
+one pair of rules in :mod:`otfslink._fields`. Output CSV is written
+atomically (a temp file, created in the target directory before the first
+link, then a rename) and begins with a versioned comment line; the rest is
+a function of (config, seed), byte for byte at a fixed BLAS thread count
 (README "Reproducibility"). ``OTFSLINK_LOG=debug|info|warning|error`` tunes
 the stderr log; at info it has one progress line per link with an ETA.
 """
@@ -27,18 +28,19 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
 
-from . import __version__
+from . import __version__, _fields
 from .link_sim import (
     ALLOCATION_MODES,
     DEFAULT_ANTENNA_GRID,
     DEFAULT_SNR_GRID_DB,
+    MAX_TRIALS,
     SimConfig,
     antenna_points,
-    checked_trials,
     format_csv,
     run_sweep,
     snr_points,
@@ -63,7 +65,7 @@ class ExperimentConfig:
     Construction, and so ``dataclasses.replace``, checks every field and
     raises :class:`ConfigError` naming the first bad one; each grid entry is
     judged by building its :class:`SimConfig` point. The grids are kept as
-    tuples.
+    tuples of their points' values, so as Python floats and ints.
     """
 
     sim: SimConfig
@@ -72,38 +74,35 @@ class ExperimentConfig:
     n_tx_grid: tuple = DEFAULT_ANTENNA_GRID
     trials: int = 1
     output: str | None = None
-    # Recorded metadata only; the discrete-tap model does not consume them.
+    # Recorded metadata only, each a finite positive frequency; the discrete-tap model does not consume them.
     carrier_freq_hz: float = 28.0e9
     subcarrier_spacing_hz: float = 120.0e3
 
     def __post_init__(self):
+        def check(name, rule, *bounds):
+            try:
+                object.__setattr__(self, name, rule(name, getattr(self, name), *bounds))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+
         if self.sweep not in SWEEP_KINDS:
             raise ConfigError(f"sweep must be one of {SWEEP_KINDS}, got {self.sweep!r}")
-        for name, points in (("snr_grid_db", snr_points), ("n_tx_grid", antenna_points)):
+        for name, points, field in (("snr_grid_db", snr_points, "snr_db"), ("n_tx_grid", antenna_points, "n_tx")):
             grid = getattr(self, name)
             if not isinstance(grid, (list, tuple)) or not grid:
                 raise ConfigError(f"{name} must be a non-empty list, got {grid!r}")
             try:
-                points(self.sim, grid)
+                grid = tuple(getattr(point, field) for point in points(self.sim, grid))
             except ValueError as exc:
                 raise ConfigError(f"{name} entry: {exc}") from exc
-            object.__setattr__(self, name, tuple(grid))
-        try:
-            object.__setattr__(self, "trials", checked_trials(self.trials))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            object.__setattr__(self, name, grid)
+        check("trials", _fields.integer, 1, MAX_TRIALS)
         if self.output is not None and (not isinstance(self.output, str) or not self.output):
             raise ConfigError(f"output must be a non-empty string path or null, got {self.output!r}")
         for name in ("carrier_freq_hz", "subcarrier_spacing_hz"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            try:
-                float(value)
-            except OverflowError:  # JSON keeps integer literals exact, which may not fit a float
-                raise ConfigError(
-                    f"{name} must be within the float range, got an integer of {value.bit_length()} bits"
-                ) from None
+            check(name, _fields.number)
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 _SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)}

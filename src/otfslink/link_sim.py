@@ -42,6 +42,9 @@ which is summed from the path pairs, and applies H path by path
 (:class:`~otfslink.channel.SpatialCore`). The transmitted frames go
 through the channel's delay taps, and no H-sized array is allocated. How
 each version of the CSV moved against the one before is kept in ``CHANGES.md``.
+
+:class:`SimConfig`'s integer and number fields and :func:`run_sweep`'s
+``trials`` are checked by the rules of :mod:`otfslink._fields`.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import allocation, modem
+from . import _fields, allocation, modem
 from .channel import DdMimoChannel, apply_channel, build_time_channel, sample_channel, spatial_core
 from .dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from .precoding import (
@@ -113,7 +116,7 @@ _ARRAY_SIZES = (
 class SimConfig:
     """Full configuration of one link simulation.
 
-    Every rule on these fields lives here: construction, and so
+    Every rule on these fields is checked here: construction, and so
     ``dataclasses.replace``, raises a ``ValueError`` that names the first
     bad field, for library callers and the CLI alike.
     """
@@ -133,63 +136,38 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for field in fields(self):  # a numpy integer is kept as the int it equals, so no size product wraps
-            if isinstance(getattr(self, field.name), np.integer):
-                object.__setattr__(self, field.name, int(getattr(self, field.name)))
+        def check(name, rule, *bounds):
+            object.__setattr__(self, name, rule(name, getattr(self, name), *bounds))
+
         for name in ("n_tx", "n_rx", "n_rf", "m_delay", "n_doppler", "n_frames", "n_paths"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            check(name, _fields.integer, 1)
         for array, factors in _ARRAY_SIZES:
             powers = [getattr(self, name) ** power for name, power in factors]
             if math.prod(powers) > MAX_ARRAY_ENTRIES:
                 name = factors[powers.index(max(powers))][0]
-                value = getattr(self, name)
-                shown = value if value.bit_length() <= 64 else f"an integer of {value.bit_length()} bits"
                 raise ValueError(
                     f"{name} is too large: {array} would have more than "
-                    f"{MAX_ARRAY_ENTRIES} entries, got {name} = {shown}"
+                    f"{MAX_ARRAY_ENTRIES} entries, got {name} = {_fields.shown(getattr(self, name))}"
                 )
         if self.n_rf > min(self.n_tx, self.n_rx):
-            raise ValueError(
-                f"n_rf must be <= min(n_tx, n_rx) = {min(self.n_tx, self.n_rx)}, got {self.n_rf}"
-            )
+            raise ValueError(f"n_rf must be <= min(n_tx, n_rx) = {min(self.n_tx, self.n_rx)}, got {self.n_rf}")
         if self.n_rf > self.n_paths:
             raise ValueError(
                 f"n_rf must be <= n_paths = {self.n_paths}, got {self.n_rf}: the channel's rank "
                 f"is at most n_paths*m_delay*n_doppler, too low for n_rf*m_delay*n_doppler streams"
             )
-        mn = self.m_delay * self.n_doppler
         for name in ("max_delay_tap", "max_doppler_tap"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not (0 <= value < mn):
-                raise ValueError(f"{name} must be in [0, {mn}), got {value}")
+            check(name, _fields.integer, 0, self.m_delay * self.n_doppler - 1)
         if self.n_subchannels < 2:  # Kendall alignment needs a pair of sub-channels
             raise ValueError(f"n_rf*m_delay*n_doppler must be >= 2, got {self.n_subchannels}")
-        if not isinstance(self.snr_db, (int, float)) or isinstance(self.snr_db, bool):
-            raise ValueError(f"snr_db must be a number, got {self.snr_db!r}")
-        try:
-            float(self.snr_db)
-        except OverflowError:  # an int beyond the float range
-            raise ValueError(
-                f"snr_db must be within the float range, got an integer of {self.snr_db.bit_length()} bits"
-            ) from None
+        check("snr_db", _fields.number)
         if not self.snr_db >= MIN_SNR_DB:  # also rejects NaN
-            raise ValueError(
-                f"snr_db must be >= {MIN_SNR_DB:g} dB or +inf (noiseless), got {self.snr_db}"
-            )
+            raise ValueError(f"snr_db must be >= {MIN_SNR_DB:g} dB or +inf (noiseless), got {self.snr_db}")
         if self.precoder_mode not in PRECODER_MODES:
             raise ValueError(f"precoder_mode must be one of {PRECODER_MODES}, got {self.precoder_mode!r}")
         if self.allocation_mode not in ALLOCATION_MODES:
-            raise ValueError(
-                f"allocation_mode must be one of {ALLOCATION_MODES}, got {self.allocation_mode!r}"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            raise ValueError(f"allocation_mode must be one of {ALLOCATION_MODES}, got {self.allocation_mode!r}")
+        check("seed", _fields.integer, 0)
 
     @property
     def n_subchannels(self) -> int:
@@ -436,18 +414,6 @@ def _average_row(cfg: SimConfig, values: np.ndarray) -> SweepRow:
     )
 
 
-def checked_trials(trials) -> int:
-    """``trials`` as an int if it is a Python or numpy integer in [1, MAX_TRIALS], else a ``ValueError`` naming it."""
-    if isinstance(trials, np.integer):
-        trials = int(trials)
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if not 1 <= trials <= MAX_TRIALS:
-        shown = trials if trials.bit_length() <= 64 else f"an integer of {trials.bit_length()} bits"
-        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {shown}")
-    return trials
-
-
 def run_sweep(points, trials: int = 1) -> list[SweepRow]:
     """Average ``trials`` random links at each grid point; one row per point.
 
@@ -457,7 +423,7 @@ def run_sweep(points, trials: int = 1) -> list[SweepRow]:
     (point, t) uses the stream ``_trial_rng(point.seed, t)`` exactly as a
     lone ``run_random_link`` call would. Logs one progress line per link.
     """
-    trials = checked_trials(trials)
+    trials = _fields.integer("trials", trials, 1, MAX_TRIALS)
     points = list(points)
     slot = RealizationSlot()
     values = np.empty((len(points), len(_AVERAGED_COLUMNS), trials))

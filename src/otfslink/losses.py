@@ -31,15 +31,15 @@ def rate_term(probs) -> float:
     Probabilities below 2**-64 are clamped there, keeping the result finite.
     """
     p = np.asarray(probs, dtype=float)
-    if p.size and (np.any(p <= 0) or np.any(p > 1)):
+    if not np.all((p > 0) & (p <= 1)):  # also rejects NaN
         raise ValueError("probabilities must lie in (0, 1]")
     return float(np.sum(-np.log2(np.maximum(p, _MIN_PROB))))
 
 
 def l1_loss(rate_y: float, rate_z: float, mse: float) -> float:
     """Rate-distortion objective: bit cost of both latents plus MSE."""
-    if mse < 0:
-        raise ValueError(f"mse must be >= 0, got {mse}")
+    if not 0 <= mse < np.inf:  # also rejects NaN
+        raise ValueError(f"mse must be finite and >= 0, got {mse}")
     return float(rate_y + rate_z + mse)
 
 
@@ -50,8 +50,8 @@ def cross_entropy(true_label: int, predicted) -> float:
         raise ValueError(f"predicted must be a 1-D distribution, got shape {p.shape}")
     if not (0 <= true_label < p.size):
         raise ValueError(f"true_label {true_label} outside [0, {p.size})")
-    if np.any(p < 0):
-        raise ValueError("predicted probabilities must be >= 0")
+    if not np.all((p >= 0) & (p <= 1)):  # also rejects NaN
+        raise ValueError("predicted probabilities must lie in [0, 1]")
     if abs(float(p.sum()) - 1.0) > 1e-6:
         raise ValueError(f"predicted must sum to 1 within 1e-6, got {p.sum()}")
     return float(-np.log2(max(float(p[true_label]), _MIN_PROB)))
@@ -60,6 +60,6 @@ def cross_entropy(true_label: int, predicted) -> float:
 def l2_loss(ce: float, mse: float, kappa: float, weights: LossWeights | None = None) -> float:
     """Task objective: ``ce + lambda_mse * mse - lambda_em * kappa``."""
     w = weights if weights is not None else LossWeights()
-    if mse < 0:
-        raise ValueError(f"mse must be >= 0, got {mse}")
+    if not 0 <= mse < np.inf:  # also rejects NaN
+        raise ValueError(f"mse must be finite and >= 0, got {mse}")
     return float(ce + w.lambda_mse * mse - w.lambda_em * kappa)

@@ -193,6 +193,25 @@ class TestSoftKendall:
             soft_kendall([1.0], [1.0])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: soft_kendall([1.0, 2.0], [1.0, 2.0], sharpness=math.nan),
+        lambda: soft_kendall([1.0, 1.0], [1.0, 2.0], sharpness=math.inf),  # 0 * inf on the tied pair
+        lambda: soft_kendall([1.0, 2.0], [1.0, 2.0], sharpness=-math.inf),
+        lambda: gaussian_bin_entropy([math.nan], [1.0], [0.0]),
+        lambda: gaussian_bin_entropy([0.0], [1.0], [math.nan]),
+        lambda: gaussian_bin_entropy([math.inf], [1.0], [0.0]),
+        lambda: gaussian_bin_entropy([0.0], [math.nan], [0.0]),
+    ],
+    ids=["sharpness_nan", "sharpness_inf_tie", "sharpness_-inf", "mu_nan", "y_hat_nan", "mu_inf", "sigma_nan"],
+)
+def test_nan_and_inf_fail_every_range_check(call):
+    # written as `x <= 0`, a check lets NaN through, and the result comes out NaN
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestAllocate:
     def test_spec_example(self):
         pi = allocate([0.1, 9.0, 5.0], [3.0, 2.0, 1.0])

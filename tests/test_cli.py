@@ -138,11 +138,19 @@ class TestParseConfig:
             ({"snr_grid_db": [0.0, 10**400]}, "snr_grid_db"),
             ({"carrier_freq_hz": 10**400}, "carrier_freq_hz"),
             ({"subcarrier_spacing_hz": -(10**400)}, "subcarrier_spacing_hz"),
+            # a frequency is finite and positive
+            ({"carrier_freq_hz": math.nan}, "carrier_freq_hz"),
+            ({"carrier_freq_hz": math.inf}, "carrier_freq_hz"),
+            ({"carrier_freq_hz": 0}, "carrier_freq_hz"),
+            ({"subcarrier_spacing_hz": -5}, "subcarrier_spacing_hz"),
+            ({"subcarrier_spacing_hz": -math.inf}, "subcarrier_spacing_hz"),
+            ({"subcarrier_spacing_hz": 0.0}, "subcarrier_spacing_hz"),
         ],
         ids=[
             "snr_db_-inf", "snr_grid_-inf", "snr_grid_nan", "n_tx_grid_zero", "n_rf_above_n_paths",
             "snr_db_-1e308", "snr_db_-101", "snr_grid_-1e308", "snr_grid_-101", "one_subchannel",
             "snr_db_int_1e400", "snr_grid_int_1e400", "carrier_int_1e400", "scs_int_-1e400",
+            "carrier_nan", "carrier_inf", "carrier_0", "scs_-5", "scs_-inf", "scs_0.0",
         ],
     )
     def test_unusable_values_rejected_before_running(self, tmp_path, capsys, update, field):
@@ -414,13 +422,22 @@ SNRS = st.one_of(
 # JSON keeps integer literals exact; 10**400 does not fit a float
 GRID_SNRS = SNRS | st.just(10**400)
 
+FREQUENCIES = st.floats(0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**30)
+BAD_FREQUENCIES = st.one_of(
+    st.sampled_from([0, 0.0, math.nan, math.inf, -math.inf, 10**400]),
+    st.floats(max_value=0.0, allow_nan=False),
+    st.integers(max_value=-1),
+)
+
 
 @st.composite
 def small_configs(draw):
     """At most 3 antennas, a grid of at most 2x2, 2 trials; one integer field may go negative.
 
-    Grid entries may also be out of their type: an SNR beyond the float range,
-    or a fractional antenna count.
+    Or else one of the two frequencies, which nothing reads, may leave its
+    finite positive range: 0, a negative, NaN, ±inf or an integer beyond the
+    float range. Grid entries may also be out of their type: an SNR beyond
+    the float range, or a fractional antenna count.
     """
     cfg = {name: draw(st.integers(1, 3)) for name in ("n_tx", "n_rx", "n_paths")}
     for name in ("m_delay", "n_doppler", "n_frames", "trials"):
@@ -430,9 +447,11 @@ def small_configs(draw):
     cfg["max_delay_tap"] = draw(st.integers(0, mn - 1))
     cfg["max_doppler_tap"] = draw(st.integers(0, mn - 1))
     cfg["seed"] = draw(st.integers(0, 2**32))
-    bad = draw(st.none() | st.sampled_from(sorted(cfg)))  # every field so far is an integer
-    if bad is not None:
-        cfg[bad] = draw(st.integers(-3, -1))
+    for name in ("carrier_freq_hz", "subcarrier_spacing_hz"):
+        cfg[name] = draw(FREQUENCIES)
+    bad = draw(st.none() | st.sampled_from(sorted(cfg)))
+    if bad is not None:  # a frequency out of its range, or an integer field gone negative
+        cfg[bad] = draw(BAD_FREQUENCIES if bad.endswith("_hz") else st.integers(-3, -1))
     cfg["sweep"] = draw(st.sampled_from(["snr", "antennas", "single"]))
     cfg["snr_db"] = draw(SNRS)
     cfg["snr_grid_db"] = draw(st.lists(GRID_SNRS, min_size=1, max_size=2))

@@ -108,3 +108,24 @@ class TestL2Loss:
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(np.inf, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rate_term([np.nan]),
+        lambda: rate_term([0.5, np.nan]),
+        lambda: l1_loss(1.0, 1.0, np.nan),
+        lambda: l1_loss(1.0, 1.0, np.inf),
+        lambda: l2_loss(1.0, np.nan, 0.5),
+        lambda: l2_loss(1.0, np.inf, 0.5),
+        lambda: cross_entropy(0, [0.5, np.nan]),
+        lambda: cross_entropy(0, [np.nan, 1.0]),
+    ],
+    ids=["rate_nan", "rate_one_nan", "l1_mse_nan", "l1_mse_inf", "l2_mse_nan", "l2_mse_inf", "ce_other_nan",
+         "ce_true_nan"],
+)
+def test_nan_fails_every_range_check(call):
+    # written as `x < 0`, a check lets NaN through, and the loss comes out NaN or finite and wrong
+    with pytest.raises(ValueError):
+        call()
