@@ -1,7 +1,7 @@
-"""The integer rule and the number rule of every config and channel field.
+"""The integer rule and the number rule of every config field, channel field and function argument.
 
-Each raises a ``ValueError`` that names the field, and their callers give
-the ranges. A leaf module, so that ``channel`` can use it.
+Each raises a ``ValueError`` that names the field or argument, and their
+callers give the ranges. A leaf module, so that ``channel`` can use it.
 """
 
 from __future__ import annotations

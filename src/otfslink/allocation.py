@@ -25,6 +25,14 @@ MAX_IMPORTANCE_BITS = 64.0
 GAIN_TIE_RTOL = 1e-13
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array, refused by name unless every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 def gaussian_bin_entropy(mu, sigma, y_hat) -> np.ndarray:
     """Per-element entropy in bits of unit-quantized values under Gaussian models.
 
@@ -32,26 +40,22 @@ def gaussian_bin_entropy(mu, sigma, y_hat) -> np.ndarray:
     with Phi the standard normal CDF, clamped to at most 64 bits when the
     bin probability underflows.
     """
-    mu = np.asarray(mu, dtype=float)
+    mu, y = _finite("mu", mu), _finite("y_hat", y_hat)
     sigma = np.asarray(sigma, dtype=float)
-    y = np.asarray(y_hat, dtype=float)
     if not (mu.shape == sigma.shape == y.shape):
         raise ValueError(
             f"mu, sigma, y_hat must share a shape, got {mu.shape}, {sigma.shape}, {y.shape}"
         )
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
         raise ValueError("sigma must be strictly positive and finite")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(y))):
-        raise ValueError("mu and y_hat must be finite")
     p = ndtr((y + 0.5 - mu) / sigma) - ndtr((y - 0.5 - mu) / sigma)
     p = np.maximum(p, 2.0 ** -MAX_IMPORTANCE_BITS)
     return -np.log2(p)
 
 
 def _pairs(w, g):
-    """``w``, ``g`` as float arrays and the index pairs ``i < j`` of their last axis."""
-    w = np.asarray(w, dtype=float)
-    g = np.asarray(g, dtype=float)
+    """``w``, ``g`` as finite float arrays and the index pairs ``i < j`` of their last axis."""
+    w, g = _finite("w", w), _finite("g", g)
     if w.ndim < 1 or w.shape[-1:] != g.shape[-1:] or w.shape[-1] < 2:
         raise ValueError(f"inputs must end in axes of equal length >= 2, got {w.shape} and {g.shape}")
     i, j = np.triu_indices(w.shape[-1], 1)
@@ -62,9 +66,9 @@ def exact_kendall_tau(w, g):
     """Exact Kendall correlation: (concordant - discordant) / (K(K-1)/2).
 
     Tied pairs count as zero; two entries of ``g`` tie when they differ by at
-    most ``GAIN_TIE_RTOL * max|g|``. Brute-force over all pairs; kept
-    deliberately elementary so it can serve as the reference for the smooth
-    surrogate.
+    most ``GAIN_TIE_RTOL * max|g|``; both must be finite. Brute-force over
+    all pairs; kept deliberately elementary so it can serve as the reference
+    for the smooth surrogate.
     Correlates along the last axis and broadcasts the leading ones, so
     ``(frames, K)`` inputs give one value per frame.
     """
@@ -98,10 +102,9 @@ def allocate(w, g) -> np.ndarray:
     ``pi[s]`` is the payload index carried on sub-channel ``s``: the k-th
     most important element rides the k-th strongest sub-channel. Ties break
     by ascending original index, so the result is reproducible and constant
-    importance yields the identity.
+    importance yields the identity. Both must be finite.
     """
-    w = np.asarray(w, dtype=float)
-    g = np.asarray(g, dtype=float)
+    w, g = _finite("w", w), _finite("g", g)
     if w.ndim != 1 or g.ndim != 1 or w.size != g.size:
         raise ValueError(f"importance and gains must be 1-D of equal length, got {w.shape}, {g.shape}")
     order_w = np.argsort(-w, kind="stable")

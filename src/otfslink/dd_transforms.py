@@ -27,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _fields
+
 
 @lru_cache(maxsize=None)
 def _dft_cached(size: int) -> np.ndarray:
@@ -69,11 +71,11 @@ def otfs_demodulate(frame: np.ndarray, m: int, n: int) -> np.ndarray:
     """Recover the ``(..., m, n)`` DD grids from ``(..., m*n)`` time-domain frames.
 
     Exact inverse of :func:`otfs_modulate`: reshapes each frame
-    column-major and applies the forward Doppler-axis DFT.
+    column-major and applies the forward Doppler-axis DFT. ``m`` and ``n``
+    are integers >= 1; an error names the argument.
     """
     frame = np.asarray(frame)
-    if m < 1 or n < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
+    m, n = _fields.integer("m", m, 1), _fields.integer("n", n, 1)
     if frame.ndim < 1 or frame.shape[-1] != m * n:
         raise ValueError(f"frames must end in an axis of length m*n={m * n}, got shape {frame.shape}")
     s = frame.reshape(frame.shape[:-1] + (n, m)).swapaxes(-1, -2)
@@ -94,11 +96,10 @@ def stack_chains(frames) -> np.ndarray:
 def unstack_chains(signal: np.ndarray, n_chains: int) -> np.ndarray:
     """Split ``(..., n_chains*L)`` stacked vectors back into ``(..., n_chains, L)`` chains.
 
-    Inverse of :func:`stack_chains`.
+    Inverse of :func:`stack_chains`; ``n_chains`` is an integer >= 1, and an error names it.
     """
     signal = np.asarray(signal)
-    if n_chains < 1:
-        raise ValueError(f"n_chains must be >= 1, got {n_chains}")
+    n_chains = _fields.integer("n_chains", n_chains, 1)
     if signal.ndim < 1 or signal.shape[-1] % n_chains != 0:
         raise ValueError(f"signal of shape {signal.shape} does not split into {n_chains} equal chains")
     return signal.reshape(signal.shape[:-1] + (n_chains, -1))

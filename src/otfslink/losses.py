@@ -8,9 +8,12 @@ are base 2 so every term is in bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _fields
 
 _MIN_PROB = 2.0 ** -64
 
@@ -36,20 +39,30 @@ def rate_term(probs) -> float:
     return float(np.sum(-np.log2(np.maximum(p, _MIN_PROB))))
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float by the number rule, refused by name unless finite."""
+    value = _fields.number(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def l1_loss(rate_y: float, rate_z: float, mse: float) -> float:
-    """Rate-distortion objective: bit cost of both latents plus MSE."""
+    """Rate-distortion objective: bit cost of both latents plus MSE, each finite."""
     if not 0 <= mse < np.inf:  # also rejects NaN
         raise ValueError(f"mse must be finite and >= 0, got {mse}")
-    return float(rate_y + rate_z + mse)
+    return float(_finite("rate_y", rate_y) + _finite("rate_z", rate_z) + mse)
 
 
 def cross_entropy(true_label: int, predicted) -> float:
-    """Base-2 cross entropy ``-log2 predicted[true_label]`` against a one-hot truth."""
+    """Base-2 cross entropy ``-log2 predicted[true_label]`` against a one-hot truth.
+
+    ``true_label`` is an integer in [0, predicted.size - 1]; an error names it.
+    """
     p = np.asarray(predicted, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"predicted must be a 1-D distribution, got shape {p.shape}")
-    if not (0 <= true_label < p.size):
-        raise ValueError(f"true_label {true_label} outside [0, {p.size})")
+    true_label = _fields.integer("true_label", true_label, 0, p.size - 1)
     if not np.all((p >= 0) & (p <= 1)):  # also rejects NaN
         raise ValueError("predicted probabilities must lie in [0, 1]")
     if abs(float(p.sum()) - 1.0) > 1e-6:
@@ -58,8 +71,8 @@ def cross_entropy(true_label: int, predicted) -> float:
 
 
 def l2_loss(ce: float, mse: float, kappa: float, weights: LossWeights | None = None) -> float:
-    """Task objective: ``ce + lambda_mse * mse - lambda_em * kappa``."""
+    """Task objective: ``ce + lambda_mse * mse - lambda_em * kappa``, each term finite."""
     w = weights if weights is not None else LossWeights()
     if not 0 <= mse < np.inf:  # also rejects NaN
         raise ValueError(f"mse must be finite and >= 0, got {mse}")
-    return float(ce + w.lambda_mse * mse - w.lambda_em * kappa)
+    return float(_finite("ce", ce) + w.lambda_mse * mse - w.lambda_em * _finite("kappa", kappa))

@@ -71,9 +71,13 @@ def equalize(x_hat, gains):
     Entries whose gain falls below :data:`DEFAULT_MIN_GAIN` are returned as
     0 and flagged in the boolean erasure mask (second return value); an
     erasure is a value, not an error. ``gains`` broadcast along the last axis.
+    A non-finite entry of either argument is a ``ValueError`` naming it.
     """
     x = np.asarray(x_hat)
     lam = np.asarray(gains, dtype=float)
+    for name, values in (("x_hat", x), ("gains", lam)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     erased = lam < DEFAULT_MIN_GAIN
     safe = np.where(erased, 1.0, lam)
     eq = np.where(erased, 0.0, x / safe)
@@ -84,9 +88,11 @@ def square_qam_ser(snr_linear):
     """Closed-form symbol error rate of the Gray 64-QAM over AWGN.
 
     ``snr_linear`` is Es/N0 with Es the unit average symbol energy and N0
-    the total per-complex-component noise variance.
+    the total per-complex-component noise variance, >= 0 or +inf.
     """
     snr = np.asarray(snr_linear, dtype=float)
+    if not np.all(snr >= 0):  # also rejects NaN
+        raise ValueError(f"snr_linear must be >= 0 or +inf, got {snr_linear}")
     q = 0.5 * erfc(np.sqrt(3.0 * snr / (QAM_ORDER - 1)) / np.sqrt(2.0))
     p_axis = 2.0 * (1.0 - 1.0 / _LEVEL.size) * q
     ser = 1.0 - (1.0 - p_axis) ** 2

@@ -17,7 +17,7 @@ lifts its eigenvectors to H's coordinates and applies H path by path.
 its size and the route select. It is packed up to a side of 896,
 reduced by ``zhptrd``, and a square above it, reduced by the blocked
 ``zhetrd``, each the faster there; ``np.linalg.eigh``, the fallback
-where numpy's OpenBLAS lacks those routines, gets a plain square.
+where numpy's OpenBLAS lacks those routines, gets that square at any size.
 Two precoder / combiner modes are provided:
 
 * ``paper_literal``: use the leading SVD factors directly (G = V1, W = U1),
@@ -45,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _fields
 from .dd_transforms import dft_matrix
 
 PRECODER_MODES = ("dd_corrected", "paper_literal")
@@ -106,12 +107,11 @@ def gram_zeros(side: int) -> tuple[np.ndarray, np.ndarray]:
     whose other triangle's pages, about half the matrix, are never
     committed (``np.zeros`` would advise huge pages, each spanning both
     triangles). Where :func:`_gram_routines` finds no LAPACK routines, it
-    is a plain square at any size, the one ``np.linalg.eigh`` takes.
+    is that mapped square at any size, which ``np.linalg.eigh`` takes.
     """
-    square = _gram_routines() is None
-    if square or side * side * np.dtype(complex).itemsize > _GRAM_MAPPING_BYTES:
-        g = np.zeros(side * side, dtype=complex) if square else _mapped_zeros(side * side)
-        return g, np.arange(side) * side
+    limit = _GRAM_MAPPING_BYTES if _gram_routines() is not None else 0  # eigh takes no packed matrix
+    if side * side * np.dtype(complex).itemsize > limit:
+        return _mapped_zeros(side * side), np.arange(side) * side
     g = np.zeros(side * (side + 1) // 2, dtype=complex)
     r = np.arange(side)
     return g, r * (2 * side - r - 1) // 2
@@ -316,25 +316,24 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     sigma)**2`` (worst seen: 1.6e-12 in 1200 draws). G is freed
     before either is formed, so the decomposition's memory peaks at G's
     stored triangle plus the k eigenvectors. The ``eigh`` fallback copies
-    the whole square and returns all its eigenvectors: one ``realize`` of
+    the whole square and returns all its eigenvectors: one ``decompose`` of
     8x8 antennas on a 16x16 grid (a 2048-square G) raised the peak RSS by
-    331 MiB on it against 60 MiB on LAPACK's route, and took 6.6 s against
-    2.5 s (2-core x86 host, 2 BLAS threads).
+    303 MiB on it (331 MiB with G a plain square) against 59 MiB on LAPACK's
+    route, and took 6.0 s against 2.5 s (2-core x86 host, 2 BLAS threads).
     Factors are complex128.
     Raises :class:`RankDeficientChannelError` when fewer than ``k``
     eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above
-    the side included, and ``ValueError`` when ``sigma_max * core.scale``
-    exceeds the float range, or when G is not finite or empty. LAPACK
-    orders the eigenvalues, ties in a fixed order, so repeated runs order
-    them identically.
+    the side included, and ``ValueError`` naming ``k`` unless it is an
+    integer >= 1, or when ``sigma_max * core.scale`` exceeds the float
+    range, or when G is not finite or empty. LAPACK orders the eigenvalues,
+    ties in a fixed order, so repeated runs order them identically.
     """
+    k = _fields.integer("k", k, 1)
     g, offsets = gram_matrix(core)
     side = offsets.size
     # |G_ij|**2 <= G_ii G_jj for a Gram matrix, so a finite diagonal means a finite G
     if side == 0 or not np.all(np.isfinite(g[offsets + np.arange(side)])):
         raise ValueError(f"Gram matrix must be finite and non-empty, got side {side}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     # k above the side takes all the side's eigenpairs, so that the error names the rank
     computed = min(k, side)
     routines = _gram_routines()
@@ -364,9 +363,9 @@ def dd_transform_matrices(n_rf: int, m: int, n: int) -> tuple[np.ndarray, np.nda
     """Dense stacked DD transforms (C_T, C_R) for n_rf chains of an (m, n) grid.
 
     ``dft_matrix`` is exactly symmetric, so C_T = I kron (F_N^H kron I_M) is ``conj(C_R)``.
+    Each size is an integer >= 1; an error names the argument.
     """
-    if n_rf < 1 or m < 1 or n < 1:
-        raise ValueError(f"n_rf, m, n must all be >= 1, got {(n_rf, m, n)}")
+    n_rf, m, n = (_fields.integer(name, value, 1) for name, value in (("n_rf", n_rf), ("m", m), ("n", n)))
     c_r = np.kron(np.eye(n_rf), np.kron(dft_matrix(n), np.eye(m)))
     return np.conj(c_r), c_r
 
@@ -375,7 +374,8 @@ def build_precoder_combiner(dec: SubChannelDecomposition, m: int, n: int, mode: 
     """The precoder/combiner pair of ``dec``'s triplets, ``m*n`` per RF chain, in ``dec``'s own arrays.
 
     Takes ownership of ``dec``: ``g`` is the array ``dec.v`` and ``w`` is
-    ``dec.u``, which must be equally wide, a multiple of ``m*n``. In
+    ``dec.u``, which must be equally wide, a multiple of ``m*n`` for
+    integers ``m, n >= 1`` (an error names the argument). In
     ``dd_corrected`` mode C_T^H and C_R are folded into them in place: both
     are ``I_{n_rf} kron (F_N kron I_M)`` (one chain's C_T^H equals its C_R
     exactly, entry for entry), so each chain's ``m*n`` columns are
@@ -390,10 +390,11 @@ def build_precoder_combiner(dec: SubChannelDecomposition, m: int, n: int, mode: 
     """
     if mode not in PRECODER_MODES:
         raise ValueError(f"mode must be one of {PRECODER_MODES}, got {mode!r}")
+    m, n = _fields.integer("m", m, 1), _fields.integer("n", n, 1)
     (_, u_width), (_, v_width) = dec.u.shape, dec.v.shape
-    if min(m, n) < 1 or u_width != v_width or u_width % (m * n):
+    if u_width != v_width or u_width % (m * n):
         raise ValueError(f"factors u and v have {u_width} and {v_width} columns; both need the same number, "
-                         f"a multiple of m*n for m, n >= 1, got (m, n) = {(m, n)}")
+                         f"a multiple of m*n, got (m, n) = {(m, n)}")
     for name, factor in (("u", dec.u), ("v", dec.v)):
         if not factor.flags.writeable:
             raise ValueError(

@@ -22,7 +22,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from . import allocation, modem
+from . import _fields, allocation, modem
 from .channel import (
     DdMimoChannel, apply_channel, build_time_channel, phase_rotation_matrix, sample_channel,
     spatial_core, ula_response,
@@ -69,10 +69,11 @@ class CheckResult:
 
 
 def cyclic_shift_matrix(size: int, power: int) -> np.ndarray:
-    """Forward cyclic shift to the given power: entry (i, j) = 1 iff i == (j + power) mod size."""
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    return np.roll(np.eye(size), power, axis=0)
+    """Forward cyclic shift to the given power: entry (i, j) = 1 iff i == (j + power) mod size.
+
+    ``size`` is an integer >= 1; an error names it.
+    """
+    return np.roll(np.eye(_fields.integer("size", size, 1)), power, axis=0)
 
 
 def time_channel_entry_oracle(chan: DdMimoChannel) -> np.ndarray:

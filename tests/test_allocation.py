@@ -297,3 +297,23 @@ class TestApplyInvert:
             invert_allocation(np.zeros(3), [0, 1])
         with pytest.raises(ValueError):
             apply_allocation(np.zeros((2, 3)), [[0, 1, 2], [1, 1, 2]])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: allocate([math.nan, 1.0], [1.0, 2.0]), "w"),
+        (lambda: allocate([1.0, 2.0], [math.inf, 1.0]), "g"),
+        (lambda: exact_kendall_tau([math.nan, 1.0], [1.0, 2.0]), "w"),
+        (lambda: exact_kendall_tau([1.0, 2.0], [1.0, math.inf]), "g"),
+        (lambda: soft_kendall([math.inf, 1.0], [1.0, 2.0]), "w"),
+        (lambda: soft_kendall([1.0, 2.0], [math.nan, 2.0]), "g"),
+        (lambda: exact_kendall_tau([[1.0, 2.0], [3.0, -math.inf]], [[1.0, 2.0], [1.0, 2.0]]), "w"),
+    ],
+    ids=["allocate_w_nan", "allocate_g_inf", "tau_w_nan", "tau_g_inf", "soft_w_inf", "soft_g_nan",
+         "tau_frame_w_-inf"],
+)
+def test_non_finite_importance_or_gains_are_refused_by_name(call, name):
+    # a NaN importance once gave a permutation, and a NaN Kendall tau came out as a number
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        call()

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,8 +19,10 @@ from hypothesis import event, example, given, settings, strategies as st
 import otfslink
 from otfslink import cli
 from otfslink.cli import _EXP_KEYS, _SIM_KEYS, ConfigError, main, parse_config
-from otfslink.link_sim import CSV_COLUMNS, MAX_ARRAY_ENTRIES, MAX_TRIALS, SimConfig, _frames_per_chunk
-from otfslink.precoding import RankDeficientChannelError
+from otfslink.link_sim import (
+    ALLOCATION_MODES, CSV_COLUMNS, MAX_ARRAY_ENTRIES, MAX_TRIALS, SimConfig, _frames_per_chunk,
+)
+from otfslink.precoding import PRECODER_MODES, RankDeficientChannelError
 from otfslink.modem import constellation_points
 from otfslink.validation import CHECKS, check_gray_labeling
 
@@ -412,62 +415,91 @@ class TestValidate:
         assert not ok and "off-grid" in detail
 
 
-SNRS = st.one_of(
-    st.floats(-100.0, 1e308),
-    st.floats(-1e308, 1e308),
-    st.sampled_from([math.inf, -math.inf, math.nan]),
+# every accepted SNR, its edges included: MIN_SNR_DB and +inf (noiseless)
+SNRS = st.sampled_from([-100.0, math.inf]) | st.floats(-100.0, 1e308) | st.integers(-100, 10**30)
+# below MIN_SNR_DB, NaN, or an integer literal beyond the float range, which JSON keeps exact
+BAD_SNRS = st.one_of(
+    st.sampled_from([-math.inf, math.nan, 10**400, -10**400]),
+    st.floats(max_value=-100.0, exclude_max=True),
 )
-
-
-# JSON keeps integer literals exact; 10**400 does not fit a float
-GRID_SNRS = SNRS | st.just(10**400)
-
 FREQUENCIES = st.floats(0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**30)
 BAD_FREQUENCIES = st.one_of(
     st.sampled_from([0, 0.0, math.nan, math.inf, -math.inf, 10**400]),
     st.floats(max_value=0.0, allow_nan=False),
     st.integers(max_value=-1),
 )
+# JSON values of another type than a number: a bool, a string, null, a list, an object
+NOT_NUMBERS = st.sampled_from([True, False, "2", "", None, [2], {"value": 2}])
+NOT_INTEGERS = NOT_NUMBERS | st.sampled_from([2.0, 2.5, -0.5, math.nan, math.inf])
+SIZES = ("n_tx", "n_rx", "n_rf", "m_delay", "n_doppler", "n_frames", "n_paths")
+
+
+def _edge_or_any(low, high):
+    """An integer in [low, high] that is one of the two edges more often than a uniform draw would be."""
+    return st.sampled_from([low, high]) | st.integers(low, high)
 
 
 @st.composite
-def small_configs(draw):
-    """At most 3 antennas, a grid of at most 2x2, 2 trials; one integer field may go negative.
+def valid_configs(draw):
+    """A config with every field in its range, its edges included; at most 3 antennas on a grid of at most 2x2.
 
-    Or else one of the two frequencies, which nothing reads, may leave its
-    finite positive range: 0, a negative, NaN, ±inf or an integer beyond the
-    float range. Grid entries may also be out of their type: an SNR beyond
-    the float range, or a fractional antenna count.
+    Taps reach MN - 1, ``n_rf`` min(n_tx, n_rx, n_paths) and the SNRs -100 dB
+    and +inf. Three antennas on one path compress a side, and more transmit
+    than receive antennas make the core wide.
     """
     cfg = {name: draw(st.integers(1, 3)) for name in ("n_tx", "n_rx", "n_paths")}
-    for name in ("m_delay", "n_doppler", "n_frames", "trials"):
-        cfg[name] = draw(st.integers(1, 2))
+    cfg["n_rf"] = draw(_edge_or_any(1, min(cfg["n_tx"], cfg["n_rx"], cfg["n_paths"])))
+    # Kendall alignment needs two sub-channels
+    grids = [(m, n) for m in (1, 2) for n in (1, 2) if cfg["n_rf"] * m * n >= 2]
+    cfg["m_delay"], cfg["n_doppler"] = draw(st.sampled_from(grids))
     mn = cfg["m_delay"] * cfg["n_doppler"]
-    cfg["n_rf"] = draw(st.integers(1, min(cfg["n_tx"], cfg["n_rx"])))
-    cfg["max_delay_tap"] = draw(st.integers(0, mn - 1))
-    cfg["max_doppler_tap"] = draw(st.integers(0, mn - 1))
-    cfg["seed"] = draw(st.integers(0, 2**32))
+    for name in ("max_delay_tap", "max_doppler_tap"):
+        cfg[name] = draw(_edge_or_any(0, mn - 1))
+    for name in ("n_frames", "trials"):
+        cfg[name] = draw(st.integers(1, 2))
+    cfg["seed"] = draw(st.integers(0, 2**64))
+    cfg["snr_db"] = draw(SNRS)
+    cfg["precoder_mode"] = draw(st.sampled_from(PRECODER_MODES))
+    cfg["allocation_mode"] = draw(st.sampled_from(ALLOCATION_MODES))
+    cfg["sweep"] = draw(st.sampled_from(cli.SWEEP_KINDS))
+    cfg["snr_grid_db"] = draw(st.lists(SNRS, min_size=1, max_size=2))
+    cfg["n_tx_grid"] = draw(st.lists(st.integers(cfg["n_rf"], 3), min_size=1, max_size=2))
     for name in ("carrier_freq_hz", "subcarrier_spacing_hz"):
         cfg[name] = draw(FREQUENCIES)
-    bad = draw(st.none() | st.sampled_from(sorted(cfg)))
-    if bad is not None:  # a frequency out of its range, or an integer field gone negative
-        cfg[bad] = draw(BAD_FREQUENCIES if bad.endswith("_hz") else st.integers(-3, -1))
-    cfg["sweep"] = draw(st.sampled_from(["snr", "antennas", "single"]))
-    cfg["snr_db"] = draw(SNRS)
-    cfg["snr_grid_db"] = draw(st.lists(GRID_SNRS, min_size=1, max_size=2))
-    n_tx = st.integers(0, 3) | st.floats(0.0, 3.9).filter(lambda v: not v.is_integer())
-    cfg["n_tx_grid"] = draw(st.lists(n_tx, min_size=1, max_size=2))
     return cfg
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_configs())
-@example({  # every tap 0 on one antenna pair: the Gram matrix is c I, its tridiagonal splits everywhere
-    "n_tx": 1, "n_rx": 1, "n_paths": 3, "m_delay": 1, "n_doppler": 2, "n_frames": 1, "trials": 1,
-    "n_rf": 1, "max_delay_tap": 0, "max_doppler_tap": 0, "seed": 1048577, "sweep": "snr",
-    "snr_db": 0.0, "snr_grid_db": [0.0], "n_tx_grid": [1],
-})
-def test_any_config_is_a_named_config_error_or_finite_metrics(cfg):
+def _bad_grid(entries, valid):
+    """A grid that is empty or no list, or a list of one of ``entries`` and at most one ``valid`` entry after it."""
+    return st.sampled_from([[], 0, "snr", None]) | st.builds(lambda bad, rest: [bad, *rest], entries,
+                                                                st.lists(valid, max_size=1))
+
+
+def _bad_values(cfg):
+    """Per field, the values outside its range or of another type, given the rest of the valid ``cfg``."""
+    mn = cfg["m_delay"] * cfg["n_doppler"]
+    return {
+        # beyond 2**28 a size alone exceeds MAX_ARRAY_ENTRIES
+        **{name: NOT_INTEGERS | st.integers(max_value=0) | st.integers(2**28 + 1, 10**400) for name in SIZES},
+        **{name: NOT_INTEGERS | st.integers(max_value=-1) | st.integers(min_value=mn)
+           for name in ("max_delay_tap", "max_doppler_tap")},
+        "seed": NOT_INTEGERS | st.integers(max_value=-1),
+        "snr_db": NOT_NUMBERS | BAD_SNRS,
+        **{name: NOT_NUMBERS | st.text().filter(lambda v, kinds=kinds: v not in kinds)
+           for name, kinds in (("precoder_mode", PRECODER_MODES), ("allocation_mode", ALLOCATION_MODES),
+                               ("sweep", cli.SWEEP_KINDS))},
+        "snr_grid_db": _bad_grid(NOT_NUMBERS | BAD_SNRS, SNRS),
+        # an antenna count below n_rf cannot carry its chains
+        "n_tx_grid": _bad_grid(NOT_INTEGERS | st.integers(max_value=cfg["n_rf"] - 1),
+                               st.integers(cfg["n_rf"], 3)),
+        "trials": NOT_INTEGERS | st.integers(max_value=0) | st.integers(min_value=MAX_TRIALS + 1),
+        "output": st.sampled_from(["", 0, ["out.csv"], True]),
+        **{name: NOT_NUMBERS | BAD_FREQUENCIES for name in ("carrier_freq_hz", "subcarrier_spacing_hz")},
+    }
+
+
+def _sweep(cfg):
+    """``otfslink sweep`` of the config ``cfg``: its exit status, stderr and rows' metrics, or None without a file."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out.csv")
         with open(path, "w") as fh:
@@ -475,16 +507,40 @@ def test_any_config_is_a_named_config_error_or_finite_metrics(cfg):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["sweep", path, "--output", out])
-        event(f"exit {code}")
-        if code == 2:
-            message = err.getvalue()
-            assert "config error" in message
-            assert any(field in message for field in _SIM_KEYS | _EXP_KEYS), message
-            assert not os.path.exists(out)
-        else:
-            assert code == 0, err.getvalue()
-            # snr_db echoes the grid and may be +inf (noiseless); the metrics are finite
-            assert all(math.isfinite(v) for v in _metric_values(out))
+        return code, err.getvalue(), _metric_values(out) if os.path.exists(out) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+@example({  # every tap 0 on one antenna pair: the Gram matrix is c I, its tridiagonal splits everywhere
+    "n_tx": 1, "n_rx": 1, "n_paths": 3, "m_delay": 1, "n_doppler": 2, "n_frames": 1, "trials": 1,
+    "n_rf": 1, "max_delay_tap": 0, "max_doppler_tap": 0, "seed": 1048577, "sweep": "snr",
+    "snr_db": 0.0, "snr_grid_db": [0.0], "n_tx_grid": [1],
+})
+def test_a_config_of_fields_in_range_runs_to_finite_metrics(cfg):
+    if cfg["sweep"] != "antennas":  # an antenna sweep has n_rx = n_tx
+        event("wide core" if cfg["n_tx"] > cfg["n_rx"] else "tall core")
+        event("a compressed side" if max(cfg["n_tx"], cfg["n_rx"]) > cfg["n_paths"] else "no compressed side")
+    event(f"sweep {cfg['sweep']}")
+    code, err, metrics = _sweep(cfg)
+    assert code == 0, err
+    # snr_db echoes the grid and may be +inf (noiseless); the metrics are finite
+    assert metrics and all(math.isfinite(v) for v in metrics)
+
+
+@pytest.mark.parametrize("field", sorted(_SIM_KEYS | _EXP_KEYS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_config_with_one_bad_field_is_a_config_error_naming_it(field, data):
+    cfg = data.draw(valid_configs())
+    bad = _bad_values(cfg)
+    assert set(bad) == _SIM_KEYS | _EXP_KEYS  # every field has its bad values
+    cfg[field] = data.draw(bad[field])
+    code, err, metrics = _sweep(cfg)
+    assert code == 2, err
+    # the field's own name, not another that it begins (n_tx_grid for n_tx)
+    assert re.search(rf"config error: {field}\b", err), err
+    assert metrics is None
 
 
 def test_runtime_imports_load_no_scipy():

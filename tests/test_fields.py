@@ -1,5 +1,6 @@
-"""The integer and number rules, as every numeric config and channel field applies them."""
+"""The integer and number rules, as numeric config and channel fields and integer arguments apply them."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 
 from otfslink.channel import DdMimoChannel, PathParams
 from otfslink.cli import ExperimentConfig
+from otfslink.dd_transforms import otfs_demodulate, unstack_chains
 from otfslink.link_sim import SimConfig, run_sweep, snr_points
+from otfslink.losses import cross_entropy
+from otfslink.precoding import build_precoder_combiner, dd_transform_matrices, decompose
+from otfslink.validation import DenseCore, cyclic_shift_matrix
 
 SMALL = SimConfig(
     n_tx=2, n_rx=2, n_rf=1, m_delay=2, n_doppler=2, n_frames=2, n_paths=3,
@@ -74,3 +79,53 @@ def test_a_long_double_beyond_the_float_range_is_not_taken_as_infinite():
     with pytest.raises(ValueError, match="snr_db must be within the float range"):
         replace(SMALL, snr_db=np.longdouble("1e400"))
     assert replace(SMALL, snr_db=np.longdouble("inf")).snr_db == np.inf
+
+
+def _decomposition():
+    return decompose(DenseCore(np.diag([4.0, 3.0, 2.0, 1.0]).astype(complex)), 4)
+
+
+# (id: function.argument, call of the argument's value, a valid value, an out-of-range value)
+ARGUMENTS = [
+    ("otfs_demodulate.m", lambda v: otfs_demodulate(np.arange(6.0), v, 3), 2, 0),
+    ("otfs_demodulate.n", lambda v: otfs_demodulate(np.arange(6.0), 2, v), 3, 0),
+    ("unstack_chains.n_chains", lambda v: unstack_chains(np.arange(6.0), v), 2, 0),
+    ("decompose.k", lambda v: decompose(DenseCore(np.diag([3.0, 2.0, 1.0]).astype(complex)), v), 2, 0),
+    ("dd_transform_matrices.n_rf", lambda v: dd_transform_matrices(v, 2, 3), 2, 0),
+    ("dd_transform_matrices.m", lambda v: dd_transform_matrices(2, v, 3), 2, 0),
+    ("dd_transform_matrices.n", lambda v: dd_transform_matrices(2, 2, v), 3, 0),
+    ("build_precoder_combiner.m", lambda v: build_precoder_combiner(_decomposition(), v, 2), 2, 0),
+    ("build_precoder_combiner.n", lambda v: build_precoder_combiner(_decomposition(), 2, v), 2, 0),
+    ("cross_entropy.true_label", lambda v: cross_entropy(v, [0.25, 0.75]), 1, 2),
+    ("cyclic_shift_matrix.size", lambda v: cyclic_shift_matrix(v, 1), 3, 0),
+]
+
+
+def _parts(result):
+    """A function's result as a list of arrays: a dataclass's fields, a tuple's items, or the one value."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, field.name) for field in dataclasses.fields(result)]
+    return [np.asarray(part) for part in (result if isinstance(result, (tuple, list)) else [result])]
+
+
+@pytest.mark.parametrize("argument, call, value, out_of_range", ARGUMENTS, ids=[a[0] for a in ARGUMENTS])
+def test_integer_arguments_follow_the_integer_rule_by_name(argument, call, value, out_of_range):
+    name = argument.split(".")[1]
+    expected = _parts(call(value))
+    for got in (_parts(call(np.int64(value))), _parts(call(np.int32(value)))):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for bad in (float(value), np.float64(value), True, np.True_):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            call(bad)
+    with pytest.raises(ValueError, match=rf"^{name} must be (>= 1|in \[0, 1\]), got {out_of_range}$"):
+        call(out_of_range)
+
+
+@pytest.mark.parametrize("label", [0.5, 1.0, True, np.True_, -1, 2],
+                         ids=["0.5", "1.0", "True", "np.True_", "-1", "2"])
+def test_cross_entropy_names_a_bad_true_label(label):
+    # a fractional label once ended in numpy's IndexError, and a bool in a TypeError
+    with pytest.raises(ValueError, match="true_label"):
+        cross_entropy(label, [0.5, 0.5])

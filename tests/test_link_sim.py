@@ -522,6 +522,31 @@ class TestSweepLoop:
             rows = run_sweep(points, trials=2)
             assert all(math.isfinite(row.mse) for row in rows)
 
+    @pytest.mark.skipif(precoding._gram_routines() is None, reason="numpy's BLAS lacks the LAPACK route")
+    @pytest.mark.parametrize(
+        "points",
+        [
+            snr_points(SimConfig(n_tx=4, n_rx=4, m_delay=4, n_doppler=4, n_paths=6, n_frames=2), [-6.0, 12.0]),
+            # 5 antennas on 3 paths: both sides compressed
+            antenna_points(SimConfig(n_rx=4, n_rf=1, m_delay=4, n_doppler=2, n_paths=3), [2, 5]),
+        ],
+        ids=["snr", "antennas"],
+    )
+    def test_the_eigh_fallback_sweeps_to_the_rows_of_the_lapack_route(self, monkeypatch, points):
+        # ser is left out: its QAM decisions hang on the singular vectors' phases, which
+        # each route picks by its own rounding; the other averages do not. These draws'
+        # k + 1 leading singular values lie at least 2e-5 sigma_max apart: of a near-tied
+        # pair each route picks its own basis, which moves weighted_mse
+        lapack = run_sweep(points, trials=3)
+        fallbacks = []
+        monkeypatch.setattr(precoding, "_gram_routines", lambda: fallbacks.append("eigh"))  # None: no routines
+        eigh = run_sweep(points, trials=3)
+        assert fallbacks and points[0].precoder_mode == "dd_corrected"
+        for a, b in zip(lapack, eigh, strict=True):
+            assert (a.snr_db, a.n_tx, a.n_rx, a.trials) == (b.snr_db, b.n_tx, b.n_rx, b.trials)
+            for column in ("mse", "weighted_mse", "kappa_exact", "kappa_soft", "gamma_max", "gamma_min"):
+                assert getattr(b, column) == pytest.approx(getattr(a, column), rel=1e-9, abs=0), column
+
 
 class TestRealizationSlot:
     CFG = replace(SMALL, n_rf=2)

@@ -129,3 +129,22 @@ def test_nan_fails_every_range_check(call):
     # written as `x < 0`, a check lets NaN through, and the loss comes out NaN or finite and wrong
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: l2_loss(np.nan, 0.1, 0.5), "ce"),
+        (lambda: l2_loss(-np.inf, 0.1, 0.5), "ce"),
+        (lambda: l2_loss(1.0, 0.1, np.inf), "kappa"),
+        (lambda: l2_loss(1.0, 0.1, np.nan), "kappa"),
+        (lambda: l2_loss(True, 0.1, 0.5), "ce"),
+        (lambda: l1_loss(np.nan, 1.0, 0.5), "rate_y"),
+        (lambda: l1_loss(1.0, np.inf, 0.5), "rate_z"),
+    ],
+    ids=["l2_ce_nan", "l2_ce_-inf", "l2_kappa_inf", "l2_kappa_nan", "l2_ce_bool", "l1_rate_y_nan", "l1_rate_z_inf"],
+)
+def test_non_finite_terms_are_refused_by_name(call, name):
+    # l2_loss(nan, ...) once returned nan, and an infinite kappa -inf
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()

@@ -222,3 +222,29 @@ class TestEqualize:
         eq, erased = equalize(x, np.array([2.0, 1e-12]))
         np.testing.assert_array_equal(eq, [[1.0, 0.0], [2.0, 0.0]])
         np.testing.assert_array_equal(erased, [False, True])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: equalize([1.0 + 0j], [np.nan]), "gains"),
+        (lambda: equalize([1.0 + 0j], [np.inf]), "gains"),
+        (lambda: equalize([complex(np.nan, 0.0)], [1.0]), "x_hat"),
+        (lambda: equalize([complex(0.0, -np.inf)], [1.0]), "x_hat"),
+        (lambda: square_qam_ser(np.nan), "snr_linear"),
+        (lambda: square_qam_ser(-1.0), "snr_linear"),
+        (lambda: square_qam_ser(-np.inf), "snr_linear"),
+        (lambda: square_qam_ser(np.array([1.0, np.nan])), "snr_linear"),
+    ],
+    ids=["gain_nan", "gain_inf", "x_hat_nan", "x_hat_-inf", "ser_nan", "ser_negative", "ser_-inf", "ser_array_nan"],
+)
+def test_arguments_that_would_give_nan_are_refused_by_name(call, name):
+    # a NaN gain once came out as a NaN symbol, with a RuntimeWarning; a negative SNR warned in sqrt
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
+
+
+def test_the_ser_takes_every_snr_from_zero_to_infinity():
+    assert square_qam_ser(0.0) == 1.0 - (1.0 - 2.0 * (7.0 / 8.0) * 0.5) ** 2
+    assert square_qam_ser(np.inf) == 0.0
+    np.testing.assert_array_equal(square_qam_ser(np.array([np.inf, np.inf])), [0.0, 0.0])

@@ -93,10 +93,12 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(DenseCore(h), 2)
 
-    @pytest.mark.parametrize("layout", ["square", "packed"])
+    @pytest.mark.parametrize("layout", ["square", "packed", "eigh"])
     def test_checks_hold_for_both_layouts(self, monkeypatch, layout):
         if layout == "square":
             monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", 0)
+        elif layout == "eigh":  # a square, as np.linalg.eigh takes it
+            monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
         sizes = []
         real = precoding.gram_zeros
 
@@ -117,7 +119,7 @@ class TestDecompose:
         with pytest.raises(RankDeficientChannelError, match="channel rank 1 cannot carry 2 streams"):
             decompose(core(np.diag([2.0, 0.0, 0.0])), 2)
         # sides 2, 3, 0 and 3: squares, or packed triangles
-        assert sizes == {"square": [4, 9, 0, 9], "packed": [3, 6, 0, 6]}[layout]
+        assert sizes == {"square": [4, 9, 0, 9], "packed": [3, 6, 0, 6], "eigh": [4, 9, 0, 9]}[layout]
 
 
 class TestPrecoderCombiner:
@@ -184,7 +186,7 @@ class TestPrecoderCombiner:
     @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
     def test_an_empty_grid_is_refused(self, mode):
         dec = decompose(DenseCore(np.eye(4)), 4)
-        with pytest.raises(ValueError, match=r"m, n >= 1, got \(m, n\) = \(2, 0\)"):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
             build_precoder_combiner(dec, 2, 0, mode)
 
     @pytest.mark.parametrize("mode", ["paper_literal", "dd_corrected"])
@@ -688,25 +690,31 @@ def test_a_gram_matrix_above_the_mapping_size_is_mapped_with_the_same_bits(monke
 
 
 @pytest.mark.parametrize(
-    "n_rx, m_delay, n_doppler, layout",
-    [(8, 8, 8, "packed"), (10, 8, 8, "packed"), (8, 16, 16, "mapped")],
-    ids=["512", "640", "2048"],
+    "n_rx, m_delay, n_doppler, route, layout",
+    [(8, 8, 8, "lapack", "packed"), (10, 8, 8, "lapack", "packed"), (8, 16, 16, "lapack", "mapped"),
+     (8, 8, 8, "eigh", "mapped"), (10, 8, 8, "eigh", "mapped"), (8, 16, 16, "eigh", "mapped")],
+    ids=["512", "640", "2048", "512_eigh", "640_eigh", "2048_eigh"],
 )
-def test_the_size_of_the_gram_matrix_selects_its_layout(n_rx, m_delay, n_doppler, layout):
-    # the Gram sides of the benchmark's snr_default, the largest of antenna_sweep, and grid16
+def test_the_size_of_the_gram_matrix_selects_its_layout(monkeypatch, n_rx, m_delay, n_doppler, route, layout):
+    # the Gram sides of the benchmark's snr_default, the largest of antenna_sweep, and grid16;
+    # np.linalg.eigh takes a square, which is mapped at every size
     cfg = SimConfig(n_tx=n_rx, n_rx=n_rx, m_delay=m_delay, n_doppler=n_doppler, n_paths=10)
     core = spatial_core(sample_channel(cfg, 0))
     assert core.side == min(n_rx, 10) * m_delay * n_doppler
+    if route == "eigh":
+        monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
     assert _layout(*precoding.gram_matrix(core)) == layout
 
 
 @pytest.mark.parametrize(
-    "n_tx, n_rx, m_delay, n_doppler, layout",
-    [(8, 8, 8, 8, "packed"), (9, 9, 8, 16, "mapped"), (8, 8, 8, 8, "square"),
-     (8, 9, 8, 8, "packed"), (9, 8, 8, 8, "packed"), (9, 10, 8, 16, "mapped"), (10, 9, 8, 16, "mapped")],
+    "n_tx, n_rx, m_delay, n_doppler, route, layout",
+    [(8, 8, 8, 8, "lapack", "packed"), (9, 9, 8, 16, "lapack", "mapped"), (8, 8, 8, 8, "eigh", "mapped"),
+     (8, 9, 8, 8, "lapack", "packed"), (9, 8, 8, 8, "lapack", "packed"), (9, 10, 8, 16, "lapack", "mapped"),
+     (10, 9, 8, 16, "lapack", "mapped")],
     ids=["512", "1152", "512_eigh", "512_tall", "512_wide", "1152_tall", "1152_wide"],
 )
-def test_dense_and_spatial_cores_of_equal_side_get_one_layout(monkeypatch, n_tx, n_rx, m_delay, n_doppler, layout):
+def test_dense_and_spatial_cores_of_equal_side_get_one_layout(monkeypatch, n_tx, n_rx, m_delay, n_doppler, route,
+                                                              layout):
     # gram_matrix allocates G for either core, so the side and the route alone pick its layout;
     # an extra receive (transmit) antenna makes the core tall (wide) at the same Gram side
     cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, m_delay=m_delay, n_doppler=n_doppler, n_paths=10)
@@ -721,7 +729,7 @@ def test_dense_and_spatial_cores_of_equal_side_get_one_layout(monkeypatch, n_tx,
         return g, offsets
 
     monkeypatch.setattr(precoding, "gram_zeros", recorded)
-    if layout == "square":
+    if route == "eigh":
         monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
     for c in (core, DenseCore(np.eye(core.side))):
         decompose(c, 1)
