@@ -211,6 +211,11 @@ class SpatialCore:
         """Size of the Gram matrix: ``min(n_rx, n_tx, L)*MN``."""
         return self.r_in.shape[0] * self.mn
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """A's shape: ``(n_out*MN, n_in*MN)``."""
+        return self.a_out.shape[0] * self.mn, self.a_in.shape[0] * self.mn
+
     def gram(self):
         """``(q_in kron I)^H A^H A (q_in kron I) / scale**2``, A's Gram matrix on the Gram side, as delay slabs.
 
@@ -260,8 +265,10 @@ class SpatialCore:
         k = z.shape[1]
         return (self.q_in @ z.T.reshape(k, -1, self.mn)).reshape(k, -1).T
 
-    def times(self, x: np.ndarray) -> np.ndarray:
+    def times(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A x / scale`` for the ``(n_in*MN, k)`` array ``x``: ``H x``, or ``H^H x`` when ``wide``.
+
+        Written into ``out``, of A's rows by ``x``'s columns, when it is given.
 
         One product with ``a_in^H`` takes x to one ``MN x k`` slab per path,
         one gather shifts every path's slab and one product rotates it, and
@@ -273,7 +280,7 @@ class SpatialCore:
         """
         mn, paths = self.mn, self.gains.size
         n_out = self.a_out.shape[0]
-        out = np.empty((n_out * mn, x.shape[1]), dtype=complex)
+        out = np.empty((n_out * mn, x.shape[1]), dtype=complex) if out is None else out
         step = max(1, n_out * x.shape[1] // (max(paths, n_out) * _TIMES_BLOCKS))
         # row q of path i's slab, times its phase, lands on row (q + l_i) mod MN: row p
         # of all the shifted slabs, stacked, takes that of the stacked slabs at rows[p]

@@ -90,9 +90,11 @@ MAX_TRIALS = 10**6
 # precoding.gram_matrix allocates it and picks its layout: packed,
 # side*(side+1)/2 entries, up to a side of 896, and above it a mapped square of
 # which only the triangle's pages are committed), then the other side's k
-# vectors, and the workspaces of zhetrd or zhptrd, dsterf, zstein and zunmtr or
-# zupmtr are O(side), so no side**2-sized workspace is reserved or can fail to
-# allocate (see precoding.decompose).
+# vectors, and the workspaces of zhetrd or zhptrd, dsterf, dstein and zunmqr or
+# zupmtr are O(side) vectors, so no side**2-sized workspace is reserved or can
+# fail to allocate. On a mapped square the k eigenvectors come real and are
+# widened to complex as the back-transform hands G's spent rows back (see
+# precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of each per-chunk array of a burst: run_link passes as many frames
@@ -216,20 +218,27 @@ _AVERAGED_COLUMNS = ("ser", "mse", "weighted_mse", "kappa_exact", "kappa_soft", 
 
 
 def snr_to_noise_var(snr_db: float) -> float:
-    """Per-complex-component noise variance at unit symbol energy: 10**(-snr_db/10)."""
-    return float(10.0 ** (-float(snr_db) / 10.0))
+    """Per-complex-component noise variance at unit symbol energy: 10**(-snr_db/10).
+
+    ``snr_db`` is a number >= :data:`MIN_SNR_DB`, or +inf for a noiseless
+    link (variance 0); a ``ValueError`` names it otherwise.
+    """
+    snr_db = _fields.number("snr_db", snr_db)
+    if not snr_db >= MIN_SNR_DB:  # also rejects NaN
+        raise ValueError(f"snr_db must be >= {MIN_SNR_DB:g} dB or +inf (noiseless), got {snr_db}")
+    return float(10.0 ** (-snr_db / 10.0))
 
 
 def sample_importance(rng, n: int) -> np.ndarray:
-    """Heavy-tailed synthetic importance scores: log-normal(0, 1)."""
+    """``n`` heavy-tailed synthetic importance scores: log-normal(0, 1). ``n`` is an integer >= 0."""
     rng = np.random.default_rng(rng)
-    return rng.lognormal(mean=0.0, sigma=1.0, size=n)
+    return rng.lognormal(mean=0.0, sigma=1.0, size=_fields.integer("n", n, 0))
 
 
 def sample_payload(rng, n: int) -> np.ndarray:
-    """Uniform random symbol labels in [0, 64)."""
+    """``n`` uniform random symbol labels in [0, 64). ``n`` is an integer >= 0."""
     rng = np.random.default_rng(rng)
-    return rng.integers(0, modem.QAM_ORDER, size=n)
+    return rng.integers(0, modem.QAM_ORDER, size=_fields.integer("n", n, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +270,9 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     The precoder/combiner is folded in the arrays the decomposition
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
     which owns them from then on. So a realization's memory peaks inside
-    the decomposition, at G's stored triangle plus the k eigenvectors, G
-    being the Gram matrix (see :func:`~otfslink.precoding.gram_matrix`).
+    the decomposition, at G's stored triangle plus the k eigenvectors (as
+    reals, and a chunk of them complex, on a mapped square), G being the
+    Gram matrix (see :func:`~otfslink.precoding.gram_matrix`).
     The taps that :func:`~otfslink.channel.apply_channel` takes are built
     last; they hold (max delay + 1)*MN*n_rx*n_tx entries, never more than
     H's.

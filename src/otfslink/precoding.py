@@ -8,10 +8,12 @@ returns exactly the k leading triplets of H, or raises
 :class:`RankDeficientChannelError`. It takes them from the leading
 eigenpairs of the Gram matrix of H's spatial core on its smaller side
 (:class:`otfslink.channel.SpatialCore`): LAPACK's tridiagonal reduction,
-all eigenvalues of the tridiagonal without vectors, and vectors for the
-k largest only. Neither the core nor H is formed: the channel module
-describes that Gram matrix by delay slabs summed from the path pairs,
-lifts its eigenvectors to H's coordinates and applies H path by path.
+all eigenvalues of the tridiagonal without vectors, real vectors for the
+k largest only, and the back-transform that takes them to G's
+coordinates, which on a square G hands back G's rows as it spends them.
+Neither the core nor H is formed: the channel module describes that
+Gram matrix by delay slabs summed from the path pairs, lifts its
+eigenvectors to H's coordinates and applies H path by path.
 :func:`gram_matrix` writes the slabs into the storage of one allocator,
 :func:`gram_zeros`, which keeps only G's stored triangle, in the layout
 its size and the route select. It is packed up to a side of 896,
@@ -58,15 +60,17 @@ RANK_TOLERANCE = 1e-6
 
 # The LAPACKE routines of decompose's eigenpair route, with 64-bit integers,
 # under the names the OpenBLAS builds that numpy ships export them by: the
-# reduction and back-transform of a square Gram matrix (zhetrd, zunmtr) and of a
-# packed one (zhptrd, zupmtr), and the tridiagonal solvers both share. zunmtr
-# is taken in its _work form, which leaves the workspace to the caller:
-# LAPACKE_zunmtr scans the whole square for NaN, which commits the pages of the
-# triangle the Gram matrix leaves unwritten. zupmtr needs no workspace query.
+# reduction of a square Gram matrix (zhetrd) and of a packed one (zhptrd), the
+# tridiagonal solvers both share (dsterf for the eigenvalues, dstein for the
+# real vectors), and the back-transforms: zunmqr applies a square's reflectors
+# in chunks (see _BACK_TRANSFORM_CHUNK) and zupmtr a packed one's at once. Both
+# are taken in their _work form, which leaves the workspace to the caller:
+# LAPACKE_zunmqr scans the whole rectangle of reflectors for NaN, which commits
+# the pages of the triangle the Gram matrix leaves unwritten.
 _LAPACKE_SYMBOLS = {
     name: (f"scipy_LAPACKE_{symbol}64_", f"LAPACKE_{symbol}64_")
     for name, symbol in (("zhetrd", "zhetrd"), ("zhptrd", "zhptrd"), ("dsterf", "dsterf"),
-                         ("zstein", "zstein"), ("zunmtr", "zunmtr_work"), ("zupmtr", "zupmtr_work"))
+                         ("dstein", "dstein"), ("zunmqr", "zunmqr_work"), ("zupmtr", "zupmtr_work"))
 }
 _Routines = collections.namedtuple("_Routines", list(_LAPACKE_SYMBOLS))
 _LAPACK_COL_MAJOR = 102
@@ -79,6 +83,12 @@ _LAPACK_COL_MAJOR = 102
 # of the blocked square pair, zhetrd and zunmtr, at sides 256 to 768, tied with
 # it at 832 and 896 and lost beyond (1.03 at 960, 1.13 at 1152; k = side/4).
 _GRAM_MAPPING_BYTES = 896**2 * 16
+
+# The square route applies its Gram matrix's reflectors in chunks of this many
+# (see _apply_reflectors), handing back G's rows as each chunk spends them. A
+# multiple of zunmqr's block of 32 reflectors, so that the chunks apply the
+# blocks a single call would.
+_BACK_TRANSFORM_CHUNK = 256
 
 
 def _mapped_zeros(count: int) -> np.ndarray:
@@ -184,9 +194,9 @@ def _gram_routines():
         "zhptrd": [enum, char, i64, ptr, ptr, ptr, ptr],  # layout, uplo, n, ap, d, e, tau
         "dsterf": [i64, ptr, ptr],  # n, d, e
         # layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
-        "zstein": [enum, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr],
-        # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
-        "zunmtr": [enum, char, char, char, i64, i64, ptr, i64, ptr, ptr, i64, ptr, i64],
+        "dstein": [enum, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr],
+        # layout, side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork
+        "zunmqr": [enum, char, char, i64, i64, i64, ptr, i64, ptr, ptr, i64, ptr, i64],
         # layout, side, uplo, trans, m, n, ap, tau, c, ldc, work
         "zupmtr": [enum, char, char, char, i64, i64, ptr, ptr, ptr, i64, ptr],
     }
@@ -221,22 +231,32 @@ def _lapack_eigenpairs(routines, g: np.ndarray, offsets: np.ndarray, k: int):
     that is as ``g^T = conj(g)``, and uses its lower triangle: the
     C-ordered entries with column >= row, g's stored triangle. A square
     ``g`` holds it in place, and nothing here reads or writes the other
-    triangle, which may hold anything; a packed ``g`` holds it in LAPACK's
-    lower packed storage. ``zhetrd`` (``zhptrd`` when packed)
-    reduces it in place to a real tridiagonal T = Q^H conj(g) Q; ``dsterf``
-    takes all of T's eigenvalues by root-free QR, without vectors;
-    ``zstein`` finds the vectors of the k largest by inverse iteration and
-    ``zunmtr`` (``zupmtr``) applies Q to them, ``zunmtr`` through a
-    workspace it is asked for first. They land as the rows of the C-ordered
-    ``zh``, so ``zh = Z^H`` for eigenvectors Z of g. Beyond g plus the k
-    eigenvectors, LAPACKE's workspaces and the back-transform's are O(side)
-    or O(k). ``zhptrd`` is unblocked and ``zhetrd`` blocked, running part
-    of its work as matrix products: the first was the faster up to a side
-    of about 900, the second beyond (see :data:`_GRAM_MAPPING_BYTES`).
+    triangle, which may hold anything, until the back-transform hands
+    ``g``'s spent rows back to the host, both triangles' entries in their
+    pages, to read as zeros; a packed ``g`` holds it in LAPACK's lower
+    packed storage. Either way ``g`` is spent on return. ``zhetrd``
+    (``zhptrd`` when packed) reduces it in place to a real tridiagonal T =
+    Q^H conj(g) Q; ``dsterf`` takes all of T's eigenvalues by root-free QR,
+    without vectors; ``dstein`` finds the vectors of the k largest by
+    inverse iteration, real, as T is, and Q takes them to g's coordinates:
+    ``zupmtr`` applies a packed g's Q at once, after the vectors are
+    widened to complex, and ``zunmqr`` a square one's in chunks, which
+    widen the vectors as far as they reach and hand back the rows of g they
+    spent (:func:`_apply_reflectors`), each through a workspace it is asked
+    for first. The vectors land as the rows of the C-ordered ``zh``, so ``zh
+    = Z^H`` for eigenvectors Z of g: a square g's in a fresh private
+    mapping (:func:`_mapped_zeros`), whose pages are committed as the
+    vectors widen. Beyond g plus the k eigenvectors, LAPACKE's workspaces
+    and the back-transform's are O(side) or O(k) vectors; so on the square
+    route the memory peaks at g's stored triangle plus the k vectors as
+    reals, and about a chunk of them widened. ``zhptrd`` is unblocked and
+    ``zhetrd`` blocked, running part of its work as matrix products: the
+    first was the faster up to a side of about 900, the second beyond (see
+    :data:`_GRAM_MAPPING_BYTES`).
 
     T is split where LAPACK's bisection ``dstebz`` splits it, at each e_j
     with e_j**2 below ulp**2 |d_j d_(j+1)| + safmin, and every block is
-    solved on its own: ``zstein`` takes the eigenvalues grouped by block,
+    solved on its own: ``dstein`` takes the eigenvalues grouped by block,
     ascending within each, and does not converge on a block that is in
     fact split (G = c I, say). ``g`` is first scaled by a power of two when
     its entries lie outside LAPACK's safe range for the eigensolvers,
@@ -268,26 +288,67 @@ def _lapack_eigenpairs(routines, g: np.ndarray, offsets: np.ndarray, k: int):
     w = np.zeros(side)  # LAPACKE checks all side entries of w for NaN
     w[:k] = lam[chosen]
     iblock, ifail = block[chosen], np.empty(k, np.int64)
-    zh = np.empty((k, side), np.complex128)
-    _check("zstein", routines.zstein(_LAPACK_COL_MAJOR, side, d.ctypes.data, e.ctypes.data, k, w.ctypes.data,
-                                     iblock.ctypes.data, isplit.ctypes.data, zh.ctypes.data, side,
+    zh = np.empty((k, side), np.complex128) if packed else _mapped_zeros(k * side).reshape(k, side)
+    # vector j lands, real, in the first half of zh's row j (ldz = 2*side), and is widened where it is needed
+    _check("dstein", routines.dstein(_LAPACK_COL_MAJOR, side, d.ctypes.data, e.ctypes.data, k, w.ctypes.data,
+                                     iblock.ctypes.data, isplit.ctypes.data, zh.ctypes.data, 2 * side,
                                      ifail.ctypes.data))
     if packed:
+        _widen(zh, 0, side)
         work = np.empty(k, np.complex128)
         _check("zupmtr", routines.zupmtr(_LAPACK_COL_MAJOR, b"L", b"L", b"N", side, k, g.ctypes.data,
                                          tau.ctypes.data, zh.ctypes.data, side, work.ctypes.data))
     else:
-        args = (_LAPACK_COL_MAJOR, b"L", b"L", b"N", side, k, g.ctypes.data, side, tau.ctypes.data,
-                zh.ctypes.data, side)
-        query = np.empty(1, np.complex128)
-        _check("zunmtr", routines.zunmtr(*args, query.ctypes.data, -1))
-        work = np.empty(int(query[0].real), np.complex128)
-        _check("zunmtr", routines.zunmtr(*args, work.ctypes.data, work.size))
+        _apply_reflectors(routines, g, tau, zh)
     lam = w[:k] / scale
     if isplit.size > 1:  # the blocks' eigenvalues interleave
         order = np.argsort(lam, kind="stable")
         lam, zh = lam[order], zh[order]
     return lam, zh
+
+
+def _widen(zh: np.ndarray, start: int, stop: int) -> None:
+    """Entries ``start:stop`` of every row of ``zh``, held as reals in the row's first half, become complex in place.
+
+    Complex entry i takes the place of reals 2i and 2i + 1, so the entries
+    ``stop`` and on must be complex already. Row by row, through a copy of
+    the row's reals: one copy of them all, as numpy makes for an assignment
+    between views whose rows interleave, raised ``grid16``'s peak RSS by 1.6 MiB.
+    """
+    for row, real in zip(zh, zh.view(np.float64)):
+        row[start:stop] = real[start:stop].copy()
+
+
+def _apply_reflectors(routines, g: np.ndarray, tau: np.ndarray, zh: np.ndarray) -> None:
+    """``Q`` of ``zhetrd``'s reduction of the mapped square ``g``, applied in place to the real vectors in ``zh``'s rows.
+
+    ``Q = H_0 H_1 ... H_(side-2)``, and reflector j, stored in ``g``'s row j
+    past its diagonal, acts only on a vector's entries j + 1 and on. So
+    ``zunmqr`` applies them in chunks of :data:`_BACK_TRANSFORM_CHUNK`,
+    last chunk first. The entries a chunk is about to touch are widened to
+    complex first; once it is applied, ``g``'s rows from the chunk's first
+    on are spent, and their pages, from the first page boundary at or after
+    that row, go back to the host, to read as zeros. So the complex vectors
+    grow into the memory ``g`` hands back.
+    """
+    k, side = zh.shape
+    entry, mapping = zh.itemsize, g.base.obj  # the mmap of _mapped_zeros
+
+    def chunk(start):  # the chunk of reflectors from start on, and the vectors' entries it acts on
+        return (_LAPACK_COL_MAJOR, b"L", b"N", side - 1 - start, k, min(_BACK_TRANSFORM_CHUNK, side - 1 - start),
+                g.ctypes.data + (start * side + start + 1) * entry, side, tau.ctypes.data + start * entry,
+                zh.ctypes.data + (start + 1) * entry, side)
+
+    query = np.empty(1, np.complex128)
+    _check("zunmqr", routines.zunmqr(*chunk(0), query.ctypes.data, -1))  # the first chunk is the largest
+    work = np.empty(int(query[0].real), np.complex128)
+    for start in reversed(range(0, side - 1, _BACK_TRANSFORM_CHUNK)):
+        _widen(zh, start + 1, min(start + 1 + _BACK_TRANSFORM_CHUNK, side))
+        _check("zunmqr", routines.zunmqr(*chunk(start), work.ctypes.data, work.size))
+        spent = -(-start * side * entry // mmap.PAGESIZE) * mmap.PAGESIZE
+        if spent < len(mapping):
+            mapping.madvise(mmap.MADV_DONTNEED, spent)
+    _widen(zh, 0, 1)  # entry 0, which no reflector touches
 
 
 def decompose(core, k: int) -> SubChannelDecomposition:
@@ -301,25 +362,34 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     layout is the size's and the route's alone, whatever the core.
     ``core.lift(z)`` takes that basis's coordinates back to A's in side,
     and returns ``z`` itself when the basis is A's own; and
-    ``core.times(x)`` is ``A x / core.scale``. The link passes a
+    ``core.times(x, out)`` is ``A x / core.scale``, written into ``out``
+    when it is given, an array of ``core.shape[0]`` (A's rows) by ``x``'s
+    columns. The link passes a
     :class:`~otfslink.channel.SpatialCore`, whose in side is compressed
     only when it has more antennas than paths; a dense matrix goes through
     :class:`otfslink.validation.DenseCore`, whose basis is the identity.
 
     The triplets come from the ``k`` leading eigenpairs ``(lambda, z)`` of
-    G, by ``zhptrd`` (``zhetrd`` for a square), ``dsterf``, ``zstein`` and
-    ``zupmtr`` (``zunmtr``) from numpy's own OpenBLAS, or by
+    G, by ``zhptrd`` (``zhetrd`` for a square), ``dsterf``, ``dstein`` and
+    ``zupmtr`` (``zunmqr``, in chunks) from numpy's own OpenBLAS, or by
     ``np.linalg.eigh`` when it does not export them all: ``sigma =
     sqrt(lambda)``, A's right singular vectors are
     ``lift(z)`` and its left ones ``times(lift(z)) / sigma``; for a weak
     sub-channel those are orthonormal only to about ``eps * (sigma_max /
     sigma)**2`` (worst seen: 1.6e-12 in 1200 draws). G is freed
     before either is formed, so the decomposition's memory peaks at G's
-    stored triangle plus the k eigenvectors. The ``eigh`` fallback copies
+    stored triangle plus the k eigenvectors, on the square route as reals
+    and about a chunk of them widened to complex, since the back-transform
+    hands back G's rows as it spends them (see :func:`_lapack_eigenpairs`).
+    There the eigenvectors and the other side's vectors live in fresh
+    private mappings, as G does, so that no glibc heap grows to hold them
+    and then stays. The ``eigh`` fallback copies
     the whole square and returns all its eigenvectors: one ``decompose`` of
     8x8 antennas on a 16x16 grid (a 2048-square G) raised the peak RSS by
-    303 MiB on it (331 MiB with G a plain square) against 59 MiB on LAPACK's
-    route, and took 6.0 s against 2.5 s (2-core x86 host, 2 BLAS threads).
+    303 MiB on it (331 MiB with G a plain square) against 54 MiB on LAPACK's
+    route (59 MiB with the vectors complex from the start and G held to the
+    end of its back-transform), and took 6.0 s against 2.5 s (2-core x86
+    host, 2 BLAS threads).
     Factors are complex128.
     Raises :class:`RankDeficientChannelError` when fewer than ``k``
     eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above
@@ -336,7 +406,7 @@ def decompose(core, k: int) -> SubChannelDecomposition:
         raise ValueError(f"Gram matrix must be finite and non-empty, got side {side}")
     # k above the side takes all the side's eigenpairs, so that the error names the rank
     computed = min(k, side)
-    routines = _gram_routines()
+    packed, routines = g.size < side * side, _gram_routines()
     if routines is not None:
         lam, zh = _lapack_eigenpairs(routines, g, offsets, computed)
     else:  # the same eigenpairs of the same triangle of the Gram matrix
@@ -353,7 +423,8 @@ def decompose(core, k: int) -> SubChannelDecomposition:
         raise ValueError(f"the largest singular value {sigma[0]:.3g} * {core.scale:.3g} overflows the float range")
     z = core.lift(np.conjugate(zh, out=zh).T)  # the eigenvectors, in zh's buffer, lifted
     del zh  # a lift into a new array frees the eigenvectors
-    other = core.times(z)
+    rows = core.shape[0]
+    other = core.times(z, out=None if packed else _mapped_zeros(rows * computed).reshape(rows, computed))
     other /= sigma
     u, v = (z, other) if core.wide else (other, z)
     return SubChannelDecomposition(u=u, sigma=sigma * core.scale, v=v, rank=k)

@@ -158,6 +158,10 @@ class DenseCore:
     def side(self) -> int:
         return min(self.h.shape)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.h.shape[::-1] if self.wide else self.h.shape
+
     def gram(self):
         h = self.h
         return [(0, (h @ h.conj().T if self.wide else h.conj().T @ h)[None])]
@@ -165,8 +169,8 @@ class DenseCore:
     def lift(self, z: np.ndarray) -> np.ndarray:
         return z
 
-    def times(self, x: np.ndarray) -> np.ndarray:
-        return (self.h.conj().T if self.wide else self.h) @ x
+    def times(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(self.h.conj().T if self.wide else self.h, x, out=out)
 
 
 def effective_dd_channel(

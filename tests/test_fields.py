@@ -9,7 +9,7 @@ import pytest
 from otfslink.channel import DdMimoChannel, PathParams
 from otfslink.cli import ExperimentConfig
 from otfslink.dd_transforms import otfs_demodulate, unstack_chains
-from otfslink.link_sim import SimConfig, run_sweep, snr_points
+from otfslink.link_sim import SimConfig, run_sweep, sample_importance, sample_payload, snr_points
 from otfslink.losses import cross_entropy
 from otfslink.precoding import build_precoder_combiner, dd_transform_matrices, decompose
 from otfslink.validation import DenseCore, cyclic_shift_matrix
@@ -98,6 +98,8 @@ ARGUMENTS = [
     ("build_precoder_combiner.n", lambda v: build_precoder_combiner(_decomposition(), 2, v), 2, 0),
     ("cross_entropy.true_label", lambda v: cross_entropy(v, [0.25, 0.75]), 1, 2),
     ("cyclic_shift_matrix.size", lambda v: cyclic_shift_matrix(v, 1), 3, 0),
+    ("sample_payload.n", lambda v: sample_payload(np.random.default_rng(0), v), 5, -1),
+    ("sample_importance.n", lambda v: sample_importance(np.random.default_rng(0), v), 5, -1),
 ]
 
 
@@ -119,7 +121,7 @@ def test_integer_arguments_follow_the_integer_rule_by_name(argument, call, value
     for bad in (float(value), np.float64(value), True, np.True_):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             call(bad)
-    with pytest.raises(ValueError, match=rf"^{name} must be (>= 1|in \[0, 1\]), got {out_of_range}$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be (>= [01]|in \[0, 1\]), got {out_of_range}$"):
         call(out_of_range)
 
 

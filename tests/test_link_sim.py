@@ -17,6 +17,7 @@ from otfslink.dd_transforms import otfs_demodulate, otfs_modulate, stack_chains,
 from otfslink.link_sim import (
     CSV_COLUMNS,
     MAX_TRIALS,
+    MIN_SNR_DB,
     LinkMetrics,
     RealizationSlot,
     SimConfig,
@@ -54,6 +55,16 @@ class TestSnrToNoiseVar:
 
     def test_infinite_snr(self):
         assert snr_to_noise_var(math.inf) == 0.0
+
+    def test_the_lowest_snr_is_taken(self):
+        assert snr_to_noise_var(MIN_SNR_DB) == 10.0 ** (-MIN_SNR_DB / 10.0)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -1e308, MIN_SNR_DB - 1e-9, True, "3"],
+                             ids=["nan", "-inf", "-1e308", "just_below", "True", "str"])
+    def test_an_snr_other_than_a_number_of_at_least_the_lowest_is_refused_by_name(self, snr_db):
+        # NaN once came back as a NaN variance, and -1e308 ended in an OverflowError
+        with pytest.raises(ValueError, match="^snr_db must be"):
+            snr_to_noise_var(snr_db)
 
 
 class TestSimConfig:

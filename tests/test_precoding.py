@@ -591,10 +591,10 @@ def route(request, monkeypatch):
         def recorded(layout, n, d, e, m, w, *rest):
             values = np.ctypeslib.as_array(ctypes.cast(w, ctypes.POINTER(ctypes.c_double)), (m,))
             orders.append(np.argsort(values, kind="stable").tolist())
-            return routines.zstein(layout, n, d, e, m, w, *rest)
+            return routines.dstein(layout, n, d, e, m, w, *rest)
 
         chain = routines._replace(zhetrd=reduction(routines.zhetrd, "lapack"),
-                                  zhptrd=reduction(routines.zhptrd, "packed"), zstein=recorded)
+                                  zhptrd=reduction(routines.zhptrd, "packed"), dstein=recorded)
         monkeypatch.setattr(precoding, "_gram_routines", lambda: chain)
     yield name, orders
     assert set(reductions) == (set() if name == "eigh" else {name})
@@ -650,6 +650,25 @@ def test_one_core_decomposes_alike_packed_and_square(monkeypatch, n_tx, n_rx, n_
         reconstructions.append((dec.u * dec.sigma) @ dec.v.conj().T)  # free of each pair's phase
     packed, square = reconstructions
     assert np.max(np.abs(packed - square)) < 1e-12 * np.linalg.norm(h, 2)
+
+
+def test_the_square_routes_chunks_change_nothing_but_rounding(monkeypatch):
+    # a 150-square G: its 2400-byte rows, and 32 of them, are no page multiple, so
+    # every chunk but the first starts inside a page it shares with the row before,
+    # which the next chunk still reads: releasing that page would zero a reflector
+    # not yet applied
+    c = _complex_gaussian(180, 150, 34)
+    monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", 0)
+    assert precoding.gram_matrix(DenseCore(c))[0].size == 150**2
+    decs = []
+    for chunk in (32, 150):
+        monkeypatch.setattr(precoding, "_BACK_TRANSFORM_CHUNK", chunk)
+        decs.append(decompose(DenseCore(c), 48))
+    chunked, whole = decs
+    assert np.array_equal(chunked.sigma, whole.sigma)
+    for name in ("u", "v"):
+        np.testing.assert_allclose(getattr(chunked, name), getattr(whole, name), rtol=0, atol=1e-12)
+    _assert_leading_triplets(c, chunked, 48)
 
 
 def _layout(g, offsets):
@@ -815,15 +834,36 @@ def test_a_spatial_gram_matrix_below_its_diagonal_is_neither_read_nor_written(mo
 
 
 def _assert_litter_changes_nothing(monkeypatch, core):
-    """Litter below G's diagonal leaves ``decompose(core, 8)`` bit for bit as it was, and is left as it was."""
+    """Litter below G's diagonal leaves ``decompose(core, 8)`` bit for bit as it was, and is left as it was.
+
+    Left as it was up to the first ``zunmqr`` call on the LAPACK route, whose
+    back-transform hands G's spent rows back to the host from then on, which
+    zeroes them; up to the end on the ``eigh`` route.
+    """
     full = decompose(core, 8)
     litter = _LitterBelowTheDiagonal(precoding.gram_zeros)
     monkeypatch.setattr(precoding, "gram_zeros", litter)
+
+    def below():
+        g = litter.last["g"]
+        return g[np.tril_indices(g.shape[0], -1)].tobytes()
+
+    seen = []
+    routines = precoding._gram_routines()
+    if routines is not None:
+        def snapshot(*args):
+            if not seen:
+                seen.append(below())
+            return routines.zunmqr(*args)
+
+        chain = routines._replace(zunmqr=snapshot)
+        monkeypatch.setattr(precoding, "_gram_routines", lambda: chain)
     littered = decompose(core, 8)
     for name in ("u", "sigma", "v"):
         assert np.array_equal(getattr(littered, name), getattr(full, name)), name
-    g = litter.last["g"]
-    assert g[np.tril_indices(g.shape[0], -1)].tobytes() == litter.last["below"].tobytes()
+    if routines is None:
+        seen.append(below())
+    assert seen == [litter.last["below"].tobytes()]
 
 
 def _run_python(code, *args):
@@ -929,6 +969,48 @@ def test_reading_the_unwritten_triangle_of_a_mapped_gram_matrix_commits_no_memor
     rows, cols, zero, rise = _run_python(code).split()
     assert (int(rows), int(cols), zero) == (1024, 1024, "True")
     assert float(rise) < 0.05, f"reading below the diagonal committed {float(rise):.2f} of the matrix"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_the_back_transform_hands_back_the_pages_of_a_mapped_gram_matrix():
+    # the 1024-square Gram matrix of 8x8 antennas on an 8x16 grid, mapped, and k = 256.
+    # Its 16 KiB rows start on page boundaries, so its stored triangle spans
+    # 256 * (4 + 3 + 2 + 1) pages, and each of the four chunks of reflectors hands
+    # back the pages of the rows it spent. VmRSS is read around each release,
+    # since the vectors widened to complex between the releases take some back.
+    code = """
+        import mmap
+        import numpy as np
+        from otfslink import precoding
+        from otfslink.channel import sample_channel, spatial_core
+        from otfslink.link_sim import SimConfig
+
+        def rss():  # bytes
+            with open("/proc/self/status") as fh:
+                return int(next(line for line in fh if line.startswith("VmRSS:")).split()[1]) * 1024
+
+        falls = []
+
+        class Recorded(mmap.mmap):
+            def madvise(self, option, *args):
+                before = rss()
+                super().madvise(option, *args)
+                if option == mmap.MADV_DONTNEED:
+                    falls.append(before - rss())
+
+        precoding._GRAM_MAPPING_BYTES = 0
+        mmap.mmap = Recorded
+        core = spatial_core(sample_channel(SimConfig(m_delay=8, n_doppler=16), 0))
+        side, entry = core.side, 16
+        row = np.arange(side)
+        first, last = (row * side + row) * entry // mmap.PAGESIZE, ((row + 1) * side * entry - 1) // mmap.PAGESIZE
+        resident = np.unique(np.concatenate([np.arange(a, b + 1) for a, b in zip(first, last)])).size
+        precoding.decompose(core, 256)
+        print(side, len(falls), sum(falls) / (resident * mmap.PAGESIZE))
+        """
+    side, releases, fall = _run_python(code).split()
+    assert (int(side), int(releases)) == (1024, 4)
+    assert float(fall) >= 0.9, f"the back-transform handed back {float(fall):.2f} of the Gram matrix's pages"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
