@@ -92,9 +92,10 @@ MAX_TRIALS = 10**6
 # which only the triangle's pages are committed), then the other side's k
 # vectors, and the workspaces of zhetrd or zhptrd, dsterf, dstein and zunmqr or
 # zupmtr are O(side) vectors, so no side**2-sized workspace is reserved or can
-# fail to allocate. On a mapped square the k eigenvectors come real and are
-# widened to complex as the back-transform hands G's spent rows back (see
-# precoding.decompose).
+# fail to allocate. On a mapped square the reflectors move from G into compact
+# blocks, about as many entries in fewer pages, which hand G's rows back as they
+# are copied, and the k eigenvectors come real and are widened to complex as the
+# back-transform hands each block back (see precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of each per-chunk array of a burst: run_link passes as many frames
@@ -270,7 +271,8 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     The precoder/combiner is folded in the arrays the decomposition
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
     which owns them from then on. So a realization's memory peaks inside
-    the decomposition, at G's stored triangle plus the k eigenvectors (as
+    the decomposition, at G's stored triangle, or on a mapped square the
+    compact blocks its reflectors move into, plus the k eigenvectors (as
     reals, and a chunk of them complex, on a mapped square), G being the
     Gram matrix (see :func:`~otfslink.precoding.gram_matrix`).
     The taps that :func:`~otfslink.channel.apply_channel` takes are built

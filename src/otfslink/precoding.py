@@ -10,7 +10,9 @@ eigenpairs of the Gram matrix of H's spatial core on its smaller side
 (:class:`otfslink.channel.SpatialCore`): LAPACK's tridiagonal reduction,
 all eigenvalues of the tridiagonal without vectors, real vectors for the
 k largest only, and the back-transform that takes them to G's
-coordinates, which on a square G hands back G's rows as it spends them.
+coordinates. On a square G the reduction's reflectors move into compact
+blocks, which hand G's rows back as they are copied, and the
+back-transform hands each block back as it spends it.
 Neither the core nor H is formed: the channel module describes that
 Gram matrix by delay slabs summed from the path pairs, lifts its
 eigenvectors to H's coordinates and applies H path by path.
@@ -63,10 +65,10 @@ RANK_TOLERANCE = 1e-6
 # reduction of a square Gram matrix (zhetrd) and of a packed one (zhptrd), the
 # tridiagonal solvers both share (dsterf for the eigenvalues, dstein for the
 # real vectors), and the back-transforms: zunmqr applies a square's reflectors
-# in chunks (see _BACK_TRANSFORM_CHUNK) and zupmtr a packed one's at once. Both
-# are taken in their _work form, which leaves the workspace to the caller:
-# LAPACKE_zunmqr scans the whole rectangle of reflectors for NaN, which commits
-# the pages of the triangle the Gram matrix leaves unwritten.
+# block by block (see _BACK_TRANSFORM_CHUNK) and zupmtr a packed one's at once.
+# Both are taken in their _work form, which leaves the workspace to the caller
+# and skips LAPACKE's NaN scan of the whole rectangle of reflectors, whose
+# entries above each reflector's start LAPACK itself never reads.
 _LAPACKE_SYMBOLS = {
     name: (f"scipy_LAPACKE_{symbol}64_", f"LAPACKE_{symbol}64_")
     for name, symbol in (("zhetrd", "zhetrd"), ("zhptrd", "zhptrd"), ("dsterf", "dsterf"),
@@ -84,11 +86,13 @@ _LAPACK_COL_MAJOR = 102
 # it at 832 and 896 and lost beyond (1.03 at 960, 1.13 at 1152; k = side/4).
 _GRAM_MAPPING_BYTES = 896**2 * 16
 
-# The square route applies its Gram matrix's reflectors in chunks of this many
-# (see _apply_reflectors), handing back G's rows as each chunk spends them. A
-# multiple of zunmqr's block of 32 reflectors, so that the chunks apply the
-# blocks a single call would.
-_BACK_TRANSFORM_CHUNK = 256
+# The square route moves its Gram matrix's reflectors into compact blocks of this
+# many (see _reflector_blocks) and applies each block by one zunmqr call (see
+# _apply_reflectors). It must be a multiple of zunmqr's block of 32 reflectors, so
+# that the chunks apply the blocks a single call would, and above 32: zunmqr
+# applies 32 or fewer reflectors unblocked, by zunm2r, which rounds otherwise (a
+# chunk of 32 moved grid16's ser).
+_BACK_TRANSFORM_CHUNK = 64
 
 
 def _mapped_zeros(count: int) -> np.ndarray:
@@ -231,25 +235,29 @@ def _lapack_eigenpairs(routines, g: np.ndarray, offsets: np.ndarray, k: int):
     that is as ``g^T = conj(g)``, and uses its lower triangle: the
     C-ordered entries with column >= row, g's stored triangle. A square
     ``g`` holds it in place, and nothing here reads or writes the other
-    triangle, which may hold anything, until the back-transform hands
-    ``g``'s spent rows back to the host, both triangles' entries in their
-    pages, to read as zeros; a packed ``g`` holds it in LAPACK's lower
-    packed storage. Either way ``g`` is spent on return. ``zhetrd``
+    triangle, which may hold anything, until the reflectors of its
+    reduction move into compact blocks (:func:`_reflector_blocks`), which
+    hands ``g``'s copied rows back to the host, both triangles' entries in
+    their pages, to read as zeros; a packed ``g`` holds it in LAPACK's
+    lower packed storage. Either way ``g`` is spent on return. ``zhetrd``
     (``zhptrd`` when packed) reduces it in place to a real tridiagonal T =
     Q^H conj(g) Q; ``dsterf`` takes all of T's eigenvalues by root-free QR,
     without vectors; ``dstein`` finds the vectors of the k largest by
     inverse iteration, real, as T is, and Q takes them to g's coordinates:
     ``zupmtr`` applies a packed g's Q at once, after the vectors are
-    widened to complex, and ``zunmqr`` a square one's in chunks, which
-    widen the vectors as far as they reach and hand back the rows of g they
-    spent (:func:`_apply_reflectors`), each through a workspace it is asked
-    for first. The vectors land as the rows of the C-ordered ``zh``, so ``zh
-    = Z^H`` for eigenvectors Z of g: a square g's in a fresh private
-    mapping (:func:`_mapped_zeros`), whose pages are committed as the
-    vectors widen. Beyond g plus the k eigenvectors, LAPACKE's workspaces
-    and the back-transform's are O(side) or O(k) vectors; so on the square
-    route the memory peaks at g's stored triangle plus the k vectors as
-    reals, and about a chunk of them widened. ``zhptrd`` is unblocked and
+    widened to complex, and ``zunmqr`` a square one's block by block,
+    which widen the vectors as far as they reach and hand back the blocks
+    they spent (:func:`_apply_reflectors`), each through a workspace it is
+    asked for first. The vectors land as the rows of the C-ordered ``zh``,
+    so ``zh = Z^H`` for eigenvectors Z of g: a square g's in a fresh
+    private mapping (:func:`_mapped_zeros`), whose pages are committed as
+    the vectors widen. Beyond g, or its blocks, plus the k eigenvectors,
+    LAPACKE's workspaces and the back-transform's are O(side) or O(k)
+    vectors; so on the square route the memory peaks at g's stored
+    triangle or the blocks, about as many entries in fewer pages, plus
+    the k vectors as reals, and about a chunk of them widened. At 2048**2
+    (k = 512) the rise in the peak RSS fell from 54.2 to 51.8 MiB once the
+    reflectors left g's square. ``zhptrd`` is unblocked and
     ``zhetrd`` blocked, running part of its work as matrix products: the
     first was the faster up to a side of about 900, the second beyond (see
     :data:`_GRAM_MAPPING_BYTES`).
@@ -264,7 +272,7 @@ def _lapack_eigenpairs(routines, g: np.ndarray, offsets: np.ndarray, k: int):
     underflow or overflow.
     """
     side = offsets.size
-    packed = g.size < side * side
+    packed = g.size == side * (side + 1) // 2  # one entry is both layouts, and holds no reflector to move
     peak = g[offsets + np.arange(side)].real.max()  # the largest |g_ij|, since |g_ij|**2 <= g_ii g_jj
     scale = 2.0 ** -np.frexp(peak)[1] if 0 < peak < 2.0**-485 or peak > 2.0**255 else 1.0
     if scale != 1.0:
@@ -277,6 +285,7 @@ def _lapack_eigenpairs(routines, g: np.ndarray, offsets: np.ndarray, k: int):
     else:
         _check("zhetrd", routines.zhetrd(_LAPACK_COL_MAJOR, b"L", side, g.ctypes.data, side, d.ctypes.data,
                                          e.ctypes.data, tau.ctypes.data))
+        flat, blocks = _reflector_blocks(g, side)
     ulp, safmin = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     split = e**2 < ulp**2 * np.abs(d[:-1] * d[1:]) + safmin
     isplit = np.append(np.flatnonzero(split) + 1, side).astype(np.int64)  # each block's last row, 1-based
@@ -299,7 +308,7 @@ def _lapack_eigenpairs(routines, g: np.ndarray, offsets: np.ndarray, k: int):
         _check("zupmtr", routines.zupmtr(_LAPACK_COL_MAJOR, b"L", b"L", b"N", side, k, g.ctypes.data,
                                          tau.ctypes.data, zh.ctypes.data, side, work.ctypes.data))
     else:
-        _apply_reflectors(routines, g, tau, zh)
+        _apply_reflectors(routines, flat, blocks, tau, zh)
     lam = w[:k] / scale
     if isplit.size > 1:  # the blocks' eigenvalues interleave
         order = np.argsort(lam, kind="stable")
@@ -319,33 +328,69 @@ def _widen(zh: np.ndarray, start: int, stop: int) -> None:
         row[start:stop] = real[start:stop].copy()
 
 
-def _apply_reflectors(routines, g: np.ndarray, tau: np.ndarray, zh: np.ndarray) -> None:
-    """``Q`` of ``zhetrd``'s reduction of the mapped square ``g``, applied in place to the real vectors in ``zh``'s rows.
+def _reflector_blocks(g: np.ndarray, side: int) -> tuple[np.ndarray, list]:
+    """``(flat, blocks)``: the reflectors of ``zhetrd``'s reduction of the mapped square ``g``, in compact blocks.
 
-    ``Q = H_0 H_1 ... H_(side-2)``, and reflector j, stored in ``g``'s row j
-    past its diagonal, acts only on a vector's entries j + 1 and on. So
-    ``zunmqr`` applies them in chunks of :data:`_BACK_TRANSFORM_CHUNK`,
-    last chunk first. The entries a chunk is about to touch are widened to
-    complex first; once it is applied, ``g``'s rows from the chunk's first
-    on are spent, and their pages, from the first page boundary at or after
-    that row, go back to the host, to read as zeros. So the complex vectors
-    grow into the memory ``g`` hands back.
+    Reflector j lies in ``g``'s row j from column j + 1 on, in the stored
+    triangle, which is all that is read here. Each chunk of
+    :data:`_BACK_TRANSFORM_CHUNK` reflectors from ``start`` on (the last
+    takes what is left) becomes one C-ordered block of shape ``(count,
+    side - 1 - start)``: LAPACK's column-major trapezoid, with leading
+    dimension ``side - 1 - start``, whose column c holds reflector ``start
+    + c`` from entry c on. The entries before c are never written or read.
+    The blocks lie in chunk order in ``flat``, one fresh private mapping
+    (:func:`_mapped_zeros`). As each chunk is copied, ``g``'s pages before
+    the next chunk's first row go back to the host, to read as zeros. The
+    stored triangle shares each row's first page with the other triangle,
+    so at 2048**2 it held 36 MiB of pages for 32 MiB of entries; the
+    blocks waste only about ``_BACK_TRANSFORM_CHUNK * side / 2`` entries,
+    and hold 33 MiB.
+    """
+    square, starts = g.reshape(side, side), range(0, side - 1, _BACK_TRANSFORM_CHUNK)
+    shapes = [(min(_BACK_TRANSFORM_CHUNK, side - 1 - start), side - 1 - start) for start in starts]
+    flat, mapping = _mapped_zeros(sum(count * rows for count, rows in shapes)), g.base.obj  # mmaps of _mapped_zeros
+    blocks, offset, released = [], 0, 0
+    for start, (count, rows) in zip(starts, shapes):
+        block = flat[offset:offset + count * rows].reshape(count, rows)
+        for c in range(count):
+            block[c, c:] = square[start + c, start + c + 1:]
+        blocks.append(block)
+        offset += count * rows
+        stop = start + count  # the next chunk's first row, or the last row, which holds no reflector
+        copied = len(mapping) if stop == side - 1 else stop * side * g.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
+        if copied > released:
+            mapping.madvise(mmap.MADV_DONTNEED, released, copied - released)
+            released = copied
+    return flat, blocks
+
+
+def _apply_reflectors(routines, flat: np.ndarray, blocks: list, tau: np.ndarray, zh: np.ndarray) -> None:
+    """``Q`` of a square's reduction, in :func:`_reflector_blocks`, applied in place to the real vectors in ``zh``'s rows.
+
+    ``Q = H_0 H_1 ... H_(side-2)``, and reflector j acts only on a vector's
+    entries j + 1 and on. So ``zunmqr`` applies each block in place, last
+    first. The entries a block is about to touch are widened to complex
+    first; once it is applied, the pages of ``flat`` from the first page
+    boundary at or after the block's start go back to the host, to read as
+    zeros. So the complex vectors grow into the memory the blocks hand back.
     """
     k, side = zh.shape
-    entry, mapping = zh.itemsize, g.base.obj  # the mmap of _mapped_zeros
+    entry, mapping = zh.itemsize, flat.base.obj  # the mmap of _mapped_zeros
 
-    def chunk(start):  # the chunk of reflectors from start on, and the vectors' entries it acts on
-        return (_LAPACK_COL_MAJOR, b"L", b"N", side - 1 - start, k, min(_BACK_TRANSFORM_CHUNK, side - 1 - start),
-                g.ctypes.data + (start * side + start + 1) * entry, side, tau.ctypes.data + start * entry,
-                zh.ctypes.data + (start + 1) * entry, side)
+    def call(block):  # a block's reflectors, and the vectors' entries they act on
+        count, rows = block.shape
+        start = side - 1 - rows
+        return (_LAPACK_COL_MAJOR, b"L", b"N", rows, k, count, block.ctypes.data, rows,
+                tau.ctypes.data + start * entry, zh.ctypes.data + (start + 1) * entry, side)
 
     query = np.empty(1, np.complex128)
-    _check("zunmqr", routines.zunmqr(*chunk(0), query.ctypes.data, -1))  # the first chunk is the largest
+    _check("zunmqr", routines.zunmqr(*call(blocks[0]), query.ctypes.data, -1))  # as large for every block
     work = np.empty(int(query[0].real), np.complex128)
-    for start in reversed(range(0, side - 1, _BACK_TRANSFORM_CHUNK)):
-        _widen(zh, start + 1, min(start + 1 + _BACK_TRANSFORM_CHUNK, side))
-        _check("zunmqr", routines.zunmqr(*chunk(start), work.ctypes.data, work.size))
-        spent = -(-start * side * entry // mmap.PAGESIZE) * mmap.PAGESIZE
+    for block in reversed(blocks):
+        count, rows = block.shape
+        _widen(zh, side - rows, side - rows + count)
+        _check("zunmqr", routines.zunmqr(*call(block), work.ctypes.data, work.size))
+        spent = -(-(block.ctypes.data - flat.ctypes.data) // mmap.PAGESIZE) * mmap.PAGESIZE
         if spent < len(mapping):
             mapping.madvise(mmap.MADV_DONTNEED, spent)
     _widen(zh, 0, 1)  # entry 0, which no reflector touches
@@ -371,25 +416,27 @@ def decompose(core, k: int) -> SubChannelDecomposition:
 
     The triplets come from the ``k`` leading eigenpairs ``(lambda, z)`` of
     G, by ``zhptrd`` (``zhetrd`` for a square), ``dsterf``, ``dstein`` and
-    ``zupmtr`` (``zunmqr``, in chunks) from numpy's own OpenBLAS, or by
+    ``zupmtr`` (``zunmqr``, block by block) from numpy's own OpenBLAS, or by
     ``np.linalg.eigh`` when it does not export them all: ``sigma =
     sqrt(lambda)``, A's right singular vectors are
     ``lift(z)`` and its left ones ``times(lift(z)) / sigma``; for a weak
     sub-channel those are orthonormal only to about ``eps * (sigma_max /
     sigma)**2`` (worst seen: 1.6e-12 in 1200 draws). G is freed
     before either is formed, so the decomposition's memory peaks at G's
-    stored triangle plus the k eigenvectors, on the square route as reals
-    and about a chunk of them widened to complex, since the back-transform
-    hands back G's rows as it spends them (see :func:`_lapack_eigenpairs`).
+    stored triangle, or the compact blocks its reflectors move into on the
+    square route, plus the k eigenvectors, there as reals and about a
+    chunk of them widened to complex, since the back-transform hands back
+    each block as it spends it (see :func:`_lapack_eigenpairs`).
     There the eigenvectors and the other side's vectors live in fresh
     private mappings, as G does, so that no glibc heap grows to hold them
     and then stays. The ``eigh`` fallback copies
     the whole square and returns all its eigenvectors: one ``decompose`` of
     8x8 antennas on a 16x16 grid (a 2048-square G) raised the peak RSS by
-    303 MiB on it (331 MiB with G a plain square) against 54 MiB on LAPACK's
-    route (59 MiB with the vectors complex from the start and G held to the
-    end of its back-transform), and took 6.0 s against 2.5 s (2-core x86
-    host, 2 BLAS threads).
+    303 MiB on it (331 MiB with G a plain square) against 51.8 MiB on
+    LAPACK's route (54.2 MiB with the reflectors left in G's square, 59 MiB
+    with the vectors complex from the start and G held to the end of its
+    back-transform), and took 6.0 s against 2.5 s (2-core x86 host, 2 BLAS
+    threads).
     Factors are complex128.
     Raises :class:`RankDeficientChannelError` when fewer than ``k``
     eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above

@@ -12,15 +12,16 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import otfslink
-from otfslink import cli
+from otfslink import cli, link_sim
 from otfslink.cli import _EXP_KEYS, _SIM_KEYS, ConfigError, main, parse_config
 from otfslink.link_sim import (
-    ALLOCATION_MODES, CSV_COLUMNS, MAX_ARRAY_ENTRIES, MAX_TRIALS, SimConfig, _frames_per_chunk,
+    ALLOCATION_MODES, CSV_COLUMNS, MAX_ARRAY_ENTRIES, MAX_TRIALS, SimConfig, _frames_per_chunk, antenna_points,
 )
 from otfslink.precoding import PRECODER_MODES, RankDeficientChannelError
 from otfslink.modem import constellation_points
@@ -445,7 +446,8 @@ def valid_configs(draw):
 
     Taps reach MN - 1, ``n_rf`` min(n_tx, n_rx, n_paths) and the SNRs -100 dB
     and +inf. Three antennas on one path compress a side, and more transmit
-    than receive antennas make the core wide.
+    than receive antennas make the core wide. Up to 4 frames make a burst
+    that spans several chunks of frames once the chunk bound is patched down.
     """
     cfg = {name: draw(st.integers(1, 3)) for name in ("n_tx", "n_rx", "n_paths")}
     cfg["n_rf"] = draw(_edge_or_any(1, min(cfg["n_tx"], cfg["n_rx"], cfg["n_paths"])))
@@ -455,8 +457,8 @@ def valid_configs(draw):
     mn = cfg["m_delay"] * cfg["n_doppler"]
     for name in ("max_delay_tap", "max_doppler_tap"):
         cfg[name] = draw(_edge_or_any(0, mn - 1))
-    for name in ("n_frames", "trials"):
-        cfg[name] = draw(st.integers(1, 2))
+    cfg["n_frames"] = draw(st.integers(1, 4))
+    cfg["trials"] = draw(st.integers(1, 2))
     cfg["seed"] = draw(st.integers(0, 2**64))
     cfg["snr_db"] = draw(SNRS)
     cfg["precoder_mode"] = draw(st.sampled_from(PRECODER_MODES))
@@ -522,7 +524,14 @@ def test_a_config_of_fields_in_range_runs_to_finite_metrics(cfg):
         event("wide core" if cfg["n_tx"] > cfg["n_rx"] else "tall core")
         event("a compressed side" if max(cfg["n_tx"], cfg["n_rx"]) > cfg["n_paths"] else "no compressed side")
     event(f"sweep {cfg['sweep']}")
-    code, err, metrics = _sweep(cfg)
+    # a frame's larger array holds 2 to 66 entries at these shapes, so a bound of 8
+    # entries puts 1 to 4 frames in a chunk, and a burst of several frames spans chunks
+    with mock.patch.object(link_sim, "FRAME_CHUNK_ENTRIES", 8):
+        sim = SimConfig(**{name: cfg[name] for name in _SIM_KEYS if name in cfg})
+        links = antenna_points(sim, cfg["n_tx_grid"]) if cfg["sweep"] == "antennas" else [sim]
+        chunks = max(-(-link.n_frames // _frames_per_chunk(link)) for link in links)
+        event("a burst across one chunk" if chunks == 1 else "a burst across several chunks")
+        code, err, metrics = _sweep(cfg)
     assert code == 0, err
     # snr_db echoes the grid and may be +inf (noiseless); the metrics are finite
     assert metrics and all(math.isfinite(v) for v in metrics)

@@ -652,11 +652,20 @@ def test_one_core_decomposes_alike_packed_and_square(monkeypatch, n_tx, n_rx, n_
     assert np.max(np.abs(packed - square)) < 1e-12 * np.linalg.norm(h, 2)
 
 
+def test_a_gram_matrix_of_side_one_decomposes_on_the_square_route(monkeypatch):
+    # a one-entry G, mapped as a square, holds no reflector
+    monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", 0)
+    for c in (np.array([[2.0 + 1.0j]]), _complex_gaussian(3, 1, 36), _complex_gaussian(1, 3, 37)):
+        assert _layout(*precoding.gram_matrix(DenseCore(c))) == "mapped"
+        _assert_leading_triplets(c, decompose(DenseCore(c), 1), 1)
+
+
 def test_the_square_routes_chunks_change_nothing_but_rounding(monkeypatch):
     # a 150-square G: its 2400-byte rows, and 32 of them, are no page multiple, so
     # every chunk but the first starts inside a page it shares with the row before,
     # which the next chunk still reads: releasing that page would zero a reflector
-    # not yet applied
+    # not yet applied. Chunks of 32 go to zunmqr's unblocked code, which rounds
+    # otherwise than one call's blocks of 32.
     c = _complex_gaussian(180, 150, 34)
     monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", 0)
     assert precoding.gram_matrix(DenseCore(c))[0].size == 150**2
@@ -669,6 +678,16 @@ def test_the_square_routes_chunks_change_nothing_but_rounding(monkeypatch):
     for name in ("u", "v"):
         np.testing.assert_allclose(getattr(chunked, name), getattr(whole, name), rtol=0, atol=1e-12)
     _assert_leading_triplets(c, chunked, 48)
+    # chunks of a multiple of 32 above 32 apply the blocks one call would, bit for bit:
+    # a 1000-square G, a multiple of neither chunk, so that each last chunk is partial
+    c = _complex_gaussian(1010, 1000, 35)
+    decs = []
+    for chunk in (64, 256):
+        monkeypatch.setattr(precoding, "_BACK_TRANSFORM_CHUNK", chunk)
+        decs.append(decompose(DenseCore(c), 250))
+    for name in ("u", "sigma", "v"):
+        assert np.array_equal(getattr(decs[0], name), getattr(decs[1], name)), name
+    _assert_leading_triplets(c, decs[0], 250)
 
 
 def _layout(g, offsets):
@@ -836,9 +855,10 @@ def test_a_spatial_gram_matrix_below_its_diagonal_is_neither_read_nor_written(mo
 def _assert_litter_changes_nothing(monkeypatch, core):
     """Litter below G's diagonal leaves ``decompose(core, 8)`` bit for bit as it was, and is left as it was.
 
-    Left as it was up to the first ``zunmqr`` call on the LAPACK route, whose
-    back-transform hands G's spent rows back to the host from then on, which
-    zeroes them; up to the end on the ``eigh`` route.
+    Left as it was up to the move of the reflectors into blocks on the
+    LAPACK route, which hands G's copied rows back to the host from then
+    on, which zeroes them, and which must copy none of the litter; up to
+    the end on the ``eigh`` route.
     """
     full = decompose(core, 8)
     litter = _LitterBelowTheDiagonal(precoding.gram_zeros)
@@ -849,19 +869,20 @@ def _assert_litter_changes_nothing(monkeypatch, core):
         return g[np.tril_indices(g.shape[0], -1)].tobytes()
 
     seen = []
-    routines = precoding._gram_routines()
-    if routines is not None:
-        def snapshot(*args):
-            if not seen:
-                seen.append(below())
-            return routines.zunmqr(*args)
+    move = precoding._reflector_blocks
 
-        chain = routines._replace(zunmqr=snapshot)
-        monkeypatch.setattr(precoding, "_gram_routines", lambda: chain)
+    def snapshot(g, side):
+        seen.append(below())
+        flat, blocks = move(g, side)
+        # neither the NaN nor the finite value of the litter
+        assert not np.any(np.isnan(flat) | (flat == litter.last["below"][0])), "the move copied litter"
+        return flat, blocks
+
+    monkeypatch.setattr(precoding, "_reflector_blocks", snapshot)
     littered = decompose(core, 8)
     for name in ("u", "sigma", "v"):
         assert np.array_equal(getattr(littered, name), getattr(full, name)), name
-    if routines is None:
+    if precoding._gram_routines() is None:
         seen.append(below())
     assert seen == [litter.last["below"].tobytes()]
 
@@ -975,9 +996,12 @@ def test_reading_the_unwritten_triangle_of_a_mapped_gram_matrix_commits_no_memor
 def test_the_back_transform_hands_back_the_pages_of_a_mapped_gram_matrix():
     # the 1024-square Gram matrix of 8x8 antennas on an 8x16 grid, mapped, and k = 256.
     # Its 16 KiB rows start on page boundaries, so its stored triangle spans
-    # 256 * (4 + 3 + 2 + 1) pages, and each of the four chunks of reflectors hands
-    # back the pages of the rows it spent. VmRSS is read around each release,
-    # since the vectors widened to complex between the releases take some back.
+    # 256 * (4 + 3 + 2 + 1) pages. The move of its reflectors into blocks hands back
+    # the pages of the rows each chunk copied; then each block, once applied, hands
+    # back its pages. The move writes every page of the blocks' mapping, since each
+    # block's columns skip fewer entries than a page holds. VmRSS is read around each
+    # release, since the blocks written and the vectors widened to complex between
+    # the releases take some back.
     code = """
         import mmap
         import numpy as np
@@ -989,14 +1013,14 @@ def test_the_back_transform_hands_back_the_pages_of_a_mapped_gram_matrix():
             with open("/proc/self/status") as fh:
                 return int(next(line for line in fh if line.startswith("VmRSS:")).split()[1]) * 1024
 
-        falls = []
+        falls = {}  # per mapping, by its size, in the order of its first release: each release's fall
 
         class Recorded(mmap.mmap):
             def madvise(self, option, *args):
                 before = rss()
                 super().madvise(option, *args)
                 if option == mmap.MADV_DONTNEED:
-                    falls.append(before - rss())
+                    falls.setdefault(len(self), []).append(before - rss())
 
         precoding._GRAM_MAPPING_BYTES = 0
         mmap.mmap = Recorded
@@ -1006,20 +1030,28 @@ def test_the_back_transform_hands_back_the_pages_of_a_mapped_gram_matrix():
         first, last = (row * side + row) * entry // mmap.PAGESIZE, ((row + 1) * side * entry - 1) // mmap.PAGESIZE
         resident = np.unique(np.concatenate([np.arange(a, b + 1) for a, b in zip(first, last)])).size
         precoding.decompose(core, 256)
-        print(side, len(falls), sum(falls) / (resident * mmap.PAGESIZE))
+        (square, moved), (blocks, applied) = falls.items()
+        print(side, -(-(side - 1) // precoding._BACK_TRANSFORM_CHUNK), square == side * side * entry,
+              len(moved), sum(moved) / (resident * mmap.PAGESIZE), len(applied), sum(applied) / blocks)
         """
-    side, releases, fall = _run_python(code).split()
-    assert (int(side), int(releases)) == (1024, 4)
-    assert float(fall) >= 0.9, f"the back-transform handed back {float(fall):.2f} of the Gram matrix's pages"
+    side, chunks, square, moved, moved_fall, applied, applied_fall = _run_python(code).split()
+    assert (int(side), square) == (1024, "True")
+    assert int(moved) == int(applied) == int(chunks) > 1
+    assert float(moved_fall) >= 0.9, f"the move handed back {float(moved_fall):.2f} of the Gram matrix's pages"
+    assert float(applied_fall) >= 0.9, f"the back-transform handed back {float(applied_fall):.2f} of the blocks' pages"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_decompose_raises_peak_memory_by_under_1_75_core_sized_matrices():
-    # realize with 8x8 antennas on an 8x16 grid: a 1024-square Gram matrix,
-    # k = 256. Its decomposition holds the Gram matrix, the k eigenvectors
-    # and the other side's k vectors, never the core itself: a dense core or
-    # a copy of the Gram matrix would add one more core-sized matrix
-    # (16*side**2 bytes). The core's own construction allocates next to nothing.
+def test_decompose_raises_peak_memory_by_under_1_08_core_sized_matrices():
+    # realize with 8x8 antennas on a 12x12 grid: a 1152-square Gram matrix,
+    # k = 288. Its decomposition holds the Gram matrix's stored triangle, then its
+    # reflectors in compact blocks, the k eigenvectors and the other side's k
+    # vectors, never the core itself: a dense core or a copy of the Gram matrix
+    # would add one more core-sized matrix (16*side**2 bytes). Its 18 KiB rows are
+    # no page multiple. The stored triangle shares each row's first page with the
+    # other triangle: left in the square for the back-transform, the reflectors
+    # raised the peak by 1.15 core-sized matrices; moved into blocks, by 1.01. The
+    # core's own construction allocates next to nothing.
     # VmHWM is the peak of this process image; ru_maxrss would carry over the
     # peak of the forked test runner across exec.
     code = """
@@ -1049,12 +1081,12 @@ def test_decompose_raises_peak_memory_by_under_1_75_core_sized_matrices():
             return dec
 
         link_sim.spatial_core, link_sim.decompose = traced_core, measured
-        cfg = SimConfig(m_delay=8, n_doppler=16)
+        cfg = SimConfig(m_delay=12, n_doppler=12)
         realize(sample_channel(cfg, 0), cfg.n_rf, cfg.precoder_mode)
         unit = 16 * seen["side"] ** 2
         print(seen["side"], seen["rank"], seen["rise"] / unit, seen["core"] / unit)
         """
     side, rank, rise, core = _run_python(code).split()
-    assert (int(side), int(rank)) == (1024, 256)
-    assert float(rise) < 1.75, f"decompose raised the peak RSS by {float(rise):.2f} core-sized matrices"
+    assert (int(side), int(rank)) == (1152, 288)
+    assert float(rise) < 1.08, f"decompose raised the peak RSS by {float(rise):.2f} core-sized matrices"
     assert float(core) < 0.01, f"spatial_core allocated {float(core):.2f} core-sized matrices"
