@@ -1,7 +1,12 @@
 """The integer rule and the number rule of every config field, channel field and function argument.
 
 Each raises a ``ValueError`` that names the field or argument, and their
-callers give the ranges. A leaf module, so that ``channel`` can use it.
+callers give the ranges. A range of the number rule is written as its two
+ends and their brackets, ``"[]"``, ``"[)"``, ``"(]"`` or ``"()"``, a square
+one closed and a round one open; the default, ``(-inf, inf)``, is the
+finite numbers. NaN lies in no range, and +inf only in one closed at inf.
+:func:`numbers` is the same rule for an array's entries. A leaf module, so
+that ``channel`` can use it.
 """
 
 from __future__ import annotations
@@ -28,8 +33,19 @@ def integer(name: str, value, low: int, high: int | None = None) -> int:
     return value
 
 
-def number(name: str, value) -> float:
-    """``value`` as a float if it is a Python or numpy integer or float within the float range, NaN and ±inf too."""
+def _inside(values, low: float, high: float, ends: str):
+    """Whether ``values``, a float or a real array, lie in the range."""
+    return (values >= low if ends[0] == "[" else values > low) & (values <= high if ends[1] == "]" else values < high)
+
+
+def _range(low: float, high: float, ends: str) -> str:
+    """The range as a message gives it: "finite", or "in" and its ends."""
+    bounds = f"{ends[0]}{low:g}, {high:g}{ends[1]}"
+    return "finite" if bounds == "(-inf, inf)" else f"in {bounds}"
+
+
+def number(name: str, value, low: float = -math.inf, high: float = math.inf, ends: str = "()") -> float:
+    """``value`` as a float if it is a Python or numpy integer or float in the range; a bool is not."""
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
@@ -38,4 +54,27 @@ def number(name: str, value) -> float:
         result = None
     if result is None or (math.isinf(result) and not np.isinf(value)):  # a finite np.longdouble may not fit either
         raise ValueError(f"{name} must be within the float range, got {shown(value)}")
+    if not _inside(result, low, high, ends):
+        raise ValueError(f"{name} must be {_range(low, high, ends)}, got {value}")
     return result
+
+
+def numbers(name: str, values, low: float = -math.inf, high: float = math.inf, ends: str = "()",
+            dtype=float) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (its own if None) if every entry is an integer, float or complex in the range.
+
+    A bool, string or object array is refused, and an error names the
+    first entry out of the range. A complex array takes the finite range
+    alone.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must hold numbers, got dtype {array.dtype}")
+    array = np.asarray(array, dtype=dtype)
+    finite = ends == "()" and low == -math.inf and high == math.inf  # the one range of a complex array
+    inside = np.isfinite(array) if finite else _inside(array, low, high, ends)
+    if not inside.all():
+        index = np.unravel_index(np.argmin(inside), array.shape)
+        at = f"{name}[{', '.join(map(str, index))}] = " if index else ""
+        raise ValueError(f"{name} must be {_range(low, high, ends)}, got {at}{array[index]}")
+    return array

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _fields
 from .special import ndtr, sigmoid
 
 # Entropy clamp: bin probabilities below 2**-MAX_IMPORTANCE_BITS saturate.
@@ -25,14 +26,6 @@ MAX_IMPORTANCE_BITS = 64.0
 GAIN_TIE_RTOL = 1e-13
 
 
-def _finite(name: str, values) -> np.ndarray:
-    """``values`` as a float array, refused by name unless every entry is finite."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite")
-    return values
-
-
 def gaussian_bin_entropy(mu, sigma, y_hat) -> np.ndarray:
     """Per-element entropy in bits of unit-quantized values under Gaussian models.
 
@@ -40,14 +33,12 @@ def gaussian_bin_entropy(mu, sigma, y_hat) -> np.ndarray:
     with Phi the standard normal CDF, clamped to at most 64 bits when the
     bin probability underflows.
     """
-    mu, y = _finite("mu", mu), _finite("y_hat", y_hat)
-    sigma = np.asarray(sigma, dtype=float)
+    mu, y = _fields.numbers("mu", mu), _fields.numbers("y_hat", y_hat)
+    sigma = _fields.numbers("sigma", sigma, 0, np.inf, "()")
     if not (mu.shape == sigma.shape == y.shape):
         raise ValueError(
             f"mu, sigma, y_hat must share a shape, got {mu.shape}, {sigma.shape}, {y.shape}"
         )
-    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
-        raise ValueError("sigma must be strictly positive and finite")
     p = ndtr((y + 0.5 - mu) / sigma) - ndtr((y - 0.5 - mu) / sigma)
     p = np.maximum(p, 2.0 ** -MAX_IMPORTANCE_BITS)
     return -np.log2(p)
@@ -55,7 +46,7 @@ def gaussian_bin_entropy(mu, sigma, y_hat) -> np.ndarray:
 
 def _pairs(w, g):
     """``w``, ``g`` as finite float arrays and the index pairs ``i < j`` of their last axis."""
-    w, g = _finite("w", w), _finite("g", g)
+    w, g = _fields.numbers("w", w), _fields.numbers("g", g)
     if w.ndim < 1 or w.shape[-1:] != g.shape[-1:] or w.shape[-1] < 2:
         raise ValueError(f"inputs must end in axes of equal length >= 2, got {w.shape} and {g.shape}")
     i, j = np.triu_indices(w.shape[-1], 1)
@@ -89,8 +80,7 @@ def soft_kendall(w, g, sharpness: float = 2.0):
     broadcast as in :func:`exact_kendall_tau`.
     """
     w, g, i, j = _pairs(w, g)
-    if not 0 < sharpness < np.inf:  # also rejects NaN
-        raise ValueError(f"sharpness must be finite and > 0, got {sharpness}")
+    sharpness = _fields.number("sharpness", sharpness, 0, np.inf, "()")
     k = w.shape[-1]
     prod = (w[..., i] - w[..., j]) * (g[..., i] - g[..., j])
     return 2.0 * np.sum(sigmoid(-sharpness * prod), axis=-1) / (k * (k - 1))
@@ -104,7 +94,7 @@ def allocate(w, g) -> np.ndarray:
     by ascending original index, so the result is reproducible and constant
     importance yields the identity. Both must be finite.
     """
-    w, g = _finite("w", w), _finite("g", g)
+    w, g = _fields.numbers("w", w), _fields.numbers("g", g)
     if w.ndim != 1 or g.ndim != 1 or w.size != g.size:
         raise ValueError(f"importance and gains must be 1-D of equal length, got {w.shape}, {g.shape}")
     order_w = np.argsort(-w, kind="stable")

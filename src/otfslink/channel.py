@@ -23,7 +23,8 @@ and its layout belong to :func:`~otfslink.precoding.gram_matrix`, which
 writes the slabs into it.
 :func:`sample_channel` draws a channel for a checked
 :class:`~otfslink.link_sim.SimConfig`. :class:`DdMimoChannel` checks its
-sizes and taps by the configs' integer rule, in :mod:`otfslink._fields`.
+sizes and taps by the configs' integer rule, and its paths' gains and
+angles by the finite number rule, in :mod:`otfslink._fields`.
 The dense H, cyclic shift Pi and core are test oracles and live in
 :mod:`otfslink.validation`.
 """
@@ -73,9 +74,9 @@ class DdMimoChannel:
         for i, p in enumerate(self.paths):
             _fields.integer(f"path {i}: delay_tap", p.delay_tap, 0, mn - 1)
             _fields.integer(f"path {i}: doppler_tap", p.doppler_tap, 1 - mn, mn - 1)
-            for name in ("gain", "aod", "aoa"):
-                if not np.isfinite(getattr(p, name)):
-                    raise ValueError(f"path {i}: {name} must be finite, got {getattr(p, name)}")
+            _fields.numbers(f"path {i}: gain", p.gain, dtype=complex)
+            _fields.number(f"path {i}: aod", p.aod)
+            _fields.number(f"path {i}: aoa", p.aoa)
 
     @property
     def mn(self) -> int:
@@ -86,22 +87,23 @@ def ula_response(angle: float, n_antennas: int) -> np.ndarray:
     """Half-wavelength uniform linear array response, unit L2 norm.
 
     Element a is ``exp(j pi a cos(angle)) / sqrt(n_antennas)``; ``angle`` is
-    the azimuth in radians measured from the array axis (pi/2 = broadside).
+    the azimuth in radians measured from the array axis (pi/2 = broadside),
+    a finite number.
     """
     n_antennas = operator.index(n_antennas)  # np.arange would round a float count up
     if n_antennas < 1:
         raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
     a = np.arange(n_antennas)
-    return np.exp(1j * np.pi * a * np.cos(angle)) / np.sqrt(n_antennas)
+    return np.exp(1j * np.pi * a * np.cos(_fields.number("angle", angle))) / np.sqrt(n_antennas)
 
 
 def phase_rotation_matrix(size: int, power: int) -> np.ndarray:
-    """Diagonal phase rotation to the given power: diag{exp(j 2 pi q power / size)}."""
+    """Diagonal phase rotation to the given power, a finite number: diag{exp(j 2 pi q power / size)}."""
     size = operator.index(size)
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     q = np.arange(size)
-    return np.diag(np.exp(2j * np.pi * q * power / size))
+    return np.diag(np.exp(2j * np.pi * q * _fields.number("power", power) / size))
 
 
 # Most entries of the per-pair s x s blocks SpatialCore.gram holds at once: it
@@ -371,8 +373,7 @@ def apply_channel(h: np.ndarray, y: np.ndarray, noise_var: float, rng=None) -> n
     h, y = np.asarray(h), np.asarray(y)
     if h.ndim != 4 or y.ndim not in (1, 2) or y.shape[-1] != h.shape[1] * h.shape[3]:
         raise ValueError(f"signal shape {y.shape} incompatible with channel taps of shape {h.shape}")
-    if not 0 <= noise_var < np.inf:  # also rejects NaN
-        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
+    noise_var = _fields.number("noise_var", noise_var, 0, np.inf, "[)")
     mn, n_rx, n_tx = h.shape[1:]
     frames = np.ascontiguousarray(y.reshape(-1, n_tx, mn).transpose(2, 1, 0))  # (MN, n_tx, frames)
     r = np.zeros((mn, n_rx, frames.shape[2]), dtype=complex)

@@ -58,11 +58,9 @@ def otfs_modulate(grid: np.ndarray) -> np.ndarray:
     grid on the leading axes. The transform is unitary, so
     ``norm(out) == frobenius_norm(grid)`` per grid.
     """
-    grid = np.asarray(grid)
+    grid = _fields.numbers("grid", grid, dtype=None)
     if grid.ndim < 2 or grid.shape[-2] < 1 or grid.shape[-1] < 1:
         raise ValueError(f"DD grids must be (..., M, N) arrays with M, N >= 1, got shape {grid.shape}")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("DD grid entries must be finite")
     s = grid @ dft_matrix(grid.shape[-1]).conj().T
     return s.swapaxes(-1, -2).reshape(grid.shape[:-2] + (-1,))
 

@@ -84,18 +84,9 @@ MIN_SNR_DB = -100.0
 # already a long run; far larger counts never finish.
 MAX_TRIALS = 10**6
 
-# Most entries a config may ask of any array a link allocates. Neither H nor
-# the spatial core is formed; the decomposition holds G's stored triangle plus
-# the k eigenvectors (G, the core's Gram matrix, is at most H's size, and
-# precoding.gram_matrix allocates it and picks its layout: packed,
-# side*(side+1)/2 entries, up to a side of 896, and above it a mapped square of
-# which only the triangle's pages are committed), then the other side's k
-# vectors, and the workspaces of zhetrd or zhptrd, dsterf, dstein and zunmqr or
-# zupmtr are O(side) vectors, so no side**2-sized workspace is reserved or can
-# fail to allocate. On a mapped square the reflectors move from G into compact
-# blocks, about as many entries in fewer pages, which hand G's rows back as they
-# are copied, and the k eigenvectors come real and are widened to complex as the
-# back-transform hands each block back (see precoding.decompose).
+# Most entries a config may ask of any array a link allocates, by the sizes of
+# _ARRAY_SIZES. Neither H nor the spatial core is formed, and the Gram matrix
+# the decomposition holds is at most H's size (see precoding.decompose).
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of each per-chunk array of a burst: run_link passes as many frames
@@ -163,9 +154,7 @@ class SimConfig:
             check(name, _fields.integer, 0, self.m_delay * self.n_doppler - 1)
         if self.n_subchannels < 2:  # Kendall alignment needs a pair of sub-channels
             raise ValueError(f"n_rf*m_delay*n_doppler must be >= 2, got {self.n_subchannels}")
-        check("snr_db", _fields.number)
-        if not self.snr_db >= MIN_SNR_DB:  # also rejects NaN
-            raise ValueError(f"snr_db must be >= {MIN_SNR_DB:g} dB or +inf (noiseless), got {self.snr_db}")
+        check("snr_db", _fields.number, MIN_SNR_DB, math.inf, "[]")
         if self.precoder_mode not in PRECODER_MODES:
             raise ValueError(f"precoder_mode must be one of {PRECODER_MODES}, got {self.precoder_mode!r}")
         if self.allocation_mode not in ALLOCATION_MODES:
@@ -224,10 +213,8 @@ def snr_to_noise_var(snr_db: float) -> float:
     ``snr_db`` is a number >= :data:`MIN_SNR_DB`, or +inf for a noiseless
     link (variance 0); a ``ValueError`` names it otherwise.
     """
-    snr_db = _fields.number("snr_db", snr_db)
-    if not snr_db >= MIN_SNR_DB:  # also rejects NaN
-        raise ValueError(f"snr_db must be >= {MIN_SNR_DB:g} dB or +inf (noiseless), got {snr_db}")
-    return float(10.0 ** (-snr_db / 10.0))
+    snr_db = _fields.number("snr_db", snr_db, MIN_SNR_DB, math.inf, "[]")
+    return 10.0 ** (-snr_db / 10.0)
 
 
 def sample_importance(rng, n: int) -> np.ndarray:
@@ -271,10 +258,7 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     The precoder/combiner is folded in the arrays the decomposition
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
     which owns them from then on. So a realization's memory peaks inside
-    the decomposition, at G's stored triangle, or on a mapped square the
-    compact blocks its reflectors move into, plus the k eigenvectors (as
-    reals, and a chunk of them complex, on a mapped square), G being the
-    Gram matrix (see :func:`~otfslink.precoding.gram_matrix`).
+    the decomposition (see :func:`~otfslink.precoding.decompose`).
     The taps that :func:`~otfslink.channel.apply_channel` takes are built
     last; they hold (max delay + 1)*MN*n_rx*n_tx entries, never more than
     H's.
@@ -333,13 +317,11 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
     """
     rng = np.random.default_rng(rng if rng is not None else cfg.seed)
     idx = np.asarray(payload_indices)
-    w_all = np.asarray(importance, dtype=float)
+    w_all = _fields.numbers("importance", importance, 0, math.inf, "[)")
     if idx.shape != (cfg.payload_len,):
         raise ValueError(f"payload must have length n_rf*m*n*n_frames = {cfg.payload_len}")
     if w_all.shape != idx.shape:
         raise ValueError("importance must match the payload length")
-    if np.any(w_all < 0) or not np.all(np.isfinite(w_all)):
-        raise ValueError("importance scores must be finite and >= 0")
 
     chan = sample_channel(cfg, rng)
     real = (slot if slot is not None else RealizationSlot()).get(chan, cfg.n_rf, cfg.precoder_mode)

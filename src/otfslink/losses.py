@@ -20,12 +20,14 @@ _MIN_PROB = 2.0 ** -64
 
 @dataclass(frozen=True)
 class LossWeights:
+    """The weights of :func:`l2_loss`'s terms: finite numbers, stored as ``float``."""
+
     lambda_mse: float = 20.0
     lambda_em: float = 0.5
 
     def __post_init__(self):
-        if not (np.isfinite(self.lambda_mse) and np.isfinite(self.lambda_em)):
-            raise ValueError("loss weights must be finite")
+        for name in ("lambda_mse", "lambda_em"):
+            object.__setattr__(self, name, _fields.number(name, getattr(self, name)))
 
 
 def rate_term(probs) -> float:
@@ -33,25 +35,14 @@ def rate_term(probs) -> float:
 
     Probabilities below 2**-64 are clamped there, keeping the result finite.
     """
-    p = np.asarray(probs, dtype=float)
-    if not np.all((p > 0) & (p <= 1)):  # also rejects NaN
-        raise ValueError("probabilities must lie in (0, 1]")
+    p = _fields.numbers("probs", probs, 0, 1, "(]")
     return float(np.sum(-np.log2(np.maximum(p, _MIN_PROB))))
 
 
-def _finite(name: str, value) -> float:
-    """``value`` as a float by the number rule, refused by name unless finite."""
-    value = _fields.number(name, value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
 def l1_loss(rate_y: float, rate_z: float, mse: float) -> float:
-    """Rate-distortion objective: bit cost of both latents plus MSE, each finite."""
-    if not 0 <= mse < np.inf:  # also rejects NaN
-        raise ValueError(f"mse must be finite and >= 0, got {mse}")
-    return float(_finite("rate_y", rate_y) + _finite("rate_z", rate_z) + mse)
+    """Rate-distortion objective: bit cost of both latents plus MSE, each finite, the MSE >= 0."""
+    mse = _fields.number("mse", mse, 0, math.inf, "[)")
+    return _fields.number("rate_y", rate_y) + _fields.number("rate_z", rate_z) + mse
 
 
 def cross_entropy(true_label: int, predicted) -> float:
@@ -59,20 +50,17 @@ def cross_entropy(true_label: int, predicted) -> float:
 
     ``true_label`` is an integer in [0, predicted.size - 1]; an error names it.
     """
-    p = np.asarray(predicted, dtype=float)
+    p = _fields.numbers("predicted", predicted, 0, 1, "[]")
     if p.ndim != 1:
         raise ValueError(f"predicted must be a 1-D distribution, got shape {p.shape}")
     true_label = _fields.integer("true_label", true_label, 0, p.size - 1)
-    if not np.all((p >= 0) & (p <= 1)):  # also rejects NaN
-        raise ValueError("predicted probabilities must lie in [0, 1]")
     if abs(float(p.sum()) - 1.0) > 1e-6:
         raise ValueError(f"predicted must sum to 1 within 1e-6, got {p.sum()}")
     return float(-np.log2(max(float(p[true_label]), _MIN_PROB)))
 
 
 def l2_loss(ce: float, mse: float, kappa: float, weights: LossWeights | None = None) -> float:
-    """Task objective: ``ce + lambda_mse * mse - lambda_em * kappa``, each term finite."""
+    """Task objective: ``ce + lambda_mse * mse - lambda_em * kappa``, each term finite, the MSE >= 0."""
     w = weights if weights is not None else LossWeights()
-    if not 0 <= mse < np.inf:  # also rejects NaN
-        raise ValueError(f"mse must be finite and >= 0, got {mse}")
-    return float(_finite("ce", ce) + w.lambda_mse * mse - w.lambda_em * _finite("kappa", kappa))
+    mse = _fields.number("mse", mse, 0, math.inf, "[)")
+    return _fields.number("ce", ce) + w.lambda_mse * mse - w.lambda_em * _fields.number("kappa", kappa)

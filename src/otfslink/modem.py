@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _fields
 from .special import erfc
 
 QAM_ORDER = 64
@@ -46,10 +47,8 @@ def modulate(indices) -> np.ndarray:
     """Map integer labels in [0, 64) to constellation symbols."""
     idx = np.asarray(indices)
     if idx.size and (not np.issubdtype(idx.dtype, np.integer)):
-        raise ValueError(f"symbol indices must be integers, got dtype {idx.dtype}")
-    if np.any(idx < 0) or np.any(idx >= QAM_ORDER):
-        raise ValueError(f"symbol indices must lie in [0, {QAM_ORDER})")
-    return _POINTS[idx]
+        raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+    return _POINTS[_fields.numbers("indices", idx, 0, QAM_ORDER, "[)", dtype=None)]
 
 
 def demodulate_hard(received) -> np.ndarray:
@@ -59,9 +58,7 @@ def demodulate_hard(received) -> np.ndarray:
     a value exactly on a threshold takes the lower level. Non-finite
     symbols raise ``ValueError``.
     """
-    r = np.asarray(received, dtype=complex)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("received symbols must be finite")
+    r = _fields.numbers("received", received, dtype=complex)
     return _LABELS[np.searchsorted(MIDPOINTS, r.real), np.searchsorted(MIDPOINTS, r.imag)]
 
 
@@ -73,11 +70,7 @@ def equalize(x_hat, gains):
     erasure is a value, not an error. ``gains`` broadcast along the last axis.
     A non-finite entry of either argument is a ``ValueError`` naming it.
     """
-    x = np.asarray(x_hat)
-    lam = np.asarray(gains, dtype=float)
-    for name, values in (("x_hat", x), ("gains", lam)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite")
+    x, lam = _fields.numbers("x_hat", x_hat, dtype=None), _fields.numbers("gains", gains)
     erased = lam < DEFAULT_MIN_GAIN
     safe = np.where(erased, 1.0, lam)
     eq = np.where(erased, 0.0, x / safe)
@@ -90,9 +83,7 @@ def square_qam_ser(snr_linear):
     ``snr_linear`` is Es/N0 with Es the unit average symbol energy and N0
     the total per-complex-component noise variance, >= 0 or +inf.
     """
-    snr = np.asarray(snr_linear, dtype=float)
-    if not np.all(snr >= 0):  # also rejects NaN
-        raise ValueError(f"snr_linear must be >= 0 or +inf, got {snr_linear}")
+    snr = _fields.numbers("snr_linear", snr_linear, 0, np.inf, "[]")
     q = 0.5 * erfc(np.sqrt(3.0 * snr / (QAM_ORDER - 1)) / np.sqrt(2.0))
     p_axis = 2.0 * (1.0 - 1.0 / _LEVEL.size) * q
     ser = 1.0 - (1.0 - p_axis) ** 2

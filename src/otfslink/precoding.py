@@ -255,12 +255,10 @@ def _lapack_eigenpairs(routines, g: np.ndarray, offsets: np.ndarray, k: int):
     LAPACKE's workspaces and the back-transform's are O(side) or O(k)
     vectors; so on the square route the memory peaks at g's stored
     triangle or the blocks, about as many entries in fewer pages, plus
-    the k vectors as reals, and about a chunk of them widened. At 2048**2
-    (k = 512) the rise in the peak RSS fell from 54.2 to 51.8 MiB once the
-    reflectors left g's square. ``zhptrd`` is unblocked and
-    ``zhetrd`` blocked, running part of its work as matrix products: the
-    first was the faster up to a side of about 900, the second beyond (see
-    :data:`_GRAM_MAPPING_BYTES`).
+    the k vectors as reals, and about a chunk of them widened. ``zhptrd``
+    is unblocked and ``zhetrd`` blocked, running part of its work as
+    matrix products: the first is the faster up to a side of about 900,
+    the second beyond (see :data:`_GRAM_MAPPING_BYTES`).
 
     T is split where LAPACK's bisection ``dstebz`` splits it, at each e_j
     with e_j**2 below ulp**2 |d_j d_(j+1)| + safmin, and every block is
@@ -342,9 +340,8 @@ def _reflector_blocks(g: np.ndarray, side: int) -> tuple[np.ndarray, list]:
     (:func:`_mapped_zeros`). As each chunk is copied, ``g``'s pages before
     the next chunk's first row go back to the host, to read as zeros. The
     stored triangle shares each row's first page with the other triangle,
-    so at 2048**2 it held 36 MiB of pages for 32 MiB of entries; the
-    blocks waste only about ``_BACK_TRANSFORM_CHUNK * side / 2`` entries,
-    and hold 33 MiB.
+    so its pages hold more than its entries; the blocks waste only about
+    ``_BACK_TRANSFORM_CHUNK * side / 2`` entries.
     """
     square, starts = g.reshape(side, side), range(0, side - 1, _BACK_TRANSFORM_CHUNK)
     shapes = [(min(_BACK_TRANSFORM_CHUNK, side - 1 - start), side - 1 - start) for start in starts]
@@ -429,14 +426,9 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     each block as it spends it (see :func:`_lapack_eigenpairs`).
     There the eigenvectors and the other side's vectors live in fresh
     private mappings, as G does, so that no glibc heap grows to hold them
-    and then stays. The ``eigh`` fallback copies
-    the whole square and returns all its eigenvectors: one ``decompose`` of
-    8x8 antennas on a 16x16 grid (a 2048-square G) raised the peak RSS by
-    303 MiB on it (331 MiB with G a plain square) against 51.8 MiB on
-    LAPACK's route (54.2 MiB with the reflectors left in G's square, 59 MiB
-    with the vectors complex from the start and G held to the end of its
-    back-transform), and took 6.0 s against 2.5 s (2-core x86 host, 2 BLAS
-    threads).
+    and then stays. The ``eigh`` fallback copies the whole square and
+    returns all its eigenvectors, so it takes several times the memory and
+    more than twice the time.
     Factors are complex128.
     Raises :class:`RankDeficientChannelError` when fewer than ``k``
     eigenvalues lie above ``RANK_TOLERANCE**2 * lambda_max``, ``k`` above

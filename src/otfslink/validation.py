@@ -145,9 +145,9 @@ class DenseCore:
     mn = 1
 
     def __post_init__(self):
-        h = np.asarray(self.h)
-        if h.ndim != 2 or h.size == 0 or not np.all(np.isfinite(h)):
-            raise ValueError(f"channel matrix must be finite, 2-D and non-empty, got shape {h.shape}")
+        h = _fields.numbers("h", self.h, dtype=None)
+        if h.ndim != 2 or h.size == 0:
+            raise ValueError(f"h must be 2-D and non-empty, got shape {h.shape}")
         object.__setattr__(self, "h", h)
 
     @property

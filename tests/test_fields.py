@@ -1,16 +1,24 @@
-"""The integer and number rules, as numeric config and channel fields and integer arguments apply them."""
+"""The integer and number rules, as numeric config and channel fields and integer and number arguments apply them."""
 
 import dataclasses
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from otfslink.channel import DdMimoChannel, PathParams
+from otfslink.allocation import allocate, exact_kendall_tau, gaussian_bin_entropy, soft_kendall
+from otfslink.channel import (
+    DdMimoChannel, PathParams, apply_channel, build_time_channel, phase_rotation_matrix, ula_response,
+)
 from otfslink.cli import ExperimentConfig
-from otfslink.dd_transforms import otfs_demodulate, unstack_chains
-from otfslink.link_sim import SimConfig, run_sweep, sample_importance, sample_payload, snr_points
-from otfslink.losses import cross_entropy
+from otfslink.dd_transforms import otfs_demodulate, otfs_modulate, unstack_chains
+from otfslink.link_sim import (
+    SimConfig, run_link, run_sweep, sample_importance, sample_payload, snr_points, snr_to_noise_var,
+)
+from otfslink.losses import LossWeights, cross_entropy, l1_loss, l2_loss, rate_term
+from otfslink.modem import demodulate_hard, equalize, square_qam_ser
 from otfslink.precoding import build_precoder_combiner, dd_transform_matrices, decompose
 from otfslink.validation import DenseCore, cyclic_shift_matrix
 
@@ -31,9 +39,15 @@ def _experiment(name, grid=False):
     return lambda value: ExperimentConfig(SMALL, **{name: value}), lambda cfg: getattr(cfg, name)
 
 
+PATH = PathParams(1.0 + 0j, 1, -1, 0.5, 1.0)
+
+
 def _channel(name):
-    path = PathParams(1.0 + 0j, 1, -1, 0.5, 1.0)
-    return lambda value: DdMimoChannel((path,), **{**SIZES, name: value}), lambda chan: getattr(chan, name)
+    return lambda value: DdMimoChannel((PATH,), **{**SIZES, name: value}), lambda chan: getattr(chan, name)
+
+
+def _weights(name):
+    return lambda value: LossWeights(**{name: value}), lambda weights: getattr(weights, name)
 
 
 # (id, (build, read), a value of the field's Python type, that type); every float value is
@@ -49,6 +63,8 @@ FIELDS = [
     ("ExperimentConfig.snr_grid_db", _experiment("snr_grid_db", grid=True), -6.0, float),
     ("ExperimentConfig.n_tx_grid", _experiment("n_tx_grid", grid=True), 3, int),
     *[(f"DdMimoChannel.{name}", _channel(name), SIZES[name], int) for name in SIZES],
+    ("LossWeights.lambda_mse", _weights("lambda_mse"), 20.0, float),
+    ("LossWeights.lambda_em", _weights("lambda_em"), 3.0, float),
 ]
 
 
@@ -110,14 +126,18 @@ def _parts(result):
     return [np.asarray(part) for part in (result if isinstance(result, (tuple, list)) else [result])]
 
 
+def _same_parts(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("argument, call, value, out_of_range", ARGUMENTS, ids=[a[0] for a in ARGUMENTS])
 def test_integer_arguments_follow_the_integer_rule_by_name(argument, call, value, out_of_range):
     name = argument.split(".")[1]
     expected = _parts(call(value))
-    for got in (_parts(call(np.int64(value))), _parts(call(np.int32(value)))):
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for numpy_type in (np.int64, np.int32):
+        _same_parts(_parts(call(numpy_type(value))), expected)
     for bad in (float(value), np.float64(value), True, np.True_):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             call(bad)
@@ -131,3 +151,84 @@ def test_cross_entropy_names_a_bad_true_label(label):
     # a fractional label once ended in numpy's IndexError, and a bool in a TypeError
     with pytest.raises(ValueError, match="true_label"):
         cross_entropy(label, [0.5, 0.5])
+
+
+def _path(name):
+    """A call that builds a one-path channel with the path's ``name`` set to its argument, and its delay taps."""
+    return lambda value: build_time_channel(DdMimoChannel((replace(PATH, **{name: value}),), **SIZES))
+
+
+# (id: function.argument, call of the argument's value, a valid value, an out-of-range value, the range as
+# an error gives it); every valid value is integral and exact in float32, so each numpy type carries it exactly
+NUMBERS = [
+    ("snr_to_noise_var.snr_db", snr_to_noise_var, 3.0, -101.0, "in [-100, inf]"),
+    ("apply_channel.noise_var", lambda v: apply_channel(np.ones((1, 2, 1, 1)), np.ones(2, complex), v, 0),
+     2.0, -1.0, "in [0, inf)"),
+    ("ula_response.angle", lambda v: ula_response(v, 3), 1.0, math.inf, "finite"),
+    ("phase_rotation_matrix.power", lambda v: phase_rotation_matrix(3, v), 2.0, -math.inf, "finite"),
+    *[(f"DdMimoChannel.path 0: {name}", _path(name), 2.0, math.inf, "finite") for name in ("gain", "aod", "aoa")],
+    ("soft_kendall.sharpness", lambda v: soft_kendall([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], v), 2.0, 0, "in (0, inf)"),
+    ("l1_loss.rate_y", lambda v: l1_loss(v, 1.0, 0.5), 2.0, math.inf, "finite"),
+    ("l1_loss.rate_z", lambda v: l1_loss(1.0, v, 0.5), 2.0, -math.inf, "finite"),
+    ("l1_loss.mse", lambda v: l1_loss(1.0, 0.5, v), 2.0, -1.0, "in [0, inf)"),
+    ("l2_loss.ce", lambda v: l2_loss(v, 0.5, 0.25), 2.0, math.inf, "finite"),
+    ("l2_loss.mse", lambda v: l2_loss(1.0, v, 0.25), 2.0, -1.0, "in [0, inf)"),
+    ("l2_loss.kappa", lambda v: l2_loss(1.0, 0.5, v), 2.0, -math.inf, "finite"),
+    ("square_qam_ser.snr_linear", square_qam_ser, 3.0, -1.0, "in [0, inf]"),
+]
+
+
+@pytest.mark.parametrize("argument, call, value, out_of_range, rule", NUMBERS, ids=[a[0] for a in NUMBERS])
+def test_number_arguments_take_numpy_numbers_as_their_values(argument, call, value, out_of_range, rule):
+    expected = _parts(call(value))
+    for numpy_type in (np.float32, np.float64, np.int64):
+        _same_parts(_parts(call(numpy_type(value))), expected)
+
+
+@pytest.mark.parametrize("argument, call, value, out_of_range, rule", NUMBERS, ids=[a[0] for a in NUMBERS])
+def test_number_arguments_refuse_bools_strings_nan_and_out_of_range_values_by_name(
+    argument, call, value, out_of_range, rule
+):
+    name = re.escape(argument.split(".", 1)[1])
+    for bad in (True, np.True_, str(value)):
+        with pytest.raises(ValueError, match=rf"^{name} must (be a number|hold numbers), got "):
+            call(bad)
+    for bad in (math.nan, out_of_range):
+        with pytest.raises(ValueError, match=rf"^{name} must be {re.escape(rule)}, got \(?{re.escape(str(bad))}"):
+            call(bad)
+
+
+# (id: function.argument, call of the argument's array, a valid array)
+ARRAYS = [
+    *[(f"gaussian_bin_entropy.{name}",
+       lambda v, name=name: gaussian_bin_entropy(**{"mu": [0.0, 1.0], "sigma": [1.0, 2.0], "y_hat": [0.0, 2.0],
+                                                    name: v}),
+       np.array([1.0, 2.0])) for name in ("mu", "sigma", "y_hat")],
+    *[(f"{function.__name__}.{name}",
+       lambda v, function=function, name=name: function(**{"w": [1.0, 2.0, 3.0], "g": [3.0, 1.0, 2.0], name: v}),
+       np.array([2.0, 3.0, 1.0])) for function in (allocate, exact_kendall_tau, soft_kendall) for name in "wg"],
+    ("rate_term.probs", rate_term, np.array([0.5, 0.25])),
+    ("cross_entropy.predicted", lambda v: cross_entropy(0, v), np.array([0.25, 0.75])),
+    ("equalize.x_hat", lambda v: equalize(v, [1.0, 2.0]), np.array([1.0 + 1j, 2.0])),
+    ("equalize.gains", lambda v: equalize([1.0 + 1j, 2.0], v), np.array([1.0, 2.0])),
+    ("demodulate_hard.received", demodulate_hard, np.array([0.1 + 0.2j, -0.3])),
+    ("square_qam_ser.snr_linear", square_qam_ser, np.array([1.0, 4.0])),
+    ("otfs_modulate.grid", otfs_modulate, np.arange(6.0).reshape(2, 3) + 1j),
+    ("DenseCore.h", lambda v: DenseCore(v).h, np.arange(4.0).reshape(2, 2)),
+    ("run_link.importance", lambda v: run_link(SMALL, np.zeros(SMALL.payload_len, int), v),
+     np.arange(1.0, SMALL.payload_len + 1.0)),
+]
+
+
+@pytest.mark.parametrize("argument, call, valid", ARRAYS, ids=[a[0] for a in ARRAYS])
+def test_number_array_arguments_refuse_a_nan_entry_and_arrays_of_non_numbers_by_name(argument, call, valid):
+    name = argument.split(".")[1]
+    call(valid)
+    bad = valid.copy()
+    bad.flat[-1] = np.nan
+    where = ", ".join(str(i) for i in np.unravel_index(valid.size - 1, valid.shape))
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {name}\[{where}\] = \(?nan"):
+        call(bad)
+    for refused in (valid.astype(str), valid != 0):
+        with pytest.raises(ValueError, match=rf"^{name} must hold numbers, got dtype "):
+            call(refused)
