@@ -14,7 +14,7 @@ Submodules:
 * :mod:`otfslink.cli`           -- ``otfslink`` command-line entry point
 """
 
-__version__ = "0.7.6"
+__version__ = "0.7.7"
 
 from .allocation import (
     allocate,

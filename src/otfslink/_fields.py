@@ -59,6 +59,18 @@ def number(name: str, value, low: float = -math.inf, high: float = math.inf, end
     return result
 
 
+def finite_result(expression: str, value: float, **arguments) -> float:
+    """``value``, the float ``expression`` computes from ``arguments``, if it is finite; else a ``ValueError`` naming them.
+
+    For finite arguments whose result overflows the float range (or is NaN,
+    as inf - inf is).
+    """
+    if not math.isfinite(value):
+        given = ", ".join(f"{name} = {shown(argument)}" for name, argument in arguments.items())
+        raise ValueError(f"{expression} overflows the float range, got {given}")
+    return value
+
+
 def numbers(name: str, values, low: float = -math.inf, high: float = math.inf, ends: str = "()",
             dtype=float) -> np.ndarray:
     """``values`` as an array of ``dtype`` (its own if None) if every entry is an integer, float or complex in the range.

@@ -59,15 +59,21 @@ def exact_kendall_tau(w, g):
     Tied pairs count as zero; two entries of ``g`` tie when they differ by at
     most ``GAIN_TIE_RTOL * max|g|``; both must be finite. Brute-force over
     all pairs; kept deliberately elementary so it can serve as the reference
-    for the smooth surrogate.
+    for the smooth surrogate. Each sign comes from comparisons and each gap
+    from halves of the gains, so no finite input overflows.
     Correlates along the last axis and broadcasts the leading ones, so
     ``(frames, K)`` inputs give one value per frame.
     """
     w, g, i, j = _pairs(w, g)
-    dg = g[..., i] - g[..., j]
-    tied = np.abs(dg) <= GAIN_TIE_RTOL * np.max(np.abs(g), axis=-1, keepdims=True)
-    concordance = np.sign(w[..., i] - w[..., j]) * np.where(tied, 0.0, np.sign(dg))
+    half = g / 2  # no difference of two finite halves overflows
+    tied = np.abs(half[..., i] - half[..., j]) <= GAIN_TIE_RTOL / 2 * np.max(np.abs(g), axis=-1, keepdims=True)
+    concordance = _sign(w[..., i], w[..., j]) * np.where(tied, 0, _sign(g[..., i], g[..., j]))
     return np.sum(concordance, axis=-1) / float(i.size)
+
+
+def _sign(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sign(a - b)`` as int8, by comparisons, which cannot overflow."""
+    return (a > b).astype(np.int8) - (a < b)
 
 
 def soft_kendall(w, g, sharpness: float = 2.0):
@@ -77,10 +83,16 @@ def soft_kendall(w, g, sharpness: float = 2.0):
     concordant pairs score *below* 0.5. ``1 - soft_kendall(w, g, sharpness)`` is the
     concordance-consistent variant (sigmoid(-x) = 1 - sigmoid(x)), whose sharp
     limit is ``(exact_kendall_tau + 1) / 2`` on tie-free input. Leading axes
-    broadcast as in :func:`exact_kendall_tau`.
+    broadcast as in :func:`exact_kendall_tau`. Every product it forms is at
+    most ``sharpness * span(w) * span(g)`` in size, the spans taken over the
+    widest row of each; when that bound overflows the float range, a
+    ``ValueError`` names the three.
     """
     w, g, i, j = _pairs(w, g)
     sharpness = _fields.number("sharpness", sharpness, 0, np.inf, "()")
+    span_w, span_g = (float(np.max(np.max(x, axis=-1) / 2 - np.min(x, axis=-1) / 2)) * 2 for x in (w, g))
+    _fields.finite_result("sharpness * span(w) * span(g)", sharpness * (span_w * span_g), sharpness=sharpness,
+                          **{"span(w)": span_w, "span(g)": span_g})
     k = w.shape[-1]
     prod = (w[..., i] - w[..., j]) * (g[..., i] - g[..., j])
     return 2.0 * np.sum(sigmoid(-sharpness * prod), axis=-1) / (k * (k - 1))

@@ -16,8 +16,8 @@ The link carries its frames through the channel's taps, a slab of
 antenna blocks per delay (:func:`build_time_channel`, :func:`apply_channel`),
 and decomposes it through a :class:`SpatialCore` (:func:`spatial_core`):
 H's paths, describing the Gram matrix of H's spatial core on its smaller
-side as one slab per delay, the lift of its eigenvectors to H's
-coordinates, and H's product with a block of vectors, path by path.
+side as one slab per delay, the core's product with a block of vectors,
+path by path, and the core's bases, which take its coordinates to H's.
 Neither the core nor H is formed. The Gram matrix itself, its storage
 and its layout belong to :func:`~otfslink.precoding.gram_matrix`, which
 writes the slabs into it.
@@ -180,15 +180,20 @@ class SpatialCore:
     responses swap sides. Either way the fields describe a matrix A, H or
     H^H, whose in side is the Gram side.
 
-    A's right singular vectors of nonzero singular value lie in the span
-    of ``a_in kron I_MN``, ``min(n, L)*MN`` dimensions for the in side's
-    ``n x L`` array responses ``a_in``. The Gram side is the side where
-    that count is the smaller (the transmit side on a tie), and ``wide``
-    says it is the receive side. It is compressed only when it has more
-    antennas than paths: ``a_in = q_in r_in`` is then its reduced QR
-    factorization; otherwise ``q_in`` is None and ``r_in`` is ``a_in``. The
-    decomposition takes those vectors from the eigenvectors of
-    :meth:`gram`, lifted by :meth:`lift`, and the left ones from :meth:`times`.
+    Each side is compressed when it has more antennas than paths: ``a_out
+    = q_out r_out`` and ``a_in = q_in r_in`` are then the reduced QR
+    factorizations of its ``n x L`` array responses; on any other side Q
+    is None and R the array responses. So ``A = (Q_out kron I_MN) C (Q_in
+    kron I_MN)^H`` for the core C, the path sum with the columns of the R
+    in place of the array responses, of ``min(n, L)*MN`` rows per side:
+    C shares A's nonzero singular values, and the Q are the core's bases,
+    the identity where None. The Gram side is the side of the smaller such
+    count (the transmit side on a tie), and ``wide`` says it is the
+    receive side. The decomposition takes C's right singular vectors from
+    the eigenvectors of :meth:`gram` and the left ones from :meth:`times`,
+    and keeps both in the core's bases: :attr:`q_rx` and :attr:`q_tx` take
+    them to H's coordinates. ``a_out`` stays for :meth:`gram`, which forms
+    the out side's inner products from the array responses themselves.
 
     ``scale`` is half the smallest power of two above the largest real or
     imaginary part of a gain, so it is finite for every finite gain, and
@@ -198,7 +203,8 @@ class SpatialCore:
     """
 
     a_out: np.ndarray
-    a_in: np.ndarray
+    q_out: np.ndarray | None
+    r_out: np.ndarray
     q_in: np.ndarray | None
     r_in: np.ndarray
     gains: np.ndarray
@@ -215,11 +221,21 @@ class SpatialCore:
 
     @property
     def shape(self) -> tuple[int, int]:
-        """A's shape: ``(n_out*MN, n_in*MN)``."""
-        return self.a_out.shape[0] * self.mn, self.a_in.shape[0] * self.mn
+        """C's shape: ``(min(n_out, L)*MN, min(n_in, L)*MN)``."""
+        return self.r_out.shape[0] * self.mn, self.side
+
+    @property
+    def q_rx(self) -> np.ndarray | None:
+        """The basis of H's receive side, ``n_rx x min(n_rx, L)``, or None for the identity."""
+        return self.q_in if self.wide else self.q_out
+
+    @property
+    def q_tx(self) -> np.ndarray | None:
+        """The basis of H's transmit side, ``n_tx x min(n_tx, L)``, or None for the identity."""
+        return self.q_out if self.wide else self.q_in
 
     def gram(self):
-        """``(q_in kron I)^H A^H A (q_in kron I) / scale**2``, A's Gram matrix on the Gram side, as delay slabs.
+        """``C^H C / scale**2 = (q_in kron I)^H A^H A (q_in kron I) / scale**2``, C's Gram matrix, as delay slabs.
 
         With a ``q_in`` of None read as I, ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``a_out``,
         it is ``sum_(i,j) conj(g_i) g_j (o_i^H o_j) (r_i r_j^H) kron
@@ -254,34 +270,22 @@ class SpatialCore:
             np.add.at(blocks, np.searchsorted(taps, keys).ravel(), outer.reshape(-1, s, s))
         return _delay_slabs(mn, np.ones(taps.size), blocks, taps // mn, taps % mn)
 
-    def lift(self, z: np.ndarray) -> np.ndarray:
-        """``(q_in kron I_MN) z`` for the ``(side, k)`` eigenvectors ``z`` of :meth:`gram`.
-
-        ``z`` itself when the Gram side is not compressed (``q_in`` is
-        None): its coordinates are then A's own. Otherwise one new array:
-        each column of ``z`` is an ``(L, MN)`` slab that the tall ``q_in``
-        multiplies from the left.
-        """
-        if self.q_in is None:
-            return z
-        k = z.shape[1]
-        return (self.q_in @ z.T.reshape(k, -1, self.mn)).reshape(k, -1).T
-
     def times(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``A x / scale`` for the ``(n_in*MN, k)`` array ``x``: ``H x``, or ``H^H x`` when ``wide``.
+        """``C x / scale`` for the ``(side, k)`` array ``x``: the core of ``H``, or of ``H^H`` when ``wide``.
 
-        Written into ``out``, of A's rows by ``x``'s columns, when it is given.
+        Written into ``out``, of C's rows by ``x``'s columns, when it is given.
 
-        One product with ``a_in^H`` takes x to one ``MN x k`` slab per path,
+        One product with ``r_in^H`` takes x to one ``MN x k`` slab per path,
         one gather shifts every path's slab and one product rotates it, and
-        one product with ``a_out`` sums the paths into A's row space. The
-        slabs of all paths would outgrow the result once there are more
-        paths than ``a_out`` has rows, so the columns go through in blocks
-        whose slabs and products each hold about a :data:`_TIMES_BLOCKS`-th
-        of the result's entries.
+        one product with ``r_out`` sums the paths into C's row space. On an
+        uncompressed side the R are the array responses, so there it is A's
+        own product. The slabs of all paths would outgrow the result once
+        there are more paths than ``r_out`` has rows, so the columns go
+        through in blocks whose slabs and products each hold about a
+        :data:`_TIMES_BLOCKS`-th of the result's entries.
         """
         mn, paths = self.mn, self.gains.size
-        n_out = self.a_out.shape[0]
+        n_out = self.r_out.shape[0]
         out = np.empty((n_out * mn, x.shape[1]), dtype=complex) if out is None else out
         step = max(1, n_out * x.shape[1] // (max(paths, n_out) * _TIMES_BLOCKS))
         # row q of path i's slab, times its phase, lands on row (q + l_i) mod MN: row p
@@ -297,10 +301,10 @@ class SpatialCore:
     def _times_block(self, block: np.ndarray, rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """One column block of :meth:`times`; its slabs are freed on return."""
         mn, paths, cols = self.mn, self.gains.size, block.shape[1]
-        slabs = (self.a_in.conj().T @ block.reshape(self.a_in.shape[0], mn * cols)).reshape(paths * mn, cols)
+        slabs = (self.r_in.conj().T @ block.reshape(self.r_in.shape[0], mn * cols)).reshape(paths * mn, cols)
         shifted = slabs[rows]
         shifted *= phases  # in place: a product into a new array raised the sweep's peak RSS
-        return (self.a_out @ shifted.reshape(paths, mn * cols)).reshape(-1, cols)
+        return (self.r_out @ shifted.reshape(paths, mn * cols)).reshape(-1, cols)
 
 
 def spatial_core(chan: DdMimoChannel) -> SpatialCore:
@@ -310,11 +314,11 @@ def spatial_core(chan: DdMimoChannel) -> SpatialCore:
     factorizations of the ``n x L`` array matrices, ``H = (Q_rx kron I_MN)
     C (Q_tx kron I_MN)^H`` exactly, with C the path sum of H with the
     columns of R in place of the array responses: a core that shares H's
-    nonzero singular values. Only a side with more antennas than paths is
+    nonzero singular values. Every side with more antennas than paths is
     compressed so, by a tall Q; on any other side Q would be square and
-    only rotate, so there Q = I and R = A. The core's Gram matrix is C's on
-    its smaller side, so only that side's Q and R are kept; neither C nor
-    the other side's Q is formed.
+    only rotate, so there Q = I (held as None) and R = A. Both Q and R of
+    each side are kept, the Q as the bases in which the decomposition's
+    factors come; C itself is not formed.
     """
     a_rx, a_tx = _array_matrices(chan)
     gains, delays, dopplers = _taps(chan)
@@ -330,8 +334,8 @@ def spatial_core(chan: DdMimoChannel) -> SpatialCore:
         gains = gains.conj() * np.exp(2j * np.pi * ((dopplers * delays) % mn) / mn)
         delays, dopplers = -delays % mn, -dopplers
         a_out, a_in = a_tx, a_rx
-    q_in, r_in = np.linalg.qr(a_in) if a_in.shape[0] > paths else (None, a_in)
-    return SpatialCore(a_out=a_out, a_in=a_in, q_in=q_in, r_in=r_in, gains=gains, delays=delays,
+    (q_out, r_out), (q_in, r_in) = (np.linalg.qr(a) if a.shape[0] > paths else (None, a) for a in (a_out, a_in))
+    return SpatialCore(a_out=a_out, q_out=q_out, r_out=r_out, q_in=q_in, r_in=r_in, gains=gains, delays=delays,
                        dopplers=dopplers, mn=mn, scale=scale, wide=wide)
 
 

@@ -36,11 +36,13 @@ one frame at a time.
 
 The decomposition never forms H: :func:`~otfslink.precoding.decompose`
 returns exactly the ``n_rf*MN`` leading triplets of H the link uses, in
-H's own coordinates, or raises when the channel's rank is lower. It takes
-them from the leading eigenpairs of the Gram matrix of H's spatial core,
-which is summed from the path pairs, and applies H path by path
-(:class:`~otfslink.channel.SpatialCore`). The transmitted frames go
-through the channel's delay taps, and no H-sized array is allocated. How
+the bases of H's spatial core, or raises when the channel's rank is
+lower. It takes them from the leading eigenpairs of the Gram matrix of
+the core, which is summed from the path pairs, and applies the core path
+by path (:class:`~otfslink.channel.SpatialCore`). The precoded frames are
+lifted to the transmit antennas, go through the channel's delay taps, and
+are projected back onto the core's receive basis before combining; no
+H-sized array is allocated. How
 each version of the CSV moved against the one before is kept in ``CHANGES.md``.
 
 :class:`SimConfig`'s integer and number fields and :func:`run_sweep`'s
@@ -236,12 +238,16 @@ class Realization:
     A pure function of ``(chan, n_rf, precoder_mode)``; see :func:`realize`.
     ``h`` is the channel's delay taps (:func:`~otfslink.channel.build_time_channel`).
     The SVD factors themselves are not kept: ``pc`` and ``gains`` carry all
-    a transmission uses of them.
+    a transmission uses of them. ``pc`` is in the bases of the channel's
+    spatial core, ``q_rx`` and ``q_tx``, each None where that side is not
+    compressed (see :class:`~otfslink.channel.SpatialCore`).
     """
 
     h: np.ndarray
     pc: PrecoderCombiner
     gains: np.ndarray
+    q_rx: np.ndarray | None
+    q_tx: np.ndarray | None
 
 
 def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
@@ -257,19 +263,24 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
 
     The precoder/combiner is folded in the arrays the decomposition
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
-    which owns them from then on. So a realization's memory peaks inside
-    the decomposition (see :func:`~otfslink.precoding.decompose`).
-    The taps that :func:`~otfslink.channel.apply_channel` takes are built
-    last; they hold (max delay + 1)*MN*n_rx*n_tx entries, never more than
-    H's.
+    which owns them from then on. They stay in the core's bases, which
+    the realization keeps: ``min(n, L)*MN`` rows per side rather than
+    ``n*MN``. The taps that :func:`~otfslink.channel.apply_channel` takes
+    are built last; they hold (max delay + 1)*MN*n_rx*n_tx entries, never
+    more than H's. So a realization's memory peaks inside the
+    decomposition (see :func:`~otfslink.precoding.decompose`), or, where
+    the antennas outnumber the paths and the taps outgrow the Gram matrix
+    (16x16 antennas, 10 paths, an 8x8 grid), in building the taps next
+    to the held factors.
     """
     m, n = chan.m_delay, chan.n_doppler
-    dec = decompose(spatial_core(chan), n_rf * m * n)
+    core = spatial_core(chan)
+    dec = decompose(core, n_rf * m * n)
     gains = sub_channel_gains(dec)
     pc = build_precoder_combiner(dec, m, n, precoder_mode)
     del dec
     h = build_time_channel(chan)
-    return Realization(h=h, pc=pc, gains=gains)
+    return Realization(h=h, pc=pc, gains=gains, q_rx=core.q_rx, q_tx=core.q_tx)
 
 
 class RealizationSlot:
@@ -304,6 +315,12 @@ def _frames_per_chunk(cfg: SimConfig) -> int:
     return max(1, FRAME_CHUNK_ENTRIES // per_frame)
 
 
+def _basis_product(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x @ (q kron I_MN)^T``: each row of ``x``, ``q.shape[1]`` blocks of MN samples, mixed by ``q``."""
+    frames = len(x)
+    return (q @ x.reshape(frames, q.shape[1], -1)).reshape(frames, -1)
+
+
 def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -> LinkMetrics:
     """Run one burst of ``cfg.n_frames`` OTFS frames over a fresh channel.
 
@@ -325,7 +342,7 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
 
     chan = sample_channel(cfg, rng)
     real = (slot if slot is not None else RealizationSlot()).get(chan, cfg.n_rf, cfg.precoder_mode)
-    h, pc, gains = real.h, real.pc, real.gains
+    h, pc, gains, q_rx, q_tx = real.h, real.pc, real.gains, real.q_rx, real.q_tx
     noise_var = snr_to_noise_var(cfg.snr_db)
 
     k, m, n, n_rf = cfg.n_subchannels, cfg.m_delay, cfg.n_doppler, cfg.n_rf
@@ -345,9 +362,13 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
         # each chain's K/n_rf symbols fill its (m, n) DD grid column-major
         grids = unstack_chains(x, n_rf).reshape(len(x), n_rf, n, m).swapaxes(-1, -2)
         y = stack_chains(otfs_modulate(grids)) @ pc.g.T
-        r = apply_channel(h, y, noise_var, rng)
+        if q_tx is not None:  # from the core's transmit basis to the antennas
+            y = _basis_product(q_tx, y)
+        r = np.conj(apply_channel(h, y, noise_var, rng))
+        if q_rx is not None:  # conj((Q_rx kron I)^H r): onto the core's receive basis
+            r = _basis_product(q_rx.T, r)
         # conj(conj(r) @ w) = r @ conj(w) without a conjugated copy of the whole combiner
-        combined = np.conj(r) @ pc.w
+        combined = r @ pc.w
         s_hat = unstack_chains(np.conj(combined, out=combined), n_rf)
         x_hat = otfs_demodulate(s_hat, m, n).swapaxes(-1, -2).reshape(len(x), k)
 

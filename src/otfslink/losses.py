@@ -40,9 +40,14 @@ def rate_term(probs) -> float:
 
 
 def l1_loss(rate_y: float, rate_z: float, mse: float) -> float:
-    """Rate-distortion objective: bit cost of both latents plus MSE, each finite, the MSE >= 0."""
+    """Rate-distortion objective: bit cost of both latents plus MSE, each finite, the MSE >= 0.
+
+    A sum beyond the float range is a ``ValueError`` naming the terms.
+    """
     mse = _fields.number("mse", mse, 0, math.inf, "[)")
-    return _fields.number("rate_y", rate_y) + _fields.number("rate_z", rate_z) + mse
+    rate_y, rate_z = _fields.number("rate_y", rate_y), _fields.number("rate_z", rate_z)
+    return _fields.finite_result("rate_y + rate_z + mse", rate_y + rate_z + mse, rate_y=rate_y, rate_z=rate_z,
+                                 mse=mse)
 
 
 def cross_entropy(true_label: int, predicted) -> float:
@@ -60,7 +65,14 @@ def cross_entropy(true_label: int, predicted) -> float:
 
 
 def l2_loss(ce: float, mse: float, kappa: float, weights: LossWeights | None = None) -> float:
-    """Task objective: ``ce + lambda_mse * mse - lambda_em * kappa``, each term finite, the MSE >= 0."""
+    """Task objective: ``ce + lambda_mse * mse - lambda_em * kappa``, each term finite, the MSE >= 0.
+
+    A result beyond the float range is a ``ValueError`` naming the terms and weights.
+    """
     w = weights if weights is not None else LossWeights()
     mse = _fields.number("mse", mse, 0, math.inf, "[)")
-    return _fields.number("ce", ce) + w.lambda_mse * mse - w.lambda_em * _fields.number("kappa", kappa)
+    ce, kappa = _fields.number("ce", ce), _fields.number("kappa", kappa)
+    return _fields.finite_result(
+        "ce + lambda_mse * mse - lambda_em * kappa", ce + w.lambda_mse * mse - w.lambda_em * kappa,
+        ce=ce, mse=mse, kappa=kappa, lambda_mse=w.lambda_mse, lambda_em=w.lambda_em,
+    )

@@ -44,9 +44,11 @@ def constellation_points() -> np.ndarray:
 
 
 def modulate(indices) -> np.ndarray:
-    """Map integer labels in [0, 64) to constellation symbols."""
+    """Map integer labels in [0, 64) to constellation symbols; no labels give an empty complex array."""
     idx = np.asarray(indices)
-    if idx.size and (not np.issubdtype(idx.dtype, np.integer)):
+    if idx.size == 0:  # [] converts to float64, and holds no label to check
+        return np.empty(idx.shape, dtype=complex)
+    if not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
     return _POINTS[_fields.numbers("indices", idx, 0, QAM_ORDER, "[)", dtype=None)]
 
@@ -68,12 +70,20 @@ def equalize(x_hat, gains):
     Entries whose gain falls below :data:`DEFAULT_MIN_GAIN` are returned as
     0 and flagged in the boolean erasure mask (second return value); an
     erasure is a value, not an error. ``gains`` broadcast along the last axis.
-    A non-finite entry of either argument is a ``ValueError`` naming it.
+    A non-finite entry of either argument is a ``ValueError`` naming it, and
+    so is a quotient beyond the float range.
     """
     x, lam = _fields.numbers("x_hat", x_hat, dtype=None), _fields.numbers("gains", gains)
     erased = lam < DEFAULT_MIN_GAIN
     safe = np.where(erased, 1.0, lam)
-    eq = np.where(erased, 0.0, x / safe)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed quotient is named below
+        eq = np.where(erased, 0.0, x / safe)
+    finite = np.isfinite(eq)
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), eq.shape)
+        x, lam = np.broadcast_to(x, eq.shape), np.broadcast_to(lam, eq.shape)
+        raise ValueError(f"x_hat / gains overflows the float range, got x_hat[{', '.join(map(str, index))}] "
+                         f"= {x[index]} over gains = {lam[index]}")
     return eq, erased
 
 

@@ -14,8 +14,9 @@ coordinates. On a square G the reduction's reflectors move into compact
 blocks, which hand G's rows back as they are copied, and the
 back-transform hands each block back as it spends it.
 Neither the core nor H is formed: the channel module describes that
-Gram matrix by delay slabs summed from the path pairs, lifts its
-eigenvectors to H's coordinates and applies H path by path.
+Gram matrix by delay slabs summed from the path pairs and applies the
+core path by path, and the triplets stay in the core's bases, whose
+``min(n, L)*MN`` rows per side carry all of H's nonzero singular vectors.
 :func:`gram_matrix` writes the slabs into the storage of one allocator,
 :func:`gram_zeros`, which keeps only G's stored triangle, in the layout
 its size and the route select. It is packed up to a side of 896,
@@ -157,11 +158,15 @@ class RankDeficientChannelError(ValueError):
 
 @dataclass(frozen=True)
 class SubChannelDecomposition:
-    """Leading SVD factors of a channel matrix H, in H's own coordinates.
+    """Leading SVD factors of a channel H, in the bases of the core it was decomposed through.
 
-    ``u`` (``H.shape[0] x k``) and ``v`` (``H.shape[1] x k``) are
-    semi-unitary and hold the leading singular vectors, ``H v = u
-    diag(sigma)``; ``sigma`` holds the singular values in descending order.
+    With ``H = (Q_rx kron I) C (Q_tx kron I)^H`` for the core C,
+    ``u`` (C's rows ``x k``) and ``v`` (C's columns ``x k``) are
+    semi-unitary and hold C's leading singular vectors, ``C v = u
+    diag(sigma)``, and ``(Q_rx kron I) u`` and ``(Q_tx kron I) v`` are H's;
+    the core's ``q_rx`` and ``q_tx`` are those bases, None for the identity
+    (a :class:`~otfslink.validation.DenseCore`'s on both sides).
+    ``sigma`` holds the singular values in descending order.
     ``rank`` always equals ``sigma.size``, the ``k`` that :func:`decompose`
     was asked for; it stays only for the benchmark's rank counter, which
     ROADMAP item 3 retires.
@@ -175,7 +180,14 @@ class SubChannelDecomposition:
 
 @dataclass(frozen=True)
 class PrecoderCombiner:
-    """Semi-unitary precoder ``g`` and combiner ``w`` for one channel."""
+    """Semi-unitary precoder ``g`` and combiner ``w`` for one channel, in its core's bases.
+
+    Like the :class:`SubChannelDecomposition` they are built from, ``g``
+    has a row per transmit coordinate of the core and ``w`` one per receive
+    coordinate: the link lifts its precoded frames by ``Q_tx kron I`` and
+    projects what it receives by ``(Q_rx kron I)^H`` before combining, and
+    skips either step on a side whose basis is the identity.
+    """
 
     g: np.ndarray
     w: np.ndarray
@@ -394,29 +406,33 @@ def _apply_reflectors(routines, flat: np.ndarray, blocks: list, tau: np.ndarray,
 
 
 def decompose(core, k: int) -> SubChannelDecomposition:
-    """The ``k`` leading singular triplets of a channel H, or an error.
+    """The ``k`` leading singular triplets of a channel H's core, or an error.
 
-    ``core`` gives H in the form this route needs, never H itself. With A
-    = H, or H^H when ``core.wide``: ``core.gram()`` gives the Gram matrix
-    G of A compressed to a basis of its in side, over ``core.scale**2``,
-    as the delay slabs :func:`gram_matrix` writes into the stored triangle
-    :func:`gram_zeros` allocates; nothing else of it is read. So G's
-    layout is the size's and the route's alone, whatever the core.
-    ``core.lift(z)`` takes that basis's coordinates back to A's in side,
-    and returns ``z`` itself when the basis is A's own; and
-    ``core.times(x, out)`` is ``A x / core.scale``, written into ``out``
-    when it is given, an array of ``core.shape[0]`` (A's rows) by ``x``'s
-    columns. The link passes a
-    :class:`~otfslink.channel.SpatialCore`, whose in side is compressed
-    only when it has more antennas than paths; a dense matrix goes through
-    :class:`otfslink.validation.DenseCore`, whose basis is the identity.
+    ``core`` gives H in the form this route needs, never H itself: a core C
+    with ``A = (Q_out kron I) C (Q_in kron I)^H`` for A = H, or H^H when
+    ``core.wide``, and Q of orthonormal columns, so that C shares A's
+    nonzero singular values. ``core.gram()`` gives the Gram matrix G of C
+    on its in side, over ``core.scale**2``, as the delay slabs
+    :func:`gram_matrix` writes into the stored triangle :func:`gram_zeros`
+    allocates; nothing else of it is read. So G's layout is the size's and
+    the route's alone, whatever the core. ``core.times(x, out)`` is ``C x
+    / core.scale``, written into ``out`` when it is given, an array of
+    ``core.shape[0]`` (C's rows) by ``x``'s columns. The triplets are C's,
+    in the core's bases, and none is lifted to H's coordinates: ``u`` has
+    a row per receive coordinate of the core and ``v`` one per transmit
+    coordinate, and the core's ``q_rx`` and ``q_tx`` take them to H's (see
+    :class:`SubChannelDecomposition`). The link passes a
+    :class:`~otfslink.channel.SpatialCore`, each of whose sides is
+    compressed when it has more antennas than paths, so a factor holds
+    ``min(n, L)*MN`` rows rather than ``n*MN``; a dense matrix goes through
+    :class:`otfslink.validation.DenseCore`, whose bases are the identity.
 
     The triplets come from the ``k`` leading eigenpairs ``(lambda, z)`` of
     G, by ``zhptrd`` (``zhetrd`` for a square), ``dsterf``, ``dstein`` and
     ``zupmtr`` (``zunmqr``, block by block) from numpy's own OpenBLAS, or by
     ``np.linalg.eigh`` when it does not export them all: ``sigma =
-    sqrt(lambda)``, A's right singular vectors are
-    ``lift(z)`` and its left ones ``times(lift(z)) / sigma``; for a weak
+    sqrt(lambda)``, C's right singular vectors are
+    ``z`` and its left ones ``times(z) / sigma``; for a weak
     sub-channel those are orthonormal only to about ``eps * (sigma_max /
     sigma)**2`` (worst seen: 1.6e-12 in 1200 draws). G is freed
     before either is formed, so the decomposition's memory peaks at G's
@@ -460,8 +476,7 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     sigma = np.sqrt(lam)
     if sigma[0] > np.finfo(np.float64).max / max(core.scale, 1.0):
         raise ValueError(f"the largest singular value {sigma[0]:.3g} * {core.scale:.3g} overflows the float range")
-    z = core.lift(np.conjugate(zh, out=zh).T)  # the eigenvectors, in zh's buffer, lifted
-    del zh  # a lift into a new array frees the eigenvectors
+    z = np.conjugate(zh, out=zh).T  # the eigenvectors, in zh's buffer
     rows = core.shape[0]
     other = core.times(z, out=None if packed else _mapped_zeros(rows * computed).reshape(rows, computed))
     other /= sigma
@@ -484,7 +499,8 @@ def build_precoder_combiner(dec: SubChannelDecomposition, m: int, n: int, mode: 
     """The precoder/combiner pair of ``dec``'s triplets, ``m*n`` per RF chain, in ``dec``'s own arrays.
 
     Takes ownership of ``dec``: ``g`` is the array ``dec.v`` and ``w`` is
-    ``dec.u``, which must be equally wide, a multiple of ``m*n`` for
+    ``dec.u``, so both stay in the core's bases (see
+    :class:`PrecoderCombiner`). They must be equally wide, a multiple of ``m*n`` for
     integers ``m, n >= 1`` (an error names the argument). In
     ``dd_corrected`` mode C_T^H and C_R are folded into them in place: both
     are ``I_{n_rf} kron (F_N kron I_M)`` (one chain's C_T^H equals its C_R

@@ -8,7 +8,9 @@ that only these checks and the tests use, :func:`cyclic_shift_matrix`,
 :func:`time_channel_entry_oracle`, :func:`dense_time_channel`,
 :func:`dense_spatial_core` and :func:`effective_dd_channel`, live here too,
 with :class:`DenseCore`, the adapter through which a dense matrix reaches
-:func:`~otfslink.precoding.decompose`. The tolerances are
+:func:`~otfslink.precoding.decompose`, and :func:`h_factors` and
+:func:`lifted_product`, which take what a core holds in its bases to H's
+coordinates. The tolerances are
 defined here, once; ``tests/test_acceptance.py`` runs the same checks and
 pins them. ``paper_literal_gap`` is informational and never fails.
 """
@@ -136,13 +138,15 @@ class DenseCore:
 
     Its Gram matrix is one dense slab of delay 0 on a grid of one sample,
     which :func:`~otfslink.precoding.gram_matrix` writes as a spatial
-    core's; its products are dense products with h, its lift is the
-    identity, and ``scale`` is 1: the oracles' and tests' dense core.
+    core's; its products are dense products with h, its bases are the
+    identity, so it is its own core, and ``scale`` is 1: the oracles' and
+    tests' dense core.
     """
 
     h: np.ndarray
     scale: float = 1.0
     mn = 1
+    q_rx = q_tx = None
 
     def __post_init__(self):
         h = _fields.numbers("h", self.h, dtype=None)
@@ -166,17 +170,53 @@ class DenseCore:
         h = self.h
         return [(0, (h @ h.conj().T if self.wide else h.conj().T @ h)[None])]
 
-    def lift(self, z: np.ndarray) -> np.ndarray:
-        return z
-
     def times(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.matmul(self.h.conj().T if self.wide else self.h, x, out=out)
+
+
+def lifted(q: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """``(q kron I_MN) x``, by the dense Kronecker product: ``x``'s columns in the antennas' coordinates.
+
+    ``x`` has ``MN`` rows per column of the basis ``q``; a ``q`` of None is
+    the identity, which returns ``x`` itself.
+    """
+    if q is None:
+        return x
+    return np.kron(q, np.eye(x.shape[0] // q.shape[1])) @ x
+
+
+def h_factors(bases, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H's own factors ``(Q_rx kron I) w`` and ``(Q_tx kron I) g`` of factors held in a core's bases.
+
+    ``bases`` is whatever holds them as ``q_rx`` and ``q_tx``: a
+    :class:`~otfslink.channel.SpatialCore`, a :class:`DenseCore` (the
+    identity on both sides) or a :class:`~otfslink.link_sim.Realization`.
+    ``w`` is a receive-side factor (a decomposition's ``u``, a combiner),
+    ``g`` a transmit-side one (``v``, a precoder).
+    """
+    return lifted(bases.q_rx, w), lifted(bases.q_tx, g)
+
+
+def lifted_product(core, x: np.ndarray) -> np.ndarray:
+    """``(Q_out kron I) C (Q_in kron I)^H x``: a spatial core C's product through its bases, ``H x`` (``H^H x`` if wide).
+
+    The in basis spans the row space of H (of H^H), so this is the
+    product with the whole matrix for any ``x`` of its columns' length.
+    """
+    q_in = None if core.q_in is None else core.q_in.conj().T
+    return lifted(core.q_out, core.times(lifted(q_in, x))) * core.scale
+
+
+def h_precoder_combiner(real) -> PrecoderCombiner:
+    """The precoder/combiner of the realization ``real`` in H's coordinates (see :func:`h_factors`)."""
+    w, g = h_factors(real, real.pc.w, real.pc.g)
+    return PrecoderCombiner(g=g, w=w)
 
 
 def effective_dd_channel(
     h: np.ndarray, pc: PrecoderCombiner, n_rf: int, m: int, n: int
 ) -> np.ndarray:
-    """End-to-end DD-domain channel ``C_R W^H H G C_T``.
+    """End-to-end DD-domain channel ``C_R W^H H G C_T``, for ``pc`` in H's coordinates.
 
     In ``dd_corrected`` mode this is ``diag(sigma[:k])`` up to rounding; in
     ``paper_literal`` mode it is returned as-is and is generally not
@@ -233,7 +273,7 @@ def criterion_1_diagonalization() -> CheckResult:
             rank_agrees = rank_agrees and dense_rank < k
             continue
         rank_agrees = rank_agrees and dense_rank >= k
-        eff = effective_dd_channel(h, real.pc, n_rf, grid, grid)
+        eff = effective_dd_channel(h, h_precoder_combiner(real), n_rf, grid, grid)
         sigma = dense[:k]
         ratios.append(_offdiag_ratio(eff))
         matches.append(max(_rel_gap(np.diag(eff), sigma), _rel_gap(real.gains, sigma)))
@@ -259,7 +299,7 @@ def criterion_2_parallel_subchannel_noise() -> CheckResult:
     n_rf, grid = 2, 2
     k = n_rf * grid * grid
     real = realize(_random_channel(4, grid, 5, 42), n_rf, "dd_corrected")
-    h, pc, gains = real.h, real.pc, real.gains
+    h, pc, gains = real.h, h_precoder_combiner(real), real.gains
     c_t, c_r = dd_transform_matrices(n_rf, grid, grid)
     noise_var = 0.1  # 10 dB at unit symbol energy
     x = modem.modulate(rng.integers(0, modem.QAM_ORDER, (10_000, k)))  # one frame per row
@@ -330,8 +370,10 @@ def core_gram_oracle() -> CheckResult:
     and taps that wrap the frame. The Gram matrix, in the layout
     ``decompose`` gives it and unpacked, is compared where it is stored, on
     and above the diagonal, and its strictly lower triangle must be exactly
-    zero. Gaps are relative to the largest entry of the dense Gram matrix and of the
-    dense product with H (H^H for a wide core) from its closed form.
+    zero. The product goes through the core's bases, ``(Q_out kron I) C
+    (Q_in kron I)^H x``, which is ``H x`` (``H^H x`` for a wide core), since
+    the in basis spans H's row space. Gaps are relative to the largest entry
+    of the dense Gram matrix and of the dense product with H from its closed form.
     """
     rng = np.random.default_rng(1414)
     shapes = [(3, 5, 4, 3), (5, 3, 4, 3), (4, 4, 6, 3), (3, 3, 1, 3), (2, 3, 3, 5), (3, 2, 3, 5)]
@@ -354,7 +396,7 @@ def core_gram_oracle() -> CheckResult:
         worst = max(
             worst,
             float(np.max(np.abs(np.triu(stored) - np.triu(gram))) / np.max(np.abs(gram))),
-            float(np.max(np.abs(core.times(x) * core.scale - product)) / np.max(np.abs(product))),
+            float(np.max(np.abs(lifted_product(core, x) - product)) / np.max(np.abs(product))),
         )
     return CheckResult(
         "core_gram_oracle",
@@ -502,7 +544,8 @@ def paper_literal_gap() -> CheckResult:
     ratios = []
     for _ in range(5):
         real = realize(_random_channel(2, 2, 5, rng), 1, "paper_literal")
-        ratios.append(_offdiag_ratio(effective_dd_channel(dense_time_channel(real.h), real.pc, 1, 2, 2)))
+        pc = h_precoder_combiner(real)
+        ratios.append(_offdiag_ratio(effective_dd_channel(dense_time_channel(real.h), pc, 1, 2, 2)))
     return CheckResult(
         "paper_literal_gap",
         True,
@@ -514,7 +557,7 @@ def paper_literal_gap() -> CheckResult:
 def combiner_noise_whiteness() -> CheckResult:
     """The stacked dd_corrected combiner keeps white noise white: C_R W^H W C_R^H = I."""
     rng = np.random.default_rng(1313)
-    pc = realize(_random_channel(2, 2, 5, rng), 1, "dd_corrected").pc
+    pc = h_precoder_combiner(realize(_random_channel(2, 2, 5, rng), 1, "dd_corrected"))
     _, c_r = dd_transform_matrices(1, 2, 2)
     cov = c_r @ pc.w.conj().T @ pc.w @ c_r.conj().T
     err = float(np.max(np.abs(cov - np.eye(cov.shape[0]))))

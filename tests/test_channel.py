@@ -21,7 +21,8 @@ from otfslink.channel import (
 from otfslink.dd_transforms import dft_matrix
 from otfslink.link_sim import SimConfig, realize
 from otfslink.validation import (
-    cyclic_shift_matrix, dense_spatial_core, dense_time_channel, time_channel_entry_oracle, unpacked,
+    cyclic_shift_matrix, dense_spatial_core, dense_time_channel, lifted_product, time_channel_entry_oracle,
+    unpacked,
 )
 
 
@@ -292,19 +293,21 @@ class TestSpatialCore:
         assert np.max(np.abs(lifted - time_channel_entry_oracle(chan))) < 1e-12
         path_core = spatial_core(chan)
         assert path_core.side == min(core.shape) and path_core.wide == (core.shape[0] < core.shape[1])
-        # the path core keeps the Q of the Gram side, the smaller side of C, if that side is compressed
-        q_in = q_rx if path_core.wide else q_tx
-        if path_core.q_in is None:
-            assert np.array_equal(q_in, np.eye(q_in.shape[0]))
-        else:
-            assert np.array_equal(path_core.q_in, q_in)
+        # the path core keeps each side's Q, its basis, if that side is compressed
+        assert path_core.shape == core.shape
+        for q, kept in ((q_rx, path_core.q_rx), (q_tx, path_core.q_tx)):
+            if kept is None:
+                assert np.array_equal(q, np.eye(q.shape[0]))
+            else:
+                assert np.array_equal(kept, q)
 
     @pytest.mark.parametrize(
         "n_tx, n_rx, n_paths",
-        [(5, 6, 3), (3, 5, 4), (5, 3, 4), (4, 4, 4), (4, 4, 1), (1, 1, 1)],
-        ids=["tall_compressed", "tall", "wide", "equal_count", "one_path", "one_path_one_antenna"],
+        [(5, 6, 3), (3, 5, 4), (5, 3, 4), (4, 4, 4), (4, 4, 1), (1, 1, 1), (16, 6, 10)],
+        ids=["tall_compressed", "tall", "wide", "equal_count", "one_path", "one_path_one_antenna",
+             "wide_out_compressed"],
     )
-    def test_compresses_the_gram_side_only_when_it_has_more_antennas_than_paths(
+    def test_compresses_each_side_only_when_it_has_more_antennas_than_paths(
         self, monkeypatch, n_tx, n_rx, n_paths
     ):
         cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths)
@@ -313,15 +316,20 @@ class TestSpatialCore:
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
         core = spatial_core(chan)
-        n_in = n_rx if core.wide else n_tx
-        z = np.ones((core.side, 2), dtype=complex)
-        lifted = core.lift(z)
-        if n_in > n_paths:
-            assert qr_calls == [(n_in, n_paths)] and core.q_in.shape == (n_in, n_paths)
-            assert core.side == n_paths * chan.mn and lifted.shape == (n_in * chan.mn, 2)
-        else:  # the Gram matrix is H's own on that side, so its eigenvectors need no lift
-            assert qr_calls == [] and core.q_in is None and core.r_in is core.a_in
-            assert core.side == n_in * chan.mn and lifted is z
+        a_rx, a_tx = (np.column_stack([ula_response(getattr(p, angle), count) for p in chan.paths])
+                      for angle, count in (("aoa", n_rx), ("aod", n_tx)))
+        rx = (n_rx, a_rx, core.q_rx, core.r_in if core.wide else core.r_out)
+        tx = (n_tx, a_tx, core.q_tx, core.r_out if core.wide else core.r_in)
+        (n_in, *_), (n_out, *_) = (rx, tx) if core.wide else (tx, rx)
+        assert qr_calls == [(n, n_paths) for n in (n_out, n_in) if n > n_paths]  # the out side first
+        for n, a, q, r in (rx, tx):
+            if n > n_paths:  # a tall Q, whose R holds the responses' min(n, L) = L rows
+                assert q.shape == (n, n_paths) and r.shape == (n_paths, n_paths)
+                np.testing.assert_allclose(q @ r, a, rtol=0, atol=1e-14)
+            else:  # the core is H's own on that side, and needs no basis
+                assert q is None and np.array_equal(r, a)
+        assert core.side == min(n_in, n_paths) * chan.mn
+        assert core.shape == (min(n_out, n_paths) * chan.mn, core.side)
 
     @pytest.mark.parametrize(
         "n_tx, n_rx, n_paths, max_tap",
@@ -348,7 +356,8 @@ class TestSpatialCore:
             h = h.conj().T if core.wide else h
             x = np.random.default_rng(seed).standard_normal((h.shape[1], 5)) * (1 + 2j)
             product = h @ x
-            assert np.max(np.abs(core.times(x) * core.scale - product)) < 1e-12 * np.max(np.abs(product))
+            # the core's product, through its bases: (Q_out kron I) C (Q_in kron I)^H x = H x
+            assert np.max(np.abs(lifted_product(core, x) - product)) < 1e-12 * np.max(np.abs(product))
 
     @pytest.mark.parametrize("big", [3e200 + 4e200j, 1e308, 1.5e308 + 1.5e308j])
     def test_gains_are_scaled_by_a_power_of_two(self, big):

@@ -232,3 +232,27 @@ def test_number_array_arguments_refuse_a_nan_entry_and_arrays_of_non_numbers_by_
     for refused in (valid.astype(str), valid != 0):
         with pytest.raises(ValueError, match=rf"^{name} must hold numbers, got dtype "):
             call(refused)
+
+
+# (id, a call of finite arguments whose arithmetic leaves the float range, what it returns or
+# the names its error gives)
+OVERFLOWS = [
+    ("exact_kendall_tau", lambda: exact_kendall_tau([1.0, 2.0], [1e308, -1e308]), -1.0),
+    ("soft_kendall", lambda: soft_kendall([1.0, 2.0, 3.0], [3.0, 1e300, 2.0], 1e308),
+     ("sharpness", "span(w)", "span(g)")),
+    ("equalize", lambda: equalize([1e308 + 0j], [1e-5]), ("x_hat[0]", "gains")),
+    ("l1_loss", lambda: l1_loss(1e308, 1e308, 0.0), ("rate_y", "rate_z", "mse")),
+    ("l2_loss", lambda: l2_loss(1.0, 1e308, 0.0, LossWeights(1e308, 0.5)), ("ce", "mse", "kappa", "lambda_mse")),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, outcome", [case[1:] for case in OVERFLOWS], ids=[case[0] for case in OVERFLOWS])
+def test_finite_arguments_give_a_finite_value_or_an_error_naming_them(call, outcome):
+    if isinstance(outcome, float):  # the signs come from comparisons, which cannot overflow
+        assert call() == outcome
+        return
+    with pytest.raises(ValueError, match="overflows the float range") as error:
+        call()
+    for name in outcome:
+        assert f"{name} = " in str(error.value)

@@ -274,13 +274,14 @@ def run_link_per_frame(cfg: SimConfig, payload_indices, importance, rng=None) ->
     w_all = np.asarray(importance, dtype=float)
     chan = sample_channel(cfg, rng)
     real = realize(chan, cfg.n_rf, cfg.precoder_mode)
-    h, pc, gains = real.h, real.pc, real.gains
+    h, gains = real.h, real.gains
+    w, g = validation.h_factors(real, real.pc.w, real.pc.g)
     noise_var = snr_to_noise_var(cfg.snr_db)
 
     k = cfg.n_subchannels
     m, n = cfg.m_delay, cfg.n_doppler
     mn = m * n
-    w_h = pc.w.conj().T
+    w_h = w.conj().T
 
     n_err = 0
     sq_sum = 0.0
@@ -302,7 +303,7 @@ def run_link_per_frame(cfg: SimConfig, payload_indices, importance, rng=None) ->
             otfs_modulate(x[c * mn : (c + 1) * mn].reshape((m, n), order="F"))
             for c in range(cfg.n_rf)
         ]
-        y = pc.g @ stack_chains(frames)
+        y = g @ stack_chains(frames)
         r = apply_channel(h, y, noise_var, rng)
         s_hat = w_h @ r
         x_hat = np.concatenate(
@@ -352,6 +353,27 @@ class TestChunkedBurst:
         cfg = replace(BURST, n_frames=n_frames, allocation_mode=allocation_mode,
                       precoder_mode=precoder_mode, snr_db=snr_db)
         assert _frames_per_chunk(cfg) == BURST_CHUNK
+        self._assert_matches_the_per_frame_oracle(cfg)
+
+    @pytest.mark.parametrize("n_tx, n_rx, n_paths", [(6, 5, 3), (16, 6, 10)],
+                             ids=["both_compressed", "wide_out_compressed"])
+    @pytest.mark.parametrize("precoder_mode", ["dd_corrected", "paper_literal"])
+    @pytest.mark.parametrize("snr_db", [6.0, math.inf])
+    def test_compressed_sides_match_the_per_frame_oracle(self, monkeypatch, n_tx, n_rx, n_paths, precoder_mode,
+                                                         snr_db):
+        # a chunk's frames are lifted from the core's transmit basis and projected onto its
+        # receive basis together; the oracle lifts the factors to H's coordinates instead
+        cfg = replace(BURST, n_tx=n_tx, n_rx=n_rx, n_paths=n_paths, n_frames=2 * BURST_CHUNK + 1,
+                      precoder_mode=precoder_mode, snr_db=snr_db)
+        per_frame = max(120, n_tx * cfg.m_delay * cfg.n_doppler)  # the Kendall pairs, or the antennas' samples
+        monkeypatch.setattr(link_sim, "FRAME_CHUNK_ENTRIES", per_frame * BURST_CHUNK)
+        assert _frames_per_chunk(cfg) == BURST_CHUNK
+        core = spatial_core(sample_channel(cfg, 0))
+        assert core.q_tx is not None and (core.q_rx is None) == (n_rx <= n_paths)
+        self._assert_matches_the_per_frame_oracle(cfg)
+
+    @staticmethod
+    def _assert_matches_the_per_frame_oracle(cfg):
         draw = np.random.default_rng(11)
         idx = sample_payload(draw, cfg.payload_len)
         w = sample_importance(draw, cfg.payload_len)
@@ -619,60 +641,61 @@ class TestRealizationSlot:
         assert np.all(b.gains > 0)
 
 
-class TestLift:
-    """``SpatialCore.lift`` against the dense ``np.kron(q_in, I) @ z``."""
+class TestBasisProduct:
+    """``run_link``'s lift into a core's transmit basis and projection onto its receive one, against ``np.kron``."""
 
-    K = 7
+    FRAMES = 7
 
-    @pytest.mark.parametrize("n, n_paths", [(3, 6), (5, 2)], ids=["uncompressed", "tall_q"])
+    @pytest.mark.parametrize("side", ["lift_tx", "project_rx"])
     @pytest.mark.parametrize("order", ["C", "F", "F_reversed"])
-    def test_matches_the_kronecker_product(self, n, n_paths, order):
-        cfg = SimConfig(n_tx=n, n_rx=n, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths)
+    def test_matches_the_kronecker_product(self, side, order):
+        # 5 and 4 antennas, 2 paths: both sides compressed by a tall Q
+        cfg = SimConfig(n_tx=5, n_rx=4, n_rf=1, m_delay=2, n_doppler=3, n_paths=2)
         core = spatial_core(sample_channel(cfg, 41))
+        q = core.q_tx if side == "lift_tx" else core.q_rx.T  # conj(r) is projected by Q_rx^T
         rng = np.random.default_rng(42)
-        shape = (core.side, self.K)
-        z = np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), order=order[0])
-        if order == "F_reversed":  # decompose's eigenvectors: contiguous columns, in reverse order
-            z = z[:, ::-1]
-        before = z.copy()
-        lifted = core.lift(z)
-        assert lifted.shape == (n * core.mn, self.K)
-        if n <= n_paths:  # no Q: the eigenvectors are already in H's coordinates
-            assert core.q_in is None and lifted is z
-        else:  # one new array, and z as it was
-            np.testing.assert_allclose(lifted, np.kron(core.q_in, np.eye(core.mn)) @ before, rtol=0, atol=1e-13)
-            assert not np.shares_memory(lifted, z)
-        np.testing.assert_array_equal(z, before)
+        shape = (self.FRAMES, q.shape[1] * core.mn)
+        x = np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), order=order[0])
+        if order == "F_reversed":
+            x = x[:, ::-1]
+        before = x.copy()
+        product = link_sim._basis_product(q, x)
+        np.testing.assert_allclose(product, before @ np.kron(q, np.eye(core.mn)).T, rtol=0, atol=1e-13)
+        assert not np.shares_memory(product, x)
+        np.testing.assert_array_equal(x, before)
 
 
 class TestRealizeInPlace:
-    """``realize``'s in-place lift and fold against out-of-place products of the same factors."""
+    """``realize``'s factors, kept in the core's bases and folded in place, against out-of-place products."""
 
     @pytest.mark.parametrize("route", ["lapack", "eigh"])
-    def test_both_decomposition_routes_are_lifted_in_place(self, monkeypatch, route):
-        # 4 antennas, 6 paths: no side is compressed, so the eigenvectors are the factor as they are
-        cfg = SimConfig(n_tx=4, n_rx=4, n_rf=1, m_delay=2, n_doppler=3, n_paths=6)
+    @pytest.mark.parametrize("n, n_paths", [(4, 6), (6, 4)], ids=["uncompressed", "compressed"])
+    def test_both_decomposition_routes_keep_the_eigenvectors_as_the_factor(self, monkeypatch, route, n, n_paths):
+        # the eigenvectors go to the core's product and become the Gram side's factor as
+        # they are, in the core's basis, whether or not that side is compressed
+        cfg = SimConfig(n_tx=n, n_rx=n, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths)
         core = spatial_core(sample_channel(cfg, 46))
+        assert (core.q_in is None) == (n <= n_paths)
         if route == "eigh":
             monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
-        lifts = []
-        real_lift = SpatialCore.lift
+        products = []
+        real_times = SpatialCore.times
 
-        def recorded(self, z):
-            lifted = real_lift(self, z)
-            lifts.append((z, lifted))
-            return lifted
+        def recorded(self, x, out=None):
+            products.append(x)
+            return real_times(self, x, out)
 
-        monkeypatch.setattr(SpatialCore, "lift", recorded)
+        monkeypatch.setattr(SpatialCore, "times", recorded)
         dec = precoding.decompose(core, cfg.n_subchannels)
-        [(z, lifted)] = lifts
-        assert lifted is z and (dec.u if core.wide else dec.v) is z
+        [z] = products
+        assert (dec.u if core.wide else dec.v) is z and z.shape == (core.side, cfg.n_subchannels)
+        assert not z.flags.owndata  # a view of the eigenvectors' own buffer
 
     @pytest.mark.parametrize("mode", ["dd_corrected", "paper_literal"])
     @pytest.mark.parametrize(
         "n_tx, n_rx, n_paths",
-        [(3, 5, 6), (5, 3, 6), (4, 6, 3), (2, 6, 4), (6, 2, 4)],
-        ids=["tall_uncompressed", "wide_uncompressed", "tall_q_each_side", "tall_q_rx", "wide_q_tx"],
+        [(3, 5, 6), (5, 3, 6), (4, 6, 3), (2, 6, 4), (6, 2, 4), (16, 6, 10)],
+        ids=["tall_uncompressed", "wide_uncompressed", "tall_q_each_side", "tall_q_rx", "wide_q_tx", "wide_q_out"],
     )
     def test_matches_the_dense_products(self, mode, n_tx, n_rx, n_paths):
         cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=2, m_delay=2, n_doppler=3, n_paths=n_paths,
@@ -683,13 +706,32 @@ class TestRealizeInPlace:
         dec = precoding.decompose(core, cfg.n_subchannels)
         u, v = dec.u, dec.v
         h = validation.dense_time_channel(build_time_channel(chan))
-        assert np.max(np.abs(h @ v - u * dec.sigma)) < 1e-12 * dec.sigma[0]
+        h_u, h_v = validation.h_factors(core, u, v)
+        assert np.max(np.abs(h @ h_v - h_u * dec.sigma)) < 1e-12 * dec.sigma[0]
         if mode == "dd_corrected":
             c_t, c_r = precoding.dd_transform_matrices(2, 2, 3)
             u, v = u @ c_r, v @ c_t.conj().T
         pc = realize(chan, cfg.n_rf, mode).pc
         np.testing.assert_allclose(pc.w, u, rtol=0, atol=1e-13)
         np.testing.assert_allclose(pc.g, v, rtol=0, atol=1e-13)
+
+
+def test_a_realization_on_16_antennas_per_side_peaks_below_5_5_mib():
+    # antenna_sweep's largest point: 16x16 antennas, 10 paths, an 8x8 grid. Lifted to
+    # 16*MN rows, the precoder and combiner held 4 MiB and realize's traced peak, inside
+    # build_time_channel, read 6.56 MiB; in the core's bases, 10*MN rows, they hold 2.5 MiB
+    cfg = SimConfig(n_tx=16, n_rx=16, n_paths=10)
+    chan = sample_channel(cfg, 1)
+    realize(chan, cfg.n_rf, cfg.precoder_mode)  # the first call's imports and caches are not the link's
+    tracemalloc.start()
+    try:
+        real = realize(chan, cfg.n_rf, cfg.precoder_mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert real.pc.g.shape == real.pc.w.shape == (cfg.n_paths * chan.mn, cfg.n_subchannels)
+    assert real.q_rx.shape == real.q_tx.shape == (16, cfg.n_paths)
+    assert peak < 5.5 * 2**20, f"realize peaked at {peak / 2**20:.2f} MiB"
 
 
 GRID16 = SimConfig(m_delay=16, n_doppler=16)

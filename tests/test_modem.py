@@ -92,6 +92,15 @@ class TestModulateDemodulate:
         with pytest.raises(ValueError):
             modulate(np.array([1.5]))
 
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=float), np.zeros((3, 0), dtype=int)],
+                             ids=["list", "float_array", "int_rows"])
+    def test_no_labels_give_an_empty_complex_array(self, empty):
+        # [] converts to float64: it holds no label, so its dtype is not refused
+        x = modulate(empty)
+        assert x.dtype == complex and x.shape == np.shape(empty)
+        with pytest.raises(ValueError, match="indices must be integers, got dtype float64"):
+            modulate([0.0])
+
     def test_small_perturbations_decode_correctly(self):
         rng = np.random.default_rng(41)
         labels = rng.integers(0, QAM_ORDER, 500)

@@ -25,7 +25,7 @@ from otfslink.precoding import (
     decompose,
     sub_channel_gains,
 )
-from otfslink.validation import DenseCore, dense_time_channel, effective_dd_channel
+from otfslink.validation import DenseCore, dense_time_channel, effective_dd_channel, h_factors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -389,10 +389,11 @@ class TestSpatialCoreRoute:
 
     @SHAPES
     def test_lifted_pairs_are_singular_vectors_of_h(self, n_tx, n_rx, n_paths, n_rf):
-        # paper_literal keeps realize's lifted factors as they are: g = V, w = U
+        # paper_literal keeps realize's factors as they are, g = V and w = U in the
+        # core's bases; lifted through them, they are H's
         chan = self._chan(n_tx, n_rx, n_paths)
         real = realize(chan, n_rf, "paper_literal")
-        h, u, v, sigma = dense_time_channel(real.h), real.pc.w, real.pc.g, real.gains
+        (u, v), h, sigma = h_factors(real, real.pc.w, real.pc.g), dense_time_channel(real.h), real.gains
         k = n_rf * chan.mn
         assert u.shape == (h.shape[0], k) and v.shape == (h.shape[1], k)
         tol = 1e-12 * sigma[0]
@@ -405,7 +406,8 @@ class TestSpatialCoreRoute:
     def test_precoder_combiner_diagonalize_the_dense_h(self, mode):
         chan = self._chan(5, 3, 2)  # more antennas than paths: the core is smaller than H
         real = realize(chan, 2, mode)
-        eff = real.pc.w.conj().T @ dense_time_channel(real.h) @ real.pc.g
+        w, g = h_factors(real, real.pc.w, real.pc.g)
+        eff = w.conj().T @ dense_time_channel(real.h) @ g
         if mode == "dd_corrected":
             c_t, c_r = dd_transform_matrices(2, 2, 3)
             eff = c_r @ eff @ c_t
@@ -437,6 +439,12 @@ def _core(n_tx, n_rx, n_paths):
     """A channel's path-built spatial core, and the dense H it stands for."""
     chan = TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths)
     return spatial_core(chan), dense_h(chan)
+
+
+def _in_h(core, dec):
+    """``dec``'s triplets in the dense H's coordinates: its factors lifted through ``core``'s bases."""
+    u, v = h_factors(core, dec.u, dec.v)
+    return replace(dec, u=u, v=v)
 
 
 def _assert_leading_triplets(c, dec, k):
@@ -495,7 +503,7 @@ class TestSubsetDecompose:
         assert np.array_equal(c, before)
         assert lapack_calls == [k]
         assert dec.rank == k
-        _assert_leading_triplets(c, dec, k)
+        _assert_leading_triplets(c, _in_h(core, dec), k)
 
     @pytest.mark.parametrize("route", ["lapack", "eigh"])
     @pytest.mark.parametrize(
@@ -557,7 +565,7 @@ class TestSubsetDecompose:
         for c, dec in zip((tall, wide), decs):
             assert dec.rank == 16
             _assert_leading_triplets(c, dec, 16)
-        _assert_leading_triplets(h, spatial, 6)
+        _assert_leading_triplets(h, _in_h(core, spatial), 6)
 
 
 @pytest.fixture(params=["lapack", "packed", "eigh"])
@@ -613,7 +621,7 @@ class TestSplitTridiagonal:
             core, c = spatial_core(chan), dense_h(chan)
             assert np.array_equal(c, c[0, 0] * np.eye(2))
             for k in (1, 2):
-                _assert_leading_triplets(c, decompose(core, k), k)
+                _assert_leading_triplets(c, _in_h(core, decompose(core, k)), k)
 
     @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
     def test_interleaved_and_repeated_blocks(self, route, wide):
@@ -633,7 +641,7 @@ class TestSplitTridiagonal:
         core, c = _core(n_tx, n_rx, 10)
         assert core.wide == (n_tx > n_rx)
         for k in range(1, core.side + 1):
-            _assert_leading_triplets(c, decompose(core, k), k)
+            _assert_leading_triplets(c, _in_h(core, decompose(core, k)), k)
 
 
 @pytest.mark.parametrize("n_tx, n_rx, n_paths", [(3, 5, 10), (5, 3, 10), (6, 6, 3)],
@@ -645,7 +653,7 @@ def test_one_core_decomposes_alike_packed_and_square(monkeypatch, n_tx, n_rx, n_
     for limit, size in ((16 * core.side**2, core.side * (core.side + 1) // 2), (0, core.side**2)):
         monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", limit)
         assert precoding.gram_matrix(core)[0].size == size
-        dec = decompose(core, k)
+        dec = _in_h(core, decompose(core, k))
         _assert_leading_triplets(h, dec, k)
         reconstructions.append((dec.u * dec.sigma) @ dec.v.conj().T)  # free of each pair's phase
     packed, square = reconstructions
@@ -779,23 +787,25 @@ class TestTripletsOfH:
 
     @pytest.mark.parametrize(
         "n_tx, n_rx, n_paths",
-        [(2, 3, 4), (3, 2, 4), (2, 6, 4), (6, 2, 4), (5, 4, 4), (5, 6, 3)],
+        [(2, 3, 4), (3, 2, 4), (2, 6, 4), (6, 2, 4), (5, 4, 4), (5, 6, 3), (16, 6, 10)],
         ids=["tall_both_below", "wide_both_below", "tall_rx_above", "wide_tx_above", "tall_tx_above",
-             "tall_both_above"],
+             "tall_both_above", "wide_out_above"],
     )
     def test_leading_triplets_of_h(self, route, n_tx, n_rx, n_paths):
-        # "above": that side has more antennas than paths, so its Q is tall. Seed 22
+        # "above": that side has more antennas than paths, so its Q is tall; on
+        # "wide_out_above" that is the transmit side, the out side of a wide core. Seed 22
         # draws H's rank-th singular value above 4% of the largest on every shape:
         # the Gram route's vectors lose orthogonality as eps * (sigma_max / sigma)**2,
         # 4e-9 at seed 16's 4e-5, on either side's coordinates alike.
         chan = TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths, seed=22)
         core, h = spatial_core(chan), dense_h(chan)
         assert core.wide == (min(n_rx, n_paths) < min(n_tx, n_paths))
-        n_in = n_rx if core.wide else n_tx
-        assert (core.q_in is None) == (n_in <= n_paths)
+        (n_in, n_out) = (n_rx, n_tx) if core.wide else (n_tx, n_rx)
+        assert (core.q_in is None) == (n_in <= n_paths) and (core.q_out is None) == (n_out <= n_paths)
         assert core.side == min(n_in, n_paths) * chan.mn
+        assert core.shape == (min(n_out, n_paths) * chan.mn, core.side)
         for k in (1, core.side // 2, core.side):
-            _assert_leading_triplets(h, decompose(core, k), k)
+            _assert_leading_triplets(h, _in_h(core, decompose(core, k)), k)
 
 
 @pytest.mark.parametrize("factor", [1e-100, 1e100])
