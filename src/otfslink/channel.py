@@ -13,8 +13,9 @@ shifts over one frame, i.e. the frame is treated as cyclically extended;
 no explicit cyclic prefix is modeled.
 
 The link carries its frames through the channel's taps, a slab of
-antenna blocks per delay (:func:`build_time_channel`, :func:`apply_channel`),
-and decomposes it through a :class:`SpatialCore` (:func:`spatial_core`):
+blocks per delay (:func:`build_time_channel`, :func:`apply_channel`), from
+the spatial core's transmit coordinates to the receive antennas, and
+decomposes it through a :class:`SpatialCore` (:func:`spatial_core`):
 H's paths, describing the Gram matrix of H's spatial core on its smaller
 side as one slab per delay, the core's product with a block of vectors,
 path by path, and the core's bases, which take its coordinates to H's.
@@ -31,7 +32,6 @@ The dense H, cyclic shift Pi and core are test oracles and live in
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -88,20 +88,19 @@ def ula_response(angle: float, n_antennas: int) -> np.ndarray:
 
     Element a is ``exp(j pi a cos(angle)) / sqrt(n_antennas)``; ``angle`` is
     the azimuth in radians measured from the array axis (pi/2 = broadside),
-    a finite number.
+    a finite number, and ``n_antennas`` an integer >= 1; an error names either.
     """
-    n_antennas = operator.index(n_antennas)  # np.arange would round a float count up
-    if n_antennas < 1:
-        raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
+    n_antennas = _fields.integer("n_antennas", n_antennas, 1)  # np.arange would round a float count up
     a = np.arange(n_antennas)
     return np.exp(1j * np.pi * a * np.cos(_fields.number("angle", angle))) / np.sqrt(n_antennas)
 
 
 def phase_rotation_matrix(size: int, power: int) -> np.ndarray:
-    """Diagonal phase rotation to the given power, a finite number: diag{exp(j 2 pi q power / size)}."""
-    size = operator.index(size)
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    """Diagonal phase rotation to the given power, a finite number: diag{exp(j 2 pi q power / size)}.
+
+    ``size`` is an integer >= 1; an error names it.
+    """
+    size = _fields.integer("size", size, 1)
     q = np.arange(size)
     return np.diag(np.exp(2j * np.pi * q * _fields.number("power", power) / size))
 
@@ -146,19 +145,25 @@ def _taps(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gains, np.array([p.delay_tap for p in chan.paths]), np.array([p.doppler_tap for p in chan.paths])
 
 
-def build_time_channel(chan: DdMimoChannel) -> np.ndarray:
-    """The channel's time-varying impulse response: one ``(MN, n_rx, n_tx)`` slab per delay.
+def build_time_channel(chan: DdMimoChannel, a_tx: np.ndarray | None = None) -> np.ndarray:
+    """The channel's time-varying impulse response: one ``(MN, n_rx, n)`` slab per delay.
 
-    Entry ``[d, q, r, t]`` carries transmit antenna t's sample q to receive
+    ``a_tx`` holds the ``n x L`` transmit responses, one column per path:
+    the ULA responses by default (``n = n_tx``), or a spatial core's
+    ``r_tx``, which makes the taps those of ``H (Q_tx kron I_MN)``. Entry
+    ``[d, q, r, t]`` carries transmit coordinate t's sample q to receive
     antenna r's sample ``(q + d) mod MN``: the sum over the paths of delay
     tap d of ``gain * a_rx[r] * conj(a_tx[t]) * exp(j 2 pi k q / MN)``. The
     delays run up to the largest tap, so the slabs, at most MN, hold every
     nonzero of the dense H that :func:`otfslink.validation.dense_time_channel` expands.
     """
-    a_rx, a_tx = _array_matrices(chan)
+    a_rx, ula_tx = _array_matrices(chan)
+    a_tx = ula_tx if a_tx is None else np.asarray(a_tx)
+    if a_tx.ndim != 2 or a_tx.shape[1] != len(chan.paths):
+        raise ValueError(f"a_tx must have one column per path, {len(chan.paths)}, got shape {a_tx.shape}")
     gains, delays, dopplers = _taps(chan)
     spatial = a_rx.T[:, :, None] * a_tx.T.conj()[:, None, :]  # path i: a_rx,i a_tx,i^H
-    h = np.zeros((delays.max() + 1, chan.mn, chan.n_rx, chan.n_tx), dtype=complex)
+    h = np.zeros((delays.max() + 1, chan.mn, chan.n_rx, a_tx.shape[0]), dtype=complex)
     for delay, slab in _delay_slabs(chan.mn, gains, spatial, delays, dopplers):
         h[delay] = slab
     return h
@@ -192,8 +197,11 @@ class SpatialCore:
     receive side. The decomposition takes C's right singular vectors from
     the eigenvectors of :meth:`gram` and the left ones from :meth:`times`,
     and keeps both in the core's bases: :attr:`q_rx` and :attr:`q_tx` take
-    them to H's coordinates. ``a_out`` stays for :meth:`gram`, which forms
-    the out side's inner products from the array responses themselves.
+    them to H's coordinates, and :attr:`r_tx` makes
+    :func:`build_time_channel`'s taps those of ``H (Q_tx kron I_MN)``,
+    which take a precoder's frames as they are. ``a_out`` stays for
+    :meth:`gram`, which forms the out side's inner products from the array
+    responses themselves.
 
     ``scale`` is half the smallest power of two above the largest real or
     imaginary part of a gain, so it is finite for every finite gain, and
@@ -233,6 +241,11 @@ class SpatialCore:
     def q_tx(self) -> np.ndarray | None:
         """The basis of H's transmit side, ``n_tx x min(n_tx, L)``, or None for the identity."""
         return self.q_out if self.wide else self.q_in
+
+    @property
+    def r_tx(self) -> np.ndarray:
+        """The transmit side's ``min(n_tx, L) x L`` responses in the basis :attr:`q_tx`; where that is None, the array's."""
+        return self.r_out if self.wide else self.r_in
 
     def gram(self):
         """``C^H C / scale**2 = (q_in kron I)^H A^H A (q_in kron I) / scale**2``, C's Gram matrix, as delay slabs.
@@ -367,8 +380,10 @@ def sample_channel(cfg: SimConfig, rng=None) -> DdMimoChannel:
 def apply_channel(h: np.ndarray, y: np.ndarray, noise_var: float, rng=None) -> np.ndarray:
     """Apply the taps ``h`` of :func:`build_time_channel` to each frame, plus circular complex Gaussian noise.
 
-    ``y`` is one frame or a ``(frames, n_tx*MN)`` array, frames on the
-    leading axis, antenna by antenna, and ``r = H y + n`` has its layout.
+    ``y`` is one frame or a ``(frames, n*MN)`` array, frames on the
+    leading axis, coordinate by coordinate of the taps' ``n`` transmit
+    columns, the antennas or a core's basis. ``r = H y + n`` has its
+    layout, with ``n_rx*MN`` samples per frame, antenna by antenna.
     Each delay is one batched product over the MN samples. ``noise_var`` is
     the total per-complex-component variance (``noise_var/2`` per part); 0
     gives the exact product. Each frame draws its real, then its imaginary

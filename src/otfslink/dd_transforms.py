@@ -22,7 +22,6 @@ grid is never materialized.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -43,12 +42,10 @@ def dft_matrix(size: int) -> np.ndarray:
 
     The matrix is symmetric (``F.T == F`` bit-for-bit, because the exponent
     table ``a*b`` is) and unitary. The returned array is cached and marked
-    read-only; copy before mutating.
+    read-only; copy before mutating. ``size`` is an integer >= 1; an error
+    names it.
     """
-    size = operator.index(size)  # a float size is a TypeError, not truncated
-    if size < 1:
-        raise ValueError(f"DFT size must be >= 1, got {size}")
-    return _dft_cached(size)
+    return _dft_cached(_fields.integer("size", size, 1))
 
 
 def otfs_modulate(grid: np.ndarray) -> np.ndarray:

@@ -39,10 +39,11 @@ returns exactly the ``n_rf*MN`` leading triplets of H the link uses, in
 the bases of H's spatial core, or raises when the channel's rank is
 lower. It takes them from the leading eigenpairs of the Gram matrix of
 the core, which is summed from the path pairs, and applies the core path
-by path (:class:`~otfslink.channel.SpatialCore`). The precoded frames are
-lifted to the transmit antennas, go through the channel's delay taps, and
-are projected back onto the core's receive basis before combining; no
-H-sized array is allocated. How
+by path (:class:`~otfslink.channel.SpatialCore`). The delay taps are
+built in the core's transmit coordinates, so the precoded frames go
+through them as they are, to the receive antennas, where the noise is
+added; the noisy frames are projected onto the core's receive basis
+before combining. No H-sized array is allocated. How
 each version of the CSV moved against the one before is kept in ``CHANGES.md``.
 
 :class:`SimConfig`'s integer and number fields and :func:`run_sweep`'s
@@ -236,18 +237,20 @@ class Realization:
     """What a link needs from one drawn channel, for ``n_rf`` chains and a precoder mode.
 
     A pure function of ``(chan, n_rf, precoder_mode)``; see :func:`realize`.
-    ``h`` is the channel's delay taps (:func:`~otfslink.channel.build_time_channel`).
     The SVD factors themselves are not kept: ``pc`` and ``gains`` carry all
     a transmission uses of them. ``pc`` is in the bases of the channel's
-    spatial core, ``q_rx`` and ``q_tx``, each None where that side is not
-    compressed (see :class:`~otfslink.channel.SpatialCore`).
+    spatial core (see :class:`~otfslink.channel.SpatialCore`). ``h`` is
+    the channel's delay taps (:func:`~otfslink.channel.build_time_channel`)
+    from the core's transmit coordinates to the receive antennas, so the
+    precoder's frames need no basis. ``q_rx`` is the receive basis, onto
+    which the received frames are projected, None where that side is not
+    compressed.
     """
 
     h: np.ndarray
     pc: PrecoderCombiner
     gains: np.ndarray
     q_rx: np.ndarray | None
-    q_tx: np.ndarray | None
 
 
 def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
@@ -263,15 +266,17 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
 
     The precoder/combiner is folded in the arrays the decomposition
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
-    which owns them from then on. They stay in the core's bases, which
-    the realization keeps: ``min(n, L)*MN`` rows per side rather than
-    ``n*MN``. The taps that :func:`~otfslink.channel.apply_channel` takes
-    are built last; they hold (max delay + 1)*MN*n_rx*n_tx entries, never
-    more than H's. So a realization's memory peaks inside the
-    decomposition (see :func:`~otfslink.precoding.decompose`), or, where
-    the antennas outnumber the paths and the taps outgrow the Gram matrix
-    (16x16 antennas, 10 paths, an 8x8 grid), in building the taps next
-    to the held factors.
+    which owns them from then on. They stay in the core's bases:
+    ``min(n, L)*MN`` rows per side rather than ``n*MN``. The taps that
+    :func:`~otfslink.channel.apply_channel` takes are built last, from the
+    core's transmit responses ``r_tx``, so that they take the precoder's
+    frames in the core's transmit coordinates to the receive antennas:
+    (max delay + 1)*MN*n_rx*min(n_tx, L) entries, never more than H's. So
+    a realization's memory peaks inside the decomposition (see
+    :func:`~otfslink.precoding.decompose`), or, where the receive antennas
+    far outnumber the paths and the taps outgrow the Gram matrix (128x128
+    antennas, 10 paths, an 8x8 grid), in building the taps next to the
+    held factors.
     """
     m, n = chan.m_delay, chan.n_doppler
     core = spatial_core(chan)
@@ -279,8 +284,8 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     gains = sub_channel_gains(dec)
     pc = build_precoder_combiner(dec, m, n, precoder_mode)
     del dec
-    h = build_time_channel(chan)
-    return Realization(h=h, pc=pc, gains=gains, q_rx=core.q_rx, q_tx=core.q_tx)
+    h = build_time_channel(chan, core.r_tx)
+    return Realization(h=h, pc=pc, gains=gains, q_rx=core.q_rx)
 
 
 class RealizationSlot:
@@ -342,7 +347,7 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
 
     chan = sample_channel(cfg, rng)
     real = (slot if slot is not None else RealizationSlot()).get(chan, cfg.n_rf, cfg.precoder_mode)
-    h, pc, gains, q_rx, q_tx = real.h, real.pc, real.gains, real.q_rx, real.q_tx
+    h, pc, gains, q_rx = real.h, real.pc, real.gains, real.q_rx
     noise_var = snr_to_noise_var(cfg.snr_db)
 
     k, m, n, n_rf = cfg.n_subchannels, cfg.m_delay, cfg.n_doppler, cfg.n_rf
@@ -361,9 +366,7 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
 
         # each chain's K/n_rf symbols fill its (m, n) DD grid column-major
         grids = unstack_chains(x, n_rf).reshape(len(x), n_rf, n, m).swapaxes(-1, -2)
-        y = stack_chains(otfs_modulate(grids)) @ pc.g.T
-        if q_tx is not None:  # from the core's transmit basis to the antennas
-            y = _basis_product(q_tx, y)
+        y = stack_chains(otfs_modulate(grids)) @ pc.g.T  # in the core's transmit coordinates, as the taps take them
         r = np.conj(apply_channel(h, y, noise_var, rng))
         if q_rx is not None:  # conj((Q_rx kron I)^H r): onto the core's receive basis
             r = _basis_product(q_rx.T, r)

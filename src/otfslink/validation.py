@@ -189,8 +189,9 @@ def h_factors(bases, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """H's own factors ``(Q_rx kron I) w`` and ``(Q_tx kron I) g`` of factors held in a core's bases.
 
     ``bases`` is whatever holds them as ``q_rx`` and ``q_tx``: a
-    :class:`~otfslink.channel.SpatialCore`, a :class:`DenseCore` (the
-    identity on both sides) or a :class:`~otfslink.link_sim.Realization`.
+    :class:`~otfslink.channel.SpatialCore` or a :class:`DenseCore` (the
+    identity on both sides). A realization's factors are in the bases of
+    ``spatial_core(chan)``, which is a pure function of its channel.
     ``w`` is a receive-side factor (a decomposition's ``u``, a combiner),
     ``g`` a transmit-side one (``v``, a precoder).
     """
@@ -207,9 +208,9 @@ def lifted_product(core, x: np.ndarray) -> np.ndarray:
     return lifted(core.q_out, core.times(lifted(q_in, x))) * core.scale
 
 
-def h_precoder_combiner(real) -> PrecoderCombiner:
-    """The precoder/combiner of the realization ``real`` in H's coordinates (see :func:`h_factors`)."""
-    w, g = h_factors(real, real.pc.w, real.pc.g)
+def h_precoder_combiner(chan: DdMimoChannel, real) -> PrecoderCombiner:
+    """The precoder/combiner of ``real``, the realization of ``chan``, in H's coordinates (see :func:`h_factors`)."""
+    w, g = h_factors(spatial_core(chan), real.pc.w, real.pc.g)
     return PrecoderCombiner(g=g, w=w)
 
 
@@ -273,7 +274,7 @@ def criterion_1_diagonalization() -> CheckResult:
             rank_agrees = rank_agrees and dense_rank < k
             continue
         rank_agrees = rank_agrees and dense_rank >= k
-        eff = effective_dd_channel(h, h_precoder_combiner(real), n_rf, grid, grid)
+        eff = effective_dd_channel(h, h_precoder_combiner(chan, real), n_rf, grid, grid)
         sigma = dense[:k]
         ratios.append(_offdiag_ratio(eff))
         matches.append(max(_rel_gap(np.diag(eff), sigma), _rel_gap(real.gains, sigma)))
@@ -292,14 +293,15 @@ def criterion_1_diagonalization() -> CheckResult:
 def criterion_2_parallel_subchannel_noise() -> CheckResult:
     """Post-equalization noise variance is sigma^2 / lambda_s^2 per sub-channel, at 10 dB.
 
-    The precoder/combiner, gains and delay taps are the sweep's
-    (``realize``), and the signal goes through the taps.
+    The precoder/combiner and gains are the sweep's (``realize``), and the
+    signal goes through the channel's delay taps at the antennas.
     """
     rng = np.random.default_rng(202)
     n_rf, grid = 2, 2
     k = n_rf * grid * grid
-    real = realize(_random_channel(4, grid, 5, 42), n_rf, "dd_corrected")
-    h, pc, gains = real.h, h_precoder_combiner(real), real.gains
+    chan = _random_channel(4, grid, 5, 42)
+    real = realize(chan, n_rf, "dd_corrected")
+    h, pc, gains = build_time_channel(chan), h_precoder_combiner(chan, real), real.gains
     c_t, c_r = dd_transform_matrices(n_rf, grid, grid)
     noise_var = 0.1  # 10 dB at unit symbol energy
     x = modem.modulate(rng.integers(0, modem.QAM_ORDER, (10_000, k)))  # one frame per row
@@ -543,9 +545,10 @@ def paper_literal_gap() -> CheckResult:
     rng = np.random.default_rng(1212)
     ratios = []
     for _ in range(5):
-        real = realize(_random_channel(2, 2, 5, rng), 1, "paper_literal")
-        pc = h_precoder_combiner(real)
-        ratios.append(_offdiag_ratio(effective_dd_channel(dense_time_channel(real.h), pc, 1, 2, 2)))
+        chan = _random_channel(2, 2, 5, rng)
+        pc = h_precoder_combiner(chan, realize(chan, 1, "paper_literal"))
+        h = dense_time_channel(build_time_channel(chan))
+        ratios.append(_offdiag_ratio(effective_dd_channel(h, pc, 1, 2, 2)))
     return CheckResult(
         "paper_literal_gap",
         True,
@@ -557,7 +560,8 @@ def paper_literal_gap() -> CheckResult:
 def combiner_noise_whiteness() -> CheckResult:
     """The stacked dd_corrected combiner keeps white noise white: C_R W^H W C_R^H = I."""
     rng = np.random.default_rng(1313)
-    pc = h_precoder_combiner(realize(_random_channel(2, 2, 5, rng), 1, "dd_corrected"))
+    chan = _random_channel(2, 2, 5, rng)
+    pc = h_precoder_combiner(chan, realize(chan, 1, "dd_corrected"))
     _, c_r = dd_transform_matrices(1, 2, 2)
     cov = c_r @ pc.w.conj().T @ pc.w @ c_r.conj().T
     err = float(np.max(np.abs(cov - np.eye(cov.shape[0]))))

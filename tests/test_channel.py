@@ -18,7 +18,6 @@ from otfslink.channel import (
     spatial_core,
     ula_response,
 )
-from otfslink.dd_transforms import dft_matrix
 from otfslink.link_sim import SimConfig, realize
 from otfslink.validation import (
     cyclic_shift_matrix, dense_spatial_core, dense_time_channel, lifted_product, time_channel_entry_oracle,
@@ -45,18 +44,6 @@ class TestUlaResponse:
     def test_zero_antennas(self):
         with pytest.raises(ValueError):
             ula_response(0.0, 0)
-
-
-@pytest.mark.parametrize(
-    "function, before, after",
-    [(dft_matrix, (), ()), (ula_response, (0.3,), ()), (phase_rotation_matrix, (), (1,))],
-    ids=["dft_matrix", "ula_response", "phase_rotation_matrix"],
-)
-def test_a_size_must_be_an_integer(function, before, after):
-    # np.arange and int() would take 2.5 as 3 or as 2 entries
-    with pytest.raises(TypeError):
-        function(*before, 2.5, *after)
-    assert np.array_equal(function(*before, np.int64(3), *after), function(*before, 3, *after))
 
 
 class TestShiftAndRotation:
@@ -171,6 +158,13 @@ class TestBuildTimeChannel:
                 rot = np.linalg.matrix_power(delta_1.conj(), -p.doppler_tap)
             expected += p.gain * shift @ rot
         np.testing.assert_allclose(dense_time_channel(build_time_channel(chan)), expected, atol=1e-12)
+
+    def test_transmit_responses_need_one_column_per_path(self):
+        chan = DdMimoChannel(paths=(PathParams(1.0 + 0j, 0, 0, 0.7, 0.3),) * 2, n_tx=2, n_rx=2, m_delay=2, n_doppler=2)
+        assert build_time_channel(chan, np.ones((3, 2))).shape == (1, 4, 2, 3)
+        for shape in ((2, 3), (2,)):
+            with pytest.raises(ValueError, match="a_tx must have one column per path"):
+                build_time_channel(chan, np.ones(shape))
 
     def test_tap_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from otfslink.channel import (
     DdMimoChannel, PathParams, apply_channel, build_time_channel, phase_rotation_matrix, ula_response,
 )
 from otfslink.cli import ExperimentConfig
-from otfslink.dd_transforms import otfs_demodulate, otfs_modulate, unstack_chains
+from otfslink.dd_transforms import dft_matrix, otfs_demodulate, otfs_modulate, unstack_chains
 from otfslink.link_sim import (
     SimConfig, run_link, run_sweep, sample_importance, sample_payload, snr_points, snr_to_noise_var,
 )
@@ -114,6 +114,9 @@ ARGUMENTS = [
     ("build_precoder_combiner.n", lambda v: build_precoder_combiner(_decomposition(), 2, v), 2, 0),
     ("cross_entropy.true_label", lambda v: cross_entropy(v, [0.25, 0.75]), 1, 2),
     ("cyclic_shift_matrix.size", lambda v: cyclic_shift_matrix(v, 1), 3, 0),
+    ("dft_matrix.size", dft_matrix, 3, 0),
+    ("ula_response.n_antennas", lambda v: ula_response(0.5, v), 3, 0),
+    ("phase_rotation_matrix.size", lambda v: phase_rotation_matrix(v, 1), 3, 0),
     ("sample_payload.n", lambda v: sample_payload(np.random.default_rng(0), v), 5, -1),
     ("sample_importance.n", lambda v: sample_importance(np.random.default_rng(0), v), 5, -1),
 ]

@@ -274,8 +274,8 @@ def run_link_per_frame(cfg: SimConfig, payload_indices, importance, rng=None) ->
     w_all = np.asarray(importance, dtype=float)
     chan = sample_channel(cfg, rng)
     real = realize(chan, cfg.n_rf, cfg.precoder_mode)
-    h, gains = real.h, real.gains
-    w, g = validation.h_factors(real, real.pc.w, real.pc.g)
+    h, gains = build_time_channel(chan), real.gains  # the taps between the antennas
+    w, g = validation.h_factors(spatial_core(chan), real.pc.w, real.pc.g)
     noise_var = snr_to_noise_var(cfg.snr_db)
 
     k = cfg.n_subchannels
@@ -361,8 +361,9 @@ class TestChunkedBurst:
     @pytest.mark.parametrize("snr_db", [6.0, math.inf])
     def test_compressed_sides_match_the_per_frame_oracle(self, monkeypatch, n_tx, n_rx, n_paths, precoder_mode,
                                                          snr_db):
-        # a chunk's frames are lifted from the core's transmit basis and projected onto its
-        # receive basis together; the oracle lifts the factors to H's coordinates instead
+        # a chunk's frames go through the taps from the core's transmit coordinates and are
+        # projected onto its receive basis together; the oracle lifts the factors to H's
+        # coordinates instead, and applies the taps between the antennas
         cfg = replace(BURST, n_tx=n_tx, n_rx=n_rx, n_paths=n_paths, n_frames=2 * BURST_CHUNK + 1,
                       precoder_mode=precoder_mode, snr_db=snr_db)
         per_frame = max(120, n_tx * cfg.m_delay * cfg.n_doppler)  # the Kendall pairs, or the antennas' samples
@@ -642,17 +643,16 @@ class TestRealizationSlot:
 
 
 class TestBasisProduct:
-    """``run_link``'s lift into a core's transmit basis and projection onto its receive one, against ``np.kron``."""
+    """``run_link``'s projection onto a core's receive basis, against ``np.kron``."""
 
     FRAMES = 7
 
-    @pytest.mark.parametrize("side", ["lift_tx", "project_rx"])
     @pytest.mark.parametrize("order", ["C", "F", "F_reversed"])
-    def test_matches_the_kronecker_product(self, side, order):
+    def test_matches_the_kronecker_product(self, order):
         # 5 and 4 antennas, 2 paths: both sides compressed by a tall Q
         cfg = SimConfig(n_tx=5, n_rx=4, n_rf=1, m_delay=2, n_doppler=3, n_paths=2)
         core = spatial_core(sample_channel(cfg, 41))
-        q = core.q_tx if side == "lift_tx" else core.q_rx.T  # conj(r) is projected by Q_rx^T
+        q = core.q_rx.T  # conj(r) is projected by Q_rx^T
         rng = np.random.default_rng(42)
         shape = (self.FRAMES, q.shape[1] * core.mn)
         x = np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), order=order[0])
@@ -716,10 +716,42 @@ class TestRealizeInPlace:
         np.testing.assert_allclose(pc.g, v, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n_tx, n_rx, n_paths", [(16, 6, 10), (6, 16, 4)], ids=["wide", "tall"])
+def test_the_taps_take_the_core_transmit_coordinates_to_the_receive_antennas(n_tx, n_rx, n_paths):
+    # a compressed transmit side: the taps are H (Q_tx kron I), with n_paths columns per block
+    cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_paths=n_paths)
+    chan = sample_channel(cfg, 47)
+    q_tx = spatial_core(chan).q_tx
+    assert q_tx.shape == (n_tx, n_paths)
+    real = realize(chan, cfg.n_rf, cfg.precoder_mode)
+    assert real.h.shape[2:] == (n_rx, n_paths)
+    h = validation.dense_time_channel(build_time_channel(chan))
+    np.testing.assert_allclose(validation.dense_time_channel(real.h), h @ np.kron(q_tx, np.eye(chan.mn)),
+                               rtol=0, atol=1e-13)
+
+
+def test_a_realization_on_128_antennas_per_side_peaks_below_24_mib():
+    # 128x128 antennas, 10 paths, an 8x8 grid: the taps between the antennas alone
+    # would hold up to 96 MiB, and realize's traced peak read 149 MiB; in the core's
+    # transmit coordinates they hold up to 7.5 MiB
+    cfg = SimConfig(n_tx=128, n_rx=128, n_paths=10)
+    chan = sample_channel(cfg, 1)
+    realize(chan, cfg.n_rf, cfg.precoder_mode)  # the first call's imports and caches are not the link's
+    tracemalloc.start()
+    try:
+        real = realize(chan, cfg.n_rf, cfg.precoder_mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert real.h.shape[1:] == (chan.mn, 128, cfg.n_paths)
+    assert peak < 24 * 2**20, f"realize peaked at {peak / 2**20:.2f} MiB"
+
+
 def test_a_realization_on_16_antennas_per_side_peaks_below_5_5_mib():
     # antenna_sweep's largest point: 16x16 antennas, 10 paths, an 8x8 grid. Lifted to
     # 16*MN rows, the precoder and combiner held 4 MiB and realize's traced peak, inside
-    # build_time_channel, read 6.56 MiB; in the core's bases, 10*MN rows, they hold 2.5 MiB
+    # build_time_channel, read 6.56 MiB; in the core's bases, 10*MN rows, they hold 2.5 MiB,
+    # and with the taps in the core's transmit coordinates the peak read 4.45 MiB
     cfg = SimConfig(n_tx=16, n_rx=16, n_paths=10)
     chan = sample_channel(cfg, 1)
     realize(chan, cfg.n_rf, cfg.precoder_mode)  # the first call's imports and caches are not the link's
@@ -730,7 +762,8 @@ def test_a_realization_on_16_antennas_per_side_peaks_below_5_5_mib():
     finally:
         tracemalloc.stop()
     assert real.pc.g.shape == real.pc.w.shape == (cfg.n_paths * chan.mn, cfg.n_subchannels)
-    assert real.q_rx.shape == real.q_tx.shape == (16, cfg.n_paths)
+    assert real.q_rx.shape == (16, cfg.n_paths)
+    assert real.h.shape[1:] == (chan.mn, 16, cfg.n_paths)
     assert peak < 5.5 * 2**20, f"realize peaked at {peak / 2**20:.2f} MiB"
 
 
@@ -755,10 +788,10 @@ def grid16_realization():
         tracemalloc.start()
         return dec
 
-    def traced_build(c):
+    def traced_build(c, a_tx):
         peak.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-        return build_time_channel(c)
+        return build_time_channel(c, a_tx)
 
     link_sim.decompose, link_sim.build_time_channel = traced_decompose, traced_build
     try:

@@ -393,7 +393,7 @@ class TestSpatialCoreRoute:
         # core's bases; lifted through them, they are H's
         chan = self._chan(n_tx, n_rx, n_paths)
         real = realize(chan, n_rf, "paper_literal")
-        (u, v), h, sigma = h_factors(real, real.pc.w, real.pc.g), dense_time_channel(real.h), real.gains
+        (u, v), h, sigma = h_factors(spatial_core(chan), real.pc.w, real.pc.g), dense_h(chan), real.gains
         k = n_rf * chan.mn
         assert u.shape == (h.shape[0], k) and v.shape == (h.shape[1], k)
         tol = 1e-12 * sigma[0]
@@ -406,8 +406,8 @@ class TestSpatialCoreRoute:
     def test_precoder_combiner_diagonalize_the_dense_h(self, mode):
         chan = self._chan(5, 3, 2)  # more antennas than paths: the core is smaller than H
         real = realize(chan, 2, mode)
-        w, g = h_factors(real, real.pc.w, real.pc.g)
-        eff = w.conj().T @ dense_time_channel(real.h) @ g
+        w, g = h_factors(spatial_core(chan), real.pc.w, real.pc.g)
+        eff = w.conj().T @ dense_h(chan) @ g
         if mode == "dd_corrected":
             c_t, c_r = dd_transform_matrices(2, 2, 3)
             eff = c_r @ eff @ c_t
