@@ -14,7 +14,7 @@ Submodules:
 * :mod:`otfslink.cli`           -- ``otfslink`` command-line entry point
 """
 
-__version__ = "0.7.8"
+__version__ = "0.8.0"
 
 from .allocation import (
     allocate,

@@ -12,22 +12,23 @@ half-wavelength uniform-linear-array responses. Delays act as cyclic
 shifts over one frame, i.e. the frame is treated as cyclically extended;
 no explicit cyclic prefix is modeled.
 
-The link carries its frames through the channel's taps, a slab of
-blocks per delay (:func:`build_time_channel`, :func:`apply_channel`), from
-the spatial core's transmit coordinates to the receive antennas, and
-decomposes it through a :class:`SpatialCore` (:func:`spatial_core`):
-H's paths, describing the Gram matrix of H's spatial core on its smaller
-side as one slab per delay, the core's product with a block of vectors,
-path by path, and the core's bases, which take its coordinates to H's.
-Neither the core nor H is formed. The Gram matrix itself, its storage
-and its layout belong to :func:`~otfslink.precoding.gram_matrix`, which
-writes the slabs into it.
+The link decomposes the channel through a :class:`SpatialCore`
+(:func:`spatial_core`): H's paths, describing the Gram matrix of H's
+spatial core on its smaller side as one slab per delay, the core's
+product with a block of vectors, path by path, and each side's responses
+in the core's coordinates. It carries its frames through the core's own
+taps, a slab of blocks per delay (:func:`build_time_channel`,
+:func:`apply_channel`), built from those responses, from the core's
+transmit coordinates to its receive ones, where the noise is drawn.
+Neither the core nor H is formed, and no antenna basis is kept. The
+Gram matrix itself, its storage and its layout belong to
+:func:`~otfslink.precoding.gram_matrix`, which writes the slabs into it.
 :func:`sample_channel` draws a channel for a checked
 :class:`~otfslink.link_sim.SimConfig`. :class:`DdMimoChannel` checks its
 sizes and taps by the configs' integer rule, and its paths' gains and
 angles by the finite number rule, in :mod:`otfslink._fields`.
-The dense H, cyclic shift Pi and core are test oracles and live in
-:mod:`otfslink.validation`.
+The dense H, cyclic shift Pi, core and the core's antenna bases are test
+oracles and live in :mod:`otfslink.validation`.
 """
 
 from __future__ import annotations
@@ -145,25 +146,31 @@ def _taps(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gains, np.array([p.delay_tap for p in chan.paths]), np.array([p.doppler_tap for p in chan.paths])
 
 
-def build_time_channel(chan: DdMimoChannel, a_tx: np.ndarray | None = None) -> np.ndarray:
-    """The channel's time-varying impulse response: one ``(MN, n_rx, n)`` slab per delay.
+def build_time_channel(chan: DdMimoChannel, a_tx: np.ndarray | None = None,
+                       a_rx: np.ndarray | None = None) -> np.ndarray:
+    """The channel's time-varying impulse response: one ``(MN, n_r, n_t)`` slab per delay.
 
-    ``a_tx`` holds the ``n x L`` transmit responses, one column per path:
-    the ULA responses by default (``n = n_tx``), or a spatial core's
-    ``r_tx``, which makes the taps those of ``H (Q_tx kron I_MN)``. Entry
-    ``[d, q, r, t]`` carries transmit coordinate t's sample q to receive
-    antenna r's sample ``(q + d) mod MN``: the sum over the paths of delay
-    tap d of ``gain * a_rx[r] * conj(a_tx[t]) * exp(j 2 pi k q / MN)``. The
-    delays run up to the largest tap, so the slabs, at most MN, hold every
-    nonzero of the dense H that :func:`otfslink.validation.dense_time_channel` expands.
+    ``a_tx`` and ``a_rx`` hold each side's ``n x L`` responses, one column
+    per path: the ULA responses by default (``n_t = n_tx``, ``n_r =
+    n_rx``), or a spatial core's ``r_tx`` and ``r_rx``, which make the
+    taps those of the core ``(Q_rx kron I_MN)^H H (Q_tx kron I_MN)``.
+    Entry ``[d, q, r, t]`` carries transmit coordinate t's sample q to
+    receive coordinate r's sample ``(q + d) mod MN``: the sum over the
+    paths of delay tap d of ``gain * a_rx[r] * conj(a_tx[t]) * exp(j 2 pi
+    k q / MN)``. The delays run up to the largest tap, so the slabs, at
+    most MN, hold every nonzero of the dense matrix that
+    :func:`otfslink.validation.dense_time_channel` expands. A response
+    without one column per path is refused by name.
     """
-    a_rx, ula_tx = _array_matrices(chan)
+    ula_rx, ula_tx = _array_matrices(chan)
+    a_rx = ula_rx if a_rx is None else np.asarray(a_rx)
     a_tx = ula_tx if a_tx is None else np.asarray(a_tx)
-    if a_tx.ndim != 2 or a_tx.shape[1] != len(chan.paths):
-        raise ValueError(f"a_tx must have one column per path, {len(chan.paths)}, got shape {a_tx.shape}")
+    for name, a in (("a_rx", a_rx), ("a_tx", a_tx)):
+        if a.ndim != 2 or a.shape[1] != len(chan.paths):
+            raise ValueError(f"{name} must have one column per path, {len(chan.paths)}, got shape {a.shape}")
     gains, delays, dopplers = _taps(chan)
     spatial = a_rx.T[:, :, None] * a_tx.T.conj()[:, None, :]  # path i: a_rx,i a_tx,i^H
-    h = np.zeros((delays.max() + 1, chan.mn, chan.n_rx, a_tx.shape[0]), dtype=complex)
+    h = np.zeros((delays.max() + 1, chan.mn, a_rx.shape[0], a_tx.shape[0]), dtype=complex)
     for delay, slab in _delay_slabs(chan.mn, gains, spatial, delays, dopplers):
         h[delay] = slab
     return h
@@ -186,22 +193,23 @@ class SpatialCore:
     H^H, whose in side is the Gram side.
 
     Each side is compressed when it has more antennas than paths: ``a_out
-    = q_out r_out`` and ``a_in = q_in r_in`` are then the reduced QR
-    factorizations of its ``n x L`` array responses; on any other side Q
-    is None and R the array responses. So ``A = (Q_out kron I_MN) C (Q_in
-    kron I_MN)^H`` for the core C, the path sum with the columns of the R
-    in place of the array responses, of ``min(n, L)*MN`` rows per side:
-    C shares A's nonzero singular values, and the Q are the core's bases,
-    the identity where None. The Gram side is the side of the smaller such
-    count (the transmit side on a tie), and ``wide`` says it is the
-    receive side. The decomposition takes C's right singular vectors from
-    the eigenvectors of :meth:`gram` and the left ones from :meth:`times`,
-    and keeps both in the core's bases: :attr:`q_rx` and :attr:`q_tx` take
-    them to H's coordinates, and :attr:`r_tx` makes
-    :func:`build_time_channel`'s taps those of ``H (Q_tx kron I_MN)``,
-    which take a precoder's frames as they are. ``a_out`` stays for
-    :meth:`gram`, which forms the out side's inner products from the array
-    responses themselves.
+    = Q_out r_out`` and ``a_in = Q_in r_in`` are then QR factorizations
+    of its ``n x L`` array responses, with Q of orthonormal columns; on any
+    other side Q = I and R the array responses. So ``A = (Q_out kron I_MN)
+    C (Q_in kron I_MN)^H`` for the core C, the path sum with the columns
+    of the R in place of the array responses, of ``min(n, L)*MN`` rows per
+    side: C shares A's nonzero singular values. Only the R are kept: the
+    link runs in C's coordinates on both sides, so nothing at run time
+    reads a Q (:mod:`otfslink.validation` forms them for its oracles). The
+    Gram side is the side of the smaller such count (the transmit side on
+    a tie), and ``wide`` says it is the receive side. The decomposition
+    takes C's right singular vectors from the eigenvectors of :meth:`gram`
+    and the left ones from :meth:`times`, in C's coordinates, and
+    :attr:`r_tx` and :attr:`r_rx` make :func:`build_time_channel`'s taps
+    C's own, ``(Q_rx kron I_MN)^H H (Q_tx kron I_MN)``, which take a
+    precoder's frames as they are and give a combiner's. ``a_out`` stays
+    for :meth:`gram`, which forms the out side's inner products from the
+    array responses themselves.
 
     ``scale`` is half the smallest power of two above the largest real or
     imaginary part of a gain, so it is finite for every finite gain, and
@@ -211,9 +219,7 @@ class SpatialCore:
     """
 
     a_out: np.ndarray
-    q_out: np.ndarray | None
     r_out: np.ndarray
-    q_in: np.ndarray | None
     r_in: np.ndarray
     gains: np.ndarray
     delays: np.ndarray
@@ -233,24 +239,19 @@ class SpatialCore:
         return self.r_out.shape[0] * self.mn, self.side
 
     @property
-    def q_rx(self) -> np.ndarray | None:
-        """The basis of H's receive side, ``n_rx x min(n_rx, L)``, or None for the identity."""
-        return self.q_in if self.wide else self.q_out
-
-    @property
-    def q_tx(self) -> np.ndarray | None:
-        """The basis of H's transmit side, ``n_tx x min(n_tx, L)``, or None for the identity."""
-        return self.q_out if self.wide else self.q_in
-
-    @property
     def r_tx(self) -> np.ndarray:
-        """The transmit side's ``min(n_tx, L) x L`` responses in the basis :attr:`q_tx`; where that is None, the array's."""
+        """The transmit side's ``min(n_tx, L) x L`` responses in the core's coordinates; uncompressed, the array's."""
         return self.r_out if self.wide else self.r_in
 
-    def gram(self):
-        """``C^H C / scale**2 = (q_in kron I)^H A^H A (q_in kron I) / scale**2``, C's Gram matrix, as delay slabs.
+    @property
+    def r_rx(self) -> np.ndarray:
+        """The receive side's ``min(n_rx, L) x L`` responses in the core's coordinates; uncompressed, the array's."""
+        return self.r_in if self.wide else self.r_out
 
-        With a ``q_in`` of None read as I, ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``a_out``,
+    def gram(self):
+        """``C^H C / scale**2 = (Q_in kron I)^H A^H A (Q_in kron I) / scale**2``, C's Gram matrix, as delay slabs.
+
+        With ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``a_out``,
         it is ``sum_(i,j) conj(g_i) g_j (o_i^H o_j) (r_i r_j^H) kron
         Delta^(-k_i) Pi^(l_j - l_i) Delta^(k_j)``, and ``Delta^(-k_i) Pi^d
         Delta^(k_j) = w^(-k_i d) Pi^d Delta^(k_j - k_i)``. Path pairs with
@@ -323,15 +324,15 @@ class SpatialCore:
 def spatial_core(chan: DdMimoChannel) -> SpatialCore:
     """``chan`` as the :class:`SpatialCore` through which :func:`~otfslink.precoding.decompose` takes H's SVD.
 
-    With ``A_rx = Q_rx R_rx`` and ``A_tx = Q_tx R_tx`` the reduced QR
+    With ``A_rx = Q_rx R_rx`` and ``A_tx = Q_tx R_tx`` the QR
     factorizations of the ``n x L`` array matrices, ``H = (Q_rx kron I_MN)
     C (Q_tx kron I_MN)^H`` exactly, with C the path sum of H with the
     columns of R in place of the array responses: a core that shares H's
     nonzero singular values. Every side with more antennas than paths is
-    compressed so, by a tall Q; on any other side Q would be square and
-    only rotate, so there Q = I (held as None) and R = A. Both Q and R of
-    each side are kept, the Q as the bases in which the decomposition's
-    factors come; C itself is not formed.
+    compressed so, by a tall Q whose R has ``L`` rows; on any other side Q
+    would be square and only rotate, so there Q = I and R = A. Only each
+    side's R is computed (``np.linalg.qr`` in mode ``"r"``): no Q is
+    formed, and C itself is not either.
     """
     a_rx, a_tx = _array_matrices(chan)
     gains, delays, dopplers = _taps(chan)
@@ -347,9 +348,9 @@ def spatial_core(chan: DdMimoChannel) -> SpatialCore:
         gains = gains.conj() * np.exp(2j * np.pi * ((dopplers * delays) % mn) / mn)
         delays, dopplers = -delays % mn, -dopplers
         a_out, a_in = a_tx, a_rx
-    (q_out, r_out), (q_in, r_in) = (np.linalg.qr(a) if a.shape[0] > paths else (None, a) for a in (a_out, a_in))
-    return SpatialCore(a_out=a_out, q_out=q_out, r_out=r_out, q_in=q_in, r_in=r_in, gains=gains, delays=delays,
-                       dopplers=dopplers, mn=mn, scale=scale, wide=wide)
+    r_out, r_in = (np.linalg.qr(a, mode="r") if a.shape[0] > paths else a for a in (a_out, a_in))
+    return SpatialCore(a_out=a_out, r_out=r_out, r_in=r_in, gains=gains, delays=delays, dopplers=dopplers, mn=mn,
+                       scale=scale, wide=wide)
 
 
 def sample_channel(cfg: SimConfig, rng=None) -> DdMimoChannel:
@@ -380,10 +381,15 @@ def sample_channel(cfg: SimConfig, rng=None) -> DdMimoChannel:
 def apply_channel(h: np.ndarray, y: np.ndarray, noise_var: float, rng=None) -> np.ndarray:
     """Apply the taps ``h`` of :func:`build_time_channel` to each frame, plus circular complex Gaussian noise.
 
-    ``y`` is one frame or a ``(frames, n*MN)`` array, frames on the
-    leading axis, coordinate by coordinate of the taps' ``n`` transmit
-    columns, the antennas or a core's basis. ``r = H y + n`` has its
-    layout, with ``n_rx*MN`` samples per frame, antenna by antenna.
+    ``y`` is one frame or a ``(frames, n_t*MN)`` array, frames on the
+    leading axis, coordinate by coordinate of the taps' ``n_t`` transmit
+    columns: the antennas, or a spatial core's transmit coordinates.
+    ``r = H y + n`` has its layout, with ``n_r*MN`` samples per frame,
+    coordinate by coordinate of the taps' ``n_r`` receive rows, and the
+    noise is drawn there: at the antennas, or, with a core's taps, as
+    ``min(n_rx, L)*MN`` samples per frame in the core's receive
+    coordinates, which is distributed as white noise at the antennas
+    projected by the orthonormal ``(Q_rx kron I_MN)^H``.
     Each delay is one batched product over the MN samples. ``noise_var`` is
     the total per-complex-component variance (``noise_var/2`` per part); 0
     gives the exact product. Each frame draws its real, then its imaginary

@@ -36,15 +36,16 @@ one frame at a time.
 
 The decomposition never forms H: :func:`~otfslink.precoding.decompose`
 returns exactly the ``n_rf*MN`` leading triplets of H the link uses, in
-the bases of H's spatial core, or raises when the channel's rank is
+the coordinates of H's spatial core, or raises when the channel's rank is
 lower. It takes them from the leading eigenpairs of the Gram matrix of
 the core, which is summed from the path pairs, and applies the core path
-by path (:class:`~otfslink.channel.SpatialCore`). The delay taps are
-built in the core's transmit coordinates, so the precoded frames go
-through them as they are, to the receive antennas, where the noise is
-added; the noisy frames are projected onto the core's receive basis
-before combining. No H-sized array is allocated. How
-each version of the CSV moved against the one before is kept in ``CHANGES.md``.
+by path (:class:`~otfslink.channel.SpatialCore`). The delay taps are the
+core's own, built from both sides' responses in its coordinates, so the
+precoded frames go through them as they are, the noise is drawn in the
+core's receive coordinates, ``min(n_rx, L)*MN`` samples per frame, and
+the combiner takes what comes out as it is. No H-sized array is
+allocated, and no antenna basis is formed. How each version of the CSV
+moved against the one before is kept in ``CHANGES.md``.
 
 :class:`SimConfig`'s integer and number fields and :func:`run_sweep`'s
 ``trials`` are checked by the rules of :mod:`otfslink._fields`.
@@ -93,10 +94,11 @@ MAX_TRIALS = 10**6
 MAX_ARRAY_ENTRIES = 2**28
 
 # Most entries of each per-chunk array of a burst: run_link passes as many frames
-# at once as keep the larger of a frame's K(K-1)/2 Kendall pairs and its n*MN
-# signal entries (n the larger array) within this bound, one frame at least. It
-# bounds each array, not their sum: the two Kendall functions hold several
-# pair-sized arrays at once (0.38 and 0.31 k-column arrays at grid16's K = 512).
+# at once as keep the larger of a frame's K(K-1)/2 Kendall pairs and its
+# min(n, L)*MN signal entries (on the spatial core's larger side) within this
+# bound, one frame at least. It bounds each array, not their sum: the two Kendall
+# functions hold several pair-sized arrays at once (0.38 and 0.31 k-column
+# arrays at grid16's K = 512).
 FRAME_CHUNK_ENTRIES = 2**18
 
 # The largest arrays of a link, as products of SimConfig size fields and their
@@ -238,19 +240,17 @@ class Realization:
 
     A pure function of ``(chan, n_rf, precoder_mode)``; see :func:`realize`.
     The SVD factors themselves are not kept: ``pc`` and ``gains`` carry all
-    a transmission uses of them. ``pc`` is in the bases of the channel's
-    spatial core (see :class:`~otfslink.channel.SpatialCore`). ``h`` is
-    the channel's delay taps (:func:`~otfslink.channel.build_time_channel`)
-    from the core's transmit coordinates to the receive antennas, so the
-    precoder's frames need no basis. ``q_rx`` is the receive basis, onto
-    which the received frames are projected, None where that side is not
-    compressed.
+    a transmission uses of them. Everything is in the coordinates of the
+    channel's spatial core (see :class:`~otfslink.channel.SpatialCore`):
+    ``pc`` has ``min(n, L)*MN`` rows per side, and ``h`` is the core's
+    delay taps (:func:`~otfslink.channel.build_time_channel`), which take
+    the precoder's frames to what the combiner takes, with no basis
+    between.
     """
 
     h: np.ndarray
     pc: PrecoderCombiner
     gains: np.ndarray
-    q_rx: np.ndarray | None
 
 
 def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
@@ -266,17 +266,15 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
 
     The precoder/combiner is folded in the arrays the decomposition
     returned (see :func:`~otfslink.precoding.build_precoder_combiner`),
-    which owns them from then on. They stay in the core's bases:
+    which owns them from then on. They stay in the core's coordinates:
     ``min(n, L)*MN`` rows per side rather than ``n*MN``. The taps that
     :func:`~otfslink.channel.apply_channel` takes are built last, from the
-    core's transmit responses ``r_tx``, so that they take the precoder's
-    frames in the core's transmit coordinates to the receive antennas:
-    (max delay + 1)*MN*n_rx*min(n_tx, L) entries, never more than H's. So
-    a realization's memory peaks inside the decomposition (see
-    :func:`~otfslink.precoding.decompose`), or, where the receive antennas
-    far outnumber the paths and the taps outgrow the Gram matrix (128x128
-    antennas, 10 paths, an 8x8 grid), in building the taps next to the
-    held factors.
+    core's responses ``r_tx`` and ``r_rx``, so that they are the core's
+    own, from its transmit coordinates to its receive ones: (max delay +
+    1)*MN*min(n_rx, L)*min(n_tx, L) entries, never more than the dense
+    core's, and 0.59 MiB at 128x128 antennas, 10 paths and an 8x8 grid.
+    There and at 16x16 antennas alike, a realization's memory peaks inside
+    the decomposition (see :func:`~otfslink.precoding.decompose`).
     """
     m, n = chan.m_delay, chan.n_doppler
     core = spatial_core(chan)
@@ -284,8 +282,8 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     gains = sub_channel_gains(dec)
     pc = build_precoder_combiner(dec, m, n, precoder_mode)
     del dec
-    h = build_time_channel(chan, core.r_tx)
-    return Realization(h=h, pc=pc, gains=gains, q_rx=core.q_rx)
+    h = build_time_channel(chan, core.r_tx, core.r_rx)
+    return Realization(h=h, pc=pc, gains=gains)
 
 
 class RealizationSlot:
@@ -316,14 +314,9 @@ class RealizationSlot:
 
 def _frames_per_chunk(cfg: SimConfig) -> int:
     k = cfg.n_subchannels
-    per_frame = max(k * (k - 1) // 2, max(cfg.n_tx, cfg.n_rx) * cfg.m_delay * cfg.n_doppler)
+    core_side = max(min(cfg.n_tx, cfg.n_paths), min(cfg.n_rx, cfg.n_paths))
+    per_frame = max(k * (k - 1) // 2, core_side * cfg.m_delay * cfg.n_doppler)
     return max(1, FRAME_CHUNK_ENTRIES // per_frame)
-
-
-def _basis_product(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x @ (q kron I_MN)^T``: each row of ``x``, ``q.shape[1]`` blocks of MN samples, mixed by ``q``."""
-    frames = len(x)
-    return (q @ x.reshape(frames, q.shape[1], -1)).reshape(frames, -1)
 
 
 def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -> LinkMetrics:
@@ -347,7 +340,7 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
 
     chan = sample_channel(cfg, rng)
     real = (slot if slot is not None else RealizationSlot()).get(chan, cfg.n_rf, cfg.precoder_mode)
-    h, pc, gains, q_rx = real.h, real.pc, real.gains, real.q_rx
+    h, pc, gains = real.h, real.pc, real.gains
     noise_var = snr_to_noise_var(cfg.snr_db)
 
     k, m, n, n_rf = cfg.n_subchannels, cfg.m_delay, cfg.n_doppler, cfg.n_rf
@@ -367,9 +360,7 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
         # each chain's K/n_rf symbols fill its (m, n) DD grid column-major
         grids = unstack_chains(x, n_rf).reshape(len(x), n_rf, n, m).swapaxes(-1, -2)
         y = stack_chains(otfs_modulate(grids)) @ pc.g.T  # in the core's transmit coordinates, as the taps take them
-        r = np.conj(apply_channel(h, y, noise_var, rng))
-        if q_rx is not None:  # conj((Q_rx kron I)^H r): onto the core's receive basis
-            r = _basis_product(q_rx.T, r)
+        r = np.conj(apply_channel(h, y, noise_var, rng))  # in its receive coordinates, as the combiner takes them
         # conj(conj(r) @ w) = r @ conj(w) without a conjugated copy of the whole combiner
         combined = r @ pc.w
         s_hat = unstack_chains(np.conj(combined, out=combined), n_rf)

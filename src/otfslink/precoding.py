@@ -15,7 +15,7 @@ blocks, which hand G's rows back as they are copied, and the
 back-transform hands each block back as it spends it.
 Neither the core nor H is formed: the channel module describes that
 Gram matrix by delay slabs summed from the path pairs and applies the
-core path by path, and the triplets stay in the core's bases, whose
+core path by path, and the triplets stay in the core's coordinates, whose
 ``min(n, L)*MN`` rows per side carry all of H's nonzero singular vectors.
 :func:`gram_matrix` writes the slabs into the storage of one allocator,
 :func:`gram_zeros`, which keeps only G's stored triangle, in the layout
@@ -158,14 +158,16 @@ class RankDeficientChannelError(ValueError):
 
 @dataclass(frozen=True)
 class SubChannelDecomposition:
-    """Leading SVD factors of a channel H, in the bases of the core it was decomposed through.
+    """Leading SVD factors of a channel H, in the coordinates of the core it was decomposed through.
 
-    With ``H = (Q_rx kron I) C (Q_tx kron I)^H`` for the core C,
-    ``u`` (C's rows ``x k``) and ``v`` (C's columns ``x k``) are
-    semi-unitary and hold C's leading singular vectors, ``C v = u
-    diag(sigma)``, and ``(Q_rx kron I) u`` and ``(Q_tx kron I) v`` are H's;
-    the core's ``q_rx`` and ``q_tx`` are those bases, None for the identity
-    (a :class:`~otfslink.validation.DenseCore`'s on both sides).
+    With ``H = (Q_rx kron I) C (Q_tx kron I)^H`` for the core C and Q of
+    orthonormal columns, ``u`` (C's rows ``x k``) and ``v`` (C's columns
+    ``x k``) are semi-unitary and hold C's leading singular vectors, ``C v
+    = u diag(sigma)``, and ``(Q_rx kron I) u`` and ``(Q_tx kron I) v`` are
+    H's. No core holds its Q: the link runs in C's coordinates, and
+    :func:`otfslink.validation.h_factors` forms the bases to lift the
+    factors for its oracles (a :class:`~otfslink.validation.DenseCore` is
+    its own core, so there they are H's already).
     ``sigma`` holds the singular values in descending order.
     ``rank`` always equals ``sigma.size``, the ``k`` that :func:`decompose`
     was asked for; it stays only for the benchmark's rank counter, which
@@ -180,13 +182,14 @@ class SubChannelDecomposition:
 
 @dataclass(frozen=True)
 class PrecoderCombiner:
-    """Semi-unitary precoder ``g`` and combiner ``w`` for one channel, in its core's bases.
+    """Semi-unitary precoder ``g`` and combiner ``w`` for one channel, in its core's coordinates.
 
     Like the :class:`SubChannelDecomposition` they are built from, ``g``
     has a row per transmit coordinate of the core and ``w`` one per receive
-    coordinate: the link lifts its precoded frames by ``Q_tx kron I`` and
-    projects what it receives by ``(Q_rx kron I)^H`` before combining, and
-    skips either step on a side whose basis is the identity.
+    coordinate. The link's delay taps are the core's own (see
+    :func:`~otfslink.link_sim.realize`), so its precoded frames go through
+    them as they are, and what comes out, noise included, is combined as
+    it is: neither side is lifted to the antennas.
     """
 
     g: np.ndarray
@@ -418,14 +421,14 @@ def decompose(core, k: int) -> SubChannelDecomposition:
     the route's alone, whatever the core. ``core.times(x, out)`` is ``C x
     / core.scale``, written into ``out`` when it is given, an array of
     ``core.shape[0]`` (C's rows) by ``x``'s columns. The triplets are C's,
-    in the core's bases, and none is lifted to H's coordinates: ``u`` has
-    a row per receive coordinate of the core and ``v`` one per transmit
-    coordinate, and the core's ``q_rx`` and ``q_tx`` take them to H's (see
-    :class:`SubChannelDecomposition`). The link passes a
+    in the core's coordinates, and none is lifted to H's: ``u`` has a row
+    per receive coordinate of the core and ``v`` one per transmit
+    coordinate, and the Q, which no core holds, would take them to H's
+    (see :class:`SubChannelDecomposition`). The link passes a
     :class:`~otfslink.channel.SpatialCore`, each of whose sides is
     compressed when it has more antennas than paths, so a factor holds
     ``min(n, L)*MN`` rows rather than ``n*MN``; a dense matrix goes through
-    :class:`otfslink.validation.DenseCore`, whose bases are the identity.
+    :class:`otfslink.validation.DenseCore`, which is its own core.
 
     The triplets come from the ``k`` leading eigenpairs ``(lambda, z)`` of
     G, by ``zhptrd`` (``zhetrd`` for a square), ``dsterf``, ``dstein`` and
@@ -499,7 +502,7 @@ def build_precoder_combiner(dec: SubChannelDecomposition, m: int, n: int, mode: 
     """The precoder/combiner pair of ``dec``'s triplets, ``m*n`` per RF chain, in ``dec``'s own arrays.
 
     Takes ownership of ``dec``: ``g`` is the array ``dec.v`` and ``w`` is
-    ``dec.u``, so both stay in the core's bases (see
+    ``dec.u``, so both stay in the core's coordinates (see
     :class:`PrecoderCombiner`). They must be equally wide, a multiple of ``m*n`` for
     integers ``m, n >= 1`` (an error names the argument). In
     ``dd_corrected`` mode C_T^H and C_R are folded into them in place: both

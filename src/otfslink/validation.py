@@ -8,11 +8,12 @@ that only these checks and the tests use, :func:`cyclic_shift_matrix`,
 :func:`time_channel_entry_oracle`, :func:`dense_time_channel`,
 :func:`dense_spatial_core` and :func:`effective_dd_channel`, live here too,
 with :class:`DenseCore`, the adapter through which a dense matrix reaches
-:func:`~otfslink.precoding.decompose`, and :func:`h_factors` and
-:func:`lifted_product`, which take what a core holds in its bases to H's
-coordinates. The tolerances are
-defined here, once; ``tests/test_acceptance.py`` runs the same checks and
-pins them. ``paper_literal_gap`` is informational and never fails.
+:func:`~otfslink.precoding.decompose`. So do the spatial core's antenna
+bases, which nothing at run time reads: :func:`core_sides` forms them,
+and :func:`h_factors` and :func:`lifted_product` take what the core holds
+in its coordinates to H's. The tolerances are defined here, once;
+``tests/test_acceptance.py`` runs the same checks and pins them.
+``paper_literal_gap`` is informational and never fails.
 """
 
 from __future__ import annotations
@@ -108,19 +109,31 @@ def dense_time_channel(taps: np.ndarray) -> np.ndarray:
     return h.reshape(n_rx * mn, n_tx * mn)
 
 
+def core_sides(chan: DdMimoChannel) -> tuple[tuple, tuple]:
+    """``((Q_rx, R_rx), (Q_tx, R_tx))``: each side of ``chan``'s spatial core, with its antenna basis.
+
+    By the rule of :func:`otfslink.channel.spatial_core`, a side with more
+    antennas than paths is compressed, by the reduced QR factorization
+    ``A = Q R`` of its ``n x L`` array responses A: Q, of orthonormal
+    columns, takes the core's coordinates on that side to the antennas'.
+    On any other side Q is None, the identity, and R is A. The spatial core
+    holds only the R; the Q are the oracles' alone.
+    """
+    paths = len(chan.paths)
+    a_rx = np.column_stack([ula_response(p.aoa, chan.n_rx) for p in chan.paths])
+    a_tx = np.column_stack([ula_response(p.aod, chan.n_tx) for p in chan.paths])
+    return tuple(tuple(np.linalg.qr(a)) if a.shape[0] > paths else (None, a) for a in (a_rx, a_tx))
+
+
 def dense_spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(Q_rx, C, Q_tx)`` with ``H = (Q_rx kron I) C (Q_tx kron I)^H``, C dense, by Kronecker products.
 
-    As in :func:`otfslink.channel.spatial_core`, a side is compressed only
-    when it has more antennas than paths, by the reduced QR factorization
-    of its array matrix; on any other side Q is I and R the array matrix.
-    ``C = sum_i gain_i (r_rx,i r_tx,i^H) kron (Pi^l_i Delta^k_i)`` with the
-    dense shift and rotation: the core whose Gram matrix a ``SpatialCore`` gives.
+    Each side is that of :func:`core_sides`, with an uncompressed side's Q
+    as the identity matrix. ``C = sum_i gain_i (r_rx,i r_tx,i^H) kron
+    (Pi^l_i Delta^k_i)`` with the dense shift and rotation: the core whose
+    Gram matrix a ``SpatialCore`` gives.
     """
-    a_rx = np.column_stack([ula_response(p.aoa, chan.n_rx) for p in chan.paths])
-    a_tx = np.column_stack([ula_response(p.aod, chan.n_tx) for p in chan.paths])
-    (q_rx, r_rx), (q_tx, r_tx) = (np.linalg.qr(a) if a.shape[0] > len(chan.paths) else (np.eye(a.shape[0]), a)
-                                  for a in (a_rx, a_tx))
+    (q_rx, r_rx), (q_tx, r_tx) = ((np.eye(r.shape[0]) if q is None else q, r) for q, r in core_sides(chan))
     mn = chan.mn
     core = sum(
         p.gain * np.kron(
@@ -138,15 +151,13 @@ class DenseCore:
 
     Its Gram matrix is one dense slab of delay 0 on a grid of one sample,
     which :func:`~otfslink.precoding.gram_matrix` writes as a spatial
-    core's; its products are dense products with h, its bases are the
-    identity, so it is its own core, and ``scale`` is 1: the oracles' and
-    tests' dense core.
+    core's; its products are dense products with h, so it is its own core,
+    and ``scale`` is 1: the oracles' and tests' dense core.
     """
 
     h: np.ndarray
     scale: float = 1.0
     mn = 1
-    q_rx = q_tx = None
 
     def __post_init__(self):
         h = _fields.numbers("h", self.h, dtype=None)
@@ -185,32 +196,35 @@ def lifted(q: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     return np.kron(q, np.eye(x.shape[0] // q.shape[1])) @ x
 
 
-def h_factors(bases, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H's own factors ``(Q_rx kron I) w`` and ``(Q_tx kron I) g`` of factors held in a core's bases.
+def h_factors(chan: DdMimoChannel, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H's own factors ``(Q_rx kron I) w`` and ``(Q_tx kron I) g`` of factors in ``spatial_core(chan)``'s coordinates.
 
-    ``bases`` is whatever holds them as ``q_rx`` and ``q_tx``: a
-    :class:`~otfslink.channel.SpatialCore` or a :class:`DenseCore` (the
-    identity on both sides). A realization's factors are in the bases of
-    ``spatial_core(chan)``, which is a pure function of its channel.
-    ``w`` is a receive-side factor (a decomposition's ``u``, a combiner),
-    ``g`` a transmit-side one (``v``, a precoder).
+    The bases are :func:`core_sides`'s. A realization's factors are in
+    those coordinates, since ``spatial_core`` is a pure function of its
+    channel. ``w`` is a receive-side factor (a decomposition's ``u``, a
+    combiner), ``g`` a transmit-side one (``v``, a precoder).
     """
-    return lifted(bases.q_rx, w), lifted(bases.q_tx, g)
+    (q_rx, _), (q_tx, _) = core_sides(chan)
+    return lifted(q_rx, w), lifted(q_tx, g)
 
 
-def lifted_product(core, x: np.ndarray) -> np.ndarray:
-    """``(Q_out kron I) C (Q_in kron I)^H x``: a spatial core C's product through its bases, ``H x`` (``H^H x`` if wide).
+def lifted_product(chan: DdMimoChannel, x: np.ndarray) -> np.ndarray:
+    """``(Q_out kron I) C (Q_in kron I)^H x`` for C = ``spatial_core(chan)``: ``H x``, or ``H^H x`` if C is wide.
 
-    The in basis spans the row space of H (of H^H), so this is the
-    product with the whole matrix for any ``x`` of its columns' length.
+    The bases are :func:`core_sides`'s. The in basis spans the row space of
+    H (of H^H), so this is the product with the whole matrix for any ``x``
+    of its columns' length.
     """
-    q_in = None if core.q_in is None else core.q_in.conj().T
-    return lifted(core.q_out, core.times(lifted(q_in, x))) * core.scale
+    core = spatial_core(chan)
+    (q_rx, _), (q_tx, _) = core_sides(chan)
+    q_out, q_in = (q_tx, q_rx) if core.wide else (q_rx, q_tx)
+    q_in = None if q_in is None else q_in.conj().T
+    return lifted(q_out, core.times(lifted(q_in, x))) * core.scale
 
 
 def h_precoder_combiner(chan: DdMimoChannel, real) -> PrecoderCombiner:
     """The precoder/combiner of ``real``, the realization of ``chan``, in H's coordinates (see :func:`h_factors`)."""
-    w, g = h_factors(spatial_core(chan), real.pc.w, real.pc.g)
+    w, g = h_factors(chan, real.pc.w, real.pc.g)
     return PrecoderCombiner(g=g, w=w)
 
 
@@ -398,7 +412,7 @@ def core_gram_oracle() -> CheckResult:
         worst = max(
             worst,
             float(np.max(np.abs(np.triu(stored) - np.triu(gram))) / np.max(np.abs(gram))),
-            float(np.max(np.abs(lifted_product(core, x) - product)) / np.max(np.abs(product))),
+            float(np.max(np.abs(lifted_product(chan, x) - product)) / np.max(np.abs(product))),
         )
     return CheckResult(
         "core_gram_oracle",

@@ -20,8 +20,8 @@ from otfslink.channel import (
 )
 from otfslink.link_sim import SimConfig, realize
 from otfslink.validation import (
-    cyclic_shift_matrix, dense_spatial_core, dense_time_channel, lifted_product, time_channel_entry_oracle,
-    unpacked,
+    core_sides, cyclic_shift_matrix, dense_spatial_core, dense_time_channel, lifted_product,
+    time_channel_entry_oracle, unpacked,
 )
 
 
@@ -159,12 +159,14 @@ class TestBuildTimeChannel:
             expected += p.gain * shift @ rot
         np.testing.assert_allclose(dense_time_channel(build_time_channel(chan)), expected, atol=1e-12)
 
-    def test_transmit_responses_need_one_column_per_path(self):
+    @pytest.mark.parametrize("side", ["a_tx", "a_rx"])
+    def test_responses_need_one_column_per_path(self, side):
         chan = DdMimoChannel(paths=(PathParams(1.0 + 0j, 0, 0, 0.7, 0.3),) * 2, n_tx=2, n_rx=2, m_delay=2, n_doppler=2)
-        assert build_time_channel(chan, np.ones((3, 2))).shape == (1, 4, 2, 3)
-        for shape in ((2, 3), (2,)):
-            with pytest.raises(ValueError, match="a_tx must have one column per path"):
-                build_time_channel(chan, np.ones(shape))
+        shape = {"a_tx": (1, 4, 2, 3), "a_rx": (1, 4, 3, 2)}[side]
+        assert build_time_channel(chan, **{side: np.ones((3, 2))}).shape == shape
+        for bad in ((2, 3), (2,)):
+            with pytest.raises(ValueError, match=f"{side} must have one column per path"):
+                build_time_channel(chan, **{side: np.ones(bad)})
 
     def test_tap_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -287,13 +289,10 @@ class TestSpatialCore:
         assert np.max(np.abs(lifted - time_channel_entry_oracle(chan))) < 1e-12
         path_core = spatial_core(chan)
         assert path_core.side == min(core.shape) and path_core.wide == (core.shape[0] < core.shape[1])
-        # the path core keeps each side's Q, its basis, if that side is compressed
+        # the path core keeps each side's R, the dense core's, and no Q
         assert path_core.shape == core.shape
-        for q, kept in ((q_rx, path_core.q_rx), (q_tx, path_core.q_tx)):
-            if kept is None:
-                assert np.array_equal(q, np.eye(q.shape[0]))
-            else:
-                assert np.array_equal(kept, q)
+        for (_, r), kept in zip(core_sides(chan), (path_core.r_rx, path_core.r_tx)):
+            assert np.array_equal(kept, r)
 
     @pytest.mark.parametrize(
         "n_tx, n_rx, n_paths",
@@ -308,20 +307,22 @@ class TestSpatialCore:
         chan = sample_channel(cfg, 16)
         qr_calls = []
         qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr_calls.append((a.shape, mode)) or qr(a, mode))
         core = spatial_core(chan)
         a_rx, a_tx = (np.column_stack([ula_response(getattr(p, angle), count) for p in chan.paths])
                       for angle, count in (("aoa", n_rx), ("aod", n_tx)))
-        rx = (n_rx, a_rx, core.q_rx, core.r_in if core.wide else core.r_out)
-        tx = (n_tx, a_tx, core.q_tx, core.r_out if core.wide else core.r_in)
+        rx = (n_rx, a_rx, core.r_rx, core.r_in if core.wide else core.r_out)
+        tx = (n_tx, a_tx, core.r_tx, core.r_out if core.wide else core.r_in)
         (n_in, *_), (n_out, *_) = (rx, tx) if core.wide else (tx, rx)
-        assert qr_calls == [(n, n_paths) for n in (n_out, n_in) if n > n_paths]  # the out side first
-        for n, a, q, r in (rx, tx):
-            if n > n_paths:  # a tall Q, whose R holds the responses' min(n, L) = L rows
-                assert q.shape == (n, n_paths) and r.shape == (n_paths, n_paths)
-                np.testing.assert_allclose(q @ r, a, rtol=0, atol=1e-14)
+        # the out side first, and R alone: no Q is formed
+        assert qr_calls == [((n, n_paths), "r") for n in (n_out, n_in) if n > n_paths]
+        for n, a, r, r_side in (rx, tx):
+            assert r_side is r
+            if n > n_paths:  # A = Q R with a tall Q, so R is upper triangular, L x L, and R^H R = A^H A
+                assert r.shape == (n_paths, n_paths) and np.array_equal(r, np.triu(r))
+                np.testing.assert_allclose(r.conj().T @ r, a.conj().T @ a, rtol=0, atol=1e-14)
             else:  # the core is H's own on that side, and needs no basis
-                assert q is None and np.array_equal(r, a)
+                assert np.array_equal(r, a)
         assert core.side == min(n_in, n_paths) * chan.mn
         assert core.shape == (min(n_out, n_paths) * chan.mn, core.side)
 
@@ -351,7 +352,7 @@ class TestSpatialCore:
             x = np.random.default_rng(seed).standard_normal((h.shape[1], 5)) * (1 + 2j)
             product = h @ x
             # the core's product, through its bases: (Q_out kron I) C (Q_in kron I)^H x = H x
-            assert np.max(np.abs(lifted_product(core, x) - product)) < 1e-12 * np.max(np.abs(product))
+            assert np.max(np.abs(lifted_product(chan, x) - product)) < 1e-12 * np.max(np.abs(product))
 
     @pytest.mark.parametrize("big", [3e200 + 4e200j, 1e308, 1.5e308 + 1.5e308j])
     def test_gains_are_scaled_by_a_power_of_two(self, big):

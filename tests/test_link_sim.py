@@ -275,7 +275,9 @@ def run_link_per_frame(cfg: SimConfig, payload_indices, importance, rng=None) ->
     chan = sample_channel(cfg, rng)
     real = realize(chan, cfg.n_rf, cfg.precoder_mode)
     h, gains = build_time_channel(chan), real.gains  # the taps between the antennas
-    w, g = validation.h_factors(spatial_core(chan), real.pc.w, real.pc.g)
+    w, g = validation.h_factors(chan, real.pc.w, real.pc.g)
+    (q_rx, _), _ = validation.core_sides(chan)
+    q_rx_h = None if q_rx is None else q_rx.conj().T
     noise_var = snr_to_noise_var(cfg.snr_db)
 
     k = cfg.n_subchannels
@@ -304,8 +306,12 @@ def run_link_per_frame(cfg: SimConfig, payload_indices, importance, rng=None) ->
             for c in range(cfg.n_rf)
         ]
         y = g @ stack_chains(frames)
-        r = apply_channel(h, y, noise_var, rng)
-        s_hat = w_h @ r
+        # onto the receive basis, (Q_rx kron I)^H, and noise there: min(n_rx, L)*MN white samples
+        r = validation.lifted(q_rx_h, apply_channel(h, y, 0.0))
+        if noise_var > 0:
+            z = rng.standard_normal((2, r.size))
+            r = r + (z[0] + 1j * z[1]) * np.sqrt(noise_var / 2.0)
+        s_hat = w_h @ validation.lifted(q_rx, r)
         x_hat = np.concatenate(
             [otfs_demodulate(chunk, m, n).ravel(order="F") for chunk in unstack_chains(s_hat, cfg.n_rf)]
         )
@@ -355,22 +361,24 @@ class TestChunkedBurst:
         assert _frames_per_chunk(cfg) == BURST_CHUNK
         self._assert_matches_the_per_frame_oracle(cfg)
 
-    @pytest.mark.parametrize("n_tx, n_rx, n_paths", [(6, 5, 3), (16, 6, 10)],
-                             ids=["both_compressed", "wide_out_compressed"])
+    @pytest.mark.parametrize("n_tx, n_rx, n_paths, compressed", [
+        (6, 5, 3, (True, True)), (16, 6, 10, (True, False)), (4, 16, 10, (False, True)),
+    ], ids=["both_compressed", "wide_out_compressed", "receive_compressed"])
     @pytest.mark.parametrize("precoder_mode", ["dd_corrected", "paper_literal"])
     @pytest.mark.parametrize("snr_db", [6.0, math.inf])
-    def test_compressed_sides_match_the_per_frame_oracle(self, monkeypatch, n_tx, n_rx, n_paths, precoder_mode,
-                                                         snr_db):
-        # a chunk's frames go through the taps from the core's transmit coordinates and are
-        # projected onto its receive basis together; the oracle lifts the factors to H's
-        # coordinates instead, and applies the taps between the antennas
+    def test_compressed_sides_match_the_per_frame_oracle(self, monkeypatch, n_tx, n_rx, n_paths, compressed,
+                                                         precoder_mode, snr_db):
+        # a chunk's frames go through the core's taps together, and its noise is drawn in the
+        # core's receive coordinates; the oracle lifts the factors to H's coordinates instead,
+        # applies the taps between the antennas and projects each frame onto the receive basis
         cfg = replace(BURST, n_tx=n_tx, n_rx=n_rx, n_paths=n_paths, n_frames=2 * BURST_CHUNK + 1,
                       precoder_mode=precoder_mode, snr_db=snr_db)
-        per_frame = max(120, n_tx * cfg.m_delay * cfg.n_doppler)  # the Kendall pairs, or the antennas' samples
+        core_side = max(min(n_tx, n_paths), min(n_rx, n_paths))
+        per_frame = max(120, core_side * cfg.m_delay * cfg.n_doppler)  # the Kendall pairs, or the core's samples
         monkeypatch.setattr(link_sim, "FRAME_CHUNK_ENTRIES", per_frame * BURST_CHUNK)
         assert _frames_per_chunk(cfg) == BURST_CHUNK
         core = spatial_core(sample_channel(cfg, 0))
-        assert core.q_tx is not None and (core.q_rx is None) == (n_rx <= n_paths)
+        assert (core.r_tx.shape[0] < n_tx, core.r_rx.shape[0] < n_rx) == compressed
         self._assert_matches_the_per_frame_oracle(cfg)
 
     @staticmethod
@@ -391,6 +399,15 @@ class TestChunkedBurst:
                 assert abs(a - b) <= 1e-12 * abs(b), name
         np.testing.assert_array_equal(got.gains, want.gains)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_the_spatial_core_sets_the_chunk(self):
+        # 16 sub-channels, 120 Kendall pairs, and 10 paths: the core's larger side holds 160
+        # samples per frame, where the 128 transmit antennas' would hold 2048
+        cfg = SimConfig(n_tx=128, n_rx=8, n_paths=10, n_rf=1, m_delay=4, n_doppler=4, n_frames=512)
+        assert _frames_per_chunk(cfg) == link_sim.FRAME_CHUNK_ENTRIES // 160 == 1638
+        assert _frames_per_chunk(replace(cfg, n_tx=8, n_rx=128)) == 1638
+        # 6 paths: 96 samples, fewer than the Kendall pairs, which set the chunk
+        assert _frames_per_chunk(replace(cfg, n_paths=6)) == link_sim.FRAME_CHUNK_ENTRIES // 120
 
     def test_chunk_holds_at_least_one_frame(self, monkeypatch):
         monkeypatch.setattr(link_sim, "FRAME_CHUNK_ENTRIES", 1)
@@ -642,29 +659,6 @@ class TestRealizationSlot:
         assert np.all(b.gains > 0)
 
 
-class TestBasisProduct:
-    """``run_link``'s projection onto a core's receive basis, against ``np.kron``."""
-
-    FRAMES = 7
-
-    @pytest.mark.parametrize("order", ["C", "F", "F_reversed"])
-    def test_matches_the_kronecker_product(self, order):
-        # 5 and 4 antennas, 2 paths: both sides compressed by a tall Q
-        cfg = SimConfig(n_tx=5, n_rx=4, n_rf=1, m_delay=2, n_doppler=3, n_paths=2)
-        core = spatial_core(sample_channel(cfg, 41))
-        q = core.q_rx.T  # conj(r) is projected by Q_rx^T
-        rng = np.random.default_rng(42)
-        shape = (self.FRAMES, q.shape[1] * core.mn)
-        x = np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), order=order[0])
-        if order == "F_reversed":
-            x = x[:, ::-1]
-        before = x.copy()
-        product = link_sim._basis_product(q, x)
-        np.testing.assert_allclose(product, before @ np.kron(q, np.eye(core.mn)).T, rtol=0, atol=1e-13)
-        assert not np.shares_memory(product, x)
-        np.testing.assert_array_equal(x, before)
-
-
 class TestRealizeInPlace:
     """``realize``'s factors, kept in the core's bases and folded in place, against out-of-place products."""
 
@@ -675,7 +669,7 @@ class TestRealizeInPlace:
         # they are, in the core's basis, whether or not that side is compressed
         cfg = SimConfig(n_tx=n, n_rx=n, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths)
         core = spatial_core(sample_channel(cfg, 46))
-        assert (core.q_in is None) == (n <= n_paths)
+        assert (core.r_in.shape[0] < n) == (n > n_paths)  # a compressed side's R has L rows
         if route == "eigh":
             monkeypatch.setattr(precoding, "_gram_routines", lambda: None)
         products = []
@@ -706,7 +700,7 @@ class TestRealizeInPlace:
         dec = precoding.decompose(core, cfg.n_subchannels)
         u, v = dec.u, dec.v
         h = validation.dense_time_channel(build_time_channel(chan))
-        h_u, h_v = validation.h_factors(core, u, v)
+        h_u, h_v = validation.h_factors(chan, u, v)
         assert np.max(np.abs(h @ h_v - h_u * dec.sigma)) < 1e-12 * dec.sigma[0]
         if mode == "dd_corrected":
             c_t, c_r = precoding.dd_transform_matrices(2, 2, 3)
@@ -716,24 +710,39 @@ class TestRealizeInPlace:
         np.testing.assert_allclose(pc.g, v, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("n_tx, n_rx, n_paths", [(16, 6, 10), (6, 16, 4)], ids=["wide", "tall"])
-def test_the_taps_take_the_core_transmit_coordinates_to_the_receive_antennas(n_tx, n_rx, n_paths):
-    # a compressed transmit side: the taps are H (Q_tx kron I), with n_paths columns per block
+@pytest.mark.parametrize("n_tx, n_rx, n_paths", [(16, 6, 10), (6, 16, 4), (4, 16, 10)],
+                         ids=["wide", "tall", "receive_only"])
+def test_the_taps_are_the_spatial_core(n_tx, n_rx, n_paths):
+    # the taps are (Q_rx kron I)^H H (Q_tx kron I), min(n, L) rows or columns per block on each side
     cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_paths=n_paths)
     chan = sample_channel(cfg, 47)
-    q_tx = spatial_core(chan).q_tx
-    assert q_tx.shape == (n_tx, n_paths)
     real = realize(chan, cfg.n_rf, cfg.precoder_mode)
-    assert real.h.shape[2:] == (n_rx, n_paths)
+    assert real.h.shape[2:] == (min(n_rx, n_paths), min(n_tx, n_paths))
+    q_rx, q_tx = (np.kron(q, np.eye(chan.mn)) for q in validation.dense_spatial_core(chan)[::2])
     h = validation.dense_time_channel(build_time_channel(chan))
-    np.testing.assert_allclose(validation.dense_time_channel(real.h), h @ np.kron(q_tx, np.eye(chan.mn)),
-                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(validation.dense_time_channel(real.h), q_rx.conj().T @ h @ q_tx, rtol=0, atol=1e-13)
 
 
-def test_a_realization_on_128_antennas_per_side_peaks_below_24_mib():
+def test_the_noise_in_the_core_receive_coordinates_is_white_after_the_combiner():
+    # 16 receive antennas and 10 paths: apply_channel draws min(n_rx, L)*MN samples per frame
+    # in the core's receive coordinates; combined, they keep the variance noise_var per sub-channel
+    cfg = SimConfig(n_tx=4, n_rx=16, n_paths=10, n_rf=1, m_delay=2, n_doppler=2, max_delay_tap=3)
+    real = realize(sample_channel(cfg, 48), cfg.n_rf, cfg.precoder_mode)
+    frames, noise_var, mn = 10_000, 0.5, cfg.m_delay * cfg.n_doppler
+    assert real.h.shape[2:] == (cfg.n_paths, cfg.n_tx)
+    r = apply_channel(real.h, np.zeros((frames, cfg.n_tx * mn)), noise_var, np.random.default_rng(49))
+    assert r.shape == (frames, cfg.n_paths * mn)
+    combined = r @ real.pc.w.conj()
+    cov = combined.T @ combined.conj() / frames
+    err = float(np.max(np.abs(cov / noise_var - np.eye(cfg.n_subchannels))))
+    assert err < validation.TOL_NOISE_VAR, f"combined noise covariance off identity by {err:.3f}"
+
+
+def test_a_realization_on_128_antennas_per_side_peaks_below_6_mib():
     # 128x128 antennas, 10 paths, an 8x8 grid: the taps between the antennas alone
     # would hold up to 96 MiB, and realize's traced peak read 149 MiB; in the core's
-    # transmit coordinates they hold up to 7.5 MiB
+    # transmit coordinates they held up to 7.5 MiB and the peak read 14.29 MiB; as the
+    # core's own taps they hold 0.59 MiB
     cfg = SimConfig(n_tx=128, n_rx=128, n_paths=10)
     chan = sample_channel(cfg, 1)
     realize(chan, cfg.n_rf, cfg.precoder_mode)  # the first call's imports and caches are not the link's
@@ -743,8 +752,8 @@ def test_a_realization_on_128_antennas_per_side_peaks_below_24_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert real.h.shape[1:] == (chan.mn, 128, cfg.n_paths)
-    assert peak < 24 * 2**20, f"realize peaked at {peak / 2**20:.2f} MiB"
+    assert real.h.shape[1:] == (chan.mn, cfg.n_paths, cfg.n_paths)
+    assert peak < 6 * 2**20, f"realize peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_a_realization_on_16_antennas_per_side_peaks_below_5_5_mib():
@@ -762,8 +771,7 @@ def test_a_realization_on_16_antennas_per_side_peaks_below_5_5_mib():
     finally:
         tracemalloc.stop()
     assert real.pc.g.shape == real.pc.w.shape == (cfg.n_paths * chan.mn, cfg.n_subchannels)
-    assert real.q_rx.shape == (16, cfg.n_paths)
-    assert real.h.shape[1:] == (chan.mn, 16, cfg.n_paths)
+    assert real.h.shape[1:] == (chan.mn, cfg.n_paths, cfg.n_paths)
     assert peak < 5.5 * 2**20, f"realize peaked at {peak / 2**20:.2f} MiB"
 
 
@@ -788,10 +796,10 @@ def grid16_realization():
         tracemalloc.start()
         return dec
 
-    def traced_build(c, a_tx):
+    def traced_build(c, a_tx, a_rx):
         peak.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-        return build_time_channel(c, a_tx)
+        return build_time_channel(c, a_tx, a_rx)
 
     link_sim.decompose, link_sim.build_time_channel = traced_decompose, traced_build
     try:

@@ -393,7 +393,7 @@ class TestSpatialCoreRoute:
         # core's bases; lifted through them, they are H's
         chan = self._chan(n_tx, n_rx, n_paths)
         real = realize(chan, n_rf, "paper_literal")
-        (u, v), h, sigma = h_factors(spatial_core(chan), real.pc.w, real.pc.g), dense_h(chan), real.gains
+        (u, v), h, sigma = h_factors(chan, real.pc.w, real.pc.g), dense_h(chan), real.gains
         k = n_rf * chan.mn
         assert u.shape == (h.shape[0], k) and v.shape == (h.shape[1], k)
         tol = 1e-12 * sigma[0]
@@ -406,7 +406,7 @@ class TestSpatialCoreRoute:
     def test_precoder_combiner_diagonalize_the_dense_h(self, mode):
         chan = self._chan(5, 3, 2)  # more antennas than paths: the core is smaller than H
         real = realize(chan, 2, mode)
-        w, g = h_factors(spatial_core(chan), real.pc.w, real.pc.g)
+        w, g = h_factors(chan, real.pc.w, real.pc.g)
         eff = w.conj().T @ dense_h(chan) @ g
         if mode == "dd_corrected":
             c_t, c_r = dd_transform_matrices(2, 2, 3)
@@ -430,20 +430,22 @@ def _complex_gaussian(rows, cols, seed):
 
 
 def _dense(rows, cols, seed):
-    """A Gaussian matrix as ``decompose`` takes it, and as itself."""
+    """A Gaussian matrix as ``decompose`` takes it, as itself, and no channel: it is its own core."""
     h = _complex_gaussian(rows, cols, seed)
-    return DenseCore(h), h
+    return DenseCore(h), h, None
 
 
 def _core(n_tx, n_rx, n_paths):
-    """A channel's path-built spatial core, and the dense H it stands for."""
+    """A channel's path-built spatial core, the dense H it stands for, and the channel."""
     chan = TestSpatialCoreRoute._chan(n_tx, n_rx, n_paths)
-    return spatial_core(chan), dense_h(chan)
+    return spatial_core(chan), dense_h(chan), chan
 
 
-def _in_h(core, dec):
-    """``dec``'s triplets in the dense H's coordinates: its factors lifted through ``core``'s bases."""
-    u, v = h_factors(core, dec.u, dec.v)
+def _in_h(chan, dec):
+    """``dec``'s triplets in the dense H's coordinates: lifted through the bases of ``chan``'s core, if any."""
+    if chan is None:
+        return dec
+    u, v = h_factors(chan, dec.u, dec.v)
     return replace(dec, u=u, v=v)
 
 
@@ -497,13 +499,13 @@ class TestSubsetDecompose:
              "wide_all"],
     )
     def test_matches_the_full_svd_truncated(self, lapack_calls, case, k):
-        core, c = case
+        core, c, chan = case
         before = c.copy()
         dec = decompose(core, k)
         assert np.array_equal(c, before)
         assert lapack_calls == [k]
         assert dec.rank == k
-        _assert_leading_triplets(c, _in_h(core, dec), k)
+        _assert_leading_triplets(c, _in_h(chan, dec), k)
 
     @pytest.mark.parametrize("route", ["lapack", "eigh"])
     @pytest.mark.parametrize(
@@ -552,7 +554,7 @@ class TestSubsetDecompose:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setitem(precoding._LAPACKE_SYMBOLS, routine, ("otfslink_no_such_symbol",))
         precoding._gram_routines.cache_clear()
-        core, h = _core(3, 5, 10)  # an 18-square Gram matrix, which the LAPACK route packs
+        core, h, chan = _core(3, 5, 10)  # an 18-square Gram matrix, which the LAPACK route packs
         try:
             assert precoding._gram_routines() is None
             assert precoding.gram_matrix(core)[0].shape == (18 * 18,)  # a plain square for eigh
@@ -565,7 +567,7 @@ class TestSubsetDecompose:
         for c, dec in zip((tall, wide), decs):
             assert dec.rank == 16
             _assert_leading_triplets(c, dec, 16)
-        _assert_leading_triplets(h, _in_h(core, spatial), 6)
+        _assert_leading_triplets(h, _in_h(chan, spatial), 6)
 
 
 @pytest.fixture(params=["lapack", "packed", "eigh"])
@@ -621,7 +623,7 @@ class TestSplitTridiagonal:
             core, c = spatial_core(chan), dense_h(chan)
             assert np.array_equal(c, c[0, 0] * np.eye(2))
             for k in (1, 2):
-                _assert_leading_triplets(c, _in_h(core, decompose(core, k)), k)
+                _assert_leading_triplets(c, _in_h(chan, decompose(core, k)), k)
 
     @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
     def test_interleaved_and_repeated_blocks(self, route, wide):
@@ -638,22 +640,22 @@ class TestSplitTridiagonal:
 
     @pytest.mark.parametrize("n_tx, n_rx", [(3, 5), (5, 3)], ids=["tall", "wide"])
     def test_every_k_up_to_the_side(self, route, n_tx, n_rx):
-        core, c = _core(n_tx, n_rx, 10)
+        core, c, chan = _core(n_tx, n_rx, 10)
         assert core.wide == (n_tx > n_rx)
         for k in range(1, core.side + 1):
-            _assert_leading_triplets(c, _in_h(core, decompose(core, k)), k)
+            _assert_leading_triplets(c, _in_h(chan, decompose(core, k)), k)
 
 
 @pytest.mark.parametrize("n_tx, n_rx, n_paths", [(3, 5, 10), (5, 3, 10), (6, 6, 3)],
                          ids=["tall", "wide", "paths_below_antennas"])
 def test_one_core_decomposes_alike_packed_and_square(monkeypatch, n_tx, n_rx, n_paths):
-    core, h = _core(n_tx, n_rx, n_paths)
+    core, h, chan = _core(n_tx, n_rx, n_paths)
     k = core.side // 2
     reconstructions = []
     for limit, size in ((16 * core.side**2, core.side * (core.side + 1) // 2), (0, core.side**2)):
         monkeypatch.setattr(precoding, "_GRAM_MAPPING_BYTES", limit)
         assert precoding.gram_matrix(core)[0].size == size
-        dec = _in_h(core, decompose(core, k))
+        dec = _in_h(chan, decompose(core, k))
         _assert_leading_triplets(h, dec, k)
         reconstructions.append((dec.u * dec.sigma) @ dec.v.conj().T)  # free of each pair's phase
     packed, square = reconstructions
@@ -801,11 +803,12 @@ class TestTripletsOfH:
         core, h = spatial_core(chan), dense_h(chan)
         assert core.wide == (min(n_rx, n_paths) < min(n_tx, n_paths))
         (n_in, n_out) = (n_rx, n_tx) if core.wide else (n_tx, n_rx)
-        assert (core.q_in is None) == (n_in <= n_paths) and (core.q_out is None) == (n_out <= n_paths)
+        # a compressed side's R has L rows, fewer than its antennas
+        assert (core.r_in.shape[0] < n_in) == (n_in > n_paths) and (core.r_out.shape[0] < n_out) == (n_out > n_paths)
         assert core.side == min(n_in, n_paths) * chan.mn
         assert core.shape == (min(n_out, n_paths) * chan.mn, core.side)
         for k in (1, core.side // 2, core.side):
-            _assert_leading_triplets(h, _in_h(core, decompose(core, k)), k)
+            _assert_leading_triplets(h, _in_h(chan, decompose(core, k)), k)
 
 
 @pytest.mark.parametrize("factor", [1e-100, 1e100])
