@@ -14,7 +14,7 @@ Submodules:
 * :mod:`otfslink.cli`           -- ``otfslink`` command-line entry point
 """
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 from .allocation import (
     allocate,

@@ -33,7 +33,7 @@ oracles and live in :mod:`otfslink.validation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -184,32 +184,31 @@ _TIMES_BLOCKS = 8
 class SpatialCore:
     """A channel H kept as the path sum it is, in the form :func:`~otfslink.precoding.decompose` takes.
 
-    ``H = scale * sum_i gains[i] (a_out[:, i] a_in[:, i]^H) kron (Pi^l_i
-    Delta^k_i)`` unless ``wide``; then these fields describe H^H, which is
-    again a path sum: ``(Pi^l Delta^k)^H = w^(kl) Pi^(-l) Delta^(-k)``
-    with ``w = exp(j 2 pi / MN)``, so path i moves to taps ``(-l_i mod MN,
-    -k_i)`` with gain ``conj(gain_i) w^(k_i l_i)`` and the two array
-    responses swap sides. Either way the fields describe a matrix A, H or
-    H^H, whose in side is the Gram side.
+    Each side is described by its R alone: ``r_rx`` and ``r_tx`` hold the
+    receive and transmit sides' responses, one column per path. A side
+    with more antennas than paths is compressed: its ``n x L`` array
+    responses are ``Q R`` with Q of orthonormal columns, and R is ``L x
+    L``; on any other side Q = I and R is the array responses themselves.
+    So each R has ``min(n, L)`` rows, and ``H = (Q_rx kron I_MN) C (Q_tx
+    kron I_MN)^H`` for the core C, the path sum with the R in place of the
+    array responses: C shares H's nonzero singular values. Nothing at run
+    time reads a Q (:mod:`otfslink.validation` forms them for its oracles):
+    the link runs in C's coordinates on both sides, and :attr:`r_tx` and
+    :attr:`r_rx` make :func:`build_time_channel`'s taps C's own, which
+    take a precoder's frames as they are and give a combiner's.
 
-    Each side is compressed when it has more antennas than paths: ``a_out
-    = Q_out r_out`` and ``a_in = Q_in r_in`` are then QR factorizations
-    of its ``n x L`` array responses, with Q of orthonormal columns; on any
-    other side Q = I and R the array responses. So ``A = (Q_out kron I_MN)
-    C (Q_in kron I_MN)^H`` for the core C, the path sum with the columns
-    of the R in place of the array responses, of ``min(n, L)*MN`` rows per
-    side: C shares A's nonzero singular values. Only the R are kept: the
-    link runs in C's coordinates on both sides, so nothing at run time
-    reads a Q (:mod:`otfslink.validation` forms them for its oracles). The
-    Gram side is the side of the smaller such count (the transmit side on
-    a tie), and ``wide`` says it is the receive side. The decomposition
-    takes C's right singular vectors from the eigenvectors of :meth:`gram`
-    and the left ones from :meth:`times`, in C's coordinates, and
-    :attr:`r_tx` and :attr:`r_rx` make :func:`build_time_channel`'s taps
-    C's own, ``(Q_rx kron I_MN)^H H (Q_tx kron I_MN)``, which take a
-    precoder's frames as they are and give a combiner's. ``a_out`` stays
-    for :meth:`gram`, which forms the out side's inner products from the
-    array responses themselves.
+    The Gram side is the side whose R has fewer rows (the transmit side on
+    a tie), and :attr:`wide` says it is the receive side. Then ``gains``,
+    ``delays`` and ``dopplers`` describe H^H, which is again a path sum:
+    ``(Pi^l Delta^k)^H = w^(kl) Pi^(-l) Delta^(-k)`` with ``w = exp(j 2 pi
+    / MN)``, so path i moves to taps ``(-l_i mod MN, -k_i)`` with gain
+    ``conj(gain_i) w^(k_i l_i)``. Either way the paths describe the core
+    of a matrix A, H or H^H, whose in side (:attr:`r_in`) is the Gram side
+    and whose out side is :attr:`r_out`:
+    ``A = scale * sum_i gains[i] (Q_out r_out[:, i] (Q_in r_in[:, i])^H)
+    kron (Pi^l_i Delta^k_i)``. The decomposition takes C's right singular
+    vectors from the eigenvectors of :meth:`gram` and the left ones from
+    :meth:`times`, in C's coordinates.
 
     ``scale`` is half the smallest power of two above the largest real or
     imaginary part of a gain, so it is finite for every finite gain, and
@@ -218,15 +217,28 @@ class SpatialCore:
     overflow nor lose its leading digits to underflow.
     """
 
-    a_out: np.ndarray
-    r_out: np.ndarray
-    r_in: np.ndarray
+    r_rx: np.ndarray
+    r_tx: np.ndarray
     gains: np.ndarray
     delays: np.ndarray
     dopplers: np.ndarray
     mn: int
     scale: float
-    wide: bool
+
+    @property
+    def wide(self) -> bool:
+        """Whether the Gram side is the receive side: its R has fewer rows than the transmit side's."""
+        return self.r_rx.shape[0] < self.r_tx.shape[0]
+
+    @property
+    def r_in(self) -> np.ndarray:
+        """The Gram side's R: ``r_rx`` when :attr:`wide`, else ``r_tx``."""
+        return self.r_rx if self.wide else self.r_tx
+
+    @property
+    def r_out(self) -> np.ndarray:
+        """The other side's R: ``r_tx`` when :attr:`wide`, else ``r_rx``."""
+        return self.r_tx if self.wide else self.r_rx
 
     @property
     def side(self) -> int:
@@ -238,23 +250,15 @@ class SpatialCore:
         """C's shape: ``(min(n_out, L)*MN, min(n_in, L)*MN)``."""
         return self.r_out.shape[0] * self.mn, self.side
 
-    @property
-    def r_tx(self) -> np.ndarray:
-        """The transmit side's ``min(n_tx, L) x L`` responses in the core's coordinates; uncompressed, the array's."""
-        return self.r_out if self.wide else self.r_in
-
-    @property
-    def r_rx(self) -> np.ndarray:
-        """The receive side's ``min(n_rx, L) x L`` responses in the core's coordinates; uncompressed, the array's."""
-        return self.r_in if self.wide else self.r_out
-
     def gram(self):
         """``C^H C / scale**2 = (Q_in kron I)^H A^H A (Q_in kron I) / scale**2``, C's Gram matrix, as delay slabs.
 
-        With ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``a_out``,
+        With ``r_i`` the columns of ``r_in`` and ``o_i`` those of ``r_out``,
         it is ``sum_(i,j) conj(g_i) g_j (o_i^H o_j) (r_i r_j^H) kron
         Delta^(-k_i) Pi^(l_j - l_i) Delta^(k_j)``, and ``Delta^(-k_i) Pi^d
-        Delta^(k_j) = w^(-k_i d) Pi^d Delta^(k_j - k_i)``. Path pairs with
+        Delta^(k_j) = w^(-k_i d) Pi^d Delta^(k_j - k_i)``. The ``o_i^H o_j``
+        are A's own: a compressed side's Q has orthonormal columns, so ``R^H
+        R = A^H A``, and on any other side R is A. Path pairs with
         equal ``(l_j - l_i, k_j - k_i)`` modulo MN share one
         ``side/MN``-square block, so the Gram matrix is one
         :func:`_delay_slabs` sum of at most ``min(L**2, MN**2,
@@ -264,7 +268,7 @@ class SpatialCore:
         :data:`_GRAM_CHUNK_ENTRIES` pair entries at once. Returns the sum's
         ``(delay, slab)`` pairs, which :func:`~otfslink.precoding.gram_matrix` writes.
         """
-        mn, g, l, k = self.mn, self.gains, self.delays, self.dopplers
+        mn, g, l, k, o = self.mn, self.gains, self.delays, self.dopplers, self.r_out
         n_in = self.r_in.T  # row i: path i's column of r_in
         paths, s = n_in.shape
         step = max(1, _GRAM_CHUNK_ENTRIES // (paths * s * s))
@@ -278,7 +282,7 @@ class SpatialCore:
         blocks = np.zeros((taps.size, s, s), dtype=complex)
         for i in rows:
             keys = pair_taps(i)
-            weight = (g[i].conj()[:, None] * g[None, :] * (self.a_out[:, i].conj().T @ self.a_out)
+            weight = (g[i].conj()[:, None] * g[None, :] * (o[:, i].conj().T @ o)
                       * np.exp(-2j * np.pi * ((k[i, None] * (keys // mn)) % mn) / mn))
             outer = weight[:, :, None, None] * n_in[i, None, :, None] * n_in.conj()[None, :, None, :]
             np.add.at(blocks, np.searchsorted(taps, keys).ravel(), outer.reshape(-1, s, s))
@@ -332,7 +336,8 @@ def spatial_core(chan: DdMimoChannel) -> SpatialCore:
     compressed so, by a tall Q whose R has ``L`` rows; on any other side Q
     would be square and only rotate, so there Q = I and R = A. Only each
     side's R is computed (``np.linalg.qr`` in mode ``"r"``): no Q is
-    formed, and C itself is not either.
+    formed, and C itself is not either. When the R show the core is wide,
+    the paths are rewritten to H^H's.
     """
     a_rx, a_tx = _array_matrices(chan)
     gains, delays, dopplers = _taps(chan)
@@ -341,16 +346,12 @@ def spatial_core(chan: DdMimoChannel) -> SpatialCore:
     scale = 2.0 ** (np.frexp(peak)[1] - 1) if peak > 0 else 1.0
     gains = gains / scale
     mn = chan.mn
-    paths = len(chan.paths)
-    wide = min(chan.n_rx, paths) < min(chan.n_tx, paths)
-    a_out, a_in = a_rx, a_tx
-    if wide:
-        gains = gains.conj() * np.exp(2j * np.pi * ((dopplers * delays) % mn) / mn)
-        delays, dopplers = -delays % mn, -dopplers
-        a_out, a_in = a_tx, a_rx
-    r_out, r_in = (np.linalg.qr(a, mode="r") if a.shape[0] > paths else a for a in (a_out, a_in))
-    return SpatialCore(a_out=a_out, r_out=r_out, r_in=r_in, gains=gains, delays=delays, dopplers=dopplers, mn=mn,
-                       scale=scale, wide=wide)
+    r_rx, r_tx = (np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a for a in (a_rx, a_tx))
+    core = SpatialCore(r_rx=r_rx, r_tx=r_tx, gains=gains, delays=delays, dopplers=dopplers, mn=mn, scale=scale)
+    if not core.wide:
+        return core
+    return replace(core, gains=gains.conj() * np.exp(2j * np.pi * ((dopplers * delays) % mn) / mn),
+                   delays=-delays % mn, dopplers=-dopplers)
 
 
 def sample_channel(cfg: SimConfig, rng=None) -> DdMimoChannel:

@@ -107,12 +107,22 @@ _SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)}
 _EXP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"sim"}
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a config error naming it."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeated config key: {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_config(path) -> ExperimentConfig:
     """Load a JSON experiment config; every range rule is the config classes' own.
 
-    Unknown keys are rejected with the offending key named; a bad value
-    fails in :class:`SimConfig` or :class:`ExperimentConfig`, naming its
-    field. Nothing is executed on failure.
+    Unknown and repeated keys are rejected with the offending key named; a
+    bad value fails in :class:`SimConfig` or :class:`ExperimentConfig`,
+    naming its field. Nothing is executed on failure.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -120,8 +130,10 @@ def parse_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal of over 4300 digits
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError:  # a repeated key
+        raise
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer of over 4300 digits, or nesting too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")

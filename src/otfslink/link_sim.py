@@ -355,7 +355,8 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
             pi = np.array([allocation.allocate(w, gains) for w in w_f])
         else:
             pi = np.arange(k, dtype=np.intp)
-        x = modem.modulate(allocation.apply_allocation(idx_f, pi))
+        x_ref = modem.modulate(idx_f)
+        x = allocation.apply_allocation(x_ref, pi)
 
         # each chain's K/n_rf symbols fill its (m, n) DD grid column-major
         grids = unstack_chains(x, n_rf).reshape(len(x), n_rf, n, m).swapaxes(-1, -2)
@@ -366,9 +367,9 @@ def run_link(cfg: SimConfig, payload_indices, importance, rng=None, slot=None) -
         s_hat = unstack_chains(np.conj(combined, out=combined), n_rf)
         x_hat = otfs_demodulate(s_hat, m, n).swapaxes(-1, -2).reshape(len(x), k)
 
-        x_eq, _ = modem.equalize(x_hat, gains)
-        rx_idx = allocation.invert_allocation(modem.demodulate_hard(x_eq), pi)
-        err2 = np.abs(allocation.invert_allocation(x_eq, pi) - modem.modulate(idx_f)) ** 2
+        x_eq = allocation.invert_allocation(modem.equalize(x_hat, gains)[0], pi)  # in payload order
+        rx_idx = modem.demodulate_hard(x_eq)
+        err2 = np.abs(x_eq - x_ref) ** 2
         w_sorted = allocation.apply_allocation(w_f, pi)
         per_frame[:, sl] = (
             err2.sum(axis=1),

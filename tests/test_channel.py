@@ -328,8 +328,10 @@ class TestSpatialCore:
 
     @pytest.mark.parametrize(
         "n_tx, n_rx, n_paths, max_tap",
-        [(3, 5, 4, 3), (6, 4, 10, 3), (4, 4, 6, 3), (4, 4, 1, 3), (3, 2, 4, 5), (2, 3, 4, 5)],
-        ids=["tall", "wide", "square", "one_path", "taps_wrap_wide", "taps_wrap_tall"],
+        [(3, 5, 4, 3), (6, 4, 10, 3), (4, 4, 6, 3), (4, 4, 1, 3), (3, 2, 4, 5), (2, 3, 4, 5),
+         (16, 6, 10, 3), (4, 16, 10, 3)],
+        ids=["tall", "wide", "square", "one_path", "taps_wrap_wide", "taps_wrap_tall",
+             "wide_out_compressed", "tall_out_compressed"],
     )
     def test_gram_and_product_match_the_dense_core(self, n_tx, n_rx, n_paths, max_tap):
         """The Gram matrix against the dense core C's, the product against the dense H's."""
@@ -353,6 +355,16 @@ class TestSpatialCore:
             product = h @ x
             # the core's product, through its bases: (Q_out kron I) C (Q_in kron I)^H x = H x
             assert np.max(np.abs(lifted_product(chan, x) - product)) < 1e-12 * np.max(np.abs(product))
+
+    def test_holds_no_array_with_more_rows_than_paths(self):
+        # 128 antennas a side against 10 paths: the core is described by each side's
+        # L x L R, and keeps none of the 128 x L array responses
+        cfg = SimConfig(n_tx=128, n_rx=128, n_rf=1, m_delay=2, n_doppler=3, n_paths=10)
+        core = spatial_core(sample_channel(cfg, 17))
+        arrays = {name: value for name, value in vars(core).items() if isinstance(value, np.ndarray)}
+        assert sorted(arrays) == ["delays", "dopplers", "gains", "r_rx", "r_tx"]
+        assert all(a.shape[0] <= cfg.n_paths for a in arrays.values())
+        assert core.r_rx.shape == core.r_tx.shape == (10, 10) and not core.wide
 
     @pytest.mark.parametrize("big", [3e200 + 4e200j, 1e308, 1.5e308 + 1.5e308j])
     def test_gains_are_scaled_by_a_power_of_two(self, big):

@@ -203,6 +203,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n_tx": 4, "n_rx": 4, "n_tx": 2, "sweep": "single"}', "repeated config key: 'n_tx'"),
+            ('{"sweep": "single", "seed": 1, "seed": 1}', "repeated config key: 'seed'"),
+            ("[" * 100000 + "]" * 100000, "invalid JSON: maximum recursion depth"),
+            ('{"n_tx_grid": ' + "[" * 100000 + "]" * 100000 + "}", "invalid JSON: maximum recursion depth"),
+        ],
+        ids=["repeated_key", "repeated_equal_value", "deep_list", "deep_under_key"],
+    )
+    def test_malformed_json_is_a_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        out = tmp_path / "never.csv"
+        assert main(["sweep", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_noiseless_snr_accepted(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
         cfg.update({"snr_db": math.inf, "snr_grid_db": [math.inf]})
