@@ -12,28 +12,25 @@ half-wavelength uniform-linear-array responses. Delays act as cyclic
 shifts over one frame, i.e. the frame is treated as cyclically extended;
 no explicit cyclic prefix is modeled.
 
-The link decomposes the channel through a :class:`SpatialCore`
-(:func:`spatial_core`): H's paths, describing the Gram matrix of H's
-spatial core on its smaller side as one slab per delay, the core's
-product with a block of vectors, path by path, and each side's responses
-in the core's coordinates. It carries its frames through the core's own
-taps, a slab of blocks per delay (:func:`build_time_channel`,
-:func:`apply_channel`), built from those responses, from the core's
-transmit coordinates to its receive ones, where the noise is drawn.
-Neither the core nor H is formed, and no antenna basis is kept. The
-Gram matrix itself, its storage and its layout belong to
-:func:`~otfslink.precoding.gram_matrix`, which writes the slabs into it.
+The link expands the paths once, into a :class:`SpatialCore`
+(:func:`spatial_core`): H's own paths and each side's responses in the
+core's coordinates, which give the Gram matrix of H's spatial core as
+one slab per delay, for :func:`~otfslink.precoding.gram_matrix` to write,
+the core's product with a block of vectors, and the core's own taps, a
+slab of blocks per delay (:func:`build_time_channel`, :func:`apply_channel`),
+from its transmit coordinates to its receive ones, where the noise is
+drawn. Neither the core nor H is formed, and no antenna basis is kept.
 :func:`sample_channel` draws a channel for a checked
 :class:`~otfslink.link_sim.SimConfig`. :class:`DdMimoChannel` checks its
 sizes and taps by the configs' integer rule, and its paths' gains and
 angles by the finite number rule, in :mod:`otfslink._fields`.
-The dense H, cyclic shift Pi, core and the core's antenna bases are test
-oracles and live in :mod:`otfslink.validation`.
+The dense H, cyclic shift Pi, core, antenna bases and antenna taps are
+test oracles and live in :mod:`otfslink.validation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,7 +54,7 @@ class PathParams:
 
 @dataclass(frozen=True)
 class DdMimoChannel:
-    """A set of paths plus antenna geometry; expandable to its delay taps. Sizes are stored as ``int``."""
+    """A set of paths plus antenna geometry; expandable to its spatial core. Sizes are stored as ``int``."""
 
     paths: tuple[PathParams, ...]
     n_tx: int
@@ -135,9 +132,8 @@ def _delay_slabs(mn: int, gains, blocks: np.ndarray, delays, dopplers):
 
 def _array_matrices(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray]:
     """The ``n_rx x L`` and ``n_tx x L`` ULA responses, one column per path."""
-    a_rx = np.column_stack([ula_response(p.aoa, chan.n_rx) for p in chan.paths])
-    a_tx = np.column_stack([ula_response(p.aod, chan.n_tx) for p in chan.paths])
-    return a_rx, a_tx
+    return (np.column_stack([ula_response(p.aoa, chan.n_rx) for p in chan.paths]),
+            np.column_stack([ula_response(p.aod, chan.n_tx) for p in chan.paths]))
 
 
 def _taps(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,32 +142,20 @@ def _taps(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gains, np.array([p.delay_tap for p in chan.paths]), np.array([p.doppler_tap for p in chan.paths])
 
 
-def build_time_channel(chan: DdMimoChannel, a_tx: np.ndarray | None = None,
-                       a_rx: np.ndarray | None = None) -> np.ndarray:
-    """The channel's time-varying impulse response: one ``(MN, n_r, n_t)`` slab per delay.
+def build_time_channel(core: SpatialCore) -> np.ndarray:
+    """The core's own delay taps, ``(Q_rx kron I_MN)^H H (Q_tx kron I_MN)``: one ``(MN, n_r, n_t)`` slab per delay.
 
-    ``a_tx`` and ``a_rx`` hold each side's ``n x L`` responses, one column
-    per path: the ULA responses by default (``n_t = n_tx``, ``n_r =
-    n_rx``), or a spatial core's ``r_tx`` and ``r_rx``, which make the
-    taps those of the core ``(Q_rx kron I_MN)^H H (Q_tx kron I_MN)``.
+    ``n_r`` and ``n_t`` are the rows of ``core.r_rx`` and ``core.r_tx``.
     Entry ``[d, q, r, t]`` carries transmit coordinate t's sample q to
     receive coordinate r's sample ``(q + d) mod MN``: the sum over the
-    paths of delay tap d of ``gain * a_rx[r] * conj(a_tx[t]) * exp(j 2 pi
-    k q / MN)``. The delays run up to the largest tap, so the slabs, at
-    most MN, hold every nonzero of the dense matrix that
-    :func:`otfslink.validation.dense_time_channel` expands. A response
-    without one column per path is refused by name.
+    paths of delay tap d of ``gain * r_rx[r] * conj(r_tx[t]) * exp(j 2 pi
+    k q / MN)``, with H's own gains ``core.gains * core.scale``. The delays
+    run up to the largest tap, so the slabs, at most MN, hold every nonzero
+    of the dense matrix :func:`otfslink.validation.dense_time_channel` expands.
     """
-    ula_rx, ula_tx = _array_matrices(chan)
-    a_rx = ula_rx if a_rx is None else np.asarray(a_rx)
-    a_tx = ula_tx if a_tx is None else np.asarray(a_tx)
-    for name, a in (("a_rx", a_rx), ("a_tx", a_tx)):
-        if a.ndim != 2 or a.shape[1] != len(chan.paths):
-            raise ValueError(f"{name} must have one column per path, {len(chan.paths)}, got shape {a.shape}")
-    gains, delays, dopplers = _taps(chan)
-    spatial = a_rx.T[:, :, None] * a_tx.T.conj()[:, None, :]  # path i: a_rx,i a_tx,i^H
-    h = np.zeros((delays.max() + 1, chan.mn, a_rx.shape[0], a_tx.shape[0]), dtype=complex)
-    for delay, slab in _delay_slabs(chan.mn, gains, spatial, delays, dopplers):
+    spatial = core.r_rx.T[:, :, None] * core.r_tx.T.conj()[:, None, :]  # path i: r_rx,i r_tx,i^H
+    h = np.zeros((core.delays.max() + 1, core.mn, core.r_rx.shape[0], core.r_tx.shape[0]), dtype=complex)
+    for delay, slab in _delay_slabs(core.mn, core.gains * core.scale, spatial, core.delays, core.dopplers):
         h[delay] = slab
     return h
 
@@ -185,36 +169,36 @@ class SpatialCore:
     """A channel H kept as the path sum it is, in the form :func:`~otfslink.precoding.decompose` takes.
 
     Each side is described by its R alone: ``r_rx`` and ``r_tx`` hold the
-    receive and transmit sides' responses, one column per path. A side
-    with more antennas than paths is compressed: its ``n x L`` array
-    responses are ``Q R`` with Q of orthonormal columns, and R is ``L x
-    L``; on any other side Q = I and R is the array responses themselves.
-    So each R has ``min(n, L)`` rows, and ``H = (Q_rx kron I_MN) C (Q_tx
-    kron I_MN)^H`` for the core C, the path sum with the R in place of the
-    array responses: C shares H's nonzero singular values. Nothing at run
-    time reads a Q (:mod:`otfslink.validation` forms them for its oracles):
-    the link runs in C's coordinates on both sides, and :attr:`r_tx` and
-    :attr:`r_rx` make :func:`build_time_channel`'s taps C's own, which
-    take a precoder's frames as they are and give a combiner's.
+    receive and transmit sides' responses, one column per path, which
+    construction checks. A side with more antennas than paths is
+    compressed: its ``n x L`` array responses are ``Q R`` with Q of
+    orthonormal columns, and R is ``L x L``; on any other side Q = I and R
+    is the array responses themselves. So each R has ``min(n, L)`` rows,
+    and ``H = (Q_rx kron I_MN) C (Q_tx kron I_MN)^H`` for the core C, the
+    path sum with the R in place of the array responses: C shares H's
+    nonzero singular values. Nothing at run time reads a Q: the link runs
+    in C's coordinates on both sides, through C's own taps
+    (:func:`build_time_channel`).
 
-    The Gram side is the side whose R has fewer rows (the transmit side on
-    a tie), and :attr:`wide` says it is the receive side. Then ``gains``,
-    ``delays`` and ``dopplers`` describe H^H, which is again a path sum:
-    ``(Pi^l Delta^k)^H = w^(kl) Pi^(-l) Delta^(-k)`` with ``w = exp(j 2 pi
-    / MN)``, so path i moves to taps ``(-l_i mod MN, -k_i)`` with gain
-    ``conj(gain_i) w^(k_i l_i)``. Either way the paths describe the core
-    of a matrix A, H or H^H, whose in side (:attr:`r_in`) is the Gram side
-    and whose out side is :attr:`r_out`:
-    ``A = scale * sum_i gains[i] (Q_out r_out[:, i] (Q_in r_in[:, i])^H)
-    kron (Pi^l_i Delta^k_i)``. The decomposition takes C's right singular
+    ``gains``, ``delays`` and ``dopplers`` are H's own paths. The Gram
+    side is the side whose R has fewer rows (the transmit side on a tie),
+    and :attr:`wide` says it is the receive side. Then the decomposition
+    works on H^H, again a path sum: ``(Pi^l Delta^k)^H = w^(kl) Pi^(-l)
+    Delta^(-k)`` with ``w = exp(j 2 pi / MN)``, so :meth:`_a_paths` moves
+    path i to taps ``(-l_i mod MN, -k_i)`` with gain ``conj(gain_i)
+    w^(k_i l_i)`` for :meth:`gram` and :meth:`times`. Either way those
+    paths describe the core of a matrix A, H or H^H, whose in side
+    (:attr:`r_in`) is the Gram side and whose out side is :attr:`r_out`:
+    ``A = scale * sum_i g_i (Q_out r_out[:, i] (Q_in r_in[:, i])^H) kron
+    (Pi^l_i Delta^k_i)``. The decomposition takes C's right singular
     vectors from the eigenvectors of :meth:`gram` and the left ones from
     :meth:`times`, in C's coordinates.
 
     ``scale`` is half the smallest power of two above the largest real or
-    imaginary part of a gain, so it is finite for every finite gain, and
-    ``gains`` are the path gains divided by it, which is exact: no scaled
-    part reaches 2, so the Gram matrix of a finite channel can neither
-    overflow nor lose its leading digits to underflow.
+    imaginary part of a gain, finite for every finite gain, and ``gains``
+    are the path gains with each part scaled by it, exact for parts within
+    a factor 2**1022 of the largest: no scaled part reaches 2, so the Gram
+    matrix can neither overflow nor lose its leading digits to underflow.
     """
 
     r_rx: np.ndarray
@@ -224,6 +208,11 @@ class SpatialCore:
     dopplers: np.ndarray
     mn: int
     scale: float
+
+    def __post_init__(self):
+        for name, shape in (("r_rx", np.shape(self.r_rx)), ("r_tx", np.shape(self.r_tx))):
+            if len(shape) != 2 or shape[1] != np.size(self.gains):
+                raise ValueError(f"{name} must have one column per path, {np.size(self.gains)}, got shape {shape}")
 
     @property
     def wide(self) -> bool:
@@ -250,6 +239,13 @@ class SpatialCore:
         """C's shape: ``(min(n_out, L)*MN, min(n_in, L)*MN)``."""
         return self.r_out.shape[0] * self.mn, self.side
 
+    def _a_paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A's gains (over ``scale``), delays and Doppler taps: H's own paths, or H^H's when :attr:`wide`."""
+        g, l, k, mn = self.gains, self.delays, self.dopplers, self.mn
+        if not self.wide:
+            return g, l, k
+        return g.conj() * np.exp(2j * np.pi * ((k * l) % mn) / mn), -l % mn, -k
+
     def gram(self):
         """``C^H C / scale**2 = (Q_in kron I)^H A^H A (Q_in kron I) / scale**2``, C's Gram matrix, as delay slabs.
 
@@ -268,7 +264,7 @@ class SpatialCore:
         :data:`_GRAM_CHUNK_ENTRIES` pair entries at once. Returns the sum's
         ``(delay, slab)`` pairs, which :func:`~otfslink.precoding.gram_matrix` writes.
         """
-        mn, g, l, k, o = self.mn, self.gains, self.delays, self.dopplers, self.r_out
+        (g, l, k), mn, o = self._a_paths(), self.mn, self.r_out
         n_in = self.r_in.T  # row i: path i's column of r_in
         paths, s = n_in.shape
         step = max(1, _GRAM_CHUNK_ENTRIES // (paths * s * s))
@@ -302,16 +298,16 @@ class SpatialCore:
         through in blocks whose slabs and products each hold about a
         :data:`_TIMES_BLOCKS`-th of the result's entries.
         """
-        mn, paths = self.mn, self.gains.size
+        (gains, delays, dopplers), mn, paths = self._a_paths(), self.mn, self.gains.size
         n_out = self.r_out.shape[0]
         out = np.empty((n_out * mn, x.shape[1]), dtype=complex) if out is None else out
         step = max(1, n_out * x.shape[1] // (max(paths, n_out) * _TIMES_BLOCKS))
         # row q of path i's slab, times its phase, lands on row (q + l_i) mod MN: row p
         # of all the shifted slabs, stacked, takes that of the stacked slabs at rows[p]
         q = np.arange(mn)
-        source = (q - self.delays[:, None]) % mn
+        source = (q - delays[:, None]) % mn
         rows = (np.arange(paths)[:, None] * mn + source).ravel()
-        phases = (self.gains[:, None] * np.exp(2j * np.pi * ((self.dopplers[:, None] * source) % mn) / mn)).reshape(-1, 1)
+        phases = (gains[:, None] * np.exp(2j * np.pi * ((dopplers[:, None] * source) % mn) / mn)).reshape(-1, 1)
         for start in range(0, x.shape[1], step):
             out[:, start:start + step] = self._times_block(x[:, start:start + step], rows, phases)
         return out
@@ -336,22 +332,16 @@ def spatial_core(chan: DdMimoChannel) -> SpatialCore:
     compressed so, by a tall Q whose R has ``L`` rows; on any other side Q
     would be square and only rotate, so there Q = I and R = A. Only each
     side's R is computed (``np.linalg.qr`` in mode ``"r"``): no Q is
-    formed, and C itself is not either. When the R show the core is wide,
-    the paths are rewritten to H^H's.
+    formed, and C itself is not either. The core keeps H's own paths.
     """
-    a_rx, a_tx = _array_matrices(chan)
+    r_rx, r_tx = (np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a for a in _array_matrices(chan))
     gains, delays, dopplers = _taps(chan)
-    # the parts, not |gain|: |gain| overflows for parts near the largest float
-    peak = float(np.max(np.abs(gains.view(float))))
-    scale = 2.0 ** (np.frexp(peak)[1] - 1) if peak > 0 else 1.0
-    gains = gains / scale
-    mn = chan.mn
-    r_rx, r_tx = (np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a for a in (a_rx, a_tx))
-    core = SpatialCore(r_rx=r_rx, r_tx=r_tx, gains=gains, delays=delays, dopplers=dopplers, mn=mn, scale=scale)
-    if not core.wide:
-        return core
-    return replace(core, gains=gains.conj() * np.exp(2j * np.pi * ((dopplers * delays) % mn) / mn),
-                   delays=-delays % mn, dopplers=-dopplers)
+    parts = gains.view(float)  # the parts, not |gain|: |gain| overflows near the largest float
+    peak = float(np.max(np.abs(parts)))
+    exponent = np.frexp(peak)[1] - 1 if peak > 0 else 0
+    # np.ldexp, not gains / scale: a complex division by a subnormal scale overflows
+    return SpatialCore(r_rx=r_rx, r_tx=r_tx, gains=np.ldexp(parts, -exponent).view(complex), delays=delays,
+                       dopplers=dopplers, mn=chan.mn, scale=2.0 ** exponent)
 
 
 def sample_channel(cfg: SimConfig, rng=None) -> DdMimoChannel:
@@ -384,13 +374,11 @@ def apply_channel(h: np.ndarray, y: np.ndarray, noise_var: float, rng=None) -> n
 
     ``y`` is one frame or a ``(frames, n_t*MN)`` array, frames on the
     leading axis, coordinate by coordinate of the taps' ``n_t`` transmit
-    columns: the antennas, or a spatial core's transmit coordinates.
-    ``r = H y + n`` has its layout, with ``n_r*MN`` samples per frame,
-    coordinate by coordinate of the taps' ``n_r`` receive rows, and the
-    noise is drawn there: at the antennas, or, with a core's taps, as
-    ``min(n_rx, L)*MN`` samples per frame in the core's receive
-    coordinates, which is distributed as white noise at the antennas
-    projected by the orthonormal ``(Q_rx kron I_MN)^H``.
+    columns. ``r = H y + n`` has its layout, with ``n_r*MN`` samples per
+    frame, coordinate by coordinate of the taps' ``n_r`` receive rows, and
+    the noise is drawn there: for :func:`spatial_core`'s taps, in the
+    core's receive coordinates, which is distributed as white noise at
+    the antennas projected by the orthonormal ``(Q_rx kron I_MN)^H``.
     Each delay is one batched product over the MN samples. ``noise_var`` is
     the total per-complex-component variance (``noise_var/2`` per part); 0
     gives the exact product. Each frame draws its real, then its imaginary

@@ -40,12 +40,12 @@ the coordinates of H's spatial core, or raises when the channel's rank is
 lower. It takes them from the leading eigenpairs of the Gram matrix of
 the core, which is summed from the path pairs, and applies the core path
 by path (:class:`~otfslink.channel.SpatialCore`). The delay taps are the
-core's own, built from both sides' responses in its coordinates, so the
-precoded frames go through them as they are, the noise is drawn in the
-core's receive coordinates, ``min(n_rx, L)*MN`` samples per frame, and
-the combiner takes what comes out as it is. No H-sized array is
-allocated, and no antenna basis is formed. How each version of the CSV
-moved against the one before is kept in ``CHANGES.md``.
+core's own, built from the core alone, so the precoded frames go through
+them as they are, the noise is drawn in the core's receive coordinates,
+``min(n_rx, L)*MN`` samples per frame, and the combiner takes what comes
+out as it is. No H-sized array is allocated, and no antenna basis is
+formed. How each version of the CSV moved against the one before is kept
+in ``CHANGES.md``.
 
 :class:`SimConfig`'s integer and number fields and :func:`run_sweep`'s
 ``trials`` are checked by the rules of :mod:`otfslink._fields`.
@@ -243,9 +243,9 @@ class Realization:
     a transmission uses of them. Everything is in the coordinates of the
     channel's spatial core (see :class:`~otfslink.channel.SpatialCore`):
     ``pc`` has ``min(n, L)*MN`` rows per side, and ``h`` is the core's
-    delay taps (:func:`~otfslink.channel.build_time_channel`), which take
-    the precoder's frames to what the combiner takes, with no basis
-    between.
+    delay taps (:func:`~otfslink.channel.build_time_channel`, from the
+    core alone), which take the precoder's frames to what the combiner
+    takes, with no basis between.
     """
 
     h: np.ndarray
@@ -269,10 +269,10 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     which owns them from then on. They stay in the core's coordinates:
     ``min(n, L)*MN`` rows per side rather than ``n*MN``. The taps that
     :func:`~otfslink.channel.apply_channel` takes are built last, from the
-    core's responses ``r_tx`` and ``r_rx``, so that they are the core's
-    own, from its transmit coordinates to its receive ones: (max delay +
-    1)*MN*min(n_rx, L)*min(n_tx, L) entries, never more than the dense
-    core's, and 0.59 MiB at 128x128 antennas, 10 paths and an 8x8 grid.
+    core alone, so that they are the core's own, from its transmit
+    coordinates to its receive ones: (max delay + 1)*MN*min(n_rx,
+    L)*min(n_tx, L) entries, never more than the dense core's, and 0.59
+    MiB at 128x128 antennas, 10 paths and an 8x8 grid.
     There and at 16x16 antennas alike, a realization's memory peaks inside
     the decomposition (see :func:`~otfslink.precoding.decompose`).
     """
@@ -282,7 +282,7 @@ def realize(chan: DdMimoChannel, n_rf: int, precoder_mode: str) -> Realization:
     gains = sub_channel_gains(dec)
     pc = build_precoder_combiner(dec, m, n, precoder_mode)
     del dec
-    h = build_time_channel(chan, core.r_tx, core.r_rx)
+    h = build_time_channel(core)
     return Realization(h=h, pc=pc, gains=gains)
 
 

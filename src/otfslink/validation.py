@@ -10,9 +10,10 @@ that only these checks and the tests use, :func:`cyclic_shift_matrix`,
 with :class:`DenseCore`, the adapter through which a dense matrix reaches
 :func:`~otfslink.precoding.decompose`. So do the spatial core's antenna
 bases, which nothing at run time reads: :func:`core_sides` forms them,
-and :func:`h_factors` and :func:`lifted_product` take what the core holds
-in its coordinates to H's. The tolerances are defined here, once;
-``tests/test_acceptance.py`` runs the same checks and pins them.
+:func:`h_factors` and :func:`lifted_product` take what the core holds in
+its coordinates to H's, and :func:`antenna_taps` gives H's own taps. The
+tolerances are defined here, once; ``tests/test_acceptance.py`` runs the
+same checks and pins them.
 ``paper_literal_gap`` is informational and never fails.
 """
 
@@ -80,7 +81,7 @@ def cyclic_shift_matrix(size: int, power: int) -> np.ndarray:
 
 
 def time_channel_entry_oracle(chan: DdMimoChannel) -> np.ndarray:
-    """The dense H entry by entry from the closed form, independent of ``build_time_channel``."""
+    """The dense H entry by entry from the closed form, independent of :func:`antenna_taps`."""
     mn = chan.mn
     h = np.zeros((chan.n_rx * mn, chan.n_tx * mn), dtype=complex)
     for p in chan.paths:
@@ -109,6 +110,18 @@ def dense_time_channel(taps: np.ndarray) -> np.ndarray:
     return h.reshape(n_rx * mn, n_tx * mn)
 
 
+def _array_responses(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n_rx x L`` and ``n_tx x L`` ULA responses of ``chan``, one column per path."""
+    return tuple(np.column_stack([ula_response(getattr(p, angle), count) for p in chan.paths])
+                 for angle, count in (("aoa", chan.n_rx), ("aod", chan.n_tx)))
+
+
+def antenna_taps(chan: DdMimoChannel) -> np.ndarray:
+    """The delay taps between ``chan``'s antennas: those of its core with the array responses as each side's R."""
+    a_rx, a_tx = _array_responses(chan)
+    return build_time_channel(replace(spatial_core(chan), r_rx=a_rx, r_tx=a_tx))
+
+
 def core_sides(chan: DdMimoChannel) -> tuple[tuple, tuple]:
     """``((Q_rx, R_rx), (Q_tx, R_tx))``: each side of ``chan``'s spatial core, with its antenna basis.
 
@@ -120,9 +133,7 @@ def core_sides(chan: DdMimoChannel) -> tuple[tuple, tuple]:
     holds only the R; the Q are the oracles' alone.
     """
     paths = len(chan.paths)
-    a_rx = np.column_stack([ula_response(p.aoa, chan.n_rx) for p in chan.paths])
-    a_tx = np.column_stack([ula_response(p.aod, chan.n_tx) for p in chan.paths])
-    return tuple(tuple(np.linalg.qr(a)) if a.shape[0] > paths else (None, a) for a in (a_rx, a_tx))
+    return tuple(tuple(np.linalg.qr(a)) if a.shape[0] > paths else (None, a) for a in _array_responses(chan))
 
 
 def dense_spatial_core(chan: DdMimoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,7 +289,7 @@ def criterion_1_diagonalization() -> CheckResult:
     rank_agrees = True
     for n_ant, grid, n_rf, n_paths, seed in product((2, 4, 8), (2, 4), (1, 2), (2, 5, 10), (0, 1)):
         chan = _random_channel(n_ant, grid, n_paths, seed)
-        h = dense_time_channel(build_time_channel(chan))
+        h = dense_time_channel(antenna_taps(chan))
         dense = np.linalg.svd(h, compute_uv=False)
         dense_rank = int(np.count_nonzero(dense > RANK_TOLERANCE * dense[0]))
         k = n_rf * grid * grid
@@ -315,7 +326,7 @@ def criterion_2_parallel_subchannel_noise() -> CheckResult:
     k = n_rf * grid * grid
     chan = _random_channel(4, grid, 5, 42)
     real = realize(chan, n_rf, "dd_corrected")
-    h, pc, gains = build_time_channel(chan), h_precoder_combiner(chan, real), real.gains
+    h, pc, gains = antenna_taps(chan), h_precoder_combiner(chan, real), real.gains
     c_t, c_r = dd_transform_matrices(n_rf, grid, grid)
     noise_var = 0.1  # 10 dB at unit symbol energy
     x = modem.modulate(rng.integers(0, modem.QAM_ORDER, (10_000, k)))  # one frame per row
@@ -358,7 +369,7 @@ def criterion_4_channel_matrix_oracle() -> CheckResult:
             max_delay_tap=3, max_doppler_tap=1,
         )
         chan = sample_channel(cfg, rng)
-        h = dense_time_channel(build_time_channel(chan))
+        h = dense_time_channel(antenna_taps(chan))
         worst = max(worst, float(np.max(np.abs(h - time_channel_entry_oracle(chan)))))
     return CheckResult(
         "criterion_4_channel_matrix_oracle", worst < TOL_CHANNEL_ORACLE, f"max abs gap {worst:.2e}"
@@ -561,7 +572,7 @@ def paper_literal_gap() -> CheckResult:
     for _ in range(5):
         chan = _random_channel(2, 2, 5, rng)
         pc = h_precoder_combiner(chan, realize(chan, 1, "paper_literal"))
-        h = dense_time_channel(build_time_channel(chan))
+        h = dense_time_channel(antenna_taps(chan))
         ratios.append(_offdiag_ratio(effective_dd_channel(h, pc, 1, 2, 2)))
     return CheckResult(
         "paper_literal_gap",

@@ -1,5 +1,6 @@
 """Channel construction tests against an entry-by-entry closed-form oracle."""
 
+import inspect
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -20,7 +21,7 @@ from otfslink.channel import (
 )
 from otfslink.link_sim import SimConfig, realize
 from otfslink.validation import (
-    core_sides, cyclic_shift_matrix, dense_spatial_core, dense_time_channel, lifted_product,
+    antenna_taps, core_sides, cyclic_shift_matrix, dense_spatial_core, dense_time_channel, lifted_product,
     time_channel_entry_oracle, unpacked,
 )
 
@@ -83,7 +84,7 @@ class TestBuildTimeChannel:
             paths=(PathParams(1.0 + 0j, 0, 0, 0.7, 0.3),),
             n_tx=1, n_rx=1, m_delay=2, n_doppler=2,
         )
-        h = build_time_channel(chan)
+        h = antenna_taps(chan)
         assert h.shape == (1, 4, 1, 1)
         np.testing.assert_allclose(dense_time_channel(h), np.eye(4), atol=1e-14)
 
@@ -92,7 +93,7 @@ class TestBuildTimeChannel:
             paths=(PathParams(1.0 + 0j, 1, 0, 0.7, 0.3),),
             n_tx=1, n_rx=1, m_delay=2, n_doppler=2,
         )
-        h = build_time_channel(chan)
+        h = antenna_taps(chan)
         assert h.shape == (2, 4, 1, 1) and not np.any(h[0])  # no path has delay 0
         np.testing.assert_allclose(dense_time_channel(h), cyclic_shift_matrix(4, 1), atol=1e-14)
 
@@ -103,7 +104,7 @@ class TestBuildTimeChannel:
         )
         for _ in range(5):
             chan = sample_channel(cfg, rng)
-            h = dense_time_channel(build_time_channel(chan))
+            h = dense_time_channel(antenna_taps(chan))
             assert np.max(np.abs(h - time_channel_entry_oracle(chan))) < 1e-12
 
     @pytest.mark.parametrize(
@@ -118,7 +119,7 @@ class TestBuildTimeChannel:
         rng = np.random.default_rng(14)
         for _ in range(3):
             chan = sample_channel(cfg, rng)
-            taps, oracle = build_time_channel(chan), time_channel_entry_oracle(chan)
+            taps, oracle = antenna_taps(chan), time_channel_entry_oracle(chan)
             assert taps.shape == (max(p.delay_tap for p in chan.paths) + 1, m * n, n_rx, n_tx)
             # entry [d, q, r, t] is H's at row r*MN + (q + d) mod MN, column t*MN + q
             d, q, r, t = np.indices(taps.shape)
@@ -138,7 +139,7 @@ class TestBuildTimeChannel:
             ),
             n_tx=chan.n_tx, n_rx=chan.n_rx, m_delay=chan.m_delay, n_doppler=chan.n_doppler,
         )
-        np.testing.assert_allclose(build_time_channel(doubled), 2 * build_time_channel(chan))
+        np.testing.assert_allclose(antenna_taps(doubled), 2 * antenna_taps(chan))
 
     def test_single_antenna_kron_structure(self):
         # against the shift/rotation primitives raised to matrix powers
@@ -157,16 +158,10 @@ class TestBuildTimeChannel:
             else:
                 rot = np.linalg.matrix_power(delta_1.conj(), -p.doppler_tap)
             expected += p.gain * shift @ rot
-        np.testing.assert_allclose(dense_time_channel(build_time_channel(chan)), expected, atol=1e-12)
+        np.testing.assert_allclose(dense_time_channel(antenna_taps(chan)), expected, atol=1e-12)
 
-    @pytest.mark.parametrize("side", ["a_tx", "a_rx"])
-    def test_responses_need_one_column_per_path(self, side):
-        chan = DdMimoChannel(paths=(PathParams(1.0 + 0j, 0, 0, 0.7, 0.3),) * 2, n_tx=2, n_rx=2, m_delay=2, n_doppler=2)
-        shape = {"a_tx": (1, 4, 2, 3), "a_rx": (1, 4, 3, 2)}[side]
-        assert build_time_channel(chan, **{side: np.ones((3, 2))}).shape == shape
-        for bad in ((2, 3), (2,)):
-            with pytest.raises(ValueError, match=f"{side} must have one column per path"):
-                build_time_channel(chan, **{side: np.ones(bad)})
+    def test_takes_the_core_alone(self):
+        assert list(inspect.signature(build_time_channel).parameters) == ["core"]
 
     def test_tap_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -212,7 +207,7 @@ class TestBuildTimeChannel:
     def test_numpy_integers_accepted(self):
         path = PathParams(1.0 + 0j, np.int64(1), np.int32(-1), 0.5, 1.0)
         chan = DdMimoChannel(paths=(path,), n_tx=np.int64(2), n_rx=2, m_delay=np.intp(2), n_doppler=2)
-        assert build_time_channel(chan).shape == (2, 4, 2, 2)
+        assert antenna_taps(chan).shape == (2, 4, 2, 2)
         assert realize(chan, 1, "dd_corrected").gains.shape == (4,)
 
 
@@ -249,7 +244,7 @@ class TestOneRotationPerDopplerTap:
         for seed in range(3):
             chan = sample_channel(self.CFG, seed)
             del rotation_calls[:]
-            h = dense_time_channel(build_time_channel(chan))
+            h = dense_time_channel(antenna_taps(chan))
             taps = {p.doppler_tap for p in chan.paths}
             assert sorted(rotation_calls) == sorted(taps) and len(taps) < len(chan.paths)
             assert np.max(np.abs(h - time_channel_entry_oracle(chan))) < 1e-12
@@ -349,12 +344,49 @@ class TestSpatialCore:
             g, offsets = precoding.gram_matrix(core)
             assert g.shape == (core.side * (core.side + 1) // 2,)  # packed at this size
             _assert_stored_triangle(unpacked(g, offsets) * core.scale**2, gram)
-            h = dense_time_channel(build_time_channel(chan))
+            h = dense_time_channel(antenna_taps(chan))
             h = h.conj().T if core.wide else h
             x = np.random.default_rng(seed).standard_normal((h.shape[1], 5)) * (1 + 2j)
             product = h @ x
             # the core's product, through its bases: (Q_out kron I) C (Q_in kron I)^H x = H x
             assert np.max(np.abs(lifted_product(chan, x) - product)) < 1e-12 * np.max(np.abs(product))
+
+    @pytest.mark.parametrize("side", ["r_tx", "r_rx"])
+    def test_an_r_needs_one_column_per_path(self, side):
+        chan = DdMimoChannel(paths=(PathParams(1.0 + 0j, 0, 0, 0.7, 0.3),) * 2, n_tx=2, n_rx=2, m_delay=2, n_doppler=2)
+        core = spatial_core(chan)
+        shape = {"r_tx": (1, 4, 2, 3), "r_rx": (1, 4, 3, 2)}[side]
+        assert build_time_channel(replace(core, **{side: np.ones((3, 2))})).shape == shape
+        for bad in ((2, 3), (2,)):
+            with pytest.raises(ValueError, match=f"{side} must have one column per path"):
+                replace(core, **{side: np.ones(bad)})
+
+    @pytest.mark.parametrize("n_tx, n_rx, n_paths", [(16, 6, 10), (5, 3, 4)], ids=["wide_out_compressed", "wide"])
+    def test_a_wide_core_keeps_the_channel_s_own_paths(self, n_tx, n_rx, n_paths):
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=n_paths,
+                        max_delay_tap=5, max_doppler_tap=2)
+        chan = sample_channel(cfg, 19)
+        core = spatial_core(chan)
+        assert core.wide
+        np.testing.assert_array_equal(core.gains * core.scale, [p.gain for p in chan.paths])
+        np.testing.assert_array_equal(core.delays, [p.delay_tap for p in chan.paths])
+        np.testing.assert_array_equal(core.dopplers, [p.doppler_tap for p in chan.paths])
+
+    @pytest.mark.parametrize("n_tx, n_rx", [(4, 5), (5, 4)], ids=["tall", "wide"])
+    def test_gram_summed_one_row_of_paths_at_a_time(self, monkeypatch, n_tx, n_rx):
+        # one pair entry per chunk: as many chunks as paths, against the one chunk the default takes
+        cfg = SimConfig(n_tx=n_tx, n_rx=n_rx, n_rf=1, m_delay=2, n_doppler=3, n_paths=7,
+                        max_delay_tap=5, max_doppler_tap=5)
+        chan = sample_channel(cfg, 20)
+        core = spatial_core(chan)
+        assert core.wide == (n_tx > n_rx)
+        whole = _gram(core)
+        monkeypatch.setattr(channel, "_GRAM_CHUNK_ENTRIES", 1)
+        chunked = _gram(core)
+        assert np.max(np.abs(chunked - whole)) <= 1e-14 * np.max(np.abs(whole))
+        dense = dense_spatial_core(chan)[1]
+        a = dense.conj().T if core.wide else dense
+        _assert_stored_triangle(chunked * core.scale**2, a.conj().T @ a)  # 1e-12: TOL_CHANNEL_ORACLE
 
     def test_holds_no_array_with_more_rows_than_paths(self):
         # 128 antennas a side against 10 paths: the core is described by each side's
@@ -469,7 +501,7 @@ class TestApplyChannel:
         shape = (n_tx * chan.mn,) if frames is None else (frames, n_tx * chan.mn)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         want = y @ time_channel_entry_oracle(chan).T
-        got = apply_channel(build_time_channel(chan), y, 0.0)
+        got = apply_channel(antenna_taps(chan), y, 0.0)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 

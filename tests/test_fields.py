@@ -10,7 +10,7 @@ import pytest
 
 from otfslink.allocation import allocate, exact_kendall_tau, gaussian_bin_entropy, soft_kendall
 from otfslink.channel import (
-    DdMimoChannel, PathParams, apply_channel, build_time_channel, phase_rotation_matrix, ula_response,
+    DdMimoChannel, PathParams, apply_channel, phase_rotation_matrix, ula_response,
 )
 from otfslink.cli import ExperimentConfig
 from otfslink.dd_transforms import dft_matrix, otfs_demodulate, otfs_modulate, unstack_chains
@@ -20,7 +20,7 @@ from otfslink.link_sim import (
 from otfslink.losses import LossWeights, cross_entropy, l1_loss, l2_loss, rate_term
 from otfslink.modem import demodulate_hard, equalize, square_qam_ser
 from otfslink.precoding import build_precoder_combiner, dd_transform_matrices, decompose
-from otfslink.validation import DenseCore, cyclic_shift_matrix
+from otfslink.validation import DenseCore, antenna_taps, cyclic_shift_matrix
 
 SMALL = SimConfig(
     n_tx=2, n_rx=2, n_rf=1, m_delay=2, n_doppler=2, n_frames=2, n_paths=3,
@@ -158,7 +158,7 @@ def test_cross_entropy_names_a_bad_true_label(label):
 
 def _path(name):
     """A call that builds a one-path channel with the path's ``name`` set to its argument, and its delay taps."""
-    return lambda value: build_time_channel(DdMimoChannel((replace(PATH, **{name: value}),), **SIZES))
+    return lambda value: antenna_taps(DdMimoChannel((replace(PATH, **{name: value}),), **SIZES))
 
 
 # (id: function.argument, call of the argument's value, a valid value, an out-of-range value, the range as

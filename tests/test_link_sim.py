@@ -11,7 +11,7 @@ import pytest
 
 from otfslink import allocation, link_sim, modem, precoding, validation
 from otfslink.channel import (
-    DdMimoChannel, PathParams, SpatialCore, apply_channel, build_time_channel, sample_channel, spatial_core,
+    DdMimoChannel, PathParams, SpatialCore, apply_channel, sample_channel, spatial_core,
 )
 from otfslink.dd_transforms import otfs_demodulate, otfs_modulate, stack_chains, unstack_chains
 from otfslink.link_sim import (
@@ -233,7 +233,7 @@ class TestGainScale:
 
     BASE = (0.8 + 0.3j, -0.2 + 0.9j)
 
-    @pytest.mark.parametrize("factor", [1e308, 1e200, 1e160, 1e-200])
+    @pytest.mark.parametrize("factor", [1e308, 1e200, 1e160, 1e-200, 1e-310])
     def test_realization_scales_with_the_gains(self, factor):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -246,6 +246,16 @@ class TestGainScale:
         np.testing.assert_allclose(
             scaled.pc.w @ scaled.pc.g.conj().T, base.pc.w @ base.pc.g.conj().T, rtol=0, atol=1e-12
         )
+
+    def test_a_subnormal_gain_realizes(self):
+        # a scale of 2**-1030: dividing the gains by it as complex numbers overflowed to inf + nan j
+        chan = DdMimoChannel((PathParams(3e-310 + 0j, 0, 0, 0.5, 1.0),), 1, 1, 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            core = spatial_core(chan)
+            real = realize(chan, 1, "dd_corrected")
+        assert core.gains * core.scale == 3e-310 and 1.0 <= core.gains[0].real < 2.0
+        np.testing.assert_array_equal(real.gains, [3e-310, 3e-310])
 
     def test_singular_value_beyond_the_float_range_raises(self):
         # |gain| = 1.5e308 * sqrt(2) is the one singular value of a 1x1 channel
@@ -274,7 +284,7 @@ def run_link_per_frame(cfg: SimConfig, payload_indices, importance, rng=None) ->
     w_all = np.asarray(importance, dtype=float)
     chan = sample_channel(cfg, rng)
     real = realize(chan, cfg.n_rf, cfg.precoder_mode)
-    h, gains = build_time_channel(chan), real.gains  # the taps between the antennas
+    h, gains = validation.antenna_taps(chan), real.gains  # the taps between the antennas
     w, g = validation.h_factors(chan, real.pc.w, real.pc.g)
     (q_rx, _), _ = validation.core_sides(chan)
     q_rx_h = None if q_rx is None else q_rx.conj().T
@@ -699,7 +709,7 @@ class TestRealizeInPlace:
         assert core.wide == (n_tx > n_rx)
         dec = precoding.decompose(core, cfg.n_subchannels)
         u, v = dec.u, dec.v
-        h = validation.dense_time_channel(build_time_channel(chan))
+        h = validation.dense_time_channel(validation.antenna_taps(chan))
         h_u, h_v = validation.h_factors(chan, u, v)
         assert np.max(np.abs(h @ h_v - h_u * dec.sigma)) < 1e-12 * dec.sigma[0]
         if mode == "dd_corrected":
@@ -719,7 +729,7 @@ def test_the_taps_are_the_spatial_core(n_tx, n_rx, n_paths):
     real = realize(chan, cfg.n_rf, cfg.precoder_mode)
     assert real.h.shape[2:] == (min(n_rx, n_paths), min(n_tx, n_paths))
     q_rx, q_tx = (np.kron(q, np.eye(chan.mn)) for q in validation.dense_spatial_core(chan)[::2])
-    h = validation.dense_time_channel(build_time_channel(chan))
+    h = validation.dense_time_channel(validation.antenna_taps(chan))
     np.testing.assert_allclose(validation.dense_time_channel(real.h), q_rx.conj().T @ h @ q_tx, rtol=0, atol=1e-13)
 
 
@@ -796,10 +806,10 @@ def grid16_realization():
         tracemalloc.start()
         return dec
 
-    def traced_build(c, a_tx, a_rx):
+    def traced_build(core):
         peak.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-        return build_time_channel(c, a_tx, a_rx)
+        return build_time_channel(core)
 
     link_sim.decompose, link_sim.build_time_channel = traced_decompose, traced_build
     try:
@@ -848,7 +858,7 @@ class TestGrid16Memory:
         dense_h = 16 * (GRID16.n_rx * chan.mn) * (GRID16.n_tx * chan.mn)
         tracemalloc.start()
         try:
-            assert build_time_channel(chan).shape == real.h.shape  # freed at once: the slot holds the taps
+            assert validation.antenna_taps(chan).shape == real.h.shape  # freed at once: the slot holds the taps
             run_link(GRID16, idx, w, np.random.default_rng(44), slot)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -15,7 +15,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from otfslink import precoding
-from otfslink.channel import build_time_channel, sample_channel, spatial_core
+from otfslink.channel import sample_channel, spatial_core
 from otfslink.dd_transforms import dft_matrix
 from otfslink.link_sim import SimConfig, realize
 from otfslink.precoding import (
@@ -25,14 +25,14 @@ from otfslink.precoding import (
     decompose,
     sub_channel_gains,
 )
-from otfslink.validation import DenseCore, dense_time_channel, effective_dd_channel, h_factors
+from otfslink.validation import DenseCore, antenna_taps, dense_time_channel, effective_dd_channel, h_factors
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def dense_h(chan):
     """The dense H of ``chan``, expanded from its delay taps."""
-    return dense_time_channel(build_time_channel(chan))
+    return dense_time_channel(antenna_taps(chan))
 
 
 def _copy(dec):
